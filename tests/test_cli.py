@@ -7,26 +7,39 @@ from chainext.exactla import RatMatrix
 from chainext.formats import dump_extend, load_extend
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_reports.json")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
 
 
+def run_golden(capsys, *argv):
+    """run(), then require the exit code and the full report recorded in
+    golden/cli_reports.json under the space-joined argv."""
+    code, out = run(capsys, *argv)
+    with open(GOLDEN) as fh:
+        want = json.load(fh)[" ".join(argv)]
+    assert (code, out) == (want["code"], want["stdout"])
+    return code, out
+
+
 def test_lie_abelian2(capsys):
-    code, out = run(capsys, "lie", "--input", "lie_abelian2")
+    code, out = run_golden(capsys, "lie", "--input", "lie_abelian2")
     assert code == 0
     assert "H2 dim: 2" in out.splitlines()
 
 
 def test_lie_sl2(capsys):
-    code, out = run(capsys, "lie", "--input", "lie_sl2")
+    code, out = run_golden(capsys, "lie", "--input", "lie_sl2")
     assert code == 0
     assert "H2 dim: 0" in out.splitlines()
 
 
 def test_lie_obstructed_deformation(capsys):
-    code, out = run(capsys, "lie", "--input", "lie_abelian3",
-                    "--alpha1", "cochain_obstructed_alpha1")
+    code, out = run_golden(capsys, "lie", "--input", "lie_abelian3",
+                           "--alpha1", "cochain_obstructed_alpha1")
     assert code == 0
     lines = out.splitlines()
     assert "obstruction [a1,a1]: nonzero" in lines
@@ -52,14 +65,15 @@ def test_lie_jacobi_failure(tmp_path, capsys):
 
 
 def test_shlie_default_zero_alpha1(capsys):
-    code, out = run(capsys, "shlie", "--input", "lie_so3")
+    code, out = run_golden(capsys, "shlie", "--input", "lie_so3")
     assert code == 0
     assert "variants agree: True" in out
 
 
 def test_shlie_obstructed_with_cross_check(capsys):
-    code, out = run(capsys, "shlie", "--input", "lie_abelian3",
-                    "--alpha1", "cochain_obstructed_alpha1", "--cross-check")
+    code, out = run_golden(capsys, "shlie", "--input", "lie_abelian3",
+                           "--alpha1", "cochain_obstructed_alpha1",
+                           "--cross-check")
     assert code == 0
     lines = out.splitlines()
     assert "variant t2 relations: ok" in lines
@@ -68,14 +82,14 @@ def test_shlie_obstructed_with_cross_check(capsys):
 
 
 def test_shlie_rejects_non_cocycle(capsys):
-    code, out = run(capsys, "shlie", "--input", "lie_so3",
-                    "--alpha1", "cochain_obstructed_alpha1")
+    code, out = run_golden(capsys, "shlie", "--input", "lie_so3",
+                           "--alpha1", "cochain_obstructed_alpha1")
     assert code == 1
     assert "build: error" in out
 
 
 def test_brst_toy(capsys):
-    code, out = run(capsys, "brst", "--input", "brst_toy", "--cap", "3")
+    code, out = run_golden(capsys, "brst", "--input", "brst_toy", "--cap", "3")
     assert code == 0
     lines = out.splitlines()
     assert "l3(G2): -1*eta1eta2P1" in lines
@@ -83,7 +97,7 @@ def test_brst_toy(capsys):
 
 
 def test_brst_so3_table(capsys):
-    code, out = run(capsys, "brst", "--input", "brst_so3", "--cap", "3")
+    code, out = run_golden(capsys, "brst", "--input", "brst_so3", "--cap", "3")
     assert code == 0
     lines = out.splitlines()
     assert "l2(P1): -1*eta2P3 + 1*eta3P2" in lines
@@ -101,8 +115,8 @@ def test_brst_not_first_class(tmp_path, capsys):
 
 
 def test_bv_two_pair(capsys):
-    code, out = run(capsys, "bv", "--input", "bv_two_pair", "--cap", "4",
-                    "--cross-check")
+    code, out = run_golden(capsys, "bv", "--input", "bv_two_pair", "--cap",
+                           "4", "--cross-check")
     assert code == 0
     lines = out.splitlines()
     assert "S1 (searched): C phi_st" in lines
@@ -111,7 +125,8 @@ def test_bv_two_pair(capsys):
 
 
 def test_bv_two_ghost(capsys):
-    code, out = run(capsys, "bv", "--input", "bv_two_ghost", "--cap", "3")
+    code, out = run_golden(capsys, "bv", "--input", "bv_two_ghost",
+                           "--cap", "3")
     assert code == 0
     assert "obstruction R: -2 phi1 C1 C2 phi1_st + 2 phi2 C1 C2 phi2_st" \
         in out.splitlines()
@@ -128,7 +143,7 @@ def test_bv_order_one_master_failure(tmp_path, capsys):
 
 def test_extend_shipped(capsys):
     for name in ("extend_split", "extend_medium"):
-        code, out = run(capsys, "extend", "--input", name)
+        code, out = run_golden(capsys, "extend", "--input", name)
         assert code == 0
         assert "homology match: True" in out.splitlines()
 
@@ -169,7 +184,7 @@ def test_input_is_directory(tmp_path, capsys):
 
 
 def test_fuzz(capsys):
-    code, out = run(capsys, "fuzz", "--seed", "1")
+    code, out = run_golden(capsys, "fuzz", "--seed", "1")
     assert code == 0
     assert "passed: 100/100" in out.splitlines()
 
@@ -189,13 +204,13 @@ def test_missing_input_exit_code(capsys):
 
 
 def test_wrong_kind_exit_code(capsys):
-    code, out = run(capsys, "lie", "--input", "brst_so3")
+    code, out = run_golden(capsys, "lie", "--input", "brst_so3")
     assert code == 2
 
 
 def test_byte_determinism(capsys):
-    runs = [run(capsys, "shlie", "--input", "lie_heisenberg",
-                "--format", "structured") for _ in range(2)]
+    runs = [run_golden(capsys, "shlie", "--input", "lie_heisenberg",
+                       "--format", "structured") for _ in range(2)]
     assert runs[0] == runs[1]
     report = json.loads(runs[0][1])
     assert report["variants agree"] is True
@@ -203,7 +218,7 @@ def test_byte_determinism(capsys):
 
 
 def test_bundled_name_with_extension(capsys):
-    code1, out1 = run(capsys, "lie", "--input", "lie_aff1")
-    code2, out2 = run(capsys, "lie", "--input", "lie_aff1.txt")
+    code1, out1 = run_golden(capsys, "lie", "--input", "lie_aff1")
+    code2, out2 = run_golden(capsys, "lie", "--input", "lie_aff1.txt")
     assert (code1, out1) == (code2, out2)
     assert "H2 dim: 0" in out1.splitlines()
