@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
-from .exactla import RatMatrix, solve
+from .exactla import Basis, RatMatrix, operator_matrix as basis_matrix
 from .superalg import (
     GenSpec, SuperAlgebra, SuperPoly, extend_right_derivation, mul, poisson,
     right_deriv, validate_poisson_table,
@@ -280,22 +280,10 @@ def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
 
 
 def in_constraint_ideal(sys: ConstraintSystem, f: SuperPoly) -> bool:
-    """Membership in the ideal generated by the constraints, decided by a
-    linear solve against the ideal's monomial basis inside the span of f."""
-    monos = sorted(f.terms)
-    if not monos:
-        return True
-    target = [f.terms[m] for m in monos]
-    cols = []
-    for j, m in enumerate(monos):
-        if sys.has_constraint_factor(m):
-            col = [Fraction(0)] * len(monos)
-            col[j] = Fraction(1)
-            cols.append(col)
-    if not cols:
-        return False
-    mat = RatMatrix.from_columns(cols, nrows=len(monos))
-    return solve(mat, target) is not None
+    """Membership in the ideal generated by the constraints.  The G_a are
+    free generators, so f is a member exactly when each of its monomials
+    has a G factor (SuperPoly stores no zero terms)."""
+    return all(sys.has_constraint_factor(m) for m in f.terms)
 
 
 # -- the chain extension --------------------------------------------------------
@@ -403,68 +391,36 @@ def export_to_complexes(sys: ConstraintSystem, degree_cap: int):
     operator output escapes the basis, naming the escaping monomial.
     """
     groups = monomial_basis(sys, degree_cap)
-    index = [{m: i for i, m in enumerate(g)} for g in groups]
-    dims = [len(g) for g in groups]
-    sp = GradedSpace(dims)
-
-    def to_vec(f, k):
-        v = [Fraction(0)] * dims[k]
-        for m, c in f.terms.items():
-            if m not in index[k]:
-                raise ValueError("operator output escapes the degree-%d basis "
-                                 "at monomial %s"
-                                 % (k, SuperPoly(sys.alg, {m: 1})))
-            v[index[k][m]] = c
-        return v
-
-    def op_matrix(op, k_from, k_to):
-        cols = []
-        for m in groups[k_from]:
-            cols.append(to_vec(op(SuperPoly(sys.alg, {m: 1})), k_to))
-        return RatMatrix.from_columns(cols, nrows=dims[k_to])
-
-    l1_blocks = {k: op_matrix(lambda f: koszul_tate(sys, f), k, k - 1)
+    sp = GradedSpace([len(g) for g in groups])
+    l1_blocks = {k: _matrix(sys, koszul_tate, groups[k], groups[k - 1])
                  for k in range(1, sys.n + 1)}
-    s_blocks = {k: op_matrix(lambda f: homotopy_s(sys, f), k, k + 1)
+    s_blocks = {k: _matrix(sys, homotopy_s, groups[k], groups[k + 1])
                 for k in range(0, sys.n)}
     free = [m for m in groups[0] if not sys.has_constraint_factor(m)]
-    f_dim = len(free)
-    eta_cols = [[Fraction(1) if free[r] == m else Fraction(0)
-                 for r in range(f_dim)] for m in groups[0]]
-    eta = RatMatrix.from_columns(eta_cols, nrows=f_dim)
-    lam_cols = [to_vec(SuperPoly(sys.alg, {m: 1}), 0) for m in free]
-    lam = RatMatrix.from_columns(lam_cols, nrows=dims[0])
-    hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), f_dim, eta, lam,
+    eta = _matrix(sys, eta_project, groups[0], free)
+    lam = _matrix(sys, lambda _, f: f, free, groups[0])
+    hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta, lam,
                       GradedMap(sp, +1, s_blocks))
-    l2_0 = op_matrix(lambda f: longitudinal_d(sys, f), 0, 0)
+    l2_0 = _matrix(sys, longitudinal_d, groups[0], groups[0])
     return hd, l2_0, groups
 
 
 def operator_matrix(ext: BRSTExtension, op_name: str, groups, k_from: int,
                     shift: int) -> RatMatrix:
-    """Matrix of one of the extension's operators between basis groups."""
+    """Matrix of one of the extension's operators between basis groups; a
+    target degree outside the groups is the zero space."""
     sys = ext.sys
     op = {"l1": ext.l1, "l2": ext.l2, "l3": ext.l3}[op_name]
     k_to = k_from + shift
-    if k_to < 0 or k_to >= len(groups):
-        for m in groups[k_from]:
-            out = op(SuperPoly(sys.alg, {m: 1}))
-            if not out.is_zero():
-                raise ValueError("operator output escapes the graded space "
-                                 "at %s" % (SuperPoly(sys.alg, {m: 1}),))
-        return RatMatrix.zeros(0, len(groups[k_from]))
-    index = {m: i for i, m in enumerate(groups[k_to])}
-    cols = []
-    for m in groups[k_from]:
-        out = op(SuperPoly(sys.alg, {m: 1}))
-        v = [Fraction(0)] * len(groups[k_to])
-        for mm, c in out.terms.items():
-            if mm not in index:
-                raise ValueError("operator output escapes the basis at %s"
-                                 % (SuperPoly(sys.alg, {mm: 1}),))
-            v[index[mm]] = c
-        cols.append(v)
-    return RatMatrix.from_columns(cols, nrows=len(groups[k_to]))
+    dst = groups[k_to] if 0 <= k_to < len(groups) else []
+    return _matrix(sys, lambda _, f: op(f), groups[k_from], dst)
+
+
+def _matrix(sys: ConstraintSystem, op, src, dst) -> RatMatrix:
+    """Matrix of f -> op(sys, f) from the monomial list src to dst."""
+    return basis_matrix(
+        lambda m: op(sys, SuperPoly(sys.alg, {m: 1})).terms.items(),
+        Basis(src), Basis(dst, lambda m: SuperPoly(sys.alg, {m: 1})))
 
 
 # -- shipped example systems -----------------------------------------------------

@@ -22,10 +22,11 @@ Everything is re-derivable through the generic engine; see
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
-from .exactla import RatMatrix
+from .exactla import Basis, kernel_basis, operator_matrix
 from .superalg import (
     GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of, mul,
 )
@@ -335,27 +336,15 @@ def homotopy_h(maps: Theorem8Maps, x: TSeries) -> StarSeries:
 def find_s0_cocycle(model: BVModel, S0: SuperPoly, maxdeg: int):
     """Even ghost-0 monomial combinations killed by (S0, .), via an exact
     kernel computation; returns a list of SuperPoly cocycles."""
-    from .exactla import kernel_basis
     monos = [m for m in model.monomials(maxdeg)
              if model.poly(m).parity() == 0 and model.poly(m).ghost() == 0]
     s0_deg = max((len(m) for m in S0.terms), default=0)
     all_monos = model.monomials(maxdeg + max(s0_deg - 2, 0))
-    index = {m: i for i, m in enumerate(all_monos)}
-    cols = []
-    for m in monos:
-        img = model.bracket(S0, model.poly(m))
-        v = [Fraction(0)] * len(all_monos)
-        for mm, c in img.terms.items():
-            v[index[mm]] = c
-        cols.append(v)
-    mat = RatMatrix.from_columns(cols, nrows=len(all_monos))
-    out = []
-    for vec in kernel_basis(mat):
-        f = SuperPoly.zero(model.alg)
-        for m, c in zip(monos, vec):
-            f = f + model.poly(m).scale(c)
-        out.append(f)
-    return out
+    mat = operator_matrix(
+        lambda m: model.bracket(S0, model.poly(m)).terms.items(),
+        Basis(monos), Basis(all_monos, model.poly))
+    return [SuperPoly(model.alg, dict(zip(monos, vec)))
+            for vec in kernel_basis(mat)]
 
 
 # -- generic-engine bridge -------------------------------------------------------
@@ -369,7 +358,7 @@ def to_homotopy_data(maps: Theorem8Maps, cap: int):
     weight = degree + jump * (T - t-power), where jump bounds the degree
     increase of (S_i, .) for i >= 1; (S_0, .) must not increase degree.
     """
-    model, S, n, T = maps.model, maps.problem.S, maps.n, maps.T
+    model, n, T = maps.model, maps.n, maps.T
     jump = 0
     for i, s in enumerate(maps.problem.S):
         ds = max((len(m) for m in s.terms), default=0) - 2
@@ -389,38 +378,19 @@ def to_homotopy_data(maps: Theorem8Maps, cap: int):
               if weight(m, k) <= cap]
     basis0.sort()
     basis1.sort()
-    idx0 = {b: i for i, b in enumerate(basis0)}
-    idx1 = {b: i for i, b in enumerate(basis1)}
+    b0, free = Basis(basis0), Basis([b for b in basis0 if b[1] <= n])
+    star = partial(StarSeries.basis, kmin=n + 1)
     sp = GradedSpace([len(basis0), len(basis1)])
-    l1_cols = [_vec(maps.l1(StarSeries.basis(model, T, k, m, kmin=n + 1)),
-                    idx0, len(basis0), model) for (m, k) in basis1]
-    s_cols = [_vec(homotopy_h(maps, TSeries.basis(model, T, k, m)),
-                   idx1, len(basis1), model) for (m, k) in basis0]
-    free = [i for i, (m, k) in enumerate(basis0) if k <= n]
-    eta_cols = []
-    for i, b in enumerate(basis0):
-        col = [Fraction(0)] * len(free)
-        if b[1] <= maps.n:
-            col[free.index(i)] = Fraction(1)
-        eta_cols.append(col)
-    lam_cols = []
-    for i in free:
-        col = [Fraction(0)] * len(basis0)
-        col[i] = Fraction(1)
-        lam_cols.append(col)
     hd = HomotopyData(
         sp,
-        GradedMap(sp, -1, {1: RatMatrix.from_columns(l1_cols,
-                                                     nrows=len(basis0))}),
+        GradedMap(sp, -1, {1: _matrix(maps, maps.l1, star, basis1, basis0)}),
         len(free),
-        RatMatrix.from_columns(eta_cols, nrows=len(free)),
-        RatMatrix.from_columns(lam_cols, nrows=len(basis0)),
-        GradedMap(sp, +1, {0: RatMatrix.from_columns(s_cols,
-                                                     nrows=len(basis1))}),
+        operator_matrix(lambda b: [(b, 1)] if b[1] <= n else [], b0, free),
+        operator_matrix(lambda b: [(b, 1)], free, b0),
+        GradedMap(sp, +1, {0: _matrix(maps, lambda x: homotopy_h(maps, x),
+                                      TSeries.basis, basis0, basis1)}),
     )
-    l2_cols = [_vec(maps.l2_plain(TSeries.basis(model, T, k, m)),
-                    idx0, len(basis0), model) for (m, k) in basis0]
-    l2_0 = RatMatrix.from_columns(l2_cols, nrows=len(basis0))
+    l2_0 = _matrix(maps, maps.l2_plain, TSeries.basis, basis0, basis0)
     return hd, l2_0, (basis0, basis1)
 
 
@@ -428,31 +398,26 @@ def engine_matrices_match(maps: Theorem8Maps, cap: int) -> bool:
     """Run the generic extension on the exported data and compare its l2, l3
     blocks with the Theorem-8 maps entrywise."""
     from .complexes import chain_extend, verify_homotopy
-    model, n, T = maps.model, maps.n, maps.T
     hd, l2_0, (basis0, basis1) = to_homotopy_data(maps, cap)
     if not verify_homotopy(hd)["ok"]:
         return False
     ext = chain_extend(hd, l2_0, d_f=hd.eta @ l2_0 @ hd.lam)
-    idx1 = {b: i for i, b in enumerate(basis1)}
-    l2_1_cols = [_vec(maps.l2_star(
-        StarSeries.basis(model, T, k, m, kmin=n + 1)), idx1, len(basis1),
-        model) for (m, k) in basis1]
-    l3_cols = [_vec(maps.l3_plain(TSeries.basis(model, T, k, m)),
-                    idx1, len(basis1), model) for (m, k) in basis0]
-    want_l2_1 = RatMatrix.from_columns(l2_1_cols, nrows=len(basis1))
-    want_l3 = RatMatrix.from_columns(l3_cols, nrows=len(basis1))
+    star = partial(StarSeries.basis, kmin=maps.n + 1)
+    want_l2_1 = _matrix(maps, maps.l2_star, star, basis1, basis1)
+    want_l3 = _matrix(maps, maps.l3_plain, TSeries.basis, basis0, basis1)
     return ext.l2.block(1) == want_l2_1 and ext.l3.block(0) == want_l3
 
 
-def _vec(series, idx, dim, model):
-    v = [Fraction(0)] * dim
-    for k, c in enumerate(series.coeffs):
-        for mono, coeff in c.terms.items():
-            if (mono, k) not in idx:
-                raise ValueError("bracket output escapes the basis at %s t^%d"
-                                 % (model.poly(mono), k))
-            v[idx[(mono, k)]] = coeff
-    return v
+def _matrix(maps, op, element, src, dst):
+    """Matrix of a series operator between lists of (monomial, t-power)
+    labels: element(model, T, k, m) is the input series of the label (m, k),
+    and the output's t^k coefficient of m lands at the label (m, k)."""
+    def column(label):
+        out = op(element(maps.model, maps.T, label[1], label[0]))
+        return [((m, k), c) for k, coeff in enumerate(out.coeffs)
+                for m, c in coeff.terms.items()]
+    return operator_matrix(column, Basis(src), Basis(
+        dst, lambda b: "%s t^%d" % (maps.model.poly(b[0]), b[1])))
 
 
 # -- shipped models ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import brst as brst_mod
 from . import bv as bv_mod
 from . import formats
-from .complexes import (chain_extend, check_l2_conditions,
+from .complexes import (ExtensionPreconditionError, chain_extend,
                         homology_dim_of_differential, total_homology_dims,
                         verify_homotopy, verify_nilpotent)
 from .instances import random_split_instance
@@ -136,8 +136,9 @@ def cmd_shlie(config: RunConfig):
         rep = verify_shlie(S)
         report["variant %s relations" % v] = "ok" if rep["ok"] else \
             "failed at %s" % (rep["first_failure"],)
-        report["variant %s l3 is obstruction" % v] = l3_is_obstruction(S)
-        if not rep["ok"] or not l3_is_obstruction(S):
+        obstruction = l3_is_obstruction(S)
+        report["variant %s l3 is obstruction" % v] = obstruction
+        if not rep["ok"] or not obstruction:
             code = MATH_FAIL
         if config.cross_check:
             cc = crosscheck_with_engine(S)
@@ -160,12 +161,13 @@ def cmd_brst(config: RunConfig):
         report["first-class closure"] = "error: %s" % e
         return report, MATH_FAIL
     code = PASS
-    rep = brst_mod.verify_brst_resolution(system, cap=config.cap)
-    report["resolution identities"] = "ok" if rep["ok"] else \
-        "failed at %s" % (rep["first_failure"],)
-    if not rep["ok"]:
-        code = MATH_FAIL
-    ext = brst_mod.build_brst(system, degree_cap=config.cap)
+    try:
+        ext = brst_mod.build_brst(system, degree_cap=config.cap)
+    except ValueError as e:
+        report["build"] = "error: %s" % e
+        return report, MATH_FAIL
+    # build_brst verifies the resolution identities before it returns
+    report["resolution identities"] = "ok"
     for a in range(1, n + 1):
         report["l2(P%d)" % a] = repr(ext.l2(system.gen("P%d" % a)))
     l3_vals = {a: ext.l3(system.gen("G%d" % a)) for a in range(1, n + 1)}
@@ -229,11 +231,12 @@ def cmd_extend(config: RunConfig):
         bad = next(k for k, v in hrep.items() if k != "ok" and not v)
         report["homotopy identities"] = "failed at %s" % bad
         return report, MATH_FAIL
-    cond = check_l2_conditions(hd, l2_0, d_f)
-    report["conditions"] = "ok" if cond["ok"] else "failed"
-    if not cond["ok"]:
+    try:
+        ext = chain_extend(hd, l2_0, d_f=d_f)
+    except ExtensionPreconditionError:
+        report["conditions"] = "failed"
         return report, MATH_FAIL
-    ext = chain_extend(hd, l2_0, d_f=d_f)
+    report["conditions"] = "ok"
     nrep = verify_nilpotent(ext)
     report["nilpotent"] = "ok" if nrep["ok"] else "failed"
     if not nrep["ok"]:
@@ -273,6 +276,13 @@ def render(report, fmt) -> str:
     return "\n".join("%s: %s" % (k, v) for k, v in report.items())
 
 
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chainext",
@@ -282,9 +292,9 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--input", default=None,
                        help="input file path or bundled model name")
-        p.add_argument("--trunc", type=int, default=4)
-        p.add_argument("--cap", type=int, default=6)
-        p.add_argument("--order", type=int, default=3)
+        p.add_argument("--trunc", type=nonnegative_int, default=4)
+        p.add_argument("--cap", type=nonnegative_int, default=6)
+        p.add_argument("--order", type=nonnegative_int, default=3)
         p.add_argument("--alpha1", default=None)
         p.add_argument("--cross-check", action="store_true")
         p.add_argument("--seed", type=int, default=1)

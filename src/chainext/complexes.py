@@ -25,6 +25,10 @@ from fractions import Fraction
 from .exactla import RatMatrix, rank, solve
 
 
+class ExtensionPreconditionError(ValueError):
+    """l2_0 fails one of the extension conditions (i)-(iii)."""
+
+
 class GradedSpace:
     """Finite graded vector space over Q, degrees 0..top, given by dimensions."""
 
@@ -228,13 +232,14 @@ def chain_extend(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None = None
     """Extend (l1, l2_0) to a nilpotent l1 + l2 + l3.
 
     In positive degrees l2 = s . l2 . l1 and l3 = s . (l2 l2 + l3 l1);
-    in degree zero l3 = s . l2 l2.  Raises ValueError naming the first
-    failing precondition.  Output is deterministic.
+    in degree zero l3 = s . l2 l2.  Raises ExtensionPreconditionError
+    naming the first failing precondition.  Output is deterministic.
     """
     report = check_l2_conditions(hd, l2_0, d_f)
     for name in ("condition_i", "condition_ii", "condition_iii"):
         if report[name] is False:
-            raise ValueError("extension precondition failed: %s" % name)
+            raise ExtensionPreconditionError(
+                "extension precondition failed: %s" % name)
     sp = hd.space
     l2_blocks = {0: l2_0}
     for k in range(1, sp.top + 1):

@@ -86,17 +86,11 @@ class RatMatrix:
         return (isinstance(other, RatMatrix) and self.ncols == other.ncols
                 and self.rows == other.rows)
 
-    def __hash__(self):
-        return hash((self.rows, self.ncols))
-
     def __repr__(self):
         return "RatMatrix(%d x %d)" % (self.nrows, self.ncols)
 
     def entry(self, i, j) -> Rat:
         return self.rows[i][j]
-
-    def row(self, i):
-        return list(self.rows[i])
 
     def col(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
@@ -158,10 +152,6 @@ class RatMatrix:
             out[i] = acc
         return out
 
-    def transpose(self):
-        return RatMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)], ncols=self.nrows)
-
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
@@ -171,6 +161,46 @@ class RatMatrix:
     def _same_shape(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch: %s vs %s" % (self.shape, other.shape))
+
+
+# -- operators on labelled bases ----------------------------------------------
+
+class Basis:
+    """Ordered labels with their index.
+
+    `name` turns a label into text for the one error this class raises: a
+    nonzero coefficient on a label outside the basis.
+    """
+
+    __slots__ = ("labels", "index", "name")
+
+    def __init__(self, labels, name=repr):
+        self.labels = list(labels)
+        self.index = {b: i for i, b in enumerate(self.labels)}
+        self.name = name
+
+    def __len__(self):
+        return len(self.labels)
+
+    def coords(self, pairs):
+        """Coordinate vector of (label, coefficient) pairs; zero coefficients
+        may carry any label."""
+        v = [_ZERO] * len(self.labels)
+        for label, c in pairs:
+            i = self.index.get(label)
+            if i is not None:
+                v[i] = c
+            elif c != 0:
+                raise ValueError("operator output escapes the basis at %s"
+                                 % (self.name(label),))
+        return v
+
+
+def operator_matrix(op, src: Basis, dst: Basis) -> RatMatrix:
+    """Column j holds the dst coordinates of op(src.labels[j]), where op
+    returns (label, coefficient) pairs."""
+    return RatMatrix.from_columns([dst.coords(op(b)) for b in src.labels],
+                                  nrows=len(dst))
 
 
 # -- vector helpers ---------------------------------------------------------

@@ -57,6 +57,13 @@ def _int(lineno, text):
         raise FormatError(lineno, "bad integer %r" % (text,))
 
 
+def _count(lineno, text):
+    n = _int(lineno, text)
+    if n < 0:
+        raise FormatError(lineno, "expected a nonnegative integer, got %d" % n)
+    return n
+
+
 def read_kind(text):
     lines = _data_lines(text)
     if not lines:
@@ -208,9 +215,9 @@ def load_brst(text):
     for lineno, line in lines[1:]:
         key, value = _split_kv(lineno, line)
         if key == "m":
-            m = _int(lineno, value)
+            m = _count(lineno, value)
         elif key == "n":
-            n = _int(lineno, value)
+            n = _count(lineno, value)
         else:
             raw.append((lineno, key, value))
     if m is None or n is None:
@@ -305,7 +312,7 @@ def load_extend(text):
         elif key.startswith("matrix"):
             parts = key.split()
             shape = value.split()
-            if len(shape) != 2:
+            if len(shape) != 2 or len(parts) < 2:
                 raise FormatError(lineno, "expected 'matrix NAME [k]: rows cols'")
             nrows, ncols = _int(lineno, shape[0]), _int(lineno, shape[1])
             name = " ".join(parts[1:])
@@ -320,7 +327,7 @@ def load_extend(text):
                 if len(cells) != ncols:
                     raise FormatError(rlineno, "expected %d entries" % ncols)
                 rows.append([_rat(rlineno, c) for c in cells])
-            blocks[name] = RatMatrix(rows, ncols=ncols)
+            blocks[name] = (lineno, RatMatrix(rows, ncols=ncols))
             pos += 1 + nrows
         else:
             raise FormatError(lineno, "unknown key %r" % (key,))
@@ -329,12 +336,12 @@ def load_extend(text):
     sp = GradedSpace(dims)
     l1_blocks, s_blocks = {}, {}
     eta = lam = l2_0 = d_f = None
-    for name, mat in blocks.items():
+    for name, (lineno, mat) in blocks.items():
         parts = name.split()
         if parts[0] == "l1" and len(parts) == 2:
-            l1_blocks[int(parts[1])] = mat
+            l1_blocks[_int(lineno, parts[1])] = mat
         elif parts[0] == "s" and len(parts) == 2:
-            s_blocks[int(parts[1])] = mat
+            s_blocks[_int(lineno, parts[1])] = mat
         elif name == "eta":
             eta = mat
         elif name == "lam":
@@ -344,7 +351,7 @@ def load_extend(text):
         elif name == "d_f":
             d_f = mat
         else:
-            raise FormatError(lines[0][0], "unknown matrix %r" % (name,))
+            raise FormatError(lineno, "unknown matrix %r" % (name,))
     if eta is None or lam is None or l2_0 is None:
         raise FormatError(lines[0][0], "missing eta, lam or l2_0")
     hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), f_dim, eta, lam,

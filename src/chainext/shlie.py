@@ -30,7 +30,8 @@ from .complexes import (
     GradedMap, GradedSpace, HomotopyData, chain_extend, verify_homotopy,
     verify_nilpotent,
 )
-from .exactla import RatMatrix, rat, vec_add, vec_is_zero, vec_scale, vec_zeros
+from .exactla import (Basis, RatMatrix, operator_matrix, rat, vec_add,
+                      vec_is_zero, vec_scale, vec_zeros)
 from .lie import Cochain, LieAlgebra, alpha0_cochain, ce_differential, jacobi_check, nr_compose
 
 
@@ -367,41 +368,37 @@ def to_homotopy_data(S: ShLieStructure) -> HomotopyData:
     X_0 has basis (k, i) -> k*dim + i for k = 0..N; X_1 likewise starting at
     kmin.  In the t2 variant F = A (+) A t; in the full variant F = 0.
     """
-    dim, N, kmin = S.alg.dim, S.N, S.kmin
-    n0 = (N + 1) * dim
-    n1 = (N + 1 - kmin) * dim
-    sp = GradedSpace([n0, n1])
-    l1_rows = [[Fraction(0)] * n1 for _ in range(n0)]
-    for k in range(kmin, N + 1):
-        for i in range(dim):
-            l1_rows[k * dim + i][(k - kmin) * dim + i] = Fraction(1)
-    l1 = GradedMap(sp, -1, {1: RatMatrix(l1_rows, ncols=n1)})
-    s_rows = [[Fraction(0)] * n0 for _ in range(n1)]
-    for k in range(kmin, N + 1):
-        for i in range(dim):
-            s_rows[(k - kmin) * dim + i][k * dim + i] = Fraction(-1)
-    s = GradedMap(sp, +1, {0: RatMatrix(s_rows, ncols=n0)})
-    f_dim = kmin * dim
-    eta_rows = [[Fraction(0)] * n0 for _ in range(f_dim)]
-    lam_rows = [[Fraction(0)] * f_dim for _ in range(n0)]
-    for r in range(f_dim):
-        eta_rows[r][r] = Fraction(1)
-        lam_rows[r][r] = Fraction(1)
-    eta = RatMatrix(eta_rows, ncols=n0)
-    lam = RatMatrix(lam_rows, ncols=f_dim)
-    return HomotopyData(sp, l1, f_dim, eta, lam, s)
+    x0, x1 = _basis(S, 0), _basis(S, S.kmin)
+    f = Basis([b for b in x0.labels if b[0] < S.kmin])
+    sp = GradedSpace([len(x0), len(x1)])
+    l1 = GradedMap(sp, -1, {1: operator_matrix(lambda b: [(b, 1)], x1, x0)})
+    s = GradedMap(sp, +1, {0: operator_matrix(
+        lambda b: [(b, -1)] if b[0] >= S.kmin else [], x0, x1)})
+    eta = operator_matrix(lambda b: [(b, 1)] if b[0] < S.kmin else [], x0, f)
+    lam = operator_matrix(lambda b: [(b, 1)], f, x0)
+    return HomotopyData(sp, l1, len(f), eta, lam, s)
+
+
+def _basis(S: ShLieStructure, kmin) -> Basis:
+    """Labels (k, i) of t^k e_i for k = kmin..N, in `flat(kmin)` order."""
+    return Basis([(k, i) for k in range(kmin, S.N + 1)
+                  for i in range(S.alg.dim)])
+
+
+def _series_matrix(S: ShLieStructure, op, src: Basis, dst: Basis):
+    """Matrix of op on the series t^k e_i of the labels (k, i) of src."""
+    def column(label):
+        out = op(TruncSeries.basis(S.alg.dim, S.N, *label))
+        return [((k, i), c) for k, v in enumerate(out.coeffs)
+                for i, c in enumerate(v)]
+    return operator_matrix(column, src, dst)
 
 
 def curried_l2_matrix(S: ShLieStructure, b_index: int) -> RatMatrix:
     """Matrix of x -> l2(x, e_b) on the X_0 basis."""
-    dim, N = S.alg.dim, S.N
-    b = TruncSeries.basis(dim, N, 0, b_index)
-    cols = []
-    for k in range(N + 1):
-        for i in range(dim):
-            x = TruncSeries.basis(dim, N, k, i)
-            cols.append(S.l2_00(x, b).flat())
-    return RatMatrix.from_columns(cols, nrows=(N + 1) * dim)
+    b = TruncSeries.basis(S.alg.dim, S.N, 0, b_index)
+    x0 = _basis(S, 0)
+    return _series_matrix(S, lambda x: S.l2_00(x, b), x0, x0)
 
 
 def crosscheck_with_engine(S: ShLieStructure) -> dict:
@@ -421,19 +418,13 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
     sm = hd.s.block(0)
     mmats = [curried_l2_matrix(S, b) for b in range(dim)]
 
-    ok_mixed = True
+    x1 = _basis(S, kmin)
+    mixed = []
     for b in range(dim):
         eb = TruncSeries.basis(dim, N, 0, b)
-        for k in range(kmin, N + 1):
-            for i in range(dim):
-                xi = TruncSeries.basis(dim, N, k, i)
-                want = S.l2_10(xi, eb).flat(kmin)
-                col = [Fraction(0)] * ((N + 1 - kmin) * dim)
-                col[(k - kmin) * dim + i] = Fraction(1)
-                got = vec_scale(-1, sm.mat_vec(mmats[b].mat_vec(l1m.mat_vec(col))))
-                if got != want:
-                    ok_mixed = False
-    report["mixed_l2_matches"] = ok_mixed
+        mixed.append(_series_matrix(S, lambda xi: S.l2_10(xi, eb), x1, x1))
+    report["mixed_l2_matches"] = all(
+        (sm @ mmats[b] @ l1m).scale(-1) == mixed[b] for b in range(dim))
 
     ok_l3 = True
     for a in range(dim):
@@ -462,14 +453,7 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
             ran_any = True
             if not verify_nilpotent(ext)["ok"]:
                 curried_ok = False
-            eb = TruncSeries.basis(dim, N, 0, b)
-            cols = []
-            for k in range(kmin, N + 1):
-                for i in range(dim):
-                    xi = TruncSeries.basis(dim, N, k, i)
-                    cols.append(S.l2_10(xi, eb).flat(kmin))
-            mixed_tab = RatMatrix.from_columns(cols, nrows=(N + 1 - kmin) * dim)
-            if ext.l2.block(1) != mixed_tab.scale(-1):
+            if ext.l2.block(1) != mixed[b].scale(-1):
                 curried_ok = False
     report["curried_chain_extend"] = curried_ok if ran_any else None
     report["ok"] = all(v for k, v in report.items() if k != "ok" and v is not None)

@@ -10,6 +10,7 @@ from chainext.brst import (
     so3_system, toy_system, verify_brst_resolution,
 )
 from chainext.complexes import chain_extend, verify_homotopy, verify_nilpotent
+from chainext.exactla import RatMatrix, solve
 from chainext.superalg import SuperPoly, mul, poisson
 
 
@@ -106,6 +107,38 @@ def test_in_constraint_ideal():
     assert in_constraint_ideal(toy, mul(x, G1))
     assert in_constraint_ideal(toy, SuperPoly.zero(toy.alg))
     assert not in_constraint_ideal(toy, mul(x, x) + G1)
+
+
+def ideal_member_by_solve(sys_, f):
+    """Reference: solve for f in the span of its own monomials that carry a
+    G factor."""
+    monos = sorted(f.terms)
+    if not monos:
+        return True
+    cols = [[Fraction(int(i == j)) for i in range(len(monos))]
+            for j, m in enumerate(monos) if sys_.has_constraint_factor(m)]
+    if not cols:
+        return False
+    mat = RatMatrix.from_columns(cols, nrows=len(monos))
+    return solve(mat, [f.terms[m] for m in monos]) is not None
+
+
+def test_in_constraint_ideal_matches_solve_reference():
+    checked = members = 0
+    for sys_ in (toy_system(), so3_system()):
+        for mono in monomial_basis(sys_, 3)[0]:
+            df = longitudinal_d(sys_, SuperPoly(sys_.alg, {mono: 1}))
+            for f in (df, longitudinal_d(sys_, df)):
+                want = ideal_member_by_solve(sys_, f)
+                assert in_constraint_ideal(sys_, f) == want, (mono, f)
+                checked += 1
+                members += want
+    toy = toy_system()
+    x, G1 = toy.gen("x1"), toy.gen("G1")
+    f = mul(x, x) + G1
+    assert not ideal_member_by_solve(toy, f)
+    assert not in_constraint_ideal(toy, f)
+    assert 0 < members < checked
 
 
 def test_build_so3_closed_forms():

@@ -1,6 +1,11 @@
 import json
 import os
 
+import pytest
+
+from chainext import brst as brst_mod
+from chainext import cli
+from chainext import complexes
 from chainext.cli import main
 from chainext.complexes import HomotopyData
 from chainext.exactla import RatMatrix
@@ -195,6 +200,72 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, out = run(capsys, "lie", "--input", str(f))
     assert code == 2
     assert "line 3" in out
+
+
+def test_brst_negative_n_exit_code(tmp_path, capsys):
+    f = tmp_path / "negative_n.txt"
+    f.write_text("kind: brst\nm: 0\nn: -1\n")
+    code, out = run(capsys, "brst", "--input", str(f), "--cap", "2")
+    assert code == 2
+    assert "line 3" in out
+
+
+@pytest.mark.parametrize("header", ["matrix l1 one: 1 1", "matrix: 1 1"])
+def test_extend_bad_block_name_exit_code(header, tmp_path, capsys):
+    f = tmp_path / "bad_block.txt"
+    f.write_text("kind: extend\ndims: 1 1\nf_dim: 0\n%s\n0\n" % header)
+    code, out = run(capsys, "extend", "--input", str(f))
+    assert code == 2
+    assert "line 4" in out
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--trunc", "--order"])
+def test_negative_flag_is_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["brst", "--input", "brst_toy", flag, "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument %s" % flag in captured.err
+
+
+def counting(monkeypatch, module, name, *more):
+    """Replace module.name (and each further module.name binding) by a
+    wrapper that counts its calls; returns the count list."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    for mod in (module,) + more:
+        monkeypatch.setattr(mod, name, wrapper, raising=False)
+    return calls
+
+
+def test_brst_verifies_resolution_once(monkeypatch, capsys):
+    calls = counting(monkeypatch, brst_mod, "verify_brst_resolution")
+    code, out = run(capsys, "brst", "--input", "brst_toy", "--cap", "3")
+    assert code == 0
+    assert "resolution identities: ok" in out.splitlines()
+    assert len(calls) == 1
+
+
+def test_extend_checks_conditions_once(monkeypatch, capsys):
+    calls = counting(monkeypatch, complexes, "check_l2_conditions", cli)
+    code, out = run(capsys, "extend", "--input", "extend_split")
+    assert code == 0
+    assert "conditions: ok" in out.splitlines()
+    assert len(calls) == 1
+
+
+def test_brst_failed_resolution_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(brst_mod, "verify_brst_resolution",
+                        lambda sys_, cap: {"ok": False,
+                                           "first_failure": ("stub", ())})
+    code, out = run(capsys, "brst", "--input", "brst_toy", "--cap", "3")
+    assert code == 1
+    assert "build: error: resolution data fails verification" in out
 
 
 def test_missing_input_exit_code(capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from chainext.exactla import RatMatrix, rank
 from chainext.complexes import (
-    GradedSpace, GradedMap, HomotopyData, chain_extend, check_l2_conditions,
+    ExtensionPreconditionError, GradedSpace, GradedMap, HomotopyData,
+    chain_extend, check_l2_conditions,
     homology_dim_of_differential, total_homology_dims, verify_homotopy,
     verify_nilpotent,
 )
@@ -62,14 +63,14 @@ def test_chain_extend_rejects_bad_l2():
     l2_0 = RatMatrix([[0, 1], [0, 0]])
     rep = check_l2_conditions(hd, l2_0)
     assert rep["condition_ii"] is False
-    with pytest.raises(ValueError, match="condition_ii"):
+    with pytest.raises(ExtensionPreconditionError, match="condition_ii"):
         chain_extend(hd, l2_0)
 
 
 def test_chain_extend_condition_i_mismatch():
     hd = tiny_instance()
     l2_0 = RatMatrix([[0, 0], [1, 0]])
-    with pytest.raises(ValueError, match="condition_i"):
+    with pytest.raises(ExtensionPreconditionError, match="condition_i"):
         chain_extend(hd, l2_0, d_f=RatMatrix([[1]]))
 
 

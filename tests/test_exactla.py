@@ -3,8 +3,8 @@ import random
 import pytest
 
 from chainext.exactla import (
-    Rat, RatMatrix, rat, rref, rank, kernel_basis, solve, quotient_dims,
-    vec_is_zero,
+    Basis, Rat, RatMatrix, operator_matrix, rat, rref, rank, kernel_basis,
+    solve, quotient_dims, vec_is_zero,
 )
 
 
@@ -111,3 +111,33 @@ def test_immutability():
     a = RatMatrix([[1]])
     with pytest.raises(AttributeError):
         a.nrows = 5
+
+
+def test_operator_matrix_column_order():
+    src = Basis(["a", "b", "c"])
+    dst = Basis(["y", "x"])
+    table = {"a": [("x", 1)], "b": [("y", Rat(1, 2)), ("x", -3)], "c": []}
+    m = operator_matrix(lambda b: table[b], src, dst)
+    assert m == RatMatrix([[0, Rat(1, 2), 0], [1, -3, 0]])
+
+
+def test_operator_matrix_escape_names_label():
+    src = Basis([1, 2])
+    dst = Basis([1], name=lambda b: "<label %d>" % b)
+    with pytest.raises(ValueError, match="<label 2>"):
+        operator_matrix(lambda b: [(b, 1)], src, dst)
+
+
+def test_operator_matrix_zero_coefficient_off_basis():
+    src = Basis([1, 2])
+    dst = Basis([1, 2])
+    m = operator_matrix(lambda b: [(b, 1), ("off", 0)], src, dst)
+    assert m == RatMatrix.identity(2)
+
+
+def test_operator_matrix_empty_target():
+    src = Basis(["a", "b", "c"])
+    m = operator_matrix(lambda b: [(b, 0)], src, Basis([]))
+    assert m.shape == (0, 3)
+    with pytest.raises(ValueError, match="'b'"):
+        operator_matrix(lambda b: [(b, int(b == "b"))], src, Basis([]))
