@@ -278,7 +278,9 @@ def theorem8_maps(problem: DeformationProblem) -> Theorem8Maps:
 
 def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
     """S^2 on every basis element of both degrees up to caps, the obstruction
-    summand in l3, ghost bookkeeping, and ideal preservation."""
+    summand in l3, ghost bookkeeping, and ideal preservation.  The report
+    also carries the obstruction R = obstruction_R(problem, n + 1) it
+    compares against, under "obstruction_R"."""
     model, n, T = maps.model, maps.n, maps.T
     if maxdeg is None:
         maxdeg = model.cap
@@ -322,6 +324,7 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
     report["ok"] = all(report[k] for k in
                        ("s_squared", "l3_obstruction_summand", "ghost_shift",
                         "ideal_preserved"))
+    report["obstruction_R"] = R
     return report
 
 

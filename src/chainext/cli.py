@@ -204,9 +204,8 @@ def cmd_bv(config: RunConfig):
     except ValueError as e:
         report["setup"] = "error: %s" % e
         return report, MATH_FAIL
-    R = bv_mod.obstruction_R(problem, problem.n + 1)
-    report["obstruction R"] = formats.format_poly(R)
     rep = bv_mod.verify_theorem8(maps, maxdeg=min(config.cap, model.cap))
+    report["obstruction R"] = formats.format_poly(rep["obstruction_R"])
     report["extension checks"] = "ok" if rep["ok"] else \
         "failed at %s" % (rep["first_failure"],)
     if not rep["ok"]:

@@ -95,9 +95,6 @@ class RatMatrix:
     def col(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def columns(self):
-        return [self.col(j) for j in range(self.ncols)]
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 
@@ -231,7 +228,9 @@ def rref(m: RatMatrix):
     """Reduced row echelon form.
 
     Returns (reduced, pivot_columns, rank).  Deterministic: pivots are chosen
-    left to right, first nonzero entry from the top.
+    left to right, first nonzero entry from the top.  Only the nonzero
+    entries of each pivot row are scaled and subtracted, so sparse input
+    costs in proportion to its nonzeros.
     """
     rows = [list(r) for r in m.rows]
     nrows, ncols = m.nrows, m.ncols
@@ -248,12 +247,17 @@ def rref(m: RatMatrix):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        inv = _ONE / prow[c]
+        nonzeros = [(j, x * inv) for j, x in enumerate(prow) if x != 0]
+        for j, x in nonzeros:
+            prow[j] = x
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if i != r and f != 0:
+                for j, y in nonzeros:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
     return RatMatrix(rows, ncols=ncols), tuple(pivots), len(pivots)
@@ -284,20 +288,25 @@ def kernel_basis(m: RatMatrix):
 def solve(m: RatMatrix, b):
     """One exact solution x of m x = b, or None when b is not in the column space.
 
-    Free variables are set to zero, so the answer is deterministic.
-    Raises ValueError when len(b) != number of rows.
+    b is a vector (the answer is a vector) or a RatMatrix of right-hand
+    sides (the answer is a RatMatrix X with m X = b, and None when any column
+    of b lies outside the column space).  Either way one rref of [m | b]
+    decides it.  Free variables are set to zero, so the answer is
+    deterministic.  Raises ValueError when b does not have m.nrows rows.
     """
-    b = vec(b)
-    if len(b) != m.nrows:
-        raise ValueError("right-hand side length %d does not match %d rows" % (len(b), m.nrows))
-    aug = m.hstack(RatMatrix.from_columns([b], nrows=m.nrows))
-    reduced, pivots, rk = rref(aug)
-    if m.ncols in pivots:
+    block = isinstance(b, RatMatrix)
+    if not block:
+        b = RatMatrix.from_columns([vec(b)], nrows=len(b))
+    if b.nrows != m.nrows:
+        raise ValueError("right-hand side length %d does not match %d rows" % (b.nrows, m.nrows))
+    reduced, pivots, rk = rref(m.hstack(b))
+    if pivots and pivots[-1] >= m.ncols:
         return None
-    x = vec_zeros(m.ncols)
+    x = [[_ZERO] * b.ncols for _ in range(m.ncols)]
     for r_idx, p in enumerate(pivots):
-        x[p] = reduced.rows[r_idx][m.ncols]
-    return x
+        x[p] = reduced.rows[r_idx][m.ncols:]
+    x = RatMatrix(x, ncols=b.ncols)
+    return x if block else x.col(0)
 
 
 def quotient_dims(sub: RatMatrix, ambient_dim: int) -> int:

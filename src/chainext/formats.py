@@ -304,22 +304,24 @@ def load_extend(text):
         lineno, line = lines[pos]
         key, value = _split_kv(lineno, line)
         if key == "dims":
-            dims = [_int(lineno, b) for b in value.split()]
+            dims = [_count(lineno, b) for b in value.split()]
             pos += 1
         elif key == "f_dim":
-            f_dim = _int(lineno, value)
+            f_dim = _count(lineno, value)
             pos += 1
         elif key.startswith("matrix"):
             parts = key.split()
             shape = value.split()
             if len(shape) != 2 or len(parts) < 2:
                 raise FormatError(lineno, "expected 'matrix NAME [k]: rows cols'")
-            nrows, ncols = _int(lineno, shape[0]), _int(lineno, shape[1])
+            nrows, ncols = _count(lineno, shape[0]), _count(lineno, shape[1])
             name = " ".join(parts[1:])
             if name in blocks:
                 raise FormatError(lineno, "duplicate matrix %r" % (name,))
-            rows = []
-            for r in range(nrows):
+            # a block with no columns has no row lines
+            nlines = nrows if ncols else 0
+            rows = [] if ncols else [[]] * nrows
+            for r in range(nlines):
                 if pos + 1 + r >= len(lines):
                     raise FormatError(lineno, "matrix %r is truncated" % (name,))
                 rlineno, rline = lines[pos + 1 + r]
@@ -328,30 +330,36 @@ def load_extend(text):
                     raise FormatError(rlineno, "expected %d entries" % ncols)
                 rows.append([_rat(rlineno, c) for c in cells])
             blocks[name] = (lineno, RatMatrix(rows, ncols=ncols))
-            pos += 1 + nrows
+            pos += 1 + nlines
         else:
             raise FormatError(lineno, "unknown key %r" % (key,))
     if dims is None or f_dim is None:
         raise FormatError(lines[0][0], "missing dims or f_dim")
     sp = GradedSpace(dims)
+    n0 = sp.dim(0)
     l1_blocks, s_blocks = {}, {}
     eta = lam = l2_0 = d_f = None
     for name, (lineno, mat) in blocks.items():
         parts = name.split()
         if parts[0] == "l1" and len(parts) == 2:
-            l1_blocks[_int(lineno, parts[1])] = mat
+            k = _int(lineno, parts[1])
+            want, l1_blocks[k] = (sp.dim(k - 1), sp.dim(k)), mat
         elif parts[0] == "s" and len(parts) == 2:
-            s_blocks[_int(lineno, parts[1])] = mat
+            k = _int(lineno, parts[1])
+            want, s_blocks[k] = (sp.dim(k + 1), sp.dim(k)), mat
         elif name == "eta":
-            eta = mat
+            want, eta = (f_dim, n0), mat
         elif name == "lam":
-            lam = mat
+            want, lam = (n0, f_dim), mat
         elif name == "l2_0":
-            l2_0 = mat
+            want, l2_0 = (n0, n0), mat
         elif name == "d_f":
-            d_f = mat
+            want, d_f = (f_dim, f_dim), mat
         else:
             raise FormatError(lineno, "unknown matrix %r" % (name,))
+        if mat.shape != want:
+            raise FormatError(lineno, "matrix %r has shape %dx%d, expected %dx%d"
+                              % ((name,) + mat.shape + want))
     if eta is None or lam is None or l2_0 is None:
         raise FormatError(lines[0][0], "missing eta, lam or l2_0")
     hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), f_dim, eta, lam,
@@ -369,8 +377,9 @@ def dump_extend(hd: HomotopyData, l2_0: RatMatrix,
 
     def block(name, mat):
         out.append("matrix %s: %d %d" % (name, mat.nrows, mat.ncols))
-        for row in mat.rows:
-            out.append(" ".join(str(c) for c in row))
+        if mat.ncols:
+            for row in mat.rows:
+                out.append(" ".join(str(c) for c in row))
 
     for k in range(1, len(sp.dims)):
         block("l1 %d" % k, hd.l1.block(k))

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from chainext import brst as brst_mod
+from chainext import bv as bv_mod
 from chainext import cli
 from chainext import complexes
 from chainext.cli import main
@@ -219,6 +220,45 @@ def test_extend_bad_block_name_exit_code(header, tmp_path, capsys):
     assert "line 4" in out
 
 
+def test_extend_block_shape_disagrees_with_dims(tmp_path, capsys):
+    f = tmp_path / "bad_shape.txt"
+    f.write_text("kind: extend\ndims: 1 1\nf_dim: 0\n"
+                 "matrix l1 1: 2 1\n0\n0\n")
+    code, out = run(capsys, "extend", "--input", str(f))
+    assert code == 2
+    assert "line 4: matrix 'l1 1' has shape 2x1, expected 1x1" in out
+
+
+def reshaped_extend_split(name, nrows, ncols):
+    """extend_split with block `name` replaced by a zero block of the given
+    shape; returns (text, line number of the new block's header)."""
+    models = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
+                          "models", "extend_split.txt")
+    with open(models) as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, ln in enumerate(lines)
+                 if ln.startswith("matrix %s:" % name))
+    old_rows = int(lines[start].split()[-2])
+    block = ["matrix %s: %d %d" % (name, nrows, ncols)]
+    block += [" ".join(["0"] * ncols)] * (nrows if ncols else 0)
+    lines[start:start + 1 + old_rows] = block
+    return "\n".join(lines) + "\n", start + 1
+
+
+# extend_split has dims 2 3 4 2 and f_dim 1
+@pytest.mark.parametrize("name,nrows,ncols", [
+    ("l1 2", 3, 3), ("s 0", 2, 2), ("eta", 1, 3), ("lam", 1, 1),
+    ("l2_0", 1, 1), ("d_f", 2, 2)])
+def test_extend_block_shape_exit_code(name, nrows, ncols, tmp_path, capsys):
+    text, header = reshaped_extend_split(name, nrows, ncols)
+    f = tmp_path / "reshaped.txt"
+    f.write_text(text)
+    code, out = run(capsys, "extend", "--input", str(f))
+    assert code == 2
+    assert "line %d: matrix %r has shape %dx%d" % (header, name, nrows,
+                                                   ncols) in out
+
+
 @pytest.mark.parametrize("flag", ["--cap", "--trunc", "--order"])
 def test_negative_flag_is_usage_error(flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -256,6 +296,14 @@ def test_extend_checks_conditions_once(monkeypatch, capsys):
     code, out = run(capsys, "extend", "--input", "extend_split")
     assert code == 0
     assert "conditions: ok" in out.splitlines()
+    assert len(calls) == 1
+
+
+def test_bv_computes_obstruction_once(monkeypatch, capsys):
+    calls = counting(monkeypatch, bv_mod, "obstruction_R")
+    code, out = run_golden(capsys, "bv", "--input", "bv_two_ghost",
+                           "--cap", "3")
+    assert code == 0
     assert len(calls) == 1
 
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from chainext.exactla import RatMatrix, rank
+from chainext import complexes
+from chainext.exactla import RatMatrix, rank, solve
 from chainext.complexes import (
     ExtensionPreconditionError, GradedSpace, GradedMap, HomotopyData,
     chain_extend, check_l2_conditions,
@@ -115,3 +116,76 @@ def test_graded_map_total_matrix():
     t = gm.total_matrix()
     assert t == RatMatrix([[0, 5], [0, 0]])
     assert rank(t) == 1
+
+
+# -- conditions (ii) and (iii) against their per-column definition ------------
+
+def per_column_conditions(hd, l2_0):
+    """The definition, one column at a time: every column of l2_0 B and of
+    l2_0^2 is in the column space of B = l1(X_1)."""
+    b_mat = hd.l1.block(1)
+    ok_ii = all(solve(b_mat, l2_0.mat_vec(b_mat.col(j))) is not None
+                for j in range(b_mat.ncols))
+    sq = l2_0 @ l2_0
+    ok_iii = all(solve(b_mat, sq.col(j)) is not None for j in range(sq.ncols))
+    return ok_ii, ok_iii
+
+
+def leaves_image(hd):
+    """lam E s_0, with one entry of E chosen so that some vector of B goes to
+    a nonzero vector of lam(F), which meets B only in 0; None when B = 0."""
+    sb = hd.s.block(0) @ hd.l1.block(1)
+    j = next((i for i in range(sb.nrows) if any(sb.rows[i])), None)
+    if j is None:
+        return None
+    e = RatMatrix([[int(i == 0 and c == j) for c in range(sb.nrows)]
+                   for i in range(hd.f_dim)], ncols=sb.nrows)
+    return hd.lam @ e @ hd.s.block(0)
+
+
+def test_block_conditions_match_per_column_definition():
+    seen = {"ii_fails": 0, "iii_only_fails": 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        hd, l2_0, d_f = random_split_instance(rng)
+        cases = [(l2_0, (True, True))]
+        bump = leaves_image(hd)
+        if bump is not None:
+            cases.append((l2_0 + bump, (False, None)))
+        # eta l2_0 lam becomes c times the identity (c nonzero), so the square
+        # moves lam(F) off B; B still maps into itself because eta kills B
+        c = rng.choice((-2, -1, 1, 3))
+        shift = hd.lam @ (RatMatrix.identity(hd.f_dim).scale(c) - d_f) @ hd.eta
+        cases.append((l2_0 + shift, (True, False)))
+        for l2, (want_ii, want_iii) in cases:
+            ref_ii, ref_iii = per_column_conditions(hd, l2)
+            rep = check_l2_conditions(hd, l2)
+            assert (rep["condition_ii"], rep["condition_iii"]) == \
+                (ref_ii, ref_iii), seed
+            assert rep["ok"] == (ref_ii and ref_iii)
+            assert ref_ii == want_ii
+            if want_iii is not None:
+                assert ref_iii == want_iii
+            seen["ii_fails"] += not ref_ii
+            seen["iii_only_fails"] += ref_ii and not ref_iii
+    assert seen["ii_fails"] >= 40 and seen["iii_only_fails"] == 60
+
+
+def test_check_l2_conditions_is_two_block_solves(monkeypatch):
+    hd, l2_0, d_f = random_split_instance(random.Random(3))
+    solves, mat_vecs = [], []
+    real_solve, real_mat_vec = complexes.solve, RatMatrix.mat_vec
+
+    def counted_solve(m, b):
+        solves.append(b.shape)
+        return real_solve(m, b)
+
+    def counted_mat_vec(self, v):
+        mat_vecs.append(1)
+        return real_mat_vec(self, v)
+    monkeypatch.setattr(complexes, "solve", counted_solve)
+    monkeypatch.setattr(RatMatrix, "mat_vec", counted_mat_vec)
+    assert check_l2_conditions(hd, l2_0, d_f)["ok"]
+    n0, n1 = hd.space.dim(0), hd.space.dim(1)
+    assert solves == [(n0, n1), (n0, n0)]
+    assert mat_vecs == []

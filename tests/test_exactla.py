@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainext.exactla import (
     Basis, Rat, RatMatrix, operator_matrix, rat, rref, rank, kernel_basis,
@@ -141,3 +143,110 @@ def test_operator_matrix_empty_target():
     assert m.shape == (0, 3)
     with pytest.raises(ValueError, match="'b'"):
         operator_matrix(lambda b: [(b, int(b == "b"))], src, Basis([]))
+
+
+# -- property tests: block solve and the sparse rref -------------------------
+
+def dense_rref(m):
+    """Reference elimination: scale and subtract whole rows, zeros included."""
+    rows = [list(r) for r in m.rows]
+    pivots, r = [], 0
+    for c in range(m.ncols):
+        if r == m.nrows:
+            break
+        pivot_row = next((i for i in range(r, m.nrows) if rows[i][c] != 0),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return RatMatrix(rows, ncols=m.ncols), tuple(pivots), len(pivots)
+
+
+_entries = {
+    "sparse": st.one_of(st.just(0), st.just(0), st.just(0),
+                        st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=4)),
+    "dense": st.fractions(min_value=-5, max_value=5, max_denominator=6),
+}
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    nrows = draw(st.integers(0, 6)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 6)) if ncols is None else ncols
+    entry = _entries[draw(st.sampled_from(sorted(_entries)))]
+    return RatMatrix([[draw(entry) for _ in range(ncols)]
+                      for _ in range(nrows)], ncols=ncols)
+
+
+@st.composite
+def systems(draw):
+    """(m, b): b has m's row count and 0..3 columns, sometimes in the
+    column space of m."""
+    m = draw(matrices())
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        b = m @ draw(matrices(nrows=m.ncols, ncols=k))
+    else:
+        b = draw(matrices(nrows=m.nrows, ncols=k))
+    return m, b
+
+
+_examples = settings(max_examples=100, deadline=None)
+
+
+@_examples
+@given(matrices())
+def test_rref_matches_dense_reference(m):
+    reduced, pivots, rk = rref(m)
+    want = dense_rref(m)
+    assert (reduced, pivots, rk) == want
+    assert all(isinstance(x, Rat) for row in reduced.rows for x in row)
+
+
+@_examples
+@given(systems())
+def test_block_solve_matches_column_solves(system):
+    m, b = system
+    x = solve(m, b)
+    per_column = [solve(m, b.col(j)) for j in range(b.ncols)]
+    if any(v is None for v in per_column):
+        assert x is None
+    else:
+        assert x is not None and x.shape == (m.ncols, b.ncols)
+        assert x == RatMatrix.from_columns(per_column, nrows=m.ncols)
+        assert m @ x == b
+
+
+@_examples
+@given(systems())
+def test_block_solve_none_iff_rank_grows(system):
+    m, b = system
+    assert (solve(m, b) is None) == (rank(m.hstack(b)) > rank(m))
+
+
+def test_block_solve_empty_shapes():
+    # no rows: every right-hand side is consistent, free variables are zero
+    assert solve(RatMatrix.zeros(0, 3), RatMatrix.zeros(0, 2)) == \
+        RatMatrix.zeros(3, 2)
+    assert solve(RatMatrix.zeros(0, 3), []) == [0, 0, 0]
+    # no columns: only zero right-hand sides are in the column space
+    assert solve(RatMatrix.zeros(2, 0), RatMatrix.zeros(2, 3)) == \
+        RatMatrix.zeros(0, 3)
+    assert solve(RatMatrix.zeros(2, 0), RatMatrix([[0], [1]])) is None
+    assert solve(RatMatrix.zeros(2, 0), [0, 0]) == []
+    # no right-hand sides: an empty answer of the right shape
+    m = RatMatrix([[1, 2], [3, 4], [5, 6]])
+    assert solve(m, RatMatrix.zeros(3, 0)) == RatMatrix.zeros(2, 0)
+    with pytest.raises(ValueError):
+        solve(m, RatMatrix.zeros(2, 1))
+    with pytest.raises(ValueError):
+        solve(m, [1, 2])

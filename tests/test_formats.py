@@ -10,7 +10,9 @@ from chainext.formats import (
     FormatError, dump_extend, format_poly, load_brst, load_bv, load_cochain,
     load_extend, load_lie, parse_poly, read_kind,
 )
-from chainext.lie import LieAlgebra, jacobi_check
+from chainext.lie import Cochain, LieAlgebra, alpha0_cochain, jacobi_check
+from chainext.shlie import build_shlie
+from chainext.shlie import to_homotopy_data as shlie_homotopy_data
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
                       "models")
@@ -133,6 +135,37 @@ def test_extend_round_trip():
         assert dump_extend(hd2, l2b, dfb) == again
 
 
+def test_extend_round_trip_shlie_exports():
+    # so3 at N = 4: the full variant has f_dim 0, so lam is 15 x 0 and eta
+    # is 0 x 15; the t2 variant keeps F = A + A t (f_dim 6)
+    alg = load_lie(read_model("lie_so3.txt"))
+    for variant, f_dim in (("full", 0), ("t2", 6)):
+        S = build_shlie(alg, alpha0_cochain(alg), Cochain.zero(3, 2), N=4,
+                        variant=variant)
+        hd = shlie_homotopy_data(S)
+        assert hd.f_dim == f_dim
+        n0 = hd.space.dim(0)
+        l2_0 = RatMatrix([[(i + 2 * j) % 3 for j in range(n0)]
+                          for i in range(n0)])
+        d_f = RatMatrix.zeros(f_dim, f_dim)
+        text = dump_extend(hd, l2_0, d_f)
+        hd2, l2b, dfb = load_extend(text)
+        assert hd2.space == hd.space and hd2.f_dim == f_dim
+        assert (hd2.eta, hd2.lam, l2b, dfb) == (hd.eta, hd.lam, l2_0, d_f)
+        assert hd2.l1.block(1) == hd.l1.block(1)
+        assert hd2.s.block(0) == hd.s.block(0)
+        assert dump_extend(hd2, l2b, dfb) == text
+
+
+def test_extend_zero_column_block_has_no_row_lines():
+    text = dump_extend(*load_extend(
+        "kind: extend\ndims: 2\nf_dim: 0\nmatrix eta: 0 2\n"
+        "matrix lam: 2 0\nmatrix l2_0: 2 2\n0 0\n0 0\n"))
+    assert "matrix lam: 2 0\nmatrix l2_0: 2 2\n" in text
+    hd, l2_0, _ = load_extend(text)
+    assert hd.lam.shape == (2, 0) and hd.eta.shape == (0, 2)
+
+
 def test_extend_errors():
     with pytest.raises(FormatError):
         load_extend("kind: extend\ndims: 2 1\nf_dim: 1\n"
@@ -145,6 +178,10 @@ def test_extend_errors():
                     "matrix eta: 1 2\n1 0\nmatrix eta: 1 2\n1 0\n")
     with pytest.raises(FormatError):
         load_extend("kind: extend\ndims: 2 1\nf_dim: 1\n")  # missing blocks
+    for bad in ("dims: 2 -1\nf_dim: 1\n", "dims: 2 1\nf_dim: -1\n",
+                "dims: 2 1\nf_dim: 1\nmatrix l1 1: -2 1\n"):
+        with pytest.raises(FormatError, match="nonnegative"):
+            load_extend("kind: extend\n" + bad)
 
 
 def test_rationals_round_trip_in_dump():
