@@ -29,6 +29,7 @@ from .complexes import GradedMap, GradedSpace, HomotopyData
 from .exactla import Basis, kernel_basis, operator_matrix
 from .superalg import (
     GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of, mul,
+    right_derivs,
 )
 
 
@@ -49,8 +50,13 @@ class BVModel:
     def gen(self, name):
         return SuperPoly.gen(self.alg, name)
 
-    def bracket(self, f, g):
-        return antibracket(f, g, self.pairs)
+    def bracket(self, f, g, f_derivs=None):
+        """(f, g); pass f_derivs = self.right_derivs(f) when f is fixed."""
+        return antibracket(f, g, self.pairs, f_derivs)
+
+    def right_derivs(self, f):
+        """The left factors of (f, .) for every pair: bracket's f_derivs."""
+        return right_derivs(f, self.pairs)
 
     def monomials(self, maxdeg):
         """All normal-ordered monomials of total degree <= maxdeg, sorted."""
@@ -201,17 +207,22 @@ class StarSeries(TSeries):
 class Theorem8Maps:
     """The three maps of the extension, t-linear on truncated series."""
 
-    __slots__ = ("problem", "pair_brackets")
+    __slots__ = ("problem", "pair_brackets", "S_derivs", "pair_derivs")
 
     def __init__(self, problem):
         self.problem = problem
         model, S, n = problem.model, problem.S, problem.n
+        # left factors of the fixed bracket arguments S_i and R_m, one table
+        # each: O(pairs x terms), independent of the basis
+        self.S_derivs = [model.right_derivs(s) for s in S]
         self.pair_brackets = {}
+        self.pair_derivs = {}
         for m in range(n + 1, 2 * n + 1):
             acc = SuperPoly.zero(model.alg)
             for i in range(max(1, m - n), min(n, m - 1) + 1):
-                acc = acc + model.bracket(S[i], S[m - i])
+                acc = acc + model.bracket(S[i], S[m - i], self.S_derivs[i])
             self.pair_brackets[m] = acc
+            self.pair_derivs[m] = model.right_derivs(acc)
 
     @property
     def model(self):
@@ -234,8 +245,8 @@ class Theorem8Maps:
             if x.coeffs[k].is_zero():
                 continue
             for i in range(min(self.n, self.T - k) + 1):
-                out.coeffs[k + i] = out.coeffs[k + i] + \
-                    self.model.bracket(self.problem.S[i], x.coeffs[k])
+                out.coeffs[k + i] = out.coeffs[k + i] + self.model.bracket(
+                    self.problem.S[i], x.coeffs[k], self.S_derivs[i])
         return out
 
     def l2_star(self, xi: StarSeries) -> StarSeries:
@@ -244,8 +255,8 @@ class Theorem8Maps:
             if xi.coeffs[k].is_zero():
                 continue
             for i in range(min(self.n, self.T - k) + 1):
-                out.coeffs[k + i] = out.coeffs[k + i] - \
-                    self.model.bracket(self.problem.S[i], xi.coeffs[k])
+                out.coeffs[k + i] = out.coeffs[k + i] - self.model.bracket(
+                    self.problem.S[i], xi.coeffs[k], self.S_derivs[i])
         return out
 
     def l3_plain(self, x: TSeries) -> StarSeries:
@@ -256,8 +267,8 @@ class Theorem8Maps:
             for m, rm in self.pair_brackets.items():
                 if k + m > self.T:
                     continue
-                out.coeffs[k + m] = out.coeffs[k + m] + \
-                    self.model.bracket(rm, x.coeffs[k]).scale(Fraction(-1, 2))
+                out.coeffs[k + m] = out.coeffs[k + m] + self.model.bracket(
+                    rm, x.coeffs[k], self.pair_derivs[m]).scale(Fraction(-1, 2))
         return out
 
     def apply_S(self, pair):
@@ -295,6 +306,7 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
             report["first_failure"] = (key, what)
 
     R = obstruction_R(maps.problem, n + 1)
+    R_derivs = model.right_derivs(R)
     for mono in monos:
         a = model.poly(mono)
         for k in range(T + 1):
@@ -313,7 +325,7 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
                 if any(not img.coeffs[m].is_zero() for m in range(n + 1)):
                     fail("ideal_preserved", (mono, k))
         got = maps.l3_plain(TSeries.basis(model, T, 0, mono)).coeffs[n + 1]
-        want = model.bracket(R, a).scale(Fraction(-1, 2))
+        want = model.bracket(R, a, R_derivs).scale(Fraction(-1, 2))
         if got != want:
             fail("l3_obstruction_summand", mono)
         img = maps.l2_plain(TSeries.basis(model, T, 0, mono))
@@ -343,8 +355,9 @@ def find_s0_cocycle(model: BVModel, S0: SuperPoly, maxdeg: int):
              if model.poly(m).parity() == 0 and model.poly(m).ghost() == 0]
     s0_deg = max((len(m) for m in S0.terms), default=0)
     all_monos = model.monomials(maxdeg + max(s0_deg - 2, 0))
+    s0_derivs = model.right_derivs(S0)
     mat = operator_matrix(
-        lambda m: model.bracket(S0, model.poly(m)).terms.items(),
+        lambda m: model.bracket(S0, model.poly(m), s0_derivs).terms.items(),
         Basis(monos), Basis(all_monos, model.poly))
     return [SuperPoly(model.alg, dict(zip(monos, vec)))
             for vec in kernel_basis(mat)]

@@ -118,6 +118,10 @@ def cmd_lie(config: RunConfig):
 
 
 def cmd_shlie(config: RunConfig):
+    if config.trunc < 3:
+        # a usage error, not a failed check: l3's t^2 terms need t^3 room
+        raise formats.FormatError(0, "--trunc must be at least 3 for shlie, "
+                                     "got %d" % config.trunc)
     alg = _load(config.input, "lie", formats.load_lie)
     if config.alpha1 is not None:
         a1 = _load(config.alpha1, "cochain", formats.load_cochain)

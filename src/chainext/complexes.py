@@ -193,11 +193,13 @@ def verify_homotopy(hd: HomotopyData) -> dict:
     return checks
 
 
-def check_l2_conditions(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None = None) -> dict:
+def check_l2_conditions(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None = None,
+                        l2_sq: RatMatrix | None = None) -> dict:
     """Check the three extension conditions on a degree-zero operator.
 
     B is always computed as the image of l1 on X_1 (never user-supplied).
     Condition (i) is checked only when a differential on F is passed in.
+    l2_sq, when given, is l2_0 @ l2_0, computed by the caller.
     """
     n0 = hd.space.dim(0)
     if l2_0.shape != (n0, n0):
@@ -212,7 +214,9 @@ def check_l2_conditions(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None
                              % (d_f.shape, (hd.f_dim, hd.f_dim)))
         report["condition_i"] = (hd.eta @ l2_0 @ hd.lam) == d_f
     report["condition_ii"] = solve(b_mat, l2_0 @ b_mat) is not None
-    report["condition_iii"] = solve(b_mat, l2_0 @ l2_0) is not None
+    if l2_sq is None:
+        l2_sq = l2_0 @ l2_0
+    report["condition_iii"] = solve(b_mat, l2_sq) is not None
     report["ok"] = all(v for key, v in report.items() if key != "ok" and v is not None)
     return report
 
@@ -224,7 +228,10 @@ def chain_extend(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None = None
     in degree zero l3 = s . l2 l2.  Raises ExtensionPreconditionError
     naming the first failing precondition.  Output is deterministic.
     """
-    report = check_l2_conditions(hd, l2_0, d_f)
+    n0 = hd.space.dim(0)
+    # one square serves condition (iii) and l3 in degree zero
+    sq0 = l2_0 @ l2_0 if l2_0.shape == (n0, n0) else None
+    report = check_l2_conditions(hd, l2_0, d_f, sq0)
     for name in ("condition_i", "condition_ii", "condition_iii"):
         if report[name] is False:
             raise ExtensionPreconditionError(
@@ -237,7 +244,6 @@ def chain_extend(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None = None
         if not blk.is_zero():
             l2_blocks[k] = blk
     l3_blocks = {}
-    sq0 = l2_0 @ l2_0
     blk0 = hd.s.block(0) @ sq0
     if not blk0.is_zero():
         l3_blocks[0] = blk0

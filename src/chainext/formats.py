@@ -294,6 +294,16 @@ def load_bv(text):
 # -- extend ---------------------------------------------------------------------
 
 
+def _degree(lineno, name, text, lo, hi):
+    """The source degree of an l1/s block; both ends of the map must lie in
+    the complex, so it must be in lo..hi."""
+    k = _int(lineno, text)
+    if not lo <= k <= hi:
+        raise FormatError(lineno, "matrix %r lies outside the complex "
+                                  "(degree must be in %d..%d)" % (name, lo, hi))
+    return k
+
+
 def load_extend(text):
     """(HomotopyData, l2_0, d_f) from a matrix-block file."""
     lines = _data_lines(text)
@@ -342,10 +352,10 @@ def load_extend(text):
     for name, (lineno, mat) in blocks.items():
         parts = name.split()
         if parts[0] == "l1" and len(parts) == 2:
-            k = _int(lineno, parts[1])
+            k = _degree(lineno, name, parts[1], 1, sp.top)
             want, l1_blocks[k] = (sp.dim(k - 1), sp.dim(k)), mat
         elif parts[0] == "s" and len(parts) == 2:
-            k = _int(lineno, parts[1])
+            k = _degree(lineno, name, parts[1], 0, sp.top - 1)
             want, s_blocks[k] = (sp.dim(k + 1), sp.dim(k)), mat
         elif name == "eta":
             want, eta = (f_dim, n0), mat

@@ -112,13 +112,21 @@ class SuperPoly:
 
     def __init__(self, alg, terms=None):
         self.alg = alg
-        self.terms = {}
+        out = {}
         if terms:
             for m, c in terms.items():
-                c = rat(c)
-                if c != 0:
-                    self.terms[tuple(m)] = self.terms.get(tuple(m), Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c != 0}
+                if type(c) is not Fraction:
+                    c = rat(c)
+                if not c:
+                    continue
+                m = tuple(m)
+                if m in out:
+                    c += out[m]
+                    if not c:
+                        del out[m]
+                        continue
+                out[m] = c
+        self.terms = out
 
     @classmethod
     def zero(cls, alg):
@@ -144,7 +152,8 @@ class SuperPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
         return SuperPoly(self.alg, out)
 
     def __sub__(self, other):
@@ -196,17 +205,25 @@ class SuperPoly:
         return " + ".join(bits)
 
 
-def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
-    if f.alg != g.alg:
-        raise ValueError("generator-set mismatch")
-    parities = [gen.parity for gen in f.alg.gens]
-    out = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
+def _mul_into(out, f_terms, g_terms, parities, negate=False):
+    """Add f g (or -f g when negate) into the monomial dict out."""
+    for m1, c1 in f_terms.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in g_terms.items():
             m, sign = _merge_monomials(m1, m2, parities)
             if m is None:
                 continue
-            out[m] = out.get(m, Fraction(0)) + sign * c1 * c2
+            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+
+
+def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
+    if f.alg != g.alg:
+        raise ValueError("generator-set mismatch")
+    out = {}
+    _mul_into(out, f.terms, g.terms, [gen.parity for gen in f.alg.gens])
     return SuperPoly(f.alg, out)
 
 
@@ -223,9 +240,10 @@ def right_deriv(f: SuperPoly, gname) -> SuperPoly:
             if idx != gi:
                 continue
             suffix_parity = sum(alg.gens[k].parity for k in m[j + 1:]) % 2
-            sign = -1 if (gp and suffix_parity) else 1
+            d = -c if (gp and suffix_parity) else c
             mm = m[:j] + m[j + 1:]
-            out[mm] = out.get(mm, Fraction(0)) + sign * c
+            prev = out.get(mm)
+            out[mm] = d if prev is None else prev + d
     return SuperPoly(alg, out)
 
 
@@ -241,9 +259,10 @@ def left_deriv(f: SuperPoly, gname) -> SuperPoly:
             if idx != gi:
                 continue
             prefix_parity = sum(alg.gens[k].parity for k in m[:j]) % 2
-            sign = -1 if (gp and prefix_parity) else 1
+            d = -c if (gp and prefix_parity) else c
             mm = m[:j] + m[j + 1:]
-            out[mm] = out.get(mm, Fraction(0)) + sign * c
+            prev = out.get(mm)
+            out[mm] = d if prev is None else prev + d
     return SuperPoly(alg, out)
 
 
@@ -256,23 +275,33 @@ def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:
     (-1)^(parity * parity(g_{j+1}...gk)).
     """
     alg = f.alg
+    parities = [gen.parity for gen in alg.gens]
     vals = {}
     for name, v in values.items():
         if name not in alg.index:
             raise KeyError("unknown generator %r" % (name,))
         if not v.is_zero():
-            vals[alg.index[name]] = v
-    out = SuperPoly.zero(alg)
+            vals[alg.index[name]] = v.terms
+    out = {}
     for m, c in f.terms.items():
         for j, idx in enumerate(m):
             if idx not in vals:
                 continue
-            suffix_parity = sum(alg.gens[k].parity for k in m[j + 1:]) % 2
-            sign = -1 if (parity and suffix_parity) else 1
-            term = SuperPoly(alg, {m[:j]: sign * c})
-            term = mul(mul(term, vals[idx]), SuperPoly(alg, {m[j + 1:]: 1}))
-            out = out + term
-    return out
+            prefix, suffix = m[:j], m[j + 1:]
+            odd_suffix = sum(parities[k] for k in suffix) % 2
+            c_j = -c if (parity and odd_suffix) else c
+            # prefix . value . suffix, with the Koszul sign of each merge
+            for vm, vc in vals[idx].items():
+                left, s1 = _merge_monomials(prefix, vm, parities)
+                if left is None:
+                    continue
+                mono, s2 = _merge_monomials(left, suffix, parities)
+                if mono is None:
+                    continue
+                d = c_j * vc if s1 == s2 else -(c_j * vc)
+                prev = out.get(mono)
+                out[mono] = d if prev is None else prev + d
+    return SuperPoly(alg, out)
 
 
 def _canonical_table(alg, table):
@@ -337,16 +366,36 @@ def validate_poisson_table(alg, table) -> None:
                                      % (a, b, c))
 
 
-def antibracket(f: SuperPoly, g: SuperPoly, pairs) -> SuperPoly:
-    """(f,g) = sum over pairs of dRf/dphi dLg/dphi* - dRf/dphi* dLg/dphi."""
+def right_derivs(f: SuperPoly, pairs):
+    """[(dRf/dphi, dRf/dphi*) for each (phi, phi*) in pairs]: the left
+    factors of every antibracket (f, .)."""
+    return [(right_deriv(f, field), right_deriv(f, anti))
+            for field, anti in pairs]
+
+
+def antibracket(f: SuperPoly, g: SuperPoly, pairs, f_derivs=None) -> SuperPoly:
+    """(f,g) = sum over pairs of dRf/dphi dLg/dphi* - dRf/dphi* dLg/dphi.
+
+    f_derivs, when given, is right_derivs(f, pairs); a caller that brackets
+    one fixed f with many g computes it once.
+    """
     alg = f.alg
     if alg != g.alg:
         raise ValueError("generator-set mismatch")
-    out = SuperPoly.zero(alg)
     for field, anti in pairs:
         for w in (field, anti):
             if w not in alg.index:
                 raise KeyError("unknown generator %r" % (w,))
-        out = out + mul(right_deriv(f, field), left_deriv(g, anti))
-        out = out - mul(right_deriv(f, anti), left_deriv(g, field))
-    return out
+    if f_derivs is None:
+        f_derivs = right_derivs(f, pairs)
+    parities = [gen.parity for gen in alg.gens]
+    out = {}
+    for (field, anti), (df_field, df_anti) in zip(pairs, f_derivs,
+                                                   strict=True):
+        if df_field.terms:
+            _mul_into(out, df_field.terms, left_deriv(g, anti).terms,
+                      parities)
+        if df_anti.terms:
+            _mul_into(out, df_anti.terms, left_deriv(g, field).terms,
+                      parities, negate=True)
+    return SuperPoly(alg, out)

@@ -11,7 +11,7 @@ from chainext.bv import (
 )
 from chainext.complexes import verify_homotopy
 from chainext.exactla import rat
-from chainext.superalg import GenSpec, SuperPoly, mul
+from chainext.superalg import GenSpec, SuperPoly, antibracket, mul
 
 
 def test_model_structure():
@@ -119,6 +119,34 @@ def test_maps_closed_form_order_one():
         assert star.coeffs[3] == g.bracket(s1, a).scale(-1)
         back = maps.l1(StarSeries.basis(g, 3, 2, mono, kmin=2))
         assert back.coeffs[2] == a and back.coeffs[3].is_zero()
+
+
+def test_bracket_tables_give_the_plain_brackets():
+    """Every map fed from a precomputed table equals the bracket computed
+    from scratch, on every monomial of degree <= 2 at every t-power."""
+    q = two_ghost_problem(trunc=3)
+    maps = theorem8_maps(q)
+    g, n, T = q.model, q.n, q.trunc
+
+    def plain(f, a):
+        return antibracket(f, a, g.pairs)
+    for mono in g.monomials(2):
+        a = g.poly(mono)
+        for k in range(T + 1):
+            img = maps.l2_plain(TSeries.basis(g, T, k, mono))
+            for i in range(T + 1 - k):
+                want = plain(q.S[i], a) if i <= n else SuperPoly.zero(g.alg)
+                assert img.coeffs[k + i] == want
+            l3 = maps.l3_plain(TSeries.basis(g, T, k, mono))
+            for m, rm in maps.pair_brackets.items():
+                if k + m <= T:
+                    assert l3.coeffs[k + m] == \
+                        plain(rm, a).scale(rat("-1/2"))
+            if k >= n + 1:
+                star = maps.l2_star(StarSeries.basis(g, T, k, mono,
+                                                     kmin=n + 1))
+                for i in range(min(n, T - k) + 1):
+                    assert star.coeffs[k + i] == plain(q.S[i], a).scale(-1)
 
 
 def test_truncation_too_small():

@@ -259,6 +259,29 @@ def test_extend_block_shape_exit_code(name, nrows, ncols, tmp_path, capsys):
                                                    ncols) in out
 
 
+# l1 k maps X_k -> X_{k-1} and s k maps X_k -> X_{k+1}: both ends must be
+# among the degrees 0..3 of extend_split, even for an empty block
+@pytest.mark.parametrize("name", ["l1 0", "l1 4", "l1 7", "s -1", "s 3",
+                                  "s 9"])
+def test_extend_out_of_range_empty_block_exit_code(name, tmp_path, capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
+                           "models", "extend_split.txt")) as fh:
+        lines = fh.read().splitlines()
+    f = tmp_path / "out_of_range.txt"
+    f.write_text("\n".join(lines + ["matrix %s: 0 0" % name]) + "\n")
+    code, out = run(capsys, "extend", "--input", str(f))
+    assert code == 2
+    assert "line %d: matrix %r lies outside the complex" % (len(lines) + 1,
+                                                           name) in out
+
+
+@pytest.mark.parametrize("trunc", ["0", "1"])
+def test_shlie_small_trunc_is_usage_error(trunc, capsys):
+    code, out = run(capsys, "shlie", "--input", "lie_so3", "--trunc", trunc)
+    assert code == 2
+    assert "--trunc must be at least 3" in out
+
+
 @pytest.mark.parametrize("flag", ["--cap", "--trunc", "--order"])
 def test_negative_flag_is_usage_error(flag, capsys):
     with pytest.raises(SystemExit) as exc:

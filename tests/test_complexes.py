@@ -189,3 +189,20 @@ def test_check_l2_conditions_is_two_block_solves(monkeypatch):
     n0, n1 = hd.space.dim(0), hd.space.dim(1)
     assert solves == [(n0, n1), (n0, n0)]
     assert mat_vecs == []
+
+
+def test_chain_extend_squares_l2_0_once(monkeypatch):
+    squares = []
+    real_matmul = RatMatrix.__matmul__
+
+    def counted_matmul(a, b):
+        if a is b:
+            squares.append(a)
+        return real_matmul(a, b)
+    monkeypatch.setattr(RatMatrix, "__matmul__", counted_matmul)
+    for seed in range(4):
+        hd, l2_0, d_f = random_split_instance(random.Random(seed))
+        del squares[:]
+        ext = chain_extend(hd, l2_0, d_f=d_f)
+        assert sum(1 for m in squares if m is l2_0) == 1, seed
+        assert verify_nilpotent(ext)["ok"]

@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from chainext.brst import koszul_tate, longitudinal_d, so3_system
+from chainext.bv import two_ghost_model
 from chainext.superalg import (
-    GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of, left_deriv,
-    mul, poisson, right_deriv, validate_poisson_table,
+    GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of,
+    extend_right_derivation, left_deriv, mul, poisson, right_deriv,
+    right_derivs, validate_poisson_table,
 )
 
 
@@ -247,3 +252,199 @@ def test_parity_and_degree_bookkeeping():
         mixed.parity()
     assert SuperPoly.zero(alg).parity() == 0
     assert len(mixed.split_terms()) == 2
+
+
+# -- property tests on drawn polynomials ---------------------------------------
+
+def two_ghost_alg():
+    model = two_ghost_model()
+    return model.alg, model.pairs
+
+
+BV_ALGEBRAS = {"two_pair": two_pair_alg(), "two_ghost": two_ghost_alg()}
+
+_examples = settings(max_examples=60, deadline=None)
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def polys(draw, alg, max_terms=4, max_deg=3):
+    """A sum of up to max_terms products of generators with drawn
+    coefficients; with a drawn parity, only the terms of that parity."""
+    names = [s.name for s in alg.gens]
+    out = SuperPoly.zero(alg)
+    for _ in range(draw(st.integers(0, max_terms))):
+        f = SuperPoly.const(alg, draw(_coeffs))
+        for name in draw(st.lists(st.sampled_from(names), max_size=max_deg)):
+            f = mul(f, g(alg, name))
+        out = out + f
+    return out
+
+
+@st.composite
+def homogeneous(draw, alg, **kw):
+    f = draw(polys(alg, **kw))
+    p = draw(st.integers(0, 1))
+    return SuperPoly(alg, {m: c for m, c in f.terms.items()
+                           if f.monomial_parity(m) == p}), p
+
+
+@st.composite
+def bv_polys(draw, count, homog=False):
+    """(alg, pairs, [count polynomials]) over one of the BV algebras."""
+    alg, pairs = BV_ALGEBRAS[draw(st.sampled_from(sorted(BV_ALGEBRAS)))]
+    draw_one = homogeneous(alg) if homog else polys(alg)
+    return alg, pairs, [draw(draw_one) for _ in range(count)]
+
+
+def reference_antibracket(f, h, pairs):
+    """The defining sum, one mul per pair and side."""
+    out = SuperPoly.zero(f.alg)
+    for field, anti in pairs:
+        out = out + mul(right_deriv(f, field), left_deriv(h, anti))
+        out = out - mul(right_deriv(f, anti), left_deriv(h, field))
+    return out
+
+
+def reference_extend(f, values, parity):
+    """D(g1...gk) = sum_j +- g1...D(gj)...gk, as two products per term."""
+    alg = f.alg
+    out = SuperPoly.zero(alg)
+    for m, c in f.terms.items():
+        for j, idx in enumerate(m):
+            v = values.get(alg.gens[idx].name)
+            if v is None:
+                continue
+            suffix_parity = sum(alg.gens[k].parity for k in m[j + 1:]) % 2
+            sign = -1 if (parity and suffix_parity) else 1
+            term = mul(SuperPoly(alg, {m[:j]: sign * c}), v)
+            out = out + mul(term, SuperPoly(alg, {m[j + 1:]: 1}))
+    return out
+
+
+def reference_normalise(terms):
+    """Coerce, merge and drop zeros in two passes."""
+    out = {}
+    for m, c in terms.items():
+        c = Fraction(c)
+        if c != 0:
+            out[tuple(m)] = out.get(tuple(m), Fraction(0)) + c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+@_examples
+@given(bv_polys(2))
+def test_table_fed_antibracket_matches_plain_and_reference(drawn):
+    alg, pairs, (f, h) = drawn
+    table = right_derivs(f, pairs)
+    assert table == [(right_deriv(f, a), right_deriv(f, b))
+                     for a, b in pairs]
+    fed = antibracket(f, h, pairs, table)
+    assert fed == antibracket(f, h, pairs)
+    assert fed == reference_antibracket(f, h, pairs)
+
+
+def test_antibracket_argument_checks():
+    alg, pairs = two_pair_alg()
+    phi = g(alg, "phi")
+    with pytest.raises(KeyError):
+        antibracket(phi, phi, [("phi", "nope")])
+    with pytest.raises(KeyError):
+        antibracket(phi, phi, [("phi", "nope")], [(phi, phi)])
+    with pytest.raises(ValueError):
+        antibracket(phi, g(brst_like_alg(), "x"), pairs)
+    with pytest.raises(ValueError):
+        antibracket(phi, phi, pairs, right_derivs(phi, pairs[:1]))
+
+
+@_examples
+@given(bv_polys(3, homog=True))
+def test_antibracket_graded_jacobi(drawn):
+    alg, pairs, ((a, ea), (b, eb), (c, _)) = drawn
+    lhs = antibracket(a, antibracket(b, c, pairs), pairs)
+    rhs = antibracket(antibracket(a, b, pairs), c, pairs) + \
+        antibracket(b, antibracket(a, c, pairs), pairs).scale(
+            (-1) ** ((ea + 1) * (eb + 1)))
+    assert lhs == rhs
+
+
+@_examples
+@given(bv_polys(2, homog=True))
+def test_derivations_leibniz(drawn):
+    alg, pairs, ((f, ef), (h, eh)) = drawn
+    fh = mul(f, h)
+    for gen in alg.gens:
+        x, ex = gen.name, gen.parity
+        # right: x leaves through the right end, past h when it sits in f
+        assert right_deriv(fh, x) == mul(f, right_deriv(h, x)) + \
+            mul(right_deriv(f, x), h).scale((-1) ** (ex * eh))
+        # left: x leaves through the left end, past f when it sits in h
+        assert left_deriv(fh, x) == mul(left_deriv(f, x), h) + \
+            mul(f, left_deriv(h, x)).scale((-1) ** (ex * ef))
+
+
+SO3 = so3_system()
+SO3_VALUES = {
+    op.__name__: {gen.name: op(SO3, g(SO3.alg, gen.name))
+                  for gen in SO3.alg.gens}
+    for op in (koszul_tate, longitudinal_d)}
+
+
+def so3_product(*names):
+    f = SuperPoly.const(SO3.alg, 1)
+    for name in names:
+        f = mul(f, g(SO3.alg, name))
+    return f
+
+
+@_examples
+@given(polys(SO3.alg, max_terms=5, max_deg=4),
+       st.sampled_from(sorted(SO3_VALUES)))
+# an odd suffix after an even generator, and odd factors on both sides of a
+# ghost, so both Koszul merges carry signs
+@example(so3_product("G2", "G3", "P2"), "longitudinal_d")
+@example(so3_product("G1", "eta2", "eta3", "P1"), "longitudinal_d")
+@example(so3_product("eta1", "P1", "P2"), "koszul_tate")
+def test_extend_right_derivation_matches_two_products(f, op_name):
+    values = SO3_VALUES[op_name]
+    want = reference_extend(f, values, 1)
+    assert extend_right_derivation(f, values, 1) == want
+    op = koszul_tate if op_name == "koszul_tate" else longitudinal_d
+    assert op(SO3, f) == want
+
+
+@_examples
+@given(polys(SO3.alg, max_terms=5, max_deg=4),
+       st.dictionaries(st.sampled_from([s.name for s in SO3.alg.gens]),
+                       polys(SO3.alg, max_terms=3, max_deg=3), max_size=4),
+       st.integers(0, 1))
+@example(so3_product("eta2", "P1"), {"P1": so3_product("eta1")}, 1)
+def test_extend_right_derivation_on_drawn_values(f, values, parity):
+    """Any generator values, not only those of a differential: the value
+    then meets odd factors of the prefix as well as of the suffix."""
+    assert extend_right_derivation(f, values, parity) == \
+        reference_extend(f, values, parity)
+
+
+@_examples
+@given(st.dictionaries(
+    st.lists(st.integers(0, 6), max_size=3).map(tuple),
+    st.one_of(st.integers(-2, 2), _coeffs), max_size=6))
+def test_superpoly_normalises_in_one_pass(terms):
+    p = SuperPoly(brst_like_alg(), terms)
+    assert p.terms == reference_normalise(terms)
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all(type(m) is tuple for m in p.terms)
+
+
+def test_superpoly_merges_keys_that_coincide_as_tuples():
+    alg = brst_like_alg()
+    # range(0, 1) and (0,) are different dict keys with the same tuple
+    assert SuperPoly(alg, {(0,): 2, range(0, 1): -2}).is_zero()
+    p = SuperPoly(alg, {(0,): 1, range(0, 1): Fraction(1, 2), (1,): 0})
+    assert p.terms == {(0,): Fraction(3, 2)}
+    x = g(alg, "x")
+    assert (x + x.scale(-1)).is_zero()
+    assert (x.scale(3) + SuperPoly.const(alg, 1) - x.scale(3)) == \
+        SuperPoly.const(alg, 1)
