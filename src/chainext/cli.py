@@ -131,8 +131,8 @@ def cmd_shlie(config: RunConfig):
     a0 = alpha0_cochain(alg)
     code = PASS
     try:
-        built = {v: build_shlie(alg, a0, a1, N=config.trunc, variant=v)
-                 for v in ("t2", "full")}
+        t2 = build_shlie(alg, a0, a1, N=config.trunc, variant="t2")
+        built = {"t2": t2, "full": t2.as_variant("full")}
     except ValueError as e:
         report["build"] = "error: %s" % e
         return report, MATH_FAIL

@@ -20,8 +20,6 @@ Everything is exact over Q and bit-for-bit deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactla import RatMatrix, rank, solve
 
 
@@ -91,14 +89,17 @@ class GradedMap:
         return RatMatrix.zeros(self.space.dim(k + self.shift), self.space.dim(k))
 
     def compose(self, other) -> "GradedMap":
-        """self after other (self . other)."""
+        """self after other (self . other); a missing block on either side
+        contributes nothing."""
         if self.space != other.space:
             raise ValueError("graded maps live on different spaces")
         out = {}
-        for k in range(len(self.space.dims)):
-            m = self.block(k + other.shift) @ other.block(k)
-            if not m.is_zero():
-                out[k] = m
+        for k, b in other.blocks.items():
+            a = self.blocks.get(k + other.shift)
+            if a is not None:
+                m = a @ b
+                if not m.is_zero():
+                    out[k] = m
         return GradedMap(self.space, self.shift + other.shift, out)
 
     def add(self, other) -> "GradedMap":
@@ -106,7 +107,8 @@ class GradedMap:
             raise ValueError("cannot add graded maps of different shifts")
         out = {}
         for k in set(self.blocks) | set(other.blocks):
-            m = self.block(k) + other.block(k)
+            a, b = self.blocks.get(k), other.blocks.get(k)
+            m = b if a is None else a if b is None else a + b
             if not m.is_zero():
                 out[k] = m
         return GradedMap(self.space, self.shift, out)
@@ -116,18 +118,11 @@ class GradedMap:
 
     def total_matrix(self) -> RatMatrix:
         """The map as one matrix on the concatenated basis of all degrees."""
-        n = self.space.total_dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for k in range(len(self.space.dims)):
-            tgt = k + self.shift
-            if not (0 <= tgt < len(self.space.dims)):
-                continue
-            blk = self.block(k)
-            ro, co = self.space.offset(tgt), self.space.offset(k)
-            for i in range(blk.nrows):
-                for j in range(blk.ncols):
-                    rows[ro + i][co + j] = blk.rows[i][j]
-        return RatMatrix(rows, ncols=n)
+        sp = self.space
+        placed = [(sp.offset(k + self.shift), sp.offset(k), blk)
+                  for k, blk in self.blocks.items()
+                  if 0 <= k <= sp.top and 0 <= k + self.shift <= sp.top]
+        return RatMatrix.from_blocks(sp.total_dim, sp.total_dim, placed)
 
 
 class HomotopyData:

@@ -1,12 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with Fraction entries.  Everything here is exact: no floats,
-no tolerances.  Matrices are immutable; all functions return fresh objects.
+A matrix is stored sparse, on exact integers: each row is a {column: nonzero
+int} dict, and one positive integer `den`, in lowest terms (1 for the zero
+matrix), is the common denominator of every entry.  Arithmetic touches only
+the stored nonzeros and runs on Python ints; every value handed out
+(entries, rows, columns, vectors, solutions) is a Fraction.  Everything here
+is exact: no floats, no tolerances.  Matrices are immutable; all functions
+return fresh objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rat = Fraction
 
@@ -25,30 +31,76 @@ def rat(x) -> Rat:
     raise TypeError("not an exact rational: %r" % (x,))
 
 
-class RatMatrix:
-    """Immutable dense matrix over Q, stored row-major.
+def _exact(x):
+    """An int or a Fraction as it is, a 'p/q' string as a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    return rat(x)
 
-    Zero-row and zero-column shapes are allowed (graded pieces may be
-    empty); pass ncols explicitly when there are no rows to infer it from.
+
+class RatMatrix:
+    """Immutable sparse matrix over Q: entry (i, j) is _nums[i].get(j, 0) / den.
+
+    The form is canonical: no stored zero, den > 0, and the gcd of den and
+    every numerator is 1, so equal matrices have equal storage.  Zero-row and
+    zero-column shapes are allowed (graded pieces may be empty); pass ncols
+    explicitly when there are no rows to infer it from.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("_nums", "den", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(rat(x) for x in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError("ragged rows in matrix input")
+        """rows: dense rows of ints, Fractions or 'p/q' strings."""
+        nums = []
+        width = None
+        for row in rows:
+            row = [_exact(x) for x in row]
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError("ragged rows in matrix input")
+            nums.append({j: x for j, x in enumerate(row) if x})
+        if width is not None:
             if ncols is not None and ncols != width:
                 raise ValueError("ncols=%d disagrees with row width %d" % (ncols, width))
             ncols = width
         else:
             ncols = 0 if ncols is None else int(ncols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
+        # every entry is in lowest terms, so over the lcm of their
+        # denominators the numerators share no factor with it
+        den = 1
+        for r in nums:
+            for x in r.values():
+                if den % x.denominator:
+                    den = lcm(den, x.denominator)
+        for r in nums:
+            for j, x in r.items():
+                r[j] = x.numerator * (den // x.denominator)
+        self._fill(nums, den, ncols)
+
+    def _fill(self, nums, den, ncols):
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nrows", len(nums))
         object.__setattr__(self, "ncols", ncols)
+
+    @classmethod
+    def _of(cls, nums, den, ncols):
+        """The matrix nums / den for {col: nonzero int} rows and den > 0,
+        brought to lowest terms.  The row dicts are taken over, not copied."""
+        if den != 1:
+            g = den
+            for r in nums:
+                if r:
+                    g = gcd(g, *r.values())
+                    if g == 1:
+                        break
+            if g != 1:
+                nums = [{j: v // g for j, v in r.items()} for r in nums]
+                den //= g
+        m = object.__new__(cls)
+        m._fill(nums, den, ncols)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -57,11 +109,11 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[_ZERO] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of([{} for _ in range(nrows)], 1, ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._of([{i: 1} for i in range(n)], 1, n)
 
     @classmethod
     def from_columns(cls, cols, nrows=None):
@@ -72,9 +124,26 @@ class RatMatrix:
             for c in cols:
                 if len(c) != nrows:
                     raise ValueError("ragged columns")
-            return cls([[cols[j][i] for j in range(len(cols))] for i in range(nrows)],
-                       ncols=len(cols))
+            return cls(zip(*cols), ncols=len(cols))
         return cls.zeros(0 if nrows is None else nrows, 0)
+
+    @classmethod
+    def from_blocks(cls, nrows, ncols, placed):
+        """An nrows x ncols matrix holding each block of `placed`, a list of
+        (row offset, column offset, RatMatrix), at its offsets; zero elsewhere.
+        Blocks must not overlap."""
+        den = 1
+        for _, _, blk in placed:
+            den = lcm(den, blk.den)
+        nums = [{} for _ in range(nrows)]
+        for ro, co, blk in placed:
+            if ro < 0 or co < 0 or ro + blk.nrows > nrows or co + blk.ncols > ncols:
+                raise ValueError("block %s at (%d, %d) leaves the %d x %d matrix"
+                                 % (blk.shape, ro, co, nrows, ncols))
+            f = den // blk.den
+            for i, r in enumerate(blk._nums):
+                nums[ro + i].update((co + j, v * f) for j, v in r.items())
+        return cls._of(nums, den, ncols)
 
     # -- basics ------------------------------------------------------------
 
@@ -82,78 +151,109 @@ class RatMatrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self):
+        """The entries as a dense tuple of Fraction tuples."""
+        d, n = self.den, self.ncols
+        out = []
+        for r in self._nums:
+            row = [_ZERO] * n
+            for j, v in r.items():
+                row[j] = Fraction(v, d)
+            out.append(tuple(row))
+        return tuple(out)
+
     def __eq__(self, other):
         return (isinstance(other, RatMatrix) and self.ncols == other.ncols
-                and self.rows == other.rows)
+                and self.den == other.den and self._nums == other._nums)
 
     def __repr__(self):
         return "RatMatrix(%d x %d)" % (self.nrows, self.ncols)
 
     def entry(self, i, j) -> Rat:
-        return self.rows[i][j]
+        if not 0 <= j < self.ncols:
+            raise IndexError("column %d out of range" % (j,))
+        v = self._nums[i].get(j)
+        return Fraction(v, self.den) if v else _ZERO
 
     def col(self, j):
-        return [self.rows[i][j] for i in range(self.nrows)]
+        if not 0 <= j < self.ncols:
+            raise IndexError("column %d out of range" % (j,))
+        d = self.den
+        return [Fraction(r[j], d) if j in r else _ZERO for r in self._nums]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self._nums)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other."""
         self._same_shape(other)
-        return RatMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)], ncols=self.ncols)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = []
+        for ra, rb in zip(self._nums, other._nums):
+            row = {j: v * fa for j, v in ra.items()}
+            for j, v in rb.items():
+                s = row.get(j, 0) + v * fb
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+            out.append(row)
+        return RatMatrix._of(out, den, self.ncols)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return RatMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)], ncols=self.ncols)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
         c = rat(c)
-        return RatMatrix([[c * x for x in row] for row in self.rows], ncols=self.ncols)
+        p = c.numerator
+        return RatMatrix._of([{j: v * p for j, v in r.items()} if p else {}
+                              for r in self._nums], self.den * c.denominator,
+                             self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product: %s @ %s" % (self.shape, other.shape))
-        out = [[_ZERO] * other.ncols for _ in range(self.nrows)]
-        for i in range(self.nrows):
-            row_i = self.rows[i]
-            out_i = out[i]
-            for k in range(self.ncols):
-                a = row_i[k]
-                if a == 0:
-                    continue
-                row_k = other.rows[k]
-                for j in range(other.ncols):
-                    b = row_k[j]
-                    if b != 0:
-                        out_i[j] += a * b
-        return RatMatrix(out, ncols=other.ncols)
+        b_rows = other._nums
+        out = []
+        for ra in self._nums:
+            acc = {}
+            for k, a in ra.items():
+                for j, b in b_rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if 0 in acc.values():
+                acc = {j: v for j, v in acc.items() if v}
+            out.append(acc)
+        return RatMatrix._of(out, self.den * other.den, other.ncols)
 
     def mat_vec(self, v):
         if len(v) != self.ncols:
             raise ValueError("vector length %d does not match %d columns" % (len(v), self.ncols))
-        out = [_ZERO] * self.nrows
-        for i in range(self.nrows):
-            acc = _ZERO
-            row = self.rows[i]
-            for k in range(self.ncols):
-                a = row[k]
-                if a != 0 and v[k] != 0:
-                    acc += a * rat(v[k])
-            out[i] = acc
+        d = self.den
+        out = []
+        for r in self._nums:
+            acc = 0
+            for k, a in r.items():
+                x = v[k]
+                if x:
+                    acc += a * rat(x)
+            out.append(Fraction(acc) / d)
         return out
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return RatMatrix([list(ra) + list(rb) for ra, rb in zip(self.rows, other.rows)],
-                         ncols=self.ncols + other.ncols)
+        return RatMatrix.from_blocks(self.nrows, self.ncols + other.ncols,
+                                     [(0, 0, self), (0, self.ncols, other)])
 
     def _same_shape(self, other):
         if self.shape != other.shape:
@@ -202,9 +302,6 @@ def operator_matrix(op, src: Basis, dst: Basis) -> RatMatrix:
 
 # -- vector helpers ---------------------------------------------------------
 
-def vec(xs):
-    return [rat(x) for x in xs]
-
 def vec_zeros(n):
     return [_ZERO] * n
 
@@ -228,39 +325,62 @@ def rref(m: RatMatrix):
     """Reduced row echelon form.
 
     Returns (reduced, pivot_columns, rank).  Deterministic: pivots are chosen
-    left to right, first nonzero entry from the top.  Only the nonzero
-    entries of each pivot row are scaled and subtracted, so sparse input
-    costs in proportion to its nonzeros.
+    left to right, first nonzero entry from the top.  The elimination runs on
+    the integer numerators: each pivot row is made primitive with a positive
+    pivot, and a row r with entry f in the pivot column becomes
+    (p/g) r - (f/g) (pivot row), g = gcd(p, f), divided by its content.
+    Only stored nonzeros are touched.  The pivot rows are divided by their
+    pivots once, at the end, so the result is the unique reduced form.
     """
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
+    rows = [dict(r) for r in m._nums]
+    nrows = m.nrows
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(m.ncols):
         if r == nrows:
             break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         prow = rows[r]
-        inv = _ONE / prow[c]
-        nonzeros = [(j, x * inv) for j, x in enumerate(prow) if x != 0]
-        for j, x in nonzeros:
-            prow[j] = x
+        g = gcd(*prow.values())
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            for j in prow:
+                prow[j] //= g
+        p = prow[c]
+        pitems = list(prow.items())
         for i in range(nrows):
             row = rows[i]
-            f = row[c]
-            if i != r and f != 0:
-                for j, y in nonzeros:
-                    row[j] -= f * y
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, y in pitems:
+                s = row.get(j, 0) - b * y
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+            if a != 1 and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
         pivots.append(c)
         r += 1
-    return RatMatrix(rows, ncols=ncols), tuple(pivots), len(pivots)
+    den = lcm(*(rows[i][c] for i, c in enumerate(pivots)))
+    for i, c in enumerate(pivots):
+        f = den // rows[i][c]
+        if f != 1:
+            rows[i] = {j: v * f for j, v in rows[i].items()}
+    return RatMatrix._of(rows, den, m.ncols), tuple(pivots), len(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -280,7 +400,7 @@ def kernel_basis(m: RatMatrix):
         v = vec_zeros(m.ncols)
         v[f] = _ONE
         for r_idx, p in enumerate(pivots):
-            v[p] = -reduced.rows[r_idx][f]
+            v[p] = -reduced.entry(r_idx, f)
         basis.append(v)
     return basis
 
@@ -296,16 +416,17 @@ def solve(m: RatMatrix, b):
     """
     block = isinstance(b, RatMatrix)
     if not block:
-        b = RatMatrix.from_columns([vec(b)], nrows=len(b))
+        b = RatMatrix.from_columns([b], nrows=len(b))
     if b.nrows != m.nrows:
         raise ValueError("right-hand side length %d does not match %d rows" % (b.nrows, m.nrows))
     reduced, pivots, rk = rref(m.hstack(b))
-    if pivots and pivots[-1] >= m.ncols:
+    n = m.ncols
+    if pivots and pivots[-1] >= n:
         return None
-    x = [[_ZERO] * b.ncols for _ in range(m.ncols)]
+    x = [{} for _ in range(n)]
     for r_idx, p in enumerate(pivots):
-        x[p] = reduced.rows[r_idx][m.ncols:]
-    x = RatMatrix(x, ncols=b.ncols)
+        x[p] = {j - n: v for j, v in reduced._nums[r_idx].items() if j >= n}
+    x = RatMatrix._of(x, reduced.den, b.ncols)
     return x if block else x.col(0)
 
 

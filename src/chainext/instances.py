@@ -10,7 +10,6 @@ differential on F returned alongside.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .exactla import RatMatrix
 from .complexes import GradedSpace, GradedMap, HomotopyData
@@ -39,7 +38,7 @@ def _apply_op(rows, op, invert=False):
     kind, i, j, c = op
     if kind == "add":
         cc = -c if invert else c
-        rows[j] = [a + Fraction(cc) * b for a, b in zip(rows[j], rows[i])]
+        rows[j] = [a + cc * b for a, b in zip(rows[j], rows[i])]
     elif kind == "swap":
         rows[i], rows[j] = rows[j], rows[i]
     else:
@@ -52,28 +51,29 @@ def random_unimodular(rng: random.Random, n: int):
         z = RatMatrix.zeros(0, 0)
         return z, z
     ops = _elementary_ops(rng, n, steps=max(2, 2 * n))
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for op in ops:
         _apply_op(rows, op)
     p = RatMatrix(rows)
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for op in reversed(ops):
         _apply_op(rows, op, invert=True)
     p_inv = RatMatrix(rows)
     return p, p_inv
 
 
-def _nilpotent_square_zero(rng: random.Random, f: int) -> RatMatrix:
-    """An f x f matrix D with D @ D = 0 (image inside a killed coordinate block)."""
+def _nilpotent_square_zero(rng: random.Random, f: int):
+    """The integer rows of an f x f matrix D with D @ D = 0 (image inside a
+    killed coordinate block)."""
     if f == 0:
-        return RatMatrix.zeros(0, 0)
+        return []
     p = rng.randint(0, f // 2)
     q = rng.randint(p and 1 or 0, f - p)
-    rows = [[Fraction(0)] * f for _ in range(f)]
+    rows = [[0] * f for _ in range(f)]
     for j in range(p):
         for i in range(f - q, f):
-            rows[i][j] = Fraction(rng.randint(-2, 2))
-    return RatMatrix(rows)
+            rows[i][j] = rng.randint(-2, 2)
+    return rows
 
 
 def random_split_instance(rng: random.Random, max_dim: int = 6, top: int = 3):
@@ -100,30 +100,30 @@ def random_split_instance(rng: random.Random, max_dim: int = 6, top: int = 3):
 
     l1_blocks = {}
     for k in range(1, sp.top + 1):
-        rows = [[Fraction(0)] * sp.dim(k) for _ in range(sp.dim(k - 1))]
+        rows = [[0] * sp.dim(k) for _ in range(sp.dim(k - 1))]
         for i in range(rk[k - 1]):
-            rows[m_offset(k - 1) + i][i] = Fraction(1)
+            rows[m_offset(k - 1) + i][i] = 1
         l1_blocks[k] = RatMatrix(rows, ncols=sp.dim(k))
     s_blocks = {}
     for k in range(0, sp.top):
-        rows = [[Fraction(0)] * sp.dim(k) for _ in range(sp.dim(k + 1))]
+        rows = [[0] * sp.dim(k) for _ in range(sp.dim(k + 1))]
         for i in range(rk[k]):
-            rows[i][m_offset(k) + i] = Fraction(-1)
+            rows[i][m_offset(k) + i] = -1
         s_blocks[k] = RatMatrix(rows, ncols=sp.dim(k))
-    eta0 = RatMatrix([[Fraction(1) if i == j else Fraction(0)
-                       for j in range(sp.dim(0))] for i in range(f)], ncols=sp.dim(0))
-    lam0 = RatMatrix([[Fraction(1) if i == j else Fraction(0)
-                       for j in range(f)] for i in range(sp.dim(0))], ncols=f)
+    eta0 = RatMatrix([[int(i == j) for j in range(sp.dim(0))] for i in range(f)],
+                     ncols=sp.dim(0))
+    lam0 = RatMatrix([[int(i == j) for j in range(f)] for i in range(sp.dim(0))],
+                     ncols=f)
 
-    d_split = _nilpotent_square_zero(rng, f)
+    d_rows = _nilpotent_square_zero(rng, f)
+    d_split = RatMatrix(d_rows, ncols=f)
     n0 = sp.dim(0)
-    l2_rows = [[Fraction(0)] * n0 for _ in range(n0)]
+    l2_rows = [[0] * n0 for _ in range(n0)]
     for i in range(f):
-        for j in range(f):
-            l2_rows[i][j] = d_split.rows[i][j]
+        l2_rows[i][:f] = d_rows[i]
     for i in range(r1):
         for j in range(n0):
-            l2_rows[f + i][j] = Fraction(rng.randint(-2, 2))
+            l2_rows[f + i][j] = rng.randint(-2, 2)
     l2_split = RatMatrix(l2_rows, ncols=n0)
 
     # conjugate everything by random unimodular changes of basis

@@ -133,6 +133,14 @@ class ShLieStructure:
         self.variant = variant
         self.comp11 = nr_compose(alpha1, alpha1)
 
+    def as_variant(self, variant: str) -> "ShLieStructure":
+        """The same maps on the graded space of `variant`.  build_shlie's
+        hypotheses do not depend on the variant, so one validation serves
+        both."""
+        if variant not in ("t2", "full"):
+            raise ValueError("variant must be 't2' or 'full'")
+        return ShLieStructure(self.alg, self.alpha0, self.alpha1, self.N, variant)
+
     @property
     def kmin(self):
         return 2 if self.variant == "t2" else 0

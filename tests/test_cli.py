@@ -330,6 +330,15 @@ def test_bv_computes_obstruction_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_shlie_validates_the_algebra_once(monkeypatch, capsys):
+    from chainext import shlie as shlie_mod
+    counts = [counting(monkeypatch, shlie_mod, name)
+              for name in ("alpha0_cochain", "jacobi_check", "ce_differential")]
+    code, out = run_golden(capsys, "shlie", "--input", "lie_so3")
+    assert code == 0
+    assert [len(c) for c in counts] == [1, 1, 1]
+
+
 def test_brst_failed_resolution_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(brst_mod, "verify_brst_resolution",
                         lambda sys_, cap: {"ok": False,

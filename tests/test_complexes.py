@@ -206,3 +206,91 @@ def test_chain_extend_squares_l2_0_once(monkeypatch):
         ext = chain_extend(hd, l2_0, d_f=d_f)
         assert sum(1 for m in squares if m is l2_0) == 1, seed
         assert verify_nilpotent(ext)["ok"]
+
+
+# -- the sparse engine against its dense definitions -------------------------
+
+def dense_compose(a, b):
+    """The old compose: every degree's product, missing blocks as zeros."""
+    out = {}
+    for k in range(len(a.space.dims)):
+        m = a.block(k + b.shift) @ b.block(k)
+        if not m.is_zero():
+            out[k] = m
+    return out
+
+
+def dense_add(a, b):
+    out = {}
+    for k in set(a.blocks) | set(b.blocks):
+        m = a.block(k) + b.block(k)
+        if not m.is_zero():
+            out[k] = m
+    return out
+
+
+def dense_total(gm):
+    """The old total matrix: a dense n x n list filled block by block."""
+    sp = gm.space
+    n = sp.total_dim
+    rows = [[0] * n for _ in range(n)]
+    for k in range(len(sp.dims)):
+        tgt = k + gm.shift
+        if not 0 <= tgt < len(sp.dims):
+            continue
+        blk = gm.block(k)
+        ro, co = sp.offset(tgt), sp.offset(k)
+        for i in range(blk.nrows):
+            for j in range(blk.ncols):
+                rows[ro + i][co + j] = blk.rows[i][j]
+    return RatMatrix(rows, ncols=n)
+
+
+def test_sparse_engine_matches_dense_definitions():
+    for seed in range(50):
+        hd, l2_0, d_f = random_split_instance(random.Random(seed))
+        ext = chain_extend(hd, l2_0, d_f)
+        maps = [hd.l1, hd.s, ext.l2, ext.l3]
+        for a in maps:
+            assert a.total_matrix() == dense_total(a), seed
+            for b in maps:
+                assert a.compose(b).blocks == dense_compose(a, b), seed
+                if a.shift == b.shift:
+                    assert a.add(b).blocks == dense_add(a, b), seed
+
+
+def perturbed_l3(ext):
+    """ext with one unit entry added to l3 on X_0 -> X_1, placed where l1 is
+    nonzero on X_1, so that l1 l3 changes; None when l1 vanishes on X_1."""
+    b = ext.l1.block(1)
+    i = next((j for j in range(b.ncols) if any(b.col(j))), None)
+    if i is None:
+        return None
+    n0 = ext.space.dim(0)
+    e = RatMatrix([[int(r == i and c == 0) for c in range(n0)]
+                   for r in range(ext.space.dim(1))], ncols=n0)
+    l3 = GradedMap(ext.space, +1, {0: ext.l3.block(0) + e})
+    return complexes.ChainExtension(ext.space, ext.l1, ext.l2, l3)
+
+
+def test_total_square_is_a_live_check(monkeypatch):
+    perturbed = []
+    for seed in range(30):
+        hd, l2_0, d_f = random_split_instance(random.Random(seed))
+        bad = perturbed_l3(chain_extend(hd, l2_0, d_f))
+        if bad is not None:
+            perturbed.append(bad)
+    assert len(perturbed) >= 20
+    for bad in perturbed:
+        rep = verify_nilpotent(bad)
+        assert rep["total_square_zero"] is False
+        assert rep["l2l2_plus_l1l3_plus_l3l1_zero"] is False
+        assert rep["ok"] is False
+    # the total square is the product of the assembled matrix, not a sum of
+    # compose results: with compose blinded it still sees the perturbation
+    monkeypatch.setattr(GradedMap, "compose", lambda self, other: GradedMap(
+        self.space, self.shift + other.shift))
+    for bad in perturbed:
+        rep = verify_nilpotent(bad)
+        assert rep["l2l2_plus_l1l3_plus_l3l1_zero"] is True
+        assert rep["total_square_zero"] is False

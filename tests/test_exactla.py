@@ -1,4 +1,5 @@
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -250,3 +251,138 @@ def test_block_solve_empty_shapes():
         solve(m, RatMatrix.zeros(2, 1))
     with pytest.raises(ValueError):
         solve(m, [1, 2])
+
+
+# -- property tests: sparse integer storage against dense Fraction lists -----
+
+def d_add(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def d_matmul(a, b, ncols):
+    return [[sum((row[k] * b[k][j] for k in range(len(row))), Rat(0))
+             for j in range(ncols)] for row in a]
+
+
+def d_hstack(a, b):
+    return [ra + rb for ra, rb in zip(a, b)]
+
+
+# zero-heavy, mostly non-integer entries
+_sparse_entry = st.one_of(st.just(Rat(0)), st.just(Rat(0)), st.just(Rat(0)),
+                          st.fractions(min_value=-4, max_value=4,
+                                       max_denominator=9))
+
+
+@st.composite
+def dense(draw, nrows, ncols):
+    return [[draw(_sparse_entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def as_input(draw, x):
+    """x as the constructor may receive it: an int, a Fraction or 'p/q'."""
+    kind = draw(st.sampled_from(("fraction", "string", "int")))
+    if kind == "string":
+        return str(x)
+    if kind == "int" and x.denominator == 1:
+        return int(x)
+    return x
+
+
+@st.composite
+def operands(draw):
+    """((n, m, p), a, b, c, v, k): a and b are n x m, c is m x p, v has m
+    entries, as dense Fraction lists; k is a scalar."""
+    n, m, p = (draw(st.integers(0, 5)) for _ in range(3))
+    return ((n, m, p), draw(dense(n, m)), draw(dense(n, m)),
+            draw(dense(m, p)), [draw(_sparse_entry) for _ in range(m)],
+            draw(st.fractions(min_value=-3, max_value=3, max_denominator=5)))
+
+
+def build(draw, rows, ncols):
+    return RatMatrix([[as_input(draw, x) for x in row] for row in rows],
+                     ncols=ncols)
+
+
+def check_against(m, want, ncols):
+    """m holds exactly the dense Fraction rows `want`, in canonical form."""
+    assert m.shape == (len(want), ncols)
+    assert m.rows == tuple(tuple(r) for r in want)
+    assert all(type(x) is Rat for row in m.rows for x in row)
+    for j in range(ncols):
+        assert m.col(j) == [r[j] for r in want]
+        assert all(type(x) is Rat for x in m.col(j))
+    for i in range(len(want)):
+        for j in range(ncols):
+            assert m.entry(i, j) == want[i][j] and type(m.entry(i, j)) is Rat
+    assert m.is_zero() == all(x == 0 for r in want for x in r)
+    # lowest terms: den is the lcm of the entry denominators, 1 when zero
+    assert m.den == lcm(*(x.denominator for r in want for x in r))
+    assert m == RatMatrix(want, ncols=ncols)
+
+
+@_examples
+@given(st.data(), operands())
+def test_sparse_storage_matches_dense_reference(data, ops):
+    (n, m, p), a_rows, b_rows, c_rows, v, k = ops
+    a = build(data.draw, a_rows, m)
+    b = build(data.draw, b_rows, m)
+    c = build(data.draw, c_rows, p)
+    check_against(a, a_rows, m)
+    check_against(c, c_rows, p)
+    check_against(a + b, d_add(a_rows, b_rows), m)
+    check_against(a - b, d_add(a_rows, b_rows, -1), m)
+    check_against(-a, [[-x for x in r] for r in a_rows], m)
+    check_against(a.scale(k), [[k * x for x in r] for r in a_rows], m)
+    check_against(a @ c, d_matmul(a_rows, c_rows, p), p)
+    check_against(a.hstack(b), d_hstack(a_rows, b_rows), 2 * m)
+    cols = [[r[j] for r in a_rows] for j in range(m)]
+    check_against(RatMatrix.from_columns(cols, nrows=n), a_rows, m)
+    got = a.mat_vec(v)
+    assert got == [sum((x * y for x, y in zip(r, v)), Rat(0)) for r in a_rows]
+    assert all(type(x) is Rat for x in got)
+    assert (a == b) == (a_rows == b_rows)
+
+
+@_examples
+@given(st.data(), operands())
+def test_equal_matrices_built_by_different_routes(data, ops):
+    (n, m, p), a_rows, b_rows, c_rows, v, k = ops
+    a = build(data.draw, a_rows, m)
+    b = build(data.draw, b_rows, m)
+    assert a.scale(Rat(2, 3)).scale(Rat(3, 2)) == a
+    assert a.scale(Rat(2, 3)).scale(Rat(3, 2)).den == a.den
+    assert RatMatrix(a.rows, ncols=m) == a
+    assert (a + b) - b == a
+    assert a + a == a.scale(2)
+    assert a - a == RatMatrix.zeros(n, m)
+    assert (a - a).den == 1
+    assert a @ RatMatrix.identity(m) == a
+    assert a.scale(k) == RatMatrix([[k * x for x in r] for r in a_rows], ncols=m)
+    assert a.hstack(b) == RatMatrix.from_blocks(n, 2 * m,
+                                                [(0, m, b), (0, 0, a)])
+
+
+def test_integer_matrix_scaled_back_has_denominator_one():
+    a = RatMatrix([[1, 0, 2], [0, 0, 0], [-3, 4, 0]])
+    b = a.scale(Rat(2, 3))
+    assert b.den == 3
+    assert b.scale(Rat(3, 2)) == a and b.scale(Rat(3, 2)).den == 1
+    half = RatMatrix([["1/2", "1/2"]])
+    assert (half + half).den == 1 and half + half == RatMatrix([[1, 1]])
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        RatMatrix([[0.5]])
+    with pytest.raises(TypeError):
+        RatMatrix([[1, 0.0]])
+    with pytest.raises(TypeError):
+        RatMatrix.from_columns([[0.5]])
+    with pytest.raises(TypeError):
+        RatMatrix([[1]]).scale(0.5)
+
+
+def test_from_blocks_rejects_a_block_outside():
+    with pytest.raises(ValueError):
+        RatMatrix.from_blocks(2, 2, [(1, 0, RatMatrix([[1], [2]]))])

@@ -71,6 +71,9 @@ def test_build_validations():
     with pytest.raises(ValueError):
         build_shlie(alg, a0, a1, variant="weird")
     with pytest.raises(ValueError):
+        build_shlie(alg, a0, a1).as_variant("weird")
+    assert build_shlie(alg, a0, a1).as_variant("full").kmin == 0
+    with pytest.raises(ValueError):
         build_shlie(alg, a0, a1, N=2)
     with pytest.raises(ValueError):
         build_shlie(alg, obstructed_alpha1(), a1)  # wrong alpha0
