@@ -40,11 +40,12 @@ class ConstraintSystem:
     """
 
     __slots__ = ("m", "n", "alg", "table", "structure",
-                 "xs", "gs", "etas", "ps", "_delta_vals", "_d_vals")
+                 "xs", "gs", "etas", "ps", "_delta_vals", "_d_vals", "_bases")
 
     def __init__(self, m, n, poisson_table, structure):
         self._delta_vals = None
         self._d_vals = None
+        self._bases = {}
         self.m = int(m)
         self.n = int(n)
         self.xs = ["x%d" % (i + 1) for i in range(self.m)]
@@ -236,12 +237,20 @@ def monomial_basis(sys: ConstraintSystem, cap: int):
     return groups
 
 
+def _groups(sys: ConstraintSystem, cap: int):
+    """monomial_basis(sys, cap), built once per system and cap."""
+    groups = sys._bases.get(cap)
+    if groups is None:
+        groups = sys._bases[cap] = monomial_basis(sys, cap)
+    return groups
+
+
 # -- verification of the resolution data ---------------------------------------
 
 def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
     """delta^2 = 0, delta sigma + sigma delta = Nbar, lambda~ kills the
     constraint ideal, and the homotopy identity, all on the capped basis."""
-    groups = monomial_basis(sys, cap)
+    groups = _groups(sys, cap)
     report = {"delta_squared": True, "nbar_identity": True,
               "lambda_tilde_kills_ideal": True, "homotopy_identity": True,
               "first_failure": None}
@@ -347,7 +356,7 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
     if not rep["ok"]:
         raise ValueError("resolution data fails verification: %r"
                          % (rep["first_failure"],))
-    groups = monomial_basis(sys, degree_cap)
+    groups = _groups(sys, degree_cap)
     for mono in groups[0]:
         f = SuperPoly(sys.alg, {mono: 1})
         df = longitudinal_d(sys, f)
@@ -372,7 +381,7 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
 
 def check_nilpotent_on_basis(ext: BRSTExtension, cap: int):
     """(l1+l2+l3)^2 on every basis monomial; returns the first offender."""
-    groups = monomial_basis(ext.sys, cap)
+    groups = _groups(ext.sys, cap)
     for group in groups:
         for mono in group:
             f = SuperPoly(ext.sys.alg, {mono: 1})
@@ -390,7 +399,7 @@ def export_to_complexes(sys: ConstraintSystem, degree_cap: int):
     Returns (HomotopyData, l2_0 matrix, basis groups).  Raises when an
     operator output escapes the basis, naming the escaping monomial.
     """
-    groups = monomial_basis(sys, degree_cap)
+    groups = _groups(sys, degree_cap)
     sp = GradedSpace([len(g) for g in groups])
     l1_blocks = {k: _matrix(sys, koszul_tate, groups[k], groups[k - 1])
                  for k in range(1, sys.n + 1)}

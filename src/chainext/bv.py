@@ -22,14 +22,14 @@ Everything is re-derivable through the generic engine; see
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
 from .exactla import Basis, kernel_basis, operator_matrix
+from .series import Series, TLinear
 from .superalg import (
-    GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of, mul,
-    right_derivs,
+    GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of, left_derivs,
+    mul, right_derivs,
 )
 
 
@@ -50,13 +50,18 @@ class BVModel:
     def gen(self, name):
         return SuperPoly.gen(self.alg, name)
 
-    def bracket(self, f, g, f_derivs=None):
-        """(f, g); pass f_derivs = self.right_derivs(f) when f is fixed."""
-        return antibracket(f, g, self.pairs, f_derivs)
+    def bracket(self, f, g, f_derivs=None, g_derivs=None):
+        """(f, g); pass f_derivs = self.right_derivs(f) when f is fixed, and
+        g_derivs = self.left_derivs(g) when g is."""
+        return antibracket(f, g, self.pairs, f_derivs, g_derivs)
 
     def right_derivs(self, f):
         """The left factors of (f, .) for every pair: bracket's f_derivs."""
         return right_derivs(f, self.pairs)
+
+    def left_derivs(self, g):
+        """The right factors of (., g) for every pair: bracket's g_derivs."""
+        return left_derivs(g, self.pairs)
 
     def monomials(self, maxdeg):
         """All normal-ordered monomials of total degree <= maxdeg, sorted."""
@@ -73,6 +78,10 @@ class BVModel:
 
     def poly(self, mono):
         return SuperPoly(self.alg, {mono: 1})
+
+    def coefficient(self, terms):
+        """The dense view of a series coefficient over monomial labels."""
+        return SuperPoly(self.alg, terms)
 
 
 def master_check(model: BVModel, S0: SuperPoly) -> bool:
@@ -137,77 +146,28 @@ def obstruction_R(problem: DeformationProblem, order: int) -> SuperPoly:
     return out
 
 
-class TSeries:
-    """Element of R[[t]] truncated mod t^(T+1): list of SuperPoly coeffs."""
-
-    __slots__ = ("model", "T", "coeffs")
-
-    def __init__(self, model, T, coeffs=None):
-        self.model = model
-        self.T = int(T)
-        if coeffs is None:
-            coeffs = [SuperPoly.zero(model.alg) for _ in range(self.T + 1)]
-        if len(coeffs) != self.T + 1:
-            raise ValueError("need T+1 coefficients")
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def basis(cls, model, T, k, mono):
-        out = cls(model, T)
-        out.coeffs[k] = model.poly(mono)
-        return out
-
-    def add(self, other):
-        return type(self)(self.model, self.T,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c):
-        return type(self)(self.model, self.T,
-                          [a.scale(c) for a in self.coeffs])
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (type(self) is type(other) and self.T == other.T
-                and self.coeffs == other.coeffs)
+# The plain and the starred series of the extension are both Series over the
+# model's monomials (the star is the identity on the monomial spanning set);
+# a starred one carries kmin = n + 1.
+TSeries = StarSeries = Series
 
 
-class StarSeries(TSeries):
-    """Element of R[1][[t]] t^(n+1), stored by unstarred coefficients; the
-    star bijection is the identity on the monomial spanning set."""
-
-    __slots__ = ("kmin_val",)
-
-    def __init__(self, model, T, coeffs=None, kmin=0):
-        super().__init__(model, T, coeffs)
-        self.kmin_val = int(kmin)
-        for k in range(self.kmin_val):
-            if not self.coeffs[k].is_zero():
-                raise ValueError("starred series has a t^%d coefficient below "
-                                 "t^%d" % (k, self.kmin_val))
-
-    @classmethod
-    def basis(cls, model, T, k, mono, kmin=0):
-        coeffs = [SuperPoly.zero(model.alg) for _ in range(T + 1)]
-        coeffs[k] = model.poly(mono)
-        return cls(model, T, coeffs, kmin=kmin)
-
-    def add(self, other):
-        return StarSeries(self.model, self.T,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)],
-                          kmin=min(self.kmin_val, other.kmin_val))
-
-    def scale(self, c):
-        return StarSeries(self.model, self.T,
-                          [a.scale(c) for a in self.coeffs],
-                          kmin=self.kmin_val)
+def _ad(model, fixed, derivs, key):
+    """(fixed[key], .) on a coefficient lifted by Theorem8Maps.lift; it reads
+    both tables when it runs."""
+    return lambda g: model.bracket(fixed[key], g[0], derivs[key], g[1]).terms
 
 
 class Theorem8Maps:
-    """The three maps of the extension, t-linear on truncated series."""
+    """The three maps of the extension, stored as t-linear operators.
 
-    __slots__ = ("problem", "pair_brackets", "S_derivs", "pair_derivs")
+    l1_op (X_1 -> X_0), l2_plain_op (X_0 -> X_0), l2_star_op (X_1 -> X_1)
+    and l3_op (X_0 -> X_1) are sums over shifts of scalar multiples of the
+    coefficient operators (S_i, .) and (R_m, .), which read the tables
+    S_derivs, pair_brackets and pair_derivs when they run."""
+
+    __slots__ = ("problem", "pair_brackets", "S_derivs", "pair_derivs",
+                 "l1_op", "l2_plain_op", "l2_star_op", "l3_op")
 
     def __init__(self, problem):
         self.problem = problem
@@ -223,6 +183,21 @@ class Theorem8Maps:
                 acc = acc + model.bracket(S[i], S[m - i], self.S_derivs[i])
             self.pair_brackets[m] = acc
             self.pair_derivs[m] = model.right_derivs(acc)
+        ad_S = [_ad(model, S, self.S_derivs, i) for i in range(n + 1)]
+        self.l1_op = TLinear({0: [(1, ())]}, self.lift)
+        self.l2_plain_op = TLinear({i: [(1, (ad,))] for i, ad in
+                                    enumerate(ad_S)}, self.lift)
+        self.l2_star_op = TLinear({i: [(-1, (ad,))] for i, ad in
+                                   enumerate(ad_S)}, self.lift)
+        self.l3_op = TLinear({m: [(Fraction(-1, 2), (_ad(
+            model, self.pair_brackets, self.pair_derivs, m),))]
+            for m in self.pair_brackets}, self.lift)
+
+    def lift(self, terms):
+        """A moving bracket argument: the SuperPoly and its left-derivative
+        table, built once and shared by every (S_i, .) and (R_m, .)."""
+        g = SuperPoly(self.model.alg, terms)
+        return g, self.model.left_derivs(g)
 
     @property
     def model(self):
@@ -236,40 +211,17 @@ class Theorem8Maps:
     def T(self):
         return self.problem.trunc
 
-    def l1(self, xi: StarSeries) -> TSeries:
-        return TSeries(self.model, self.T, xi.coeffs)
+    def l1(self, xi: Series) -> Series:
+        return self.l1_op.apply(xi)
 
-    def l2_plain(self, x: TSeries) -> TSeries:
-        out = TSeries(self.model, self.T)
-        for k in range(self.T + 1):
-            if x.coeffs[k].is_zero():
-                continue
-            for i in range(min(self.n, self.T - k) + 1):
-                out.coeffs[k + i] = out.coeffs[k + i] + self.model.bracket(
-                    self.problem.S[i], x.coeffs[k], self.S_derivs[i])
-        return out
+    def l2_plain(self, x: Series) -> Series:
+        return self.l2_plain_op.apply(x)
 
-    def l2_star(self, xi: StarSeries) -> StarSeries:
-        out = StarSeries(self.model, self.T, kmin=xi.kmin_val)
-        for k in range(self.T + 1):
-            if xi.coeffs[k].is_zero():
-                continue
-            for i in range(min(self.n, self.T - k) + 1):
-                out.coeffs[k + i] = out.coeffs[k + i] - self.model.bracket(
-                    self.problem.S[i], xi.coeffs[k], self.S_derivs[i])
-        return out
+    def l2_star(self, xi: Series) -> Series:
+        return self.l2_star_op.apply(xi)
 
-    def l3_plain(self, x: TSeries) -> StarSeries:
-        out = StarSeries(self.model, self.T, kmin=0)
-        for k in range(self.T + 1):
-            if x.coeffs[k].is_zero():
-                continue
-            for m, rm in self.pair_brackets.items():
-                if k + m > self.T:
-                    continue
-                out.coeffs[k + m] = out.coeffs[k + m] + self.model.bracket(
-                    rm, x.coeffs[k], self.pair_derivs[m]).scale(Fraction(-1, 2))
-        return out
+    def l3_plain(self, x: Series) -> Series:
+        return self.l3_op.apply(x)
 
     def apply_S(self, pair):
         """One application of S = l1+l2+l3 to (degree-0, degree-1) data."""
@@ -291,7 +243,15 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
     """S^2 on every basis element of both degrees up to caps, the obstruction
     summand in l3, ghost bookkeeping, and ideal preservation.  The report
     also carries the obstruction R = obstruction_R(problem, n + 1) it
-    compares against, under "obstruction_R"."""
+    compares against, under "obstruction_R", and under "cases" the number
+    of (degree, monomial, t-power) basis elements whose S^2 it decided.
+
+    The stored operators are t-linear, so S^2(a t^k) = t^k S^2(a) mod
+    t^(T+1): the square is evaluated once per monomial a, shift by shift as
+    B_s = sum_{i+j=s} A_j A_i, and a t^k passes exactly when B_s(a) = 0 for
+    every s <= T - k.  One memo per monomial serves both degrees (the star
+    is the identity on monomials), so each chain of brackets is evaluated
+    once."""
     model, n, T = maps.model, maps.n, maps.T
     if maxdeg is None:
         maxdeg = model.cap
@@ -306,46 +266,53 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
             report["first_failure"] = (key, what)
 
     R = obstruction_R(maps.problem, n + 1)
-    R_derivs = model.right_derivs(R)
+    summand = TLinear({n + 1: [(Fraction(-1, 2), (_ad(
+        model, [R], [model.right_derivs(R)], 0),))]}, maps.lift)
+    # S = l1 + l2 + l3 by (target degree, source degree)
+    blocks = {(0, 0): maps.l2_plain_op, (1, 0): maps.l3_op,
+              (0, 1): maps.l1_op, (1, 1): maps.l2_star_op}
+    square = {(e, d): blocks[(e, 0)].compose(blocks[(0, d)]) +
+              blocks[(e, 1)].compose(blocks[(1, d)])
+              for e in (0, 1) for d in (0, 1)}
+    cases = 0
     for mono in monos:
-        a = model.poly(mono)
+        args, memo = ({mono: Fraction(1)},), {}
+        # the lowest shift at which S^2 of a t^0 (degree 0) or a* t^0
+        # (degree 1) is nonzero
+        low = [min((s for e in (0, 1)
+                    for s in square[(e, d)].images(args, T, memo)),
+                   default=T + 1) for d in (0, 1)]
+        star = maps.l2_star_op.images(args, T, memo)
         for k in range(T + 1):
-            x = TSeries.basis(model, T, k, mono)
-            sq = maps.apply_S(maps.apply_S((x, StarSeries(model, T,
-                                                          kmin=n + 1))))
-            if not (sq[0].is_zero() and sq[1].is_zero()):
+            if low[0] <= T - k:
                 fail("s_squared", ("degree0", mono, k))
             if k >= n + 1:
-                xi = StarSeries.basis(model, T, k, mono, kmin=n + 1)
-                zero0 = TSeries(model, T)
-                sq = maps.apply_S(maps.apply_S((zero0, xi)))
-                if not (sq[0].is_zero() and sq[1].is_zero()):
+                if low[1] <= T - k:
                     fail("s_squared", ("degree1", mono, k))
-                img = maps.l2_star(xi)
-                if any(not img.coeffs[m].is_zero() for m in range(n + 1)):
+                if any(k + s <= n for s in star):
                     fail("ideal_preserved", (mono, k))
-        got = maps.l3_plain(TSeries.basis(model, T, 0, mono)).coeffs[n + 1]
-        want = model.bracket(R, a, R_derivs).scale(Fraction(-1, 2))
-        if got != want:
+        cases += T + 1 + max(0, T - n)
+        if maps.l3_op.images(args, T, memo).get(n + 1) != \
+                summand.images(args, T, memo).get(n + 1):
             fail("l3_obstruction_summand", mono)
-        img = maps.l2_plain(TSeries.basis(model, T, 0, mono))
-        gh = a.ghost()
-        for c in img.coeffs:
-            if not c.is_zero() and c.ghost() != gh + 1:
+        gh = model.poly(mono).ghost()
+        for img in maps.l2_plain_op.images(args, T, memo).values():
+            if SuperPoly(model.alg, img).ghost() != gh + 1:
                 fail("ghost_shift", mono)
     report["ok"] = all(report[k] for k in
                        ("s_squared", "l3_obstruction_summand", "ghost_shift",
                         "ideal_preserved"))
     report["obstruction_R"] = R
+    report["cases"] = cases
     return report
 
 
-def homotopy_h(maps: Theorem8Maps, x: TSeries) -> StarSeries:
+def homotopy_h(maps: Theorem8Maps, x: Series) -> Series:
     """h = -(star) on the ideal t^(n+1) R[[t]], zero below."""
-    out = StarSeries(maps.model, maps.T, kmin=maps.n + 1)
-    for k in range(maps.n + 1, maps.T + 1):
-        out.coeffs[k] = x.coeffs[k].scale(-1)
-    return out
+    return Series.of_terms(
+        maps.model, maps.T,
+        [{} if k <= maps.n else {m: -c for m, c in t.items()}
+         for k, t in enumerate(x.terms)], kmin=maps.n + 1)
 
 
 def find_s0_cocycle(model: BVModel, S0: SuperPoly, maxdeg: int):
@@ -394,20 +361,19 @@ def to_homotopy_data(maps: Theorem8Maps, cap: int):
               if weight(m, k) <= cap]
     basis0.sort()
     basis1.sort()
-    b0, free = Basis(basis0), Basis([b for b in basis0 if b[1] <= n])
-    star = partial(StarSeries.basis, kmin=n + 1)
+    b0, b1 = _basis(maps, basis0), _basis(maps, basis1)
+    free = Basis([b for b in basis0 if b[1] <= n])
     sp = GradedSpace([len(basis0), len(basis1)])
     hd = HomotopyData(
         sp,
-        GradedMap(sp, -1, {1: _matrix(maps, maps.l1, star, basis1, basis0)}),
+        GradedMap(sp, -1, {1: maps.l1_op.matrix(b1, b0, T)}),
         len(free),
         operator_matrix(lambda b: [(b, 1)] if b[1] <= n else [], b0, free),
         operator_matrix(lambda b: [(b, 1)], free, b0),
-        GradedMap(sp, +1, {0: _matrix(maps, lambda x: homotopy_h(maps, x),
-                                      TSeries.basis, basis0, basis1)}),
+        GradedMap(sp, +1, {0: operator_matrix(
+            lambda b: [(b, -1)] if b[1] > n else [], b0, b1)}),
     )
-    l2_0 = _matrix(maps, maps.l2_plain, TSeries.basis, basis0, basis0)
-    return hd, l2_0, (basis0, basis1)
+    return hd, maps.l2_plain_op.matrix(b0, b0, T), (basis0, basis1)
 
 
 def engine_matrices_match(maps: Theorem8Maps, cap: int) -> bool:
@@ -418,22 +384,15 @@ def engine_matrices_match(maps: Theorem8Maps, cap: int) -> bool:
     if not verify_homotopy(hd)["ok"]:
         return False
     ext = chain_extend(hd, l2_0, d_f=hd.eta @ l2_0 @ hd.lam)
-    star = partial(StarSeries.basis, kmin=maps.n + 1)
-    want_l2_1 = _matrix(maps, maps.l2_star, star, basis1, basis1)
-    want_l3 = _matrix(maps, maps.l3_plain, TSeries.basis, basis0, basis1)
+    b0, b1 = _basis(maps, basis0), _basis(maps, basis1)
+    want_l2_1 = maps.l2_star_op.matrix(b1, b1, maps.T)
+    want_l3 = maps.l3_op.matrix(b0, b1, maps.T)
     return ext.l2.block(1) == want_l2_1 and ext.l3.block(0) == want_l3
 
 
-def _matrix(maps, op, element, src, dst):
-    """Matrix of a series operator between lists of (monomial, t-power)
-    labels: element(model, T, k, m) is the input series of the label (m, k),
-    and the output's t^k coefficient of m lands at the label (m, k)."""
-    def column(label):
-        out = op(element(maps.model, maps.T, label[1], label[0]))
-        return [((m, k), c) for k, coeff in enumerate(out.coeffs)
-                for m, c in coeff.terms.items()]
-    return operator_matrix(column, Basis(src), Basis(
-        dst, lambda b: "%s t^%d" % (maps.model.poly(b[0]), b[1])))
+def _basis(maps, labels):
+    """Basis over (monomial, t-power) labels, named for escape errors."""
+    return Basis(labels, lambda b: "%s t^%d" % (maps.model.poly(b[0]), b[1]))
 
 
 # -- shipped models ---------------------------------------------------------------

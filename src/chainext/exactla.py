@@ -318,6 +318,20 @@ def vec_scale(c, u):
 def vec_is_zero(u):
     return all(a == 0 for a in u)
 
+def add_into(acc, terms, c=1):
+    """acc += c * terms on sparse vectors {label: nonzero value}, dropping
+    zeros."""
+    if c != 1:
+        terms = {m: c * v for m, v in terms.items()}
+    for m, v in terms.items():
+        prev = acc.get(m)
+        if prev is None:
+            acc[m] = v
+        elif prev + v:
+            acc[m] = prev + v
+        else:
+            del acc[m]
+
 
 # -- elimination ------------------------------------------------------------
 

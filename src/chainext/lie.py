@@ -16,10 +16,10 @@ is rho_n = -sum_{i+j=n, i,j>=1} alpha_i alpha_j.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .exactla import (
-    RatMatrix, kernel_basis, rank, rat, rref, solve,
+    RatMatrix, add_into, kernel_basis, rank, rat, rref, solve,
     vec_add, vec_is_zero, vec_scale, vec_sub, vec_zeros,
 )
 
@@ -90,54 +90,33 @@ class Cochain:
 
     def value(self, idx):
         """Value on a basis tuple in any order, with the alternating sign."""
-        idx = tuple(idx)
-        if len(set(idx)) != len(idx):
-            return vec_zeros(self.dim)
-        order = sorted(range(len(idx)), key=lambda t: idx[t])
-        sign = 1
-        perm = list(order)
-        for a in range(len(perm)):
-            for b in range(a + 1, len(perm)):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        key = tuple(sorted(idx))
-        v = self.entries.get(key)
-        if v is None:
-            return vec_zeros(self.dim)
-        return vec_scale(sign, v)
+        return self._dense(self._apply([{i: 1} for i in idx]))
 
     def eval(self, *vectors):
-        if len(vectors) != self.arity:
+        return self._dense(self.apply(
+            *({i: x for i, x in enumerate(v) if x} for v in vectors)))
+
+    def apply(self, *vs):
+        """The cochain on sparse vectors {index: Fraction}, as one."""
+        if len(vs) != self.arity:
             raise ValueError("expected %d arguments" % self.arity)
-        out = vec_zeros(self.dim)
-        idx_ranges = [range(self.dim)] * self.arity
-        if self.arity == 1:
-            for i in idx_ranges[0]:
-                if vectors[0][i] != 0:
-                    out = vec_add(out, vec_scale(vectors[0][i], self.value((i,))))
-            return out
-        if self.arity == 2:
-            u, v = vectors
-            for i in range(self.dim):
-                if u[i] == 0:
-                    continue
-                for j in range(self.dim):
-                    if v[j] == 0 or i == j:
-                        continue
-                    out = vec_add(out, vec_scale(u[i] * v[j], self.value((i, j))))
-            return out
-        u, v, w = vectors
-        for i in range(self.dim):
-            if u[i] == 0:
+        return self._apply(vs)
+
+    def _apply(self, vs):
+        out = {}
+        for picks in product(*(v.items() for v in vs)):
+            idx = [i for i, _ in picks]
+            value = self.entries.get(tuple(sorted(idx)))
+            if value is None or len(set(idx)) < len(idx):
                 continue
-            for j in range(self.dim):
-                if v[j] == 0:
-                    continue
-                for k in range(self.dim):
-                    if w[k] == 0:
-                        continue
-                    out = vec_add(out, vec_scale(u[i] * v[j] * w[k], self.value((i, j, k))))
+            c = 1
+            for a, (i, x) in enumerate(picks):
+                c *= -x if sum(j < i for j in idx[a + 1:]) % 2 else x
+            add_into(out, {k: x for k, x in enumerate(value) if x}, c)
         return out
+
+    def _dense(self, v):
+        return [v.get(k, Fraction(0)) for k in range(self.dim)]
 
     def add(self, other):
         self._compatible(other)
@@ -176,9 +155,11 @@ def alpha0_cochain(alg: LieAlgebra) -> Cochain:
     return Cochain(alg.dim, 2, entries)
 
 
-def jacobi_check(alg: LieAlgebra) -> bool:
-    """True iff the Jacobiator vanishes on all basis triples i < j < k."""
-    a0 = alpha0_cochain(alg)
+def jacobi_check(alg: LieAlgebra, a0: Cochain | None = None) -> bool:
+    """True iff the Jacobiator vanishes on all basis triples i < j < k; a0,
+    when given, is alpha0_cochain(alg)."""
+    if a0 is None:
+        a0 = alpha0_cochain(alg)
     return nr_compose(a0, a0).is_zero()
 
 
@@ -205,14 +186,16 @@ def bracket2(ai: Cochain, aj: Cochain) -> Cochain:
     return nr_compose(ai, aj).add(nr_compose(aj, ai))
 
 
-def ce_differential(alg: LieAlgebra, beta: Cochain) -> Cochain:
+def ce_differential(alg: LieAlgebra, beta: Cochain,
+                    a0: Cochain | None = None) -> Cochain:
     """Differential of a 1- or 2-cochain.
 
-    On 2-cochains d(beta) = [alpha0, beta].  On 1-cochains
+    On 2-cochains d(beta) = [alpha0, beta], with alpha0 = a0 when given (it
+    must be alpha0_cochain(alg)).  On 1-cochains
     (d phi)(x, y) = [x, phi(y)] - [y, phi(x)] - phi([x, y]).
     """
     if beta.arity == 2:
-        return bracket2(alpha0_cochain(alg), beta)
+        return bracket2(alpha0_cochain(alg) if a0 is None else a0, beta)
     if beta.arity != 1:
         raise ValueError("differential only implemented for arities 1 and 2")
     dim = alg.dim

@@ -1,0 +1,212 @@
+"""Truncated t-series and t-linear operators, shared by `bv` and `shlie`.
+
+A `Series` is sum_k c_k t^k mod t^(T+1), each c_k a sparse {label: Fraction}
+dict, zero below t^kmin.  Its coefficient space is a dimension d (labels
+0..d-1, dense view a list of d Fractions) or an object whose
+`coefficient(terms)` gives the dense view (bv.BVModel: a SuperPoly).
+
+A `TLinear` is sum_s t^s A_s with shifts s >= 0, so A(x t^k) = t^k A(x) mod
+t^(T+1).  Each A_s is a sum of scalar * chain, a chain (f1, ..., fr) being
+the composite f1 o ... o fr of coefficient operators that the caller
+supplies (the empty chain is the identity).  An operator takes sparse
+coefficients, passed through the TLinear's `lift` when it has one, and
+returns a sparse coefficient.  Operators of several arguments (shlie's
+cochains) form chains of length one.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+
+from .exactla import add_into, operator_matrix, rat
+
+
+class Series:
+    """sum_k c_k t^k mod t^(T+1) with sparse coefficients c_k."""
+
+    __slots__ = ("space", "T", "kmin", "terms")
+
+    def __init__(self, space, T, coeffs=None, kmin=0):
+        """coeffs: T+1 dense coefficients (vectors of length `space`, or
+        objects with a `terms` dict); None gives the zero series."""
+        if coeffs is None:
+            terms = [{} for _ in range(int(T) + 1)]
+        elif isinstance(space, int):
+            if any(len(c) != space for c in coeffs):
+                raise ValueError("coefficient vectors must have length %d"
+                                 % space)
+            terms = [{i: x for i, x in enumerate(map(rat, c)) if x}
+                     for c in coeffs]
+        else:
+            terms = [dict(c.terms) for c in coeffs]
+        if len(terms) != int(T) + 1:
+            raise ValueError("need T+1 coefficients")
+        self.space, self.T, self.terms, self.kmin = space, int(T), terms, kmin
+        if any(terms[:kmin]):
+            raise ValueError("series has a coefficient below t^%d" % kmin)
+
+    @classmethod
+    def of_terms(cls, space, T, terms, kmin=0):
+        """A series over sparse coefficients that nobody changes later."""
+        out = cls.__new__(cls)
+        out.space, out.T, out.terms, out.kmin = space, T, terms, kmin
+        return out
+
+    @classmethod
+    def basis(cls, space, T, k, label, kmin=0):
+        """The series label t^k."""
+        if not kmin <= k <= T:
+            raise ValueError("t-power %d outside %d..%d" % (k, kmin, T))
+        if isinstance(space, int) and not 0 <= label < space:
+            raise ValueError("basis index %r outside 0..%d" % (label, space - 1))
+        terms = [{} for _ in range(T + 1)]
+        terms[k] = {label: Fraction(1)}
+        return cls.of_terms(space, T, terms, kmin)
+
+    @property
+    def coeffs(self):
+        """Dense view: one coefficient per t-power 0..T."""
+        if isinstance(self.space, int):
+            return [[c.get(i, Fraction(0)) for i in range(self.space)]
+                    for c in self.terms]
+        return [self.space.coefficient(c) for c in self.terms]
+
+    def add(self, other):
+        if other.T != self.T:
+            raise ValueError("truncation mismatch")
+        terms = [dict(a) for a in self.terms]
+        for acc, b in zip(terms, other.terms):
+            add_into(acc, b)
+        return Series.of_terms(self.space, self.T, terms,
+                               min(self.kmin, other.kmin))
+
+    def scale(self, c):
+        c = rat(c)
+        return Series.of_terms(self.space, self.T, [
+            {m: c * v for m, v in t.items()} if c else {} for t in self.terms],
+            self.kmin)
+
+    def tshift(self, k):
+        """Multiply by t^k, truncating modulo t^(T+1)."""
+        terms = [{} for _ in range(min(k, self.T + 1))] + \
+            self.terms[:max(self.T + 1 - k, 0)]
+        return Series.of_terms(self.space, self.T, terms, self.kmin + k)
+
+    def is_zero(self):
+        return not any(self.terms)
+
+    def __eq__(self, other):
+        return (isinstance(other, Series) and self.space == other.space
+                and self.T == other.T and self.terms == other.terms)
+
+    __hash__ = None
+
+    def flat(self, kmin=0):
+        """Coordinates of a vector series for t-powers kmin..T, at index
+        (k - kmin) * dim + i."""
+        return [t.get(i, Fraction(0)) for t in self.terms[kmin:]
+                for i in range(self.space)]
+
+
+class TLinear:
+    """sum_s t^s A_s; terms maps each shift s >= 0 to the [(scalar, chain)]
+    pairs whose sum is A_s."""
+
+    __slots__ = ("terms", "lift")
+
+    def __init__(self, terms, lift=None):
+        if any(s < 0 for s in terms):
+            raise ValueError("a t-linear operator has shifts >= 0")
+        pairs = {s: [(rat(c), tuple(ch)) for c, ch in ps if c]
+                 for s, ps in terms.items()}
+        self.terms = {s: ps for s, ps in pairs.items() if ps}
+        self.lift = lift
+
+    def scale(self, c):
+        return TLinear({s: [(c * a, ch) for a, ch in pairs]
+                        for s, pairs in self.terms.items()}, self.lift)
+
+    def __add__(self, other):
+        return TLinear({s: self.terms.get(s, []) + other.terms.get(s, [])
+                        for s in set(self.terms) | set(other.terms)},
+                       self.lift or other.lift)
+
+    def compose(self, inner):
+        """self o inner: (A o B)_s = sum_{i+j=s} A_j B_i."""
+        terms = {}
+        for j, outer in self.terms.items():
+            for i, pairs in inner.terms.items():
+                terms.setdefault(i + j, []).extend(
+                    (a * b, ch_a + ch_b) for a, ch_a in outer
+                    for b, ch_b in pairs)
+        return TLinear(terms, self.lift or inner.lift)
+
+    def images(self, args, limit, memo=None):
+        """{s: A_s(*args)} for the shifts s <= limit with a nonzero image;
+        the dicts may be shared with memo and are not to be changed.
+
+        memo holds every chain's image of these args: one dict passed to
+        several operators with the same lift on the same args evaluates each
+        chain they share once."""
+        memo = {} if memo is None else memo
+        out = {}
+        if not all(args):
+            return out
+        for s, pairs in self.terms.items():
+            if s > limit:
+                continue
+            if len(pairs) == 1 and pairs[0][0] == 1:
+                acc = self._image(pairs[0][1], args, memo)[0]
+            else:
+                acc = {}
+                for c, chain in pairs:
+                    add_into(acc, self._image(chain, args, memo)[0], c)
+            if acc:
+                out[s] = acc
+        return out
+
+    def _image(self, chain, args, memo):
+        """memo[chain] = [image of args, its lift or None], filled on use."""
+        if chain not in memo:
+            if not chain:
+                memo[chain] = [args[0], None]
+                return memo[chain]
+            if len(chain) == 1 and len(args) > 1:
+                inputs = args if self.lift is None else \
+                    tuple(map(self.lift, args))
+            else:
+                inner = self._image(chain[1:], args, memo)
+                if inner[0] and inner[1] is None:
+                    inner[1] = inner[0] if self.lift is None else \
+                        self.lift(inner[0])
+                inputs = (inner[1],) if inner[0] else None
+            memo[chain] = [chain[0](*inputs) if inputs else {}, None]
+        return memo[chain]
+
+    def apply(self, *xs):
+        """sum of t^(k1+...+kr+s) A_s(c_k1, ..., c_kr) over the nonzero
+        coefficients of the arguments, truncated at the first one's T."""
+        T = xs[0].T
+        out = [{} for _ in range(T + 1)]
+        for ks in product(*([k for k, t in enumerate(x.terms) if t]
+                            for x in xs)):
+            if sum(ks) <= T:
+                args = tuple(x.terms[k] for x, k in zip(xs, ks))
+                for s, img in self.images(args, T - sum(ks)).items():
+                    add_into(out[sum(ks) + s], img)
+        return Series.of_terms(xs[0].space, T, out, sum(x.kmin for x in xs))
+
+    def matrix(self, src, dst, T):
+        """Matrix from the Basis src to dst, both labelled (m, k) for the
+        series m t^k: each A_s is evaluated once per coefficient label m and
+        its image placed at every t-power k + s <= T."""
+        cache = {}
+
+        def column(label):
+            m, k = label
+            if m not in cache:
+                cache[m] = self.images(({m: Fraction(1)},), T)
+            return [((mm, k + s), c) for s, img in cache[m].items()
+                    if k + s <= T for mm, c in img.items()]
+        return operator_matrix(column, src, dst)

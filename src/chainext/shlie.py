@@ -30,89 +30,14 @@ from .complexes import (
     GradedMap, GradedSpace, HomotopyData, chain_extend, verify_homotopy,
     verify_nilpotent,
 )
-from .exactla import (Basis, RatMatrix, operator_matrix, rat, vec_add,
-                      vec_is_zero, vec_scale, vec_zeros)
+from .exactla import (Basis, RatMatrix, operator_matrix, vec_add, vec_scale,
+                      vec_sub, vec_zeros)
 from .lie import Cochain, LieAlgebra, alpha0_cochain, ce_differential, jacobi_check, nr_compose
+from .series import Series, TLinear
 
 
-class TruncSeries:
-    """Vector-valued polynomial in t modulo t^{N+1}: coeffs[k] is the t^k vector."""
-
-    __slots__ = ("dim", "N", "coeffs")
-
-    def __init__(self, dim, N, coeffs=None):
-        self.dim = int(dim)
-        self.N = int(N)
-        if coeffs is None:
-            coeffs = [vec_zeros(dim) for _ in range(N + 1)]
-        else:
-            coeffs = [[rat(x) for x in c] for c in coeffs]
-            if len(coeffs) != N + 1 or any(len(c) != dim for c in coeffs):
-                raise ValueError("need N+1 coefficient vectors of length dim")
-        self.coeffs = coeffs
-
-    @classmethod
-    def basis(cls, dim, N, k, i):
-        ts = cls(dim, N)
-        ts.coeffs[k][i] = Fraction(1)
-        return ts
-
-    def add(self, other):
-        return TruncSeries(self.dim, self.N,
-                           [vec_add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c):
-        return TruncSeries(self.dim, self.N, [vec_scale(c, a) for a in self.coeffs])
-
-    def tshift(self, k):
-        """Multiply by t^k, truncating modulo t^{N+1}."""
-        out = TruncSeries(self.dim, self.N)
-        for m in range(self.N + 1 - k):
-            out.coeffs[m + k] = list(self.coeffs[m])
-        return out
-
-    def is_zero(self):
-        return all(vec_is_zero(c) for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and self.dim == other.dim
-                and self.N == other.N and self.coeffs == other.coeffs)
-
-    def flat(self, kmin=0):
-        """Concatenated coordinates for t-powers kmin..N (basis index k*dim + i)."""
-        out = []
-        for k in range(kmin, self.N + 1):
-            out.extend(self.coeffs[k])
-        return out
-
-
-def _conv2(x: TruncSeries, y: TruncSeries, ch: Cochain) -> TruncSeries:
-    out = TruncSeries(x.dim, x.N)
-    for k in range(x.N + 1):
-        if vec_is_zero(x.coeffs[k]):
-            continue
-        for m in range(x.N + 1 - k):
-            if vec_is_zero(y.coeffs[m]):
-                continue
-            v = ch.eval(x.coeffs[k], y.coeffs[m])
-            out.coeffs[k + m] = vec_add(out.coeffs[k + m], v)
-    return out
-
-
-def _conv3(x, y, z, ch: Cochain) -> TruncSeries:
-    out = TruncSeries(x.dim, x.N)
-    for k in range(x.N + 1):
-        if vec_is_zero(x.coeffs[k]):
-            continue
-        for m in range(x.N + 1 - k):
-            if vec_is_zero(y.coeffs[m]):
-                continue
-            for p in range(x.N + 1 - k - m):
-                if vec_is_zero(z.coeffs[p]):
-                    continue
-                v = ch.eval(x.coeffs[k], y.coeffs[m], z.coeffs[p])
-                out.coeffs[k + m + p] = vec_add(out.coeffs[k + m + p], v)
-    return out
+# A vector-valued polynomial in t modulo t^(N+1): coeffs[k] is the t^k vector.
+TruncSeries = Series
 
 
 class ShLieStructure:
@@ -145,29 +70,36 @@ class ShLieStructure:
     def kmin(self):
         return 2 if self.variant == "t2" else 0
 
-    def _check_x1(self, xi: TruncSeries):
-        for k in range(self.kmin):
-            if not vec_is_zero(xi.coeffs[k]):
-                raise ValueError("X_1 element has a t^%d coefficient below t^%d"
-                                 % (k, self.kmin))
+    def _check_x1(self, xi: Series):
+        if any(xi.terms[:self.kmin]):
+            raise ValueError("X_1 element has a t^%d coefficient below t^%d"
+                             % (next(k for k, t in enumerate(xi.terms) if t),
+                                self.kmin))
 
-    def l1(self, xi: TruncSeries) -> TruncSeries:
+    def l2_op(self, *fixed) -> TLinear:
+        """alpha0 + alpha1 t as a t-linear operator; trailing arguments
+        fixed to the sparse vectors `fixed` (at t^0) when given."""
+        a0, a1 = self.alpha0, self.alpha1
+        return TLinear({0: [(1, (lambda *vs: a0.apply(*vs, *fixed),))],
+                        1: [(1, (lambda *vs: a1.apply(*vs, *fixed),))]})
+
+    def l1(self, xi: Series) -> Series:
         """X_1 -> X_0, star removal (the identity on coefficients)."""
         self._check_x1(xi)
-        return TruncSeries(xi.dim, xi.N, xi.coeffs)
+        return Series.of_terms(xi.space, xi.T, xi.terms)
 
-    def l2_00(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    def l2_00(self, a: Series, b: Series) -> Series:
         """X_0 x X_0 -> X_0: alpha0 + alpha1 t, extended bilinearly over t."""
-        return _conv2(a, b, self.alpha0).add(_conv2(a, b, self.alpha1).tshift(1))
+        return self.l2_op().apply(a, b)
 
-    def l2_10(self, xi: TruncSeries, b: TruncSeries) -> TruncSeries:
+    def l2_10(self, xi: Series, b: Series) -> Series:
         """X_1 x X_0 -> X_1: alpha0(a,b)* + alpha1(a,b)* t, t-scaled."""
         self._check_x1(xi)
-        return _conv2(xi, b, self.alpha0).add(_conv2(xi, b, self.alpha1).tshift(1))
+        return self.l2_op().apply(xi, b)
 
-    def l3_000(self, a, b, c) -> TruncSeries:
+    def l3_000(self, a, b, c) -> Series:
         """X_0^3 -> X_1: -t^2 (alpha1 . alpha1)(a,b,c), starred."""
-        return _conv3(a, b, c, self.comp11).tshift(2).scale(-1)
+        return TLinear({2: [(-1, (self.comp11.apply,))]}).apply(a, b, c)
 
     # -- degree-dispatching wrappers used by the relation checker ------------
 
@@ -193,21 +125,23 @@ class ShLieStructure:
         return (1, self.l3_000(x[1], y[1], z[1]))
 
 
-def build_shlie(alg: LieAlgebra, alpha0: Cochain, alpha1: Cochain,
+def build_shlie(alg: LieAlgebra, alpha0: Cochain | None, alpha1: Cochain,
                 N: int = 4, variant: str = "t2") -> ShLieStructure:
-    """Construct the structure after validating its hypotheses."""
+    """Construct the structure after validating its hypotheses; alpha0 None
+    stands for the bracket of alg, which is built once here."""
     if variant not in ("t2", "full"):
         raise ValueError("variant must be 't2' or 'full'")
     if int(N) < 3:
         raise ValueError("truncation order must be at least 3 (t^2 terms in l3 "
                          "would otherwise hide relation failures)")
-    if alpha0 != alpha0_cochain(alg):
+    bracket = alpha0_cochain(alg)
+    if alpha0 is not None and alpha0 != bracket:
         raise ValueError("alpha0 must be the bracket of the algebra")
-    if not jacobi_check(alg):
+    if not jacobi_check(alg, bracket):
         raise ValueError("the bracket fails the Jacobi identity")
-    if not ce_differential(alg, alpha1).is_zero():
+    if not ce_differential(alg, alpha1, bracket).is_zero():
         raise ValueError("alpha1 is not a cocycle")
-    return ShLieStructure(alg, alpha0, alpha1, int(N), variant)
+    return ShLieStructure(alg, bracket, alpha1, int(N), variant)
 
 
 # -- generalized Jacobi relations --------------------------------------------
@@ -238,7 +172,7 @@ def master_relation(S: ShLieStructure, elems, n) -> TruncSeries | None:
     if target not in (0, 1):
         return None
     total = TruncSeries(S.alg.dim, S.N)
-    maps = {1: lambda xs: S.g_l1(*xs), 2: lambda xs: S.g_l2(*xs), 3: lambda xs: S.g_l3(*xs)}
+    maps = {1: S.g_l1, 2: S.g_l2, 3: S.g_l3}
     for i in range(1, min(3, n) + 1):
         j = n + 1 - i
         if j > 3 or j < 1:
@@ -248,13 +182,13 @@ def master_relation(S: ShLieStructure, elems, n) -> TruncSeries | None:
             rest = [p for p in range(n) if p not in first]
             perm = list(first) + rest
             chi = _graded_unshuffle_sign(perm, degs)
-            inner = maps[i]([elems[p] for p in first])
+            inner = maps[i](*[elems[p] for p in first])
             if inner is None or inner[1].is_zero():
                 continue
             outer_args = [inner] + [elems[p] for p in rest]
             if j > len(maps) or j != len(outer_args):
                 continue
-            outer = maps[j](outer_args)
+            outer = maps[j](*outer_args)
             if outer is None:
                 continue
             total = total.add(outer[1].scale(pref * chi))
@@ -263,26 +197,24 @@ def master_relation(S: ShLieStructure, elems, n) -> TruncSeries | None:
 
 def _generators(S: ShLieStructure):
     """t-constant basis generators of A (degree 0) and A[1] (degree 1)."""
-    dim, N = S.alg.dim, S.N
-    gens = []
-    for i in range(dim):
-        gens.append((0, TruncSeries.basis(dim, N, 0, i)))
-    for i in range(dim):
-        gens.append((1, TruncSeries.basis(dim, N, S.kmin, i)))
-    return gens
+    return [(deg, TruncSeries.basis(S.alg.dim, S.N, k, i))
+            for deg, k in ((0, 0), (1, S.kmin)) for i in range(S.alg.dim)]
 
 
 def verify_shlie(S: ShLieStructure) -> dict:
     """Exhaustive check of the generalized Jacobi relations on basis tuples."""
     gens = _generators(S)
     zeros = [g for g in gens if g[0] == 0]
-    report = {"first_failure": None}
+    report = {"first_failure": None, "tuples": 0}
 
     def sweep(name, n, pool):
         ok = True
         for tup in product(pool, repeat=n):
             r = master_relation(S, list(tup), n)
-            if r is not None and not r.is_zero():
+            if r is None:
+                continue
+            report["tuples"] += 1
+            if not r.is_zero():
                 ok = False
                 if report["first_failure"] is None:
                     report["first_failure"] = (name, tuple(t[0] for t in tup))
@@ -337,14 +269,11 @@ def l3_is_obstruction(S: ShLieStructure) -> bool:
     recomputed from scratch; true-with-zero iff the obstruction vanishes."""
     fresh = nr_compose(S.alpha1, S.alpha1)
     dim, N = S.alg.dim, S.N
-    for i, j, k in combinations(range(dim), 3):
-        a = TruncSeries.basis(dim, N, 0, i)
-        b = TruncSeries.basis(dim, N, 0, j)
-        c = TruncSeries.basis(dim, N, 0, k)
-        got = S.l3_000(a, b, c)
-        want = TruncSeries(dim, N)
-        want.coeffs[2] = vec_scale(-1, fresh.value((i, j, k)))
-        if got != want:
+    for idx in combinations(range(dim), 3):
+        got = S.l3_000(*(TruncSeries.basis(dim, N, 0, i) for i in idx))
+        want = [vec_zeros(dim)] * (N + 1)
+        want[2] = vec_scale(-1, fresh.value(idx))
+        if got != TruncSeries(dim, N, want):
             return False
     return True
 
@@ -352,18 +281,17 @@ def l3_is_obstruction(S: ShLieStructure) -> bool:
 def variants_agree(s_full: ShLieStructure, s_t2: ShLieStructure) -> bool:
     """Restricting the full variant to t^2 A[1][[t]] reproduces the t2 maps."""
     dim, N = s_full.alg.dim, s_full.N
+    e = [TruncSeries.basis(dim, N, 0, i) for i in range(dim)]
     for i in range(dim):
         xi_full = TruncSeries.basis(dim, N, 2, i)
         if s_full.l1(xi_full) != s_t2.l1(xi_full):
             return False
         for j in range(dim):
-            b = TruncSeries.basis(dim, N, 0, j)
-            if s_full.l2_10(xi_full, b) != s_t2.l2_10(xi_full, b):
+            if s_full.l2_10(xi_full, e[j]) != s_t2.l2_10(xi_full, e[j]):
                 return False
             for k in range(dim):
-                c = TruncSeries.basis(dim, N, 0, k)
-                if s_full.l3_000(b, c, TruncSeries.basis(dim, N, 0, i)) != \
-                        s_t2.l3_000(b, c, TruncSeries.basis(dim, N, 0, i)):
+                if s_full.l3_000(e[j], e[k], e[i]) != \
+                        s_t2.l3_000(e[j], e[k], e[i]):
                     return False
     return True
 
@@ -373,40 +301,30 @@ def variants_agree(s_full: ShLieStructure, s_t2: ShLieStructure) -> bool:
 def to_homotopy_data(S: ShLieStructure) -> HomotopyData:
     """The two-term resolution with s = -(star) on the image of l1.
 
-    X_0 has basis (k, i) -> k*dim + i for k = 0..N; X_1 likewise starting at
+    X_0 has basis (i, k) -> k*dim + i for k = 0..N; X_1 likewise starting at
     kmin.  In the t2 variant F = A (+) A t; in the full variant F = 0.
     """
     x0, x1 = _basis(S, 0), _basis(S, S.kmin)
-    f = Basis([b for b in x0.labels if b[0] < S.kmin])
+    f = Basis([b for b in x0.labels if b[1] < S.kmin])
     sp = GradedSpace([len(x0), len(x1)])
     l1 = GradedMap(sp, -1, {1: operator_matrix(lambda b: [(b, 1)], x1, x0)})
     s = GradedMap(sp, +1, {0: operator_matrix(
-        lambda b: [(b, -1)] if b[0] >= S.kmin else [], x0, x1)})
-    eta = operator_matrix(lambda b: [(b, 1)] if b[0] < S.kmin else [], x0, f)
+        lambda b: [(b, -1)] if b[1] >= S.kmin else [], x0, x1)})
+    eta = operator_matrix(lambda b: [(b, 1)] if b[1] < S.kmin else [], x0, f)
     lam = operator_matrix(lambda b: [(b, 1)], f, x0)
     return HomotopyData(sp, l1, len(f), eta, lam, s)
 
 
 def _basis(S: ShLieStructure, kmin) -> Basis:
-    """Labels (k, i) of t^k e_i for k = kmin..N, in `flat(kmin)` order."""
-    return Basis([(k, i) for k in range(kmin, S.N + 1)
+    """Labels (i, k) of t^k e_i for k = kmin..N, in `flat(kmin)` order."""
+    return Basis([(i, k) for k in range(kmin, S.N + 1)
                   for i in range(S.alg.dim)])
-
-
-def _series_matrix(S: ShLieStructure, op, src: Basis, dst: Basis):
-    """Matrix of op on the series t^k e_i of the labels (k, i) of src."""
-    def column(label):
-        out = op(TruncSeries.basis(S.alg.dim, S.N, *label))
-        return [((k, i), c) for k, v in enumerate(out.coeffs)
-                for i, c in enumerate(v)]
-    return operator_matrix(column, src, dst)
 
 
 def curried_l2_matrix(S: ShLieStructure, b_index: int) -> RatMatrix:
     """Matrix of x -> l2(x, e_b) on the X_0 basis."""
-    b = TruncSeries.basis(S.alg.dim, S.N, 0, b_index)
     x0 = _basis(S, 0)
-    return _series_matrix(S, lambda x: S.l2_00(x, b), x0, x0)
+    return S.l2_op({b_index: Fraction(1)}).matrix(x0, x0, S.N)
 
 
 def crosscheck_with_engine(S: ShLieStructure) -> dict:
@@ -427,29 +345,19 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
     mmats = [curried_l2_matrix(S, b) for b in range(dim)]
 
     x1 = _basis(S, kmin)
-    mixed = []
-    for b in range(dim):
-        eb = TruncSeries.basis(dim, N, 0, b)
-        mixed.append(_series_matrix(S, lambda xi: S.l2_10(xi, eb), x1, x1))
+    mixed = [S.l2_op({b: Fraction(1)}).matrix(x1, x1, N) for b in range(dim)]
     report["mixed_l2_matches"] = all(
         (sm @ mmats[b] @ l1m).scale(-1) == mixed[b] for b in range(dim))
 
     ok_l3 = True
-    for a in range(dim):
-        va = TruncSeries.basis(dim, N, 0, a).flat()
-        for b in range(dim):
-            vb = TruncSeries.basis(dim, N, 0, b).flat()
-            for c in range(dim):
-                jac = mmats[c].mat_vec(mmats[b].mat_vec(va))
-                jac = [x - y for x, y in
-                       zip(jac, mmats[b].mat_vec(mmats[c].mat_vec(va)))]
-                jac = vec_add(jac, mmats[a].mat_vec(mmats[c].mat_vec(vb)))
-                got = sm.mat_vec(jac)
-                want = S.l3_000(TruncSeries.basis(dim, N, 0, a),
-                                TruncSeries.basis(dim, N, 0, b),
-                                TruncSeries.basis(dim, N, 0, c)).flat(kmin)
-                if got != want:
-                    ok_l3 = False
+    e = [TruncSeries.basis(dim, N, 0, i) for i in range(dim)]
+    for a, b, c in product(range(dim), repeat=3):
+        va, vb = e[a].flat(), e[b].flat()
+        jac = mmats[c].mat_vec(mmats[b].mat_vec(va))
+        jac = vec_sub(jac, mmats[b].mat_vec(mmats[c].mat_vec(va)))
+        jac = vec_add(jac, mmats[a].mat_vec(mmats[c].mat_vec(vb)))
+        if sm.mat_vec(jac) != S.l3_000(e[a], e[b], e[c]).flat(kmin):
+            ok_l3 = False
     report["l3_matches"] = ok_l3
 
     curried_ok = True

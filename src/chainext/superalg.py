@@ -373,11 +373,20 @@ def right_derivs(f: SuperPoly, pairs):
             for field, anti in pairs]
 
 
-def antibracket(f: SuperPoly, g: SuperPoly, pairs, f_derivs=None) -> SuperPoly:
+def left_derivs(g: SuperPoly, pairs):
+    """[(dLg/dphi, dLg/dphi*) for each (phi, phi*) in pairs]: the right
+    factors of every antibracket (., g)."""
+    return [(left_deriv(g, field), left_deriv(g, anti))
+            for field, anti in pairs]
+
+
+def antibracket(f: SuperPoly, g: SuperPoly, pairs, f_derivs=None,
+                g_derivs=None) -> SuperPoly:
     """(f,g) = sum over pairs of dRf/dphi dLg/dphi* - dRf/dphi* dLg/dphi.
 
-    f_derivs, when given, is right_derivs(f, pairs); a caller that brackets
-    one fixed f with many g computes it once.
+    f_derivs, when given, is right_derivs(f, pairs), and g_derivs is
+    left_derivs(g, pairs); a caller that brackets one fixed f with many g,
+    or many f with one g, computes the table once.
     """
     alg = f.alg
     if alg != g.alg:
@@ -388,14 +397,19 @@ def antibracket(f: SuperPoly, g: SuperPoly, pairs, f_derivs=None) -> SuperPoly:
                 raise KeyError("unknown generator %r" % (w,))
     if f_derivs is None:
         f_derivs = right_derivs(f, pairs)
+    if g_derivs is None:
+        g_derivs = [(None, None)] * len(pairs)
     parities = [gen.parity for gen in alg.gens]
     out = {}
-    for (field, anti), (df_field, df_anti) in zip(pairs, f_derivs,
-                                                   strict=True):
+    for (field, anti), (df_field, df_anti), (dg_field, dg_anti) in zip(
+            pairs, f_derivs, g_derivs, strict=True):
         if df_field.terms:
-            _mul_into(out, df_field.terms, left_deriv(g, anti).terms,
-                      parities)
+            if dg_anti is None:
+                dg_anti = left_deriv(g, anti)
+            _mul_into(out, df_field.terms, dg_anti.terms, parities)
         if df_anti.terms:
-            _mul_into(out, df_anti.terms, left_deriv(g, field).terms,
-                      parities, negate=True)
+            if dg_field is None:
+                dg_field = left_deriv(g, field)
+            _mul_into(out, df_anti.terms, dg_field.terms, parities,
+                      negate=True)
     return SuperPoly(alg, out)

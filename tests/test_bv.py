@@ -181,11 +181,8 @@ def test_vanishing_obstruction_kills_l3():
 
 
 def test_corrupt_star_sign_detected():
-    class Corrupt(Theorem8Maps):
-        def l2_star(self, xi):
-            return super().l2_star(xi).scale(-1)
-
-    bad = Corrupt(two_ghost_problem())
+    bad = Theorem8Maps(two_ghost_problem())
+    bad.l2_star_op = bad.l2_star_op.scale(-1)
     rep = verify_theorem8(bad, maxdeg=2)
     assert not rep["s_squared"]
     assert rep["first_failure"] is not None
@@ -222,3 +219,128 @@ def test_homotopy_export():
 def test_engine_matrices_match():
     assert engine_matrices_match(theorem8_maps(two_pair_problem()), 4)
     assert engine_matrices_match(theorem8_maps(two_ghost_problem()), 3)
+
+
+# -- the shift-by-shift sweep against the per-(monomial, t-power) sweep ----------
+
+def reference_verify_theorem8(maps, maxdeg):
+    """The sweep as it was before the t-linear layer: S applied twice to every
+    basis series a t^k and a* t^k through the maps' public methods."""
+    model, n, T = maps.model, maps.n, maps.T
+    report = {"s_squared": True, "l3_obstruction_summand": True,
+              "ghost_shift": True, "ideal_preserved": True,
+              "first_failure": None}
+
+    def fail(key, what):
+        report[key] = False
+        if report["first_failure"] is None:
+            report["first_failure"] = (key, what)
+
+    R = obstruction_R(maps.problem, n + 1)
+    for mono in model.monomials(maxdeg):
+        a = model.poly(mono)
+        for k in range(T + 1):
+            x = TSeries.basis(model, T, k, mono)
+            sq = maps.apply_S(maps.apply_S((x, StarSeries(model, T,
+                                                          kmin=n + 1))))
+            if not (sq[0].is_zero() and sq[1].is_zero()):
+                fail("s_squared", ("degree0", mono, k))
+            if k >= n + 1:
+                xi = StarSeries.basis(model, T, k, mono, kmin=n + 1)
+                sq = maps.apply_S(maps.apply_S((TSeries(model, T), xi)))
+                if not (sq[0].is_zero() and sq[1].is_zero()):
+                    fail("s_squared", ("degree1", mono, k))
+                img = maps.l2_star(xi)
+                if any(not img.coeffs[m].is_zero() for m in range(n + 1)):
+                    fail("ideal_preserved", (mono, k))
+        got = maps.l3_plain(TSeries.basis(model, T, 0, mono)).coeffs[n + 1]
+        if got != antibracket(R, a, model.pairs).scale(rat("-1/2")):
+            fail("l3_obstruction_summand", mono)
+        gh = a.ghost()
+        for c in maps.l2_plain(TSeries.basis(model, T, 0, mono)).coeffs:
+            if not c.is_zero() and c.ghost() != gh + 1:
+                fail("ghost_shift", mono)
+    report["ok"] = all(report[k] for k in
+                       ("s_squared", "l3_obstruction_summand", "ghost_shift",
+                        "ideal_preserved"))
+    report["obstruction_R"] = R
+    return report
+
+
+def scale_R(maps, m, c):
+    maps.pair_brackets[m] = maps.pair_brackets[m].scale(c)
+    maps.pair_derivs[m] = maps.model.right_derivs(maps.pair_brackets[m])
+
+
+def scale_S_table(maps, i, c):
+    maps.S_derivs[i] = [(a.scale(c), b.scale(c)) for a, b in maps.S_derivs[i]]
+
+
+def negate_star_shift(maps, s):
+    """Negate only the shift-s block of the stored star l2."""
+    terms = dict(maps.l2_star_op.terms)
+    terms[s] = [(-c, chain) for c, chain in terms[s]]
+    maps.l2_star_op = type(maps.l2_star_op)(terms, maps.l2_star_op.lift)
+
+
+MUTATIONS = {
+    "none": lambda maps: None,
+    "R_2 x2": lambda maps: scale_R(maps, 2, 2),
+    "R_2 negated": lambda maps: scale_R(maps, 2, -1),
+    "S_1 table halved": lambda maps: scale_S_table(maps, 1, rat("1/2")),
+    "S_0 table negated": lambda maps: scale_S_table(maps, 0, -1),
+    "star shift 1 negated": lambda maps: negate_star_shift(maps, 1),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("problem, maxdeg", [
+    (two_ghost_problem, 3), (two_pair_problem, 4),
+    (lambda: two_ghost_problem(trunc=3), 2)])
+def test_shift_sweep_matches_reference(problem, maxdeg, mutation):
+    maps = theorem8_maps(problem())
+    MUTATIONS[mutation](maps)
+    rep = verify_theorem8(maps, maxdeg=maxdeg)
+    assert rep.pop("cases") > 0
+    assert rep == reference_verify_theorem8(maps, maxdeg)
+    if mutation == "none":
+        assert rep["ok"]
+
+
+def test_mutations_are_detected():
+    """The mutations of the two-ghost maps break a check, so the equality
+    above compares failing reports as well as passing ones.  Two pass mod
+    t^3: negating S_0 alone leaves a valid deformation ((-S_0, -S_0) = 0 and
+    (-S_0, S_1) = 0), and the star's shift-1 block only reaches t^3 (next
+    test)."""
+    passing = {"none", "S_0 table negated", "star shift 1 negated"}
+    for name, mutate in MUTATIONS.items():
+        maps = theorem8_maps(two_ghost_problem())
+        mutate(maps)
+        rep = verify_theorem8(maps, maxdeg=2)
+        assert rep["ok"] == (name in passing), name
+
+
+def test_corruption_confined_to_one_shift_detected():
+    """The shift-1 block of the star l2 acts on a* t^k with k >= n + 1 = 2,
+    so it lands at t^3: invisible mod t^3, a failure of S^2 mod t^4."""
+    maps = theorem8_maps(two_ghost_problem(trunc=3))
+    negate_star_shift(maps, 1)
+    rep = verify_theorem8(maps, maxdeg=2)
+    assert not rep["s_squared"] and not rep["ok"]
+    assert rep["l3_obstruction_summand"] and rep["ghost_shift"]
+    assert rep["first_failure"][0] == "s_squared"
+    assert rep["first_failure"][1][0] == "degree1"
+    rep.pop("cases")
+    assert rep == reference_verify_theorem8(maps, 2)
+
+
+@pytest.mark.parametrize("problem, maxdeg", [(two_ghost_problem, 3),
+                                             (two_pair_problem, 4),
+                                             (lambda: two_pair_problem(5), 2)])
+def test_sweep_covers_every_basis_case(problem, maxdeg):
+    maps = theorem8_maps(problem())
+    monos = maps.model.monomials(maxdeg)
+    rep = verify_theorem8(maps, maxdeg=maxdeg)
+    T, n = maps.T, maps.n
+    assert rep["cases"] == len(monos) * (T + 1) + len(monos) * max(0, T - n)

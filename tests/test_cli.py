@@ -373,3 +373,36 @@ def test_bundled_name_with_extension(capsys):
     code2, out2 = run_golden(capsys, "lie", "--input", "lie_aff1.txt")
     assert (code1, out1) == (code2, out2)
     assert "H2 dim: 0" in out1.splitlines()
+
+
+def test_shlie_builds_alpha0_once(monkeypatch, capsys):
+    """One alpha0_cochain per shlie job, counted over the cli, shlie and lie
+    bindings (lie.jacobi_check and lie.ce_differential take the bracket that
+    build_shlie built)."""
+    from chainext import lie as lie_mod
+    from chainext import shlie as shlie_mod
+    calls = counting(monkeypatch, lie_mod, "alpha0_cochain", cli, shlie_mod)
+    code, out = run_golden(capsys, "shlie", "--input", "lie_abelian3",
+                           "--alpha1", "cochain_obstructed_alpha1",
+                           "--cross-check")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_brst_builds_the_basis_once(monkeypatch, capsys):
+    calls = counting(monkeypatch, brst_mod, "monomial_basis")
+    code, out = run_golden(capsys, "brst", "--input", "brst_toy", "--cap", "3")
+    assert code == 0
+    assert "(delta+l2+l3)^2 on basis: ok" in out.splitlines()
+    assert len(calls) == 1
+
+
+def test_shlie_zero_dimensional_algebra_is_vacuous(tmp_path, capsys):
+    f = tmp_path / "zero.txt"
+    f.write_text("kind: lie\ndim: 0\n")
+    code, out = run(capsys, "shlie", "--input", str(f))
+    assert code == 0
+    lines = out.splitlines()
+    assert "variant t2 relations: vacuous" in lines
+    assert "variant full relations: vacuous" in lines
+    assert not any(line.endswith("relations: ok") for line in lines)

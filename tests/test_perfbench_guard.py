@@ -1,0 +1,68 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps chainext from outside,
+by rebinding every name bound to a traced function in ten chainext modules.
+These tests install it on the current sources in a fresh interpreter.  They
+only read perfbench/."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = r"""
+import importlib, json, pkgutil, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import chainext
+for info in pkgutil.iter_modules(chainext.__path__):
+    importlib.import_module("chainext." + info.name)
+import tracer
+
+originals = []
+for _prefix, mod_name, path, _hot in tracer.WRAP_POINTS:
+    owner = getattr(chainext, mod_name)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    originals.append(owner)
+if sys.argv[3] == "plant":
+    # a module the tracer does not scan, holding a traced function by name
+    chainext.series.antibracket = chainext.superalg.antibracket
+try:
+    tracer.Tracer().install(chainext)
+    error = None
+except Exception as e:
+    error = "%s: %s" % (type(e).__name__, e)
+left = []
+for name, mod in sorted(sys.modules.items()):
+    if name != "chainext" and not name.startswith("chainext."):
+        continue
+    for attr, value in vars(mod).items():
+        items = value.values() if isinstance(value, dict) else [value]
+        if any(v is o for v in items for o in originals):
+            left.append(name + "." + attr)
+print(json.dumps({"error": error, "unwrapped": left,
+                  "wrap_points": len(originals)}))
+"""
+
+
+def install(mode):
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "src"),
+         os.path.join(ROOT, "perfbench"), mode],
+        capture_output=True, text=True, check=True, cwd=ROOT)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_tracer_installs_and_leaves_no_unwrapped_binding():
+    got = install("plain")
+    assert got["error"] is None
+    assert got["wrap_points"] > 40
+    assert got["unwrapped"] == []
+
+
+def test_unwrapped_binding_is_seen():
+    """The check above is live: a traced function bound by name in a module
+    the tracer does not scan is reported."""
+    got = install("plant")
+    assert got["error"] is None
+    assert got["unwrapped"] == ["chainext.series.antibracket"]

@@ -1,0 +1,283 @@
+"""The t-linear series layer: Series against the old dense vector series, and
+apply/compose/shift/matrix of TLinear against their definitions."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainext.exactla import Basis, rat, vec_add, vec_is_zero, vec_scale, \
+    vec_zeros
+from chainext.lie import LieAlgebra, alpha0_cochain, ce_differential, Cochain
+from chainext.series import Series, TLinear
+from chainext.shlie import TruncSeries, build_shlie
+
+_settings = settings(max_examples=60, deadline=None)
+
+
+# -- the dense vector series the layer replaced, kept as the reference --------
+
+class DenseSeries:
+    """Vector-valued polynomial in t modulo t^{N+1}: coeffs[k] is the t^k
+    vector (the old shlie.TruncSeries)."""
+
+    def __init__(self, dim, N, coeffs=None):
+        self.dim, self.N = dim, N
+        if coeffs is None:
+            coeffs = [vec_zeros(dim) for _ in range(N + 1)]
+        self.coeffs = [[rat(x) for x in c] for c in coeffs]
+
+    def add(self, other):
+        return DenseSeries(self.dim, self.N, [vec_add(a, b) for a, b in
+                                              zip(self.coeffs, other.coeffs)])
+
+    def scale(self, c):
+        return DenseSeries(self.dim, self.N,
+                           [vec_scale(c, a) for a in self.coeffs])
+
+    def tshift(self, k):
+        out = DenseSeries(self.dim, self.N)
+        for m in range(self.N + 1 - k):
+            out.coeffs[m + k] = list(self.coeffs[m])
+        return out
+
+    def is_zero(self):
+        return all(vec_is_zero(c) for c in self.coeffs)
+
+    def flat(self, kmin=0):
+        return [x for c in self.coeffs[kmin:] for x in c]
+
+
+def dense_conv(ch, *xs):
+    """sum over t-powers of ch(x_k1, ..., x_kr) t^(k1+...+kr), truncated."""
+    N = xs[0].N
+    out = DenseSeries(xs[0].dim, N)
+
+    def rec(i, ks, vecs):
+        if sum(ks) > N:
+            return
+        if i == len(xs):
+            k = sum(ks)
+            out.coeffs[k] = vec_add(out.coeffs[k], ch.eval(*vecs))
+            return
+        for k, v in enumerate(xs[i].coeffs):
+            if not vec_is_zero(v):
+                rec(i + 1, ks + [k], vecs + [v])
+    rec(0, [], [])
+    return out
+
+
+small = st.integers(-3, 3).map(Fraction) | \
+    st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def dense_series(draw, dim, N):
+    return [[draw(small) if draw(st.booleans()) else Fraction(0)
+             for _ in range(dim)] for _ in range(N + 1)]
+
+
+@_settings
+@given(st.data())
+def test_series_matches_dense_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(0, 4))
+    a, b = (data.draw(dense_series(dim, N)) for _ in range(2))
+    c = data.draw(small)
+    k = data.draw(st.integers(0, N + 1))
+    new_a, new_b = Series(dim, N, a), TruncSeries(dim, N, b)
+    old_a, old_b = DenseSeries(dim, N, a), DenseSeries(dim, N, b)
+    assert new_a.coeffs == old_a.coeffs
+    assert new_a.add(new_b).coeffs == old_a.add(old_b).coeffs
+    assert new_a.scale(c).coeffs == old_a.scale(c).coeffs
+    assert new_a.tshift(k).coeffs == old_a.tshift(k).coeffs
+    assert new_a.flat(min(k, N)) == old_a.flat(min(k, N))
+    assert new_a.is_zero() == old_a.is_zero()
+    assert (new_a == new_b) == (old_a.coeffs == old_b.coeffs)
+    assert all(type(x) is Fraction for c in new_a.coeffs for x in c)
+
+
+def so3():
+    return LieAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0],
+                          (0, 2): [0, -1, 0]})
+
+
+def structures():
+    ab = LieAlgebra(3, {})
+    obstructed = Cochain(3, 2, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
+    cob = ce_differential(so3(), Cochain(3, 1, {(0,): [0, 1, 0]}))
+    return [build_shlie(ab, alpha0_cochain(ab), obstructed, N=4),
+            build_shlie(so3(), alpha0_cochain(so3()), cob, N=4,
+                        variant="full")]
+
+
+@_settings
+@given(st.data())
+def test_structure_maps_match_dense_convolutions(data):
+    S = data.draw(st.sampled_from(structures()))
+    dim, N = S.alg.dim, S.N
+    a, b, c = (data.draw(dense_series(dim, N)) for _ in range(3))
+    A, B, C = (DenseSeries(dim, N, v) for v in (a, b, c))
+    want_l2 = dense_conv(S.alpha0, A, B).add(
+        dense_conv(S.alpha1, A, B).tshift(1))
+    want_l3 = dense_conv(S.comp11, A, B, C).tshift(2).scale(-1)
+    new = [Series(dim, N, v) for v in (a, b, c)]
+    assert S.l2_00(new[0], new[1]).coeffs == want_l2.coeffs
+    assert S.l3_000(*new).coeffs == want_l3.coeffs
+
+
+def test_series_construction_checks():
+    with pytest.raises(ValueError):
+        Series(2, 1, [[1, 0]])              # one coefficient short
+    with pytest.raises(ValueError):
+        Series(2, 1, [[1, 0], [1]])         # wrong vector length
+    with pytest.raises(ValueError):
+        Series(2, 2, [[1, 0], [0, 0], [0, 0]], kmin=1)
+    with pytest.raises(ValueError):
+        Series.basis(2, 2, 0, 0, kmin=1)
+    with pytest.raises(ValueError):
+        Series.basis(2, 2, 3, 0)
+    with pytest.raises(ValueError):
+        Series.basis(2, 2, 0, 2)
+    with pytest.raises(ValueError):
+        TLinear({-1: [(1, ())]})
+    assert Series.basis(2, 2, 1, 1).coeffs == [[0, 0], [0, 1], [0, 0]]
+
+
+# -- TLinear: apply, compose, shifts and matrices ----------------------------
+
+DIM = 3
+
+
+def matrix_op(rows):
+    """The coefficient operator of an integer matrix on sparse vectors."""
+    def op(v):
+        out = {}
+        for i, row in enumerate(rows):
+            x = sum(row[j] * c for j, c in v.items())
+            if x:
+                out[i] = x
+        return out
+    return op
+
+
+BASES = [matrix_op(r) for r in (
+    [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    [[1, 0, 2], [0, -1, 0], [3, 0, 0]],
+    [[0, 0, 0], [1, 1, 0], [0, 2, -1]],
+)]
+
+
+@st.composite
+def tlinears(draw):
+    terms = {}
+    for s in draw(st.lists(st.integers(0, 3), max_size=3, unique=True)):
+        terms[s] = [(draw(small), tuple(draw(st.lists(
+            st.sampled_from(BASES), max_size=2))))
+            for _ in range(draw(st.integers(1, 2)))]
+    return TLinear(terms)
+
+
+@st.composite
+def vector_series(draw, T):
+    return Series(DIM, T, draw(dense_series(DIM, T)))
+
+
+def reference_apply(A, x):
+    """sum_{k, s} t^(k+s) A_s(x_k) with every chain applied from scratch."""
+    out = [[Fraction(0)] * DIM for _ in range(x.T + 1)]
+    for k, c in enumerate(x.terms):
+        for s, pairs in A.terms.items():
+            if k + s > x.T:
+                continue
+            for scalar, chain in pairs:
+                v = dict(c)
+                for f in reversed(chain):
+                    v = f(v)
+                for i, y in v.items():
+                    out[k + s][i] += scalar * y
+    return Series(DIM, x.T, out)
+
+
+@_settings
+@given(st.data())
+def test_apply_matches_definition(data):
+    T = data.draw(st.integers(0, 4))
+    A, x = data.draw(tlinears()), data.draw(vector_series(T))
+    assert A.apply(x) == reference_apply(A, x)
+
+
+@_settings
+@given(st.data())
+def test_compose_is_apply_after_apply(data):
+    T = data.draw(st.integers(0, 4))
+    A, B = data.draw(tlinears()), data.draw(tlinears())
+    x = data.draw(vector_series(T))
+    assert A.compose(B).apply(x) == A.apply(B.apply(x))
+    assert (A + B).apply(x) == A.apply(x).add(B.apply(x))
+    c = data.draw(small)
+    assert A.scale(c).apply(x) == A.apply(x).scale(c)
+
+
+@_settings
+@given(st.data())
+def test_shift_commutes_with_apply(data):
+    """A(t^k x) = t^k A(x) mod t^(T+1)."""
+    T = data.draw(st.integers(0, 4))
+    A, x = data.draw(tlinears()), data.draw(vector_series(T))
+    k = data.draw(st.integers(0, T + 1))
+    assert A.apply(x.tshift(k)) == A.apply(x).tshift(k)
+    AA = A.compose(A)
+    assert AA.apply(x.tshift(k)) == AA.apply(x).tshift(k)
+
+
+@_settings
+@given(st.data())
+def test_matrix_columns_are_applied_basis_series(data):
+    T = data.draw(st.integers(0, 3))
+    A = data.draw(tlinears())
+    labels = [(i, k) for k in range(T + 1) for i in range(DIM)]
+    mat = A.matrix(Basis(labels), Basis(labels), T)
+    for col, (i, k) in enumerate(labels):
+        image = A.apply(Series.basis(DIM, T, k, i))
+        assert mat.col(col) == [image.terms[kk].get(ii, 0)
+                                for ii, kk in labels]
+
+
+def test_shared_chains_run_once_per_argument():
+    """compose(A, A) on one coefficient evaluates each distinct chain once,
+    and a memo passed to a second operator reuses the first one's chains."""
+    calls = []
+
+    def counted(f, name):
+        def op(v):
+            calls.append(name)
+            return f(v)
+        return op
+    f, g = counted(BASES[1], "f"), counted(BASES[2], "g")
+    A = TLinear({0: [(1, (f,))], 1: [(2, (g,))], 2: [(-1, (f,))]})
+    AA = A.compose(A)
+    memo = {}
+    AA.images(({0: Fraction(1), 2: Fraction(1)},), 4, memo)
+    # inner f and g once each, then f.f, f.g, g.f, g.g once each
+    assert sorted(calls) == ["f", "f", "f", "g", "g", "g"]
+    A.images(({0: Fraction(1), 2: Fraction(1)},), 4, memo)
+    assert len(calls) == 6
+
+
+def test_lift_runs_once_per_argument():
+    lifted = []
+
+    def lift(v):
+        lifted.append(dict(v))
+        return v
+    A = TLinear({0: [(1, (BASES[1],))], 1: [(1, (BASES[2],))]}, lift)
+    A.compose(A).images(({0: Fraction(1)},), 2, {})
+    # the argument, then the two first-level images
+    assert len(lifted) == 3
+
+
+def test_one_series_class():
+    from chainext import bv
+    assert bv.TSeries is bv.StarSeries is TruncSeries is Series

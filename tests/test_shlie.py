@@ -200,3 +200,14 @@ def test_verify_deterministic():
     a = verify_shlie(build(so3(), coboundary(so3())))
     b = verify_shlie(build(so3(), coboundary(so3())))
     assert a == b
+
+
+def test_verify_counts_the_tuples_it_checks():
+    rep = verify_shlie(build(so3(), coboundary(so3())))
+    # tuples of the 3 + 3 generators whose target degree sum(degs) + n - 3
+    # is 0 or 1: n = 2 needs degree sum 1 or 2 (18 + 9), n = 3 sum 0 or 1
+    # (27 + 81), n = 4 sum 0 (81); five degree-0 inputs target degree 2
+    assert rep["tuples"] == 27 + 108 + 81
+    empty = LieAlgebra(0, {})
+    rep = verify_shlie(build(empty, Cochain(0, 2, {})))
+    assert rep["ok"] and rep["tuples"] == 0

@@ -9,8 +9,8 @@ from chainext.brst import koszul_tate, longitudinal_d, so3_system
 from chainext.bv import two_ghost_model
 from chainext.superalg import (
     GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of,
-    extend_right_derivation, left_deriv, mul, poisson, right_deriv,
-    right_derivs, validate_poisson_table,
+    extend_right_derivation, left_deriv, left_derivs, mul, poisson,
+    right_deriv, right_derivs, validate_poisson_table,
 )
 
 
@@ -343,6 +343,10 @@ def test_table_fed_antibracket_matches_plain_and_reference(drawn):
     fed = antibracket(f, h, pairs, table)
     assert fed == antibracket(f, h, pairs)
     assert fed == reference_antibracket(f, h, pairs)
+    moving = left_derivs(h, pairs)
+    assert moving == [(left_deriv(h, a), left_deriv(h, b)) for a, b in pairs]
+    assert antibracket(f, h, pairs, g_derivs=moving) == fed
+    assert antibracket(f, h, pairs, table, moving) == fed
 
 
 def test_antibracket_argument_checks():
@@ -356,6 +360,8 @@ def test_antibracket_argument_checks():
         antibracket(phi, g(brst_like_alg(), "x"), pairs)
     with pytest.raises(ValueError):
         antibracket(phi, phi, pairs, right_derivs(phi, pairs[:1]))
+    with pytest.raises(ValueError):
+        antibracket(phi, phi, pairs, g_derivs=left_derivs(phi, pairs[:1]))
 
 
 @_examples
