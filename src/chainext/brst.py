@@ -8,10 +8,12 @@ Poisson table closing as [G_a,G_b] = sum_c C^c_ab G_c, odd ghosts eta^a
     l2 extending the longitudinal differential d f = [f, G_b] eta^b,
     l3 from the homotopy recursion,
 
-with (l1+l2+l3)^2 = 0 exact.  The contracting homotopy is assembled from
-sigma(F) = -sum_a (dF/dG_a) P_a and the monomial rescaling psi = -1/k on
-combined (P,G)-degree k, giving s(F) = sum_a (dF/dG_a) P_a / k and the
-projection lambda~ = 1 + delta s that kills every monomial containing a G.
+with (l1+l2+l3)^2 = 0 exact.  delta, d and the Koszul homotopy sigma
+(sigma G_a = -P_a, so sigma(F) = -sum_a (dF/dG_a) P_a) are odd right
+derivations, each fixed by its values on the generators.  The contracting
+homotopy is s = sigma . psi, with psi the monomial rescaling -1/k on combined
+(P,G)-degree k, and lambda~ = 1 + delta s kills every monomial containing a G.
+l2 and l3 are per-monomial rules extended linearly.
 
 Operators are materialized on the finite monomial basis of weighted degree
 <= cap, where the weight adds the maximal degree jump of d per missing
@@ -24,11 +26,20 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
-from .exactla import Basis, RatMatrix, operator_matrix as basis_matrix
+from .exactla import (Basis, RatMatrix, add_into,
+                      operator_matrix as basis_matrix)
 from .superalg import (
     GenSpec, SuperAlgebra, SuperPoly, extend_right_derivation, mul, poisson,
-    right_deriv, validate_poisson_table,
+    validate_poisson_table,
 )
+
+
+def _sum(alg, polys, c=1):
+    """c times the sum of polys, accumulated in one dict."""
+    out = {}
+    for p in polys:
+        add_into(out, p.terms, c)
+    return SuperPoly(alg, out)
 
 
 class ConstraintSystem:
@@ -36,15 +47,14 @@ class ConstraintSystem:
 
     poisson_table maps generator-name pairs (among x_i, G_a) to SuperPoly
     values; structure maps (a, b) with a < b (0-based) to the length-n list
-    of structure functions C^c_ab, polynomials in (x, G).
+    of structure functions C^c_ab, polynomials in (x, G).  delta_vals,
+    sigma_vals and d_vals hold the generator values of delta, sigma and d.
     """
 
-    __slots__ = ("m", "n", "alg", "table", "structure",
-                 "xs", "gs", "etas", "ps", "_delta_vals", "_d_vals", "_bases")
+    __slots__ = ("m", "n", "alg", "table", "structure", "xs", "gs", "etas",
+                 "ps", "delta_vals", "sigma_vals", "d_vals", "_bases")
 
     def __init__(self, m, n, poisson_table, structure):
-        self._delta_vals = None
-        self._d_vals = None
         self._bases = {}
         self.m = int(m)
         self.n = int(n)
@@ -74,11 +84,9 @@ class ConstraintSystem:
             self.structure[(a, b)] = list(cs)
         for a in range(self.n):
             for b in range(a + 1, self.n):
-                cs = self.structure.get((a, b),
-                                        [SuperPoly.zero(self.alg)] * self.n)
-                want = SuperPoly.zero(self.alg)
-                for c in range(self.n):
-                    want = want + mul(cs[c], self.gen(self.gs[c]))
+                want = _sum(self.alg, (mul(self.structure_fn(c, a, b),
+                                           self.gen(g))
+                                       for c, g in enumerate(self.gs)))
                 got = poisson(self.gen(self.gs[a]), self.gen(self.gs[b]),
                               self.table)
                 if got != want:
@@ -86,19 +94,33 @@ class ConstraintSystem:
                         "constraints are not first class: [%s,%s] does not "
                         "close on the given structure functions"
                         % (self.gs[a], self.gs[b]))
+        self.delta_vals = {p: self.gen(g).scale(-1)
+                           for p, g in zip(self.ps, self.gs)}
+        self.sigma_vals = {g: self.gen(p).scale(-1)
+                           for g, p in zip(self.gs, self.ps)}
+        # d x_i = [x_i,G_b] eta^b, d G_a = [G_a,G_b] eta^b,
+        # d eta^a = 1/2 C^a_cb eta^b eta^c, d P_a = 0
+        self.d_vals = {
+            name: _sum(self.alg, (mul(poisson(self.gen(name), self.gen(g),
+                                              self.table), self.gen(e))
+                                  for g, e in zip(self.gs, self.etas)))
+            for name in self.xs + self.gs}
+        for a, ea in enumerate(self.etas):
+            self.d_vals[ea] = _sum(
+                self.alg, (mul(mul(self.structure_fn(a, c, b), self.gen(eb)),
+                               self.gen(ec))
+                           for c, ec in enumerate(self.etas)
+                           for b, eb in enumerate(self.etas)), Fraction(1, 2))
 
     def gen(self, name):
         return SuperPoly.gen(self.alg, name)
 
     def structure_fn(self, c, a, b):
         """C^c_ab with antisymmetry in (a, b), zero when absent."""
-        if a == b:
+        cs = self.structure.get((min(a, b), max(a, b)))
+        if cs is None or a == b:
             return SuperPoly.zero(self.alg)
-        if a < b:
-            return self.structure.get((a, b), [SuperPoly.zero(self.alg)] *
-                                      self.n)[c]
-        return self.structure.get((b, a), [SuperPoly.zero(self.alg)] *
-                                  self.n)[c].scale(-1)
+        return cs[c] if a < b else cs[c].scale(-1)
 
     # -- gradings -------------------------------------------------------------
 
@@ -111,9 +133,6 @@ class ConstraintSystem:
     def ghost_degree(self, mono):
         return sum(1 for i in mono if self.alg.gens[i].kind == "eta")
 
-    def antighost_degree(self, mono):
-        return sum(1 for i in mono if self.alg.gens[i].kind == "P")
-
     def has_constraint_factor(self, mono):
         return any(self.alg.gens[i].kind == "G" for i in mono)
 
@@ -122,41 +141,19 @@ class ConstraintSystem:
 
 def koszul_tate(sys: ConstraintSystem, f: SuperPoly) -> SuperPoly:
     """The odd right derivation with delta P_a = -G_a and zero otherwise."""
-    if sys._delta_vals is None:
-        sys._delta_vals = {p: sys.gen(g).scale(-1)
-                           for p, g in zip(sys.ps, sys.gs)}
-    return extend_right_derivation(f, sys._delta_vals, parity=1)
+    return extend_right_derivation(f, sys.delta_vals, parity=1)
 
 
 def longitudinal_d(sys: ConstraintSystem, f: SuperPoly) -> SuperPoly:
-    """d x_i = [x_i,G_b] eta^b, d G_a = [G_a,G_b] eta^b,
-    d eta^a = 1/2 C^a_cb eta^b eta^c, d P_a = 0."""
-    if sys._d_vals is None:
-        vals = {}
-        for name in sys.xs + sys.gs:
-            v = SuperPoly.zero(sys.alg)
-            for b, gb in enumerate(sys.gs):
-                v = v + mul(poisson(sys.gen(name), sys.gen(gb), sys.table),
-                            sys.gen(sys.etas[b]))
-            vals[name] = v
-        for a in range(sys.n):
-            v = SuperPoly.zero(sys.alg)
-            for c in range(sys.n):
-                for b in range(sys.n):
-                    v = v + mul(mul(sys.structure_fn(a, c, b),
-                                    sys.gen(sys.etas[b])),
-                                sys.gen(sys.etas[c]))
-            vals[sys.etas[a]] = v.scale(Fraction(1, 2))
-        sys._d_vals = vals
-    return extend_right_derivation(f, sys._d_vals, parity=1)
+    """The odd right derivation d x_i = [x_i,G_b] eta^b, d G_a = [G_a,G_b]
+    eta^b, d eta^a = 1/2 C^a_cb eta^b eta^c, d P_a = 0."""
+    return extend_right_derivation(f, sys.d_vals, parity=1)
 
 
 def sigma(sys: ConstraintSystem, F: SuperPoly) -> SuperPoly:
-    """sigma(F) = -sum_a (d^R F / d G_a) P_a."""
-    out = SuperPoly.zero(sys.alg)
-    for g, p in zip(sys.gs, sys.ps):
-        out = out - mul(right_deriv(F, g), sys.gen(p))
-    return out
+    """The odd right derivation with sigma G_a = -P_a and zero otherwise:
+    sigma(F) = -sum_a (d^R F / d G_a) P_a."""
+    return extend_right_derivation(F, sys.sigma_vals, parity=1)
 
 
 def nbar(sys: ConstraintSystem, F: SuperPoly) -> SuperPoly:
@@ -177,13 +174,7 @@ def psi(sys: ConstraintSystem, F: SuperPoly) -> SuperPoly:
 
 def homotopy_s(sys: ConstraintSystem, F: SuperPoly) -> SuperPoly:
     """s = sigma . psi: monomial-wise sum_a (d^R F / d G_a) P_a / k."""
-    out = SuperPoly.zero(sys.alg)
-    for m, c in F.terms.items():
-        k = sys.pg_degree(m)
-        if not k:
-            continue
-        out = out + sigma(sys, SuperPoly(sys.alg, {m: -c / k}))
-    return out
+    return sigma(sys, psi(sys, F))
 
 
 def lambda_tilde(sys: ConstraintSystem, f: SuperPoly) -> SuperPoly:
@@ -201,12 +192,9 @@ def eta_project(sys: ConstraintSystem, f: SuperPoly) -> SuperPoly:
 
 def degree_jump(sys: ConstraintSystem) -> int:
     """Maximal increase of xGP-degree under d on a generator."""
-    jump = 0
-    for name in sys.xs + sys.gs + sys.etas:
-        base = 1 if name not in sys.etas else 0
-        for mono in longitudinal_d(sys, sys.gen(name)).terms:
-            jump = max(jump, sys.xgp_degree(mono) - base)
-    return jump
+    return max([0] + [sys.xgp_degree(mono) - (name not in sys.etas)
+                      for name, value in sys.d_vals.items()
+                      for mono in value.terms])
 
 
 def weight(sys: ConstraintSystem, mono, jump) -> int:
@@ -263,25 +251,23 @@ def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
     for k, group in enumerate(groups):
         for mono in group:
             f = SuperPoly(sys.alg, {mono: 1})
-            if not koszul_tate(sys, koszul_tate(sys, f)).is_zero():
-                fail("delta_squared", mono)
-            lhs = koszul_tate(sys, sigma(sys, f)) + \
-                sigma(sys, koszul_tate(sys, f))
-            if lhs != nbar(sys, f):
-                fail("nbar_identity", mono)
+            df = koszul_tate(sys, f)
             sf = homotopy_s(sys, f)
+            dsf = koszul_tate(sys, sf)
+            if not koszul_tate(sys, df).is_zero():
+                fail("delta_squared", mono)
+            if koszul_tate(sys, sigma(sys, f)) + sigma(sys, df) != \
+                    nbar(sys, f):
+                fail("nbar_identity", mono)
             if k == 0:
-                if sys.has_constraint_factor(mono):
-                    if not lambda_tilde(sys, f).is_zero():
-                        fail("lambda_tilde_kills_ideal", mono)
+                lam = f + dsf  # lambda~ f
+                if sys.has_constraint_factor(mono) and not lam.is_zero():
+                    fail("lambda_tilde_kills_ideal", mono)
                 # degree 0 homotopy identity: lambda eta - 1 = l1 s
-                lhs = eta_project(sys, f) - f
-                if lhs != koszul_tate(sys, sf):
+                if eta_project(sys, f) - f != dsf:
                     fail("homotopy_identity", mono)
-            else:
-                lhs = koszul_tate(sys, sf) + homotopy_s(sys, koszul_tate(sys, f))
-                if lhs != f.scale(-1):
-                    fail("homotopy_identity", mono)
+            elif dsf + homotopy_s(sys, df) != f.scale(-1):
+                fail("homotopy_identity", mono)
     report["ok"] = all(report[k] for k in
                        ("delta_squared", "nbar_identity",
                         "lambda_tilde_kills_ideal", "homotopy_identity"))
@@ -298,7 +284,8 @@ def in_constraint_ideal(sys: ConstraintSystem, f: SuperPoly) -> bool:
 # -- the chain extension --------------------------------------------------------
 
 class BRSTExtension:
-    """l1 = delta, l2, l3 as memoized linear operators on SuperPoly."""
+    """l1 = delta, l2, l3 as linear operators on SuperPoly; l2 and l3 keep
+    their per-monomial images."""
 
     __slots__ = ("sys", "_l2_cache", "_l3_cache")
 
@@ -307,46 +294,39 @@ class BRSTExtension:
         self._l2_cache = {}
         self._l3_cache = {}
 
+    def _linear(self, cache, rule, f: SuperPoly) -> SuperPoly:
+        """The linear extension of rule, a map on basis monomials whose
+        images are kept in cache."""
+        out = {}
+        for m, c in f.terms.items():
+            img = cache.get(m)
+            if img is None:
+                img = cache[m] = rule(SuperPoly(self.sys.alg, {m: 1}))
+            add_into(out, img.terms, c)
+        return SuperPoly(self.sys.alg, out)
+
+    def _l2_rule(self, f):
+        if f.antighost() == 0:
+            return longitudinal_d(self.sys, f)
+        return homotopy_s(self.sys, self.l2(koszul_tate(self.sys, f)))
+
+    def _l3_rule(self, f):
+        g = self.l2(self.l2(f))
+        if f.antighost():
+            g = g + self.l3(koszul_tate(self.sys, f))
+        return homotopy_s(self.sys, g)
+
     def l1(self, f: SuperPoly) -> SuperPoly:
         return koszul_tate(self.sys, f)
 
-    def _monomial_l2(self, mono):
-        if mono in self._l2_cache:
-            return self._l2_cache[mono]
-        f = SuperPoly(self.sys.alg, {mono: 1})
-        if self.sys.antighost_degree(mono) == 0:
-            out = longitudinal_d(self.sys, f)
-        else:
-            out = homotopy_s(self.sys, self.l2(koszul_tate(self.sys, f)))
-        self._l2_cache[mono] = out
-        return out
-
     def l2(self, f: SuperPoly) -> SuperPoly:
-        out = SuperPoly.zero(self.sys.alg)
-        for m, c in f.terms.items():
-            out = out + self._monomial_l2(m).scale(c)
-        return out
-
-    def _monomial_l3(self, mono):
-        if mono in self._l3_cache:
-            return self._l3_cache[mono]
-        f = SuperPoly(self.sys.alg, {mono: 1})
-        if self.sys.antighost_degree(mono) == 0:
-            out = homotopy_s(self.sys, self.l2(self.l2(f)))
-        else:
-            out = homotopy_s(self.sys, self.l2(self.l2(f)) +
-                             self.l3(koszul_tate(self.sys, f)))
-        self._l3_cache[mono] = out
-        return out
+        return self._linear(self._l2_cache, self._l2_rule, f)
 
     def l3(self, f: SuperPoly) -> SuperPoly:
-        out = SuperPoly.zero(self.sys.alg)
-        for m, c in f.terms.items():
-            out = out + self._monomial_l3(m).scale(c)
-        return out
+        return self._linear(self._l3_cache, self._l3_rule, f)
 
     def total(self, f: SuperPoly) -> SuperPoly:
-        return self.l1(f) + self.l2(f) + self.l3(f)
+        return _sum(self.sys.alg, (self.l1(f), self.l2(f), self.l3(f)))
 
 
 def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
@@ -363,10 +343,9 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
         if sys.has_constraint_factor(mono) and \
                 not in_constraint_ideal(sys, df):
             raise ValueError("d does not preserve the constraint ideal at %s"
-                             % (SuperPoly(sys.alg, {mono: 1}),))
+                             % (f,))
         if not in_constraint_ideal(sys, longitudinal_d(sys, df)):
-            raise ValueError("d^2 escapes the constraint ideal at %s"
-                             % (SuperPoly(sys.alg, {mono: 1}),))
+            raise ValueError("d^2 escapes the constraint ideal at %s" % (f,))
     ext = BRSTExtension(sys)
     for name in sys.ps + sys.etas:
         if not ext.l3(sys.gen(name)).is_zero():

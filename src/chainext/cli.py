@@ -2,8 +2,8 @@
 user-supplied model files.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input or
-parse error.  Identical configuration yields byte-identical output; the
-structured format is JSON with sorted keys.
+parse error, 3 an unexpected exception.  Identical configuration yields
+byte-identical output; the structured format is JSON with sorted keys.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .shlie import (build_shlie, crosscheck_with_engine, l3_is_obstruction,
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), "models")
 
-PASS, MATH_FAIL, INPUT_ERROR = 0, 1, 2
+PASS, MATH_FAIL, INPUT_ERROR, UNEXPECTED = 0, 1, 2, 3
 
 
 class RunConfig(NamedTuple):
@@ -323,6 +323,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(render({"error": str(e)}, config.fmt))
         return INPUT_ERROR
+    except Exception as e:
+        print(render({"error": "%s: %s" % (type(e).__name__, e)}, config.fmt))
+        return UNEXPECTED
     print(render(report, config.fmt))
     return code
 

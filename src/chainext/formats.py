@@ -145,7 +145,7 @@ def load_lie(text) -> LieAlgebra:
     for lineno, line in lines[1:]:
         key, value = _split_kv(lineno, line)
         if key == "dim":
-            dim = _int(lineno, value)
+            dim = _count(lineno, value)
         elif key.startswith("c "):
             if dim is None:
                 raise FormatError(lineno, "dim must come before entries")
@@ -175,9 +175,12 @@ def load_cochain(text) -> Cochain:
     for lineno, line in lines[1:]:
         key, value = _split_kv(lineno, line)
         if key == "dim":
-            dim = _int(lineno, value)
+            dim = _count(lineno, value)
         elif key == "arity":
-            arity = _int(lineno, value)
+            arity = _count(lineno, value)
+            if not 1 <= arity <= 3:
+                raise FormatError(lineno, "arity must be 1, 2 or 3, got %d"
+                                  % arity)
         elif key.startswith("a "):
             if dim is None or arity is None:
                 raise FormatError(lineno, "dim and arity must come first")
@@ -226,7 +229,7 @@ def load_brst(text):
     table, structure = {}, {}
     for lineno, key, value in raw:
         parts = key.split()
-        if parts[0] == "p" and len(parts) == 3:
+        if len(parts) == 3 and parts[0] == "p":
             for name in parts[1:]:
                 if name not in proto.alg.index:
                     raise FormatError(lineno, "unknown generator %r" % (name,))
@@ -234,7 +237,7 @@ def load_brst(text):
             if pair in table or (pair[1], pair[0]) in table:
                 raise FormatError(lineno, "duplicate bracket for %s, %s" % pair)
             table[pair] = parse_poly(lineno, value, proto.alg)
-        elif parts[0] == "s" and len(parts) == 4:
+        elif len(parts) == 4 and parts[0] == "s":
             a, b, c = (_int(lineno, p) for p in parts[1:])
             if not (1 <= a < b <= n and 1 <= c <= n):
                 raise FormatError(lineno, "need 1 <= a < b <= n, 1 <= c <= n")
@@ -259,9 +262,9 @@ def load_bv(text):
     for lineno, line in lines[1:]:
         key, value = _split_kv(lineno, line)
         if key == "cap":
-            cap = _int(lineno, value)
+            cap = _count(lineno, value)
         elif key == "trunc":
-            trunc = _int(lineno, value)
+            trunc = _count(lineno, value)
         elif key.startswith("field "):
             name = key.split(None, 1)[1]
             bits = value.split()

@@ -204,12 +204,11 @@ def _generators(S: ShLieStructure):
 def verify_shlie(S: ShLieStructure) -> dict:
     """Exhaustive check of the generalized Jacobi relations on basis tuples."""
     gens = _generators(S)
-    zeros = [g for g in gens if g[0] == 0]
     report = {"first_failure": None, "tuples": 0}
 
-    def sweep(name, n, pool):
+    def sweep(name, n):
         ok = True
-        for tup in product(pool, repeat=n):
+        for tup in product(gens, repeat=n):
             r = master_relation(S, list(tup), n)
             if r is None:
                 continue
@@ -221,19 +220,20 @@ def verify_shlie(S: ShLieStructure) -> dict:
                 break
         report[name] = ok
 
-    sweep("relation_63", 2, gens)
-    sweep("relation_64", 3, gens)
-    sweep("relation_65", 4, gens)
+    sweep("relation_63", 2)
+    sweep("relation_64", 3)
+    sweep("relation_65", 4)
     # the n = 5 relation only involves l3 . l3, which needs a degree-1 element
-    # inside a map defined on X_0^3: structurally zero.
-    structural = all(S.g_l3(x, y, z) is None
-                     for x in gens for y in gens for z in gens
-                     if x[0] + y[0] + z[0] > 0)
-    sweep("relation_66", 5, zeros)
-    report["relation_66_structural"] = structural
+    # inside a map defined on X_0^3: it holds when l3 is zero (None) on every
+    # generator triple with a degree-1 entry.
+    bad = next((tup for tup in product(gens, repeat=3)
+                if any(t[0] for t in tup) and S.g_l3(*tup) is not None), None)
+    report["relation_66"] = bad is None
+    if bad is not None and report["first_failure"] is None:
+        report["first_failure"] = ("relation_66", tuple(t[0] for t in bad))
     report["ok"] = all(report[k] for k in
                        ("relation_63", "relation_64", "relation_65",
-                        "relation_66", "relation_66_structural"))
+                        "relation_66"))
     return report
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainext.brst import (
     BRSTExtension, ConstraintSystem, abelian_system, build_brst,
@@ -11,7 +13,7 @@ from chainext.brst import (
 )
 from chainext.complexes import chain_extend, verify_homotopy, verify_nilpotent
 from chainext.exactla import RatMatrix, solve
-from chainext.superalg import SuperPoly, mul, poisson
+from chainext.superalg import SuperPoly, mul, poisson, right_deriv
 
 
 def test_koszul_tate_values():
@@ -222,3 +224,79 @@ def test_operator_matrix_escape_is_loud():
                               if toy.xgp_degree(m) < 2], list(groups[2])]
     with pytest.raises(ValueError):
         operator_matrix(ext, "l2", fake, 1, 0)
+
+
+# -- property tests over the capped bases ------------------------------------
+
+SYSTEMS = {"so3": so3_system(), "toy": toy_system()}
+BASES = {name: [m for g in monomial_basis(sys_, 3) for m in g]
+         for name, sys_ in SYSTEMS.items()}
+_examples = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def combos(draw, name, max_terms=5):
+    """A random rational combination of basis monomials of one system."""
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from(BASES[name]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+        max_size=max_terms))
+    return SuperPoly(SYSTEMS[name].alg, dict(terms))
+
+
+def sigma_reference(sys_, F):
+    """The Koszul homotopy as a sum over constraints,
+    -sum_a (d^R F / d G_a) P_a."""
+    out = SuperPoly.zero(sys_.alg)
+    for g, p in zip(sys_.gs, sys_.ps):
+        out = out - mul(right_deriv(F, g), sys_.gen(p))
+    return out
+
+
+def homotopy_reference(sys_, F):
+    """s = sigma . psi one monomial at a time: sigma(-c m / k) on each term
+    c m of combined (P, G)-degree k > 0."""
+    out = SuperPoly.zero(sys_.alg)
+    for m, c in F.terms.items():
+        k = sys_.pg_degree(m)
+        if k:
+            out = out + sigma_reference(sys_, SuperPoly(sys_.alg, {m: -c / k}))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@_examples
+@given(data=st.data())
+def test_sigma_matches_the_constraint_sum(name, data):
+    sys_ = SYSTEMS[name]
+    F = data.draw(combos(name))
+    assert sigma(sys_, F) == sigma_reference(sys_, F)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@_examples
+@given(data=st.data())
+def test_homotopy_is_sigma_after_psi(name, data):
+    sys_ = SYSTEMS[name]
+    F = data.draw(combos(name))
+    assert homotopy_s(sys_, F) == sigma(sys_, psi(sys_, F)) == \
+        homotopy_reference(sys_, F)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@_examples
+@given(data=st.data())
+def test_extension_operators_are_linear(name, data):
+    sys_ = SYSTEMS[name]
+    f = data.draw(combos(name))
+    # g cancels a drawn subset of f's terms and adds terms of its own
+    keep = data.draw(st.lists(st.booleans(), min_size=len(f.terms),
+                              max_size=len(f.terms)))
+    cancel = SuperPoly(sys_.alg, {m: -c for (m, c), k in
+                                  zip(sorted(f.terms.items()), keep) if k})
+    g = cancel + data.draw(combos(name, max_terms=3))
+    a = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+    ext = BRSTExtension(sys_)
+    for op in (ext.l2, ext.l3, ext.total):
+        assert op(f + g) == op(f) + op(g)
+        assert op(f.scale(a)) == op(f).scale(a)

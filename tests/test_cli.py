@@ -292,6 +292,35 @@ def test_negative_flag_is_usage_error(flag, capsys):
     assert "argument %s" % flag in captured.err
 
 
+@pytest.mark.parametrize("command,text,line", [
+    ("brst", "kind: brst\nm: 0\nn: 1\n: 1\n", 4),
+    ("cochain", "kind: cochain\ndim: 3\narity: 5\n", 3),
+    ("lie", "kind: lie\ndim: -1\n", 2),
+    ("bv", "kind: bv\ncap: -1\n", 2),
+    ("bv", "kind: bv\ntrunc: -1\n", 2),
+], ids=["brst-empty-key", "cochain-arity", "lie-dim", "bv-cap", "bv-trunc"])
+def test_malformed_count_exit_code(command, text, line, tmp_path, capsys):
+    f = tmp_path / "malformed.txt"
+    f.write_text(text)
+    if command == "cochain":
+        argv = ["lie", "--input", "lie_so3", "--alpha1", str(f)]
+    else:
+        argv = [command, "--input", str(f)]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert "line %d" % line in out
+
+
+def test_unexpected_exception_exit_code(monkeypatch, capsys):
+    def boom(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "lie", boom)
+    code, out = run(capsys, "lie", "--input", "lie_so3")
+    assert code == 3
+    assert out == "error: RuntimeError: boom\n"
+
+
 def counting(monkeypatch, module, name, *more):
     """Replace module.name (and each further module.name binding) by a
     wrapper that counts its calls; returns the count list."""

@@ -7,8 +7,8 @@ from chainext.bv import DeformationProblem, obstruction_R, two_ghost_problem
 from chainext.complexes import verify_homotopy
 from chainext.exactla import RatMatrix, rat
 from chainext.formats import (
-    FormatError, dump_extend, format_poly, load_brst, load_bv, load_cochain,
-    load_extend, load_lie, parse_poly, read_kind,
+    FormatError, _data_lines, dump_extend, format_poly, load_brst, load_bv,
+    load_cochain, load_extend, load_lie, parse_poly, read_kind,
 )
 from chainext.lie import Cochain, LieAlgebra, alpha0_cochain, jacobi_check
 from chainext.shlie import build_shlie
@@ -193,3 +193,39 @@ def test_rationals_round_trip_in_dump():
     hd, l2_0, d_f = load_extend(header + body)
     assert hd.eta == mat
     assert d_f is None
+
+
+LOADERS = {"lie": load_lie, "cochain": load_cochain, "brst": load_brst,
+           "bv": load_bv, "extend": load_extend}
+
+
+def mutants(text):
+    """Each data line replaced by ':' or 'x'; on a 'key: value' line also the
+    value replaced by -1, q or 1/0, and the key emptied."""
+    raw = text.splitlines()
+    for lineno, line in _data_lines(text):
+        subs = [":", "x"]
+        if ":" in line:
+            key, value = line.split(":", 1)
+            subs += ["%s: %s" % (key, v) for v in ("-1", "q", "1/0")]
+            subs.append(":" + value)
+        for sub in subs:
+            yield lineno, "\n".join(raw[:lineno - 1] + [sub] + raw[lineno:])
+
+
+def test_mutated_bundled_models_raise_only_format_errors():
+    cases = 0
+    for name in sorted(os.listdir(MODELS)):
+        text = read_model(name)
+        loader = LOADERS[read_kind(text)]
+        for lineno, mutant in mutants(text):
+            cases += 1
+            try:
+                read_kind(mutant)
+                loader(mutant)
+            except FormatError:
+                pass
+            except Exception as e:
+                pytest.fail("%s, line %d mutated: %s: %s"
+                            % (name, lineno, type(e).__name__, e))
+    assert cases == 654

@@ -202,6 +202,23 @@ def test_verify_deterministic():
     assert a == b
 
 
+def test_relation_66_fails_when_l3_takes_a_degree_one_argument(monkeypatch):
+    S = build(so3(), coboundary(so3()))
+    g_l3 = ShLieStructure.g_l3
+
+    def accepting(self, x, y, z):
+        # a zero value in X_2, where g_l3 should return None
+        if x[0] or y[0] or z[0]:
+            return (2, TruncSeries(self.alg.dim, self.N))
+        return g_l3(self, x, y, z)
+
+    monkeypatch.setattr(ShLieStructure, "g_l3", accepting)
+    rep = verify_shlie(S)
+    assert rep["relation_63"] and rep["relation_64"] and rep["relation_65"]
+    assert rep["relation_66"] is False and not rep["ok"]
+    assert rep["first_failure"] == ("relation_66", (0, 0, 1))
+
+
 def test_verify_counts_the_tuples_it_checks():
     rep = verify_shlie(build(so3(), coboundary(so3())))
     # tuples of the 3 + 3 generators whose target degree sum(degs) + n - 3
