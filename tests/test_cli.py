@@ -52,6 +52,20 @@ def test_lie_obstructed_deformation(capsys):
     assert "order 2: obstructed" in lines
 
 
+@pytest.mark.parametrize("argv,code", [
+    # H2 rep 5 has two terms: pins the order in which cochains are printed
+    ("lie --input lie_heisenberg", 0),
+    ("lie --input lie_so3", 0),
+    # alpha1 fails its own order-1 equation: DeformationPreconditionError
+    ("lie --input lie_heisenberg --alpha1 cochain_obstructed_alpha1 "
+     "--order 4", 1),
+    ("shlie --input lie_sl2 --cross-check", 0),
+    ("shlie --input lie_aff1 --cross-check", 0),
+])
+def test_lie_cochain_reports(argv, code, capsys):
+    assert run_golden(capsys, *argv.split())[0] == code
+
+
 def test_lie_non_cocycle_direction(tmp_path, capsys):
     bad = tmp_path / "bad_cochain.txt"
     bad.write_text("kind: cochain\ndim: 3\narity: 2\na 1 3 1: 1\n")
