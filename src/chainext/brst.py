@@ -42,6 +42,20 @@ def _sum(alg, polys, c=1):
     return SuperPoly(alg, out)
 
 
+def constraint_algebra(m: int, n: int) -> SuperAlgebra:
+    """The free superalgebra of m coordinates x_i and n constraints G_a
+    (even), ghosts eta^a (odd, ghost 1) and antighosts P_a (odd, antighost
+    1), in this order."""
+    def names(stem, k):
+        return ["%s%d" % (stem, i + 1) for i in range(k)]
+    return SuperAlgebra(
+        [GenSpec(x, "even", kind="x") for x in names("x", m)]
+        + [GenSpec(g, "even", kind="G") for g in names("G", n)]
+        + [GenSpec(e, "odd", ghost=1, kind="eta") for e in names("eta", n)]
+        + [GenSpec(p, "odd", ghost=-1, antighost=1, kind="P")
+           for p in names("P", n)])
+
+
 class ConstraintSystem:
     """m even coordinates, n even first-class constraints, ghosts, antighosts.
 
@@ -58,16 +72,10 @@ class ConstraintSystem:
         self._bases = {}
         self.m = int(m)
         self.n = int(n)
-        self.xs = ["x%d" % (i + 1) for i in range(self.m)]
-        self.gs = ["G%d" % (a + 1) for a in range(self.n)]
-        self.etas = ["eta%d" % (a + 1) for a in range(self.n)]
-        self.ps = ["P%d" % (a + 1) for a in range(self.n)]
-        gens = [GenSpec(x, "even", kind="x") for x in self.xs]
-        gens += [GenSpec(g, "even", kind="G") for g in self.gs]
-        gens += [GenSpec(e, "odd", ghost=1, kind="eta") for e in self.etas]
-        gens += [GenSpec(p, "odd", ghost=-1, antighost=1, kind="P")
-                 for p in self.ps]
-        self.alg = SuperAlgebra(gens)
+        self.alg = constraint_algebra(self.m, self.n)
+        self.xs, self.gs, self.etas, self.ps = (
+            [g.name for g in self.alg.gens if g.kind == kind]
+            for kind in ("x", "G", "eta", "P"))
         self.table = dict(poisson_table)
         validate_poisson_table(self.alg, self.table)
         self.structure = {}
@@ -260,11 +268,12 @@ def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
                     nbar(sys, f):
                 fail("nbar_identity", mono)
             if k == 0:
-                lam = f + dsf  # lambda~ f
-                if sys.has_constraint_factor(mono) and not lam.is_zero():
-                    fail("lambda_tilde_kills_ideal", mono)
-                # degree 0 homotopy identity: lambda eta - 1 = l1 s
-                if eta_project(sys, f) - f != dsf:
+                # degree 0 homotopy identity lambda eta - 1 = l1 s, i.e.
+                # eta_project(f) = lambda~ f = f + delta s f; with a G
+                # factor eta_project(f) = 0, so it says lambda~ kills f
+                if eta_project(sys, f) != f + dsf:
+                    if sys.has_constraint_factor(mono):
+                        fail("lambda_tilde_kills_ideal", mono)
                     fail("homotopy_identity", mono)
             elif dsf + homotopy_s(sys, df) != f.scale(-1):
                 fail("homotopy_identity", mono)
@@ -415,34 +424,25 @@ def _matrix(sys: ConstraintSystem, op, src, dst) -> RatMatrix:
 
 def so3_system() -> ConstraintSystem:
     """Three even constraints closing as angular momenta; constant structure
-    constants, no coordinates.
-
-    The table's polynomial values are expressed over a throwaway abelian
-    system with the same generator list; algebras compare by name so the
-    values carry over.
-    """
-    proto = ConstraintSystem(0, 3, {}, {})
-    table = {("G1", "G2"): proto.gen("G3"),
-             ("G2", "G3"): proto.gen("G1"),
-             ("G1", "G3"): proto.gen("G2").scale(-1)}
-    structure = {
-        (0, 1): [SuperPoly.zero(proto.alg), SuperPoly.zero(proto.alg),
-                 SuperPoly.const(proto.alg, 1)],
-        (1, 2): [SuperPoly.const(proto.alg, 1), SuperPoly.zero(proto.alg),
-                 SuperPoly.zero(proto.alg)],
-        (0, 2): [SuperPoly.zero(proto.alg),
-                 SuperPoly.const(proto.alg, -1), SuperPoly.zero(proto.alg)],
-    }
+    constants, no coordinates."""
+    alg = constraint_algebra(0, 3)
+    zero, one = SuperPoly.zero(alg), SuperPoly.const(alg, 1)
+    table = {("G1", "G2"): SuperPoly.gen(alg, "G3"),
+             ("G2", "G3"): SuperPoly.gen(alg, "G1"),
+             ("G1", "G3"): SuperPoly.gen(alg, "G2").scale(-1)}
+    structure = {(0, 1): [zero, zero, one], (1, 2): [one, zero, zero],
+                 (0, 2): [zero, one.scale(-1), zero]}
     return ConstraintSystem(0, 3, table, structure)
 
 
 def toy_system() -> ConstraintSystem:
     """One coordinate, two constraints, [G1,G2] = x G1, [x,G2] = 1: a
     nonconstant structure function with a nonvanishing l3."""
-    proto = ConstraintSystem(1, 2, {}, {})
-    table = {("G1", "G2"): mul(proto.gen("x1"), proto.gen("G1")),
-             ("x1", "G2"): SuperPoly.const(proto.alg, 1)}
-    structure = {(0, 1): [proto.gen("x1"), SuperPoly.zero(proto.alg)]}
+    alg = constraint_algebra(1, 2)
+    x1 = SuperPoly.gen(alg, "x1")
+    table = {("G1", "G2"): mul(x1, SuperPoly.gen(alg, "G1")),
+             ("x1", "G2"): SuperPoly.const(alg, 1)}
+    structure = {(0, 1): [x1, SuperPoly.zero(alg)]}
     return ConstraintSystem(1, 2, table, structure)
 
 

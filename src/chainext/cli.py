@@ -73,10 +73,9 @@ def _load(name, want_kind, loader):
 def format_cochain(ch: Cochain) -> str:
     bits = []
     for idx in sorted(ch.entries):
-        for k, c in enumerate(ch.entries[idx]):
-            if c:
-                bits.append("a %s %d: %s"
-                            % (" ".join(str(i + 1) for i in idx), k + 1, c))
+        for k, c in sorted(ch.entries[idx].items()):
+            bits.append("a %s %d: %s"
+                        % (" ".join(str(i + 1) for i in idx), k + 1, c))
     return "; ".join(bits) if bits else "0"
 
 

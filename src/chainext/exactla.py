@@ -300,23 +300,7 @@ def operator_matrix(op, src: Basis, dst: Basis) -> RatMatrix:
                                   nrows=len(dst))
 
 
-# -- vector helpers ---------------------------------------------------------
-
-def vec_zeros(n):
-    return [_ZERO] * n
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-def vec_scale(c, u):
-    c = rat(c)
-    return [c * a for a in u]
-
-def vec_is_zero(u):
-    return all(a == 0 for a in u)
+# -- sparse vectors -----------------------------------------------------------
 
 def add_into(acc, terms, c=1):
     """acc += c * terms on sparse vectors {label: nonzero value}, dropping
@@ -411,7 +395,7 @@ def kernel_basis(m: RatMatrix):
     free = [j for j in range(m.ncols) if j not in pivots]
     basis = []
     for f in free:
-        v = vec_zeros(m.ncols)
+        v = [_ZERO] * m.ncols
         v[f] = _ONE
         for r_idx, p in enumerate(pivots):
             v[p] = -reduced.entry(r_idx, f)

@@ -211,7 +211,7 @@ def load_cochain(text) -> Cochain:
 
 def load_brst(text):
     """(m, n, poisson_table, structure) ready for ConstraintSystem."""
-    from .brst import ConstraintSystem
+    from .brst import constraint_algebra
     lines = _data_lines(text)
     m = n = None
     raw = []
@@ -225,27 +225,27 @@ def load_brst(text):
             raw.append((lineno, key, value))
     if m is None or n is None:
         raise FormatError(lines[0][0], "missing m or n")
-    proto = ConstraintSystem(m, n, {}, {})
+    alg = constraint_algebra(m, n)
     table, structure = {}, {}
     for lineno, key, value in raw:
         parts = key.split()
         if len(parts) == 3 and parts[0] == "p":
             for name in parts[1:]:
-                if name not in proto.alg.index:
+                if name not in alg.index:
                     raise FormatError(lineno, "unknown generator %r" % (name,))
             pair = (parts[1], parts[2])
             if pair in table or (pair[1], pair[0]) in table:
                 raise FormatError(lineno, "duplicate bracket for %s, %s" % pair)
-            table[pair] = parse_poly(lineno, value, proto.alg)
+            table[pair] = parse_poly(lineno, value, alg)
         elif len(parts) == 4 and parts[0] == "s":
             a, b, c = (_int(lineno, p) for p in parts[1:])
             if not (1 <= a < b <= n and 1 <= c <= n):
                 raise FormatError(lineno, "need 1 <= a < b <= n, 1 <= c <= n")
             vals = structure.setdefault(
-                (a - 1, b - 1), [SuperPoly.zero(proto.alg) for _ in range(n)])
+                (a - 1, b - 1), [SuperPoly.zero(alg) for _ in range(n)])
             if not vals[c - 1].is_zero():
                 raise FormatError(lineno, "duplicate structure function")
-            vals[c - 1] = parse_poly(lineno, value, proto.alg)
+            vals[c - 1] = parse_poly(lineno, value, alg)
         else:
             raise FormatError(lineno, "unknown key %r" % (key,))
     return m, n, table, structure

@@ -18,75 +18,59 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .exactla import (
-    RatMatrix, add_into, kernel_basis, rank, rat, rref, solve,
-    vec_add, vec_is_zero, vec_scale, vec_sub, vec_zeros,
-)
+from .exactla import (Basis, RatMatrix, add_into, kernel_basis,
+                      operator_matrix, rank, rat, rref, solve)
+
+_ONE = Fraction(1)
 
 
 class LieAlgebra:
-    """Structure constants c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """[e_i, e_j] = sum_k c_ijk e_k, stored once as the 2-cochain `alpha0`."""
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "alpha0")
 
     def __init__(self, dim, brackets=None):
         """brackets: {(i, j): vector} for i < j, zero-based; omitted pairs are 0."""
-        dim = int(dim)
-        c = [[vec_zeros(dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), v in (brackets or {}).items():
-            if not 0 <= i < j < dim:
-                raise ValueError("bracket indices must satisfy 0 <= i < j < dim")
-            v = [rat(x) for x in v]
-            if len(v) != dim:
-                raise ValueError("bracket value has wrong length")
-            c[i][j] = v
-            c[j][i] = vec_scale(-1, v)
-        self.dim = dim
-        self.c = c
-
-    def bracket_basis(self, i, j):
-        return list(self.c[i][j])
-
-    def bracket(self, u, v):
-        out = vec_zeros(self.dim)
-        for i in range(self.dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.dim):
-                if v[j] == 0 or i == j:
-                    continue
-                out = vec_add(out, vec_scale(u[i] * v[j], self.c[i][j]))
-        return out
+        self.dim = int(dim)
+        self.alpha0 = Cochain(self.dim, 2, brackets)
 
 
 class Cochain:
     """Alternating p-linear map A^p -> A, p in {1, 2, 3}.
 
-    entries: {increasing index tuple: value vector}; evaluation on arbitrary
-    tuples sorts the indices and applies the sign of the permutation
-    (repeated indices give zero).
+    entries: {increasing index tuple: {component: nonzero Fraction}}, with
+    no empty value; evaluation on arbitrary tuples sorts the indices and
+    applies the sign of the permutation (repeated indices give zero).
     """
 
     __slots__ = ("dim", "arity", "entries")
 
     def __init__(self, dim, arity, entries=None):
+        """entries: {increasing index tuple: dense value vector}."""
         if arity not in (1, 2, 3):
             raise ValueError("arity must be 1, 2 or 3")
-        self.dim = int(dim)
-        self.arity = int(arity)
-        clean = {}
+        sparse = {}
         for idx, v in (entries or {}).items():
             idx = tuple(int(i) for i in idx)
             if len(idx) != arity or any(not 0 <= i < dim for i in idx):
                 raise ValueError("bad index tuple %r" % (idx,))
             if list(idx) != sorted(idx) or len(set(idx)) != arity:
                 raise ValueError("entries must use strictly increasing tuples")
-            v = [rat(x) for x in v]
             if len(v) != dim:
                 raise ValueError("value has wrong length")
-            if not vec_is_zero(v):
-                clean[idx] = v
-        self.entries = clean
+            v = {k: x for k, x in enumerate(map(rat, v)) if x}
+            if v:
+                sparse[idx] = v
+        self.dim, self.arity, self.entries = int(dim), int(arity), sparse
+
+    @classmethod
+    def _of(cls, dim, arity, entries):
+        """The cochain with sparse values {idx: {component: nonzero}}; empty
+        values are dropped, the rest taken over."""
+        out = cls.__new__(cls)
+        out.dim, out.arity = dim, arity
+        out.entries = {idx: v for idx, v in entries.items() if v}
+        return out
 
     def value(self, idx):
         """Value on a basis tuple in any order, with the alternating sign."""
@@ -112,7 +96,7 @@ class Cochain:
             c = 1
             for a, (i, x) in enumerate(picks):
                 c *= -x if sum(j < i for j in idx[a + 1:]) % 2 else x
-            add_into(out, {k: x for k, x in enumerate(value) if x}, c)
+            add_into(out, value, c)
         return out
 
     def _dense(self, v):
@@ -120,14 +104,17 @@ class Cochain:
 
     def add(self, other):
         self._compatible(other)
-        keys = set(self.entries) | set(other.entries)
-        return Cochain(self.dim, self.arity,
-                       {k: vec_add(self.value(k), other.value(k)) for k in keys})
+        entries = {idx: dict(v) for idx, v in self.entries.items()}
+        for idx, v in other.entries.items():
+            add_into(entries.setdefault(idx, {}), v)
+        return Cochain._of(self.dim, self.arity, entries)
 
     def scale(self, c):
         c = rat(c)
-        return Cochain(self.dim, self.arity,
-                       {k: vec_scale(c, v) for k, v in self.entries.items()})
+        entries = {}
+        for idx, v in self.entries.items() if c else ():
+            add_into(entries.setdefault(idx, {}), v, c)
+        return Cochain._of(self.dim, self.arity, entries)
 
     def is_zero(self):
         return not self.entries
@@ -147,12 +134,7 @@ class Cochain:
 
 def alpha0_cochain(alg: LieAlgebra) -> Cochain:
     """The bracket of the algebra as a 2-cochain."""
-    entries = {}
-    for i, j in combinations(range(alg.dim), 2):
-        v = alg.bracket_basis(i, j)
-        if not vec_is_zero(v):
-            entries[(i, j)] = v
-    return Cochain(alg.dim, 2, entries)
+    return alg.alpha0
 
 
 def jacobi_check(alg: LieAlgebra, a0: Cochain | None = None) -> bool:
@@ -169,16 +151,14 @@ def nr_compose(ai: Cochain, aj: Cochain) -> Cochain:
         raise ValueError("nr_compose needs two 2-cochains")
     if ai.dim != aj.dim:
         raise ValueError("cochain dimension mismatch")
-    dim = ai.dim
-    basis = [[Fraction(1) if t == s else Fraction(0) for s in range(dim)] for t in range(dim)]
     entries = {}
-    for i, j, k in combinations(range(dim), 3):
-        v = ai.eval(aj.value((i, j)), basis[k])
-        v = vec_sub(v, ai.eval(aj.value((i, k)), basis[j]))
-        v = vec_add(v, ai.eval(aj.value((j, k)), basis[i]))
-        if not vec_is_zero(v):
-            entries[(i, j, k)] = v
-    return Cochain(dim, 3, entries)
+    for i, j, k in combinations(range(ai.dim), 3):
+        acc = entries[(i, j, k)] = {}
+        for pair, last, c in (((i, j), k, 1), ((i, k), j, -1), ((j, k), i, 1)):
+            inner = aj.entries.get(pair)
+            if inner:
+                add_into(acc, ai.apply(inner, {last: _ONE}), c)
+    return Cochain._of(ai.dim, 3, entries)
 
 
 def bracket2(ai: Cochain, aj: Cochain) -> Cochain:
@@ -194,58 +174,54 @@ def ce_differential(alg: LieAlgebra, beta: Cochain,
     must be alpha0_cochain(alg)).  On 1-cochains
     (d phi)(x, y) = [x, phi(y)] - [y, phi(x)] - phi([x, y]).
     """
+    if a0 is None:
+        a0 = alpha0_cochain(alg)
     if beta.arity == 2:
-        return bracket2(alpha0_cochain(alg) if a0 is None else a0, beta)
+        return bracket2(a0, beta)
     if beta.arity != 1:
         raise ValueError("differential only implemented for arities 1 and 2")
-    dim = alg.dim
-    basis = [[Fraction(1) if t == s else Fraction(0) for s in range(dim)] for t in range(dim)]
     entries = {}
-    for i, j in combinations(range(dim), 2):
-        v = alg.bracket(basis[i], beta.value((j,)))
-        v = vec_sub(v, alg.bracket(basis[j], beta.value((i,))))
-        v = vec_sub(v, beta.eval(alg.bracket_basis(i, j)))
-        if not vec_is_zero(v):
-            entries[(i, j)] = v
-    return Cochain(dim, 2, entries)
+    for i, j in combinations(range(alg.dim), 2):
+        acc = entries[(i, j)] = {}
+        for x, y, c in ((i, j, 1), (j, i, -1)):
+            phi_y = beta.entries.get((y,))
+            if phi_y:
+                add_into(acc, a0.apply({x: _ONE}, phi_y), c)
+        if (i, j) in a0.entries:
+            add_into(acc, beta.apply(a0.entries[(i, j)]), -1)
+    return Cochain._of(alg.dim, 2, entries)
 
 
 # -- coordinates for cochain spaces ------------------------------------------
 
-def cochain_index_tuples(dim, arity):
-    return list(combinations(range(dim), arity))
+def cochain_basis(dim, arity) -> Basis:
+    """Labels (index tuple, component) of the arity-p cochains: tuples in
+    lexicographic order, components inner."""
+    return Basis([(idx, k) for idx in combinations(range(dim), arity)
+                  for k in range(dim)])
 
 
-def cochain_to_vector(ch: Cochain):
-    """Flat coordinates: index tuples in lexicographic order, value components inner."""
-    out = []
-    for idx in cochain_index_tuples(ch.dim, ch.arity):
-        out.extend(ch.value(idx))
-    return out
+def _labelled(ch: Cochain):
+    """The cochain as (label, coefficient) pairs on its cochain_basis."""
+    return [((idx, k), x) for idx, v in ch.entries.items() for k, x in v.items()]
 
 
-def vector_to_cochain(dim, arity, v):
-    tuples = cochain_index_tuples(dim, arity)
+def _cochain(basis: Basis, dim, arity, coords) -> Cochain:
+    """The cochain with the given coordinates on basis."""
     entries = {}
-    for t_i, idx in enumerate(tuples):
-        chunk = v[t_i * dim:(t_i + 1) * dim]
-        if not vec_is_zero(chunk):
-            entries[idx] = chunk
-    return Cochain(dim, arity, entries)
+    for (idx, k), x in zip(basis.labels, coords):
+        if x:
+            entries.setdefault(idx, {})[k] = x
+    return Cochain._of(dim, arity, entries)
 
 
 def differential_matrix(alg: LieAlgebra, arity) -> RatMatrix:
     """Matrix of the differential from arity-p cochains to arity-(p+1) cochains."""
     dim = alg.dim
-    src = cochain_index_tuples(dim, arity)
-    cols = []
-    for t_i, idx in enumerate(src):
-        for comp in range(dim):
-            basis_ch = Cochain(dim, arity, {idx: [Fraction(1) if s == comp else Fraction(0)
-                                                  for s in range(dim)]})
-            cols.append(cochain_to_vector(ce_differential(alg, basis_ch)))
-    nrows = len(cochain_index_tuples(dim, arity + 1)) * dim
-    return RatMatrix.from_columns(cols, nrows=nrows)
+    return operator_matrix(
+        lambda b: _labelled(ce_differential(
+            alg, Cochain._of(dim, arity, {b[0]: {b[1]: _ONE}}))),
+        cochain_basis(dim, arity), cochain_basis(dim, arity + 1))
 
 
 def h2(alg: LieAlgebra):
@@ -263,11 +239,12 @@ def h2(alg: LieAlgebra):
     dim_h2 = len(cocycles) - b_rank
     reps = []
     if cocycles:
+        basis = cochain_basis(alg.dim, 2)
         stacked = d1.hstack(RatMatrix.from_columns(cocycles, nrows=d1.nrows))
         _, pivots, _ = rref(stacked)
         for p in pivots:
             if p >= d1.ncols:
-                reps.append(vector_to_cochain(alg.dim, 2, cocycles[p - d1.ncols]))
+                reps.append(_cochain(basis, alg.dim, 2, cocycles[p - d1.ncols]))
     assert len(reps) == dim_h2
     return dim_h2, reps
 
@@ -309,7 +286,7 @@ def extend_deformation(alg: LieAlgebra, alphas):
                 "deformation equation fails at order %d" % m)
     rho = obstruction(alphas, n)
     d2 = differential_matrix(alg, 2)
-    x = solve(d2, cochain_to_vector(rho))
+    x = solve(d2, cochain_basis(alg.dim, 3).coords(_labelled(rho)))
     if x is None:
         return None
-    return vector_to_cochain(alg.dim, 2, x)
+    return _cochain(cochain_basis(alg.dim, 2), alg.dim, 2, x)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainext import brst as brst_mod
 from chainext.brst import (
     BRSTExtension, ConstraintSystem, abelian_system, build_brst,
     check_nilpotent_on_basis, degree_jump, eta_project, export_to_complexes,
@@ -300,3 +301,23 @@ def test_extension_operators_are_linear(name, data):
     for op in (ext.l2, ext.l3, ext.total):
         assert op(f + g) == op(f) + op(g)
         assert op(f.scale(a)) == op(f).scale(a)
+
+
+@pytest.mark.parametrize("make, cap, first", [
+    (so3_system, 3, ("lambda_tilde_kills_ideal", (0,))),          # G1
+    (toy_system, 3, ("lambda_tilde_kills_ideal", (0, 0, 1, 3, 4))),
+])
+def test_doubled_homotopy_fails_both_degree0_keys(make, cap, first,
+                                                  monkeypatch):
+    """With s doubled, lambda~ f = f + 2 delta s f = -f on a monomial with a
+    G factor: the ideal test and the degree-0 homotopy identity both fail,
+    and the first failure is the one recorded before the two tests were
+    merged into one comparison."""
+    real = brst_mod.homotopy_s
+    monkeypatch.setattr(brst_mod, "homotopy_s",
+                        lambda sys_, f: real(sys_, f).scale(2))
+    rep = verify_brst_resolution(make(), cap=cap)
+    assert rep["lambda_tilde_kills_ideal"] is False
+    assert rep["homotopy_identity"] is False
+    assert rep["delta_squared"] and rep["nbar_identity"] and not rep["ok"]
+    assert rep["first_failure"] == first

@@ -344,3 +344,16 @@ def test_sweep_covers_every_basis_case(problem, maxdeg):
     rep = verify_theorem8(maps, maxdeg=maxdeg)
     T, n = maps.T, maps.n
     assert rep["cases"] == len(monos) * (T + 1) + len(monos) * max(0, T - n)
+
+
+def test_negative_star_shift_breaks_the_ideal():
+    """A star l2 term at shift -1 moves a* t^(n+1) to t^n, out of the ideal
+    t^(n+1) R[[t]].  TLinear refuses negative shifts, so the term is put
+    into the stored terms of built maps."""
+    maps = theorem8_maps(two_ghost_problem())
+    assert verify_theorem8(maps, maxdeg=2)["ideal_preserved"]
+    maps.l2_star_op.terms[-1] = maps.l2_star_op.terms[0]
+    rep = verify_theorem8(maps, maxdeg=2)
+    assert rep["ideal_preserved"] is False and rep["ok"] is False
+    assert rep["first_failure"] == ("ideal_preserved", -1)
+    assert rep["s_squared"] is None and rep["cases"] == 0

@@ -11,6 +11,7 @@ from chainext.cli import main
 from chainext.complexes import HomotopyData
 from chainext.exactla import RatMatrix
 from chainext.formats import dump_extend, load_extend
+from chainext.lie import Cochain
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_reports.json")
@@ -64,6 +65,13 @@ def test_lie_obstructed_deformation(capsys):
 ])
 def test_lie_cochain_reports(argv, code, capsys):
     assert run_golden(capsys, *argv.split())[0] == code
+
+
+def test_format_cochain_orders_tuples_then_components():
+    ch = Cochain(3, 2, {(1, 2): [0, 5, 0], (0, 1): [1, 0, "-2/3"]})
+    assert cli.format_cochain(ch) == \
+        "a 1 2 1: 1; a 1 2 3: -2/3; a 2 3 2: 5"
+    assert cli.format_cochain(Cochain(3, 2)) == "0"
 
 
 def test_lie_non_cocycle_direction(tmp_path, capsys):

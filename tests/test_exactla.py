@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chainext.exactla import (
     Basis, Rat, RatMatrix, operator_matrix, rat, rref, rank, kernel_basis,
-    solve, quotient_dims, vec_is_zero,
+    solve, quotient_dims,
 )
 
 
@@ -56,7 +56,7 @@ def test_kernel_rank_nullity_random():
         basis = kernel_basis(m)
         assert rank(m) + len(basis) == nc
         for v in basis:
-            assert vec_is_zero(m.mat_vec(v))
+            assert not any(m.mat_vec(v))
 
 
 def test_solve_inconsistent():

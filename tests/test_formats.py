@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from chainext.brst import ConstraintSystem, so3_system, toy_system
+from chainext.brst import (ConstraintSystem, constraint_algebra,
+                           so3_system, toy_system)
 from chainext.bv import DeformationProblem, obstruction_R, two_ghost_problem
 from chainext.complexes import verify_homotopy
 from chainext.exactla import RatMatrix, rat
@@ -35,7 +36,7 @@ def test_load_lie_so3_matches_fixture():
     alg = load_lie(read_model("lie_so3.txt"))
     want = LieAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0],
                           (0, 2): [0, -1, 0]})
-    assert alg.c == want.c
+    assert alpha0_cochain(alg) == alpha0_cochain(want)
     assert jacobi_check(alg)
 
 
@@ -95,6 +96,22 @@ def test_load_brst_matches_shipped_systems():
                         want.structure_fn(c, a, b)
     m, n, table, structure = load_brst(read_model("brst_abelian.txt"))
     assert (m, n) == (0, 2) and not table and not structure
+
+
+def test_brst_examples_build_one_constraint_system(monkeypatch):
+    """The shipped systems and load_brst take their generator algebra from
+    constraint_algebra, not from a throwaway ConstraintSystem."""
+    built = []
+    real = ConstraintSystem.__init__
+
+    def counted(self, *args):
+        built.append(args[:2])
+        real(self, *args)
+    monkeypatch.setattr(ConstraintSystem, "__init__", counted)
+    assert so3_system().alg == constraint_algebra(0, 3)
+    assert toy_system().alg == constraint_algebra(1, 2)
+    load_brst(read_model("brst_so3.txt"))
+    assert built == [(0, 3), (1, 2)]
 
 
 def test_load_brst_errors():

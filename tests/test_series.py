@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainext.exactla import Basis, rat, vec_add, vec_is_zero, vec_scale, \
-    vec_zeros
+from chainext.exactla import Basis, rat
 from chainext.lie import LieAlgebra, alpha0_cochain, ce_differential, Cochain
 from chainext.series import Series, TLinear
 from chainext.shlie import TruncSeries, build_shlie
@@ -17,6 +16,22 @@ _settings = settings(max_examples=60, deadline=None)
 
 
 # -- the dense vector series the layer replaced, kept as the reference --------
+
+def vec_zeros(n):
+    return [Fraction(0)] * n
+
+
+def vec_add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def vec_scale(c, u):
+    return [rat(c) * a for a in u]
+
+
+def vec_is_zero(u):
+    return all(a == 0 for a in u)
+
 
 class DenseSeries:
     """Vector-valued polynomial in t modulo t^{N+1}: coeffs[k] is the t^k

@@ -183,7 +183,7 @@ def test_crosscheck_with_engine_all_fixtures():
             assert rep["ok"], (variant, rep)
             if variant == "full":
                 assert rep["curried_chain_extend"] is True
-            elif all(v == 0 for r in alg.c for row in r for v in row):
+            elif alpha0_cochain(alg).is_zero():
                 assert rep["curried_chain_extend"] is True
             else:
                 assert rep["curried_chain_extend"] is None
@@ -228,3 +228,16 @@ def test_verify_counts_the_tuples_it_checks():
     empty = LieAlgebra(0, {})
     rep = verify_shlie(build(empty, Cochain(0, 2, {})))
     assert rep["ok"] and rep["tuples"] == 0
+
+
+@pytest.mark.parametrize("variant", ["t2", "full"])
+def test_crosscheck_detects_a_doubled_l3(variant):
+    """The engine side rebuilds l3 from the curried l2 and s only, so
+    doubling the closed-form l3 breaks l3_matches and leaves the mixed l2
+    alone."""
+    S = build(abelian3(), obstructed_alpha1(), variant=variant)
+    assert crosscheck_with_engine(S)["ok"]
+    S.comp11 = S.comp11.scale(2)
+    rep = crosscheck_with_engine(S)
+    assert rep["mixed_l2_matches"] is True
+    assert rep["l3_matches"] is False and rep["ok"] is False
