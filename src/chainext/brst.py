@@ -18,12 +18,19 @@ l2 and l3 are per-monomial rules extended linearly.
 Operators are materialized on the finite monomial basis of weighted degree
 <= cap, where the weight adds the maximal degree jump of d per missing
 ghost; the basis is closed under every operator and this is checked loudly.
+The matrices of delta, sigma, s and d are built once per system and cap,
+one block per antighost group, by exactla.operator_matrix, which raises
+when an output leaves the capped basis; check_nilpotent_on_basis does the
+same for the images of l2 + l3.  The resolution identities, the ideal
+conditions and the nilpotency of the total operator are then sparse block
+products on these matrices, and export_to_complexes hands the same blocks
+to the engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
 from .exactla import (Basis, RatMatrix, add_into,
@@ -241,45 +248,76 @@ def _groups(sys: ConstraintSystem, cap: int):
     return groups
 
 
+# -- operator blocks on the capped basis ------------------------------------------
+
+def _block(sys: ConstraintSystem, cap: int, name: str, k: int) -> RatMatrix:
+    """The matrix of delta (group k to k-1), sigma or s (k to k+1) or d (k to
+    k), built once per system and cap and kept next to the groups.  A group
+    outside 0..n is the empty basis, so an output that leaves the capped
+    basis raises, naming the escaping monomial."""
+    key = (cap, name, k)
+    blk = sys._bases.get(key)
+    if blk is None:
+        groups = _groups(sys, cap)
+        op, shift = {"delta": (koszul_tate, -1), "sigma": (sigma, 1),
+                     "s": (homotopy_s, 1), "d": (longitudinal_d, 0)}[name]
+        src, dst = (groups[j] if 0 <= j < len(groups) else []
+                    for j in (k, k + shift))
+        blk = sys._bases[key] = _matrix(sys, op, src, dst)
+    return blk
+
+
+def _bad_columns(mat: RatMatrix):
+    """Indices of the nonzero columns of a residual."""
+    return {j for j, col in enumerate(mat.sparse_columns()) if col}
+
+
 # -- verification of the resolution data ---------------------------------------
+
+RESOLUTION_KEYS = ("delta_squared", "nbar_identity",
+                   "lambda_tilde_kills_ideal", "homotopy_identity")
+
 
 def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
     """delta^2 = 0, delta sigma + sigma delta = Nbar, lambda~ kills the
-    constraint ideal, and the homotopy identity, all on the capped basis."""
+    constraint ideal, and the homotopy identity, each as a product of the
+    operator blocks on one basis group.  The first failure is the first
+    nonzero residual column in (group, monomial, key) order."""
     groups = _groups(sys, cap)
-    report = {"delta_squared": True, "nbar_identity": True,
-              "lambda_tilde_kills_ideal": True, "homotopy_identity": True,
-              "first_failure": None}
+    report = dict.fromkeys(RESOLUTION_KEYS, True)
+    report["first_failure"] = None
 
-    def fail(key, mono):
-        report[key] = False
-        if report["first_failure"] is None:
-            report["first_failure"] = (key, mono)
+    def blk(name, k):
+        return _block(sys, cap, name, k)
 
     for k, group in enumerate(groups):
-        for mono in group:
-            f = SuperPoly(sys.alg, {mono: 1})
-            df = koszul_tate(sys, f)
-            sf = homotopy_s(sys, f)
-            dsf = koszul_tate(sys, sf)
-            if not koszul_tate(sys, df).is_zero():
-                fail("delta_squared", mono)
-            if koszul_tate(sys, sigma(sys, f)) + sigma(sys, df) != \
-                    nbar(sys, f):
-                fail("nbar_identity", mono)
-            if k == 0:
-                # degree 0 homotopy identity lambda eta - 1 = l1 s, i.e.
-                # eta_project(f) = lambda~ f = f + delta s f; with a G
-                # factor eta_project(f) = 0, so it says lambda~ kills f
-                if eta_project(sys, f) != f + dsf:
-                    if sys.has_constraint_factor(mono):
-                        fail("lambda_tilde_kills_ideal", mono)
-                    fail("homotopy_identity", mono)
-            elif dsf + homotopy_s(sys, df) != f.scale(-1):
-                fail("homotopy_identity", mono)
-    report["ok"] = all(report[k] for k in
-                       ("delta_squared", "nbar_identity",
-                        "lambda_tilde_kills_ideal", "homotopy_identity"))
+        one = RatMatrix.identity(len(group))
+        nbar_res = (blk("delta", k + 1) @ blk("sigma", k)
+                    + blk("sigma", k - 1) @ blk("delta", k)
+                    - _matrix(sys, nbar, group, group))
+        if k == 0:
+            # lambda eta - 1 = l1 s, i.e. eta_project = 1 + delta s
+            homotopy_res = (_matrix(sys, eta_project, group, group) - one
+                            - blk("delta", 1) @ blk("s", 0))
+        else:
+            homotopy_res = (blk("delta", k + 1) @ blk("s", k)
+                            + blk("s", k - 1) @ blk("delta", k) + one)
+        bad = {"delta_squared":
+               _bad_columns(blk("delta", k - 1) @ blk("delta", k)),
+               "nbar_identity": _bad_columns(nbar_res),
+               "homotopy_identity": _bad_columns(homotopy_res)}
+        # eta_project is 0 on a monomial with a G factor, so there the
+        # degree-0 identity says that lambda~ kills it
+        bad["lambda_tilde_kills_ideal"] = {
+            j for j in bad["homotopy_identity"]
+            if sys.has_constraint_factor(group[j])} if k == 0 else set()
+        for j in sorted(set().union(*bad.values())):
+            for key in RESOLUTION_KEYS:
+                if j in bad[key]:
+                    report[key] = False
+                    if report["first_failure"] is None:
+                        report["first_failure"] = (key, group[j])
+    report["ok"] = all(report[k] for k in RESOLUTION_KEYS)
     return report
 
 
@@ -345,15 +383,20 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
     if not rep["ok"]:
         raise ValueError("resolution data fails verification: %r"
                          % (rep["first_failure"],))
-    groups = _groups(sys, degree_cap)
-    for mono in groups[0]:
+    group = _groups(sys, degree_cap)[0]
+    d0 = _block(sys, degree_cap, "d", 0)
+
+    def poly(col):
+        return SuperPoly(sys.alg, {group[i]: c for i, c in col.items()})
+
+    for mono, df, ddf in zip(group, d0.sparse_columns(),
+                             (d0 @ d0).sparse_columns()):
         f = SuperPoly(sys.alg, {mono: 1})
-        df = longitudinal_d(sys, f)
         if sys.has_constraint_factor(mono) and \
-                not in_constraint_ideal(sys, df):
+                not in_constraint_ideal(sys, poly(df)):
             raise ValueError("d does not preserve the constraint ideal at %s"
                              % (f,))
-        if not in_constraint_ideal(sys, longitudinal_d(sys, df)):
+        if not in_constraint_ideal(sys, poly(ddf)):
             raise ValueError("d^2 escapes the constraint ideal at %s" % (f,))
     ext = BRSTExtension(sys)
     for name in sys.ps + sys.etas:
@@ -368,14 +411,21 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
 
 
 def check_nilpotent_on_basis(ext: BRSTExtension, cap: int):
-    """(l1+l2+l3)^2 on every basis monomial; returns the first offender."""
-    groups = _groups(ext.sys, cap)
-    for group in groups:
-        for mono in group:
-            f = SuperPoly(ext.sys.alg, {mono: 1})
-            if not ext.total(ext.total(f)).is_zero():
-                return mono
-    return None
+    """(l1+l2+l3)^2 on every basis monomial, as the square of one matrix on
+    the whole capped basis: the delta blocks plus the per-monomial images of
+    l2 + l3.  Returns the first monomial whose column of the square is
+    nonzero, or None; raises when an image leaves the basis."""
+    sys = ext.sys
+    groups = _groups(sys, cap)
+    monos = [m for g in groups for m in g]
+    offsets = list(accumulate(map(len, groups), initial=0))
+    total = _matrix(sys, lambda _, f: _sum(sys.alg, (ext.l2(f), ext.l3(f))),
+                    monos, monos) + RatMatrix.from_blocks(
+        len(monos), len(monos),
+        [(offsets[k - 1], offsets[k], _block(sys, cap, "delta", k))
+         for k in range(1, len(groups))])
+    bad = _bad_columns(total @ total)
+    return monos[min(bad)] if bad else None
 
 
 # -- export to the generic engine ------------------------------------------------
@@ -389,17 +439,15 @@ def export_to_complexes(sys: ConstraintSystem, degree_cap: int):
     """
     groups = _groups(sys, degree_cap)
     sp = GradedSpace([len(g) for g in groups])
-    l1_blocks = {k: _matrix(sys, koszul_tate, groups[k], groups[k - 1])
+    l1_blocks = {k: _block(sys, degree_cap, "delta", k)
                  for k in range(1, sys.n + 1)}
-    s_blocks = {k: _matrix(sys, homotopy_s, groups[k], groups[k + 1])
-                for k in range(0, sys.n)}
+    s_blocks = {k: _block(sys, degree_cap, "s", k) for k in range(0, sys.n)}
     free = [m for m in groups[0] if not sys.has_constraint_factor(m)]
     eta = _matrix(sys, eta_project, groups[0], free)
     lam = _matrix(sys, lambda _, f: f, free, groups[0])
     hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta, lam,
                       GradedMap(sp, +1, s_blocks))
-    l2_0 = _matrix(sys, longitudinal_d, groups[0], groups[0])
-    return hd, l2_0, groups
+    return hd, _block(sys, degree_cap, "d", 0), groups
 
 
 def operator_matrix(ext: BRSTExtension, op_name: str, groups, k_from: int,

@@ -21,8 +21,8 @@ from .complexes import (ExtensionPreconditionError, chain_extend,
                         homology_dim_of_differential, total_homology_dims,
                         verify_homotopy, verify_nilpotent)
 from .instances import random_split_instance
-from .lie import (Cochain, DeformationPreconditionError, bracket2,
-                  extend_deformation, h2, jacobi_check)
+from .lie import (Cochain, DeformationPreconditionError, JacobiError,
+                  bracket2, extend_deformation, h2)
 from .shlie import (build_shlie, crosscheck_with_engine, l3_is_obstruction,
                     variants_agree, verify_shlie)
 
@@ -85,11 +85,12 @@ def format_cochain(ch: Cochain) -> str:
 def cmd_lie(config: RunConfig):
     alg = _load(config.input, "lie", formats.load_lie)
     report = {"command": "lie", "dim": alg.dim}
-    if not jacobi_check(alg):
+    try:
+        dim_h2, reps = h2(alg)
+    except JacobiError:
         report["jacobi"] = "failed"
         return report, MATH_FAIL
     report["jacobi"] = "ok"
-    dim_h2, reps = h2(alg)
     report["H2 dim"] = dim_h2
     for i, rep in enumerate(reps, start=1):
         report["H2 rep %d" % i] = format_cochain(rep)

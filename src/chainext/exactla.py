@@ -185,6 +185,15 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return not any(self._nums)
 
+    def sparse_columns(self):
+        """The columns as {row: nonzero Fraction} dicts, in column order."""
+        cols = [{} for _ in range(self.ncols)]
+        d = self.den
+        for i, r in enumerate(self._nums):
+            for j, v in r.items():
+                cols[j][i] = Fraction(v, d)
+        return cols
+
     # -- arithmetic --------------------------------------------------------
 
     def _combine(self, other, sign):
@@ -288,16 +297,40 @@ class Basis:
             if i is not None:
                 v[i] = c
             elif c != 0:
-                raise ValueError("operator output escapes the basis at %s"
-                                 % (self.name(label),))
+                raise self.escape(label)
         return v
+
+    def escape(self, label):
+        """The error for a nonzero coefficient on a label outside the basis."""
+        return ValueError("operator output escapes the basis at %s"
+                          % (self.name(label),))
 
 
 def operator_matrix(op, src: Basis, dst: Basis) -> RatMatrix:
     """Column j holds the dst coordinates of op(src.labels[j]), where op
-    returns (label, coefficient) pairs."""
-    return RatMatrix.from_columns([dst.coords(op(b)) for b in src.labels],
-                                  nrows=len(dst))
+    returns (label, coefficient) pairs; as in Basis.coords, a zero
+    coefficient may carry any label and a repeated label keeps its last
+    coefficient.  The integer rows are written straight from the pairs, with
+    no dense column in between."""
+    index = dst.index
+    rows = [{} for _ in range(len(dst))]
+    den = 1
+    for j, b in enumerate(src.labels):
+        for label, c in op(b):
+            i = index.get(label)
+            if i is None:
+                if c != 0:
+                    raise dst.escape(label)
+            elif c:
+                c = rows[i][j] = _exact(c)
+                if den % c.denominator:
+                    den = lcm(den, c.denominator)
+            else:
+                rows[i].pop(j, None)
+    for r in rows:
+        for j, x in r.items():
+            r[j] = x.numerator * (den // x.denominator)
+    return RatMatrix._of(rows, den, len(src))
 
 
 # -- sparse vectors -----------------------------------------------------------

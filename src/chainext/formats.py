@@ -341,7 +341,9 @@ def load_extend(text):
                 cells = rline.split()
                 if len(cells) != ncols:
                     raise FormatError(rlineno, "expected %d entries" % ncols)
-                rows.append([_rat(rlineno, c) for c in cells])
+                # most cells of an exported block are "0"; they skip Fraction
+                rows.append([0 if c == "0" else _rat(rlineno, c)
+                             for c in cells])
             blocks[name] = (lineno, RatMatrix(rows, ncols=ncols))
             pos += 1 + nlines
         else:

@@ -224,14 +224,19 @@ def differential_matrix(alg: LieAlgebra, arity) -> RatMatrix:
         cochain_basis(dim, arity), cochain_basis(dim, arity + 1))
 
 
+class JacobiError(ValueError):
+    """The structure constants do not satisfy the Jacobi identity."""
+
+
 def h2(alg: LieAlgebra):
     """(dim H^2, representative cocycles spanning a complement of the coboundaries).
 
     Representatives are chosen deterministically: kernel basis vectors of the
-    degree-2 differential whose columns extend the coboundary span.
+    degree-2 differential whose columns extend the coboundary span.  Raises
+    JacobiError when alg is not a Lie algebra.
     """
     if not jacobi_check(alg):
-        raise ValueError("structure constants do not satisfy the Jacobi identity")
+        raise JacobiError("structure constants do not satisfy the Jacobi identity")
     d2 = differential_matrix(alg, 2)
     d1 = differential_matrix(alg, 1)
     cocycles = kernel_basis(d2)

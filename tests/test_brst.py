@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -321,3 +322,111 @@ def test_doubled_homotopy_fails_both_degree0_keys(make, cap, first,
     assert rep["homotopy_identity"] is False
     assert rep["delta_squared"] and rep["nbar_identity"] and not rep["ok"]
     assert rep["first_failure"] == first
+
+
+# -- the block route against the per-monomial sweeps -------------------------
+
+def verify_per_monomial(sys_, cap):
+    """verify_brst_resolution as a sweep of SuperPoly operators over every
+    basis monomial, the route the block products replaced.  Operators are
+    looked up on the module, so a monkeypatched homotopy_s reaches it."""
+    B = brst_mod
+    keys = ("delta_squared", "nbar_identity", "lambda_tilde_kills_ideal",
+            "homotopy_identity")
+    report = dict.fromkeys(keys, True)
+    report["first_failure"] = None
+
+    def fail(key, mono):
+        report[key] = False
+        if report["first_failure"] is None:
+            report["first_failure"] = (key, mono)
+
+    for k, group in enumerate(B._groups(sys_, cap)):
+        for mono in group:
+            f = SuperPoly(sys_.alg, {mono: 1})
+            df = B.koszul_tate(sys_, f)
+            dsf = B.koszul_tate(sys_, B.homotopy_s(sys_, f))
+            if not B.koszul_tate(sys_, df).is_zero():
+                fail("delta_squared", mono)
+            if B.koszul_tate(sys_, B.sigma(sys_, f)) + B.sigma(sys_, df) != \
+                    B.nbar(sys_, f):
+                fail("nbar_identity", mono)
+            if k == 0:
+                if B.eta_project(sys_, f) != f + dsf:
+                    if sys_.has_constraint_factor(mono):
+                        fail("lambda_tilde_kills_ideal", mono)
+                    fail("homotopy_identity", mono)
+            elif dsf + B.homotopy_s(sys_, df) != f.scale(-1):
+                fail("homotopy_identity", mono)
+    report["ok"] = all(report[k] for k in keys)
+    return report
+
+
+def nilpotent_per_monomial(ext, cap):
+    """check_nilpotent_on_basis as total(total(f)) on every basis monomial."""
+    for group in brst_mod._groups(ext.sys, cap):
+        for mono in group:
+            f = SuperPoly(ext.sys.alg, {mono: 1})
+            if not ext.total(ext.total(f)).is_zero():
+                return mono
+    return None
+
+
+def double_s(monkeypatch, systems):
+    real = brst_mod.homotopy_s
+    monkeypatch.setattr(brst_mod, "homotopy_s",
+                        lambda sys_, f: real(sys_, f).scale(2))
+
+
+def negate_l3(monkeypatch, systems):
+    real = BRSTExtension._l3_rule
+    monkeypatch.setattr(BRSTExtension, "_l3_rule",
+                        lambda self, f: real(self, f).scale(-1))
+
+
+def scale_delta_on_p1(monkeypatch, systems):
+    for sys_ in systems:
+        sys_.delta_vals["P1"] = sys_.delta_vals["P1"].scale(2)
+
+
+MUTATIONS = {"none": lambda mp, systems: None, "double_s": double_s,
+             "negate_l3": negate_l3, "scale_delta_P1": scale_delta_on_p1}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("make, cap", [(so3_system, 3), (so3_system, 4),
+                                       (toy_system, 3), (toy_system, 4)])
+def test_block_route_matches_per_monomial_sweeps(make, cap, mutation,
+                                                 monkeypatch):
+    ref_sys, sys_ = make(), make()
+    MUTATIONS[mutation](monkeypatch, (ref_sys, sys_))
+    want = verify_per_monomial(ref_sys, cap)
+    assert verify_brst_resolution(sys_, cap) == want
+    offender = nilpotent_per_monomial(BRSTExtension(ref_sys), cap)
+    assert check_nilpotent_on_basis(BRSTExtension(sys_), cap) == offender
+    # each mutation breaks what it should, so the comparison is not vacuous
+    assert want["ok"] == (mutation in ("none", "negate_l3"))
+    l3_zero = make is so3_system
+    assert (offender is None) == (mutation == "none"
+                                  or (mutation == "negate_l3" and l3_zero))
+
+
+@pytest.mark.parametrize("make, cap, k, mono", [
+    (so3_system, 3, 0, (0,)),                  # G1 = -delta P1
+    (toy_system, 4, 1, (1, 6)),                # G1 P2, a term of delta(P1 P2)
+])
+def test_removed_basis_monomial_raises_naming_it(make, cap, k, mono,
+                                                 monkeypatch):
+    groups = [list(g) for g in monomial_basis(make(), cap)]
+    groups[k].remove(mono)
+    monkeypatch.setattr(brst_mod, "_groups", lambda sys_, cap_: groups)
+    sys_ = make()
+    name = str(SuperPoly(sys_.alg, {mono: 1}))
+    match = "^operator output escapes the basis at %s$" % re.escape(name)
+    with pytest.raises(ValueError, match=match):
+        verify_brst_resolution(sys_, cap)
+    with pytest.raises(ValueError, match=match):
+        check_nilpotent_on_basis(BRSTExtension(make()), cap)
+    # the per-monomial sweeps pass the cut basis silently
+    assert verify_per_monomial(make(), cap)["ok"]
+    assert nilpotent_per_monomial(BRSTExtension(make()), cap) is None

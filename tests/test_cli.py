@@ -390,6 +390,33 @@ def test_shlie_validates_the_algebra_once(monkeypatch, capsys):
     assert [len(c) for c in counts] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("lie", "--input", "lie_sl2"),
+    ("lie", "--input", "lie_heisenberg"),
+    ("lie", "--input", "lie_abelian3", "--alpha1",
+     "cochain_obstructed_alpha1"),
+])
+def test_lie_decides_jacobi_once(argv, monkeypatch, capsys):
+    """h2 decides Jacobi; cmd_lie does not decide it a second time."""
+    from chainext import lie as lie_mod
+    calls = counting(monkeypatch, lie_mod, "jacobi_check", cli)
+    code, out = run_golden(capsys, *argv)
+    assert code == 0
+    assert "jacobi: ok" in out.splitlines()
+    assert len(calls) == 1
+
+
+def test_lie_jacobi_failure_decided_once(tmp_path, monkeypatch, capsys):
+    from chainext import lie as lie_mod
+    calls = counting(monkeypatch, lie_mod, "jacobi_check", cli)
+    f = tmp_path / "notlie.txt"
+    f.write_text("kind: lie\ndim: 3\nc 1 2 2: 1\nc 1 3 3: 1\n"
+                 "c 2 3 1: 1\nc 2 3 2: 5\n")
+    code, out = run(capsys, "lie", "--input", str(f))
+    assert (code, out) == (1, "command: lie\ndim: 3\njacobi: failed\n")
+    assert len(calls) == 1
+
+
 def test_brst_failed_resolution_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(brst_mod, "verify_brst_resolution",
                         lambda sys_, cap: {"ok": False,

@@ -146,6 +146,67 @@ def test_operator_matrix_empty_target():
         operator_matrix(lambda b: [(b, int(b == "b"))], src, Basis([]))
 
 
+def operator_matrix_dense_reference(op, src, dst):
+    """The dense build: one Basis.coords vector per column, then
+    from_columns."""
+    return RatMatrix.from_columns([dst.coords(op(b)) for b in src.labels],
+                                  nrows=len(dst))
+
+
+LABELS = ["a", "b", "c", "d", "e"]
+_coefficients = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def labelled_operators(draw):
+    """(table, src, dst): src and dst are (possibly empty) label lists and
+    table maps each src label to its (label, coefficient) pairs, some of them
+    zero coefficients on labels outside dst, some repeating a label."""
+    src = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=5))
+    dst = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=5))
+    table = {}
+    for b in src:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(dst), _coefficients),
+                              max_size=4)) if dst else []
+        off = [x for x in LABELS if x not in dst] + ["off"]
+        pairs += draw(st.lists(st.tuples(st.sampled_from(off), st.just(0)),
+                               max_size=2))
+        table[b] = draw(st.permutations(pairs))
+    return table, src, dst
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_operators())
+def test_sparse_operator_matrix_matches_dense_build(case):
+    table, src, dst = case
+    src, dst = Basis(src), Basis(dst)
+    got = operator_matrix(lambda b: table[b], src, dst)
+    assert got == operator_matrix_dense_reference(lambda b: table[b], src, dst)
+    assert got.shape == (len(dst), len(src))
+
+
+@settings(max_examples=40, deadline=None)
+@given(labelled_operators(), st.data())
+def test_sparse_operator_matrix_escape_message_unchanged(case, data):
+    table, src, dst = case
+    if not src:
+        return
+    outside = [x for x in LABELS if x not in dst] + ["off"]
+    b = data.draw(st.sampled_from(src))
+    table[b] = table[b] + [(data.draw(st.sampled_from(outside)),
+                            data.draw(_coefficients.filter(bool)))]
+    src = Basis(src)
+    dst = Basis(dst, name=lambda x: "<%s>" % x)
+    with pytest.raises(ValueError) as want:
+        operator_matrix_dense_reference(lambda x: table[x], src, dst)
+    with pytest.raises(ValueError) as got:
+        operator_matrix(lambda x: table[x], src, dst)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("operator output escapes the basis at <")
+
+
 # -- property tests: block solve and the sparse rref -------------------------
 
 def dense_rref(m):

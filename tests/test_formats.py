@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from chainext import formats
 from chainext.brst import (ConstraintSystem, constraint_algebra,
                            so3_system, toy_system)
 from chainext.bv import DeformationProblem, obstruction_R, two_ghost_problem
@@ -210,6 +211,78 @@ def test_rationals_round_trip_in_dump():
     hd, l2_0, d_f = load_extend(header + body)
     assert hd.eta == mat
     assert d_f is None
+
+
+FROZEN = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs")
+
+
+def blocks_by_rat(text):
+    """Every matrix block of an extend file, each cell parsed by rat()."""
+    lines = _data_lines(text)
+    out = {}
+    pos = 1
+    while pos < len(lines):
+        key, value = lines[pos][1].split(":", 1)
+        pos += 1
+        if key.startswith("matrix"):
+            nrows, ncols = (int(x) for x in value.split())
+            n = nrows if ncols else 0
+            rows = [[rat(c) for c in line.split()]
+                    for _, line in lines[pos:pos + n]]
+            out[key.split(None, 1)[1]] = RatMatrix(rows if ncols
+                                                   else [[]] * nrows,
+                                                   ncols=ncols)
+            pos += n
+    return out
+
+
+def loaded_blocks(text):
+    hd, l2_0, d_f = load_extend(text)
+    out = {"eta": hd.eta, "lam": hd.lam, "l2_0": l2_0}
+    out.update(("l1 %d" % k, hd.l1.block(k)) for k in range(1, hd.space.top + 1))
+    out.update(("s %d" % k, hd.s.block(k)) for k in range(hd.space.top))
+    if d_f is not None:
+        out["d_f"] = d_f
+    return out
+
+
+ZERO_CELLS = ("kind: extend\ndims: 2 1\nf_dim: 1\n"
+              "matrix l1 1: 2 1\n-0\n0/1\nmatrix eta: 1 2\n1/2 0\n"
+              "matrix lam: 2 1\n00\n-3\nmatrix s 0: 1 2\n0 -2/4\n"
+              "matrix l2_0: 2 2\n0 0\n0 0\n")
+
+
+@pytest.mark.parametrize("path", [
+    os.path.join(FROZEN, "extend_brst_toy_cap4.txt"),
+    os.path.join(FROZEN, "extend_brst_abelian2_cap3.txt"),
+    os.path.join(MODELS, "extend_medium.txt"),
+    os.path.join(MODELS, "extend_split.txt"),
+    None,
+], ids=["frozen-toy", "frozen-abelian2", "medium", "split", "zero-cells"])
+def test_zero_cells_load_as_the_rat_reference(path, monkeypatch):
+    """A cell that is exactly "0" skips _rat; every other cell ("-0", "0/1",
+    "00", ...) takes it, and the matrices equal a rat()-everywhere parse."""
+    if path is None:
+        text = ZERO_CELLS
+    else:
+        with open(path) as fh:
+            text = fh.read()
+    want = blocks_by_rat(text)
+    parsed = []
+    real = formats._rat
+    monkeypatch.setattr(formats, "_rat",
+                        lambda ln, c: parsed.append(c) or real(ln, c))
+    assert loaded_blocks(text) == want
+    cells = [c for _, line in _data_lines(text) if ":" not in line
+             for c in line.split()]
+    assert parsed == [c for c in cells if c != "0"]
+
+
+@pytest.mark.parametrize("cell", ["0x", "x0", "0/0", "--0", "0 0"])
+def test_malformed_zero_like_cells_are_format_errors(cell):
+    text = ZERO_CELLS.replace("00\n", cell + "\n")
+    with pytest.raises(FormatError, match="line 10: (bad rational|expected 1 entries)"):
+        load_extend(text)
 
 
 LOADERS = {"lie": load_lie, "cochain": load_cochain, "brst": load_brst,
