@@ -70,6 +70,8 @@ class ConstraintSystem:
     values; structure maps (a, b) with a < b (0-based) to the length-n list
     of structure functions C^c_ab, polynomials in (x, G).  delta_vals,
     sigma_vals and d_vals hold the generator values of delta, sigma and d.
+    _bases keeps, per cap, the monomial groups and the operator blocks built
+    on them.
     """
 
     __slots__ = ("m", "n", "alg", "table", "structure", "xs", "gs", "etas",
@@ -248,7 +250,7 @@ def _groups(sys: ConstraintSystem, cap: int):
     return groups
 
 
-# -- operator blocks on the capped basis ------------------------------------------
+# -- operator blocks on the capped basis ---------------------------------------
 
 def _block(sys: ConstraintSystem, cap: int, name: str, k: int) -> RatMatrix:
     """The matrix of delta (group k to k-1), sigma or s (k to k+1) or d (k to

@@ -239,8 +239,9 @@ def blocks_by_rat(text):
 def loaded_blocks(text):
     hd, l2_0, d_f = load_extend(text)
     out = {"eta": hd.eta, "lam": hd.lam, "l2_0": l2_0}
-    out.update(("l1 %d" % k, hd.l1.block(k)) for k in range(1, hd.space.top + 1))
-    out.update(("s %d" % k, hd.s.block(k)) for k in range(hd.space.top))
+    top = hd.space.top
+    out.update(("l1 %d" % k, hd.l1.block(k)) for k in range(1, top + 1))
+    out.update(("s %d" % k, hd.s.block(k)) for k in range(top))
     if d_f is not None:
         out["d_f"] = d_f
     return out
@@ -281,7 +282,8 @@ def test_zero_cells_load_as_the_rat_reference(path, monkeypatch):
 @pytest.mark.parametrize("cell", ["0x", "x0", "0/0", "--0", "0 0"])
 def test_malformed_zero_like_cells_are_format_errors(cell):
     text = ZERO_CELLS.replace("00\n", cell + "\n")
-    with pytest.raises(FormatError, match="line 10: (bad rational|expected 1 entries)"):
+    with pytest.raises(FormatError,
+                       match="line 10: (bad rational|expected 1 entries)"):
         load_extend(text)
 
 
