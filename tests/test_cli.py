@@ -60,6 +60,11 @@ def test_lie_obstructed_deformation(capsys):
     # alpha1 fails its own order-1 equation: DeformationPreconditionError
     ("lie --input lie_heisenberg --alpha1 cochain_obstructed_alpha1 "
      "--order 4", 1),
+    # a cocycle whose deformation extends at every order
+    ("lie --input lie_heisenberg --alpha1 cochain_heisenberg_a121 "
+     "--order 2", 0),
+    ("lie --input lie_heisenberg --alpha1 cochain_heisenberg_a121 "
+     "--order 6", 0),
     ("shlie --input lie_sl2 --cross-check", 0),
     ("shlie --input lie_aff1 --cross-check", 0),
 ])

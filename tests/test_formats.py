@@ -320,4 +320,4 @@ def test_mutated_bundled_models_raise_only_format_errors():
             except Exception as e:
                 pytest.fail("%s, line %d mutated: %s: %s"
                             % (name, lineno, type(e).__name__, e))
-    assert cases == 654
+    assert cases == 678
