@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
+from types import MappingProxyType
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
 from .exactla import (Basis, RatMatrix, add_into,
@@ -69,16 +70,15 @@ class ConstraintSystem:
     poisson_table maps generator-name pairs (among x_i, G_a) to SuperPoly
     values; structure maps (a, b) with a < b (0-based) to the length-n list
     of structure functions C^c_ab, polynomials in (x, G).  delta_vals,
-    sigma_vals and d_vals hold the generator values of delta, sigma and d.
-    _bases keeps, per cap, the monomial groups and the operator blocks built
-    on them.
+    sigma_vals and d_vals map generators to their values under delta, sigma
+    and d, read-only.  _bases keeps, per cap, the monomial groups and the
+    operator blocks built on them; no attribute is rebound after __init__.
     """
 
     __slots__ = ("m", "n", "alg", "table", "structure", "xs", "gs", "etas",
                  "ps", "delta_vals", "sigma_vals", "d_vals", "_bases")
 
     def __init__(self, m, n, poisson_table, structure):
-        self._bases = {}
         self.m = int(m)
         self.n = int(n)
         self.alg = constraint_algebra(self.m, self.n)
@@ -111,23 +111,30 @@ class ConstraintSystem:
                         "constraints are not first class: [%s,%s] does not "
                         "close on the given structure functions"
                         % (self.gs[a], self.gs[b]))
-        self.delta_vals = {p: self.gen(g).scale(-1)
-                           for p, g in zip(self.ps, self.gs)}
-        self.sigma_vals = {g: self.gen(p).scale(-1)
-                           for g, p in zip(self.gs, self.ps)}
+        self.delta_vals = MappingProxyType(
+            {p: self.gen(g).scale(-1) for p, g in zip(self.ps, self.gs)})
+        self.sigma_vals = MappingProxyType(
+            {g: self.gen(p).scale(-1) for g, p in zip(self.gs, self.ps)})
         # d x_i = [x_i,G_b] eta^b, d G_a = [G_a,G_b] eta^b,
         # d eta^a = 1/2 C^a_cb eta^b eta^c, d P_a = 0
-        self.d_vals = {
+        d_vals = {
             name: _sum(self.alg, (mul(poisson(self.gen(name), self.gen(g),
                                               self.table), self.gen(e))
                                   for g, e in zip(self.gs, self.etas)))
             for name in self.xs + self.gs}
         for a, ea in enumerate(self.etas):
-            self.d_vals[ea] = _sum(
+            d_vals[ea] = _sum(
                 self.alg, (mul(mul(self.structure_fn(a, c, b), self.gen(eb)),
                                self.gen(ec))
                            for c, ec in enumerate(self.etas)
                            for b, eb in enumerate(self.etas)), Fraction(1, 2))
+        self.d_vals = MappingProxyType(d_vals)
+        self._bases = {}   # bound last: __setattr__ refuses from here on
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "_bases"):
+            raise AttributeError("ConstraintSystem is immutable")
+        object.__setattr__(self, name, value)
 
     def gen(self, name):
         return SuperPoly.gen(self.alg, name)

@@ -12,7 +12,9 @@ equation, the maps
     l3(a t^k)  = -1/2 sum_{n+1 <= i+j <= 2n} ((S_i, S_j), a)* t^(i+j+k)
 
 square to zero; the t^(n+1) coefficient of l3 carries the obstruction
-R_{n+1} = sum_{i+j=n+1, i,j>=1} (S_i, S_j).  Starred series are stored by
+R_{n+1} = sum_{i+j=n+1, i,j>=1} (S_i, S_j).  The master equations and
+every R_m are series.pair_sum of the antibracket over S_0..S_n (for
+m >= n+1 the bounds alone force i, j >= 1).  Starred series are stored by
 their unstarred coefficients (the star is the identity bijection on the
 monomial spanning set, tracked by which graded slot the element sits in).
 Everything is re-derivable through the generic engine; see
@@ -26,7 +28,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
 from .exactla import Basis, kernel_basis, operator_matrix
-from .series import Series, TLinear
+from .series import Series, TLinear, pair_sum
 from .superalg import (
     GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of, left_derivs,
     mul, right_derivs,
@@ -97,18 +99,6 @@ def master_check(model: BVModel, S0: SuperPoly) -> bool:
     return model.bracket(S0, S0).is_zero()
 
 
-def s0_differential(model: BVModel, S0: SuperPoly, a: SuperPoly) -> SuperPoly:
-    """(S0, a), after checking the master equation and the square identity
-    (S0,(S0,a)) = 1/2 ((S0,S0),a)."""
-    if not master_check(model, S0):
-        raise ValueError("(S0,S0) != 0: not a solution of the master equation")
-    out = model.bracket(S0, a)
-    half = model.bracket(model.bracket(S0, S0), a).scale(Fraction(1, 2))
-    if model.bracket(S0, out) != half:
-        raise ValueError("square identity violated: inconsistent bracket data")
-    return out
-
-
 class DeformationProblem:
     """S_0..S_n with the order-n master equation checked at construction."""
 
@@ -123,11 +113,10 @@ class DeformationProblem:
         for i, s in enumerate(self.S):
             if not s.is_zero() and (s.parity() != 0 or s.ghost() != 0):
                 raise ValueError("S_%d must be even with ghost number 0" % i)
+        zero = SuperPoly.zero(model.alg)
         for m in range(self.n + 1):
-            acc = SuperPoly.zero(model.alg)
-            for i in range(m + 1):
-                acc = acc + model.bracket(self.S[i], self.S[m - i])
-            if not acc.is_zero():
+            if not pair_sum(lambda i, j: model.bracket(self.S[i], self.S[j]),
+                            m, 0, self.n, zero).is_zero():
                 raise ValueError("order-%d master equation fails" % m)
         self.trunc = 2 * self.n if trunc is None else int(trunc)
 
@@ -135,12 +124,9 @@ class DeformationProblem:
 def obstruction_R(problem: DeformationProblem, order: int) -> SuperPoly:
     """sum_{i+j=order, i,j>=1} (S_i, S_j); checked to be a cocycle of
     (S_0, .)."""
-    model, S, n = problem.model, problem.S, problem.n
-    out = SuperPoly.zero(model.alg)
-    for i in range(1, min(order, n + 1)):
-        j = order - i
-        if 1 <= j <= n:
-            out = out + model.bracket(S[i], S[j])
+    model, S = problem.model, problem.S
+    out = pair_sum(lambda i, j: model.bracket(S[i], S[j]), order, 1,
+                   problem.n, SuperPoly.zero(model.alg))
     if not model.bracket(S[0], out).is_zero():
         raise ValueError("obstruction is not a cocycle: inconsistent data")
     return out
@@ -166,23 +152,22 @@ class Theorem8Maps:
     coefficient operators (S_i, .) and (R_m, .), which read the tables
     S_derivs, pair_brackets and pair_derivs when they run."""
 
-    __slots__ = ("problem", "pair_brackets", "S_derivs", "pair_derivs",
-                 "l1_op", "l2_plain_op", "l2_star_op", "l3_op")
+    __slots__ = ("problem", "model", "n", "T", "pair_brackets", "S_derivs",
+                 "pair_derivs", "l1_op", "l2_plain_op", "l2_star_op", "l3_op")
 
     def __init__(self, problem):
         self.problem = problem
         model, S, n = problem.model, problem.S, problem.n
+        self.model, self.n, self.T = model, n, problem.trunc
         # left factors of the fixed bracket arguments S_i and R_m, one table
         # each: O(pairs x terms), independent of the basis
         self.S_derivs = [model.right_derivs(s) for s in S]
-        self.pair_brackets = {}
-        self.pair_derivs = {}
-        for m in range(n + 1, 2 * n + 1):
-            acc = SuperPoly.zero(model.alg)
-            for i in range(max(1, m - n), min(n, m - 1) + 1):
-                acc = acc + model.bracket(S[i], S[m - i], self.S_derivs[i])
-            self.pair_brackets[m] = acc
-            self.pair_derivs[m] = model.right_derivs(acc)
+        zero = SuperPoly.zero(model.alg)
+        self.pair_brackets = {m: pair_sum(
+            lambda i, j: model.bracket(S[i], S[j], self.S_derivs[i]),
+            m, 0, n, zero) for m in range(n + 1, 2 * n + 1)}
+        self.pair_derivs = {m: model.right_derivs(r)
+                            for m, r in self.pair_brackets.items()}
         ad_S = [_ad(model, S, self.S_derivs, i) for i in range(n + 1)]
         self.l1_op = TLinear({0: [(1, ())]}, self.lift)
         self.l2_plain_op = TLinear({i: [(1, (ad,))] for i, ad in
@@ -199,26 +184,8 @@ class Theorem8Maps:
         g = SuperPoly(self.model.alg, terms)
         return g, self.model.left_derivs(g)
 
-    @property
-    def model(self):
-        return self.problem.model
-
-    @property
-    def n(self):
-        return self.problem.n
-
-    @property
-    def T(self):
-        return self.problem.trunc
-
     def l1(self, xi: Series) -> Series:
         return self.l1_op.apply(xi)
-
-    def l2_plain(self, x: Series) -> Series:
-        return self.l2_plain_op.apply(x)
-
-    def l2_star(self, xi: Series) -> Series:
-        return self.l2_star_op.apply(xi)
 
     def l3_plain(self, x: Series) -> Series:
         return self.l3_op.apply(x)
@@ -226,8 +193,8 @@ class Theorem8Maps:
     def apply_S(self, pair):
         """One application of S = l1+l2+l3 to (degree-0, degree-1) data."""
         x0, x1 = pair
-        out0 = self.l2_plain(x0).add(self.l1(x1))
-        out1 = self.l3_plain(x0).add(self.l2_star(x1))
+        out0 = self.l2_plain_op.apply(x0).add(self.l1(x1))
+        out1 = self.l3_plain(x0).add(self.l2_star_op.apply(x1))
         return (out0, out1)
 
 
@@ -311,14 +278,6 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
     report["obstruction_R"] = R
     report["cases"] = cases
     return report
-
-
-def homotopy_h(maps: Theorem8Maps, x: Series) -> Series:
-    """h = -(star) on the ideal t^(n+1) R[[t]], zero below."""
-    return Series.of_terms(
-        maps.model, maps.T,
-        [{} if k <= maps.n else {m: -c for m, c in t.items()}
-         for k, t in enumerate(x.terms)], kmin=maps.n + 1)
 
 
 def find_s0_cocycle(model: BVModel, S0: SuperPoly, maxdeg: int):

@@ -99,21 +99,18 @@ def cmd_lie(config: RunConfig):
         if a1.dim != alg.dim or a1.arity != 2:
             raise formats.FormatError(0, "alpha1 must be a 2-cochain on the "
                                          "same space")
-        obstruction = bracket2(a1, a1)
         report["obstruction [a1,a1]"] = \
-            "zero" if obstruction.is_zero() else "nonzero"
-        alphas = [a1]
+            "zero" if bracket2(a1, a1).is_zero() else "nonzero"
         try:
-            for order in range(2, config.order + 1):
-                nxt = extend_deformation(alg, alphas)
-                if nxt is None:
-                    report["order %d" % order] = "obstructed"
-                    break
-                report["order %d" % order] = "extended"
-                alphas.append(nxt)
+            extended = extend_deformation(alg, [a1], config.order)
         except DeformationPreconditionError as e:
-            report["order %d" % (len(alphas) + 1)] = "error: %s" % e
+            report["order 2"] = "error: %s" % e
             return report, MATH_FAIL
+        # orders 2..top-1 extended; top, when asked for, is obstructed
+        top = len(extended) + 2
+        for order in range(2, min(top, config.order) + 1):
+            report["order %d" % order] = \
+                "extended" if order < top else "obstructed"
     return report, PASS
 
 
@@ -130,8 +127,7 @@ def cmd_shlie(config: RunConfig):
     report = {"command": "shlie", "trunc": config.trunc}
     code = PASS
     try:
-        # alpha0 None: build_shlie builds the algebra's bracket once
-        t2 = build_shlie(alg, None, a1, N=config.trunc, variant="t2")
+        t2 = build_shlie(alg, alg.alpha0, a1, N=config.trunc, variant="t2")
         built = {"t2": t2, "full": t2.as_variant("full")}
     except ValueError as e:
         report["build"] = "error: %s" % e

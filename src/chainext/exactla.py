@@ -460,11 +460,3 @@ def solve(m: RatMatrix, b):
     x = RatMatrix._of(x, reduced.den, b.ncols)
     return x if block else x.col(0)
 
-
-def quotient_dims(sub: RatMatrix, ambient_dim: int) -> int:
-    """dim(ambient / span(columns of sub)); columns live in the ambient space."""
-    if sub.nrows != ambient_dim:
-        raise ValueError("subspace vectors have length %d, ambient dimension is %d"
-                         % (sub.nrows, ambient_dim))
-    rk = rank(sub)
-    return ambient_dim - rk

@@ -9,8 +9,9 @@ of 2-cochains is the three-term sum
 and [a,b] = a.b + b.a.  The differential on 2-cochains is d(b) = [alpha0, b];
 on 1-cochains the adjoint-coefficient formula is used.  A deformation
 alpha_t = alpha0 + alpha1 t + alpha2 t^2 + ... satisfies the order-n equation
-sum_{i+j=n} alpha_i alpha_j = 0; the obstruction to extending from order n-1
-is rho_n = -sum_{i+j=n, i,j>=1} alpha_i alpha_j.
+P_n = sum_{i+j=n} alpha_i alpha_j = 0 (a series.pair_sum).  Over
+alpha_0..alpha_{n-1} that sum has i, j >= 1: it is -rho_n, the obstruction
+to extending from order n-1, and alpha_n solves d(alpha_n) = rho_n.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import combinations, product
 
 from .exactla import (Basis, RatMatrix, add_into, kernel_basis,
                       operator_matrix, rank, rat, rref, solve)
+from .series import pair_sum
 
 _ONE = Fraction(1)
 
@@ -109,6 +111,8 @@ class Cochain:
             add_into(entries.setdefault(idx, {}), v)
         return Cochain._of(self.dim, self.arity, entries)
 
+    __add__ = add
+
     def scale(self, c):
         c = rat(c)
         entries = {}
@@ -137,12 +141,9 @@ def alpha0_cochain(alg: LieAlgebra) -> Cochain:
     return alg.alpha0
 
 
-def jacobi_check(alg: LieAlgebra, a0: Cochain | None = None) -> bool:
-    """True iff the Jacobiator vanishes on all basis triples i < j < k; a0,
-    when given, is alpha0_cochain(alg)."""
-    if a0 is None:
-        a0 = alpha0_cochain(alg)
-    return nr_compose(a0, a0).is_zero()
+def jacobi_check(alg: LieAlgebra) -> bool:
+    """True iff the Jacobiator vanishes on all basis triples i < j < k."""
+    return nr_compose(alg.alpha0, alg.alpha0).is_zero()
 
 
 def nr_compose(ai: Cochain, aj: Cochain) -> Cochain:
@@ -166,16 +167,13 @@ def bracket2(ai: Cochain, aj: Cochain) -> Cochain:
     return nr_compose(ai, aj).add(nr_compose(aj, ai))
 
 
-def ce_differential(alg: LieAlgebra, beta: Cochain,
-                    a0: Cochain | None = None) -> Cochain:
+def ce_differential(alg: LieAlgebra, beta: Cochain) -> Cochain:
     """Differential of a 1- or 2-cochain.
 
-    On 2-cochains d(beta) = [alpha0, beta], with alpha0 = a0 when given (it
-    must be alpha0_cochain(alg)).  On 1-cochains
+    On 2-cochains d(beta) = [alpha0, beta].  On 1-cochains
     (d phi)(x, y) = [x, phi(y)] - [y, phi(x)] - phi([x, y]).
     """
-    if a0 is None:
-        a0 = alpha0_cochain(alg)
+    a0 = alg.alpha0
     if beta.arity == 2:
         return bracket2(a0, beta)
     if beta.arity != 1:
@@ -258,40 +256,39 @@ def obstruction(alphas, n) -> Cochain:
     """rho_n = -sum_{i+j=n, i,j>=1} alpha_i alpha_j for alphas = [alpha_1..alpha_{n-1}]."""
     if len(alphas) < n - 1:
         raise ValueError("need alpha_1..alpha_%d" % (n - 1))
-    dim = alphas[0].dim
-    out = Cochain.zero(dim, 3)
-    for i in range(1, n):
-        j = n - i
-        if j < 1:
-            continue
-        out = out.add(nr_compose(alphas[i - 1], alphas[j - 1]))
-    return out.scale(-1)
+    return pair_sum(lambda i, j: nr_compose(alphas[i - 1], alphas[j - 1]),
+                    n, 1, n - 1, Cochain.zero(alphas[0].dim, 3)).scale(-1)
 
 
 class DeformationPreconditionError(ValueError):
     """The supplied lower-order terms fail their own deformation equations."""
 
 
-def extend_deformation(alg: LieAlgebra, alphas):
-    """Next deformation term alpha_n (n = len(alphas)+1), or None when obstructed.
+def extend_deformation(alg: LieAlgebra, alphas, order):
+    """[alpha_n, ..., alpha_order] (n = len(alphas)+1), each solving
+    d(alpha_m) = rho_m exactly, cut before the first order whose rho_m is not
+    a coboundary.  Each product alpha_i . alpha_j is composed once.
 
-    Solves d(alpha_n) = rho_n exactly.  Raises DeformationPreconditionError when
-    the input alphas themselves violate the order-(n-1) deformation equations;
-    that failure mode is distinct from a genuine (nonzero-class) obstruction.
+    Raises DeformationPreconditionError when the input alphas themselves
+    violate the equations of orders 1..len(alphas); that failure mode is
+    distinct from a genuine (nonzero-class) obstruction.
     """
-    a0 = alpha0_cochain(alg)
-    chain = [a0] + list(alphas)
-    n = len(alphas) + 1
-    for m in range(1, n):
-        acc = Cochain.zero(alg.dim, 3)
-        for i in range(0, m + 1):
-            acc = acc.add(nr_compose(chain[i], chain[m - i]))
-        if not acc.is_zero():
+    chain = [alg.alpha0] + list(alphas)
+    zero = Cochain.zero(alg.dim, 3)
+
+    def compose(i, j):
+        return nr_compose(chain[i], chain[j])
+    for m in range(1, len(chain)):
+        if not pair_sum(compose, m, 0, len(chain) - 1, zero).is_zero():
             raise DeformationPreconditionError(
                 "deformation equation fails at order %d" % m)
-    rho = obstruction(alphas, n)
     d2 = differential_matrix(alg, 2)
-    x = solve(d2, cochain_basis(alg.dim, 3).coords(_labelled(rho)))
-    if x is None:
-        return None
-    return _cochain(cochain_basis(alg.dim, 2), alg.dim, 2, x)
+    basis2, basis3 = cochain_basis(alg.dim, 2), cochain_basis(alg.dim, 3)
+    for m in range(len(chain), order + 1):
+        # over alpha_0..alpha_{m-1} the order-m sum is -rho_m
+        rho = pair_sum(compose, m, 0, m - 1, zero).scale(-1)
+        x = solve(d2, basis3.coords(_labelled(rho)))
+        if x is None:
+            break
+        chain.append(_cochain(basis2, alg.dim, 2, x))
+    return chain[len(alphas) + 1:]

@@ -11,7 +11,8 @@ the composite f1 o ... o fr of coefficient operators that the caller
 supplies (the empty chain is the identity).  An operator takes sparse
 coefficients, passed through the TLinear's `lift` when it has one, and
 returns a sparse coefficient.  Operators of several arguments (shlie's
-cochains) form chains of length one.
+cochains) form chains of length one.  `pair_sum` is the t^m coefficient
+of b(c_t, c_t): the deformation equations of `lie` and `bv`.
 """
 
 from __future__ import annotations
@@ -107,6 +108,14 @@ class Series:
         (k - kmin) * dim + i."""
         return [t.get(i, Fraction(0)) for t in self.terms[kmin:]
                 for i in range(self.space)]
+
+
+def pair_sum(b, m, lo, hi, zero):
+    """zero + sum of b(i, m - i) over lo <= i, m - i <= hi: the t^m
+    coefficient of b(c_t, c_t) for a series c_t = sum_{lo <= k <= hi} c_k t^k
+    and a bilinear b given on coefficient indices."""
+    return sum((b(i, m - i) for i in range(max(lo, m - hi),
+                                           min(hi, m - lo) + 1)), zero)
 
 
 class TLinear:

@@ -31,7 +31,7 @@ from .complexes import (
     verify_nilpotent,
 )
 from .exactla import Basis, RatMatrix, operator_matrix
-from .lie import Cochain, LieAlgebra, alpha0_cochain, ce_differential, jacobi_check, nr_compose
+from .lie import Cochain, LieAlgebra, ce_differential, jacobi_check, nr_compose
 from .series import Series, TLinear
 
 
@@ -124,23 +124,22 @@ class ShLieStructure:
         return (1, self.l3_000(x[1], y[1], z[1]))
 
 
-def build_shlie(alg: LieAlgebra, alpha0: Cochain | None, alpha1: Cochain,
+def build_shlie(alg: LieAlgebra, alpha0: Cochain, alpha1: Cochain,
                 N: int = 4, variant: str = "t2") -> ShLieStructure:
-    """Construct the structure after validating its hypotheses; alpha0 None
-    stands for the bracket of alg, which is built once here."""
+    """Construct the structure after validating its hypotheses; alpha0 must
+    be the bracket alg.alpha0."""
     if variant not in ("t2", "full"):
         raise ValueError("variant must be 't2' or 'full'")
     if int(N) < 3:
         raise ValueError("truncation order must be at least 3 (t^2 terms in l3 "
                          "would otherwise hide relation failures)")
-    bracket = alpha0_cochain(alg)
-    if alpha0 is not None and alpha0 != bracket:
+    if alpha0 != alg.alpha0:
         raise ValueError("alpha0 must be the bracket of the algebra")
-    if not jacobi_check(alg, bracket):
+    if not jacobi_check(alg):
         raise ValueError("the bracket fails the Jacobi identity")
-    if not ce_differential(alg, alpha1, bracket).is_zero():
+    if not ce_differential(alg, alpha1).is_zero():
         raise ValueError("alpha1 is not a cocycle")
-    return ShLieStructure(alg, bracket, alpha1, int(N), variant)
+    return ShLieStructure(alg, alpha0, alpha1, int(N), variant)
 
 
 # -- generalized Jacobi relations --------------------------------------------
@@ -234,32 +233,6 @@ def verify_shlie(S: ShLieStructure) -> dict:
                        ("relation_63", "relation_64", "relation_65",
                         "relation_66"))
     return report
-
-
-def check_t_linearity(S: ShLieStructure) -> bool:
-    """l_i(t^k x, ...) = t^k l_i(x, ...) for all generators and k+2 <= N."""
-    dim, N = S.alg.dim, S.N
-    for k in range(0, N - 1):
-        for i in range(dim):
-            xi0 = TruncSeries.basis(dim, N, S.kmin, i)
-            xik = xi0.tshift(k)
-            if S.l1(xik) != S.l1(xi0).tshift(k):
-                return False
-            a0 = TruncSeries.basis(dim, N, 0, i)
-            ak = a0.tshift(k)
-            for j in range(dim):
-                b = TruncSeries.basis(dim, N, 0, j)
-                if S.l2_00(ak, b) != S.l2_00(a0, b).tshift(k):
-                    return False
-                if S.l2_00(b, ak) != S.l2_00(b, a0).tshift(k):
-                    return False
-                if S.l2_10(xik, b) != S.l2_10(xi0, b).tshift(k):
-                    return False
-                for m in range(dim):
-                    c = TruncSeries.basis(dim, N, 0, m)
-                    if S.l3_000(ak, b, c) != S.l3_000(a0, b, c).tshift(k):
-                        return False
-    return True
 
 
 def l3_is_obstruction(S: ShLieStructure) -> bool:

@@ -15,7 +15,8 @@ from chainext.brst import (
 )
 from chainext.complexes import chain_extend, verify_homotopy, verify_nilpotent
 from chainext.exactla import RatMatrix, solve
-from chainext.superalg import SuperPoly, mul, poisson, right_deriv
+from chainext.superalg import (SuperPoly, extend_right_derivation, mul,
+                               poisson, right_deriv)
 
 
 def test_koszul_tate_values():
@@ -385,8 +386,11 @@ def negate_l3(monkeypatch, systems):
 
 
 def scale_delta_on_p1(monkeypatch, systems):
-    for sys_ in systems:
-        sys_.delta_vals["P1"] = sys_.delta_vals["P1"].scale(2)
+    """delta P1 = -2 G1 instead of -G1, on every system."""
+    def doubled(sys_, f):
+        values = dict(sys_.delta_vals, P1=sys_.delta_vals["P1"].scale(2))
+        return extend_right_derivation(f, values, parity=1)
+    monkeypatch.setattr(brst_mod, "koszul_tate", doubled)
 
 
 MUTATIONS = {"none": lambda mp, systems: None, "double_s": double_s,
@@ -409,6 +413,23 @@ def test_block_route_matches_per_monomial_sweeps(make, cap, mutation,
     l3_zero = make is so3_system
     assert (offender is None) == (mutation == "none"
                                   or (mutation == "negate_l3" and l3_zero))
+
+
+def test_checked_system_cannot_change_under_its_blocks():
+    """The blocks cached on a system are built from its generator values,
+    so after a first check neither a value nor an attribute can change."""
+    s = so3_system()
+    assert verify_brst_resolution(s, 3)["ok"]
+    with pytest.raises(TypeError):
+        s.delta_vals["P1"] = s.delta_vals["P1"].scale(2)
+    for vals in (s.sigma_vals, s.d_vals):
+        name = next(iter(vals))
+        with pytest.raises(TypeError):
+            vals[name] = vals[name].scale(2)
+    for attr in ("delta_vals", "table", "_bases"):
+        with pytest.raises(AttributeError):
+            setattr(s, attr, {})
+    assert verify_brst_resolution(s, 3)["ok"]
 
 
 @pytest.mark.parametrize("make, cap, k, mono", [

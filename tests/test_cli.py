@@ -386,13 +386,41 @@ def test_bv_computes_obstruction_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_shlie_validates_the_algebra_once(monkeypatch, capsys):
+def validation_counts(monkeypatch):
+    """Counters of jacobi_check and ce_differential over the cli, shlie and
+    lie bindings."""
+    from chainext import lie as lie_mod
     from chainext import shlie as shlie_mod
-    counts = [counting(monkeypatch, shlie_mod, name)
-              for name in ("alpha0_cochain", "jacobi_check", "ce_differential")]
+    return [counting(monkeypatch, lie_mod, name, shlie_mod, cli)
+            for name in ("jacobi_check", "ce_differential")]
+
+
+def test_shlie_validates_the_algebra_once(monkeypatch, capsys):
+    counts = validation_counts(monkeypatch)
     code, out = run_golden(capsys, "shlie", "--input", "lie_so3")
     assert code == 0
-    assert [len(c) for c in counts] == [1, 1, 1]
+    assert [len(c) for c in counts] == [1, 1]
+
+
+@pytest.mark.parametrize("order,compositions", [
+    (2, 42), (4, 47), (6, 56), (8, 69)])
+def test_lie_extends_the_chain_in_one_call(order, compositions, monkeypatch,
+                                           capsys):
+    """h2 builds d1 and d2, extend_deformation builds d2 once more; each
+    product alpha_i . alpha_j is composed once, N(N-1)/2 of them up to
+    order N, on top of the 41 compositions of h2, [a1,a1] and the order-1
+    check."""
+    from chainext import lie as lie_mod
+    matrices = counting(monkeypatch, lie_mod, "differential_matrix")
+    composed = counting(monkeypatch, lie_mod, "nr_compose")
+    calls = counting(monkeypatch, lie_mod, "extend_deformation", cli)
+    code, out = run(capsys, "lie", "--input", "lie_heisenberg", "--alpha1",
+                    "cochain_heisenberg_a121", "--order", str(order))
+    assert code == 0
+    assert "order %d: extended" % order in out.splitlines()
+    assert len(matrices) == 3
+    assert len(composed) <= compositions
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -458,18 +486,14 @@ def test_bundled_name_with_extension(capsys):
     assert "H2 dim: 0" in out1.splitlines()
 
 
-def test_shlie_builds_alpha0_once(monkeypatch, capsys):
-    """One alpha0_cochain per shlie job, counted over the cli, shlie and lie
-    bindings (lie.jacobi_check and lie.ce_differential take the bracket that
-    build_shlie built)."""
-    from chainext import lie as lie_mod
-    from chainext import shlie as shlie_mod
-    calls = counting(monkeypatch, lie_mod, "alpha0_cochain", cli, shlie_mod)
+def test_shlie_cross_check_validates_the_algebra_once(monkeypatch, capsys):
+    """Both variants and their engine cross-checks share one validation."""
+    counts = validation_counts(monkeypatch)
     code, out = run_golden(capsys, "shlie", "--input", "lie_abelian3",
                            "--alpha1", "cochain_obstructed_alpha1",
                            "--cross-check")
     assert code == 0
-    assert len(calls) == 1
+    assert [len(c) for c in counts] == [1, 1]
 
 
 def test_brst_builds_the_basis_once(monkeypatch, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chainext.exactla import (
     Basis, Rat, RatMatrix, operator_matrix, rat, rref, rank, kernel_basis,
-    solve, quotient_dims,
+    solve,
 )
 
 
@@ -82,13 +82,6 @@ def test_solve_exact_random():
         y = solve(m, b)
         assert y is not None
         assert m.mat_vec(y) == b
-
-
-def test_quotient_dims():
-    sub = RatMatrix([[1, 1], [0, 0], [1, 1]])  # columns span a line in Q^3
-    assert quotient_dims(sub, 3) == 2
-    with pytest.raises(ValueError):
-        quotient_dims(sub, 4)
 
 
 def test_matmul_and_identity():

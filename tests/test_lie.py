@@ -135,8 +135,9 @@ def test_obstruction_orders():
 def test_extend_deformation_trivial():
     alg = LieAlgebra(3)
     zero = Cochain.zero(3, 2)
-    out = extend_deformation(alg, [zero])
-    assert out is not None and out.is_zero()
+    out = extend_deformation(alg, [zero], 4)
+    assert len(out) == 3 and all(a.is_zero() for a in out)
+    assert extend_deformation(alg, [zero], 1) == []
 
 
 def test_extend_deformation_so3_direction():
@@ -144,21 +145,21 @@ def test_extend_deformation_so3_direction():
     # its self-bracket vanishes and 0 is a valid continuation
     alg = LieAlgebra(3)
     a1 = alpha0_cochain(so3())
-    out = extend_deformation(alg, [a1])
-    assert out is not None and out.is_zero()
+    out = extend_deformation(alg, [a1], 2)
+    assert len(out) == 1 and out[0].is_zero()
 
 
 def test_extend_deformation_heisenberg_direction():
     alg = LieAlgebra(3)
     a1 = alpha0_cochain(heisenberg())
-    out = extend_deformation(alg, [a1])
-    assert out is not None and out.is_zero()
+    out = extend_deformation(alg, [a1], 2)
+    assert len(out) == 1 and out[0].is_zero()
 
 
 def test_extend_deformation_obstructed():
     alg = LieAlgebra(3)
-    out = extend_deformation(alg, [obstructed_alpha1()])
-    assert out is None
+    out = extend_deformation(alg, [obstructed_alpha1()], 3)
+    assert out == []
 
 
 def test_extend_deformation_precondition_distinct():
@@ -171,19 +172,23 @@ def test_extend_deformation_precondition_distinct():
     bad = Cochain(3, 2, {(0, 2): [1, 0, 0]})
     assert not ce_differential(alg, bad).is_zero()
     with pytest.raises(DeformationPreconditionError):
-        extend_deformation(alg, [bad])
+        extend_deformation(alg, [bad], 2)
+    # the given terms are checked even when no order is asked for
+    with pytest.raises(DeformationPreconditionError):
+        extend_deformation(alg, [bad], 1)
 
 
 def test_extension_satisfies_order_equation():
-    # when extension succeeds the full order-n sum vanishes
-    alg = LieAlgebra(3)
-    a1 = alpha0_cochain(heisenberg())
-    a2 = extend_deformation(alg, [a1])
-    chain = [alpha0_cochain(alg), a1, a2]
-    acc = Cochain.zero(3, 3)
-    for i in range(3):
-        acc = acc.add(nr_compose(chain[i], chain[2 - i]))
-    assert acc.is_zero()
+    # when extension succeeds the full order-n sum vanishes at every order
+    for alg, a1 in ((LieAlgebra(3), alpha0_cochain(heisenberg())),
+                    (heisenberg(), Cochain(3, 2, {(0, 1): [1, 0, 0]}))):
+        chain = [alpha0_cochain(alg), a1] + extend_deformation(alg, [a1], 5)
+        assert len(chain) == 6
+        for n in range(6):
+            acc = Cochain.zero(3, 3)
+            for i in range(n + 1):
+                acc = acc.add(nr_compose(chain[i], chain[n - i]))
+            assert acc.is_zero()
 
 
 def test_differential_matrix_shapes():
@@ -381,15 +386,14 @@ def test_sparse_cochains_match_the_dense_layer(case):
     cocycle = ce_differential(alg, phi)
     for rep in got[1]:
         cocycle = cocycle.add(rep)
+    # the reference extends one order per call, extend_deformation extends
+    # to order 3 in one call
     for a1 in (beta, cocycle):
-        alphas = [a1]
-        for _ in range(2):
+        alphas, ref = [a1], {}
+        while isinstance(ref, dict) and len(alphas) < 3:
             dense = [{idx: a.value(idx) for idx in a.entries} for a in alphas]
-            nxt = outcome(extend_deformation, alg, alphas)
             ref = outcome(ref_extend_deformation, table, dim, dense)
             if isinstance(ref, dict):
-                assert nxt == Cochain(dim, 2, ref)
-                alphas.append(nxt)
-            else:
-                assert nxt == ref
-                break
+                alphas.append(Cochain(dim, 2, ref))
+        got = outcome(extend_deformation, alg, [a1], 3)
+        assert got == (ref if isinstance(ref, type) else alphas[1:])

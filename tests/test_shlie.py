@@ -5,7 +5,7 @@ import pytest
 from chainext.complexes import verify_homotopy
 from chainext.lie import Cochain, LieAlgebra, alpha0_cochain, ce_differential
 from chainext.shlie import (
-    ShLieStructure, TruncSeries, build_shlie, check_t_linearity,
+    ShLieStructure, TruncSeries, build_shlie,
     crosscheck_with_engine, l3_is_obstruction, master_relation,
     to_homotopy_data, variants_agree, verify_shlie,
 )
@@ -153,8 +153,28 @@ def test_l3_is_obstruction_and_zero_case():
 
 
 def test_t_linearity():
-    assert check_t_linearity(build(abelian3(), obstructed_alpha1()))
-    assert check_t_linearity(build(so3(), coboundary(so3())))
+    """l_i(t^k x, ...) = t^k l_i(x, ...) on generators for k + 2 <= N."""
+    for S in (build(abelian3(), obstructed_alpha1()),
+              build(so3(), coboundary(so3()))):
+        assert_t_linear(S)
+
+
+def assert_t_linear(S):
+    dim, N = S.alg.dim, S.N
+    gens = [TruncSeries.basis(dim, N, 0, i) for i in range(dim)]
+    for k in range(N - 1):
+        for i in range(dim):
+            xi0 = TruncSeries.basis(dim, N, S.kmin, i)
+            assert S.l1(xi0.tshift(k)) == S.l1(xi0).tshift(k)
+            a0 = gens[i]
+            for b in gens:
+                assert S.l2_00(a0.tshift(k), b) == S.l2_00(a0, b).tshift(k)
+                assert S.l2_00(b, a0.tshift(k)) == S.l2_00(b, a0).tshift(k)
+                assert S.l2_10(xi0.tshift(k), b) == \
+                    S.l2_10(xi0, b).tshift(k)
+                for c in gens:
+                    assert S.l3_000(a0.tshift(k), b, c) == \
+                        S.l3_000(a0, b, c).tshift(k)
 
 
 def test_variants_agree():
