@@ -113,10 +113,9 @@ class DeformationProblem:
         for i, s in enumerate(self.S):
             if not s.is_zero() and (s.parity() != 0 or s.ghost() != 0):
                 raise ValueError("S_%d must be even with ghost number 0" % i)
-        zero = SuperPoly.zero(model.alg)
         for m in range(self.n + 1):
             if not pair_sum(lambda i, j: model.bracket(self.S[i], self.S[j]),
-                            m, 0, self.n, zero).is_zero():
+                            m, 0, self.n, SuperPoly.zero(model.alg)).is_zero():
                 raise ValueError("order-%d master equation fails" % m)
         self.trunc = 2 * self.n if trunc is None else int(trunc)
 
@@ -152,20 +151,18 @@ class Theorem8Maps:
     coefficient operators (S_i, .) and (R_m, .), which read the tables
     S_derivs, pair_brackets and pair_derivs when they run."""
 
-    __slots__ = ("problem", "model", "n", "T", "pair_brackets", "S_derivs",
-                 "pair_derivs", "l1_op", "l2_plain_op", "l2_star_op", "l3_op")
+    __slots__ = ("problem", "pair_brackets", "S_derivs", "pair_derivs",
+                 "l1_op", "l2_plain_op", "l2_star_op", "l3_op")
 
     def __init__(self, problem):
         self.problem = problem
         model, S, n = problem.model, problem.S, problem.n
-        self.model, self.n, self.T = model, n, problem.trunc
         # left factors of the fixed bracket arguments S_i and R_m, one table
         # each: O(pairs x terms), independent of the basis
         self.S_derivs = [model.right_derivs(s) for s in S]
-        zero = SuperPoly.zero(model.alg)
         self.pair_brackets = {m: pair_sum(
-            lambda i, j: model.bracket(S[i], S[j], self.S_derivs[i]),
-            m, 0, n, zero) for m in range(n + 1, 2 * n + 1)}
+            lambda i, j: model.bracket(S[i], S[j], self.S_derivs[i]), m, 0, n,
+            SuperPoly.zero(model.alg)) for m in range(n + 1, 2 * n + 1)}
         self.pair_derivs = {m: model.right_derivs(r)
                             for m, r in self.pair_brackets.items()}
         ad_S = [_ad(model, S, self.S_derivs, i) for i in range(n + 1)]
@@ -183,6 +180,18 @@ class Theorem8Maps:
         table, built once and shared by every (S_i, .) and (R_m, .)."""
         g = SuperPoly(self.model.alg, terms)
         return g, self.model.left_derivs(g)
+
+    @property
+    def model(self):
+        return self.problem.model
+
+    @property
+    def n(self):
+        return self.problem.n
+
+    @property
+    def T(self):
+        return self.problem.trunc
 
     def l1(self, xi: Series) -> Series:
         return self.l1_op.apply(xi)

@@ -101,16 +101,17 @@ def cmd_lie(config: RunConfig):
                                          "same space")
         report["obstruction [a1,a1]"] = \
             "zero" if bracket2(a1, a1).is_zero() else "nonzero"
-        try:
-            extended = extend_deformation(alg, [a1], config.order)
-        except DeformationPreconditionError as e:
-            report["order 2"] = "error: %s" % e
-            return report, MATH_FAIL
-        # orders 2..top-1 extended; top, when asked for, is obstructed
-        top = len(extended) + 2
-        for order in range(2, min(top, config.order) + 1):
-            report["order %d" % order] = \
-                "extended" if order < top else "obstructed"
+        if config.order >= 2:   # below order 2 alpha1 goes unchecked
+            try:
+                extended = extend_deformation(alg, [a1], config.order)
+            except DeformationPreconditionError as e:
+                report["order 2"] = "error: %s" % e
+                return report, MATH_FAIL
+            # orders 2..top-1 extended; top, when asked for, is obstructed
+            top = len(extended) + 2
+            for order in range(2, min(top, config.order) + 1):
+                report["order %d" % order] = \
+                    "extended" if order < top else "obstructed"
     return report, PASS
 
 

@@ -273,22 +273,17 @@ def extend_deformation(alg: LieAlgebra, alphas, order):
     violate the equations of orders 1..len(alphas); that failure mode is
     distinct from a genuine (nonzero-class) obstruction.
     """
-    chain = [alg.alpha0] + list(alphas)
-    zero = Cochain.zero(alg.dim, 3)
-
-    def compose(i, j):
-        return nr_compose(chain[i], chain[j])
-    for m in range(1, len(chain)):
-        if not pair_sum(compose, m, 0, len(chain) - 1, zero).is_zero():
+    chain, k = [alg.alpha0] + list(alphas), len(alphas)
+    for m in range(1, k + 1):
+        if not pair_sum(lambda i, j: nr_compose(chain[i], chain[j]), m, 0, k,
+                        Cochain.zero(alg.dim, 3)).is_zero():
             raise DeformationPreconditionError(
                 "deformation equation fails at order %d" % m)
     d2 = differential_matrix(alg, 2)
     basis2, basis3 = cochain_basis(alg.dim, 2), cochain_basis(alg.dim, 3)
     for m in range(len(chain), order + 1):
-        # over alpha_0..alpha_{m-1} the order-m sum is -rho_m
-        rho = pair_sum(compose, m, 0, m - 1, zero).scale(-1)
-        x = solve(d2, basis3.coords(_labelled(rho)))
+        x = solve(d2, basis3.coords(_labelled(obstruction(chain[1:], m))))
         if x is None:
             break
         chain.append(_cochain(basis2, alg.dim, 2, x))
-    return chain[len(alphas) + 1:]
+    return chain[k + 1:]

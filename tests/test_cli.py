@@ -88,6 +88,22 @@ def test_lie_non_cocycle_direction(tmp_path, capsys):
     assert "error" in out
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_lie_below_order_two_extends_nothing(order, tmp_path, monkeypatch,
+                                             capsys):
+    """Below --order 2 no order is reported, so alpha1's own order-1
+    equation is not checked and a non-cocycle alpha1 passes."""
+    from chainext import lie as lie_mod
+    bad = tmp_path / "bad_cochain.txt"
+    bad.write_text("kind: cochain\ndim: 3\narity: 2\na 1 3 1: 1\n")
+    calls = counting(monkeypatch, lie_mod, "extend_deformation", cli)
+    code, out = run(capsys, "lie", "--input", "lie_heisenberg",
+                    "--alpha1", str(bad), "--order", order)
+    assert code == 0
+    assert out.splitlines()[-1] == "obstruction [a1,a1]: zero"
+    assert calls == []
+
+
 def test_lie_jacobi_failure(tmp_path, capsys):
     f = tmp_path / "notlie.txt"
     f.write_text("kind: lie\ndim: 3\nc 1 2 2: 1\nc 1 3 3: 1\n"
