@@ -22,7 +22,7 @@ from .complexes import (ExtensionPreconditionError, chain_extend,
                         verify_homotopy, verify_nilpotent)
 from .instances import random_split_instance
 from .lie import (Cochain, DeformationPreconditionError, JacobiError,
-                  bracket2, extend_deformation, h2)
+                  extend_deformation, h2, nr_compose)
 from .shlie import (build_shlie, crosscheck_with_engine, l3_is_obstruction,
                     variants_agree, verify_shlie)
 
@@ -99,8 +99,9 @@ def cmd_lie(config: RunConfig):
         if a1.dim != alg.dim or a1.arity != 2:
             raise formats.FormatError(0, "alpha1 must be a 2-cochain on the "
                                          "same space")
+        # [a1,a1] = 2 a1.a1, so one composition decides it
         report["obstruction [a1,a1]"] = \
-            "zero" if bracket2(a1, a1).is_zero() else "nonzero"
+            "zero" if nr_compose(a1, a1).is_zero() else "nonzero"
         if config.order >= 2:   # below order 2 alpha1 goes unchecked
             try:
                 extended = extend_deformation(alg, [a1], config.order)

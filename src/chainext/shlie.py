@@ -47,15 +47,20 @@ class ShLieStructure:
     must vanish below t^2.
     """
 
-    __slots__ = ("alg", "alpha0", "alpha1", "N", "variant", "comp11")
+    __slots__ = ("alg", "alpha0", "alpha1", "N", "variant", "comp11",
+                 "_l2", "_l3")
 
-    def __init__(self, alg, alpha0, alpha1, N, variant):
+    def __init__(self, alg, alpha0, alpha1, N, variant, comp11=None):
+        """comp11, when given, is nr_compose(alpha1, alpha1)."""
         self.alg = alg
         self.alpha0 = alpha0
         self.alpha1 = alpha1
         self.N = int(N)
         self.variant = variant
-        self.comp11 = nr_compose(alpha1, alpha1)
+        self.comp11 = nr_compose(alpha1, alpha1) if comp11 is None else comp11
+        self._l2 = self.l2_op()
+        # reads comp11 when it runs, so a replaced comp11 changes l3 too
+        self._l3 = TLinear({2: [(-1, (lambda *vs: self.comp11.apply(*vs),))]})
 
     def as_variant(self, variant: str) -> "ShLieStructure":
         """The same maps on the graded space of `variant`.  build_shlie's
@@ -63,7 +68,8 @@ class ShLieStructure:
         both."""
         if variant not in ("t2", "full"):
             raise ValueError("variant must be 't2' or 'full'")
-        return ShLieStructure(self.alg, self.alpha0, self.alpha1, self.N, variant)
+        return ShLieStructure(self.alg, self.alpha0, self.alpha1, self.N,
+                              variant, self.comp11)
 
     @property
     def kmin(self):
@@ -89,16 +95,16 @@ class ShLieStructure:
 
     def l2_00(self, a: Series, b: Series) -> Series:
         """X_0 x X_0 -> X_0: alpha0 + alpha1 t, extended bilinearly over t."""
-        return self.l2_op().apply(a, b)
+        return self._l2.apply(a, b)
 
     def l2_10(self, xi: Series, b: Series) -> Series:
         """X_1 x X_0 -> X_1: alpha0(a,b)* + alpha1(a,b)* t, t-scaled."""
         self._check_x1(xi)
-        return self.l2_op().apply(xi, b)
+        return self._l2.apply(xi, b)
 
     def l3_000(self, a, b, c) -> Series:
         """X_0^3 -> X_1: -t^2 (alpha1 . alpha1)(a,b,c), starred."""
-        return TLinear({2: [(-1, (self.comp11.apply,))]}).apply(a, b, c)
+        return self._l3.apply(a, b, c)
 
     # -- degree-dispatching wrappers used by the relation checker ------------
 

@@ -3,8 +3,11 @@
 Generators carry parity, ghost number, antighost degree and a kind tag.
 Polynomials are stored as maps from normal-ordered monomials (tuples of
 generator indices, ascending; odd indices never repeat) to rational
-coefficients.  Reordering into normal form costs the Koszul sign, one minus
-sign per transposition of two odd factors.
+coefficients, always `Fraction`s.  Reordering into normal form costs the
+Koszul sign, one minus sign per transposition of two odd factors.  The
+kernels (products, derivations, derivative tables) compute with an integral
+coefficient as an int, and `SuperPoly` turns the results back into
+`Fraction`s.
 
 Provides graded right/left derivations, an even Poisson bracket extended as a
 biderivation from a generator table, and the antibracket of field/antifield
@@ -76,33 +79,38 @@ class SuperAlgebra:
                                  [g.name for g in other.gens])
 
 
-def _merge_monomials(m1, m2, parities):
-    """Merge two normal-ordered monomials; return (monomial, sign) or (None, 0)
-    when an odd generator repeats."""
-    out = []
+# The small integers, as shared Fraction objects: SuperPoly stores these for
+# the int coefficients the kernels produce instead of building a new Fraction
+# each time.  A Fraction is immutable, so sharing one is safe.
+_SMALL = 16
+_SMALL_FRACTIONS = tuple(Fraction(n) for n in range(-_SMALL, _SMALL + 1))
+
+
+def _exact(c):
+    """A stored coefficient as the kernels compute with it: an integral
+    Fraction as its int numerator, so products and sums need no gcd."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _kernel_terms(terms, parities):
+    """[(monomial, its odd factors, coefficient)] for the kernels' loops."""
+    return [(m, [g for g in m if parities[g]], _exact(c))
+            for m, c in terms.items()]
+
+
+def _merge_monomials(m1, odd1, m2, odd2):
+    """m1 m2 in normal order: (monomial, Koszul sign), or (None, 0) when an
+    odd generator repeats.  odd1 and odd2 list the odd factors of m1 and m2;
+    each pair a > b with a from odd1 and b from odd2 is one transposition."""
     sign = 1
-    i = j = 0
-    odd_left = sum(parities[g] for g in m1)  # odd factors of m1 not yet emitted
-    while i < len(m1) and j < len(m2):
-        a, b = m1[i], m2[j]
-        if a <= b:
-            odd_left -= parities[a]
-            out.append(a)
-            i += 1
-            if a == b and parities[a]:
-                return None, 0
-        else:
-            if parities[b] and odd_left % 2:
-                sign = -sign
-            out.append(b)
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    # an odd repeat can also appear at the seam just emitted
-    for k in range(len(out) - 1):
-        if out[k] == out[k + 1] and parities[out[k]]:
-            return None, 0
-    return tuple(out), sign
+    if odd1 and odd2:
+        for b in odd2:
+            for a in odd1:
+                if a > b:
+                    sign = -sign
+                elif a == b:
+                    return None, 0
+    return tuple(sorted(m1 + m2)), sign
 
 
 class SuperPoly:
@@ -116,7 +124,8 @@ class SuperPoly:
         if terms:
             for m, c in terms.items():
                 if type(c) is not Fraction:
-                    c = rat(c)
+                    c = _SMALL_FRACTIONS[c + _SMALL] if (
+                        type(c) is int and -_SMALL <= c <= _SMALL) else rat(c)
                 if not c:
                     continue
                 m = tuple(m)
@@ -206,12 +215,14 @@ class SuperPoly:
 
 
 def _mul_into(out, f_terms, g_terms, parities, negate=False):
-    """Add f g (or -f g when negate) into the monomial dict out."""
+    """Add f g (or -f g when negate) into the monomial dict out; the values
+    added are ints where they are integral."""
+    g_list = _kernel_terms(g_terms, parities)
     for m1, c1 in f_terms.items():
-        if negate:
-            c1 = -c1
-        for m2, c2 in g_terms.items():
-            m, sign = _merge_monomials(m1, m2, parities)
+        odd1 = [g for g in m1 if parities[g]]
+        c1 = -_exact(c1) if negate else _exact(c1)
+        for m2, odd2, c2 in g_list:
+            m, sign = _merge_monomials(m1, odd1, m2, odd2)
             if m is None:
                 continue
             c = c1 * c2 if sign > 0 else -(c1 * c2)
@@ -227,43 +238,43 @@ def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
     return SuperPoly(f.alg, out)
 
 
+def _derivatives(f: SuperPoly, names, left):
+    """The terms of the left (or right) derivative of f by each named
+    generator, all from one pass over f's terms."""
+    alg = f.alg
+    tables = {}
+    for name in names:
+        if name not in alg.index:
+            raise KeyError("unknown generator %r" % (name,))
+        tables[alg.index[name]] = {}
+    parities = [gen.parity for gen in alg.gens]
+    for m, c in f.terms.items():
+        c = _exact(c)
+        odd_total = sum(parities[k] for k in m)
+        odd_before = 0
+        for j, idx in enumerate(m):
+            p = parities[idx]
+            table = tables.get(idx)
+            if table is not None:
+                # an odd generator leaves past the odd factors on its side
+                passed = odd_before if left else odd_total - odd_before - p
+                d = -c if p and passed % 2 else c
+                mm = m[:j] + m[j + 1:]
+                prev = table.get(mm)
+                table[mm] = d if prev is None else prev + d
+            odd_before += p
+    return [tables[alg.index[name]] for name in names]
+
+
 def right_deriv(f: SuperPoly, gname) -> SuperPoly:
     """Graded derivation from the right with respect to one generator."""
-    alg = f.alg
-    if gname not in alg.index:
-        raise KeyError("unknown generator %r" % (gname,))
-    gi = alg.index[gname]
-    gp = alg.gens[gi].parity
-    out = {}
-    for m, c in f.terms.items():
-        for j, idx in enumerate(m):
-            if idx != gi:
-                continue
-            suffix_parity = sum(alg.gens[k].parity for k in m[j + 1:]) % 2
-            d = -c if (gp and suffix_parity) else c
-            mm = m[:j] + m[j + 1:]
-            prev = out.get(mm)
-            out[mm] = d if prev is None else prev + d
-    return SuperPoly(alg, out)
+    (terms,) = _derivatives(f, [gname], left=False)
+    return SuperPoly(f.alg, terms)
 
 
 def left_deriv(f: SuperPoly, gname) -> SuperPoly:
-    alg = f.alg
-    if gname not in alg.index:
-        raise KeyError("unknown generator %r" % (gname,))
-    gi = alg.index[gname]
-    gp = alg.gens[gi].parity
-    out = {}
-    for m, c in f.terms.items():
-        for j, idx in enumerate(m):
-            if idx != gi:
-                continue
-            prefix_parity = sum(alg.gens[k].parity for k in m[:j]) % 2
-            d = -c if (gp and prefix_parity) else c
-            mm = m[:j] + m[j + 1:]
-            prev = out.get(mm)
-            out[mm] = d if prev is None else prev + d
-    return SuperPoly(alg, out)
+    (terms,) = _derivatives(f, [gname], left=True)
+    return SuperPoly(f.alg, terms)
 
 
 def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:
@@ -276,29 +287,32 @@ def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:
     """
     alg = f.alg
     parities = [gen.parity for gen in alg.gens]
+    present = {k for m in f.terms for k in m}
     vals = {}
     for name, v in values.items():
         if name not in alg.index:
             raise KeyError("unknown generator %r" % (name,))
-        if not v.is_zero():
-            vals[alg.index[name]] = v.terms
+        if v.terms and alg.index[name] in present:
+            vals[alg.index[name]] = _kernel_terms(v.terms, parities)
     out = {}
     for m, c in f.terms.items():
+        c = _exact(c)
+        odd_after = sum(parities[k] for k in m)
         for j, idx in enumerate(m):
+            odd_after -= parities[idx]      # odd factors of the suffix m[j+1:]
             if idx not in vals:
                 continue
-            prefix, suffix = m[:j], m[j + 1:]
-            odd_suffix = sum(parities[k] for k in suffix) % 2
-            c_j = -c if (parity and odd_suffix) else c
-            # prefix . value . suffix, with the Koszul sign of each merge
-            for vm, vc in vals[idx].items():
-                left, s1 = _merge_monomials(prefix, vm, parities)
-                if left is None:
-                    continue
-                mono, s2 = _merge_monomials(left, suffix, parities)
+            rest = m[:j] + m[j + 1:]
+            odd_rest = [k for k in rest if parities[k]]
+            for vm, odd_v, vc in vals[idx]:
+                # one merge orders rest.vm; prefix.vm.suffix differs from it
+                # by moving vm past the suffix, and D itself passes the suffix
+                mono, sign = _merge_monomials(rest, odd_rest, vm, odd_v)
                 if mono is None:
                     continue
-                d = c_j * vc if s1 == s2 else -(c_j * vc)
+                if odd_after % 2 and (parity + len(odd_v)) % 2:
+                    sign = -sign
+                d = c * vc if sign > 0 else -(c * vc)
                 prev = out.get(mono)
                 out[mono] = d if prev is None else prev + d
     return SuperPoly(alg, out)
@@ -369,15 +383,18 @@ def validate_poisson_table(alg, table) -> None:
 def right_derivs(f: SuperPoly, pairs):
     """[(dRf/dphi, dRf/dphi*) for each (phi, phi*) in pairs]: the left
     factors of every antibracket (f, .)."""
-    return [(right_deriv(f, field), right_deriv(f, anti))
-            for field, anti in pairs]
+    return _derivative_pairs(f, pairs, left=False)
 
 
 def left_derivs(g: SuperPoly, pairs):
     """[(dLg/dphi, dLg/dphi*) for each (phi, phi*) in pairs]: the right
     factors of every antibracket (., g)."""
-    return [(left_deriv(g, field), left_deriv(g, anti))
-            for field, anti in pairs]
+    return _derivative_pairs(g, pairs, left=True)
+
+
+def _derivative_pairs(f, pairs, left):
+    d = iter(_derivatives(f, [name for pair in pairs for name in pair], left))
+    return [(SuperPoly(f.alg, a), SuperPoly(f.alg, b)) for a, b in zip(d, d)]
 
 
 def antibracket(f: SuperPoly, g: SuperPoly, pairs, f_derivs=None,
@@ -398,18 +415,14 @@ def antibracket(f: SuperPoly, g: SuperPoly, pairs, f_derivs=None,
     if f_derivs is None:
         f_derivs = right_derivs(f, pairs)
     if g_derivs is None:
-        g_derivs = [(None, None)] * len(pairs)
+        g_derivs = left_derivs(g, pairs)
     parities = [gen.parity for gen in alg.gens]
     out = {}
-    for (field, anti), (df_field, df_anti), (dg_field, dg_anti) in zip(
+    for _pair, (df_field, df_anti), (dg_field, dg_anti) in zip(
             pairs, f_derivs, g_derivs, strict=True):
         if df_field.terms:
-            if dg_anti is None:
-                dg_anti = left_deriv(g, anti)
             _mul_into(out, df_field.terms, dg_anti.terms, parities)
         if df_anti.terms:
-            if dg_field is None:
-                dg_field = left_deriv(g, field)
             _mul_into(out, df_anti.terms, dg_field.terms, parities,
                       negate=True)
     return SuperPoly(alg, out)

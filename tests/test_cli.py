@@ -419,16 +419,16 @@ def test_shlie_validates_the_algebra_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("order,compositions", [
-    (2, 42), (4, 47), (6, 56), (8, 69)])
+    (2, 41), (4, 46), (6, 55), (8, 68)])
 def test_lie_extends_the_chain_in_one_call(order, compositions, monkeypatch,
                                            capsys):
     """h2 builds d1 and d2, extend_deformation builds d2 once more; each
     product alpha_i . alpha_j is composed once, N(N-1)/2 of them up to
-    order N, on top of the 41 compositions of h2, [a1,a1] and the order-1
-    check."""
+    order N, on top of the 40 compositions of h2, [a1,a1] (one: it is
+    2 a1.a1) and the order-1 check."""
     from chainext import lie as lie_mod
     matrices = counting(monkeypatch, lie_mod, "differential_matrix")
-    composed = counting(monkeypatch, lie_mod, "nr_compose")
+    composed = counting(monkeypatch, lie_mod, "nr_compose", cli)
     calls = counting(monkeypatch, lie_mod, "extend_deformation", cli)
     code, out = run(capsys, "lie", "--input", "lie_heisenberg", "--alpha1",
                     "cochain_heisenberg_a121", "--order", str(order))
@@ -510,6 +510,35 @@ def test_shlie_cross_check_validates_the_algebra_once(monkeypatch, capsys):
                            "--cross-check")
     assert code == 0
     assert [len(c) for c in counts] == [1, 1]
+
+
+SHLIE_JOBS = [("shlie", "--input", "lie_so3"),
+              ("shlie", "--input", "lie_abelian3", "--alpha1",
+               "cochain_obstructed_alpha1")]
+
+
+@pytest.mark.parametrize("argv", SHLIE_JOBS)
+def test_shlie_composes_alpha1_once_per_job(argv, monkeypatch, capsys):
+    """Six compositions: jacobi_check one, ce_differential's [alpha0,alpha1]
+    two, l3's alpha1.alpha1 one for both variants, and one fresh one per
+    variant in l3_is_obstruction."""
+    from chainext import lie as lie_mod
+    from chainext import shlie as shlie_mod
+    composed = counting(monkeypatch, lie_mod, "nr_compose", shlie_mod)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert len(composed) == 6
+
+
+@pytest.mark.parametrize("argv", SHLIE_JOBS)
+def test_shlie_builds_its_operators_once(argv, monkeypatch, capsys):
+    """Each variant builds its l2 and l3 operators once, not once per
+    l2_00/l2_10/l3_000 call."""
+    from chainext import shlie as shlie_mod
+    built = counting(monkeypatch, shlie_mod, "TLinear")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert len(built) == 4
 
 
 def test_brst_builds_the_basis_once(monkeypatch, capsys):

@@ -1,0 +1,332 @@
+"""The superalgebra kernels against the Fraction-only kernels they replaced,
+copied here as they stood (renamed with an old_ prefix): a two-pointer
+merge with its seam check, extend_right_derivation with two merges per
+value term, one scan of the polynomial per generator for every derivative,
+and antibracket with lazily computed left derivatives.
+
+Coefficients are drawn as ints inside and outside the shared small-Fraction
+table, integral Fractions and non-integral Fractions; monomials repeat even
+factors, share odd factors between the two sides and may be empty.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chainext.bv import two_ghost_model
+from chainext.superalg import (
+    GenSpec, SuperAlgebra, SuperPoly, _merge_monomials, antibracket,
+    extend_right_derivation, left_deriv, left_derivs, mul, right_deriv,
+    right_derivs,
+)
+
+
+# -- the kernels, as they stood ------------------------------------------------
+
+def old_merge_monomials(m1, m2, parities):
+    """Merge two normal-ordered monomials; return (monomial, sign) or (None, 0)
+    when an odd generator repeats."""
+    out = []
+    sign = 1
+    i = j = 0
+    odd_left = sum(parities[g] for g in m1)  # odd factors of m1 not yet emitted
+    while i < len(m1) and j < len(m2):
+        a, b = m1[i], m2[j]
+        if a <= b:
+            odd_left -= parities[a]
+            out.append(a)
+            i += 1
+            if a == b and parities[a]:
+                return None, 0
+        else:
+            if parities[b] and odd_left % 2:
+                sign = -sign
+            out.append(b)
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    # an odd repeat can also appear at the seam just emitted
+    for k in range(len(out) - 1):
+        if out[k] == out[k + 1] and parities[out[k]]:
+            return None, 0
+    return tuple(out), sign
+
+
+def old_mul_into(out, f_terms, g_terms, parities, negate=False):
+    """Add f g (or -f g when negate) into the monomial dict out."""
+    for m1, c1 in f_terms.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in g_terms.items():
+            m, sign = old_merge_monomials(m1, m2, parities)
+            if m is None:
+                continue
+            c = c1 * c2 if sign > 0 else -(c1 * c2)
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+
+
+def old_mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
+    if f.alg != g.alg:
+        raise ValueError("generator-set mismatch")
+    out = {}
+    old_mul_into(out, f.terms, g.terms, [gen.parity for gen in f.alg.gens])
+    return SuperPoly(f.alg, out)
+
+
+def old_right_deriv(f: SuperPoly, gname) -> SuperPoly:
+    """Graded derivation from the right with respect to one generator."""
+    alg = f.alg
+    if gname not in alg.index:
+        raise KeyError("unknown generator %r" % (gname,))
+    gi = alg.index[gname]
+    gp = alg.gens[gi].parity
+    out = {}
+    for m, c in f.terms.items():
+        for j, idx in enumerate(m):
+            if idx != gi:
+                continue
+            suffix_parity = sum(alg.gens[k].parity for k in m[j + 1:]) % 2
+            d = -c if (gp and suffix_parity) else c
+            mm = m[:j] + m[j + 1:]
+            prev = out.get(mm)
+            out[mm] = d if prev is None else prev + d
+    return SuperPoly(alg, out)
+
+
+def old_left_deriv(f: SuperPoly, gname) -> SuperPoly:
+    alg = f.alg
+    if gname not in alg.index:
+        raise KeyError("unknown generator %r" % (gname,))
+    gi = alg.index[gname]
+    gp = alg.gens[gi].parity
+    out = {}
+    for m, c in f.terms.items():
+        for j, idx in enumerate(m):
+            if idx != gi:
+                continue
+            prefix_parity = sum(alg.gens[k].parity for k in m[:j]) % 2
+            d = -c if (gp and prefix_parity) else c
+            mm = m[:j] + m[j + 1:]
+            prev = out.get(mm)
+            out[mm] = d if prev is None else prev + d
+    return SuperPoly(alg, out)
+
+
+def old_extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:
+    alg = f.alg
+    parities = [gen.parity for gen in alg.gens]
+    vals = {}
+    for name, v in values.items():
+        if name not in alg.index:
+            raise KeyError("unknown generator %r" % (name,))
+        if not v.is_zero():
+            vals[alg.index[name]] = v.terms
+    out = {}
+    for m, c in f.terms.items():
+        for j, idx in enumerate(m):
+            if idx not in vals:
+                continue
+            prefix, suffix = m[:j], m[j + 1:]
+            odd_suffix = sum(parities[k] for k in suffix) % 2
+            c_j = -c if (parity and odd_suffix) else c
+            # prefix . value . suffix, with the Koszul sign of each merge
+            for vm, vc in vals[idx].items():
+                left, s1 = old_merge_monomials(prefix, vm, parities)
+                if left is None:
+                    continue
+                mono, s2 = old_merge_monomials(left, suffix, parities)
+                if mono is None:
+                    continue
+                d = c_j * vc if s1 == s2 else -(c_j * vc)
+                prev = out.get(mono)
+                out[mono] = d if prev is None else prev + d
+    return SuperPoly(alg, out)
+
+
+def old_right_derivs(f: SuperPoly, pairs):
+    return [(old_right_deriv(f, field), old_right_deriv(f, anti))
+            for field, anti in pairs]
+
+
+def old_left_derivs(g: SuperPoly, pairs):
+    return [(old_left_deriv(g, field), old_left_deriv(g, anti))
+            for field, anti in pairs]
+
+
+def old_antibracket(f: SuperPoly, g: SuperPoly, pairs, f_derivs=None,
+                    g_derivs=None) -> SuperPoly:
+    alg = f.alg
+    if alg != g.alg:
+        raise ValueError("generator-set mismatch")
+    for field, anti in pairs:
+        for w in (field, anti):
+            if w not in alg.index:
+                raise KeyError("unknown generator %r" % (w,))
+    if f_derivs is None:
+        f_derivs = old_right_derivs(f, pairs)
+    if g_derivs is None:
+        g_derivs = [(None, None)] * len(pairs)
+    parities = [gen.parity for gen in alg.gens]
+    out = {}
+    for (field, anti), (df_field, df_anti), (dg_field, dg_anti) in zip(
+            pairs, f_derivs, g_derivs, strict=True):
+        if df_field.terms:
+            if dg_anti is None:
+                dg_anti = old_left_deriv(g, anti)
+            old_mul_into(out, df_field.terms, dg_anti.terms, parities)
+        if df_anti.terms:
+            if dg_field is None:
+                dg_field = old_left_deriv(g, field)
+            old_mul_into(out, df_anti.terms, dg_field.terms, parities,
+                         negate=True)
+    return SuperPoly(alg, out)
+
+
+# -- drawn inputs ----------------------------------------------------------------
+
+def mixed_alg():
+    """Even and odd generators interleaved, so sorting moves odd factors past
+    even ones as well as past each other; the pairs join generators of
+    every parity combination."""
+    gens = [GenSpec("a", "even"), GenSpec("b", "odd"), GenSpec("c", "even"),
+            GenSpec("d", "odd"), GenSpec("e", "odd"), GenSpec("f", "even")]
+    return SuperAlgebra(gens), [("a", "b"), ("d", "c"), ("e", "f"),
+                                ("b", "d")]
+
+
+def bv_alg():
+    model = two_ghost_model()
+    return model.alg, model.pairs
+
+
+ALGEBRAS = {"mixed": mixed_alg(), "bv_two_ghost": bv_alg()}
+
+_settings = settings(max_examples=150, deadline=None)
+
+# ints inside and outside the shared table, integral and non-integral
+# Fractions
+_coeffs = st.one_of(
+    st.integers(-16, 16),
+    st.integers(17, 10 ** 12).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.integers(-40, 40).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
+        lambda q: q.denominator != 1),
+)
+
+
+def parities_of(alg):
+    return [gen.parity for gen in alg.gens]
+
+
+@st.composite
+def monomials(draw, alg, max_size=4):
+    """A normal-ordered monomial: even factors may repeat, odd ones not."""
+    idx = sorted(draw(st.lists(st.integers(0, len(alg.gens) - 1),
+                               max_size=max_size)))
+    out = []
+    for i in idx:
+        if not (alg.gens[i].parity and out and out[-1] == i):
+            out.append(i)
+    return tuple(out)
+
+
+@st.composite
+def polys(draw, alg, max_terms=4):
+    return SuperPoly(alg, dict(draw(st.lists(
+        st.tuples(monomials(alg), _coeffs), max_size=max_terms))))
+
+
+@st.composite
+def drawn(draw, count, values=False):
+    """(alg, pairs, polynomials[, generator values]) over one algebra."""
+    alg, pairs = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    out = [alg, pairs] + [draw(polys(alg)) for _ in range(count)]
+    if values:
+        out.append(draw(st.dictionaries(
+            st.sampled_from([g.name for g in alg.gens]),
+            polys(alg, max_terms=3), max_size=4)))
+    return out
+
+
+def stored_as_fractions(*ps):
+    return all(type(c) is Fraction for p in ps for c in p.terms.values())
+
+
+# -- the comparisons -------------------------------------------------------------
+
+MIXED, _ = ALGEBRAS["mixed"]
+
+
+def odd(m, parities):
+    return [g for g in m if parities[g]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ALGEBRAS)).flatmap(
+    lambda k: st.tuples(st.just(ALGEBRAS[k][0]),
+                        monomials(ALGEBRAS[k][0], 6),
+                        monomials(ALGEBRAS[k][0], 6))))
+@example((MIXED, (), ()))
+@example((MIXED, (0, 0, 2), (0, 2, 5)))       # repeated even factors
+@example((MIXED, (1, 3), (3, 4)))             # an odd repeat
+@example((MIXED, (3, 4), (1,)))               # two transpositions
+@example((MIXED, (4,), (0, 1, 3)))            # odd past odd and even
+def test_merge_monomials_matches_old(case):
+    alg, m1, m2 = case
+    par = parities_of(alg)
+    assert _merge_monomials(m1, odd(m1, par), m2, odd(m2, par)) == \
+        old_merge_monomials(m1, m2, par)
+
+
+@_settings
+@given(drawn(2))
+def test_mul_matches_old(case):
+    alg, pairs, f, g = case
+    got = mul(f, g)
+    assert got.terms == old_mul(f, g).terms
+    assert stored_as_fractions(got)
+
+
+@_settings
+@given(drawn(1))
+def test_derivatives_match_old(case):
+    alg, pairs, f = case
+    for gen in alg.gens:
+        r, l = right_deriv(f, gen.name), left_deriv(f, gen.name)
+        assert r.terms == old_right_deriv(f, gen.name).terms
+        assert l.terms == old_left_deriv(f, gen.name).terms
+        assert stored_as_fractions(r, l)
+    for new, old in ((right_derivs, old_right_derivs),
+                     (left_derivs, old_left_derivs)):
+        table = new(f, pairs)
+        assert [(a.terms, b.terms) for a, b in table] == \
+            [(a.terms, b.terms) for a, b in old(f, pairs)]
+        assert all(stored_as_fractions(a, b) for a, b in table)
+
+
+@_settings
+@given(drawn(1, values=True), st.integers(0, 1))
+@example([MIXED, None, SuperPoly(MIXED, {(1, 2, 3, 4): 3}),
+          {"c": SuperPoly(MIXED, {(1, 4): Fraction(1, 2), (): 20}),
+           "d": SuperPoly(MIXED, {(0, 1): -1, (0, 0): 18})}], 1)
+def test_extend_right_derivation_matches_old(case, parity):
+    alg, pairs, f, values = case
+    got = extend_right_derivation(f, values, parity)
+    assert got.terms == old_extend_right_derivation(f, values, parity).terms
+    assert stored_as_fractions(got)
+
+
+@_settings
+@given(drawn(2))
+def test_antibracket_matches_old(case):
+    alg, pairs, f, g = case
+    want = old_antibracket(f, g, pairs).terms
+    f_table, g_table = right_derivs(f, pairs), left_derivs(g, pairs)
+    for got in (antibracket(f, g, pairs),
+                antibracket(f, g, pairs, f_table),
+                antibracket(f, g, pairs, g_derivs=g_table),
+                antibracket(f, g, pairs, f_table, g_table)):
+        assert got.terms == want
+        assert stored_as_fractions(got)
