@@ -287,6 +287,7 @@ def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:
     """
     alg = f.alg
     parities = [gen.parity for gen in alg.gens]
+    # only the values of generators that occur in f are put in kernel form
     present = {k for m in f.terms for k in m}
     vals = {}
     for name, v in values.items():
@@ -393,6 +394,7 @@ def left_derivs(g: SuperPoly, pairs):
 
 
 def _derivative_pairs(f, pairs, left):
+    """The (field, antifield) derivative pairs of f, from one pass."""
     d = iter(_derivatives(f, [name for pair in pairs for name in pair], left))
     return [(SuperPoly(f.alg, a), SuperPoly(f.alg, b)) for a, b in zip(d, d)]
 
