@@ -26,9 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .complexes import GradedMap, GradedSpace, HomotopyData
+from .complexes import chain_extend, verify_homotopy
 from .exactla import Basis, kernel_basis, operator_matrix
-from .series import Series, TLinear, pair_sum
+from .series import Series, TLinear, pair_sum, star_resolution
 from .superalg import (
     GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of, left_derivs,
     mul, right_derivs,
@@ -304,6 +304,16 @@ def find_s0_cocycle(model: BVModel, S0: SuperPoly, maxdeg: int):
             for vec in kernel_basis(mat)]
 
 
+def auto_term(model: BVModel, S0: SuperPoly, i: int) -> SuperPoly:
+    """The term `S<i>: auto` stands for: the first quadratic cocycle of
+    (S0, .) with a monomial of degree >= 2."""
+    term = next((f for f in find_s0_cocycle(model, S0, 2)
+                 if any(len(m) >= 2 for m in f.terms)), None)
+    if term is None:
+        raise ValueError("no nontrivial cocycle found for S%d" % i)
+    return term
+
+
 # -- generic-engine bridge -------------------------------------------------------
 
 def to_homotopy_data(maps: Theorem8Maps, cap: int):
@@ -335,29 +345,18 @@ def to_homotopy_data(maps: Theorem8Maps, cap: int):
               if weight(m, k) <= cap]
     basis0.sort()
     basis1.sort()
-    b0, b1 = _basis(maps, basis0), _basis(maps, basis1)
-    free = Basis([b for b in basis0 if b[1] <= n])
-    sp = GradedSpace([len(basis0), len(basis1)])
-    hd = HomotopyData(
-        sp,
-        GradedMap(sp, -1, {1: maps.l1_op.matrix(b1, b0, T)}),
-        len(free),
-        operator_matrix(lambda b: [(b, 1)] if b[1] <= n else [], b0, free),
-        operator_matrix(lambda b: [(b, 1)], free, b0),
-        GradedMap(sp, +1, {0: operator_matrix(
-            lambda b: [(b, -1)] if b[1] > n else [], b0, b1)}),
-    )
+    b0 = _basis(maps, basis0)
+    hd = star_resolution(b0, _basis(maps, basis1), n + 1)
     return hd, maps.l2_plain_op.matrix(b0, b0, T), (basis0, basis1)
 
 
 def engine_matrices_match(maps: Theorem8Maps, cap: int) -> bool:
     """Run the generic extension on the exported data and compare its l2, l3
     blocks with the Theorem-8 maps entrywise."""
-    from .complexes import chain_extend, verify_homotopy
     hd, l2_0, (basis0, basis1) = to_homotopy_data(maps, cap)
     if not verify_homotopy(hd)["ok"]:
         return False
-    ext = chain_extend(hd, l2_0, d_f=hd.eta @ l2_0 @ hd.lam)
+    ext = chain_extend(hd, l2_0)
     b0, b1 = _basis(maps, basis0), _basis(maps, basis1)
     want_l2_1 = maps.l2_star_op.matrix(b1, b1, maps.T)
     want_l3 = maps.l3_op.matrix(b0, b1, maps.T)
@@ -380,10 +379,8 @@ def two_pair_model(cap=6) -> BVModel:
 def two_pair_problem(trunc=2) -> DeformationProblem:
     model = two_pair_model()
     s0 = mul(model.gen("phi_st"), model.gen("C"))
-    cocycles = find_s0_cocycle(model, s0, 2)
-    s1 = next(f for f in cocycles
-              if any(len(m) >= 2 for m in f.terms))
-    return DeformationProblem(model, [s0, s1], trunc=trunc)
+    return DeformationProblem(model, [s0, auto_term(model, s0, 1)],
+                              trunc=trunc)
 
 
 def two_ghost_model(cap=6) -> BVModel:

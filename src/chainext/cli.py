@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import random
-from typing import NamedTuple
 
 from . import brst as brst_mod
 from . import bv as bv_mod
@@ -29,18 +28,6 @@ from .shlie import (build_shlie, crosscheck_with_engine, l3_is_obstruction,
 MODELS_DIR = os.path.join(os.path.dirname(__file__), "models")
 
 PASS, MATH_FAIL, INPUT_ERROR, UNEXPECTED = 0, 1, 2, 3
-
-
-class RunConfig(NamedTuple):
-    command: str
-    input: str | None = None
-    trunc: int = 4
-    cap: int = 6
-    order: int = 3
-    alpha1: str | None = None
-    cross_check: bool = False
-    seed: int = 1
-    fmt: str = "text"
 
 
 def resolve_input(name):
@@ -82,7 +69,7 @@ def format_cochain(ch: Cochain) -> str:
 # -- commands ---------------------------------------------------------------------
 
 
-def cmd_lie(config: RunConfig):
+def cmd_lie(config):
     alg = _load(config.input, "lie", formats.load_lie)
     report = {"command": "lie", "dim": alg.dim}
     try:
@@ -116,7 +103,7 @@ def cmd_lie(config: RunConfig):
     return report, PASS
 
 
-def cmd_shlie(config: RunConfig):
+def cmd_shlie(config):
     if config.trunc < 3:
         # a usage error, not a failed check: l3's t^2 terms need t^3 room
         raise formats.FormatError(0, "--trunc must be at least 3 for shlie, "
@@ -157,7 +144,7 @@ def cmd_shlie(config: RunConfig):
     return report, code
 
 
-def cmd_brst(config: RunConfig):
+def cmd_brst(config):
     m, n, table, structure = _load(config.input, "brst", formats.load_brst)
     report = {"command": "brst", "m": m, "n": n, "cap": config.cap}
     try:
@@ -188,7 +175,7 @@ def cmd_brst(config: RunConfig):
     return report, code
 
 
-def cmd_bv(config: RunConfig):
+def cmd_bv(config):
     model, S_terms, file_trunc = _load(config.input, "bv", formats.load_bv)
     trunc = file_trunc if file_trunc is not None else config.trunc
     report = {"command": "bv", "order": len(S_terms) - 1, "trunc": trunc}
@@ -197,11 +184,7 @@ def cmd_bv(config: RunConfig):
         S = []
         for i, term in enumerate(S_terms):
             if term == "auto":
-                cocycles = bv_mod.find_s0_cocycle(model, S[0], 2)
-                term = next((f for f in cocycles
-                             if any(len(mm) >= 2 for mm in f.terms)), None)
-                if term is None:
-                    raise ValueError("no nontrivial cocycle found for S%d" % i)
+                term = bv_mod.auto_term(model, S[0], i)
                 report["S%d (searched)" % i] = formats.format_poly(term)
             S.append(term)
         problem = bv_mod.DeformationProblem(model, S, trunc=trunc)
@@ -223,7 +206,7 @@ def cmd_bv(config: RunConfig):
     return report, code
 
 
-def cmd_extend(config: RunConfig):
+def cmd_extend(config):
     hd, l2_0, d_f = _load(config.input, "extend", formats.load_extend)
     report = {"command": "extend", "dims": list(hd.space.dims),
               "f_dim": hd.f_dim}
@@ -256,7 +239,7 @@ def cmd_extend(config: RunConfig):
     return report, code
 
 
-def cmd_fuzz(config: RunConfig):
+def cmd_fuzz(config):
     rng = random.Random(config.seed)
     count = 100
     passed = 0
@@ -287,6 +270,30 @@ def nonnegative_int(text):
     return value
 
 
+# each flag's argparse options, defined once
+FLAGS = {
+    "--input": dict(help="input file path or bundled model name"),
+    "--trunc": dict(type=nonnegative_int, default=4),
+    "--cap": dict(type=nonnegative_int, default=6),
+    "--order": dict(type=nonnegative_int, default=3),
+    "--alpha1": dict(),
+    "--cross-check": dict(action="store_true"),
+    "--seed": dict(type=int, default=1),
+    "--format": dict(dest="fmt", default="text",
+                     choices=("text", "structured")),
+}
+
+# the flags each command reads, besides --format
+COMMAND_FLAGS = {
+    "lie": ("--input", "--order", "--alpha1"),
+    "shlie": ("--input", "--trunc", "--alpha1", "--cross-check"),
+    "brst": ("--input", "--cap"),
+    "bv": ("--input", "--trunc", "--cap", "--cross-check"),
+    "extend": ("--input",),
+    "fuzz": ("--seed",),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chainext",
@@ -294,37 +301,22 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in sorted(COMMANDS):
         p = sub.add_parser(name)
-        p.add_argument("--input", default=None,
-                       help="input file path or bundled model name")
-        p.add_argument("--trunc", type=nonnegative_int, default=4)
-        p.add_argument("--cap", type=nonnegative_int, default=6)
-        p.add_argument("--order", type=nonnegative_int, default=3)
-        p.add_argument("--alpha1", default=None)
-        p.add_argument("--cross-check", action="store_true")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=("text", "structured"))
+        for flag in COMMAND_FLAGS[name] + ("--format",):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(command=args.command, input=args.input,
-                       trunc=args.trunc, cap=args.cap, order=args.order,
-                       alpha1=args.alpha1, cross_check=args.cross_check,
-                       seed=args.seed, fmt=args.fmt)
     try:
-        report, code = COMMANDS[config.command](config)
-    except formats.FormatError as e:
-        print(render({"error": str(e)}, config.fmt))
-        return INPUT_ERROR
-    except OSError as e:
-        print(render({"error": str(e)}, config.fmt))
+        report, code = COMMANDS[args.command](args)
+    except (formats.FormatError, OSError) as e:
+        print(render({"error": str(e)}, args.fmt))
         return INPUT_ERROR
     except Exception as e:
-        print(render({"error": "%s: %s" % (type(e).__name__, e)}, config.fmt))
+        print(render({"error": "%s: %s" % (type(e).__name__, e)}, args.fmt))
         return UNEXPECTED
-    print(render(report, config.fmt))
+    print(render(report, args.fmt))
     return code
 
 

@@ -57,6 +57,13 @@ def _int(lineno, text):
         raise FormatError(lineno, "bad integer %r" % (text,))
 
 
+def _once(seen, lineno, key, what=None):
+    """Record key in seen; a key already there is repeated at lineno."""
+    if key in seen:
+        raise FormatError(lineno, "duplicate %s" % (what or key))
+    seen.add(key)
+
+
 def _count(lineno, text):
     n = _int(lineno, text)
     if n < 0:
@@ -145,6 +152,7 @@ def load_lie(text) -> LieAlgebra:
     for lineno, line in lines[1:]:
         key, value = _split_kv(lineno, line)
         if key == "dim":
+            _once(seen, lineno, key)
             dim = _count(lineno, value)
         elif key.startswith("c "):
             if dim is None:
@@ -156,9 +164,7 @@ def load_lie(text) -> LieAlgebra:
             if not (1 <= i < j <= dim and 1 <= k <= dim):
                 raise FormatError(lineno, "indices out of range (need "
                                           "1 <= i < j <= dim)")
-            if (i, j, k) in seen:
-                raise FormatError(lineno, "duplicate entry c %d %d %d" % (i, j, k))
-            seen.add((i, j, k))
+            _once(seen, lineno, (i, j, k), "entry c %d %d %d" % (i, j, k))
             v = entries.setdefault((i - 1, j - 1), [rat(0)] * dim)
             v[k - 1] = _rat(lineno, value)
         else:
@@ -174,6 +180,8 @@ def load_cochain(text) -> Cochain:
     entries, seen = {}, set()
     for lineno, line in lines[1:]:
         key, value = _split_kv(lineno, line)
+        if key in ("dim", "arity"):
+            _once(seen, lineno, key)
         if key == "dim":
             dim = _count(lineno, value)
         elif key == "arity":
@@ -194,9 +202,7 @@ def load_cochain(text) -> Cochain:
                     1 <= t <= dim for t in idx) or not 1 <= k <= dim:
                 raise FormatError(lineno, "indices must be strictly increasing "
                                           "and within 1..dim")
-            if (idx, k) in seen:
-                raise FormatError(lineno, "duplicate entry")
-            seen.add((idx, k))
+            _once(seen, lineno, (idx, k), "entry")
             v = entries.setdefault(tuple(t - 1 for t in idx), [rat(0)] * dim)
             v[k - 1] = _rat(lineno, value)
         else:
@@ -214,9 +220,11 @@ def load_brst(text):
     from .brst import constraint_algebra
     lines = _data_lines(text)
     m = n = None
-    raw = []
+    raw, seen = [], set()
     for lineno, line in lines[1:]:
         key, value = _split_kv(lineno, line)
+        if key in ("m", "n"):
+            _once(seen, lineno, key)
         if key == "m":
             m = _count(lineno, value)
         elif key == "n":
@@ -234,17 +242,16 @@ def load_brst(text):
                 if name not in alg.index:
                     raise FormatError(lineno, "unknown generator %r" % (name,))
             pair = (parts[1], parts[2])
-            if pair in table or (pair[1], pair[0]) in table:
-                raise FormatError(lineno, "duplicate bracket for %s, %s" % pair)
+            _once(seen, lineno, frozenset(pair),
+                   "bracket for %s, %s" % pair)
             table[pair] = parse_poly(lineno, value, alg)
         elif len(parts) == 4 and parts[0] == "s":
             a, b, c = (_int(lineno, p) for p in parts[1:])
             if not (1 <= a < b <= n and 1 <= c <= n):
                 raise FormatError(lineno, "need 1 <= a < b <= n, 1 <= c <= n")
+            _once(seen, lineno, (a, b, c), "structure function")
             vals = structure.setdefault(
                 (a - 1, b - 1), [SuperPoly.zero(alg) for _ in range(n)])
-            if not vals[c - 1].is_zero():
-                raise FormatError(lineno, "duplicate structure function")
             vals[c - 1] = parse_poly(lineno, value, alg)
         else:
             raise FormatError(lineno, "unknown key %r" % (key,))
@@ -257,10 +264,12 @@ def load_brst(text):
 def load_bv(text):
     """(model, S_terms, trunc) where S_terms entries are SuperPoly or 'auto'."""
     lines = _data_lines(text)
-    fields, s_raw = [], {}
+    fields, s_raw, seen = [], {}, set()
     trunc, cap = None, 6
     for lineno, line in lines[1:]:
         key, value = _split_kv(lineno, line)
+        if key in ("cap", "trunc"):
+            _once(seen, lineno, key)
         if key == "cap":
             cap = _count(lineno, value)
         elif key == "trunc":
@@ -270,11 +279,16 @@ def load_bv(text):
             bits = value.split()
             if len(bits) != 2 or bits[0] not in ("even", "odd"):
                 raise FormatError(lineno, "expected 'field NAME: even|odd GH'")
+            # the field and its antifield NAME_st are both generators
+            for gen in (name, name + "_st"):
+                _once(seen, lineno, ("gen", gen), "generator name %r" % gen)
             fields.append((lineno, GenSpec(name, bits[0],
                                            ghost=_int(lineno, bits[1]),
                                            kind="field")))
         elif re.fullmatch(r"S\d+", key):
-            s_raw[int(key[1:])] = (lineno, value)
+            i = int(key[1:])
+            _once(seen, lineno, i, "S%d" % i)
+            s_raw[i] = (lineno, value)
         else:
             raise FormatError(lineno, "unknown key %r" % (key,))
     if not fields:
@@ -311,11 +325,13 @@ def load_extend(text):
     """(HomotopyData, l2_0, d_f) from a matrix-block file."""
     lines = _data_lines(text)
     dims = f_dim = None
-    blocks = {}
+    blocks, seen = {}, set()
     pos = 1
     while pos < len(lines):
         lineno, line = lines[pos]
         key, value = _split_kv(lineno, line)
+        if key in ("dims", "f_dim"):
+            _once(seen, lineno, key)
         if key == "dims":
             dims = [_count(lineno, b) for b in value.split()]
             pos += 1

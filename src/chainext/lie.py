@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .exactla import (Basis, RatMatrix, add_into, kernel_basis,
-                      operator_matrix, rank, rat, rref, solve)
+                      operator_matrix, rat, rref, solve)
 from .series import pair_sum
 
 _ONE = Fraction(1)
@@ -238,16 +238,14 @@ def h2(alg: LieAlgebra):
     d2 = differential_matrix(alg, 2)
     d1 = differential_matrix(alg, 1)
     cocycles = kernel_basis(d2)
-    b_rank = rank(d1)
-    dim_h2 = len(cocycles) - b_rank
-    reps = []
-    if cocycles:
-        basis = cochain_basis(alg.dim, 2)
-        stacked = d1.hstack(RatMatrix.from_columns(cocycles, nrows=d1.nrows))
-        _, pivots, _ = rref(stacked)
-        for p in pivots:
-            if p >= d1.ncols:
-                reps.append(_cochain(basis, alg.dim, 2, cocycles[p - d1.ncols]))
+    # the pivots left of d1's columns are rank(d1); the rest pick the reps
+    _, pivots, _ = rref(d1.hstack(RatMatrix.from_columns(cocycles,
+                                                         nrows=d1.nrows)))
+    dim_h2 = len(cocycles) - sum(p < d1.ncols for p in pivots)
+    basis = cochain_basis(alg.dim, 2)
+    reps = [_cochain(basis, alg.dim, 2, cocycles[p - d1.ncols])
+            for p in pivots if p >= d1.ncols]
+    # equal counts hold only if every coboundary is a cocycle
     assert len(reps) == dim_h2
     return dim_h2, reps
 

@@ -12,7 +12,8 @@ supplies (the empty chain is the identity).  An operator takes sparse
 coefficients, passed through the TLinear's `lift` when it has one, and
 returns a sparse coefficient.  Operators of several arguments (shlie's
 cochains) form chains of length one.  `pair_sum` is the t^m coefficient
-of b(c_t, c_t): the deformation equations of `lie` and `bv`.
+of b(c_t, c_t): the deformation equations of `lie` and `bv`, and
+`star_resolution` is the engine export of both t-series instances.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .exactla import add_into, operator_matrix, rat
+from .complexes import GradedMap, GradedSpace, HomotopyData
+from .exactla import Basis, add_into, operator_matrix, rat
 
 
 class Series:
@@ -116,6 +118,20 @@ def pair_sum(b, m, lo, hi, zero):
     and a bilinear b given on coefficient indices."""
     return sum((b(i, m - i) for i in range(max(lo, m - hi),
                                            min(hi, m - lo) + 1)), zero)
+
+
+def star_resolution(x0: Basis, x1: Basis, kmin) -> HomotopyData:
+    """The two-term resolution over (label, t-power) bases, X_1 the starred
+    copies of X_0's labels at t^kmin and up: l1 unstars, s = -(star) at
+    t^kmin and up, and F is spanned by the t-powers below kmin."""
+    f = Basis([b for b in x0.labels if b[1] < kmin])
+    sp = GradedSpace([len(x0), len(x1)])
+    l1 = GradedMap(sp, -1, {1: operator_matrix(lambda b: [(b, 1)], x1, x0)})
+    s = GradedMap(sp, +1, {0: operator_matrix(
+        lambda b: [(b, -1)] if b[1] >= kmin else [], x0, x1)})
+    eta = operator_matrix(lambda b: [(b, 1)] if b[1] < kmin else [], x0, f)
+    lam = operator_matrix(lambda b: [(b, 1)], f, x0)
+    return HomotopyData(sp, l1, len(f), eta, lam, s)
 
 
 class TLinear:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -190,6 +191,17 @@ def test_bv_order_one_master_failure(tmp_path, capsys):
     assert "setup: error" in out
 
 
+def test_bv_auto_term_without_cocycle(tmp_path, capsys):
+    """No even ghost-0 monomial of degree >= 2 exists, so `S1: auto` finds
+    no term."""
+    f = tmp_path / "noauto.txt"
+    f.write_text("kind: bv\nfield C: odd 1\nS0: 0\nS1: auto\n")
+    code, out = run(capsys, "bv", "--input", str(f))
+    assert code == 1
+    assert out.splitlines()[-1] == \
+        "setup: error: no nontrivial cocycle found for S1"
+
+
 def test_extend_shipped(capsys):
     for name in ("extend_split", "extend_medium"):
         code, out = run_golden(capsys, "extend", "--input", name)
@@ -325,14 +337,53 @@ def test_shlie_small_trunc_is_usage_error(trunc, capsys):
     assert "--trunc must be at least 3" in out
 
 
-@pytest.mark.parametrize("flag", ["--cap", "--trunc", "--order"])
-def test_negative_flag_is_usage_error(flag, capsys):
+@pytest.mark.parametrize("command,model,flag", [
+    ("brst", "brst_toy", "--cap"), ("shlie", "lie_so3", "--trunc"),
+    ("lie", "lie_so3", "--order")], ids=["--cap", "--trunc", "--order"])
+def test_negative_flag_is_usage_error(command, model, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["brst", "--input", "brst_toy", flag, "-1"])
+        main([command, "--input", model, flag, "-1"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument %s" % flag in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("brst --input brst_toy --cross-check", "--cross-check"),
+    ("extend --input extend_split --order 1", "--order"),
+    ("fuzz --input x", "--input"),
+    ("lie --input lie_sl2 --seed 2", "--seed")])
+def test_unread_flag_is_usage_error(argv, flag, capsys):
+    """A command rejects each flag it does not read, naming it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: %s" % flag in captured.err
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    """Settable values per command, --format counted."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {name: sum(a.dest != "help" for a in p._actions)
+            for name, p in sub.choices.items()} == \
+        {"lie": 4, "shlie": 5, "brst": 3, "bv": 5, "extend": 2, "fuzz": 2}
+
+
+def test_readme_command_lines_parse():
+    """Every `chainext ...` line of README's Command line block parses."""
+    with open(os.path.join(os.path.dirname(__file__), "..",
+                           "README.md")) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [ln.split("#", 1)[0].split()[1:] for ln in block.splitlines()
+             if ln.startswith("chainext ")]
+    assert {argv[0] for argv in lines} == set(cli.COMMANDS)
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv)
 
 
 @pytest.mark.parametrize("command,text,line", [
@@ -352,6 +403,21 @@ def test_malformed_count_exit_code(command, text, line, tmp_path, capsys):
     code, out = run(capsys, *argv)
     assert code == 2
     assert "line %d" % line in out
+
+
+@pytest.mark.parametrize("command,text,line", [
+    ("bv", "kind: bv\nfield phi: even 0\nfield C: odd 1\nS0: phi_st C\n"
+           "S1: phi_st C\nS01: 0\n", 6),
+    ("bv", "kind: bv\nfield phi: even 0\nfield phi_st: odd 1\nS0: 0\n", 3),
+    ("lie", "kind: lie\ndim: 3\nc 1 2 3: 1\ndim: 2\n", 4),
+    ("brst", "kind: brst\nm: 0\nn: 2\ns 1 2 1: 0\ns 1 2 1: G1\n", 5),
+], ids=["bv-S01", "bv-antifield-name", "lie-dim", "brst-zero-structure"])
+def test_repeated_key_exit_code(command, text, line, tmp_path, capsys):
+    f = tmp_path / "repeated.txt"
+    f.write_text(text)
+    code, out = run(capsys, command, "--input", str(f))
+    assert code == 2
+    assert "line %d: duplicate" % line in out
 
 
 def test_unexpected_exception_exit_code(monkeypatch, capsys):

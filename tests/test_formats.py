@@ -321,3 +321,18 @@ def test_mutated_bundled_models_raise_only_format_errors():
                 pytest.fail("%s, line %d mutated: %s: %s"
                             % (name, lineno, type(e).__name__, e))
     assert cases == 678
+
+
+def test_repeated_bundled_model_lines_raise_format_errors():
+    """Each data line repeated right after itself is rejected: a 'key: value'
+    line at the repeat, a matrix row where the block ends."""
+    for name in sorted(os.listdir(MODELS)):
+        text = read_model(name)
+        loader = LOADERS[read_kind(text)]
+        raw = text.splitlines()
+        for lineno, line in _data_lines(text):
+            twice = "\n".join(raw[:lineno] + [line] + raw[lineno:])
+            with pytest.raises(FormatError) as e:
+                loader(twice)
+            if ":" in line:
+                assert e.value.line == lineno + 1, (name, line)

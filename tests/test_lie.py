@@ -121,6 +121,27 @@ def test_h2_aff1():
     assert h2(aff1())[0] == 0
 
 
+@pytest.mark.parametrize("alg,want", [
+    (LieAlgebra(0), 0), (LieAlgebra(1), 0), (LieAlgebra(2), 2), (sl2(), 0),
+    (heisenberg(), 5), (aff1(), 0)],
+    ids=["dim0", "dim1", "abelian2", "sl2", "heisenberg", "aff1"])
+def test_h2_eliminates_twice(alg, want, monkeypatch):
+    """kernel_basis(d2) and the stacked [d1 | cocycles] are the only
+    eliminations: rank(d1) is read off the stacked pivots."""
+    from chainext import exactla
+    from chainext import lie as lie_mod
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return rref(m)
+    monkeypatch.setattr(exactla, "rref", counted)
+    monkeypatch.setattr(lie_mod, "rref", counted)
+    dim_h2, reps = h2(alg)
+    assert (dim_h2, len(reps)) == (want, want)
+    assert len(calls) <= 2
+
+
 def test_obstruction_orders():
     a1 = obstructed_alpha1()
     rho2 = obstruction([a1], 2)
