@@ -30,8 +30,8 @@ from .complexes import chain_extend, verify_homotopy
 from .exactla import Basis, kernel_basis, operator_matrix
 from .series import Series, TLinear, pair_sum, star_resolution
 from .superalg import (
-    GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of, left_derivs,
-    mul, right_derivs,
+    FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, antibracket,
+    antifield_of, mul,
 )
 
 
@@ -52,18 +52,13 @@ class BVModel:
     def gen(self, name):
         return SuperPoly.gen(self.alg, name)
 
-    def bracket(self, f, g, f_derivs=None, g_derivs=None):
-        """(f, g); pass f_derivs = self.right_derivs(f) when f is fixed, and
-        g_derivs = self.left_derivs(g) when g is."""
-        return antibracket(f, g, self.pairs, f_derivs, g_derivs)
+    def bracket(self, f, g):
+        return antibracket(f, g, self.pairs)
 
-    def right_derivs(self, f):
-        """The left factors of (f, .) for every pair: bracket's f_derivs."""
-        return right_derivs(f, self.pairs)
-
-    def left_derivs(self, g):
-        """The right factors of (., g) for every pair: bracket's g_derivs."""
-        return left_derivs(g, self.pairs)
+    def ad(self, f):
+        """(f, .) precompiled, for a fixed f bracketed with many arguments:
+        a map of monomial dicts."""
+        return FixedAntibracket(f, self.pairs)
 
     def monomials(self, maxdeg):
         """All normal-ordered monomials of total degree <= maxdeg, sorted."""
@@ -137,49 +132,32 @@ def obstruction_R(problem: DeformationProblem, order: int) -> SuperPoly:
 TSeries = StarSeries = Series
 
 
-def _ad(model, fixed, derivs, key):
-    """(fixed[key], .) on a coefficient lifted by Theorem8Maps.lift; it reads
-    both tables when it runs."""
-    return lambda g: model.bracket(fixed[key], g[0], derivs[key], g[1]).terms
-
-
 class Theorem8Maps:
     """The three maps of the extension, stored as t-linear operators.
 
     l1_op (X_1 -> X_0), l2_plain_op (X_0 -> X_0), l2_star_op (X_1 -> X_1)
     and l3_op (X_0 -> X_1) are sums over shifts of scalar multiples of the
-    coefficient operators (S_i, .) and (R_m, .), which read the tables
-    S_derivs, pair_brackets and pair_derivs when they run."""
+    coefficient operators ad_S[i] = (S_i, .) and ad_R[m] = (R_m, .), each
+    precompiled once from its values on the generators."""
 
-    __slots__ = ("problem", "pair_brackets", "S_derivs", "pair_derivs",
+    __slots__ = ("problem", "pair_brackets", "ad_S", "ad_R",
                  "l1_op", "l2_plain_op", "l2_star_op", "l3_op")
 
     def __init__(self, problem):
         self.problem = problem
         model, S, n = problem.model, problem.S, problem.n
-        # left factors of the fixed bracket arguments S_i and R_m, one table
-        # each: O(pairs x terms), independent of the basis
-        self.S_derivs = [model.right_derivs(s) for s in S]
         self.pair_brackets = {m: pair_sum(
-            lambda i, j: model.bracket(S[i], S[j], self.S_derivs[i]), m, 0, n,
+            lambda i, j: model.bracket(S[i], S[j]), m, 0, n,
             SuperPoly.zero(model.alg)) for m in range(n + 1, 2 * n + 1)}
-        self.pair_derivs = {m: model.right_derivs(r)
-                            for m, r in self.pair_brackets.items()}
-        ad_S = [_ad(model, S, self.S_derivs, i) for i in range(n + 1)]
-        self.l1_op = TLinear({0: [(1, ())]}, self.lift)
+        self.ad_S = [model.ad(s) for s in S]
+        self.ad_R = {m: model.ad(r) for m, r in self.pair_brackets.items()}
+        self.l1_op = TLinear({0: [(1, ())]})
         self.l2_plain_op = TLinear({i: [(1, (ad,))] for i, ad in
-                                    enumerate(ad_S)}, self.lift)
+                                    enumerate(self.ad_S)})
         self.l2_star_op = TLinear({i: [(-1, (ad,))] for i, ad in
-                                   enumerate(ad_S)}, self.lift)
-        self.l3_op = TLinear({m: [(Fraction(-1, 2), (_ad(
-            model, self.pair_brackets, self.pair_derivs, m),))]
-            for m in self.pair_brackets}, self.lift)
-
-    def lift(self, terms):
-        """A moving bracket argument: the SuperPoly and its left-derivative
-        table, built once and shared by every (S_i, .) and (R_m, .)."""
-        g = SuperPoly(self.model.alg, terms)
-        return g, self.model.left_derivs(g)
+                                   enumerate(self.ad_S)})
+        self.l3_op = TLinear({m: [(Fraction(-1, 2), (ad,))]
+                              for m, ad in self.ad_R.items()})
 
     @property
     def model(self):
@@ -251,8 +229,7 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
         fail("ideal_preserved", shift)
         report["s_squared"] = None
     R = obstruction_R(maps.problem, n + 1)
-    summand = TLinear({n + 1: [(Fraction(-1, 2), (_ad(
-        model, [R], [model.right_derivs(R)], 0),))]}, maps.lift)
+    summand = TLinear({n + 1: [(Fraction(-1, 2), (model.ad(R),))]})
     # S = l1 + l2 + l3 by (target degree, source degree)
     blocks = {(0, 0): maps.l2_plain_op, (1, 0): maps.l3_op,
               (0, 1): maps.l1_op, (1, 1): maps.l2_star_op}
@@ -261,7 +238,7 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
               for e in (0, 1) for d in (0, 1)} if shift >= 0 else None
     cases = 0
     for mono in monos:
-        args, memo = ({mono: Fraction(1)},), {}
+        args, memo = ({mono: 1},), {}
         if square is not None:
             # the lowest shift at which S^2 of a t^0 (degree 0) or a* t^0
             # (degree 1) is nonzero
@@ -296,10 +273,9 @@ def find_s0_cocycle(model: BVModel, S0: SuperPoly, maxdeg: int):
              if model.poly(m).parity() == 0 and model.poly(m).ghost() == 0]
     s0_deg = max((len(m) for m in S0.terms), default=0)
     all_monos = model.monomials(maxdeg + max(s0_deg - 2, 0))
-    s0_derivs = model.right_derivs(S0)
-    mat = operator_matrix(
-        lambda m: model.bracket(S0, model.poly(m), s0_derivs).terms.items(),
-        Basis(monos), Basis(all_monos, model.poly))
+    ad = model.ad(S0)
+    mat = operator_matrix(lambda m: ad({m: 1}).items(),
+                          Basis(monos), Basis(all_monos, model.poly))
     return [SuperPoly(model.alg, dict(zip(monos, vec)))
             for vec in kernel_basis(mat)]
 
@@ -319,7 +295,8 @@ def auto_term(model: BVModel, S0: SuperPoly, i: int) -> SuperPoly:
 def to_homotopy_data(maps: Theorem8Maps, cap: int):
     """The two-term graded space over basis monomials x t-powers, with
     h = -(star) as the contracting homotopy; returns (HomotopyData, l2_0
-    matrix, basis) where basis[k] lists (monomial, t-power) pairs.
+    matrix, (X_0, X_1)), the two Basis objects over (monomial, t-power)
+    labels.
 
     The basis is weighted so that every bracket application stays inside:
     weight = degree + jump * (T - t-power), where jump bounds the degree
@@ -345,19 +322,18 @@ def to_homotopy_data(maps: Theorem8Maps, cap: int):
               if weight(m, k) <= cap]
     basis0.sort()
     basis1.sort()
-    b0 = _basis(maps, basis0)
-    hd = star_resolution(b0, _basis(maps, basis1), n + 1)
-    return hd, maps.l2_plain_op.matrix(b0, b0, T), (basis0, basis1)
+    b0, b1 = _basis(maps, basis0), _basis(maps, basis1)
+    hd = star_resolution(b0, b1, n + 1)
+    return hd, maps.l2_plain_op.matrix(b0, b0, T), (b0, b1)
 
 
 def engine_matrices_match(maps: Theorem8Maps, cap: int) -> bool:
     """Run the generic extension on the exported data and compare its l2, l3
     blocks with the Theorem-8 maps entrywise."""
-    hd, l2_0, (basis0, basis1) = to_homotopy_data(maps, cap)
+    hd, l2_0, (b0, b1) = to_homotopy_data(maps, cap)
     if not verify_homotopy(hd)["ok"]:
         return False
     ext = chain_extend(hd, l2_0)
-    b0, b1 = _basis(maps, basis0), _basis(maps, basis1)
     want_l2_1 = maps.l2_star_op.matrix(b1, b1, maps.T)
     want_l3 = maps.l3_op.matrix(b0, b1, maps.T)
     return ext.l2.block(1) == want_l2_1 and ext.l3.block(0) == want_l3

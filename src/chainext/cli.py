@@ -177,7 +177,21 @@ def cmd_brst(config):
 
 def cmd_bv(config):
     model, S_terms, file_trunc = _load(config.input, "bv", formats.load_bv)
-    trunc = file_trunc if file_trunc is not None else config.trunc
+    # a given --trunc or --cap (None when not given) is checked against the
+    # file, not overridden or clamped
+    trunc, cap = config.trunc, config.cap
+    if file_trunc is not None:
+        if trunc is not None:
+            raise formats.FormatError(0, "--trunc %d given, but the file "
+                                      "sets trunc: %d" % (trunc, file_trunc))
+        trunc = file_trunc
+    elif trunc is None:
+        trunc = FLAGS["--trunc"]["default"]
+    if cap is None:
+        cap = min(FLAGS["--cap"]["default"], model.cap)
+    elif cap > model.cap:
+        raise formats.FormatError(0, "--cap %d exceeds the file's cap: %d"
+                                  % (cap, model.cap))
     report = {"command": "bv", "order": len(S_terms) - 1, "trunc": trunc}
     code = PASS
     try:
@@ -192,14 +206,14 @@ def cmd_bv(config):
     except ValueError as e:
         report["setup"] = "error: %s" % e
         return report, MATH_FAIL
-    rep = bv_mod.verify_theorem8(maps, maxdeg=min(config.cap, model.cap))
+    rep = bv_mod.verify_theorem8(maps, maxdeg=cap)
     report["obstruction R"] = formats.format_poly(rep["obstruction_R"])
     report["extension checks"] = "ok" if rep["ok"] else \
         "failed at %s" % (rep["first_failure"],)
     if not rep["ok"]:
         code = MATH_FAIL
     if config.cross_check:
-        match = bv_mod.engine_matrices_match(maps, min(config.cap, 3))
+        match = bv_mod.engine_matrices_match(maps, min(cap, 3))
         report["engine cross-check"] = match
         if not match:
             code = MATH_FAIL
@@ -303,6 +317,8 @@ def build_parser():
         p = sub.add_parser(name)
         for flag in COMMAND_FLAGS[name] + ("--format",):
             p.add_argument(flag, **FLAGS[flag])
+        if name == "bv":    # cmd_bv tells a given flag from the default
+            p.set_defaults(trunc=None, cap=None)
     return parser
 
 

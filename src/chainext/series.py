@@ -1,19 +1,20 @@
 """Truncated t-series and t-linear operators, shared by `bv` and `shlie`.
 
-A `Series` is sum_k c_k t^k mod t^(T+1), each c_k a sparse {label: Fraction}
-dict, zero below t^kmin.  Its coefficient space is a dimension d (labels
-0..d-1, dense view a list of d Fractions) or an object whose
+A `Series` is sum_k c_k t^k mod t^(T+1), each c_k a sparse {label: int or
+Fraction} dict, zero below t^kmin.  Its coefficient space is a dimension d
+(labels 0..d-1, dense view a list of d Fractions) or an object whose
 `coefficient(terms)` gives the dense view (bv.BVModel: a SuperPoly).
 
 A `TLinear` is sum_s t^s A_s with shifts s >= 0, so A(x t^k) = t^k A(x) mod
 t^(T+1).  Each A_s is a sum of scalar * chain, a chain (f1, ..., fr) being
 the composite f1 o ... o fr of coefficient operators that the caller
 supplies (the empty chain is the identity).  An operator takes sparse
-coefficients, passed through the TLinear's `lift` when it has one, and
-returns a sparse coefficient.  Operators of several arguments (shlie's
-cochains) form chains of length one.  `pair_sum` is the t^m coefficient
-of b(c_t, c_t): the deformation equations of `lie` and `bv`, and
-`star_resolution` is the engine export of both t-series instances.
+coefficients and returns a sparse coefficient.  Operators of several
+arguments (shlie's cochains) form chains of length one.  Integral scalars
+are kept as ints, so scaling an int entry by one stays in ints.  `pair_sum`
+is the t^m coefficient of b(c_t, c_t): the deformation equations of `lie`
+and `bv`, and `star_resolution` is the engine export of both t-series
+instances.
 """
 
 from __future__ import annotations
@@ -112,6 +113,12 @@ class Series:
                 for i in range(self.space)]
 
 
+def _scalar(c):
+    """An exact scalar, an integral one as an int."""
+    c = rat(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def pair_sum(b, m, lo, hi, zero):
     """zero + sum of b(i, m - i) over lo <= i, m - i <= hi: the t^m
     coefficient of b(c_t, c_t) for a series c_t = sum_{lo <= k <= hi} c_k t^k
@@ -138,24 +145,22 @@ class TLinear:
     """sum_s t^s A_s; terms maps each shift s >= 0 to the [(scalar, chain)]
     pairs whose sum is A_s."""
 
-    __slots__ = ("terms", "lift")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, lift=None):
+    def __init__(self, terms):
         if any(s < 0 for s in terms):
             raise ValueError("a t-linear operator has shifts >= 0")
-        pairs = {s: [(rat(c), tuple(ch)) for c, ch in ps if c]
+        pairs = {s: [(_scalar(c), tuple(ch)) for c, ch in ps if c]
                  for s, ps in terms.items()}
         self.terms = {s: ps for s, ps in pairs.items() if ps}
-        self.lift = lift
 
     def scale(self, c):
         return TLinear({s: [(c * a, ch) for a, ch in pairs]
-                        for s, pairs in self.terms.items()}, self.lift)
+                        for s, pairs in self.terms.items()})
 
     def __add__(self, other):
         return TLinear({s: self.terms.get(s, []) + other.terms.get(s, [])
-                        for s in set(self.terms) | set(other.terms)},
-                       self.lift or other.lift)
+                        for s in set(self.terms) | set(other.terms)})
 
     def compose(self, inner):
         """self o inner: (A o B)_s = sum_{i+j=s} A_j B_i."""
@@ -165,15 +170,15 @@ class TLinear:
                 terms.setdefault(i + j, []).extend(
                     (a * b, ch_a + ch_b) for a, ch_a in outer
                     for b, ch_b in pairs)
-        return TLinear(terms, self.lift or inner.lift)
+        return TLinear(terms)
 
     def images(self, args, limit, memo=None):
         """{s: A_s(*args)} for the shifts s <= limit with a nonzero image;
         the dicts may be shared with memo and are not to be changed.
 
         memo holds every chain's image of these args: one dict passed to
-        several operators with the same lift on the same args evaluates each
-        chain they share once."""
+        several operators on the same args evaluates each chain they share
+        once."""
         memo = {} if memo is None else memo
         out = {}
         if not all(args):
@@ -182,31 +187,24 @@ class TLinear:
             if s > limit:
                 continue
             if len(pairs) == 1 and pairs[0][0] == 1:
-                acc = self._image(pairs[0][1], args, memo)[0]
+                acc = self._image(pairs[0][1], args, memo)
             else:
                 acc = {}
                 for c, chain in pairs:
-                    add_into(acc, self._image(chain, args, memo)[0], c)
+                    add_into(acc, self._image(chain, args, memo), c)
             if acc:
                 out[s] = acc
         return out
 
     def _image(self, chain, args, memo):
-        """memo[chain] = [image of args, its lift or None], filled on use."""
+        """memo[chain] = the chain's image of args, filled on use."""
         if chain not in memo:
             if not chain:
-                memo[chain] = [args[0], None]
-                return memo[chain]
-            if len(chain) == 1 and len(args) > 1:
-                inputs = args if self.lift is None else \
-                    tuple(map(self.lift, args))
+                memo[chain] = args[0]
             else:
-                inner = self._image(chain[1:], args, memo)
-                if inner[0] and inner[1] is None:
-                    inner[1] = inner[0] if self.lift is None else \
-                        self.lift(inner[0])
-                inputs = (inner[1],) if inner[0] else None
-            memo[chain] = [chain[0](*inputs) if inputs else {}, None]
+                inputs = args if len(chain) == 1 else \
+                    (self._image(chain[1:], args, memo),)
+                memo[chain] = chain[0](*inputs) if inputs[0] else {}
         return memo[chain]
 
     def apply(self, *xs):
@@ -231,7 +229,7 @@ class TLinear:
         def column(label):
             m, k = label
             if m not in cache:
-                cache[m] = self.images(({m: Fraction(1)},), T)
+                cache[m] = self.images(({m: 1},), T)
             return [((mm, k + s), c) for s, img in cache[m].items()
                     if k + s <= T for mm, c in img.items()]
         return operator_matrix(column, src, dst)

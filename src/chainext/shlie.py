@@ -23,12 +23,11 @@ Series are truncated modulo t^{N+1}; N >= 3 keeps every identity exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from .complexes import (HomotopyData, chain_extend, verify_homotopy,
                         verify_nilpotent)
-from .exactla import Basis, RatMatrix
+from .exactla import Basis
 from .lie import Cochain, LieAlgebra, ce_differential, jacobi_check, nr_compose
 from .series import Series, TLinear, star_resolution
 
@@ -283,12 +282,6 @@ def _basis(S: ShLieStructure, kmin) -> Basis:
                   for i in range(S.alg.dim)])
 
 
-def curried_l2_matrix(S: ShLieStructure, b_index: int) -> RatMatrix:
-    """Matrix of x -> l2(x, e_b) on the X_0 basis."""
-    x0 = _basis(S, 0)
-    return S.l2_op({b_index: Fraction(1)}).matrix(x0, x0, S.N)
-
-
 def crosscheck_with_engine(S: ShLieStructure) -> dict:
     """Rebuild the structure maps through the generic engine and compare.
 
@@ -301,14 +294,14 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
     extension checked nilpotent.
     """
     dim, N, kmin = S.alg.dim, S.N, S.kmin
-    hd = to_homotopy_data(S)
+    x0, x1 = _basis(S, 0), _basis(S, kmin)
+    hd = star_resolution(x0, x1, kmin)   # to_homotopy_data(S), keeping x0, x1
     report = {"homotopy_ok": verify_homotopy(hd)["ok"]}
     l1m = hd.l1.block(1)
     sm = hd.s.block(0)
-    mmats = [curried_l2_matrix(S, b) for b in range(dim)]
-
-    x1 = _basis(S, kmin)
-    mixed = [S.l2_op({b: Fraction(1)}).matrix(x1, x1, N) for b in range(dim)]
+    # x -> l2(x, e_b) on X_0 and on X_1
+    mmats = [S.l2_op({b: 1}).matrix(x0, x0, N) for b in range(dim)]
+    mixed = [S.l2_op({b: 1}).matrix(x1, x1, N) for b in range(dim)]
     smm = [sm @ m for m in mmats]
     report["mixed_l2_matches"] = all(
         (smm[b] @ l1m).scale(-1) == mixed[b] for b in range(dim))

@@ -11,7 +11,7 @@ coefficient as an int, and `SuperPoly` turns the results back into
 
 Provides graded right/left derivations, an even Poisson bracket extended as a
 biderivation from a generator table, and the antibracket of field/antifield
-pairs.
+pairs, also as a precompiled derivation (f, .) for a fixed f.
 """
 
 from __future__ import annotations
@@ -277,6 +277,42 @@ def left_deriv(f: SuperPoly, gname) -> SuperPoly:
     return SuperPoly(f.alg, terms)
 
 
+def _derive(terms, vals, parity, parities, left=False):
+    """D(terms), zeros kept, for the right (with left, the left) derivation
+    D of the given parity whose generator values vals holds in kernel form,
+    {index: [(monomial, odd factors, coefficient)]}.  On a product D(g1...gk)
+    = sum_j +- g1...D(gj)...gk: a right derivation passes the factors after
+    gj and a left one those before it, so on each term the two differ by
+    (-1)^(parity * parity of the other factors)."""
+    out = {}
+    for m, c in terms.items():
+        c = _exact(c)
+        odd_m = [k for k in m if parities[k]]
+        odd_after = len(odd_m)
+        for j, idx in enumerate(m):
+            odd_idx = parities[idx]
+            odd_after -= odd_idx            # odd factors of the suffix m[j+1:]
+            vs = vals.get(idx)
+            if vs is None:
+                continue
+            rest = m[:j] + m[j + 1:]
+            # an odd generator occurs once in m
+            odd_rest = [k for k in odd_m if k != idx] if odd_idx else odd_m
+            cj = -c if left and parity and len(odd_rest) % 2 else c
+            for vm, odd_v, vc in vs:
+                # one merge orders rest.vm; prefix.vm.suffix differs from it
+                # by moving vm past the suffix, and D itself passes the suffix
+                mono, sign = _merge_monomials(rest, odd_rest, vm, odd_v)
+                if mono is None:
+                    continue
+                if odd_after % 2 and (parity + len(odd_v)) % 2:
+                    sign = -sign
+                d = cj * vc if sign > 0 else -(cj * vc)
+                prev = out.get(mono)
+                out[mono] = d if prev is None else prev + d
+    return out
+
+
 def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:
     """Apply the right derivation defined by generator values to f.
 
@@ -295,28 +331,7 @@ def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:
             raise KeyError("unknown generator %r" % (name,))
         if v.terms and alg.index[name] in present:
             vals[alg.index[name]] = _kernel_terms(v.terms, parities)
-    out = {}
-    for m, c in f.terms.items():
-        c = _exact(c)
-        odd_after = sum(parities[k] for k in m)
-        for j, idx in enumerate(m):
-            odd_after -= parities[idx]      # odd factors of the suffix m[j+1:]
-            if idx not in vals:
-                continue
-            rest = m[:j] + m[j + 1:]
-            odd_rest = [k for k in rest if parities[k]]
-            for vm, odd_v, vc in vals[idx]:
-                # one merge orders rest.vm; prefix.vm.suffix differs from it
-                # by moving vm past the suffix, and D itself passes the suffix
-                mono, sign = _merge_monomials(rest, odd_rest, vm, odd_v)
-                if mono is None:
-                    continue
-                if odd_after % 2 and (parity + len(odd_v)) % 2:
-                    sign = -sign
-                d = c * vc if sign > 0 else -(c * vc)
-                prev = out.get(mono)
-                out[mono] = d if prev is None else prev + d
-    return SuperPoly(alg, out)
+    return SuperPoly(alg, _derive(f.terms, vals, parity, parities))
 
 
 def _canonical_table(alg, table):
@@ -381,50 +396,52 @@ def validate_poisson_table(alg, table) -> None:
                                      % (a, b, c))
 
 
-def right_derivs(f: SuperPoly, pairs):
-    """[(dRf/dphi, dRf/dphi*) for each (phi, phi*) in pairs]: the left
-    factors of every antibracket (f, .)."""
-    return _derivative_pairs(f, pairs, left=False)
-
-
-def left_derivs(g: SuperPoly, pairs):
-    """[(dLg/dphi, dLg/dphi*) for each (phi, phi*) in pairs]: the right
-    factors of every antibracket (., g)."""
-    return _derivative_pairs(g, pairs, left=True)
-
-
-def _derivative_pairs(f, pairs, left):
-    """The (field, antifield) derivative pairs of f, from one pass."""
-    d = iter(_derivatives(f, [name for pair in pairs for name in pair], left))
-    return [(SuperPoly(f.alg, a), SuperPoly(f.alg, b)) for a, b in zip(d, d)]
-
-
-def antibracket(f: SuperPoly, g: SuperPoly, pairs, f_derivs=None,
-                g_derivs=None) -> SuperPoly:
-    """(f,g) = sum over pairs of dRf/dphi dLg/dphi* - dRf/dphi* dLg/dphi.
-
-    f_derivs, when given, is right_derivs(f, pairs), and g_derivs is
-    left_derivs(g, pairs); a caller that brackets one fixed f with many g,
-    or many f with one g, computes the table once.
-    """
-    alg = f.alg
-    if alg != g.alg:
+def antibracket(f: SuperPoly, g: SuperPoly, pairs) -> SuperPoly:
+    """(f,g) = sum over pairs of dRf/dphi dLg/dphi* - dRf/dphi* dLg/dphi,
+    from one derivative table of each argument.  A caller that brackets one
+    fixed f with many g uses FixedAntibracket instead."""
+    if f.alg != g.alg:
         raise ValueError("generator-set mismatch")
-    for field, anti in pairs:
-        for w in (field, anti):
-            if w not in alg.index:
-                raise KeyError("unknown generator %r" % (w,))
-    if f_derivs is None:
-        f_derivs = right_derivs(f, pairs)
-    if g_derivs is None:
-        g_derivs = left_derivs(g, pairs)
-    parities = [gen.parity for gen in alg.gens]
+    names = [name for pair in pairs for name in pair]
+    df = iter(_derivatives(f, names, left=False))
+    dg = iter(_derivatives(g, names, left=True))
+    parities = [gen.parity for gen in f.alg.gens]
     out = {}
-    for _pair, (df_field, df_anti), (dg_field, dg_anti) in zip(
-            pairs, f_derivs, g_derivs, strict=True):
-        if df_field.terms:
-            _mul_into(out, df_field.terms, dg_anti.terms, parities)
-        if df_anti.terms:
-            _mul_into(out, df_anti.terms, dg_field.terms, parities,
-                      negate=True)
-    return SuperPoly(alg, out)
+    for df_field, df_anti, dg_field, dg_anti in zip(df, df, dg, dg):
+        if df_field:
+            _mul_into(out, df_field, dg_anti, parities)
+        if df_anti:
+            _mul_into(out, df_anti, dg_field, parities, negate=True)
+    return SuperPoly(f.alg, out)
+
+
+class FixedAntibracket:
+    """g -> (f, g) for one fixed parity-homogeneous f, on monomial dicts.
+
+    (f, .) is a left derivation of parity parity(f) + 1, so its values on the
+    generators determine it: (f, phi*) = dRf/dphi and (f, phi) = -dRf/dphi*,
+    read off one right-derivative table of f and held in `values` in kernel
+    form.  A call is one Leibniz pass over the terms of g; it returns the
+    nonzero terms of (f, g)."""
+
+    __slots__ = ("parities", "parity", "values")
+
+    def __init__(self, f: SuperPoly, pairs):
+        alg = f.alg
+        self.parities = [gen.parity for gen in alg.gens]
+        self.parity = 1 - f.parity()
+        d = iter(_derivatives(f, [name for pair in pairs for name in pair],
+                              left=False))
+        self.values = {}
+        for (field, anti), d_field, d_anti in zip(pairs, d, d):
+            if d_field:
+                self.values[alg.index[anti]] = \
+                    _kernel_terms(d_field, self.parities)
+            if d_anti:
+                self.values[alg.index[field]] = _kernel_terms(
+                    {m: -c for m, c in d_anti.items()}, self.parities)
+
+    def __call__(self, terms):
+        out = _derive(terms, self.values, self.parity, self.parities,
+                      left=True)
+        return {m: c for m, c in out.items() if c}

@@ -158,6 +158,25 @@ def test_bracket_tables_give_the_plain_brackets():
                     assert star.coeffs[k + i] == plain(q.S[i], a).scale(-1)
 
 
+@pytest.mark.parametrize("problem", [two_ghost_problem, two_pair_problem],
+                         ids=["bv_two_ghost", "bv_two_pair"])
+def test_compiled_brackets_match_antibracket_up_to_cap(problem):
+    """Every precompiled (S_i, .) and (R_m, .) of the maps equals the plain
+    antibracket on every monomial up to the models' cap 6.  A wrong global
+    sign would pass verify_theorem8 (S -> -S is again a solution), so it is
+    checked here, against superalg.antibracket."""
+    maps = theorem8_maps(problem())
+    model = maps.model
+    fixed = list(zip(maps.problem.S, maps.ad_S)) + \
+        [(maps.pair_brackets[m], ad) for m, ad in maps.ad_R.items()]
+    assert model.cap == 6 and len(fixed) == 3
+    for mono in model.monomials(model.cap):
+        g = model.poly(mono)
+        for F, ad in fixed:
+            assert model.coefficient(ad({mono: 1})) == \
+                antibracket(F, g, model.pairs), (F, mono)
+
+
 def test_truncation_too_small():
     m = two_pair_model()
     s0 = mul(m.gen("phi_st"), m.gen("C"))
@@ -219,9 +238,9 @@ def test_homotopy_export():
     maps = theorem8_maps(two_pair_problem())
     hd, l2_0, (b0, b1) = to_homotopy_data(maps, 4)
     assert verify_homotopy(hd)["ok"]
-    assert hd.f_dim == sum(1 for (_, k) in b0 if k <= 1)
+    assert hd.f_dim == sum(1 for (_, k) in b0.labels if k <= 1)
     # h = -(star) vanishes below the ideal t^(n+1) R[[t]]
-    for (_, k), col in zip(b0, hd.s.block(0).sparse_columns()):
+    for (_, k), col in zip(b0.labels, hd.s.block(0).sparse_columns()):
         assert (k > maps.n) == bool(col)
 
 
@@ -277,20 +296,27 @@ def reference_verify_theorem8(maps, maxdeg):
     return report
 
 
+def scale_values(ad, c):
+    """Scale the generator values of a compiled (F, .) in place, so every
+    stored operator that holds it applies (c F, .)."""
+    ad.values = {k: [(m, odd, c * v) for m, odd, v in vs]
+                 for k, vs in ad.values.items()}
+
+
 def scale_R(maps, m, c):
     maps.pair_brackets[m] = maps.pair_brackets[m].scale(c)
-    maps.pair_derivs[m] = maps.model.right_derivs(maps.pair_brackets[m])
+    scale_values(maps.ad_R[m], c)
 
 
 def scale_S_table(maps, i, c):
-    maps.S_derivs[i] = [(a.scale(c), b.scale(c)) for a, b in maps.S_derivs[i]]
+    scale_values(maps.ad_S[i], c)
 
 
 def negate_star_shift(maps, s):
     """Negate only the shift-s block of the stored star l2."""
     terms = dict(maps.l2_star_op.terms)
     terms[s] = [(-c, chain) for c, chain in terms[s]]
-    maps.l2_star_op = type(maps.l2_star_op)(terms, maps.l2_star_op.lift)
+    maps.l2_star_op = type(maps.l2_star_op)(terms)
 
 
 MUTATIONS = {

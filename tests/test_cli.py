@@ -10,7 +10,7 @@ from chainext import cli
 from chainext import complexes
 from chainext.cli import main
 from chainext.complexes import HomotopyData
-from chainext.exactla import RatMatrix
+from chainext.exactla import Basis, RatMatrix
 from chainext.formats import dump_extend, load_extend
 from chainext.lie import Cochain
 
@@ -364,6 +364,32 @@ def test_unread_flag_is_usage_error(argv, flag, capsys):
     assert "unrecognized arguments: %s" % flag in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    "bv --input bv_two_pair --trunc 7", "bv --input bv_two_pair --trunc 2",
+    "bv --input bv_two_pair --cap 9", "bv --input bv_two_ghost --cap 7"])
+def test_bv_flag_the_file_overrides_is_input_error(argv, capsys):
+    """bv refuses a --trunc when its file sets trunc, and a --cap above the
+    file's cap, naming the flag, instead of ignoring it."""
+    code, out = run(capsys, *argv.split())
+    assert code == 2
+    assert out.startswith("error: %s %s" % tuple(argv.split()[-2:]))
+
+
+def test_bv_flags_the_file_leaves_open(tmp_path, capsys):
+    """--trunc applies when the file sets none (default 4), and a --cap up to
+    the file's cap applies; the default cap is the file's cap when below 6."""
+    f = tmp_path / "notrunc.txt"
+    f.write_text("kind: bv\ncap: 3\nfield phi: even 0\nfield C: odd 1\n"
+                 "S0: phi_st C\nS1: C phi_st\n")
+    for flags, trunc in (([], 4), (["--trunc", "3"], 3)):
+        code, out = run(capsys, "bv", "--input", str(f), *flags)
+        assert code == 0 and "trunc: %d" % trunc in out.splitlines()
+    assert run(capsys, "bv", "--input", str(f), "--cap", "3") == \
+        run(capsys, "bv", "--input", str(f))
+    assert run(capsys, "bv", "--input", "bv_two_pair", "--cap", "6") == \
+        run(capsys, "bv", "--input", "bv_two_pair")
+
+
 def test_each_command_takes_only_the_flags_it_reads():
     """Settable values per command, --format counted."""
     sub = next(a for a in cli.build_parser()._actions
@@ -625,3 +651,21 @@ def test_shlie_zero_dimensional_algebra_is_vacuous(tmp_path, capsys):
     assert "variant t2 relations: vacuous" in lines
     assert "variant full relations: vacuous" in lines
     assert not any(line.endswith("relations: ok") for line in lines)
+
+
+@pytest.mark.parametrize("argv,most", [
+    ("bv --input bv_two_ghost --cross-check", 3),
+    ("shlie --input lie_so3 --cross-check", 6)])
+def test_cross_checks_build_each_basis_once(argv, most, monkeypatch, capsys):
+    """bv builds X_0, X_1 and F once per job; shlie builds them once per
+    variant (the parent commit built 5 and 14)."""
+    built = []
+    original = Basis.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(Basis, "__init__", init)
+    code, out = run(capsys, *argv.split())
+    assert code == 0 and "cross-check: True" in out
+    assert len(built) <= most

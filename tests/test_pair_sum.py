@@ -68,12 +68,12 @@ def loop_obstruction_R(model, S, n, order):
     return out
 
 
-def loop_pair_brackets(model, S, n, S_derivs):
+def loop_pair_brackets(model, S, n):
     pair_brackets = {}
     for m in range(n + 1, 2 * n + 1):
         acc = SuperPoly.zero(model.alg)
         for i in range(max(1, m - n), min(n, m - 1) + 1):
-            acc = acc + model.bracket(S[i], S[m - i], S_derivs[i])
+            acc = acc + model.bracket(S[i], S[m - i])
         pair_brackets[m] = acc
     return pair_brackets
 
@@ -169,6 +169,6 @@ def test_bv_pair_sums_match_the_loops(S):
             outcome(loop_obstruction_R, MODEL, S, n, order)
     maps = Theorem8Maps(problem)
     assert maps.pair_brackets == \
-        loop_pair_brackets(MODEL, S, n, maps.S_derivs)
+        loop_pair_brackets(MODEL, S, n)
     assert maps.pair_brackets == {m: pair_sum(bracket, m, 0, n, zero)
                                   for m in range(n + 1, 2 * n + 1)}

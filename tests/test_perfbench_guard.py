@@ -66,3 +66,39 @@ def test_unwrapped_binding_is_seen():
     got = install("plant")
     assert got["error"] is None
     assert got["unwrapped"] == ["chainext.series.antibracket"]
+
+
+TRACED_RUN = r"""
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import chainext
+from chainext import cli
+import tracer, workloads
+
+t = tracer.Tracer()
+t.install(chainext)
+silent, codes = {}, {}
+for workload in workloads.WORKLOADS:
+    before = dict(t.calls)
+    for argv in workloads.jobs(workload, 1):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes[" ".join(argv)] = cli.main(argv)
+    silent[workload] = [name for name in workloads.EXPECTED_CALLS[workload]
+                        if t.calls[name] == before[name]]
+print(json.dumps({"silent": silent, "codes": codes}))
+"""
+
+
+def test_traced_job_lists_call_every_expected_function():
+    """Each workload's job list, run once under the tracer, calls every
+    function workloads.EXPECTED_CALLS names for it; a zero there makes a
+    traced benchmark run report "correct": false.  Every job passes, as
+    recorded in perfbench/expected.json."""
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, os.path.join(ROOT, "src"),
+         os.path.join(ROOT, "perfbench")],
+        capture_output=True, text=True, check=True, cwd=ROOT)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["silent"] == {"closed_form": [], "cross_check": [],
+                             "fuzz_dense": []}
+    assert set(got["codes"].values()) == {0}

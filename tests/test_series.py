@@ -281,16 +281,20 @@ def test_shared_chains_run_once_per_argument():
     assert len(calls) == 6
 
 
-def test_lift_runs_once_per_argument():
-    lifted = []
-
-    def lift(v):
-        lifted.append(dict(v))
-        return v
-    A = TLinear({0: [(1, (BASES[1],))], 1: [(1, (BASES[2],))]}, lift)
-    A.compose(A).images(({0: Fraction(1)},), 2, {})
-    # the argument, then the two first-level images
-    assert len(lifted) == 3
+def test_integral_scalars_stay_ints():
+    """Integral scalars are stored as ints, also after compose and scale, so
+    an int entry scaled by one stays an int; a non-integral one stays a
+    Fraction."""
+    def neg(v):
+        return {k: -x for k, x in v.items()}
+    A = TLinear({0: [(Fraction(-1), (neg,))], 1: [(Fraction(1, 2), (neg,))]})
+    for op in (A, A.compose(A), A.scale(Fraction(2)), A + A):
+        for pairs in op.terms.values():
+            for c, _chain in pairs:
+                assert type(c) is int or c.denominator != 1
+    images = A.compose(A).images(({0: 3},), 2)
+    assert images == {0: {0: 3}, 1: {0: Fraction(-3)}, 2: {0: Fraction(3, 4)}}
+    assert type(images[0][0]) is int
 
 
 def test_one_series_class():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from chainext.brst import koszul_tate, longitudinal_d, so3_system
 from chainext.bv import two_ghost_model
 from chainext.superalg import (
-    GenSpec, SuperAlgebra, SuperPoly, antibracket, antifield_of,
-    extend_right_derivation, left_deriv, left_derivs, mul, poisson,
-    right_deriv, right_derivs, validate_poisson_table,
+    FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, antibracket,
+    antifield_of, extend_right_derivation, left_deriv, mul, poisson,
+    right_deriv, validate_poisson_table,
 )
 
 
@@ -333,20 +333,39 @@ def reference_normalise(terms):
     return {m: c for m, c in out.items() if c != 0}
 
 
+def parity_parts(f):
+    """{parity: the terms of f of that parity}."""
+    parts = {}
+    for m, c in f.terms.items():
+        parts.setdefault(f.monomial_parity(m), {})[m] = c
+    return {p: SuperPoly(f.alg, terms) for p, terms in parts.items()}
+
+
 @_examples
 @given(bv_polys(2))
+@example((*BV_ALGEBRAS["two_ghost"], [
+    SuperPoly(BV_ALGEBRAS["two_ghost"][0], {(1, 2, 4, 5): -2, (0,): 1,
+                                            (2, 3, 6): Fraction(1, 2)}),
+    SuperPoly(BV_ALGEBRAS["two_ghost"][0], {(0, 2, 3, 7): 3, (4, 6): -1})]))
 def test_table_fed_antibracket_matches_plain_and_reference(drawn):
+    """(f, .) precompiled from f's right-derivative table, against the plain
+    antibracket and its defining sum.  Each parity
+    part of f is one drawn F, so both derivation parities (p = 1 for even F,
+    p = 0 for odd F) and mixed ghost numbers are covered; the compiled sign
+    is (f, .)'s own, which verify_theorem8 cannot see (S -> -S is again a
+    solution)."""
     alg, pairs, (f, h) = drawn
-    table = right_derivs(f, pairs)
-    assert table == [(right_deriv(f, a), right_deriv(f, b))
-                     for a, b in pairs]
-    fed = antibracket(f, h, pairs, table)
-    assert fed == antibracket(f, h, pairs)
-    assert fed == reference_antibracket(f, h, pairs)
-    moving = left_derivs(h, pairs)
-    assert moving == [(left_deriv(h, a), left_deriv(h, b)) for a, b in pairs]
-    assert antibracket(f, h, pairs, g_derivs=moving) == fed
-    assert antibracket(f, h, pairs, table, moving) == fed
+    plain = antibracket(f, h, pairs)
+    assert plain == reference_antibracket(f, h, pairs)
+    fed = SuperPoly.zero(alg)
+    for p, part in parity_parts(f).items():
+        ad = FixedAntibracket(part, pairs)
+        assert ad.parity == 1 - p
+        image = ad(h.terms)
+        assert all(image.values())
+        assert SuperPoly(alg, image) == antibracket(part, h, pairs)
+        fed = fed + SuperPoly(alg, image)
+    assert fed == plain
 
 
 def test_antibracket_argument_checks():
@@ -355,13 +374,11 @@ def test_antibracket_argument_checks():
     with pytest.raises(KeyError):
         antibracket(phi, phi, [("phi", "nope")])
     with pytest.raises(KeyError):
-        antibracket(phi, phi, [("phi", "nope")], [(phi, phi)])
+        FixedAntibracket(phi, [("phi", "nope")])
     with pytest.raises(ValueError):
         antibracket(phi, g(brst_like_alg(), "x"), pairs)
-    with pytest.raises(ValueError):
-        antibracket(phi, phi, pairs, right_derivs(phi, pairs[:1]))
-    with pytest.raises(ValueError):
-        antibracket(phi, phi, pairs, g_derivs=left_derivs(phi, pairs[:1]))
+    with pytest.raises(ValueError):   # (f, .) has no parity: f is mixed
+        FixedAntibracket(phi + g(alg, "C"), pairs)
 
 
 @_examples
