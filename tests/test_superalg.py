@@ -349,11 +349,10 @@ def parity_parts(f):
     SuperPoly(BV_ALGEBRAS["two_ghost"][0], {(0, 2, 3, 7): 3, (4, 6): -1})]))
 def test_table_fed_antibracket_matches_plain_and_reference(drawn):
     """(f, .) precompiled from f's right-derivative table, against the plain
-    antibracket and its defining sum.  Each parity
-    part of f is one drawn F, so both derivation parities (p = 1 for even F,
-    p = 0 for odd F) and mixed ghost numbers are covered; the compiled sign
-    is (f, .)'s own, which verify_theorem8 cannot see (S -> -S is again a
-    solution)."""
+    antibracket and its defining sum.  Each parity part of f is one drawn F,
+    so both derivation parities (p = 1 for even F, p = 0 for odd F) and
+    mixed ghost numbers are covered.  This checks the compiled sign itself,
+    which verify_theorem8 cannot see (S -> -S is again a solution)."""
     alg, pairs, (f, h) = drawn
     plain = antibracket(f, h, pairs)
     assert plain == reference_antibracket(f, h, pairs)
