@@ -116,13 +116,18 @@ class GradedMap:
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())
 
+    def placed_blocks(self):
+        """(row offset, column offset, block) of every block, for the
+        concatenated basis of all degrees."""
+        sp = self.space
+        return [(sp.offset(k + self.shift), sp.offset(k), blk)
+                for k, blk in self.blocks.items()
+                if 0 <= k <= sp.top and 0 <= k + self.shift <= sp.top]
+
     def total_matrix(self) -> RatMatrix:
         """The map as one matrix on the concatenated basis of all degrees."""
-        sp = self.space
-        placed = [(sp.offset(k + self.shift), sp.offset(k), blk)
-                  for k, blk in self.blocks.items()
-                  if 0 <= k <= sp.top and 0 <= k + self.shift <= sp.top]
-        return RatMatrix.from_blocks(sp.total_dim, sp.total_dim, placed)
+        n = self.space.total_dim
+        return RatMatrix.from_blocks(n, n, self.placed_blocks())
 
 
 class HomotopyData:
@@ -155,7 +160,7 @@ class HomotopyData:
 class ChainExtension:
     """The output of chain_extend: l1, l2, l3 with nilpotent sum."""
 
-    __slots__ = ("space", "l1", "l2", "l3")
+    __slots__ = ("space", "l1", "l2", "l3", "_total")
 
     def __init__(self, space, l1, l2, l3):
         if l1.shift != -1 or l2.shift != 0 or l3.shift != +1:
@@ -164,6 +169,18 @@ class ChainExtension:
         self.l1 = l1
         self.l2 = l2
         self.l3 = l3
+        self._total = None
+
+    def total_matrix(self) -> RatMatrix:
+        """l = l1 + l2 + l3 as one matrix on the concatenated basis of all
+        degrees, assembled from the blocks of the three maps on first use and
+        kept.  The three shifts differ, so no two blocks overlap."""
+        if self._total is None:
+            n = self.space.total_dim
+            self._total = RatMatrix.from_blocks(
+                n, n, self.l1.placed_blocks() + self.l2.placed_blocks()
+                + self.l3.placed_blocks())
+        return self._total
 
 
 def verify_homotopy(hd: HomotopyData) -> dict:
@@ -271,7 +288,7 @@ def verify_nilpotent(ext: ChainExtension) -> dict:
         l2.block(k).is_zero() for k in range(2, sp.top + 1))
     checks["l3_vanishes_above_degree_0"] = all(
         l3.block(k).is_zero() for k in range(1, sp.top + 1))
-    total = ext.l1.total_matrix() + ext.l2.total_matrix() + ext.l3.total_matrix()
+    total = ext.total_matrix()
     checks["total_square_zero"] = (total @ total).is_zero()
     checks["ok"] = all(v for key, v in checks.items() if key != "ok")
     return checks
@@ -279,8 +296,7 @@ def verify_nilpotent(ext: ChainExtension) -> dict:
 
 def total_homology_dims(ext: ChainExtension) -> int:
     """dim ker(l) - rank(l) for the total operator l = l1 + l2 + l3."""
-    total = ext.l1.total_matrix() + ext.l2.total_matrix() + ext.l3.total_matrix()
-    rk = rank(total)
+    rk = rank(ext.total_matrix())
     return ext.space.total_dim - 2 * rk
 
 

@@ -1,10 +1,13 @@
 """Randomized-but-exact test instances for the chain-extension engine.
 
 Instances are built in a split basis where the homotopy identities hold by
-construction, then conjugated by random unimodular changes of basis so the
-matrices look generic while staying exact over Q.  The degree-zero operator
-is built so that the three extension conditions hold, with its induced
-differential on F returned alongside.
+construction, then moved to a random basis by unimodular changes of basis,
+so the matrices look generic while staying exact over Q.  Each change of
+basis P is a list of elementary integer operations; P @ M and M @ P^-1 are
+those operations applied straight to the sparse integer rows of M, with no
+matrix P formed and no product taken.  The degree-zero operator is built so
+that the three extension conditions hold, with its induced differential on F
+returned alongside.
 """
 
 from __future__ import annotations
@@ -34,111 +37,146 @@ def _elementary_ops(rng: random.Random, n: int, steps: int):
     return ops
 
 
-def _apply_op(rows, op, invert=False):
-    kind, i, j, c = op
-    if kind == "add":
-        cc = -c if invert else c
-        rows[j] = [a + cc * b for a, b in zip(rows[j], rows[i])]
-    elif kind == "swap":
-        rows[i], rows[j] = rows[j], rows[i]
-    else:
-        rows[i] = [-a for a in rows[i]]
+def _basis_change(rng: random.Random, n: int):
+    """The elementary operations of one random unimodular n x n matrix P:
+    P is their product, the first one applied first (none when n == 0)."""
+    return _elementary_ops(rng, n, steps=max(2, 2 * n)) if n else []
+
+
+def _row_ops(rows, ops):
+    """P @ M, in place on M's {col: int} rows: each operation of P, in
+    order, as a row operation (add (i, j, c): row j += c * row i)."""
+    for kind, i, j, c in ops:
+        if kind == "add":
+            dst = rows[j]
+            for col, v in rows[i].items():
+                x = dst.get(col, 0) + c * v
+                if x:
+                    dst[col] = x
+                else:
+                    del dst[col]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = {col: -v for col, v in rows[i].items()}
+    return rows
+
+
+def _inverse_col_ops(rows, ops):
+    """M @ P^-1, in place on M's {col: int} rows: the inverse of each
+    operation of P, in order, as a column operation (add (i, j, c):
+    col i -= c * col j)."""
+    for kind, i, j, c in ops:
+        if kind == "add":
+            for r in rows:
+                v = r.get(j)
+                if v:
+                    x = r.get(i, 0) - c * v
+                    if x:
+                        r[i] = x
+                    else:
+                        del r[i]
+        elif kind == "swap":
+            for r in rows:
+                a, b = r.pop(i, 0), r.pop(j, 0)
+                if a:
+                    r[j] = a
+                if b:
+                    r[i] = b
+        else:
+            for r in rows:
+                if i in r:
+                    r[i] = -r[i]
+    return rows
+
+
+def _conjugated(rows, left, right, ncols):
+    """P_left @ M @ P_right^-1 for M given by its {col: int} rows."""
+    return RatMatrix._of(_inverse_col_ops(_row_ops(rows, left), right), 1, ncols)
 
 
 def random_unimodular(rng: random.Random, n: int):
     """A pair (P, P_inverse) of integer matrices with det = +-1."""
-    if n == 0:
-        z = RatMatrix.zeros(0, 0)
-        return z, z
-    ops = _elementary_ops(rng, n, steps=max(2, 2 * n))
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for op in ops:
-        _apply_op(rows, op)
-    p = RatMatrix(rows)
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for op in reversed(ops):
-        _apply_op(rows, op, invert=True)
-    p_inv = RatMatrix(rows)
-    return p, p_inv
+    ops = _basis_change(rng, n)
+    return (_conjugated([{i: 1} for i in range(n)], ops, [], n),
+            _conjugated([{i: 1} for i in range(n)], [], ops, n))
 
 
 def _nilpotent_square_zero(rng: random.Random, f: int):
-    """The integer rows of an f x f matrix D with D @ D = 0 (image inside a
-    killed coordinate block)."""
+    """The {col: int} rows of an f x f matrix D with D @ D = 0 (image inside
+    a killed coordinate block)."""
     if f == 0:
         return []
     p = rng.randint(0, f // 2)
     q = rng.randint(p and 1 or 0, f - p)
-    rows = [[0] * f for _ in range(f)]
+    rows = [{} for _ in range(f)]
     for j in range(p):
         for i in range(f - q, f):
-            rows[i][j] = rng.randint(-2, 2)
+            v = rng.randint(-2, 2)
+            if v:
+                rows[i][j] = v
     return rows
 
 
 def random_split_instance(rng: random.Random, max_dim: int = 6, top: int = 3):
     """One engine instance: (HomotopyData, l2_0, d_f), conditions (i)-(iii) true.
 
-    Dimensions per degree are at most max_dim; degrees run 0..top.
+    Degrees run 0..top and every dimension is at most max_dim: with F of
+    dimension f and l1 of rank r_k on X_k, dim X_0 = f + r_1 and
+    dim X_k = r_k + r_{k+1}, where r_{top+1} = 0.  Raises ValueError when
+    max_dim < 1 or top < 0.
     """
+    if max_dim < 1:
+        raise ValueError("max_dim must be >= 1, got %r" % (max_dim,))
+    if top < 0:
+        raise ValueError("top must be >= 0, got %r" % (top,))
     f = rng.randint(1, max(1, max_dim - 2))
-    ranks = []
+    rk = []                     # rk[k - 1] = r_k, the rank of l1 on X_k
     prev = max_dim - f
     for k in range(top):
         r = rng.randint(0, max(0, prev))
-        ranks.append(r)
+        rk.append(r)
         prev = max_dim - r
-    r1, r2, r3 = (ranks + [0, 0, 0])[:3]
-    dims = [f + r1, r1 + r2, r2 + r3, r3][: top + 1]
-    sp = GradedSpace(dims)
-    rk = [r1, r2, r3, 0]
+    rk.append(0)
+    sp = GradedSpace([f + rk[0]] + [rk[k - 1] + rk[k] for k in range(1, top + 1)])
+    n0 = sp.dim(0)
 
-    # split-basis data: in degree k >= 1 the first rk[k-1+...]... coordinates
-    # map isomorphically down, the tail coordinates are the incoming image.
+    # split basis: in degree k >= 1 the first r_k coordinates map
+    # isomorphically onto the tail of X_{k-1}, which starts at m_offset(k-1)
     def m_offset(k):
         return f if k == 0 else rk[k - 1]
 
+    d_rows = _nilpotent_square_zero(rng, f)
+    l2_rows = [dict(r) for r in d_rows]
+    for i in range(rk[0]):
+        row = {}
+        for j in range(n0):
+            v = rng.randint(-2, 2)
+            if v:
+                row[j] = v
+        l2_rows.append(row)
+
+    # the random changes of basis, drawn per degree, then the one on F
+    p = [_basis_change(rng, sp.dim(k)) for k in range(top + 1)]
+    q = _basis_change(rng, f)
+
     l1_blocks = {}
-    for k in range(1, sp.top + 1):
-        rows = [[0] * sp.dim(k) for _ in range(sp.dim(k - 1))]
+    for k in range(1, top + 1):
+        rows = [{} for _ in range(sp.dim(k - 1))]
         for i in range(rk[k - 1]):
             rows[m_offset(k - 1) + i][i] = 1
-        l1_blocks[k] = RatMatrix(rows, ncols=sp.dim(k))
+        l1_blocks[k] = _conjugated(rows, p[k - 1], p[k], sp.dim(k))
     s_blocks = {}
-    for k in range(0, sp.top):
-        rows = [[0] * sp.dim(k) for _ in range(sp.dim(k + 1))]
+    for k in range(top):
+        rows = [{} for _ in range(sp.dim(k + 1))]
         for i in range(rk[k]):
             rows[i][m_offset(k) + i] = -1
-        s_blocks[k] = RatMatrix(rows, ncols=sp.dim(k))
-    eta0 = RatMatrix([[int(i == j) for j in range(sp.dim(0))] for i in range(f)],
-                     ncols=sp.dim(0))
-    lam0 = RatMatrix([[int(i == j) for j in range(f)] for i in range(sp.dim(0))],
-                     ncols=f)
-
-    d_rows = _nilpotent_square_zero(rng, f)
-    d_split = RatMatrix(d_rows, ncols=f)
-    n0 = sp.dim(0)
-    l2_rows = [[0] * n0 for _ in range(n0)]
-    for i in range(f):
-        l2_rows[i][:f] = d_rows[i]
-    for i in range(r1):
-        for j in range(n0):
-            l2_rows[f + i][j] = rng.randint(-2, 2)
-    l2_split = RatMatrix(l2_rows, ncols=n0)
-
-    # conjugate everything by random unimodular changes of basis
-    p, p_inv = {}, {}
-    for k in range(sp.top + 1):
-        p[k], p_inv[k] = random_unimodular(rng, sp.dim(k))
-    q, q_inv = random_unimodular(rng, f)
-
-    l1 = GradedMap(sp, -1, {k: p[k - 1] @ l1_blocks[k] @ p_inv[k]
-                            for k in range(1, sp.top + 1)})
-    s = GradedMap(sp, +1, {k: p[k + 1] @ s_blocks[k] @ p_inv[k]
-                           for k in range(0, sp.top)})
-    eta = q @ eta0 @ p_inv[0]
-    lam = p[0] @ lam0 @ q_inv
-    hd = HomotopyData(sp, l1, f, eta, lam, s)
-    l2_0 = p[0] @ l2_split @ p_inv[0]
-    d_f = q @ d_split @ q_inv
+        s_blocks[k] = _conjugated(rows, p[k + 1], p[k], sp.dim(k))
+    eta = _conjugated([{i: 1} for i in range(f)], q, p[0], n0)
+    lam = _conjugated([{i: 1} for i in range(f)] + [{} for _ in range(n0 - f)],
+                      p[0], q, f)
+    hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), f, eta, lam,
+                      GradedMap(sp, +1, s_blocks))
+    l2_0 = _conjugated(l2_rows, p[0], p[0], n0)
+    d_f = _conjugated(d_rows, q, q, f)
     return hd, l2_0, d_f

@@ -1,11 +1,16 @@
-"""The integer instance generator against the Fraction-row generator it
+"""The sparse-row instance generator against the Fraction-row generator it
 replaced, kept here as the reference: same random draws, same matrices."""
 
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from chainext import instances
-from chainext.complexes import GradedMap, GradedSpace, HomotopyData
+from chainext.complexes import (GradedMap, GradedSpace, HomotopyData,
+                                chain_extend, check_l2_conditions,
+                                verify_homotopy, verify_nilpotent)
 from chainext.exactla import RatMatrix
 
 
@@ -120,14 +125,64 @@ def test_unimodular_pairs_unchanged():
         assert got_rng.getstate() == want_rng.getstate(), draw
 
 
+def assert_same_instance(seed, **kwargs):
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    (hd, l2_0, d_f) = instances.random_split_instance(got_rng, **kwargs)
+    (want, want_l2_0, want_d_f) = fraction_split_instance(want_rng, **kwargs)
+    assert hd.space == want.space and hd.f_dim == want.f_dim
+    assert hd.l1.blocks == want.l1.blocks
+    assert hd.s.blocks == want.s.blocks
+    assert (hd.eta, hd.lam, l2_0, d_f) == \
+        (want.eta, want.lam, want_l2_0, want_d_f)
+    assert got_rng.getstate() == want_rng.getstate()
+
+
 def test_split_instances_unchanged():
     for draw in range(200):
-        got_rng, want_rng = random.Random(draw), random.Random(draw)
-        (hd, l2_0, d_f) = instances.random_split_instance(got_rng)
-        (want, want_l2_0, want_d_f) = fraction_split_instance(want_rng)
-        assert hd.space == want.space and hd.f_dim == want.f_dim, draw
-        assert hd.l1.blocks == want.l1.blocks, draw
-        assert hd.s.blocks == want.s.blocks, draw
-        assert (hd.eta, hd.lam, l2_0, d_f) == \
-            (want.eta, want.lam, want_l2_0, want_d_f), draw
-        assert got_rng.getstate() == want_rng.getstate(), draw
+        assert_same_instance(draw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 12), st.integers(0, 3))
+def test_split_instances_unchanged_at_every_size(seed, max_dim, top):
+    assert_same_instance(seed, max_dim=max_dim, top=top)
+
+
+@pytest.mark.parametrize("top", [4, 5])
+def test_split_instances_honour_top(top):
+    for seed in range(40):
+        max_dim = 1 + seed % 8
+        hd, l2_0, d_f = instances.random_split_instance(
+            random.Random(seed), max_dim=max_dim, top=top)
+        assert len(hd.space.dims) == top + 1, seed
+        assert max(hd.space.dims) <= max_dim, seed
+        assert verify_homotopy(hd)["ok"], seed
+        assert check_l2_conditions(hd, l2_0, d_f)["ok"], seed
+        assert verify_nilpotent(chain_extend(hd, l2_0, d_f))["ok"], seed
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(max_dim=0), "max_dim"), (dict(max_dim=-3), "max_dim"),
+    (dict(top=-1), "top")])
+def test_split_instance_rejects_bad_sizes(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        instances.random_split_instance(random.Random(0), **kwargs)
+
+
+def test_split_instances_take_no_matrix_products(monkeypatch):
+    """The changes of basis act on sparse rows: no RatMatrix is built from
+    dense rows and no product is taken."""
+    counts = {"__matmul__": 0, "__init__": 0}
+    for name in counts:
+        original = getattr(RatMatrix, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(RatMatrix, name, counted)
+    rng = random.Random(7)
+    for _ in range(50):
+        instances.random_split_instance(rng)
+    assert counts == {"__matmul__": 0, "__init__": 0}
+    RatMatrix([[1]]) @ RatMatrix([[1]])
+    assert counts == {"__matmul__": 1, "__init__": 2}
