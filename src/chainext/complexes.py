@@ -88,34 +88,6 @@ class GradedMap:
             return self.blocks[k]
         return RatMatrix.zeros(self.space.dim(k + self.shift), self.space.dim(k))
 
-    def compose(self, other) -> "GradedMap":
-        """self after other (self . other); a missing block on either side
-        contributes nothing."""
-        if self.space != other.space:
-            raise ValueError("graded maps live on different spaces")
-        out = {}
-        for k, b in other.blocks.items():
-            a = self.blocks.get(k + other.shift)
-            if a is not None:
-                m = a @ b
-                if not m.is_zero():
-                    out[k] = m
-        return GradedMap(self.space, self.shift + other.shift, out)
-
-    def add(self, other) -> "GradedMap":
-        if self.shift != other.shift or self.space != other.space:
-            raise ValueError("cannot add graded maps of different shifts")
-        out = {}
-        for k in set(self.blocks) | set(other.blocks):
-            a, b = self.blocks.get(k), other.blocks.get(k)
-            m = b if a is None else a if b is None else a + b
-            if not m.is_zero():
-                out[k] = m
-        return GradedMap(self.space, self.shift, out)
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.blocks.values())
-
     def placed_blocks(self):
         """(row offset, column offset, block) of every block, for the
         concatenated basis of all degrees."""
@@ -205,6 +177,14 @@ def verify_homotopy(hd: HomotopyData) -> dict:
     return checks
 
 
+def _product(a, b):
+    """a @ b, or None when it is zero; a None (missing) or zero factor is not multiplied."""
+    if a is None or b is None or a.is_zero() or b.is_zero():
+        return None
+    m = a @ b
+    return None if m.is_zero() else m
+
+
 def check_l2_conditions(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None = None,
                         l2_sq: RatMatrix | None = None) -> dict:
     """Check the three extension conditions on a degree-zero operator.
@@ -224,11 +204,14 @@ def check_l2_conditions(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None
         if d_f.shape != (hd.f_dim, hd.f_dim):
             raise ValueError("d_f has shape %s, expected %s"
                              % (d_f.shape, (hd.f_dim, hd.f_dim)))
-        report["condition_i"] = (hd.eta @ l2_0 @ hd.lam) == d_f
-    report["condition_ii"] = solve(b_mat, l2_0 @ b_mat) is not None
+        induced = _product(_product(hd.eta, l2_0), hd.lam)
+        report["condition_i"] = d_f.is_zero() if induced is None else induced == d_f
+    # a zero block lies in every column space and needs no solve
+    image = _product(l2_0, b_mat)
+    report["condition_ii"] = image is None or solve(b_mat, image) is not None
     if l2_sq is None:
         l2_sq = l2_0 @ l2_0
-    report["condition_iii"] = solve(b_mat, l2_sq) is not None
+    report["condition_iii"] = l2_sq.is_zero() or solve(b_mat, l2_sq) is not None
     report["ok"] = all(v for key, v in report.items() if key != "ok" and v is not None)
     return report
 
@@ -249,48 +232,64 @@ def chain_extend(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None = None
             raise ExtensionPreconditionError(
                 "extension precondition failed: %s" % name)
     sp = hd.space
-    l2_blocks = {0: l2_0}
+    l1, s = hd.l1.blocks, hd.s.blocks
+    l2 = {0: l2_0}
     for k in range(1, sp.top + 1):
-        prev = l2_blocks.get(k - 1, RatMatrix.zeros(sp.dim(k - 1), sp.dim(k - 1)))
-        blk = hd.s.block(k - 1) @ prev @ hd.l1.block(k)
-        if not blk.is_zero():
-            l2_blocks[k] = blk
-    l3_blocks = {}
-    blk0 = hd.s.block(0) @ sq0
-    if not blk0.is_zero():
-        l3_blocks[0] = blk0
-    for k in range(1, sp.top):
-        l2_k = l2_blocks.get(k, RatMatrix.zeros(sp.dim(k), sp.dim(k)))
-        inner = l2_k @ l2_k
-        prev3 = l3_blocks.get(k - 1, RatMatrix.zeros(sp.dim(k), sp.dim(k - 1)))
-        inner = inner + (prev3 @ hd.l1.block(k))
-        blk = hd.s.block(k) @ inner
-        if not blk.is_zero():
-            l3_blocks[k] = blk
-    l2 = GradedMap(sp, 0, l2_blocks)
-    l3 = GradedMap(sp, +1, l3_blocks)
-    return ChainExtension(sp, hd.l1, l2, l3)
+        blk = _product(_product(s.get(k - 1), l2.get(k - 1)), l1.get(k))
+        if blk is not None:
+            l2[k] = blk
+    l3 = {}
+    for k in range(sp.top):
+        sq = sq0 if k == 0 else _product(l2.get(k), l2.get(k))
+        tail = _product(l3.get(k - 1), l1.get(k))
+        inner = tail if sq is None else sq if tail is None else sq + tail
+        blk = _product(s.get(k), inner)
+        if blk is not None:
+            l3[k] = blk
+    return ChainExtension(sp, hd.l1, GradedMap(sp, 0, l2), GradedMap(sp, +1, l3))
+
+
+# the report key that a nonzero entry of l^2 in shift class t breaks
+_KEY_OF_SHIFT = {-2: "total_square_zero", -1: "l1l2_plus_l2l1_zero",
+                 0: "l2l2_plus_l1l3_plus_l3l1_zero", 1: "l2l3_plus_l3l2_zero",
+                 2: "l3l3_zero"}
 
 
 def verify_nilpotent(ext: ChainExtension) -> dict:
-    """Check the four graded relations, the structural vanishings, and l^2 = 0."""
+    """Check the four graded relations, the structural vanishings and l^2 = 0,
+    all read from one square of the total matrix of l = l1 + l2 + l3.
+
+    l1, l2, l3 shift the degree by -1, 0, +1 and li lj by the sum, so the
+    entries of l^2 from degree k to degree k + t sum the products of class t
+    only (a term li[k+t, m] lj[m, k] is nonzero only if the shifts add to t):
+
+        t = -2: l1 l1            t = 0: l2 l2 + l1 l3 + l3 l1    t = 2: l3 l3
+        t = -1: l1 l2 + l2 l1    t = 1: l2 l3 + l3 l2
+
+    A relation holds iff l^2 has no nonzero entry whose row degree minus
+    column degree is its t; l1 l1 counts for total_square_zero only.
+    first_failure is None when l^2 = 0, else (key, (degree, index within the
+    degree)) of the first nonzero column of l^2, with the key that its first
+    nonzero entry breaks; ok ignores it.
+    """
     sp = ext.space
-    l1, l2, l3 = ext.l1, ext.l2, ext.l3
-    checks = {}
-    r1 = l1.compose(l2).add(l2.compose(l1))
-    checks["l1l2_plus_l2l1_zero"] = r1.is_zero()
-    r2 = l2.compose(l2).add(l1.compose(l3)).add(l3.compose(l1))
-    checks["l2l2_plus_l1l3_plus_l3l1_zero"] = r2.is_zero()
-    r3 = l2.compose(l3).add(l3.compose(l2))
-    checks["l2l3_plus_l3l2_zero"] = r3.is_zero()
-    checks["l3l3_zero"] = l3.compose(l3).is_zero()
-    checks["l2_vanishes_above_degree_1"] = all(
-        l2.block(k).is_zero() for k in range(2, sp.top + 1))
-    checks["l3_vanishes_above_degree_0"] = all(
-        l3.block(k).is_zero() for k in range(1, sp.top + 1))
     total = ext.total_matrix()
-    checks["total_square_zero"] = (total @ total).is_zero()
+    square = total @ total
+    shifts, first = set(), None
+    if not square.is_zero():
+        deg = [k for k, d in enumerate(sp.dims) for _ in range(d)]
+        for j, col in enumerate(square.sparse_columns()):
+            shifts.update(deg[i] - deg[j] for i in col)
+            if col and first is None:
+                k = deg[j]
+                first = (_KEY_OF_SHIFT[deg[min(col)] - k], (k, j - sp.offset(k)))
+    checks = {key: t not in shifts for t, key in _KEY_OF_SHIFT.items() if t != -2}
+    for key, gm, low in (("l2_vanishes_above_degree_1", ext.l2, 2),
+                         ("l3_vanishes_above_degree_0", ext.l3, 1)):
+        checks[key] = all(m.is_zero() for k, m in gm.blocks.items() if k >= low)
+    checks["total_square_zero"] = not shifts
     checks["ok"] = all(v for key, v in checks.items() if key != "ok")
+    checks["first_failure"] = first
     return checks
 
 

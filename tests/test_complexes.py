@@ -1,8 +1,12 @@
+import os
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from chainext import complexes
+from chainext import complexes, shlie
+from chainext.brst import ConstraintSystem, export_to_complexes
 from chainext.exactla import RatMatrix, rank, solve
 from chainext.complexes import (
     ExtensionPreconditionError, GradedSpace, GradedMap, HomotopyData,
@@ -10,7 +14,17 @@ from chainext.complexes import (
     homology_dim_of_differential, total_homology_dims, verify_homotopy,
     verify_nilpotent,
 )
+from chainext.formats import load_brst, load_extend, load_lie
 from chainext.instances import random_split_instance, random_unimodular
+from chainext.lie import Cochain
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
+                      "models")
+
+
+def read_model(name):
+    with open(os.path.join(MODELS, name)) as fh:
+        return fh.read()
 
 
 def tiny_instance():
@@ -246,17 +260,64 @@ def dense_total(gm):
     return RatMatrix(rows, ncols=n)
 
 
+# each relation key of verify_nilpotent as the pairs (i, j) of its li lj
+RELATIONS = {"l1l2_plus_l2l1_zero": ((1, 2), (2, 1)),
+             "l2l2_plus_l1l3_plus_l3l1_zero": ((2, 2), (1, 3), (3, 1)),
+             "l2l3_plus_l3l2_zero": ((2, 3), (3, 2)),
+             "l3l3_zero": ((3, 3),)}
+
+
+def dense_relation(sp, pairs):
+    """The nonzero blocks of the sum of a . b over the pairs, every degree's
+    product formed with dense_compose and summed with dense_add."""
+    acc = None
+    for a, b in pairs:
+        m = GradedMap(sp, a.shift + b.shift, dense_compose(a, b))
+        acc = m if acc is None else GradedMap(sp, m.shift, dense_add(acc, m))
+    return acc.blocks
+
+
+def degree_list(sp):
+    return [k for k in range(len(sp.dims)) for _ in range(sp.dims[k])]
+
+
+def dense_report(ext):
+    """verify_nilpotent's report from the definitions: each relation summed
+    from its own dense products, l^2 as the square of the sum of the dense
+    total matrices, and the witness read off that square entry by entry."""
+    sp = ext.space
+    maps = {1: ext.l1, 2: ext.l2, 3: ext.l3}
+    rep = {key: not dense_relation(sp, [(maps[i], maps[j]) for i, j in pairs])
+           for key, pairs in RELATIONS.items()}
+    rep["l2_vanishes_above_degree_1"] = all(
+        ext.l2.block(k).is_zero() for k in range(2, sp.top + 1))
+    rep["l3_vanishes_above_degree_0"] = all(
+        ext.l3.block(k).is_zero() for k in range(1, sp.top + 1))
+    total = dense_total(ext.l1) + dense_total(ext.l2) + dense_total(ext.l3)
+    square = total @ total
+    rep["total_square_zero"] = square.is_zero()
+    rep["ok"] = all(rep.values())
+    rep["first_failure"] = None
+    deg = degree_list(sp)
+    for j in range(square.ncols):
+        rows = [i for i in range(square.nrows) if square.entry(i, j)]
+        if rows:
+            # li shifts by i - 2, so li lj lands in shift class i + j - 4
+            t = deg[rows[0]] - deg[j]
+            key = next((key for key, ((i, jj), *_) in RELATIONS.items()
+                        if i + jj - 4 == t), "total_square_zero")
+            rep["first_failure"] = (key, (deg[j], j - sp.offset(deg[j])))
+            break
+    return rep
+
+
 def test_sparse_engine_matches_dense_definitions():
     for seed in range(50):
         hd, l2_0, d_f = random_split_instance(random.Random(seed))
         ext = chain_extend(hd, l2_0, d_f)
-        maps = [hd.l1, hd.s, ext.l2, ext.l3]
-        for a in maps:
+        for a in [hd.l1, hd.s, ext.l2, ext.l3]:
             assert a.total_matrix() == dense_total(a), seed
-            for b in maps:
-                assert a.compose(b).blocks == dense_compose(a, b), seed
-                if a.shift == b.shift:
-                    assert a.add(b).blocks == dense_add(a, b), seed
+        assert verify_nilpotent(ext) == dense_report(ext), seed
 
 
 def perturbed_l3(ext):
@@ -273,7 +334,7 @@ def perturbed_l3(ext):
     return complexes.ChainExtension(ext.space, ext.l1, ext.l2, l3)
 
 
-def test_total_square_is_a_live_check(monkeypatch):
+def test_total_square_is_a_live_check():
     perturbed = []
     for seed in range(30):
         hd, l2_0, d_f = random_split_instance(random.Random(seed))
@@ -286,11 +347,277 @@ def test_total_square_is_a_live_check(monkeypatch):
         assert rep["total_square_zero"] is False
         assert rep["l2l2_plus_l1l3_plus_l3l1_zero"] is False
         assert rep["ok"] is False
-    # the total square is the product of the assembled matrix, not a sum of
-    # compose results: with compose blinded it still sees the perturbation
-    monkeypatch.setattr(GradedMap, "compose", lambda self, other: GradedMap(
-        self.space, self.shift + other.shift))
-    for bad in perturbed:
-        rep = verify_nilpotent(bad)
-        assert rep["l2l2_plus_l1l3_plus_l3l1_zero"] is True
-        assert rep["total_square_zero"] is False
+
+
+def with_unit_entry(ext, which, k, r, c):
+    """ext with 1 added at (r, c) of block k of its l1, l2 or l3."""
+    gm = getattr(ext, which)
+    sp = ext.space
+    rows, cols = sp.dim(k + gm.shift), sp.dim(k)
+    unit = RatMatrix([[int(i == r and j == c) for j in range(cols)]
+                      for i in range(rows)], ncols=cols)
+    blocks = dict(gm.blocks)
+    blocks[k] = gm.block(k) + unit
+    maps = {"l1": ext.l1, "l2": ext.l2, "l3": ext.l3}
+    maps[which] = GradedMap(sp, gm.shift, blocks)
+    return complexes.ChainExtension(sp, maps["l1"], maps["l2"], maps["l3"])
+
+
+def unit_positions(ext, which):
+    """Every (degree, row, column) of a block of l1, l2 or l3."""
+    gm, sp = getattr(ext, which), ext.space
+    return [(k, r, c) for k in range(sp.top + 1)
+            for r in range(sp.dim(k + gm.shift)) for c in range(sp.dim(k))
+            if 0 <= k + gm.shift <= sp.top]
+
+
+def bundled_extension(name):
+    hd, l2_0, d_f = load_extend(read_model(name))
+    return chain_extend(hd, l2_0, d_f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=st.one_of(
+    st.tuples(st.integers(0, 10 ** 6), st.integers(0, 5)),
+    st.sampled_from(("extend_medium.txt", "extend_split.txt"))),
+    which=st.sampled_from(("l2", "l3")), pick=st.integers(0, 10 ** 6))
+def test_unit_entry_reports_match_dense_definitions(source, which, pick):
+    if isinstance(source, str):
+        ext = bundled_extension(source)
+    else:
+        seed, top = source
+        ext = chain_extend(*random_split_instance(random.Random(seed), top=top))
+    places = unit_positions(ext, which)
+    if not places:
+        return
+    bad = with_unit_entry(ext, which, *places[pick % len(places)])
+    assert verify_nilpotent(bad) == dense_report(bad)
+
+
+def test_unit_entries_break_every_key():
+    """Over all unit entries of a few extensions, every key of the report
+    turns False somewhere, and the witness names every relation key."""
+    failed, named = set(), set()
+    exts = [bundled_extension("extend_split.txt")] + [
+        chain_extend(*random_split_instance(random.Random(seed), top=4))
+        for seed in range(6)]
+    for ext in exts:
+        for which in ("l1", "l2", "l3"):
+            for place in unit_positions(ext, which)[::3]:
+                rep = verify_nilpotent(with_unit_entry(ext, which, *place))
+                assert rep == dense_report(with_unit_entry(ext, which, *place))
+                failed |= {key for key, v in rep.items() if v is False}
+                if rep["first_failure"] is not None:
+                    named.add(rep["first_failure"][0])
+    keys = set(RELATIONS) | {"l2_vanishes_above_degree_1",
+                             "l3_vanishes_above_degree_0",
+                             "total_square_zero", "ok"}
+    assert failed == keys
+    assert named == set(RELATIONS) | {"total_square_zero"}
+
+
+# -- the work: one square per check, no product with a zero block --------------
+
+def count_products(monkeypatch):
+    """Record (left, right) of every RatMatrix product from now on."""
+    products = []
+    real_matmul = RatMatrix.__matmul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return real_matmul(a, b)
+    monkeypatch.setattr(RatMatrix, "__matmul__", counted)
+    return products
+
+
+def test_verify_nilpotent_is_one_product(monkeypatch):
+    exts = []
+    for seed in range(24):
+        ext = chain_extend(*random_split_instance(random.Random(seed),
+                                                  top=seed % 6))
+        exts.append(ext)
+        bad = perturbed_l3(ext)
+        if bad is not None:
+            exts.append(bad)
+    products = count_products(monkeypatch)
+    verdicts = set()
+    for ext in exts:
+        del products[:]
+        verdicts.add(verify_nilpotent(ext)["ok"])
+        n = ext.space.total_dim
+        assert [(a.shape, b.shape) for a, b in products] == [((n, n), (n, n))]
+    assert verdicts == {True, False}
+
+
+def test_chain_extend_multiplies_no_zero_block(monkeypatch):
+    products = count_products(monkeypatch)
+    made = 0
+    for top in (3, 5):
+        for seed in range(50):
+            hd, l2_0, d_f = random_split_instance(random.Random(seed), top=top)
+            del products[:]
+            chain_extend(hd, l2_0, d_f)
+            made += len(products)
+            # the one square of l2_0, which condition (iii) and l3 in degree
+            # 0 share, is made even when l2_0 is zero
+            zero = [(a.shape, b.shape) for a, b in products
+                    if (a.is_zero() or b.is_zero())
+                    and not (a is l2_0 and b is l2_0)]
+            assert zero == [], (top, seed)
+    assert made > 500              # the counter sees the products
+
+
+def old_chain_extend_blocks(hd, l2_0):
+    """The recursion as it was before it skipped zero blocks: every missing
+    block a zero matrix, every product formed."""
+    sp = hd.space
+    sq0 = l2_0 @ l2_0
+    l2_blocks = {0: l2_0}
+    for k in range(1, sp.top + 1):
+        prev = l2_blocks.get(k - 1, RatMatrix.zeros(sp.dim(k - 1), sp.dim(k - 1)))
+        blk = hd.s.block(k - 1) @ prev @ hd.l1.block(k)
+        if not blk.is_zero():
+            l2_blocks[k] = blk
+    l3_blocks = {}
+    blk0 = hd.s.block(0) @ sq0
+    if not blk0.is_zero():
+        l3_blocks[0] = blk0
+    for k in range(1, sp.top):
+        l2_k = l2_blocks.get(k, RatMatrix.zeros(sp.dim(k), sp.dim(k)))
+        inner = l2_k @ l2_k
+        prev3 = l3_blocks.get(k - 1, RatMatrix.zeros(sp.dim(k), sp.dim(k - 1)))
+        inner = inner + (prev3 @ hd.l1.block(k))
+        blk = hd.s.block(k) @ inner
+        if not blk.is_zero():
+            l3_blocks[k] = blk
+    return l2_blocks, l3_blocks
+
+
+def shlie_engine_inputs(monkeypatch):
+    """The (hd, l2_0) pairs that the lie_so3 engine cross-check extends, in
+    both variants, recorded on their way into chain_extend."""
+    seen = []
+
+    def recording(hd, l2_0, d_f=None):
+        seen.append((hd, l2_0))
+        return chain_extend(hd, l2_0, d_f)
+    monkeypatch.setattr(shlie, "chain_extend", recording)
+    alg = load_lie(read_model("lie_so3.txt"))
+    t2 = shlie.build_shlie(alg, alg.alpha0, Cochain.zero(alg.dim, 2), N=4,
+                           variant="t2")
+    for S in (t2, t2.as_variant("full")):
+        shlie.crosscheck_with_engine(S)
+    monkeypatch.undo()
+    return seen
+
+
+def test_chain_extend_matches_the_old_recursion(monkeypatch):
+    inputs = []
+    for top in (3, 5):
+        for seed in range(50):
+            hd, l2_0, _ = random_split_instance(random.Random(seed), top=top)
+            inputs.append((hd, l2_0))
+    sys_ = ConstraintSystem(*load_brst(read_model("brst_toy.txt")))
+    hd, l2_0, _ = export_to_complexes(sys_, 4)
+    inputs.append((hd, l2_0))
+    exports = shlie_engine_inputs(monkeypatch)
+    assert len(exports) == 3        # the three curried l2 of the full variant
+    inputs += exports
+    for hd, l2_0 in inputs:
+        ext = chain_extend(hd, l2_0)
+        want2, want3 = old_chain_extend_blocks(hd, l2_0)
+        assert ext.l2.blocks == want2 and ext.l3.blocks == want3
+        assert list(ext.l2.blocks) == list(want2)
+        assert list(ext.l3.blocks) == list(want3)
+
+
+# -- degrees of dimension zero ------------------------------------------------
+
+def split_instance(f, ranks, rng):
+    """A hand-built split instance in its split basis: F of dimension f, l1
+    of rank r_k on X_k, dim X_0 = f + r_1, dim X_k = r_k + r_(k+1).  l1 maps
+    the first r_k coordinates of X_k onto the last r_k of X_(k-1), s maps them
+    back with a minus sign, and l2_0 = [[D, 0], [R]] with D^2 = 0, so that
+    conditions (i)-(iii) hold with d_f = D."""
+    rk = list(ranks) + [0]
+    dims = [f + rk[0]] + [rk[k - 1] + rk[k] for k in range(1, len(rk))]
+    sp = GradedSpace(dims)
+    tail = [f] + rk[:-1]          # X_(k-1)'s image coordinates start here
+    l1, s = {}, {}
+    for k in range(1, sp.top + 1):
+        r = rk[k - 1]
+        l1[k] = RatMatrix([[int(i == tail[k - 1] + j) for j in range(dims[k])]
+                           for i in range(dims[k - 1])], ncols=dims[k])
+        s[k - 1] = RatMatrix([[-int(j == tail[k - 1] + i and i < r)
+                               for j in range(dims[k - 1])]
+                              for i in range(dims[k])], ncols=dims[k - 1])
+    d = [[0] * f for _ in range(f)]
+    if f >= 2:
+        d[f - 1][0] = rng.choice((-2, -1, 1, 3))
+    n0 = dims[0]
+    rows = [row + [0] * (n0 - f) for row in d]
+    rows += [[rng.randint(-2, 2) for _ in range(n0)] for _ in range(rk[0])]
+    eta = RatMatrix([[int(i == j) for j in range(n0)] for i in range(f)], ncols=n0)
+    lam = RatMatrix([[int(i == j) for j in range(f)] for i in range(n0)], ncols=f)
+    hd = HomotopyData(sp, GradedMap(sp, -1, l1), f, eta, lam, GradedMap(sp, +1, s))
+    return hd, RatMatrix(rows, ncols=n0), RatMatrix(d, ncols=f)
+
+
+def dense_rank(m):
+    """Rank by Gaussian elimination on dense Fraction rows."""
+    rows = [list(r) for r in m.rows]
+    rk = 0
+    for c in range(m.ncols):
+        p = next((i for i in range(rk, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rk], rows[p] = rows[p], rows[rk]
+        for i in range(len(rows)):
+            if i != rk and rows[i][c]:
+                f = Fraction(rows[i][c]) / rows[rk][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk
+
+
+@settings(max_examples=120, deadline=None)
+@given(f=st.integers(0, 3), ranks=st.lists(st.integers(0, 2), max_size=4),
+       seed=st.integers(0, 10 ** 6))
+@example(f=2, ranks=[0, 0], seed=0)          # dims (2, 0, 0)
+@example(f=3, ranks=[0, 0], seed=1)          # dims (3, 0, 0)
+@example(f=0, ranks=[1, 0, 0], seed=0)       # dims (1, 1, 0, 0)
+@example(f=1, ranks=[1, 1, 0], seed=0)       # dims (2, 2, 1, 0): empty top
+@example(f=2, ranks=[0, 1, 0], seed=2)       # dims (2, 1, 1, 0)
+@example(f=0, ranks=[0], seed=0)             # dims (0, 0)
+def test_zero_dimensional_degrees_match_dense_references(f, ranks, seed):
+    rng = random.Random(seed)
+    hd, l2_0, d_f = split_instance(f, ranks, rng)
+    assert verify_homotopy(hd)["ok"]
+    assert check_l2_conditions(hd, l2_0, d_f)["ok"]
+    ext = chain_extend(hd, l2_0, d_f)
+    want2, want3 = old_chain_extend_blocks(hd, l2_0)
+    assert ext.l2.blocks == want2 and ext.l3.blocks == want3
+    rep = verify_nilpotent(ext)
+    assert rep == dense_report(ext) and rep["ok"] and rep["first_failure"] is None
+    total = dense_total(ext.l1) + dense_total(ext.l2) + dense_total(ext.l3)
+    assert total_homology_dims(ext) == hd.space.total_dim - 2 * dense_rank(total)
+    assert total_homology_dims(ext) == homology_dim_of_differential(d_f)
+    for which in ("l1", "l2", "l3"):
+        places = unit_positions(ext, which)
+        if places:
+            bad = with_unit_entry(ext, which, *rng.choice(places))
+            assert verify_nilpotent(bad) == dense_report(bad)
+
+
+def test_total_rank_matches_sympy_over_qq():
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(1)          # the instances of `fuzz --seed 1`
+    for _ in range(20):
+        ext = chain_extend(*random_split_instance(rng))
+        t = ext.total_matrix()
+        dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
+                           for row in t.rows], t.shape, QQ)
+        assert rank(t) == dm.rank()
+        assert total_homology_dims(ext) == t.ncols - 2 * dm.rank()
