@@ -277,10 +277,6 @@ def dense_relation(sp, pairs):
     return acc.blocks
 
 
-def degree_list(sp):
-    return [k for k in range(len(sp.dims)) for _ in range(sp.dims[k])]
-
-
 def dense_report(ext):
     """verify_nilpotent's report from the definitions: each relation summed
     from its own dense products, l^2 as the square of the sum of the dense
@@ -298,14 +294,14 @@ def dense_report(ext):
     rep["total_square_zero"] = square.is_zero()
     rep["ok"] = all(rep.values())
     rep["first_failure"] = None
-    deg = degree_list(sp)
+    deg = [k for k in range(len(sp.dims)) for _ in range(sp.dims[k])]
     for j in range(square.ncols):
         rows = [i for i in range(square.nrows) if square.entry(i, j)]
         if rows:
             # li shifts by i - 2, so li lj lands in shift class i + j - 4
             t = deg[rows[0]] - deg[j]
-            key = next((key for key, ((i, jj), *_) in RELATIONS.items()
-                        if i + jj - 4 == t), "total_square_zero")
+            key = next((key for key, pairs in RELATIONS.items()
+                        if sum(pairs[0]) - 4 == t), "total_square_zero")
             rep["first_failure"] = (key, (deg[j], j - sp.offset(deg[j])))
             break
     return rep
@@ -404,8 +400,9 @@ def test_unit_entries_break_every_key():
     for ext in exts:
         for which in ("l1", "l2", "l3"):
             for place in unit_positions(ext, which)[::3]:
-                rep = verify_nilpotent(with_unit_entry(ext, which, *place))
-                assert rep == dense_report(with_unit_entry(ext, which, *place))
+                bad = with_unit_entry(ext, which, *place)
+                rep = verify_nilpotent(bad)
+                assert rep == dense_report(bad)
                 failed |= {key for key, v in rep.items() if v is False}
                 if rep["first_failure"] is not None:
                     named.add(rep["first_failure"][0])
