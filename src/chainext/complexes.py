@@ -206,12 +206,18 @@ def check_l2_conditions(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None
                              % (d_f.shape, (hd.f_dim, hd.f_dim)))
         induced = _product(_product(hd.eta, l2_0), hd.lam)
         report["condition_i"] = d_f.is_zero() if induced is None else induced == d_f
-    # a zero block lies in every column space and needs no solve
+    # a zero block lies in every column space and needs no solve; B is
+    # reduced once for both blocks, since a pivot in [l2_0 B | l2_0^2] puts
+    # some column outside span(B), and only then is each block solved alone
     image = _product(l2_0, b_mat)
-    report["condition_ii"] = image is None or solve(b_mat, image) is not None
     if l2_sq is None:
         l2_sq = l2_0 @ l2_0
-    report["condition_iii"] = l2_sq.is_zero() or solve(b_mat, l2_sq) is not None
+    both = image is not None and not l2_sq.is_zero() and \
+        solve(b_mat, image.hstack(l2_sq)) is not None
+    report["condition_ii"] = both or image is None or \
+        solve(b_mat, image) is not None
+    report["condition_iii"] = both or l2_sq.is_zero() or \
+        solve(b_mat, l2_sq) is not None
     report["ok"] = all(v for key, v in report.items() if key != "ok" and v is not None)
     return report
 

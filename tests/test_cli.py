@@ -120,6 +120,17 @@ def test_shlie_default_zero_alpha1(capsys):
     assert "variants agree: True" in out
 
 
+def test_sl3_reports(capsys):
+    """sl(3) is simple, so H^2 = 0 (Whitehead), and with alpha1 = 0 the
+    relations hold in both variants."""
+    code, out = run_golden(capsys, "lie", "--input", "lie_sl3")
+    assert code == 0 and "H2 dim: 0" in out.splitlines()
+    code, out = run_golden(capsys, "shlie", "--input", "lie_sl3")
+    assert code == 0
+    assert {"variant t2 relations: ok", "variant full relations: ok"} <= \
+        set(out.splitlines())
+
+
 def test_shlie_obstructed_with_cross_check(capsys):
     code, out = run_golden(capsys, "shlie", "--input", "lie_abelian3",
                            "--alpha1", "cochain_obstructed_alpha1",

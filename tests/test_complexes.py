@@ -185,24 +185,63 @@ def test_block_conditions_match_per_column_definition():
     assert seen["ii_fails"] >= 40 and seen["iii_only_fails"] == 60
 
 
-def test_check_l2_conditions_is_two_block_solves(monkeypatch):
-    hd, l2_0, d_f = random_split_instance(random.Random(3))
-    solves, mat_vecs = [], []
-    real_solve, real_mat_vec = complexes.solve, RatMatrix.mat_vec
+def counting_solves(monkeypatch):
+    """The shapes of the right-hand sides complexes.solve is called with."""
+    solves = []
+    real_solve = complexes.solve
 
     def counted_solve(m, b):
         solves.append(b.shape)
         return real_solve(m, b)
+    monkeypatch.setattr(complexes, "solve", counted_solve)
+    return solves
+
+
+def test_check_l2_conditions_is_two_block_solves(monkeypatch):
+    """Conditions (ii) and (iii) are decided by one solve whose right-hand
+    side is the two blocks [l2_0 B | l2_0^2] side by side."""
+    hd, l2_0, d_f = random_split_instance(random.Random(3))
+    solves = counting_solves(monkeypatch)
+    mat_vecs = []
+    real_mat_vec = RatMatrix.mat_vec
 
     def counted_mat_vec(self, v):
         mat_vecs.append(1)
         return real_mat_vec(self, v)
-    monkeypatch.setattr(complexes, "solve", counted_solve)
     monkeypatch.setattr(RatMatrix, "mat_vec", counted_mat_vec)
     assert check_l2_conditions(hd, l2_0, d_f)["ok"]
     n0, n1 = hd.space.dim(0), hd.space.dim(1)
-    assert solves == [(n0, n1), (n0, n0)]
+    assert solves == [(n0, n1 + n0)]
     assert mat_vecs == []
+
+
+def test_failed_joint_solve_names_the_failing_condition(monkeypatch):
+    """When the joint solve fails, each block is solved alone, so the report
+    still says which of (ii) and (iii) failed.  X_1 = <u1, u2>, X_0 =
+    <b1, b2, f>, l1 u_i = b_i, so B = <b1, b2>, F = <f> and s = -l1^-1 on B.
+    Each l2_0 below has l2_0 B and l2_0^2 both nonzero."""
+    sp = GradedSpace([3, 2])
+    l1 = GradedMap(sp, -1, {1: RatMatrix([[1, 0], [0, 1], [0, 0]])})
+    s = GradedMap(sp, +1, {0: RatMatrix([[-1, 0, 0], [0, -1, 0]])})
+    hd = HomotopyData(sp, l1, 1, RatMatrix([[0, 0, 1]]),
+                      RatMatrix([[0], [0], [1]]), s)
+    assert verify_homotopy(hd)["ok"]
+    solves = counting_solves(monkeypatch)
+    cases = [
+        # b1 -> f, f -> b2: l2_0 b1 leaves B, l2_0^2 b1 = b2 stays in it
+        ([[0, 0, 0], [0, 0, 1], [1, 0, 0]], (False, True)),
+        # b1 -> b1, f -> f: B is kept, but l2_0^2 f = f is not in B
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], (True, False)),
+        # b1 -> f, f -> f: both fail
+        ([[0, 0, 0], [0, 0, 0], [1, 0, 1]], (False, False)),
+    ]
+    for rows, want in cases:
+        l2 = RatMatrix(rows)
+        del solves[:]
+        rep = check_l2_conditions(hd, l2)
+        assert (rep["condition_ii"], rep["condition_iii"]) == want
+        assert per_column_conditions(hd, l2) == want and not rep["ok"]
+        assert solves == [(3, 5), (3, 2), (3, 3)]
 
 
 def test_chain_extend_squares_l2_0_once(monkeypatch):

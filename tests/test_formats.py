@@ -320,7 +320,9 @@ def test_mutated_bundled_models_raise_only_format_errors():
             except Exception as e:
                 pytest.fail("%s, line %d mutated: %s: %s"
                             % (name, lineno, type(e).__name__, e))
-    assert cases == 678
+    # lie_sl3 adds 24 'key: value' lines (kind, dim, 22 brackets), six
+    # mutants each
+    assert cases == 678 + 24 * 6
 
 
 def test_repeated_bundled_model_lines_raise_format_errors():

@@ -1,14 +1,25 @@
+import os
+import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainext.complexes import verify_homotopy
-from chainext.lie import Cochain, LieAlgebra, alpha0_cochain, ce_differential
+from chainext.formats import load_lie
+from chainext.lie import (Cochain, LieAlgebra, alpha0_cochain,
+                          ce_differential, nr_compose)
 from chainext.shlie import (
-    ShLieStructure, TruncSeries, build_shlie,
+    _graded_unshuffle_sign, _koszul_swap, ShLieStructure, TruncSeries, build_shlie,
     crosscheck_with_engine, l3_is_obstruction, master_relation,
     to_homotopy_data, variants_agree, verify_shlie,
 )
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
+                      "models")
 
 
 def so3():
@@ -239,15 +250,210 @@ def test_relation_66_fails_when_l3_takes_a_degree_one_argument(monkeypatch):
     assert rep["first_failure"] == ("relation_66", (0, 0, 1))
 
 
+def class_count(d):
+    """Sorted generator tuples (degree 0 first, no degree-0 generator twice)
+    whose target degree sum(degs) + n - 3 is 0 or 1, for d = dim A.
+    n = 2, degree sum 1 or 2: one degree-0 and one degree-1 generator (d^2),
+    or two degree-1 generators, repeats allowed (d(d+1)/2).  n = 3, sum 0 or
+    1: three distinct degree-0 generators (C(d,3)), or two distinct degree-0
+    ones and one degree-1 (C(d,2) d).  n = 4, sum 0: four distinct degree-0
+    generators (C(d,4)); sum 1 targets degree 2."""
+    return d * d + d * (d + 1) // 2 + comb(d, 3) + d * comb(d, 2) + comb(d, 4)
+
+
 def test_verify_counts_the_tuples_it_checks():
+    assert class_count(3) == 25
     rep = verify_shlie(build(so3(), coboundary(so3())))
-    # tuples of the 3 + 3 generators whose target degree sum(degs) + n - 3
-    # is 0 or 1: n = 2 needs degree sum 1 or 2 (18 + 9), n = 3 sum 0 or 1
-    # (27 + 81), n = 4 sum 0 (81); five degree-0 inputs target degree 2
-    assert rep["tuples"] == 27 + 108 + 81
+    assert rep["tuples"] == class_count(3)
+    for name, d in (("lie_aff1", 2), ("lie_sl3", 8)):
+        rep = verify_shlie(build(model(name), Cochain.zero(d, 2)))
+        assert rep["ok"] and rep["tuples"] == class_count(d), name
     empty = LieAlgebra(0, {})
     rep = verify_shlie(build(empty, Cochain(0, 2, {})))
     assert rep["ok"] and rep["tuples"] == 0
+
+
+# -- the full product sweep as the reference ---------------------------------
+
+def product_sweep(S):
+    """The relation check over every ordered generator tuple, with no
+    symmetry assumed: the sweep verify_shlie reduces."""
+    gens = [(deg, TruncSeries.basis(S.alg.dim, S.N, k, i))
+            for deg, k in ((0, 0), (1, S.kmin)) for i in range(S.alg.dim)]
+    report = {"first_failure": None}
+    for name, n in (("relation_63", 2), ("relation_64", 3),
+                    ("relation_65", 4)):
+        report[name] = True
+        for tup in product(gens, repeat=n):
+            r = master_relation(S, list(tup), n)
+            if r is not None and not r.is_zero():
+                report[name] = False
+                if report["first_failure"] is None:
+                    report["first_failure"] = (name,
+                                               tuple(t[0] for t in tup))
+                break
+    bad = next((tup for tup in product(gens, repeat=3)
+                if any(t[0] for t in tup) and S.g_l3(*tup) is not None), None)
+    report["relation_66"] = bad is None
+    if bad is not None and report["first_failure"] is None:
+        report["first_failure"] = ("relation_66", tuple(t[0] for t in bad))
+    report["ok"] = all(report[k] for k in RELATIONS)
+    return report
+
+
+RELATIONS = ("relation_63", "relation_64", "relation_65", "relation_66")
+LIE_MODELS = ("lie_abelian2", "lie_abelian3", "lie_aff1", "lie_heisenberg",
+              "lie_sl2", "lie_so3", "lie_sl3")
+
+
+def assert_matches_product_sweep(S):
+    """Same verdict and first failing relation as the full sweep; when l2
+    and l3 are graded antisymmetric, the same verdict on every relation."""
+    rep, ref = verify_shlie(S), product_sweep(S)
+    assert rep["ok"] == ref["ok"], (rep, ref)
+    if rep["graded_antisymmetry"]:
+        assert all(rep[k] == ref[k] for k in RELATIONS), (rep, ref)
+        assert (rep["first_failure"] or [None])[0] == \
+            (ref["first_failure"] or [None])[0], (rep, ref)
+    return rep
+
+
+def model(name):
+    return load_lie(read_model(name + ".txt"))
+
+
+def read_model(name):
+    with open(os.path.join(MODELS, name)) as fh:
+        return fh.read()
+
+
+def phi_coboundary(alg, seed):
+    """d phi for a 1-cochain phi with small integer entries."""
+    rng = random.Random(seed)
+    phi = Cochain(alg.dim, 1, {(i,): [rng.randint(-2, 2)
+                                      for _ in range(alg.dim)]
+                               for i in range(alg.dim)})
+    return ce_differential(alg, phi)
+
+
+@pytest.mark.parametrize("name", LIE_MODELS)
+@pytest.mark.parametrize("variant", ["t2", "full"])
+def test_reduced_sweep_matches_product_sweep_on_models(name, variant):
+    alg = model(name)
+    cases = [Cochain.zero(alg.dim, 2)]
+    if alg.dim <= 3:
+        cases.append(phi_coboundary(alg, 7))
+    for a1 in cases:
+        rep = assert_matches_product_sweep(build(alg, a1, variant=variant))
+        assert rep["ok"] and rep["graded_antisymmetry"], rep
+
+
+class NegatedMixedL2(ShLieStructure):
+    def l2_10(self, xi, b):
+        return super().l2_10(xi, b).scale(-1)
+
+
+class SymmetricL2(ShLieStructure):
+    """l2_00 plus the symmetric t-bilinear map (a, b) -> a_0 b_0 e_1, where
+    x_0 is the e_1 component."""
+    def l2_00(self, a, b):
+        out = super().l2_00(a, b)
+        sym = [{} for _ in range(self.N + 1)]
+        for k, ta in enumerate(a.terms):
+            for m, tb in enumerate(b.terms[:self.N + 1 - k]):
+                c = ta.get(0, 0) * tb.get(0, 0)
+                if c:
+                    sym[k + m] = {0: c}
+        return out.add(TruncSeries.of_terms(self.alg.dim, self.N, sym))
+
+
+def mutants(alg, a1, variant):
+    """(label, structure) for the four mutants of one build."""
+    def scaled_l3(c):
+        S = build(alg, a1, variant=variant)
+        S.comp11 = S.comp11.scale(c)
+        return S
+    a0 = alpha0_cochain(alg)
+    return [("doubled l3", scaled_l3(2)), ("zeroed l3", scaled_l3(0)),
+            ("negated mixed l2", NegatedMixedL2(alg, a0, a1, 4, variant)),
+            ("symmetric l2", SymmetricL2(alg, a0, a1, 4, variant))]
+
+
+@pytest.mark.parametrize("variant", ["t2", "full"])
+def test_reduced_sweep_matches_product_sweep_on_mutants(variant):
+    rejected = set()
+    for alg, a1 in fixtures():
+        obstructed = not nr_compose(a1, a1).is_zero()
+        for label, S in mutants(alg, a1, variant):
+            rep = assert_matches_product_sweep(S)
+            if label == "symmetric l2":
+                assert not rep["ok"] and not rep["graded_antisymmetry"]
+                assert rep["first_failure"] == ("graded_antisymmetry", (0, 0))
+            elif label == "negated mixed l2":
+                assert not rep["relation_63"] and not rep["ok"]
+            else:
+                assert rep["graded_antisymmetry"]
+                assert rep["ok"] == (not obstructed), (label, rep)
+                if obstructed:
+                    assert rep["first_failure"] == ("relation_64", (0, 0, 0))
+            if not rep["ok"]:
+                rejected.add(label)
+    assert rejected == {"doubled l3", "zeroed l3", "negated mixed l2",
+                        "symmetric l2"}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(("lie_aff1", "lie_heisenberg", "lie_sl2", "lie_so3")),
+       st.integers(0, 10 ** 6), st.sampled_from(("t2", "full")))
+def test_reduced_sweep_matches_product_sweep_on_coboundaries(name, seed,
+                                                            variant):
+    """alpha1 = d phi for a random 1-cochain phi: a cocycle, so the
+    relations hold, and both sweeps say so."""
+    alg = model(name)
+    rep = assert_matches_product_sweep(
+        build(alg, phi_coboundary(alg, seed), variant=variant))
+    assert rep["ok"], rep
+
+
+def test_koszul_swap_is_the_sign_of_one_transposition():
+    """The swap sign verify_shlie checks antisymmetry with is the sign
+    master_relation gives the transposition of two inputs."""
+    for dx, dy in product((0, 1), repeat=2):
+        assert _koszul_swap(dx, dy) == _graded_unshuffle_sign((1, 0), (dx, dy))
+    assert [_koszul_swap(dx, dy) for dx, dy in product((0, 1), repeat=2)] \
+        == [-1, -1, -1, 1]
+
+
+def test_sl3_model_is_the_matrix_commutator():
+    """lie_sl3's structure constants against [X, Y] = XY - YX of the 3x3
+    matrices of its basis, in coordinates read off the matrix: the
+    off-diagonal entries give the E_ij components, and a traceless diagonal
+    diag(a, b, c) = a h1 + (a + b) h2 = a h1 - c h2."""
+    def unit(i, j):
+        return [[int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+
+    def lin(x, y, s=1):
+        return [[x[r][c] + s * y[r][c] for c in range(3)] for r in range(3)]
+
+    def mul(x, y):
+        return [[sum(x[r][k] * y[k][c] for k in range(3)) for c in range(3)]
+                for r in range(3)]
+    off = [(0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0)]
+    basis = [lin(unit(0, 0), unit(1, 1), -1), lin(unit(1, 1), unit(2, 2), -1)]
+    basis += [unit(i, j) for i, j in off]
+
+    def coords(m):
+        assert sum(m[i][i] for i in range(3)) == 0
+        return [m[0][0], -m[2][2]] + [m[i][j] for i, j in off]
+    alg = model("lie_sl3")
+    assert alg.dim == 8
+    nonzero = 0
+    for i, j in combinations(range(8), 2):
+        x, y = basis[i], basis[j]
+        want = coords(lin(mul(x, y), mul(y, x), -1))
+        assert alg.alpha0.value((i, j)) == want, (i, j)
+        nonzero += any(want)
+    assert nonzero == 21
 
 
 @pytest.mark.parametrize("variant", ["t2", "full"])
