@@ -59,6 +59,11 @@ def fixtures():
     ]
 
 
+class NegatedMixedL2(ShLieStructure):
+    def l2_10(self, xi, b):
+        return super().l2_10(xi, b).scale(-1)
+
+
 def build(alg, a1, N=4, variant="t2"):
     return build_shlie(alg, alpha0_cochain(alg), a1, N=N, variant=variant)
 
@@ -145,12 +150,8 @@ def test_corrupt_l3_sign_detected():
 
 
 def test_corrupt_mixed_l2_detected():
-    class Bad(ShLieStructure):
-        def l2_10(self, xi, b):
-            return super().l2_10(xi, b).scale(-1)
-
     alg = so3()
-    S = Bad(alg, alpha0_cochain(alg), coboundary(alg), 4, "t2")
+    S = NegatedMixedL2(alg, alpha0_cochain(alg), coboundary(alg), 4, "t2")
     rep = verify_shlie(S)
     assert not rep["relation_63"] and not rep["ok"]
 
@@ -346,11 +347,6 @@ def test_reduced_sweep_matches_product_sweep_on_models(name, variant):
     for a1 in cases:
         rep = assert_matches_product_sweep(build(alg, a1, variant=variant))
         assert rep["ok"] and rep["graded_antisymmetry"], rep
-
-
-class NegatedMixedL2(ShLieStructure):
-    def l2_10(self, xi, b):
-        return super().l2_10(xi, b).scale(-1)
 
 
 class SymmetricL2(ShLieStructure):
