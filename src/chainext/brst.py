@@ -15,6 +15,16 @@ homotopy is s = sigma . psi, with psi the monomial rescaling -1/k on combined
 (P,G)-degree k, and lambda~ = 1 + delta s kills every monomial containing a G.
 l2 and l3 are per-monomial rules extended linearly.
 
+The operators are computed on two independent routes.  The SuperPoly
+functions (koszul_tate, sigma, homotopy_s, longitudinal_d) apply the
+generator values through superalg.extend_right_derivation; they build the
+operator blocks below.  BRSTExtension runs the l2/l3 recursion on exact
+integers instead: each ConstraintSystem holds delta, sigma and d compiled
+once into kernel form, and every per-monomial image is kept as a
+{monomial: int} dict over one denominator.  Fractions appear only where
+l2, l3 and total return a SuperPoly and where check_nilpotent_on_basis
+writes its matrix.
+
 Operators are materialized on the finite monomial basis of weighted degree
 <= cap, where the weight adds the maximal degree jump of d per missing
 ghost; the basis is closed under every operator and this is checked loudly.
@@ -31,14 +41,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
 from .exactla import (Basis, RatMatrix, add_into,
                       operator_matrix as basis_matrix)
 from .superalg import (
-    GenSpec, SuperAlgebra, SuperPoly, extend_right_derivation, mul, poisson,
-    validate_poisson_table,
+    GenSpec, SuperAlgebra, SuperPoly, _derive, _kernel_terms,
+    extend_right_derivation, mul, poisson, validate_poisson_table,
 )
 
 
@@ -71,12 +82,15 @@ class ConstraintSystem:
     values; structure maps (a, b) with a < b (0-based) to the length-n list
     of structure functions C^c_ab, polynomials in (x, G).  delta_vals,
     sigma_vals and d_vals map generators to their values under delta, sigma
-    and d, read-only.  _bases keeps, per cap, the monomial groups and the
-    operator blocks built on them; no attribute is rebound after __init__.
+    and d, read-only; compiled holds the same three derivations in integer
+    kernel form (`_compile`) for BRSTExtension.  _bases keeps, per cap, the
+    monomial groups and the operator blocks built on them; no attribute is
+    rebound after __init__.
     """
 
     __slots__ = ("m", "n", "alg", "table", "structure", "xs", "gs", "etas",
-                 "ps", "delta_vals", "sigma_vals", "d_vals", "_bases")
+                 "ps", "delta_vals", "sigma_vals", "d_vals", "parities",
+                 "pg", "compiled", "_bases")
 
     def __init__(self, m, n, poisson_table, structure):
         self.m = int(m)
@@ -129,6 +143,14 @@ class ConstraintSystem:
                            for c, ec in enumerate(self.etas)
                            for b, eb in enumerate(self.etas)), Fraction(1, 2))
         self.d_vals = MappingProxyType(d_vals)
+        self.parities = tuple(g.parity for g in self.alg.gens)
+        # 1 on the generators that count in the (P, G)-degree
+        self.pg = tuple(int(g.kind in ("G", "P")) for g in self.alg.gens)
+        self.compiled = MappingProxyType({
+            name: _compile(self.alg, vals, self.parities)
+            for name, vals in (("delta", self.delta_vals),
+                               ("sigma", self.sigma_vals),
+                               ("d", self.d_vals))})
         self._bases = {}   # bound last: __setattr__ refuses from here on
 
     def __setattr__(self, name, value):
@@ -149,7 +171,8 @@ class ConstraintSystem:
     # -- gradings -------------------------------------------------------------
 
     def pg_degree(self, mono):
-        return sum(1 for i in mono if self.alg.gens[i].kind in ("G", "P"))
+        pg = self.pg
+        return sum(pg[i] for i in mono)
 
     def xgp_degree(self, mono):
         return sum(1 for i in mono if self.alg.gens[i].kind in ("x", "G", "P"))
@@ -157,8 +180,70 @@ class ConstraintSystem:
     def ghost_degree(self, mono):
         return sum(1 for i in mono if self.alg.gens[i].kind == "eta")
 
+    def antighost_degree(self, mono):
+        return sum(1 for i in mono if self.alg.gens[i].kind == "P")
+
     def has_constraint_factor(self, mono):
         return any(self.alg.gens[i].kind == "G" for i in mono)
+
+
+def _compile(alg, values, parities):
+    """Generator values {name: SuperPoly} in kernel form on exact ints:
+    ({index: [(monomial, odd factors, int)]}, den), the values times their
+    common denominator den."""
+    den = lcm(*(c.denominator for v in values.values()
+                for c in v.terms.values()))
+    return ({alg.index[name]: _kernel_terms(
+                {m: c.numerator * (den // c.denominator)
+                 for m, c in v.terms.items()}, parities)
+             for name, v in values.items() if v.terms}, den)
+
+
+# -- exact images: a {monomial: int} dict over a positive denominator ----------
+
+def _lowest(terms, den):
+    """(terms, den) with zero terms dropped and den and the numerators
+    divided by their gcd, so equal images have equal storage."""
+    if 0 in terms.values():
+        terms = {m: c for m, c in terms.items() if c}
+    g = gcd(den, *terms.values())
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+        den //= g
+    return terms, den
+
+
+def _combine(scaled, den=1):
+    """The sum of c * terms / d over the list scaled of (c, (terms, d)),
+    all divided by den, over one common denominator: the lcm of the d, as
+    RatMatrix combines its matrices.  Every (terms, d) is in lowest terms."""
+    if len(scaled) == 1 and scaled[0][0] == 1 and den == 1:
+        return scaled[0][1]
+    common = 1
+    for _, (_, d) in scaled:
+        if common % d:
+            common = lcm(common, d)
+    out = {}
+    get = out.get
+    for c, (terms, d) in scaled:
+        if d != common:
+            c *= common // d
+        for m, v in terms.items():
+            out[m] = get(m, 0) + c * v
+    return _lowest(out, common * den)
+
+
+def _int_terms(f: SuperPoly):
+    """A SuperPoly as an exact image (terms, den)."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return {m: c.numerator * (den // c.denominator)
+            for m, c in f.terms.items()}, den
+
+
+def _apply(sys, name, terms, den=1):
+    """The compiled odd right derivation delta, sigma or d on terms / den."""
+    vals, vden = sys.compiled[name]
+    return _lowest(_derive(terms, vals, 1, sys.parities), den * vden)
 
 
 # -- the basic operators -------------------------------------------------------
@@ -340,8 +425,22 @@ def in_constraint_ideal(sys: ConstraintSystem, f: SuperPoly) -> bool:
 # -- the chain extension --------------------------------------------------------
 
 class BRSTExtension:
-    """l1 = delta, l2, l3 as linear operators on SuperPoly; l2 and l3 keep
-    their per-monomial images."""
+    """l1 = delta, l2, l3 as linear operators on SuperPoly.
+
+    l2 and l3 are the per-monomial rules
+
+        l2(m) = d(m) on antighost 0,   l2(m) = s l2 delta(m) above,
+        l3(m) = s (l2 l2(m) + l3 delta(m))   (the last term on antighost > 0),
+
+    with s = sigma . psi, extended linearly.  They run on exact integers:
+    delta, sigma and d are the system's compiled derivations, applied by
+    superalg._derive, and each image of a basis monomial is kept as a pair
+    (terms, den), a {monomial: int} dict over the positive integer den in
+    lowest terms.  A linear combination of images is taken over the lcm of
+    their denominators (`_combine`), and psi's -1/k over the lcm of the k
+    (`_s`), so every image is exact on any monomial, inside the capped basis
+    or not.  l1 is koszul_tate on SuperPoly.
+    """
 
     __slots__ = ("sys", "_l2_cache", "_l3_cache")
 
@@ -350,36 +449,70 @@ class BRSTExtension:
         self._l2_cache = {}
         self._l3_cache = {}
 
-    def _linear(self, cache, rule, f: SuperPoly) -> SuperPoly:
-        """The linear extension of rule, a map on basis monomials whose
-        images are kept in cache."""
-        out = {}
-        for m, c in f.terms.items():
+    def _linear(self, cache, rule, terms, den=1):
+        """The linear extension of rule on terms / den, an exact image; each
+        rule(monomial) is computed once and kept in cache."""
+        scaled = []
+        for m, c in terms.items():
             img = cache.get(m)
             if img is None:
-                img = cache[m] = rule(SuperPoly(self.sys.alg, {m: 1}))
-            add_into(out, img.terms, c)
-        return SuperPoly(self.sys.alg, out)
+                img = cache[m] = rule(m)
+            if img[0]:
+                scaled.append((c, img))
+        return _combine(scaled, den)
 
-    def _l2_rule(self, f):
-        if f.antighost() == 0:
-            return longitudinal_d(self.sys, f)
-        return homotopy_s(self.sys, self.l2(koszul_tate(self.sys, f)))
+    def _s(self, terms, den):
+        """s = sigma . psi on terms / den: psi's -1/k on (P, G)-degree k is
+        taken over the lcm of the k present; a term with k = 0 is dropped."""
+        pg_degree = self.sys.pg_degree
+        ks = {m: pg_degree(m) for m in terms}
+        scale = lcm(*(k for k in ks.values() if k))
+        return _apply(self.sys, "sigma",
+                      {m: -c * (scale // ks[m])
+                       for m, c in terms.items() if ks[m]}, den * scale)
 
-    def _l3_rule(self, f):
-        g = self.l2(self.l2(f))
-        if f.antighost():
-            g = g + self.l3(koszul_tate(self.sys, f))
-        return homotopy_s(self.sys, g)
+    def _l2_image(self, terms, den=1):
+        return self._linear(self._l2_cache, self._l2_rule, terms, den)
+
+    def _l3_image(self, terms, den=1):
+        return self._linear(self._l3_cache, self._l3_rule, terms, den)
+
+    def _l2_rule(self, mono):
+        sys = self.sys
+        if not sys.antighost_degree(mono):
+            return _apply(sys, "d", {mono: 1})
+        return self._s(*self._l2_image(*_apply(sys, "delta", {mono: 1})))
+
+    def _l3_rule(self, mono):
+        sys = self.sys
+        g = self._l2_image(*self._l2_image({mono: 1}))
+        if sys.antighost_degree(mono):
+            g = _combine([(1, g), (1, self._l3_image(
+                *_apply(sys, "delta", {mono: 1})))])
+        return self._s(*g)
+
+    def l2_plus_l3(self, mono):
+        """(l2 + l3)(mono) as (monomial, coefficient) pairs."""
+        terms, den = _combine([(1, self._l2_image({mono: 1})),
+                               (1, self._l3_image({mono: 1}))])
+        if den == 1:
+            return terms.items()
+        return [(m, Fraction(c, den)) for m, c in terms.items()]
+
+    def _poly(self, image):
+        terms, den = image
+        return SuperPoly(self.sys.alg, {m: Fraction(c, den)
+                                        for m, c in terms.items()}
+                         if den != 1 else terms)
 
     def l1(self, f: SuperPoly) -> SuperPoly:
         return koszul_tate(self.sys, f)
 
     def l2(self, f: SuperPoly) -> SuperPoly:
-        return self._linear(self._l2_cache, self._l2_rule, f)
+        return self._poly(self._l2_image(*_int_terms(f)))
 
     def l3(self, f: SuperPoly) -> SuperPoly:
-        return self._linear(self._l3_cache, self._l3_rule, f)
+        return self._poly(self._l3_image(*_int_terms(f)))
 
     def total(self, f: SuperPoly) -> SuperPoly:
         return _sum(self.sys.alg, (self.l1(f), self.l2(f), self.l3(f)))
@@ -428,8 +561,8 @@ def check_nilpotent_on_basis(ext: BRSTExtension, cap: int):
     groups = _groups(sys, cap)
     monos = [m for g in groups for m in g]
     offsets = list(accumulate(map(len, groups), initial=0))
-    total = _matrix(sys, lambda _, f: _sum(sys.alg, (ext.l2(f), ext.l3(f))),
-                    monos, monos) + RatMatrix.from_blocks(
+    basis = Basis(monos, lambda m: SuperPoly(sys.alg, {m: 1}))
+    total = basis_matrix(ext.l2_plus_l3, basis, basis) + RatMatrix.from_blocks(
         len(monos), len(monos),
         [(offsets[k - 1], offsets[k], _block(sys, cap, "delta", k))
          for k in range(1, len(groups))])

@@ -213,7 +213,7 @@ def check_l2_conditions(hd: HomotopyData, l2_0: RatMatrix, d_f: RatMatrix | None
     if l2_sq is None:
         l2_sq = l2_0 @ l2_0
     both = image is not None and not l2_sq.is_zero() and \
-        solve(b_mat, image.hstack(l2_sq)) is not None
+        solve(b_mat, (image, l2_sq)) is not None
     report["condition_ii"] = both or image is None or \
         solve(b_mat, image) is not None
     report["condition_iii"] = both or l2_sq.is_zero() or \

@@ -439,24 +439,32 @@ def kernel_basis(m: RatMatrix):
 def solve(m: RatMatrix, b):
     """One exact solution x of m x = b, or None when b is not in the column space.
 
-    b is a vector (the answer is a vector) or a RatMatrix of right-hand
-    sides (the answer is a RatMatrix X with m X = b, and None when any column
-    of b lies outside the column space).  Either way one rref of [m | b]
-    decides it.  Free variables are set to zero, so the answer is
-    deterministic.  Raises ValueError when b does not have m.nrows rows.
+    b is a vector (the answer is a vector), a RatMatrix of right-hand sides
+    (the answer is a RatMatrix X with m X = b, and None when any column of b
+    lies outside the column space), or a list or tuple of such RatMatrix
+    blocks, read side by side as one right-hand side [b1 | b2 | ...].  Either
+    way one rref of [m | b], assembled by one from_blocks, decides it.  Free
+    variables are set to zero, so the answer is deterministic.  Raises
+    ValueError when b does not have m.nrows rows.
     """
-    block = isinstance(b, RatMatrix)
-    if not block:
-        b = RatMatrix.from_columns([b], nrows=len(b))
-    if b.nrows != m.nrows:
-        raise ValueError("right-hand side length %d does not match %d rows" % (b.nrows, m.nrows))
-    reduced, pivots, rk = rref(m.hstack(b))
-    n = m.ncols
+    if isinstance(b, RatMatrix):
+        blocks, vector = [b], False
+    elif b and isinstance(b[0], RatMatrix):
+        blocks, vector = list(b), False
+    else:
+        blocks, vector = [RatMatrix.from_columns([b], nrows=len(b))], True
+    n = col = m.ncols
+    placed = [(0, 0, m)]
+    for blk in blocks:
+        if blk.nrows != m.nrows:
+            raise ValueError("right-hand side length %d does not match %d rows" % (blk.nrows, m.nrows))
+        placed.append((0, col, blk))
+        col += blk.ncols
+    reduced, pivots, rk = rref(RatMatrix.from_blocks(m.nrows, col, placed))
     if pivots and pivots[-1] >= n:
         return None
     x = [{} for _ in range(n)]
     for r_idx, p in enumerate(pivots):
         x[p] = {j - n: v for j, v in reduced._nums[r_idx].items() if j >= n}
-    x = RatMatrix._of(x, reduced.den, b.ncols)
-    return x if block else x.col(0)
-
+    x = RatMatrix._of(x, reduced.den, col - n)
+    return x.col(0) if vector else x

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from chainext.brst import (
     so3_system, toy_system, verify_brst_resolution,
 )
 from chainext.complexes import chain_extend, verify_homotopy, verify_nilpotent
-from chainext.exactla import RatMatrix, solve
+from chainext.exactla import RatMatrix, add_into, solve
 from chainext.superalg import (SuperPoly, extend_right_derivation, mul,
                                poisson, right_deriv)
 
@@ -374,23 +375,44 @@ def nilpotent_per_monomial(ext, cap):
 
 
 def double_s(monkeypatch, systems):
+    """s doubled on both routes: homotopy_s for the blocks and the sweeps,
+    BRSTExtension._s for the integer l2/l3 recursion."""
     real = brst_mod.homotopy_s
     monkeypatch.setattr(brst_mod, "homotopy_s",
                         lambda sys_, f: real(sys_, f).scale(2))
+    real_s = BRSTExtension._s
+
+    def doubled(self, terms, den):
+        img, d = real_s(self, terms, den)
+        return brst_mod._lowest({m: 2 * c for m, c in img.items()}, d)
+    monkeypatch.setattr(BRSTExtension, "_s", doubled)
 
 
 def negate_l3(monkeypatch, systems):
+    """The integer l3 rule negated on every monomial."""
     real = BRSTExtension._l3_rule
-    monkeypatch.setattr(BRSTExtension, "_l3_rule",
-                        lambda self, f: real(self, f).scale(-1))
+
+    def negated(self, mono):
+        img, d = real(self, mono)
+        return {m: -c for m, c in img.items()}, d
+    monkeypatch.setattr(BRSTExtension, "_l3_rule", negated)
 
 
 def scale_delta_on_p1(monkeypatch, systems):
-    """delta P1 = -2 G1 instead of -G1, on every system."""
+    """delta P1 = -2 G1 instead of -G1, on every system: koszul_tate for the
+    blocks and the sweeps, and the compiled delta of the integer recursion."""
     def doubled(sys_, f):
         values = dict(sys_.delta_vals, P1=sys_.delta_vals["P1"].scale(2))
         return extend_right_derivation(f, values, parity=1)
     monkeypatch.setattr(brst_mod, "koszul_tate", doubled)
+    real_apply = brst_mod._apply
+
+    def apply(sys_, name, terms, den=1):
+        if name != "delta":
+            return real_apply(sys_, name, terms, den)
+        f = SuperPoly(sys_.alg, {m: Fraction(c, den) for m, c in terms.items()})
+        return brst_mod._int_terms(doubled(sys_, f))
+    monkeypatch.setattr(brst_mod, "_apply", apply)
 
 
 MUTATIONS = {"none": lambda mp, systems: None, "double_s": double_s,
@@ -415,6 +437,99 @@ def test_block_route_matches_per_monomial_sweeps(make, cap, mutation,
                                   or (mutation == "negate_l3" and l3_zero))
 
 
+# -- the integer kernel against the Fraction reference -----------------------
+
+class FractionExtension:
+    """l2 and l3 as the per-monomial rules on SuperPoly, each image summed
+    in Fractions: the route the integer kernel of BRSTExtension replaced."""
+
+    def __init__(self, sys_):
+        self.sys = sys_
+        self._l2_cache = {}
+        self._l3_cache = {}
+
+    def _linear(self, cache, rule, f):
+        out = {}
+        for m, c in f.terms.items():
+            img = cache.get(m)
+            if img is None:
+                img = cache[m] = rule(SuperPoly(self.sys.alg, {m: 1}))
+            add_into(out, img.terms, c)
+        return SuperPoly(self.sys.alg, out)
+
+    def _l2_rule(self, f):
+        if f.antighost() == 0:
+            return longitudinal_d(self.sys, f)
+        return homotopy_s(self.sys, self.l2(koszul_tate(self.sys, f)))
+
+    def _l3_rule(self, f):
+        g = self.l2(self.l2(f))
+        if f.antighost():
+            g = g + self.l3(koszul_tate(self.sys, f))
+        return homotopy_s(self.sys, g)
+
+    def l2(self, f):
+        return self._linear(self._l2_cache, self._l2_rule, f)
+
+    def l3(self, f):
+        return self._linear(self._l3_cache, self._l3_rule, f)
+
+
+def beyond_the_basis(sys_, basis):
+    """A monomial whose (P, G)-degree is one above every monomial of basis:
+    G1^top P1 eta1 times each coordinate once."""
+    top = max(sys_.pg_degree(m) for m in basis)
+    idx = sys_.alg.index
+    return tuple(sorted([idx["G1"]] * top + [idx["P1"], idx["eta1"]]
+                        + [idx[x] for x in sys_.xs]))
+
+
+@pytest.mark.parametrize("make, cap", [(so3_system, 4), (toy_system, 5),
+                                       (lambda: abelian_system(2), 3)])
+def test_integer_kernel_matches_fraction_reference(make, cap):
+    sys_ = make()
+    basis = [m for g in monomial_basis(sys_, cap) for m in g]
+    far = beyond_the_basis(sys_, basis)
+    assert sys_.pg_degree(far) > max(sys_.pg_degree(m) for m in basis)
+    ext, ref = BRSTExtension(sys_), FractionExtension(sys_)
+    nonzero = 0
+    for mono in basis + [far]:
+        f = SuperPoly(sys_.alg, {mono: 1})
+        for op, want in ((ext.l2, ref.l2(f)), (ext.l3, ref.l3(f))):
+            got = op(f)
+            assert got == want, mono
+            assert all(type(c) is Fraction for c in got.terms.values())
+            nonzero += not got.is_zero()
+    # abelian_system has l2 = d = 0 and l3 = 0 on every monomial
+    assert bool(nonzero) == bool(sys_.structure)
+    # the kernel keeps every image as {monomial: int} over a denominator, in
+    # lowest terms
+    for cache in (ext._l2_cache, ext._l3_cache):
+        for terms, den in cache.values():
+            assert type(den) is int and den > 0
+            assert all(type(c) is int and c for c in terms.values())
+            assert gcd(den, *terms.values()) == 1
+    # a combination with rational coefficients goes the same way
+    g = SuperPoly(sys_.alg, {basis[-1]: Fraction(2, 3), far: Fraction(-5, 7)})
+    assert ext.l2(g) == ref.l2(g) and ext.l3(g) == ref.l3(g)
+
+
+def test_integer_kernel_keeps_exact_denominators():
+    """psi's -1/k puts denominators into the images: on toy, l2 of
+    x1 G1 eta1 P2 has denominator 2 and l3 of G1 G2 G2 denominator 3, the
+    lcm of their coefficients' denominators; both agree with the Fraction
+    reference."""
+    toy = toy_system()
+    ext, ref = BRSTExtension(toy), FractionExtension(toy)
+    for op, names, den in (("l2", ("x1", "G1", "eta1", "P2"), 2),
+                           ("l3", ("G1", "G2", "G2"), 3)):
+        f = SuperPoly(toy.alg, {tuple(sorted(toy.alg.index[x]
+                                             for x in names)): 1})
+        got = getattr(ext, op)(f)
+        assert got == getattr(ref, op)(f)
+        assert lcm(*(c.denominator for c in got.terms.values())) == den
+
+
 def test_checked_system_cannot_change_under_its_blocks():
     """The blocks cached on a system are built from its generator values,
     so after a first check neither a value nor an attribute can change."""
@@ -426,7 +541,9 @@ def test_checked_system_cannot_change_under_its_blocks():
         name = next(iter(vals))
         with pytest.raises(TypeError):
             vals[name] = vals[name].scale(2)
-    for attr in ("delta_vals", "table", "_bases"):
+    with pytest.raises(TypeError):
+        s.compiled["d"] = s.compiled["delta"]
+    for attr in ("delta_vals", "compiled", "table", "_bases"):
         with pytest.raises(AttributeError):
             setattr(s, attr, {})
     assert verify_brst_resolution(s, 3)["ok"]

@@ -186,12 +186,14 @@ def test_block_conditions_match_per_column_definition():
 
 
 def counting_solves(monkeypatch):
-    """The shapes of the right-hand sides complexes.solve is called with."""
+    """The shapes of the right-hand sides complexes.solve is called with; a
+    sequence of blocks counts as the blocks side by side."""
     solves = []
     real_solve = complexes.solve
 
     def counted_solve(m, b):
-        solves.append(b.shape)
+        blocks = b if isinstance(b, (list, tuple)) else [b]
+        solves.append((m.nrows, sum(blk.ncols for blk in blocks)))
         return real_solve(m, b)
     monkeypatch.setattr(complexes, "solve", counted_solve)
     return solves
@@ -209,10 +211,19 @@ def test_check_l2_conditions_is_two_block_solves(monkeypatch):
         mat_vecs.append(1)
         return real_mat_vec(self, v)
     monkeypatch.setattr(RatMatrix, "mat_vec", counted_mat_vec)
+    hstacks = []
+    real_hstack = RatMatrix.hstack
+
+    def counted_hstack(self, other):
+        hstacks.append(1)
+        return real_hstack(self, other)
+    monkeypatch.setattr(RatMatrix, "hstack", counted_hstack)
     assert check_l2_conditions(hd, l2_0, d_f)["ok"]
     n0, n1 = hd.space.dim(0), hd.space.dim(1)
     assert solves == [(n0, n1 + n0)]
     assert mat_vecs == []
+    # the two blocks go to solve as a sequence, not hstacked first
+    assert hstacks == []
 
 
 def test_failed_joint_solve_names_the_failing_condition(monkeypatch):

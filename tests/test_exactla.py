@@ -288,6 +288,36 @@ def test_block_solve_none_iff_rank_grows(system):
     assert (solve(m, b) is None) == (rank(m.hstack(b)) > rank(m))
 
 
+@_examples
+@given(systems(), st.integers(min_value=0, max_value=4))
+def test_solve_reads_a_block_sequence_side_by_side(system, cut):
+    """solve(m, [b1, b2]) is solve(m, [b1 | b2]), with [m | b1 | b2] built
+    by one from_blocks and no hstack."""
+    m, b = system
+    cut = min(cut, b.ncols)
+    cols = [b.col(j) for j in range(b.ncols)]
+    b1 = RatMatrix.from_columns(cols[:cut], nrows=b.nrows)
+    b2 = RatMatrix.from_columns(cols[cut:], nrows=b.nrows)
+    calls = {"from_blocks": 0, "hstack": 0}
+    real_from_blocks, real_hstack = RatMatrix.from_blocks, RatMatrix.hstack
+
+    def from_blocks(nrows, ncols, placed):
+        calls["from_blocks"] += 1
+        return real_from_blocks(nrows, ncols, placed)
+
+    def hstack(self, other):
+        calls["hstack"] += 1
+        return real_hstack(self, other)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RatMatrix, "from_blocks", staticmethod(from_blocks))
+        mp.setattr(RatMatrix, "hstack", hstack)
+        got = [solve(m, blocks) for blocks in ([b1, b2], (b1, b2))]
+    assert calls == {"from_blocks": 2, "hstack": 0}
+    assert got[0] == got[1] == solve(m, b)
+    with pytest.raises(ValueError):
+        solve(m, [b1, RatMatrix.zeros(m.nrows + 1, 1)])
+
+
 def test_block_solve_empty_shapes():
     # no rows: every right-hand side is consistent, free variables are zero
     assert solve(RatMatrix.zeros(0, 3), RatMatrix.zeros(0, 2)) == \

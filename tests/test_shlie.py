@@ -274,6 +274,25 @@ def test_verify_counts_the_tuples_it_checks():
     assert rep["ok"] and rep["tuples"] == 0
 
 
+def test_verify_calls_master_relation_only_on_counted_tuples(monkeypatch):
+    """A tuple whose target degree leaves {0, 1} is filtered before
+    master_relation, so each call is one counted tuple and none returns
+    None; master_relation itself still returns None on such a tuple."""
+    import chainext.shlie as shlie_mod
+    results = []
+    real = shlie_mod.master_relation
+
+    def counted(S, elems, n):
+        results.append(real(S, elems, n))
+        return results[-1]
+    monkeypatch.setattr(shlie_mod, "master_relation", counted)
+    for alg, d in ((so3(), 3), (model("lie_sl3"), 8)):
+        del results[:]
+        rep = verify_shlie(build(alg, Cochain.zero(d, 2)))
+        assert rep["ok"] and len(results) == rep["tuples"] == class_count(d)
+        assert all(r is not None for r in results)
+
+
 # -- the full product sweep as the reference ---------------------------------
 
 def product_sweep(S):
