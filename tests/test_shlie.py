@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainext import shlie as shlie_mod
 from chainext.complexes import verify_homotopy
 from chainext.formats import load_lie
 from chainext.lie import (Cochain, LieAlgebra, alpha0_cochain,
@@ -277,8 +278,8 @@ def test_verify_counts_the_tuples_it_checks():
 def test_verify_calls_master_relation_only_on_counted_tuples(monkeypatch):
     """A tuple whose target degree leaves {0, 1} is filtered before
     master_relation, so each call is one counted tuple and none returns
-    None; master_relation itself still returns None on such a tuple."""
-    import chainext.shlie as shlie_mod
+    None (test_master_relation_structural_none keeps the None that
+    master_relation gives a direct caller on such a tuple)."""
     results = []
     real = shlie_mod.master_relation
 
