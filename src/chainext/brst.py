@@ -15,26 +15,29 @@ homotopy is s = sigma . psi, with psi the monomial rescaling -1/k on combined
 (P,G)-degree k, and lambda~ = 1 + delta s kills every monomial containing a G.
 l2 and l3 are per-monomial rules extended linearly.
 
-The operators are computed on two independent routes.  The SuperPoly
-functions (koszul_tate, sigma, homotopy_s, longitudinal_d) apply the
-generator values through superalg.extend_right_derivation; they build the
-operator blocks below.  BRSTExtension runs the l2/l3 recursion on exact
-integers instead: each ConstraintSystem holds delta, sigma and d compiled
-once into kernel form, and every per-monomial image is kept as a
-{monomial: int} dict over one denominator.  Fractions appear only where
-l2, l3 and total return a SuperPoly and where check_nilpotent_on_basis
-writes its matrix.
+Each ConstraintSystem holds delta, sigma and d compiled once into integer
+kernel form, and both the operator blocks and BRSTExtension's l2/l3
+recursion apply them through superalg._derive; every image is a
+{monomial: int} dict over one denominator.  The SuperPoly functions
+(koszul_tate, sigma, homotopy_s, longitudinal_d, psi, nbar, eta_project)
+apply the generator values through superalg.extend_right_derivation; they
+are the public operators on polynomials and the tests' reference for the
+blocks.  l2 and l3 are still computed on two independent routes: per
+monomial by BRSTExtension, and by the engine's matrix recursion on the
+exported blocks.
 
 Operators are materialized on the finite monomial basis of weighted degree
 <= cap, where the weight adds the maximal degree jump of d per missing
 ghost; the basis is closed under every operator and this is checked loudly.
 The matrices of delta, sigma, s and d are built once per system and cap,
-one block per antighost group, by exactla.operator_matrix, which raises
-when an output leaves the capped basis; check_nilpotent_on_basis does the
-same for the images of l2 + l3.  The resolution identities, the ideal
-conditions and the nilpotency of the total operator are then sparse block
-products on these matrices, and export_to_complexes hands the same blocks
-to the engine.
+one block per antighost group: a column of delta, sigma or d is the compiled
+image of one monomial, written by exactla.operator_matrix, which raises
+when an output leaves the capped basis, and the s block is the sigma block
+times psi's diagonal.  check_nilpotent_on_basis writes the images of
+l2 + l3 the same way.  The resolution identities (with Nbar and the
+projection eta as diagonals), the ideal conditions and the nilpotency of
+the total operator are then sparse block products on these matrices, and
+export_to_complexes hands the same blocks to the engine.
 """
 
 from __future__ import annotations
@@ -83,9 +86,9 @@ class ConstraintSystem:
     of structure functions C^c_ab, polynomials in (x, G).  delta_vals,
     sigma_vals and d_vals map generators to their values under delta, sigma
     and d, read-only; compiled holds the same three derivations in integer
-    kernel form (`_compile`) for BRSTExtension.  _bases keeps, per cap, the
-    monomial groups and the operator blocks built on them; no attribute is
-    rebound after __init__.
+    kernel form (`_compile`) for the operator blocks and BRSTExtension.
+    _bases keeps, per cap, the monomial groups and the operator blocks built
+    on them; no attribute is rebound after __init__.
     """
 
     __slots__ = ("m", "n", "alg", "table", "structure", "xs", "gs", "etas",
@@ -246,6 +249,15 @@ def _apply(sys, name, terms, den=1):
     return _lowest(_derive(terms, vals, 1, sys.parities), den * vden)
 
 
+def _pairs(image):
+    """An exact image as (monomial, coefficient) pairs: the int numerators
+    when den is 1, Fractions otherwise."""
+    terms, den = image
+    if den == 1:
+        return terms.items()
+    return [(m, Fraction(c, den)) for m, c in terms.items()]
+
+
 # -- the basic operators -------------------------------------------------------
 
 def koszul_tate(sys: ConstraintSystem, f: SuperPoly) -> SuperPoly:
@@ -346,19 +358,36 @@ def _groups(sys: ConstraintSystem, cap: int):
 
 def _block(sys: ConstraintSystem, cap: int, name: str, k: int) -> RatMatrix:
     """The matrix of delta (group k to k-1), sigma or s (k to k+1) or d (k to
-    k), built once per system and cap and kept next to the groups.  A group
-    outside 0..n is the empty basis, so an output that leaves the capped
-    basis raises, naming the escaping monomial."""
+    k), built once per system and cap and kept next to the groups.  Column j
+    of delta, sigma and d is the compiled derivation's image of the j-th
+    monomial; s = sigma . psi is the sigma block times psi's diagonal.  A
+    group outside 0..n is the empty basis, so an output that leaves the
+    capped basis raises, naming the escaping monomial."""
     key = (cap, name, k)
     blk = sys._bases.get(key)
     if blk is None:
         groups = _groups(sys, cap)
-        op, shift = {"delta": (koszul_tate, -1), "sigma": (sigma, 1),
-                     "s": (homotopy_s, 1), "d": (longitudinal_d, 0)}[name]
-        src, dst = (groups[j] if 0 <= j < len(groups) else []
-                    for j in (k, k + shift))
-        blk = sys._bases[key] = _matrix(sys, op, src, dst)
+        src = _group(groups, k)
+        if name == "s":
+            blk = _block(sys, cap, "sigma", k) @ _psi_diagonal(sys, src)
+        else:
+            dst = _group(groups, k + {"delta": -1, "sigma": 1, "d": 0}[name])
+            blk = basis_matrix(lambda m: _pairs(_apply(sys, name, {m: 1})),
+                               Basis(src), _named_basis(sys, dst))
+        sys._bases[key] = blk
     return blk
+
+
+def _group(groups, k):
+    """Basis group k, or the empty basis outside 0..n."""
+    return groups[k] if 0 <= k < len(groups) else []
+
+
+def _psi_diagonal(sys: ConstraintSystem, group) -> RatMatrix:
+    """psi on group as a diagonal matrix: -1/k on (P, G)-degree k, 0 on
+    k = 0."""
+    return RatMatrix.diagonal([Fraction(-1, k) if k else 0
+                               for k in map(sys.pg_degree, group)])
 
 
 def _bad_columns(mat: RatMatrix):
@@ -388,11 +417,13 @@ def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
         one = RatMatrix.identity(len(group))
         nbar_res = (blk("delta", k + 1) @ blk("sigma", k)
                     + blk("sigma", k - 1) @ blk("delta", k)
-                    - _matrix(sys, nbar, group, group))
+                    - RatMatrix.diagonal(map(sys.pg_degree, group)))
         if k == 0:
-            # lambda eta - 1 = l1 s, i.e. eta_project = 1 + delta s
-            homotopy_res = (_matrix(sys, eta_project, group, group) - one
-                            - blk("delta", 1) @ blk("s", 0))
+            # lambda eta - 1 = l1 s, i.e. eta_project = 1 + delta s, where
+            # eta_project keeps exactly the monomials without a G factor
+            eta = RatMatrix.diagonal([int(not sys.has_constraint_factor(m))
+                                      for m in group])
+            homotopy_res = eta - one - blk("delta", 1) @ blk("s", 0)
         else:
             homotopy_res = (blk("delta", k + 1) @ blk("s", k)
                             + blk("s", k - 1) @ blk("delta", k) + one)
@@ -493,11 +524,8 @@ class BRSTExtension:
 
     def l2_plus_l3(self, mono):
         """(l2 + l3)(mono) as (monomial, coefficient) pairs."""
-        terms, den = _combine([(1, self._l2_image({mono: 1})),
-                               (1, self._l3_image({mono: 1}))])
-        if den == 1:
-            return terms.items()
-        return [(m, Fraction(c, den)) for m, c in terms.items()]
+        return _pairs(_combine([(1, self._l2_image({mono: 1})),
+                                (1, self._l3_image({mono: 1}))]))
 
     def _poly(self, image):
         terms, den = image
@@ -561,7 +589,7 @@ def check_nilpotent_on_basis(ext: BRSTExtension, cap: int):
     groups = _groups(sys, cap)
     monos = [m for g in groups for m in g]
     offsets = list(accumulate(map(len, groups), initial=0))
-    basis = Basis(monos, lambda m: SuperPoly(sys.alg, {m: 1}))
+    basis = _named_basis(sys, monos)
     total = basis_matrix(ext.l2_plus_l3, basis, basis) + RatMatrix.from_blocks(
         len(monos), len(monos),
         [(offsets[k - 1], offsets[k], _block(sys, cap, "delta", k))
@@ -598,16 +626,20 @@ def operator_matrix(ext: BRSTExtension, op_name: str, groups, k_from: int,
     target degree outside the groups is the zero space."""
     sys = ext.sys
     op = {"l1": ext.l1, "l2": ext.l2, "l3": ext.l3}[op_name]
-    k_to = k_from + shift
-    dst = groups[k_to] if 0 <= k_to < len(groups) else []
-    return _matrix(sys, lambda _, f: op(f), groups[k_from], dst)
+    return _matrix(sys, lambda _, f: op(f), groups[k_from],
+                   _group(groups, k_from + shift))
 
 
 def _matrix(sys: ConstraintSystem, op, src, dst) -> RatMatrix:
     """Matrix of f -> op(sys, f) from the monomial list src to dst."""
     return basis_matrix(
         lambda m: op(sys, SuperPoly(sys.alg, {m: 1})).terms.items(),
-        Basis(src), Basis(dst, lambda m: SuperPoly(sys.alg, {m: 1})))
+        Basis(src), _named_basis(sys, dst))
+
+
+def _named_basis(sys: ConstraintSystem, monos) -> Basis:
+    """A basis of monomials whose escape error prints the monomial."""
+    return Basis(monos, lambda m: SuperPoly(sys.alg, {m: 1}))
 
 
 # -- shipped example systems -----------------------------------------------------

@@ -116,6 +116,15 @@ class RatMatrix:
         return cls._of([{i: 1} for i in range(n)], 1, n)
 
     @classmethod
+    def diagonal(cls, entries):
+        """The square matrix with the given ints or Fractions on its
+        diagonal."""
+        entries = [_exact(x) for x in entries]
+        den = lcm(1, *(x.denominator for x in entries))
+        return cls._of([{i: x.numerator * (den // x.denominator)} if x else {}
+                        for i, x in enumerate(entries)], den, len(entries))
+
+    @classmethod
     def from_columns(cls, cols, nrows=None):
         """Build a matrix whose columns are the given vectors."""
         cols = [list(c) for c in cols]

@@ -17,6 +17,7 @@ pairs, also as a precompiled derivation (f, .) for a fixed f.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .exactla import rat
 
@@ -381,19 +382,26 @@ def poisson(f: SuperPoly, g: SuperPoly, table) -> SuperPoly:
 
 def validate_poisson_table(alg, table) -> None:
     """Raise unless the table is antisymmetric and satisfies Jacobi on all
-    generator triples."""
+    generator triples.
+
+    Once the table is antisymmetric, so is the bracket of any two
+    polynomials in the (even) bracketed generators, and the Jacobiator
+    J(a,b,c) = [a,[b,c]] + [b,[c,a]] + [c,[a,b]] is then totally
+    antisymmetric: it is cyclic by construction and changes sign when two
+    arguments swap.  Over Q it vanishes when a name repeats, and every
+    ordering of three distinct names fails with the sorted one.  So the
+    triples of distinct names in sorted order decide Jacobi, and the first
+    of them to fail is the first failing ordered triple."""
     full = _canonical_table(alg, table)
     names = sorted({u for (u, _v) in full})
     gens = {u: SuperPoly.gen(alg, u) for u in names}
-    for a in names:
-        for b in names:
-            for c in names:
-                s = poisson(gens[a], poisson(gens[b], gens[c], table), table)
-                s = s + poisson(gens[b], poisson(gens[c], gens[a], table), table)
-                s = s + poisson(gens[c], poisson(gens[a], gens[b], table), table)
-                if not s.is_zero():
-                    raise ValueError("poisson table fails Jacobi on (%s,%s,%s)"
-                                     % (a, b, c))
+    for a, b, c in combinations(names, 3):
+        s = poisson(gens[a], poisson(gens[b], gens[c], table), table)
+        s = s + poisson(gens[b], poisson(gens[c], gens[a], table), table)
+        s = s + poisson(gens[c], poisson(gens[a], gens[b], table), table)
+        if not s.is_zero():
+            raise ValueError("poisson table fails Jacobi on (%s,%s,%s)"
+                             % (a, b, c))
 
 
 def antibracket(f: SuperPoly, g: SuperPoly, pairs) -> SuperPoly:

@@ -306,6 +306,14 @@ def test_extension_operators_are_linear(name, data):
         assert op(f.scale(a)) == op(f).scale(a)
 
 
+def double_block_s(monkeypatch):
+    """s doubled in the blocks: the s block is the sigma block times psi's
+    diagonal, so psi's diagonal is doubled."""
+    real = brst_mod._psi_diagonal
+    monkeypatch.setattr(brst_mod, "_psi_diagonal",
+                        lambda sys_, group: real(sys_, group).scale(2))
+
+
 @pytest.mark.parametrize("make, cap, first", [
     (so3_system, 3, ("lambda_tilde_kills_ideal", (0,))),          # G1
     (toy_system, 3, ("lambda_tilde_kills_ideal", (0, 0, 1, 3, 4))),
@@ -316,9 +324,7 @@ def test_doubled_homotopy_fails_both_degree0_keys(make, cap, first,
     G factor: the ideal test and the degree-0 homotopy identity both fail,
     and the first failure is the one recorded before the two tests were
     merged into one comparison."""
-    real = brst_mod.homotopy_s
-    monkeypatch.setattr(brst_mod, "homotopy_s",
-                        lambda sys_, f: real(sys_, f).scale(2))
+    double_block_s(monkeypatch)
     rep = verify_brst_resolution(make(), cap=cap)
     assert rep["lambda_tilde_kills_ideal"] is False
     assert rep["homotopy_identity"] is False
@@ -375,8 +381,9 @@ def nilpotent_per_monomial(ext, cap):
 
 
 def double_s(monkeypatch, systems):
-    """s doubled on both routes: homotopy_s for the blocks and the sweeps,
-    BRSTExtension._s for the integer l2/l3 recursion."""
+    """s doubled on every route: psi's diagonal for the blocks, homotopy_s
+    for the sweeps and BRSTExtension._s for the integer l2/l3 recursion."""
+    double_block_s(monkeypatch)
     real = brst_mod.homotopy_s
     monkeypatch.setattr(brst_mod, "homotopy_s",
                         lambda sys_, f: real(sys_, f).scale(2))
@@ -528,6 +535,52 @@ def test_integer_kernel_keeps_exact_denominators():
         got = getattr(ext, op)(f)
         assert got == getattr(ref, op)(f)
         assert lcm(*(c.denominator for c in got.terms.values())) == den
+
+
+BLOCK_OPERATORS = {"delta": (koszul_tate, -1), "sigma": (sigma, 1),
+                   "s": (homotopy_s, 1), "d": (longitudinal_d, 0)}
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the block route went through SuperPoly")
+
+
+@pytest.mark.parametrize("make, cap", [(so3_system, 4), (toy_system, 5),
+                                       (lambda: abelian_system(2), 3)])
+def test_compiled_blocks_match_the_superpoly_route(make, cap, monkeypatch):
+    """Every delta/sigma/s/d block equals the matrix of the SuperPoly
+    operator on the same groups.  The blocks are built with SuperPoly and
+    extend_right_derivation refused in brst, the compiled derivations are
+    applied once per column of the delta, sigma and d blocks, and the s
+    blocks, built first, apply none of their own: each is the sigma block
+    times psi's diagonal."""
+    sys_ = make()
+    groups = brst_mod._groups(sys_, cap)
+    applied = []
+    real_apply = brst_mod._apply
+
+    def counting(sys_, name, terms, den=1):
+        applied.append(name)
+        return real_apply(sys_, name, terms, den)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(brst_mod, "SuperPoly", refuse)
+        mp.setattr(brst_mod, "extend_right_derivation", refuse)
+        mp.setattr(brst_mod, "_apply", counting)
+        blocks = {(name, k): brst_mod._block(sys_, cap, name, k)
+                  for name in ("s", "delta", "sigma", "d")
+                  for k in range(len(groups))}
+    size = sum(map(len, groups))
+    assert sorted(applied) == sorted(["d"] * size + ["delta"] * size
+                                     + ["sigma"] * size)
+    ref = make()
+    for (name, k), blk in blocks.items():
+        op, shift = BLOCK_OPERATORS[name]
+        dst = brst_mod._group(groups, k + shift)
+        assert blk == brst_mod._matrix(ref, op, groups[k], dst), (name, k)
+    nonzero = {name for (name, k), blk in blocks.items() if not blk.is_zero()}
+    assert nonzero == ({"delta", "sigma", "s", "d"} if sys_.structure
+                       else {"delta", "sigma", "s"})
 
 
 def test_checked_system_cannot_change_under_its_blocks():

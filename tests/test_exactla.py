@@ -93,6 +93,20 @@ def test_matmul_and_identity():
     assert a @ b == RatMatrix([["1/2", "2/3"], ["3/2", "4/3"]])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6)
+                | st.integers(min_value=-4, max_value=4), max_size=8))
+def test_diagonal_matches_the_dense_matrix(entries):
+    d = RatMatrix.diagonal(entries)
+    n = len(entries)
+    assert d == RatMatrix([[entries[i] if i == j else 0 for j in range(n)]
+                           for i in range(n)], ncols=n)
+    assert d.shape == (n, n)
+    a = RatMatrix([[j - i for j in range(n)] for i in range(3)], ncols=n)
+    assert a @ d == RatMatrix([[(j - i) * entries[j] for j in range(n)]
+                               for i in range(3)], ncols=n)
+
+
 def test_empty_shapes():
     z = RatMatrix.zeros(0, 3)
     assert z.shape == (0, 3)

@@ -195,6 +195,104 @@ def test_poisson_table_errors():
         poisson(g(alg, "G1"), g(alg, "G2"), odd)
 
 
+# -- Jacobi on unordered triples against the ordered sweep -----------------
+
+def jacobi_by_ordered_triples(alg, table):
+    """The Jacobi sweep over every ordered triple of bracketed names, the
+    reference for validate_poisson_table: its error message, or None."""
+    names = sorted({w for (u, v) in table if u != v for w in (u, v)})
+    for a in names:
+        for b in names:
+            for c in names:
+                ga, gb, gc = (g(alg, n) for n in (a, b, c))
+                s = (poisson(ga, poisson(gb, gc, table), table)
+                     + poisson(gb, poisson(gc, ga, table), table)
+                     + poisson(gc, poisson(ga, gb, table), table))
+                if not s.is_zero():
+                    return "poisson table fails Jacobi on (%s,%s,%s)" % (a, b, c)
+    return None
+
+
+def jacobi_alg():
+    return SuperAlgebra([GenSpec("x1", "even", kind="x"),
+                         GenSpec("x2", "even", kind="x"),
+                         GenSpec("G1", "even", kind="G"),
+                         GenSpec("G2", "even", kind="G"),
+                         GenSpec("eta1", "odd", ghost=1, kind="eta")])
+
+
+# Lie algebras on three names (a, b, c): (pair, value) with value as
+# {name: coefficient}; each satisfies Jacobi at any scale
+LIE_TABLES = (
+    {("a", "b"): {"c": 1}, ("b", "c"): {"a": 1}, ("a", "c"): {"b": -1}},
+    {("a", "b"): {"b": 1}},
+    {("a", "b"): {"c": 1}},
+    {("a", "b"): {"b": 1}, ("a", "c"): {"c": 1}},
+)
+
+
+def random_table(rng, alg):
+    """A random antisymmetric bracket table on x1, x2, G1, G2: constant
+    values (Jacobi always holds), random linear ones (it mostly fails), a
+    scaled Lie algebra on three names (it holds), perhaps with a constant
+    bracket on the fourth name (either), or random quadratic values.  Each
+    entry is written as (u, v), as (v, u) with the negated value, or both."""
+    names = ["x1", "x2", "G1", "G2"]
+    rng.shuffle(names)
+    kind = rng.choice(("constant", "linear", "lie", "quadratic"))
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]
+             if rng.random() < 0.7]
+    values = {}
+    if kind == "lie":
+        rename = dict(zip("abc", names))
+        scale = rng.choice((1, -1, 2, Fraction(1, 2)))
+        for (u, v), val in rng.choice(LIE_TABLES).items():
+            values[(rename[u], rename[v])] = SuperPoly(
+                alg, {(alg.index[rename[w]],): scale * c
+                      for w, c in val.items()})
+        pairs = [(names[3], w) for w in names[:3] if rng.random() < 0.4]
+    for pair in pairs:
+        if kind in ("constant", "lie"):
+            val = SuperPoly.const(alg, rng.randint(-2, 2))
+        else:
+            deg = 1 if kind == "linear" else 2
+            val = SuperPoly(alg, {tuple(sorted(rng.choice(
+                [alg.index[n] for n in names]) for _ in range(deg))):
+                rng.randint(-2, 2) for _ in range(rng.randint(0, 3))})
+        values[pair] = val
+    table = {}
+    for (u, v), val in values.items():
+        way = rng.randrange(3)
+        if way != 1:
+            table[(u, v)] = val
+        if way != 0:
+            table[(v, u)] = val.scale(-1)
+    return table
+
+
+def test_jacobi_on_unordered_triples_matches_the_ordered_sweep():
+    """validate_poisson_table checks each unordered triple of distinct names
+    once; on random antisymmetric tables it gives the verdict and the error
+    message of the sweep over all ordered triples."""
+    alg = jacobi_alg()
+    rng = random.Random(20)
+    verdicts = []
+    for _ in range(80):
+        table = random_table(rng, alg)
+        want = jacobi_by_ordered_triples(alg, table)
+        try:
+            validate_poisson_table(alg, table)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, table
+        verdicts.append(got)
+    # both verdicts occur, and the failures name each of the four triples
+    # of distinct names
+    assert verdicts.count(None) >= 20
+    assert len(set(verdicts) - {None}) == 4
+
+
 def test_antibracket_pairing():
     alg, pairs = two_pair_alg()
     phi, phist = g(alg, "phi"), g(alg, "phi_st")
