@@ -38,6 +38,9 @@ l2 + l3 the same way.  The resolution identities (with Nbar and the
 projection eta as diagonals), the ideal conditions and the nilpotency of
 the total operator are then sparse block products on these matrices, and
 export_to_complexes hands the same blocks to the engine.
+
+The example systems are the bundled model files brst_so3, brst_toy and
+brst_abelian (src/chainext/models), read by formats.load_brst.
 """
 
 from __future__ import annotations
@@ -446,11 +449,13 @@ def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
     return report
 
 
-def in_constraint_ideal(sys: ConstraintSystem, f: SuperPoly) -> bool:
-    """Membership in the ideal generated by the constraints.  The G_a are
-    free generators, so f is a member exactly when each of its monomials
-    has a G factor (SuperPoly stores no zero terms)."""
-    return all(sys.has_constraint_factor(m) for m in f.terms)
+def in_constraint_ideal(sys: ConstraintSystem, monos) -> bool:
+    """Membership in the ideal generated by the constraints of a
+    combination with nonzero coefficients on the monomials monos (for a
+    SuperPoly f, f.terms, which holds no zero terms).  The G_a are free
+    generators, so it is a member exactly when each monomial has a G
+    factor."""
+    return all(map(sys.has_constraint_factor, monos))
 
 
 # -- the chain extension --------------------------------------------------------
@@ -555,19 +560,16 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
                          % (rep["first_failure"],))
     group = _groups(sys, degree_cap)[0]
     d0 = _block(sys, degree_cap, "d", 0)
-
-    def poly(col):
-        return SuperPoly(sys.alg, {group[i]: c for i, c in col.items()})
-
+    # the rows of a sparse column are the monomials of that image
     for mono, df, ddf in zip(group, d0.sparse_columns(),
                              (d0 @ d0).sparse_columns()):
-        f = SuperPoly(sys.alg, {mono: 1})
         if sys.has_constraint_factor(mono) and \
-                not in_constraint_ideal(sys, poly(df)):
+                not in_constraint_ideal(sys, (group[i] for i in df)):
             raise ValueError("d does not preserve the constraint ideal at %s"
-                             % (f,))
-        if not in_constraint_ideal(sys, poly(ddf)):
-            raise ValueError("d^2 escapes the constraint ideal at %s" % (f,))
+                             % (SuperPoly(sys.alg, {mono: 1}),))
+        if not in_constraint_ideal(sys, (group[i] for i in ddf)):
+            raise ValueError("d^2 escapes the constraint ideal at %s"
+                             % (SuperPoly(sys.alg, {mono: 1}),))
     ext = BRSTExtension(sys)
     for name in sys.ps + sys.etas:
         if not ext.l3(sys.gen(name)).is_zero():
@@ -640,34 +642,3 @@ def _matrix(sys: ConstraintSystem, op, src, dst) -> RatMatrix:
 def _named_basis(sys: ConstraintSystem, monos) -> Basis:
     """A basis of monomials whose escape error prints the monomial."""
     return Basis(monos, lambda m: SuperPoly(sys.alg, {m: 1}))
-
-
-# -- shipped example systems -----------------------------------------------------
-
-def so3_system() -> ConstraintSystem:
-    """Three even constraints closing as angular momenta; constant structure
-    constants, no coordinates."""
-    alg = constraint_algebra(0, 3)
-    zero, one = SuperPoly.zero(alg), SuperPoly.const(alg, 1)
-    table = {("G1", "G2"): SuperPoly.gen(alg, "G3"),
-             ("G2", "G3"): SuperPoly.gen(alg, "G1"),
-             ("G1", "G3"): SuperPoly.gen(alg, "G2").scale(-1)}
-    structure = {(0, 1): [zero, zero, one], (1, 2): [one, zero, zero],
-                 (0, 2): [zero, one.scale(-1), zero]}
-    return ConstraintSystem(0, 3, table, structure)
-
-
-def toy_system() -> ConstraintSystem:
-    """One coordinate, two constraints, [G1,G2] = x G1, [x,G2] = 1: a
-    nonconstant structure function with a nonvanishing l3."""
-    alg = constraint_algebra(1, 2)
-    x1 = SuperPoly.gen(alg, "x1")
-    table = {("G1", "G2"): mul(x1, SuperPoly.gen(alg, "G1")),
-             ("x1", "G2"): SuperPoly.const(alg, 1)}
-    structure = {(0, 1): [x1, SuperPoly.zero(alg)]}
-    return ConstraintSystem(1, 2, table, structure)
-
-
-def abelian_system(n: int = 2) -> ConstraintSystem:
-    """n commuting constraints: l2 = d is a pure ghost action, l3 = 0."""
-    return ConstraintSystem(0, n, {}, {})

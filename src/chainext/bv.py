@@ -18,7 +18,8 @@ m >= n+1 the bounds alone force i, j >= 1).  Starred series are stored by
 their unstarred coefficients (the star is the identity bijection on the
 monomial spanning set, tracked by which graded slot the element sits in).
 Everything is re-derivable through the generic engine; see
-`to_homotopy_data`.
+`to_homotopy_data`.  The example models are the bundled model files
+bv_two_pair and bv_two_ghost (src/chainext/models), read by formats.load_bv.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .complexes import chain_extend, verify_homotopy
 from .exactla import Basis, kernel_basis, operator_matrix
 from .series import Series, TLinear, pair_sum, star_resolution
 from .superalg import (
-    FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, antibracket,
-    antifield_of, mul,
+    FixedAntibracket, SuperAlgebra, SuperPoly, antibracket, antifield_of,
 )
 
 
@@ -79,19 +79,6 @@ class BVModel:
     def coefficient(self, terms):
         """The dense view of a series coefficient over monomial labels."""
         return SuperPoly(self.alg, terms)
-
-
-def master_check(model: BVModel, S0: SuperPoly) -> bool:
-    """True iff (S0, S0) = 0; S0 must be even with ghost number 0."""
-    try:
-        p, gh = S0.parity(), S0.ghost()
-    except ValueError as e:
-        raise ValueError("master equation candidate must be parity- and "
-                         "ghost-homogeneous: %s" % (e,))
-    if p != 0 or gh != 0:
-        raise ValueError("master equation candidate must be even with ghost "
-                         "number 0 (got parity %d, ghost %d)" % (p, gh))
-    return model.bracket(S0, S0).is_zero()
 
 
 class DeformationProblem:
@@ -342,37 +329,3 @@ def engine_matrices_match(maps: Theorem8Maps, cap: int) -> bool:
 def _basis(maps, labels):
     """Basis over (monomial, t-power) labels, named for escape errors."""
     return Basis(labels, lambda b: "%s t^%d" % (maps.model.poly(b[0]), b[1]))
-
-
-# -- shipped models ---------------------------------------------------------------
-
-def two_pair_model(cap=6) -> BVModel:
-    """One even ghost-0 field and one odd ghost-1 field with antifields."""
-    return BVModel([GenSpec("phi", "even", ghost=0, kind="field"),
-                    GenSpec("C", "odd", ghost=1, kind="field")], cap=cap)
-
-
-def two_pair_problem(trunc=2) -> DeformationProblem:
-    model = two_pair_model()
-    s0 = mul(model.gen("phi_st"), model.gen("C"))
-    return DeformationProblem(model, [s0, auto_term(model, s0, 1)],
-                              trunc=trunc)
-
-
-def two_ghost_model(cap=6) -> BVModel:
-    return BVModel([
-        GenSpec("phi1", "even", ghost=0, kind="field"),
-        GenSpec("phi2", "even", ghost=0, kind="field"),
-        GenSpec("C1", "odd", ghost=1, kind="field"),
-        GenSpec("C2", "odd", ghost=1, kind="field"),
-    ], cap=cap)
-
-
-def two_ghost_problem(trunc=2) -> DeformationProblem:
-    """A deformation whose first obstruction R_2 = (S_1,S_1) is nonzero."""
-    model = two_ghost_model()
-    s0 = mul(model.gen("phi1_st"), model.gen("C1")) + \
-        mul(model.gen("phi2_st"), model.gen("C2"))
-    s1 = mul(mul(model.gen("phi1_st"), model.gen("C2")), model.gen("phi2")) + \
-        mul(mul(model.gen("phi2_st"), model.gen("C1")), model.gen("phi1"))
-    return DeformationProblem(model, [s0, s1], trunc=trunc)

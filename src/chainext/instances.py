@@ -95,13 +95,6 @@ def _conjugated(rows, left, right, ncols):
     return RatMatrix._of(_inverse_col_ops(_row_ops(rows, left), right), 1, ncols)
 
 
-def random_unimodular(rng: random.Random, n: int):
-    """A pair (P, P_inverse) of integer matrices with det = +-1."""
-    ops = _basis_change(rng, n)
-    return (_conjugated([{i: 1} for i in range(n)], ops, [], n),
-            _conjugated([{i: 1} for i in range(n)], [], ops, n))
-
-
 def _nilpotent_square_zero(rng: random.Random, f: int):
     """The {col: int} rows of an f x f matrix D with D @ D = 0 (image inside
     a killed coordinate block)."""

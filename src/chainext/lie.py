@@ -136,11 +136,6 @@ class Cochain:
         return cls(dim, arity)
 
 
-def alpha0_cochain(alg: LieAlgebra) -> Cochain:
-    """The bracket of the algebra as a 2-cochain."""
-    return alg.alpha0
-
-
 def jacobi_check(alg: LieAlgebra) -> bool:
     """True iff the Jacobiator vanishes on all basis triples i < j < k."""
     return nr_compose(alg.alpha0, alg.alpha0).is_zero()

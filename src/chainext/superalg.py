@@ -201,10 +201,6 @@ class SuperPoly:
             raise ValueError("polynomial is not antighost-homogeneous")
         return gs.pop() if gs else 0
 
-    def split_terms(self):
-        """One single-monomial SuperPoly per stored term."""
-        return [SuperPoly(self.alg, {m: c}) for m, c in sorted(self.terms.items())]
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -14,10 +14,12 @@ from chainext.complexes import (chain_extend, check_l2_conditions,
                                 total_homology_dims, verify_nilpotent)
 from chainext.formats import load_cochain, load_extend, load_lie
 from chainext.instances import random_split_instance
-from chainext.lie import alpha0_cochain, h2, nr_compose
+from chainext.lie import h2, nr_compose
 from chainext.shlie import TruncSeries, build_shlie, crosscheck_with_engine, \
     master_relation, verify_shlie
 from chainext.superalg import SuperPoly
+
+from bundled import brst_system, bv_problem
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
                       "models")
@@ -65,7 +67,7 @@ def test_criterion_3_obstruction_pipeline(criterion):
     oracle_ok = bracket_val == [0, 0, -2]
 
     def build():
-        return build_shlie(alg, alpha0_cochain(alg), a1, N=4, variant="t2")
+        return build_shlie(alg, alg.alpha0, a1, N=4, variant="t2")
 
     S = build()
     e = [TruncSeries.basis(3, 4, 0, i) for i in range(3)]
@@ -115,7 +117,7 @@ def test_criterion_4_shlie_engine_coincidence(criterion):
                   load_cochain(read_model("cochain_obstructed_alpha1.txt"))))
     for alg, a1 in cases:
         for variant in ("t2", "full"):
-            S = build_shlie(alg, alpha0_cochain(alg), a1, N=4,
+            S = build_shlie(alg, alg.alpha0, a1, N=4,
                             variant=variant)
             rep = crosscheck_with_engine(S)
             ok = ok and rep["ok"]
@@ -125,7 +127,7 @@ def test_criterion_4_shlie_engine_coincidence(criterion):
 
 def test_criterion_5_brst_closed_forms(criterion):
     t0 = time.monotonic()
-    so3 = brst_mod.so3_system()
+    so3 = brst_system("brst_so3")
     ext = brst_mod.build_brst(so3, degree_cap=4)
     ok = True
     for a in range(3):
@@ -142,7 +144,7 @@ def test_criterion_5_brst_closed_forms(criterion):
         ok = ok and got == want
     for name in so3.xs + so3.gs + so3.etas + so3.ps:
         ok = ok and ext.l3(so3.gen(name)).is_zero()
-    toy = brst_mod.toy_system()
+    toy = brst_system("brst_toy")
     ext_t = brst_mod.build_brst(toy, degree_cap=4)
     l3_g2 = ext_t.l3(toy.gen("G2"))
     ok = ok and not l3_g2.is_zero()
@@ -159,8 +161,8 @@ def test_criterion_5_brst_closed_forms(criterion):
 def test_criterion_6_homotopy_identities(criterion):
     t0 = time.monotonic()
     ok = True
-    for system, cap in ((brst_mod.so3_system(), 3),
-                        (brst_mod.toy_system(), 3)):
+    for system, cap in ((brst_system("brst_so3"), 3),
+                        (brst_system("brst_toy"), 3)):
         groups = brst_mod.monomial_basis(system, cap)
         for group in groups:
             for mono in group:
@@ -180,7 +182,7 @@ def test_criterion_6_homotopy_identities(criterion):
 
 def test_criterion_7_theorem8_two_pair(criterion):
     t0 = time.monotonic()
-    problem = bv_mod.two_pair_problem()
+    problem = bv_problem("bv_two_pair")
     model = problem.model
     ok = repr(problem.S[1]) == "1*Cphi_st"
     maps = bv_mod.theorem8_maps(problem)
@@ -203,7 +205,7 @@ def test_criterion_7_theorem8_two_pair(criterion):
                                                  mono)).coeffs[2]
         want = model.bracket(R, model.poly(mono)).scale(Fraction(-1, 2))
         ok = ok and got == want
-    rich = bv_mod.theorem8_maps(bv_mod.two_ghost_problem())
+    rich = bv_mod.theorem8_maps(bv_problem("bv_two_ghost"))
     ok = ok and bv_mod.verify_theorem8(rich, maxdeg=3)["ok"]
     elapsed = time.monotonic() - t0
     assert criterion(7, ok and elapsed < 10.0), (ok, elapsed)

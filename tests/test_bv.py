@@ -4,18 +4,18 @@ import pytest
 
 from chainext.bv import (
     BVModel, DeformationProblem, StarSeries, TSeries, Theorem8Maps,
-    engine_matrices_match, find_s0_cocycle, master_check,
-    obstruction_R, theorem8_maps, to_homotopy_data,
-    two_ghost_model, two_ghost_problem, two_pair_model, two_pair_problem,
-    verify_theorem8,
+    engine_matrices_match, find_s0_cocycle, obstruction_R, theorem8_maps,
+    to_homotopy_data, verify_theorem8,
 )
 from chainext.complexes import verify_homotopy
 from chainext.exactla import rat
 from chainext.superalg import GenSpec, SuperPoly, antibracket, mul
 
+from bundled import bv_problem, model_id
+
 
 def test_model_structure():
-    m = two_pair_model()
+    m = bv_problem("bv_two_pair").model
     assert m.pairs == [("phi", "phi_st"), ("C", "C_st")]
     st = m.gen("C_st")
     assert st.parity() == 0 and st.ghost() == -2
@@ -28,32 +28,37 @@ def test_model_structure():
 
 
 def test_master_check():
-    m = two_pair_model()
+    """DeformationProblem checks the master equation (S0, S0) = 0 of an S0
+    alone, and that S0 is even with ghost number 0."""
+    m = bv_problem("bv_two_pair").model
     s0 = mul(m.gen("phi_st"), m.gen("C"))
-    assert master_check(m, s0)
-    g = two_ghost_model()
+    assert DeformationProblem(m, [s0]).S == [s0]
+    g = bv_problem("bv_two_ghost").model
     s1 = mul(mul(g.gen("phi1_st"), g.gen("C2")), g.gen("phi2")) + \
         mul(mul(g.gen("phi2_st"), g.gen("C1")), g.gen("phi1"))
-    assert not master_check(g, s1)
-    with pytest.raises(ValueError):
-        master_check(m, m.gen("phi_st"))  # odd, ghost -1
+    with pytest.raises(ValueError, match="^order-0 master equation fails$"):
+        DeformationProblem(g, [s1])
+    with pytest.raises(ValueError, match="^S_0 must be even with ghost "
+                                         "number 0$"):
+        DeformationProblem(m, [m.gen("phi_st")])  # odd, ghost -1
     # mixed-parity candidate: phi_st*C plus C_st*C*phi
     bad = s0 + mul(mul(m.gen("C_st"), m.gen("C")), m.gen("phi"))
-    with pytest.raises(ValueError):
-        master_check(m, bad)
+    with pytest.raises(ValueError, match="^polynomial is not "
+                                         "parity-homogeneous$"):
+        DeformationProblem(m, [bad])
 
 
 def test_s0_differential_values_and_square():
     """(S0, .) on the generators, and (S0, (S0, a)) = 1/2 ((S0, S0), a),
     which vanishes for a solution of the master equation and not for the
     two-ghost S_1."""
-    m = two_pair_model()
+    m = bv_problem("bv_two_pair").model
     s0 = mul(m.gen("phi_st"), m.gen("C"))
     assert m.bracket(s0, m.gen("phi")) == m.gen("C")
     assert m.bracket(s0, m.gen("C")).is_zero()
     assert m.bracket(s0, m.gen("C_st")) == m.gen("phi_st")
     assert m.bracket(s0, m.gen("phi_st")).is_zero()
-    g = two_ghost_model()
+    g = bv_problem("bv_two_ghost").model
     not_master = mul(mul(g.gen("phi1_st"), g.gen("C2")), g.gen("phi2")) + \
         mul(mul(g.gen("phi2_st"), g.gen("C1")), g.gen("phi1"))
     squares_to_zero = []
@@ -70,7 +75,7 @@ def test_s0_differential_values_and_square():
 
 
 def test_deformation_problem_validation():
-    p = two_pair_problem()
+    p = bv_problem("bv_two_pair")
     assert p.n == 1 and p.trunc == 2
     m = p.model
     with pytest.raises(ValueError):
@@ -82,7 +87,7 @@ def test_deformation_problem_validation():
 
 
 def test_find_s0_cocycle():
-    m = two_pair_model()
+    m = bv_problem("bv_two_pair").model
     s0 = mul(m.gen("phi_st"), m.gen("C"))
     cocycles = find_s0_cocycle(m, s0, 2)
     assert cocycles
@@ -94,9 +99,9 @@ def test_find_s0_cocycle():
 
 
 def test_obstruction_R():
-    p = two_pair_problem()
+    p = bv_problem("bv_two_pair")
     assert obstruction_R(p, 2).is_zero()
-    q = two_ghost_problem()
+    q = bv_problem("bv_two_ghost")
     g = q.model
     want = mul(mul(mul(g.gen("phi1"), g.gen("C1")), g.gen("C2")),
                g.gen("phi1_st")).scale(-2) + \
@@ -107,7 +112,7 @@ def test_obstruction_R():
 
 
 def test_maps_closed_form_order_one():
-    q = two_ghost_problem(trunc=3)
+    q = bv_problem("bv_two_ghost", trunc=3)
     maps = theorem8_maps(q)
     g = q.model
     s0, s1 = q.S
@@ -133,7 +138,7 @@ def test_maps_closed_form_order_one():
 def test_bracket_tables_give_the_plain_brackets():
     """Every map fed from a precomputed table equals the bracket computed
     from scratch, on every monomial of degree <= 2 at every t-power."""
-    q = two_ghost_problem(trunc=3)
+    q = bv_problem("bv_two_ghost", trunc=3)
     maps = theorem8_maps(q)
     g, n, T = q.model, q.n, q.trunc
 
@@ -158,14 +163,13 @@ def test_bracket_tables_give_the_plain_brackets():
                     assert star.coeffs[k + i] == plain(q.S[i], a).scale(-1)
 
 
-@pytest.mark.parametrize("problem", [two_ghost_problem, two_pair_problem],
-                         ids=["bv_two_ghost", "bv_two_pair"])
-def test_compiled_brackets_match_antibracket_up_to_cap(problem):
+@pytest.mark.parametrize("name", ["bv_two_ghost", "bv_two_pair"])
+def test_compiled_brackets_match_antibracket_up_to_cap(name):
     """Every precompiled (S_i, .) and (R_m, .) of the maps equals the plain
     antibracket on every monomial up to the models' cap 6.  A wrong global
     sign would pass verify_theorem8 (S -> -S is again a solution), so it is
     checked here, against superalg.antibracket."""
-    maps = theorem8_maps(problem())
+    maps = theorem8_maps(bv_problem(name))
     model = maps.model
     fixed = list(zip(maps.problem.S, maps.ad_S)) + \
         [(maps.pair_brackets[m], ad) for m, ad in maps.ad_R.items()]
@@ -178,7 +182,7 @@ def test_compiled_brackets_match_antibracket_up_to_cap(problem):
 
 
 def test_truncation_too_small():
-    m = two_pair_model()
+    m = bv_problem("bv_two_pair").model
     s0 = mul(m.gen("phi_st"), m.gen("C"))
     p = DeformationProblem(m, [s0, mul(m.gen("phi_st"), m.gen("C"))], trunc=1)
     with pytest.raises(ValueError):
@@ -186,7 +190,7 @@ def test_truncation_too_small():
 
 
 def test_star_series_grading():
-    m = two_pair_model()
+    m = bv_problem("bv_two_pair").model
     mono = next(iter(m.gen("phi").terms))
     with pytest.raises(ValueError):
         StarSeries.basis(m, 3, 1, mono, kmin=2)
@@ -194,14 +198,14 @@ def test_star_series_grading():
 
 
 def test_verify_reports_ok():
-    rep = verify_theorem8(theorem8_maps(two_pair_problem()), maxdeg=4)
+    rep = verify_theorem8(theorem8_maps(bv_problem("bv_two_pair")), maxdeg=4)
     assert rep["ok"] and rep["first_failure"] is None
-    rep = verify_theorem8(theorem8_maps(two_ghost_problem()), maxdeg=3)
+    rep = verify_theorem8(theorem8_maps(bv_problem("bv_two_ghost")), maxdeg=3)
     assert rep["ok"]
 
 
 def test_vanishing_obstruction_kills_l3():
-    p = two_pair_problem()
+    p = bv_problem("bv_two_pair")
     maps = theorem8_maps(p)
     m = p.model
     for mono in m.monomials(3):
@@ -209,7 +213,7 @@ def test_vanishing_obstruction_kills_l3():
 
 
 def test_corrupt_star_sign_detected():
-    bad = Theorem8Maps(two_ghost_problem())
+    bad = Theorem8Maps(bv_problem("bv_two_ghost"))
     bad.l2_star_op = bad.l2_star_op.scale(-1)
     rep = verify_theorem8(bad, maxdeg=2)
     assert not rep["s_squared"]
@@ -219,7 +223,7 @@ def test_corrupt_star_sign_detected():
 
 def test_squares_on_random_composites():
     rng = random.Random(11)
-    q = two_ghost_problem()
+    q = bv_problem("bv_two_ghost")
     maps = theorem8_maps(q)
     g = q.model
     monos = g.monomials(4)
@@ -235,7 +239,7 @@ def test_squares_on_random_composites():
 
 
 def test_homotopy_export():
-    maps = theorem8_maps(two_pair_problem())
+    maps = theorem8_maps(bv_problem("bv_two_pair"))
     hd, l2_0, (b0, b1) = to_homotopy_data(maps, 4)
     assert verify_homotopy(hd)["ok"]
     assert hd.f_dim == sum(1 for (_, k) in b0.labels if k <= 1)
@@ -245,8 +249,8 @@ def test_homotopy_export():
 
 
 def test_engine_matrices_match():
-    assert engine_matrices_match(theorem8_maps(two_pair_problem()), 4)
-    assert engine_matrices_match(theorem8_maps(two_ghost_problem()), 3)
+    assert engine_matrices_match(theorem8_maps(bv_problem("bv_two_pair")), 4)
+    assert engine_matrices_match(theorem8_maps(bv_problem("bv_two_ghost")), 3)
 
 
 # -- the shift-by-shift sweep against the per-(monomial, t-power) sweep ----------
@@ -331,10 +335,10 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 @pytest.mark.parametrize("problem, maxdeg", [
-    (two_ghost_problem, 3), (two_pair_problem, 4),
-    (lambda: two_ghost_problem(trunc=3), 2)])
+    (("bv_two_ghost",), 3), (("bv_two_pair",), 4), (("bv_two_ghost", 3), 2)],
+    ids=model_id)
 def test_shift_sweep_matches_reference(problem, maxdeg, mutation):
-    maps = theorem8_maps(problem())
+    maps = theorem8_maps(bv_problem(*problem))
     MUTATIONS[mutation](maps)
     rep = verify_theorem8(maps, maxdeg=maxdeg)
     assert rep.pop("cases") > 0
@@ -351,7 +355,7 @@ def test_mutations_are_detected():
     test)."""
     passing = {"none", "S_0 table negated", "star shift 1 negated"}
     for name, mutate in MUTATIONS.items():
-        maps = theorem8_maps(two_ghost_problem())
+        maps = theorem8_maps(bv_problem("bv_two_ghost"))
         mutate(maps)
         rep = verify_theorem8(maps, maxdeg=2)
         assert rep["ok"] == (name in passing), name
@@ -360,7 +364,7 @@ def test_mutations_are_detected():
 def test_corruption_confined_to_one_shift_detected():
     """The shift-1 block of the star l2 acts on a* t^k with k >= n + 1 = 2,
     so it lands at t^3: invisible mod t^3, a failure of S^2 mod t^4."""
-    maps = theorem8_maps(two_ghost_problem(trunc=3))
+    maps = theorem8_maps(bv_problem("bv_two_ghost", trunc=3))
     negate_star_shift(maps, 1)
     rep = verify_theorem8(maps, maxdeg=2)
     assert not rep["s_squared"] and not rep["ok"]
@@ -371,11 +375,11 @@ def test_corruption_confined_to_one_shift_detected():
     assert rep == reference_verify_theorem8(maps, 2)
 
 
-@pytest.mark.parametrize("problem, maxdeg", [(two_ghost_problem, 3),
-                                             (two_pair_problem, 4),
-                                             (lambda: two_pair_problem(5), 2)])
+@pytest.mark.parametrize("problem, maxdeg", [
+    (("bv_two_ghost",), 3), (("bv_two_pair",), 4), (("bv_two_pair", 5), 2)],
+    ids=model_id)
 def test_sweep_covers_every_basis_case(problem, maxdeg):
-    maps = theorem8_maps(problem())
+    maps = theorem8_maps(bv_problem(*problem))
     monos = maps.model.monomials(maxdeg)
     rep = verify_theorem8(maps, maxdeg=maxdeg)
     T, n = maps.T, maps.n
@@ -386,7 +390,7 @@ def test_negative_star_shift_breaks_the_ideal():
     """A star l2 term at shift -1 moves a* t^(n+1) to t^n, out of the ideal
     t^(n+1) R[[t]].  TLinear refuses negative shifts, so the term is put
     into the stored terms of built maps."""
-    maps = theorem8_maps(two_ghost_problem())
+    maps = theorem8_maps(bv_problem("bv_two_ghost"))
     assert verify_theorem8(maps, maxdeg=2)["ideal_preserved"]
     maps.l2_star_op.terms[-1] = maps.l2_star_op.terms[0]
     rep = verify_theorem8(maps, maxdeg=2)

@@ -15,7 +15,7 @@ from chainext.complexes import (
     verify_nilpotent,
 )
 from chainext.formats import load_brst, load_extend, load_lie
-from chainext.instances import random_split_instance, random_unimodular
+from chainext.instances import random_split_instance
 from chainext.lie import Cochain
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
@@ -87,13 +87,6 @@ def test_chain_extend_condition_i_mismatch():
     l2_0 = RatMatrix([[0, 0], [1, 0]])
     with pytest.raises(ExtensionPreconditionError, match="condition_i"):
         chain_extend(hd, l2_0, d_f=RatMatrix([[1]]))
-
-
-def test_random_unimodular_inverse():
-    rng = random.Random(5)
-    for n in (1, 2, 4, 6):
-        p, p_inv = random_unimodular(rng, n)
-        assert p @ p_inv == RatMatrix.identity(n)
 
 
 def test_random_instances_pass_everything():

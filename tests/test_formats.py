@@ -4,20 +4,25 @@ import pytest
 
 from chainext import formats
 from chainext.brst import (ConstraintSystem, constraint_algebra,
-                           so3_system, toy_system)
-from chainext.bv import DeformationProblem, obstruction_R, two_ghost_problem
+                           export_to_complexes)
+from chainext.bv import DeformationProblem, obstruction_R
 from chainext.complexes import verify_homotopy
 from chainext.exactla import RatMatrix, rat
 from chainext.formats import (
     FormatError, _data_lines, dump_extend, format_poly, load_brst, load_bv,
     load_cochain, load_extend, load_lie, parse_poly, read_kind,
 )
-from chainext.lie import Cochain, LieAlgebra, alpha0_cochain, jacobi_check
+from chainext.lie import Cochain, LieAlgebra, jacobi_check
 from chainext.shlie import build_shlie
 from chainext.shlie import to_homotopy_data as shlie_homotopy_data
+from chainext.superalg import SuperPoly, mul
+
+from bundled import brst_system
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
                       "models")
+PERFBENCH_INPUTS = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                                "inputs")
 
 
 def read_model(name):
@@ -37,7 +42,7 @@ def test_load_lie_so3_matches_fixture():
     alg = load_lie(read_model("lie_so3.txt"))
     want = LieAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0],
                           (0, 2): [0, -1, 0]})
-    assert alpha0_cochain(alg) == alpha0_cochain(want)
+    assert alg.alpha0 == want.alpha0
     assert jacobi_check(alg)
 
 
@@ -69,8 +74,7 @@ def test_load_cochain():
 
 
 def test_poly_literals():
-    sys_ = toy_system()
-    alg = sys_.alg
+    alg = brst_system("brst_toy").alg
     for text in ("0", "x1", "1/2 x1 x1", "x1 G1 + 3", "- eta1 eta2 + P1",
                  "-2/3 x1 - G2"):
         p = parse_poly(1, text, alg)
@@ -84,24 +88,38 @@ def test_poly_literals():
         parse_poly(1, "x1 +", alg)
 
 
+def shipped_brst_literals():
+    """{file: (m, n, poisson table, structure)} of brst_so3 and brst_toy,
+    written out: so3 closes as angular momenta with constant structure
+    constants; toy has [G1,G2] = x1 G1 and [x1,G2] = 1."""
+    so3 = constraint_algebra(0, 3)
+    G1, G2, G3 = (SuperPoly.gen(so3, g) for g in ("G1", "G2", "G3"))
+    zero, one = SuperPoly.zero(so3), SuperPoly.const(so3, 1)
+    toy = constraint_algebra(1, 2)
+    x1, toy_G1 = SuperPoly.gen(toy, "x1"), SuperPoly.gen(toy, "G1")
+    return {
+        "brst_so3.txt": (0, 3, {("G1", "G2"): G3, ("G2", "G3"): G1,
+                                ("G1", "G3"): G2.scale(-1)},
+                         {(0, 1): [zero, zero, one],
+                          (1, 2): [one, zero, zero],
+                          (0, 2): [zero, one.scale(-1), zero]}),
+        "brst_toy.txt": (1, 2, {("G1", "G2"): mul(x1, toy_G1),
+                                ("x1", "G2"): SuperPoly.const(toy, 1)},
+                         {(0, 1): [x1, SuperPoly.zero(toy)]}),
+    }
+
+
 def test_load_brst_matches_shipped_systems():
-    for name, ref in (("brst_so3.txt", so3_system),
-                      ("brst_toy.txt", toy_system)):
-        m, n, table, structure = load_brst(read_model(name))
-        sys_ = ConstraintSystem(m, n, table, structure)
-        want = ref()
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    assert sys_.structure_fn(c, a, b) == \
-                        want.structure_fn(c, a, b)
+    for name, want in shipped_brst_literals().items():
+        assert load_brst(read_model(name)) == want
+        ConstraintSystem(*want)   # first class
     m, n, table, structure = load_brst(read_model("brst_abelian.txt"))
     assert (m, n) == (0, 2) and not table and not structure
 
 
 def test_brst_examples_build_one_constraint_system(monkeypatch):
-    """The shipped systems and load_brst take their generator algebra from
-    constraint_algebra, not from a throwaway ConstraintSystem."""
+    """load_brst takes its generator algebra from constraint_algebra, not
+    from a throwaway ConstraintSystem, so a bundled system builds one."""
     built = []
     real = ConstraintSystem.__init__
 
@@ -109,8 +127,8 @@ def test_brst_examples_build_one_constraint_system(monkeypatch):
         built.append(args[:2])
         real(self, *args)
     monkeypatch.setattr(ConstraintSystem, "__init__", counted)
-    assert so3_system().alg == constraint_algebra(0, 3)
-    assert toy_system().alg == constraint_algebra(1, 2)
+    assert brst_system("brst_so3").alg == constraint_algebra(0, 3)
+    assert brst_system("brst_toy").alg == constraint_algebra(1, 2)
     load_brst(read_model("brst_so3.txt"))
     assert built == [(0, 3), (1, 2)]
 
@@ -131,8 +149,18 @@ def test_load_bv():
     assert trunc == 2 and S[1] == "auto"
     assert model.pairs == [("phi", "phi_st"), ("C", "C_st")]
     model2, S2, _ = load_bv(read_model("bv_two_ghost.txt"))
+    gen = model2.gen
+    s0 = mul(gen("phi1_st"), gen("C1")) + mul(gen("phi2_st"), gen("C2"))
+    s1 = mul(mul(gen("phi1_st"), gen("C2")), gen("phi2")) + \
+        mul(mul(gen("phi2_st"), gen("C1")), gen("phi1"))
+    assert S2 == [s0, s1]
     q = DeformationProblem(model2, S2, trunc=2)
-    assert obstruction_R(q, 2) == obstruction_R(two_ghost_problem(), 2)
+    # R_2 = (S_1, S_1) = -2 phi1 C1 C2 phi1* + 2 phi2 C1 C2 phi2*
+    r2 = mul(mul(mul(gen("phi1"), gen("C1")), gen("C2")),
+             gen("phi1_st")).scale(-2) + \
+        mul(mul(mul(gen("phi2"), gen("C1")), gen("C2")),
+            gen("phi2_st")).scale(2)
+    assert obstruction_R(q, 2) == r2 and not r2.is_zero()
     with pytest.raises(FormatError):
         load_bv("kind: bv\nfield phi: even 0\nS0: auto\n")
     with pytest.raises(FormatError):
@@ -153,12 +181,24 @@ def test_extend_round_trip():
         assert dump_extend(hd2, l2b, dfb) == again
 
 
+@pytest.mark.parametrize("model, cap, frozen", [
+    ("brst_toy", 4, "extend_brst_toy_cap4.txt"),
+    ("brst_abelian", 3, "extend_brst_abelian2_cap3.txt"),
+])
+def test_frozen_bench_inputs_are_the_bundled_brst_exports(model, cap, frozen):
+    """The engine files in perfbench/inputs/ are dump_extend of the bundled
+    system's export at its cap, with d_f = eta l2_0 lam, byte for byte."""
+    hd, l2_0, _ = export_to_complexes(brst_system(model), cap)
+    with open(os.path.join(PERFBENCH_INPUTS, frozen)) as fh:
+        assert fh.read() == dump_extend(hd, l2_0, hd.eta @ l2_0 @ hd.lam)
+
+
 def test_extend_round_trip_shlie_exports():
     # so3 at N = 4: the full variant has f_dim 0, so lam is 15 x 0 and eta
     # is 0 x 15; the t2 variant keeps F = A + A t (f_dim 6)
     alg = load_lie(read_model("lie_so3.txt"))
     for variant, f_dim in (("full", 0), ("t2", 6)):
-        S = build_shlie(alg, alpha0_cochain(alg), Cochain.zero(3, 2), N=4,
+        S = build_shlie(alg, alg.alpha0, Cochain.zero(3, 2), N=4,
                         variant=variant)
         hd = shlie_homotopy_data(S)
         assert hd.f_dim == f_dim

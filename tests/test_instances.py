@@ -25,7 +25,7 @@ def fraction_apply_op(rows, op, invert=False):
         rows[i] = [-a for a in rows[i]]
 
 
-def fraction_random_unimodular(rng, n):
+def fraction_unimodular_pair(rng, n):
     if n == 0:
         z = RatMatrix.zeros(0, 0)
         return z, z
@@ -99,8 +99,8 @@ def fraction_split_instance(rng, max_dim=6, top=3):
 
     p, p_inv = {}, {}
     for k in range(sp.top + 1):
-        p[k], p_inv[k] = fraction_random_unimodular(rng, sp.dim(k))
-    q, q_inv = fraction_random_unimodular(rng, f)
+        p[k], p_inv[k] = fraction_unimodular_pair(rng, sp.dim(k))
+    q, q_inv = fraction_unimodular_pair(rng, f)
 
     l1 = GradedMap(sp, -1, {k: p[k - 1] @ l1_blocks[k] @ p_inv[k]
                             for k in range(1, sp.top + 1)})
@@ -112,17 +112,6 @@ def fraction_split_instance(rng, max_dim=6, top=3):
     l2_0 = p[0] @ l2_split @ p_inv[0]
     d_f = q @ d_split @ q_inv
     return hd, l2_0, d_f
-
-
-def test_unimodular_pairs_unchanged():
-    for draw in range(200):
-        n = draw % 9
-        got_rng, want_rng = random.Random(draw), random.Random(draw)
-        got = instances.random_unimodular(got_rng, n)
-        want = fraction_random_unimodular(want_rng, n)
-        assert got == want, draw
-        assert got[0] @ got[1] == RatMatrix.identity(n), draw
-        assert got_rng.getstate() == want_rng.getstate(), draw
 
 
 def assert_same_instance(seed, **kwargs):

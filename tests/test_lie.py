@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from chainext.exactla import RatMatrix, kernel_basis, rank, rref, solve
 from chainext.lie import (
-    Cochain, DeformationPreconditionError, JacobiError, LieAlgebra,
-    alpha0_cochain, bracket2, ce_differential, differential_matrix,
-    extend_deformation, h2, jacobi_check, nr_compose, obstruction,
+    Cochain, DeformationPreconditionError, JacobiError, LieAlgebra, bracket2,
+    ce_differential, differential_matrix, extend_deformation, h2,
+    jacobi_check, nr_compose, obstruction,
 )
 
 
@@ -55,7 +55,7 @@ def test_cochain_alternation():
 
 def test_nr_compose_zero_and_jacobi():
     dim3zero = Cochain.zero(3, 2)
-    a0 = alpha0_cochain(so3())
+    a0 = so3().alpha0
     assert nr_compose(a0, dim3zero).is_zero()
     assert nr_compose(a0, a0).is_zero()          # Jacobi identity restated
     assert bracket2(a0, a0).is_zero()
@@ -72,7 +72,7 @@ def test_nr_compose_obstructed_value():
 
 def test_bracket2_symmetric():
     a1 = obstructed_alpha1()
-    a0 = alpha0_cochain(heisenberg())
+    a0 = heisenberg().alpha0
     assert bracket2(a0, a1) == bracket2(a1, a0)
 
 
@@ -98,7 +98,7 @@ def test_cocycle_brackets_vanish():
         dim_h2, reps = h2(alg)
         for rep in reps:
             assert ce_differential(alg, rep).is_zero()
-            assert bracket2(alpha0_cochain(alg), rep).is_zero()
+            assert bracket2(alg.alpha0, rep).is_zero()
 
 
 def test_h2_abelian2():
@@ -165,14 +165,14 @@ def test_extend_deformation_so3_direction():
     # the so(3) table is a valid bracket, so as alpha1 on the abelian algebra
     # its self-bracket vanishes and 0 is a valid continuation
     alg = LieAlgebra(3)
-    a1 = alpha0_cochain(so3())
+    a1 = so3().alpha0
     out = extend_deformation(alg, [a1], 2)
     assert len(out) == 1 and out[0].is_zero()
 
 
 def test_extend_deformation_heisenberg_direction():
     alg = LieAlgebra(3)
-    a1 = alpha0_cochain(heisenberg())
+    a1 = heisenberg().alpha0
     out = extend_deformation(alg, [a1], 2)
     assert len(out) == 1 and out[0].is_zero()
 
@@ -201,9 +201,9 @@ def test_extend_deformation_precondition_distinct():
 
 def test_extension_satisfies_order_equation():
     # when extension succeeds the full order-n sum vanishes at every order
-    for alg, a1 in ((LieAlgebra(3), alpha0_cochain(heisenberg())),
+    for alg, a1 in ((LieAlgebra(3), heisenberg().alpha0),
                     (heisenberg(), Cochain(3, 2, {(0, 1): [1, 0, 0]}))):
-        chain = [alpha0_cochain(alg), a1] + extend_deformation(alg, [a1], 5)
+        chain = [alg.alpha0, a1] + extend_deformation(alg, [a1], 5)
         assert len(chain) == 6
         for n in range(6):
             acc = Cochain.zero(3, 3)
@@ -383,10 +383,10 @@ def test_sparse_cochains_match_the_dense_layer(case):
         table[j][i] = [-Fraction(x) for x in v]
     alg = LieAlgebra(dim, brackets)
     a0 = {(i, j): table[i][j] for i, j in combinations(range(dim), 2)}
-    assert alpha0_cochain(alg) == Cochain(dim, 2, a0)
+    assert alg.alpha0 == Cochain(dim, 2, a0)
     assert jacobi_check(alg) == ref_is_zero(ref_nr_compose(a0, a0, dim))
     phi, beta = Cochain(dim, 1, cochains[1]), Cochain(dim, 2, cochains[2])
-    assert nr_compose(beta, alpha0_cochain(alg)) == \
+    assert nr_compose(beta, alg.alpha0) == \
         Cochain(dim, 3, ref_nr_compose(cochains[2], a0, dim))
     for arity, ch in ((1, phi), (2, beta)):
         assert ce_differential(alg, ch) == Cochain(

@@ -9,11 +9,12 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainext.bv import (DeformationProblem, Theorem8Maps, obstruction_R,
-                         two_ghost_model, two_ghost_problem)
+from chainext.bv import DeformationProblem, Theorem8Maps, obstruction_R
 from chainext.lie import Cochain, nr_compose, obstruction
 from chainext.series import pair_sum
 from chainext.superalg import SuperPoly
+
+from bundled import bv_problem
 
 _settings = settings(max_examples=40, deadline=None)
 _VALUES = st.sampled_from([0, 0, 1, -1, 2, Fraction(-1, 2)])
@@ -117,10 +118,11 @@ def test_lie_pair_sums_match_the_loops(chain):
 
 # -- bv: chains of even ghost-0 polynomials ---------------------------------------
 
-MODEL = two_ghost_model()
+TWO_GHOST = bv_problem("bv_two_ghost")
+MODEL = TWO_GHOST.model
 EVEN_GHOST0 = [m for m in MODEL.monomials(3)
                if MODEL.poly(m).parity() == 0 and MODEL.poly(m).ghost() == 0]
-KNOWN = two_ghost_problem().S
+KNOWN = TWO_GHOST.S
 
 
 @st.composite

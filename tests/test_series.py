@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainext.exactla import Basis, rat
-from chainext.lie import LieAlgebra, alpha0_cochain, ce_differential, Cochain
+from chainext.lie import LieAlgebra, ce_differential, Cochain
 from chainext.series import Series, TLinear
 from chainext.shlie import TruncSeries, build_shlie
 
@@ -122,8 +122,8 @@ def structures():
     ab = LieAlgebra(3, {})
     obstructed = Cochain(3, 2, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
     cob = ce_differential(so3(), Cochain(3, 1, {(0,): [0, 1, 0]}))
-    return [build_shlie(ab, alpha0_cochain(ab), obstructed, N=4),
-            build_shlie(so3(), alpha0_cochain(so3()), cob, N=4,
+    return [build_shlie(ab, ab.alpha0, obstructed, N=4),
+            build_shlie(so3(), so3().alpha0, cob, N=4,
                         variant="full")]
 
 

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from chainext import shlie as shlie_mod
 from chainext.complexes import verify_homotopy
 from chainext.formats import load_lie
-from chainext.lie import (Cochain, LieAlgebra, alpha0_cochain,
-                          ce_differential, nr_compose)
+from chainext.lie import Cochain, LieAlgebra, ce_differential, nr_compose
 from chainext.shlie import (
     _graded_unshuffle_sign, _koszul_swap, ShLieStructure, TruncSeries, build_shlie,
     crosscheck_with_engine, l3_is_obstruction, master_relation,
@@ -66,7 +65,7 @@ class NegatedMixedL2(ShLieStructure):
 
 
 def build(alg, a1, N=4, variant="t2"):
-    return build_shlie(alg, alpha0_cochain(alg), a1, N=N, variant=variant)
+    return build_shlie(alg, alg.alpha0, a1, N=N, variant=variant)
 
 
 def test_trunc_series_basics():
@@ -83,7 +82,7 @@ def test_trunc_series_basics():
 
 def test_build_validations():
     alg = abelian3()
-    a0 = alpha0_cochain(alg)
+    a0 = alg.alpha0
     a1 = obstructed_alpha1()
     with pytest.raises(ValueError):
         build_shlie(alg, a0, a1, variant="weird")
@@ -98,7 +97,7 @@ def test_build_validations():
     bad = Cochain(3, 2, {(0, 2): [1, 0, 0]})
     assert not ce_differential(h, bad).is_zero()
     with pytest.raises(ValueError):
-        build_shlie(h, alpha0_cochain(h), bad)
+        build_shlie(h, h.alpha0, bad)
 
 
 def test_structure_map_values():
@@ -152,7 +151,7 @@ def test_corrupt_l3_sign_detected():
 
 def test_corrupt_mixed_l2_detected():
     alg = so3()
-    S = NegatedMixedL2(alg, alpha0_cochain(alg), coboundary(alg), 4, "t2")
+    S = NegatedMixedL2(alg, alg.alpha0, coboundary(alg), 4, "t2")
     rep = verify_shlie(S)
     assert not rep["relation_63"] and not rep["ok"]
 
@@ -216,7 +215,7 @@ def test_crosscheck_with_engine_all_fixtures():
             assert rep["ok"], (variant, rep)
             if variant == "full":
                 assert rep["curried_chain_extend"] is True
-            elif alpha0_cochain(alg).is_zero():
+            elif alg.alpha0.is_zero():
                 assert rep["curried_chain_extend"] is True
             else:
                 assert rep["curried_chain_extend"] is None
@@ -389,7 +388,7 @@ def mutants(alg, a1, variant):
         S = build(alg, a1, variant=variant)
         S.comp11 = S.comp11.scale(c)
         return S
-    a0 = alpha0_cochain(alg)
+    a0 = alg.alpha0
     return [("doubled l3", scaled_l3(2)), ("zeroed l3", scaled_l3(0)),
             ("negated mixed l2", NegatedMixedL2(alg, a0, a1, 4, variant)),
             ("symmetric l2", SymmetricL2(alg, a0, a1, 4, variant))]

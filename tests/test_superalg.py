@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainext.brst import koszul_tate, longitudinal_d, so3_system
-from chainext.bv import two_ghost_model
+from chainext.brst import koszul_tate, longitudinal_d
 from chainext.superalg import (
     FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, antibracket,
     antifield_of, extend_right_derivation, left_deriv, mul, poisson,
     right_deriv, validate_poisson_table,
 )
+
+from bundled import brst_system, bv_problem
 
 
 def brst_like_alg():
@@ -349,13 +350,13 @@ def test_parity_and_degree_bookkeeping():
     with pytest.raises(ValueError):
         mixed.parity()
     assert SuperPoly.zero(alg).parity() == 0
-    assert len(mixed.split_terms()) == 2
+    assert len(mixed.terms) == 2
 
 
 # -- property tests on drawn polynomials ---------------------------------------
 
 def two_ghost_alg():
-    model = two_ghost_model()
+    model = bv_problem("bv_two_ghost").model
     return model.alg, model.pairs
 
 
@@ -504,7 +505,7 @@ def test_derivations_leibniz(drawn):
             mul(f, left_deriv(h, x)).scale((-1) ** (ex * ef))
 
 
-SO3 = so3_system()
+SO3 = brst_system("brst_so3")
 SO3_VALUES = {
     op.__name__: {gen.name: op(SO3, g(SO3.alg, gen.name))
                   for gen in SO3.alg.gens}

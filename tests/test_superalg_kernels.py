@@ -14,11 +14,12 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainext.bv import two_ghost_model
 from chainext.superalg import (
     GenSpec, SuperAlgebra, SuperPoly, _merge_monomials, antibracket,
     extend_right_derivation, left_deriv, mul, right_deriv,
 )
+
+from bundled import bv_problem
 
 
 # -- the kernels, as they stood ------------------------------------------------
@@ -196,7 +197,7 @@ def mixed_alg():
 
 
 def bv_alg():
-    model = two_ghost_model()
+    model = bv_problem("bv_two_ghost").model
     return model.alg, model.pairs
 
 
