@@ -117,8 +117,7 @@ def test_criterion_4_shlie_engine_coincidence(criterion):
                   load_cochain(read_model("cochain_obstructed_alpha1.txt"))))
     for alg, a1 in cases:
         for variant in ("t2", "full"):
-            S = build_shlie(alg, alg.alpha0, a1, N=4,
-                            variant=variant)
+            S = build_shlie(alg, alg.alpha0, a1, N=4, variant=variant)
             rep = crosscheck_with_engine(S)
             ok = ok and rep["ok"]
     elapsed = time.monotonic() - t0

@@ -47,11 +47,11 @@ def _definitions(tree):
     """(qualified name, node) of each module-level function and each public
     method of a module-level class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, ast.FunctionDef):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                if isinstance(sub, ast.FunctionDef) \
                         and not sub.name.startswith("_"):
                     yield "%s.%s" % (node.name, sub.name), sub
 
