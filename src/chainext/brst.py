@@ -395,7 +395,7 @@ def _psi_diagonal(sys: ConstraintSystem, group) -> RatMatrix:
 
 def _bad_columns(mat: RatMatrix):
     """Indices of the nonzero columns of a residual."""
-    return {j for j, col in enumerate(mat.sparse_columns()) if col}
+    return {j for j, col in enumerate(mat.column_rows()) if col}
 
 
 # -- verification of the resolution data ---------------------------------------
@@ -560,9 +560,9 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
                          % (rep["first_failure"],))
     group = _groups(sys, degree_cap)[0]
     d0 = _block(sys, degree_cap, "d", 0)
-    # the rows of a sparse column are the monomials of that image
-    for mono, df, ddf in zip(group, d0.sparse_columns(),
-                             (d0 @ d0).sparse_columns()):
+    # the rows of a column are the monomials of that image
+    for mono, df, ddf in zip(group, d0.column_rows(),
+                             (d0 @ d0).column_rows()):
         if sys.has_constraint_factor(mono) and \
                 not in_constraint_ideal(sys, (group[i] for i in df)):
             raise ValueError("d does not preserve the constraint ideal at %s"

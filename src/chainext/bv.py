@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 from .complexes import chain_extend, verify_homotopy
 from .exactla import Basis, kernel_basis, operator_matrix
@@ -192,7 +193,11 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
     B_s = sum_{i+j=s} A_j A_i, and a t^k passes exactly when B_s(a) = 0 for
     every s <= T - k.  One memo per monomial serves both degrees (the star
     is the identity on monomials), so each chain of brackets is evaluated
-    once.
+    once, and each distinct block B once (TLinear is canonical: for a valid
+    star l2 the block from degree 1 to 0 is empty, and the one from 1 to 1
+    equals the one from 0 to 0).  The blocks, l3 and the summand are scaled
+    by L, the lcm of their scalars' denominators, so the sweep runs on ints;
+    one common nonzero factor changes no zero test and no equality.
 
     The star l2 sends a* t^k to sum_s t^(k+s) A_s(a)*, so it preserves the
     ideal t^(n+1) R[[t]] exactly when none of its stored shifts s is
@@ -216,34 +221,51 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
         fail("ideal_preserved", shift)
         report["s_squared"] = None
     R = obstruction_R(maps.problem, n + 1)
+    l3 = maps.l3_op
     summand = TLinear({n + 1: [(Fraction(-1, 2), (model.ad(R),))]})
     # S = l1 + l2 + l3 by (target degree, source degree)
-    blocks = {(0, 0): maps.l2_plain_op, (1, 0): maps.l3_op,
+    blocks = {(0, 0): maps.l2_plain_op, (1, 0): l3,
               (0, 1): maps.l1_op, (1, 1): maps.l2_star_op}
     square = {(e, d): blocks[(e, 0)].compose(blocks[(0, d)]) +
               blocks[(e, 1)].compose(blocks[(1, d)])
-              for e in (0, 1) for d in (0, 1)} if shift >= 0 else None
+              for e in (0, 1) for d in (0, 1)} if shift >= 0 else {}
+    L = lcm(l3.denominator(), summand.denominator(),
+            *(b.denominator() for b in square.values()))
+    l3, summand = l3.scale(L), summand.scale(L)
+    # the distinct nonzero blocks, and which of them leave degree d
+    distinct, leaving = [], (set(), set())
+    for (_e, d), b in square.items():
+        if b.terms:
+            b = b.scale(L)
+            if b not in distinct:
+                distinct.append(b)
+            leaving[d].add(distinct.index(b))
+    ghosts = [g.ghost for g in model.alg.gens]
     cases = 0
     for mono in monos:
         args, memo = ({mono: 1},), {}
-        if square is not None:
+        if square:
             # the lowest shift at which S^2 of a t^0 (degree 0) or a* t^0
             # (degree 1) is nonzero
-            low = [min((s for e in (0, 1)
-                        for s in square[(e, d)].images(args, T, memo)),
-                       default=T + 1) for d in (0, 1)]
+            lows = [min(b.images(args, T, memo), default=T + 1)
+                    for b in distinct]
+            low = [min((lows[i] for i in leaving[d]), default=T + 1)
+                   for d in (0, 1)]
             for k in range(T + 1):
                 if low[0] <= T - k:
                     fail("s_squared", ("degree0", mono, k))
                 if k >= n + 1 and low[1] <= T - k:
                     fail("s_squared", ("degree1", mono, k))
             cases += T + 1 + max(0, T - n)
-        if maps.l3_op.images(args, T, memo).get(n + 1) != \
-                summand.images(args, T, memo).get(n + 1):
+        if l3.images(args, n + 1, memo).get(n + 1) != \
+                summand.images(args, n + 1, memo).get(n + 1):
             fail("l3_obstruction_summand", mono)
-        gh = model.poly(mono).ghost()
+        gh = sum(ghosts[i] for i in mono)
         for img in maps.l2_plain_op.images(args, T, memo).values():
-            if SuperPoly(model.alg, img).ghost() != gh + 1:
+            gs = {sum(ghosts[i] for i in m) for m in img}
+            if len(gs) > 1:
+                raise ValueError("polynomial is not ghost-homogeneous")
+            if gs != {gh + 1}:
                 fail("ghost_shift", mono)
     report["ok"] = all(report[k] for k in
                        ("s_squared", "l3_obstruction_summand", "ghost_shift",

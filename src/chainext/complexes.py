@@ -284,7 +284,7 @@ def verify_nilpotent(ext: ChainExtension) -> dict:
     shifts, first = set(), None
     if not square.is_zero():
         deg = [k for k, d in enumerate(sp.dims) for _ in range(d)]
-        for j, col in enumerate(square.sparse_columns()):
+        for j, col in enumerate(square.column_rows()):
             shifts.update(deg[i] - deg[j] for i in col)
             if col and first is None:
                 k = deg[j]

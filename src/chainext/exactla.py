@@ -194,13 +194,13 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return not any(self._nums)
 
-    def sparse_columns(self):
-        """The columns as {row: nonzero Fraction} dicts, in column order."""
-        cols = [{} for _ in range(self.ncols)]
-        d = self.den
+    def column_rows(self):
+        """The rows of each column's nonzero entries, ascending, in column
+        order; no entry is built."""
+        cols = [[] for _ in range(self.ncols)]
         for i, r in enumerate(self._nums):
-            for j, v in r.items():
-                cols[j][i] = Fraction(v, d)
+            for j in r:
+                cols[j].append(i)
         return cols
 
     # -- arithmetic --------------------------------------------------------

@@ -10,7 +10,8 @@ t^(T+1).  Each A_s is a sum of scalar * chain, a chain (f1, ..., fr) being
 the composite f1 o ... o fr of coefficient operators that the caller
 supplies (the empty chain is the identity).  An operator takes sparse
 coefficients and returns a sparse coefficient.  Operators of several
-arguments (shlie's cochains) form chains of length one.  Integral scalars
+arguments (shlie's cochains) form chains of length one.  Equal chains of
+a shift are merged, so equal operators compare equal.  Integral scalars
 are kept as ints, so scaling an int entry by one stays in ints.  `pair_sum`
 is the t^m coefficient of b(c_t, c_t): the deformation equations of `lie`
 and `bv`, and `star_resolution` is the engine export of both t-series
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
 from .exactla import Basis, add_into, operator_matrix, rat
@@ -143,16 +145,37 @@ def star_resolution(x0: Basis, x1: Basis, kmin) -> HomotopyData:
 
 class TLinear:
     """sum_s t^s A_s; terms maps each shift s >= 0 to the [(scalar, chain)]
-    pairs whose sum is A_s."""
+    pairs whose sum is A_s, in canonical form: in a shift each chain occurs
+    once, with the sum of its scalars, and no scalar is zero and no shift
+    empty.  Equality compares that form, whatever the order of the chains."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         if any(s < 0 for s in terms):
             raise ValueError("a t-linear operator has shifts >= 0")
-        pairs = {s: [(_scalar(c), tuple(ch)) for c, ch in ps if c]
-                 for s, ps in terms.items()}
-        self.terms = {s: ps for s, ps in pairs.items() if ps}
+        self.terms = {}
+        for s, pairs in terms.items():
+            sums = {}
+            for c, ch in pairs:
+                ch = tuple(ch)
+                sums[ch] = sums.get(ch, 0) + rat(c)
+            kept = [(_scalar(c), ch) for ch, c in sums.items() if c]
+            if kept:
+                self.terms[s] = kept
+
+    def __eq__(self, other):
+        def form(op):
+            return {s: {ch: c for c, ch in ps} for s, ps in op.terms.items()}
+        return isinstance(other, TLinear) and form(self) == form(other)
+
+    __hash__ = None
+
+    def denominator(self):
+        """The lcm of the scalars' denominators: scale by it, and every
+        scalar is an int."""
+        return lcm(*(c.denominator for pairs in self.terms.values()
+                     for c, _ch in pairs))
 
     def scale(self, c):
         return TLinear({s: [(c * a, ch) for a, ch in pairs]

@@ -16,6 +16,7 @@ pairs, also as a precompiled derivation (f, .) for a fixed f.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
@@ -280,33 +281,46 @@ def _derive(terms, vals, parity, parities, left=False):
     {index: [(monomial, odd factors, coefficient)]}.  On a product D(g1...gk)
     = sum_j +- g1...D(gj)...gk: a right derivation passes the factors after
     gj and a left one those before it, so on each term the two differ by
-    (-1)^(parity * parity of the other factors)."""
+    (-1)^(parity * parity of the other factors).  The e copies of an even
+    factor give e equal terms, as in D(x^e) = e x^(e-1) D(x), so a run is
+    taken once, with coefficient e c.  The Koszul sign of rest.v counts,
+    for each odd factor b of v, the odd factors of rest above b (bisected)."""
     out = {}
     for m, c in terms.items():
         c = _exact(c)
         odd_m = [k for k in m if parities[k]]
         odd_after = len(odd_m)
+        prev_idx = None
         for j, idx in enumerate(m):
+            if idx == prev_idx:
+                continue                    # a later copy of an even factor
+            prev_idx = idx
             odd_idx = parities[idx]
             odd_after -= odd_idx            # odd factors of the suffix m[j+1:]
             vs = vals.get(idx)
             if vs is None:
                 continue
             rest = m[:j] + m[j + 1:]
-            # an odd generator occurs once in m
+            # an odd generator occurs once, an even one m.count(idx) times
             odd_rest = [k for k in odd_m if k != idx] if odd_idx else odd_m
-            cj = -c if left and parity and len(odd_rest) % 2 else c
+            cj = c if odd_idx else c * m.count(idx)
+            n_rest = len(odd_rest)
+            if left and parity and n_rest % 2:
+                cj = -cj
             for vm, odd_v, vc in vs:
-                # one merge orders rest.vm; prefix.vm.suffix differs from it
+                # rest.vm in normal order; prefix.vm.suffix differs from it
                 # by moving vm past the suffix, and D itself passes the suffix
-                mono, sign = _merge_monomials(rest, odd_rest, vm, odd_v)
-                if mono is None:
-                    continue
-                if odd_after % 2 and (parity + len(odd_v)) % 2:
-                    sign = -sign
-                d = cj * vc if sign > 0 else -(cj * vc)
-                prev = out.get(mono)
-                out[mono] = d if prev is None else prev + d
+                flip = odd_after % 2 and (parity + len(odd_v)) % 2
+                for b in odd_v:
+                    i = bisect_left(odd_rest, b)
+                    if i < n_rest and odd_rest[i] == b:
+                        break               # an odd factor repeats
+                    flip ^= (n_rest - i) & 1
+                else:
+                    mono = tuple(sorted(rest + vm))
+                    d = -(cj * vc) if flip else cj * vc
+                    prev = out.get(mono)
+                    out[mono] = d if prev is None else prev + d
     return out
 
 

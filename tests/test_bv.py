@@ -244,7 +244,7 @@ def test_homotopy_export():
     assert verify_homotopy(hd)["ok"]
     assert hd.f_dim == sum(1 for (_, k) in b0.labels if k <= 1)
     # h = -(star) vanishes below the ideal t^(n+1) R[[t]]
-    for (_, k), col in zip(b0.labels, hd.s.block(0).sparse_columns()):
+    for (_, k), col in zip(b0.labels, hd.s.block(0).column_rows()):
         assert (k > maps.n) == bool(col)
 
 
@@ -323,6 +323,15 @@ def negate_star_shift(maps, s):
     maps.l2_star_op = type(maps.l2_star_op)(terms)
 
 
+def set_l3_scalar(maps, c):
+    """Give every term of the stored l3 the scalar c in place of -1/2; the
+    obstruction summand that verify_theorem8 compares l3 with keeps its
+    -1/2, so the two are scaled from different denominators."""
+    maps.l3_op = type(maps.l3_op)({
+        s: [(c, chain) for _c, chain in pairs]
+        for s, pairs in maps.l3_op.terms.items()})
+
+
 MUTATIONS = {
     "none": lambda maps: None,
     "R_2 x2": lambda maps: scale_R(maps, 2, 2),
@@ -330,6 +339,7 @@ MUTATIONS = {
     "S_1 table halved": lambda maps: scale_S_table(maps, 1, rat("1/2")),
     "S_0 table negated": lambda maps: scale_S_table(maps, 0, -1),
     "star shift 1 negated": lambda maps: negate_star_shift(maps, 1),
+    "l3 scalar -1": lambda maps: set_l3_scalar(maps, -1),
 }
 
 
@@ -352,13 +362,16 @@ def test_mutations_are_detected():
     above compares failing reports as well as passing ones.  Two pass mod
     t^3: negating S_0 alone leaves a valid deformation ((-S_0, -S_0) = 0 and
     (-S_0, S_1) = 0), and the star's shift-1 block only reaches t^3 (next
-    test)."""
+    test).  An l3 scalar of -1 fails the comparison with the -1/2 of the
+    obstruction summand, although the sweep scales both to integers."""
     passing = {"none", "S_0 table negated", "star shift 1 negated"}
     for name, mutate in MUTATIONS.items():
         maps = theorem8_maps(bv_problem("bv_two_ghost"))
         mutate(maps)
         rep = verify_theorem8(maps, maxdeg=2)
         assert rep["ok"] == (name in passing), name
+        if name == "l3 scalar -1":
+            assert rep["l3_obstruction_summand"] is False
 
 
 def test_corruption_confined_to_one_shift_detected():

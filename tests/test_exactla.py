@@ -410,6 +410,8 @@ def check_against(m, want, ncols):
     for j in range(ncols):
         assert m.col(j) == [r[j] for r in want]
         assert all(type(x) is Rat for x in m.col(j))
+    assert m.column_rows() == [[i for i, r in enumerate(want) if r[j]]
+                               for j in range(ncols)]
     for i in range(len(want)):
         for j in range(ncols):
             assert m.entry(i, j) == want[i][j] and type(m.entry(i, j)) is Rat

@@ -297,6 +297,24 @@ def test_integral_scalars_stay_ints():
     assert type(images[0][0]) is int
 
 
+def test_canonical_form_merges_equal_chains():
+    """Within a shift equal chains merge and their scalars add up, a zero
+    sum drops out, and equality ignores the order of the chains."""
+    f, g = BASES[0], BASES[1]
+    A = TLinear({0: [(1, (f,)), (2, (g,)), (Fraction(1, 2), (f,))],
+                 1: [(1, (g,)), (-1, (g,))]})
+    assert A.terms == {0: [(Fraction(3, 2), (f,)), (2, (g,))]}
+    assert A == TLinear({0: [(2, (g,)), (Fraction(3, 2), (f,))]})
+    assert A != TLinear({0: [(2, (g,)), (1, (f,))]})
+    assert A != TLinear({1: [(Fraction(3, 2), (f,)), (2, (g,))]})
+    assert A.denominator() == 2 and TLinear({}).denominator() == 1
+    assert A.scale(2).terms == {0: [(3, (f,)), (4, (g,))]}
+    # bv's l2 l1 + l1 l2*: the star's -1 cancels every chain
+    one = TLinear({0: [(1, ())]})
+    l2 = TLinear({0: [(1, (f,))], 1: [(1, (g,))]})
+    assert (l2.compose(one) + one.compose(l2.scale(-1))).terms == {}
+
+
 def test_one_series_class():
     from chainext import bv
     assert bv.TSeries is bv.StarSeries is TruncSeries is Series

@@ -368,10 +368,10 @@ _coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 @st.composite
-def polys(draw, alg, max_terms=4, max_deg=3):
-    """A sum of up to max_terms products of generators with drawn
-    coefficients; with a drawn parity, only the terms of that parity."""
-    names = [s.name for s in alg.gens]
+def polys(draw, alg, max_terms=4, max_deg=3, names=None):
+    """A sum of up to max_terms products of generators (all, or the named
+    ones) with drawn coefficients."""
+    names = names or [s.name for s in alg.gens]
     out = SuperPoly.zero(alg)
     for _ in range(draw(st.integers(0, max_terms))):
         f = SuperPoly.const(alg, draw(_coeffs))
@@ -438,6 +438,49 @@ def parity_parts(f):
     for m, c in f.terms.items():
         parts.setdefault(f.monomial_parity(m), {})[m] = c
     return {p: SuperPoly(f.alg, terms) for p, terms in parts.items()}
+
+
+# -- graded Jacobi of the even Poisson bracket on the bundled BRST tables ------
+
+BRST_SYSTEMS = {name: brst_system(name) for name in ("brst_so3", "brst_toy")}
+
+
+def so3_mutant_table():
+    """brst_so3's table with one structure constant changed, C^1_12 from 0
+    to 1: {G1, G2} = G3 + G1.  On (G1, G2, G3) the left side below is
+    {G1, G1} = 0 and the right side {G1, G3} + {G2, -G2} = -G2."""
+    so3 = BRST_SYSTEMS["brst_so3"]
+    table = dict(so3.table)
+    table[("G1", "G2")] = table[("G1", "G2")] + so3.gen("G1")
+    return table
+
+
+@st.composite
+def xg_triples(draw):
+    """(model name, its table, three polynomials in its x and G)."""
+    name = draw(st.sampled_from(sorted(BRST_SYSTEMS)))
+    sys = BRST_SYSTEMS[name]
+    return name, sys.table, [draw(polys(sys.alg, max_terms=3, max_deg=2,
+                                        names=sys.xs + sys.gs))
+                             for _ in range(3)]
+
+
+_SO3 = BRST_SYSTEMS["brst_so3"]
+
+
+@_examples
+@given(xg_triples())
+@example(("so3 with C^1_12 = 1", so3_mutant_table(),
+          [_SO3.gen("G1"), _SO3.gen("G2"), _SO3.gen("G3")]))
+def test_poisson_graded_jacobi(case):
+    """{f, {g, h}} = {{f, g}, h} + {g, {f, h}} for polynomials in the
+    bracketed generators, which are all even, so no sign enters.  It holds
+    on the bundled tables and fails on the mutant."""
+    name, table, (f, g_, h) = case
+    lhs = poisson(f, poisson(g_, h, table), table)
+    rhs = poisson(poisson(f, g_, table), h, table) + \
+        poisson(g_, poisson(f, h, table), table)
+    assert (lhs == rhs) == (name in BRST_SYSTEMS)
 
 
 @_examples

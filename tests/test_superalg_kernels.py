@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainext.superalg import (
-    GenSpec, SuperAlgebra, SuperPoly, _merge_monomials, antibracket,
-    extend_right_derivation, left_deriv, mul, right_deriv,
+    FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, _merge_monomials,
+    antibracket, extend_right_derivation, left_deriv, mul, right_deriv,
 )
 
 from bundled import bv_problem
@@ -319,3 +319,32 @@ def test_antibracket_matches_old(case):
     got = antibracket(f, g, pairs)
     assert got.terms == old_antibracket(f, g, pairs).terms
     assert stored_as_fractions(got)
+
+
+def field_antifield_pairs(alg, pairs):
+    """The pairs of opposite parity.  (f, .) is a left derivation of parity
+    parity(f) + 1 only over such pairs, each generator in one of them: on
+    the mixed algebra this drops ("b", "d"), and on the BV algebra it keeps
+    every pair."""
+    return [(u, v) for u, v in pairs
+            if alg.gens[alg.index[u]].parity != alg.gens[alg.index[v]].parity]
+
+
+@_settings
+@given(drawn(2))
+@example([MIXED, ALGEBRAS["mixed"][1],
+          SuperPoly(MIXED, {(0, 3): 2, (3, 5): -1, (2, 3, 4): 3}),
+          SuperPoly(MIXED, {(1, 2, 2, 2, 3): 5, (0, 2, 2, 2, 4): -1})])
+def test_fixed_antibracket_matches_antibracket(case):
+    """The left-derivation pass of superalg._derive, through
+    FixedAntibracket, against the antibracket's two derivative tables, for
+    the even and the odd part of a drawn f.  In the example c is even and
+    cubed next to odd factors of g, and f has a d, so (f, c) = dRf/dd is
+    not zero: the run of three c's is taken once, with coefficient 3."""
+    alg, pairs, f, g = case
+    pairs = field_antifield_pairs(alg, pairs)
+    for p in (0, 1):
+        part = SuperPoly(alg, {m: c for m, c in f.terms.items()
+                               if f.monomial_parity(m) == p})
+        assert FixedAntibracket(part, pairs)(g.terms) == \
+            antibracket(part, g, pairs).terms
