@@ -17,10 +17,10 @@ l2 and l3 are per-monomial rules extended linearly.
 
 Each ConstraintSystem holds delta, sigma and d compiled once into integer
 kernel form, and both the operator blocks and BRSTExtension's l2/l3
-recursion apply them through superalg._derive; every image is a
-{monomial: int} dict over one denominator.  The SuperPoly functions
-(koszul_tate, sigma, homotopy_s, longitudinal_d, psi, nbar, eta_project)
-apply the generator values through superalg.extend_right_derivation; they
+recursion apply them through superalg._derive; every image is an exact
+image of exactla, a {monomial: int} dict over one denominator.  The SuperPoly
+functions (koszul_tate, sigma, homotopy_s, longitudinal_d, psi, nbar,
+eta_project) apply the generator values through extend_right_derivation; they
 are the public operators on polynomials and the tests' reference for the
 blocks.  l2 and l3 are still computed on two independent routes: per
 monomial by BRSTExtension, and by the engine's matrix recursion on the
@@ -47,12 +47,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
-from .exactla import (Basis, RatMatrix, add_into,
-                      operator_matrix as basis_matrix)
+from .exactla import (Basis, RatMatrix, add_into, combine, image, lowest,
+                      operator_matrix as basis_matrix, pairs)
 from .superalg import (
     GenSpec, SuperAlgebra, SuperPoly, _derive, _kernel_terms,
     extend_right_derivation, mul, poisson, validate_poisson_table,
@@ -195,70 +195,21 @@ class ConstraintSystem:
 
 def _compile(alg, values, parities):
     """Generator values {name: SuperPoly} in kernel form on exact ints:
-    ({index: [(monomial, odd factors, int)]}, den), the values times their
-    common denominator den."""
-    den = lcm(*(c.denominator for v in values.values()
-                for c in v.terms.values()))
-    return ({alg.index[name]: _kernel_terms(
-                {m: c.numerator * (den // c.denominator)
-                 for m, c in v.terms.items()}, parities)
-             for name, v in values.items() if v.terms}, den)
-
-
-# -- exact images: a {monomial: int} dict over a positive denominator ----------
-
-def _lowest(terms, den):
-    """(terms, den) with zero terms dropped and den and the numerators
-    divided by their gcd, so equal images have equal storage."""
-    if 0 in terms.values():
-        terms = {m: c for m, c in terms.items() if c}
-    g = gcd(den, *terms.values())
-    if g != 1:
-        terms = {m: c // g for m, c in terms.items()}
-        den //= g
-    return terms, den
-
-
-def _combine(scaled, den=1):
-    """The sum of c * terms / d over the list scaled of (c, (terms, d)),
-    all divided by den, over one common denominator: the lcm of the d, as
-    RatMatrix combines its matrices.  Every (terms, d) is in lowest terms."""
-    if len(scaled) == 1 and scaled[0][0] == 1 and den == 1:
-        return scaled[0][1]
-    common = 1
-    for _, (_, d) in scaled:
-        if common % d:
-            common = lcm(common, d)
-    out = {}
-    get = out.get
-    for c, (terms, d) in scaled:
-        if d != common:
-            c *= common // d
-        for m, v in terms.items():
-            out[m] = get(m, 0) + c * v
-    return _lowest(out, common * den)
-
-
-def _int_terms(f: SuperPoly):
-    """A SuperPoly as an exact image (terms, den)."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return {m: c.numerator * (den // c.denominator)
-            for m, c in f.terms.items()}, den
+    ({index: [(monomial, odd factors, int)]}, den), one exact image of all
+    the values, split by generator."""
+    terms, den = image({(alg.index[name], m): c for name, v in values.items()
+                        for m, c in v.terms.items()})
+    by_gen = {}
+    for (i, m), c in terms.items():
+        by_gen.setdefault(i, {})[m] = c
+    return ({i: _kernel_terms(t, parities) for i, t in by_gen.items()}, den)
 
 
 def _apply(sys, name, terms, den=1):
-    """The compiled odd right derivation delta, sigma or d on terms / den."""
+    """The compiled odd right derivation delta, sigma or d on terms / den,
+    as an exact image."""
     vals, vden = sys.compiled[name]
-    return _lowest(_derive(terms, vals, 1, sys.parities), den * vden)
-
-
-def _pairs(image):
-    """An exact image as (monomial, coefficient) pairs: the int numerators
-    when den is 1, Fractions otherwise."""
-    terms, den = image
-    if den == 1:
-        return terms.items()
-    return [(m, Fraction(c, den)) for m, c in terms.items()]
+    return lowest(_derive(terms, vals, 1, sys.parities), den * vden)
 
 
 # -- the basic operators -------------------------------------------------------
@@ -375,7 +326,7 @@ def _block(sys: ConstraintSystem, cap: int, name: str, k: int) -> RatMatrix:
             blk = _block(sys, cap, "sigma", k) @ _psi_diagonal(sys, src)
         else:
             dst = _group(groups, k + {"delta": -1, "sigma": 1, "d": 0}[name])
-            blk = basis_matrix(lambda m: _pairs(_apply(sys, name, {m: 1})),
+            blk = basis_matrix(lambda m: pairs(_apply(sys, name, {m: 1})),
                                Basis(src), _named_basis(sys, dst))
         sys._bases[key] = blk
     return blk
@@ -470,12 +421,12 @@ class BRSTExtension:
 
     with s = sigma . psi, extended linearly.  They run on exact integers:
     delta, sigma and d are the system's compiled derivations, applied by
-    superalg._derive, and each image of a basis monomial is kept as a pair
-    (terms, den), a {monomial: int} dict over the positive integer den in
-    lowest terms.  A linear combination of images is taken over the lcm of
-    their denominators (`_combine`), and psi's -1/k over the lcm of the k
-    (`_s`), so every image is exact on any monomial, inside the capped basis
-    or not.  l1 is koszul_tate on SuperPoly.
+    superalg._derive, and each image of a basis monomial is kept as an
+    exact image of exactla, a {monomial: int} dict over a positive
+    denominator in lowest terms.  A linear combination of images is taken
+    over the lcm of their denominators (`exactla.combine`), and psi's -1/k
+    over the lcm of the k (`_s`), so every image is exact on any monomial,
+    inside the capped basis or not.  l1 is koszul_tate on SuperPoly.
     """
 
     __slots__ = ("sys", "_l2_cache", "_l3_cache")
@@ -495,7 +446,7 @@ class BRSTExtension:
                 img = cache[m] = rule(m)
             if img[0]:
                 scaled.append((c, img))
-        return _combine(scaled, den)
+        return combine(scaled, den)
 
     def _s(self, terms, den):
         """s = sigma . psi on terms / den: psi's -1/k on (P, G)-degree k is
@@ -523,29 +474,26 @@ class BRSTExtension:
         sys = self.sys
         g = self._l2_image(*self._l2_image({mono: 1}))
         if sys.antighost_degree(mono):
-            g = _combine([(1, g), (1, self._l3_image(
+            g = combine([(1, g), (1, self._l3_image(
                 *_apply(sys, "delta", {mono: 1})))])
         return self._s(*g)
 
     def l2_plus_l3(self, mono):
         """(l2 + l3)(mono) as (monomial, coefficient) pairs."""
-        return _pairs(_combine([(1, self._l2_image({mono: 1})),
-                                (1, self._l3_image({mono: 1}))]))
+        return pairs(combine([(1, self._l2_image({mono: 1})),
+                              (1, self._l3_image({mono: 1}))]))
 
-    def _poly(self, image):
-        terms, den = image
-        return SuperPoly(self.sys.alg, {m: Fraction(c, den)
-                                        for m, c in terms.items()}
-                         if den != 1 else terms)
+    def _poly(self, img):
+        return SuperPoly(self.sys.alg, dict(pairs(img)))
 
     def l1(self, f: SuperPoly) -> SuperPoly:
         return koszul_tate(self.sys, f)
 
     def l2(self, f: SuperPoly) -> SuperPoly:
-        return self._poly(self._l2_image(*_int_terms(f)))
+        return self._poly(self._l2_image(*image(f.terms)))
 
     def l3(self, f: SuperPoly) -> SuperPoly:
-        return self._poly(self._l3_image(*_int_terms(f)))
+        return self._poly(self._l3_image(*image(f.terms)))
 
     def total(self, f: SuperPoly) -> SuperPoly:
         return _sum(self.sys.alg, (self.l1(f), self.l2(f), self.l3(f)))
@@ -620,16 +568,6 @@ def export_to_complexes(sys: ConstraintSystem, degree_cap: int):
     hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta, lam,
                       GradedMap(sp, +1, s_blocks))
     return hd, _block(sys, degree_cap, "d", 0), groups
-
-
-def operator_matrix(ext: BRSTExtension, op_name: str, groups, k_from: int,
-                    shift: int) -> RatMatrix:
-    """Matrix of one of the extension's operators between basis groups; a
-    target degree outside the groups is the zero space."""
-    sys = ext.sys
-    op = {"l1": ext.l1, "l2": ext.l2, "l3": ext.l3}[op_name]
-    return _matrix(sys, lambda _, f: op(f), groups[k_from],
-                   _group(groups, k_from + shift))
 
 
 def _matrix(sys: ConstraintSystem, op, src, dst) -> RatMatrix:

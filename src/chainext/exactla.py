@@ -7,6 +7,12 @@ the stored nonzeros and runs on Python ints; every value handed out
 (entries, rows, columns, vectors, solutions) is a Fraction.  Everything here
 is exact: no floats, no tolerances.  Matrices are immutable; all functions
 return fresh objects.
+
+The package's exact-number rule lives here alone: `exact` gives a scalar as
+the kernels compute with it (an int when integral, else a Fraction), and an
+exact image (terms, den), a {key: nonzero int} dict over a positive den in
+lowest terms, is the matrix storage rule for one vector (`image`, `lowest`,
+`combine`, `pairs`).
 """
 
 from __future__ import annotations
@@ -31,11 +37,77 @@ def rat(x) -> Rat:
     raise TypeError("not an exact rational: %r" % (x,))
 
 
-def _exact(x):
-    """An int or a Fraction as it is, a 'p/q' string as a Fraction."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    return rat(x)
+def exact(x):
+    """An int, a Fraction or a 'p/q' string as an int when it is integral
+    and as a Fraction otherwise."""
+    if type(x) is not Fraction:
+        if type(x) is int:
+            return x
+        x = rat(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+# -- exact images: a {key: nonzero int} dict over a positive denominator -------
+
+def image(values):
+    """{key: int or Fraction} as an exact image (terms, den): den is the lcm
+    of the denominators and terms the nonzero values times den.  Each value
+    is in lowest terms, so the image is too."""
+    den = 1
+    for x in values.values():
+        if den % x.denominator:
+            den = lcm(den, x.denominator)
+    return ({k: x.numerator * (den // x.denominator)
+             for k, x in values.items() if x}, den)
+
+
+def lowest(terms, den):
+    """(terms, den) with zero terms dropped and den and the numerators
+    divided by their gcd, so equal images have equal storage."""
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    g = gcd(den, *terms.values())
+    if g != 1:
+        terms = {k: c // g for k, c in terms.items()}
+        den //= g
+    return terms, den
+
+
+def combine(scaled, den=1):
+    """The sum of c * terms / d over the list scaled of (int c, (terms, d)),
+    all divided by den, over one common denominator: the lcm of the d, as
+    RatMatrix adds its matrices.  Every (terms, d) is in lowest terms."""
+    if len(scaled) == 1 and scaled[0][0] == 1 and den == 1:
+        return scaled[0][1]
+    common = 1
+    for _, (_, d) in scaled:
+        if common % d:
+            common = lcm(common, d)
+    out = {}
+    get = out.get
+    for c, (terms, d) in scaled:
+        if d != common:
+            c *= common // d
+        for k, v in terms.items():
+            out[k] = get(k, 0) + c * v
+    return lowest(out, common * den)
+
+
+def pairs(img):
+    """An exact image as (key, coefficient) pairs: the int numerators when
+    den is 1, Fractions otherwise."""
+    terms, den = img
+    if den == 1:
+        return terms.items()
+    return [(k, Fraction(c, den)) for k, c in terms.items()]
+
+
+def _rows(terms, nrows):
+    """The {column: int} rows of image terms keyed by (row, column)."""
+    rows = [{} for _ in range(nrows)]
+    for (i, j), v in terms.items():
+        rows[i][j] = v
+    return rows
 
 
 class RatMatrix:
@@ -51,32 +123,19 @@ class RatMatrix:
 
     def __init__(self, rows, ncols=None):
         """rows: dense rows of ints, Fractions or 'p/q' strings."""
-        nums = []
-        width = None
-        for row in rows:
-            row = [_exact(x) for x in row]
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError("ragged rows in matrix input")
-            nums.append({j: x for j, x in enumerate(row) if x})
+        rows = [[exact(x) for x in row] for row in rows]
+        width = len(rows[0]) if rows else None
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows in matrix input")
         if width is not None:
             if ncols is not None and ncols != width:
                 raise ValueError("ncols=%d disagrees with row width %d" % (ncols, width))
             ncols = width
         else:
             ncols = 0 if ncols is None else int(ncols)
-        # every entry is in lowest terms, so over the lcm of their
-        # denominators the numerators share no factor with it
-        den = 1
-        for r in nums:
-            for x in r.values():
-                if den % x.denominator:
-                    den = lcm(den, x.denominator)
-        for r in nums:
-            for j, x in r.items():
-                r[j] = x.numerator * (den // x.denominator)
-        self._fill(nums, den, ncols)
+        terms, den = image({(i, j): x for i, row in enumerate(rows)
+                            for j, x in enumerate(row)})
+        self._fill(_rows(terms, len(rows)), den, ncols)
 
     def _fill(self, nums, den, ncols):
         object.__setattr__(self, "_nums", tuple(nums))
@@ -119,10 +178,9 @@ class RatMatrix:
     def diagonal(cls, entries):
         """The square matrix with the given ints or Fractions on its
         diagonal."""
-        entries = [_exact(x) for x in entries]
-        den = lcm(1, *(x.denominator for x in entries))
-        return cls._of([{i: x.numerator * (den // x.denominator)} if x else {}
-                        for i, x in enumerate(entries)], den, len(entries))
+        entries = [exact(x) for x in entries]
+        terms, den = image({(i, i): x for i, x in enumerate(entries)})
+        return cls._of(_rows(terms, len(entries)), den, len(entries))
 
     @classmethod
     def from_columns(cls, cols, nrows=None):
@@ -319,27 +377,19 @@ def operator_matrix(op, src: Basis, dst: Basis) -> RatMatrix:
     """Column j holds the dst coordinates of op(src.labels[j]), where op
     returns (label, coefficient) pairs; as in Basis.coords, a zero
     coefficient may carry any label and a repeated label keeps its last
-    coefficient.  The integer rows are written straight from the pairs, with
-    no dense column in between."""
+    coefficient.  The entries are written straight from the pairs into one
+    exact image keyed by (row, column), with no dense column in between."""
     index = dst.index
-    rows = [{} for _ in range(len(dst))]
-    den = 1
+    cells = {}
     for j, b in enumerate(src.labels):
         for label, c in op(b):
             i = index.get(label)
-            if i is None:
-                if c != 0:
-                    raise dst.escape(label)
-            elif c:
-                c = rows[i][j] = _exact(c)
-                if den % c.denominator:
-                    den = lcm(den, c.denominator)
-            else:
-                rows[i].pop(j, None)
-    for r in rows:
-        for j, x in r.items():
-            r[j] = x.numerator * (den // x.denominator)
-    return RatMatrix._of(rows, den, len(src))
+            if i is not None:
+                cells[i, j] = exact(c)
+            elif c != 0:
+                raise dst.escape(label)
+    terms, den = image(cells)
+    return RatMatrix._of(_rows(terms, len(dst)), den, len(src))
 
 
 # -- sparse vectors -----------------------------------------------------------

@@ -11,21 +11,20 @@ the composite f1 o ... o fr of coefficient operators that the caller
 supplies (the empty chain is the identity).  An operator takes sparse
 coefficients and returns a sparse coefficient.  Operators of several
 arguments (shlie's cochains) form chains of length one.  Equal chains of
-a shift are merged, so equal operators compare equal.  Integral scalars
-are kept as ints, so scaling an int entry by one stays in ints.  `pair_sum`
-is the t^m coefficient of b(c_t, c_t): the deformation equations of `lie`
-and `bv`, and `star_resolution` is the engine export of both t-series
-instances.
+a shift are merged, so equal operators compare equal.  Scalars are kept as
+`exactla.exact` gives them, an integral one as an int, so scaling an int
+entry by one stays in ints.  `pair_sum` is the t^m coefficient of
+b(c_t, c_t): the deformation equations of `lie` and `bv`, and
+`star_resolution` is the engine export of both t-series instances.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
-from .exactla import Basis, add_into, operator_matrix, rat
+from .exactla import Basis, add_into, exact, image, operator_matrix, rat
 
 
 class Series:
@@ -115,12 +114,6 @@ class Series:
                 for i in range(self.space)]
 
 
-def _scalar(c):
-    """An exact scalar, an integral one as an int."""
-    c = rat(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def pair_sum(b, m, lo, hi, zero):
     """zero + sum of b(i, m - i) over lo <= i, m - i <= hi: the t^m
     coefficient of b(c_t, c_t) for a series c_t = sum_{lo <= k <= hi} c_k t^k
@@ -160,7 +153,7 @@ class TLinear:
             for c, ch in pairs:
                 ch = tuple(ch)
                 sums[ch] = sums.get(ch, 0) + rat(c)
-            kept = [(_scalar(c), ch) for ch, c in sums.items() if c]
+            kept = [(exact(c), ch) for ch, c in sums.items() if c]
             if kept:
                 self.terms[s] = kept
 
@@ -174,8 +167,8 @@ class TLinear:
     def denominator(self):
         """The lcm of the scalars' denominators: scale by it, and every
         scalar is an int."""
-        return lcm(*(c.denominator for pairs in self.terms.values()
-                     for c, _ch in pairs))
+        return image({(s, ch): c for s, pairs in self.terms.items()
+                      for c, ch in pairs})[1]
 
     def scale(self, c):
         return TLinear({s: [(c * a, ch) for a, ch in pairs]

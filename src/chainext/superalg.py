@@ -5,9 +5,10 @@ Polynomials are stored as maps from normal-ordered monomials (tuples of
 generator indices, ascending; odd indices never repeat) to rational
 coefficients, always `Fraction`s.  Reordering into normal form costs the
 Koszul sign, one minus sign per transposition of two odd factors.  The
-kernels (products, derivations, derivative tables) compute with an integral
-coefficient as an int, and `SuperPoly` turns the results back into
-`Fraction`s.
+kernels (products, derivations, derivative tables) compute with each
+coefficient as `exactla.exact` gives it, an integral one as an int, and
+`SuperPoly` turns the results back into `Fraction`s, one `rat` per stored
+coefficient.
 
 Provides graded right/left derivations, an even Poisson bracket extended as a
 biderivation from a generator table, and the antibracket of field/antifield
@@ -20,7 +21,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import rat
+from .exactla import exact, rat
 
 KINDS = ("x", "G", "eta", "P", "field", "antifield")
 
@@ -81,22 +82,9 @@ class SuperAlgebra:
                                  [g.name for g in other.gens])
 
 
-# The small integers, as shared Fraction objects: SuperPoly stores these for
-# the int coefficients the kernels produce instead of building a new Fraction
-# each time.  A Fraction is immutable, so sharing one is safe.
-_SMALL = 16
-_SMALL_FRACTIONS = tuple(Fraction(n) for n in range(-_SMALL, _SMALL + 1))
-
-
-def _exact(c):
-    """A stored coefficient as the kernels compute with it: an integral
-    Fraction as its int numerator, so products and sums need no gcd."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _kernel_terms(terms, parities):
     """[(monomial, its odd factors, coefficient)] for the kernels' loops."""
-    return [(m, [g for g in m if parities[g]], _exact(c))
+    return [(m, [g for g in m if parities[g]], exact(c))
             for m, c in terms.items()]
 
 
@@ -126,8 +114,7 @@ class SuperPoly:
         if terms:
             for m, c in terms.items():
                 if type(c) is not Fraction:
-                    c = _SMALL_FRACTIONS[c + _SMALL] if (
-                        type(c) is int and -_SMALL <= c <= _SMALL) else rat(c)
+                    c = rat(c)
                 if not c:
                     continue
                 m = tuple(m)
@@ -218,7 +205,7 @@ def _mul_into(out, f_terms, g_terms, parities, negate=False):
     g_list = _kernel_terms(g_terms, parities)
     for m1, c1 in f_terms.items():
         odd1 = [g for g in m1 if parities[g]]
-        c1 = -_exact(c1) if negate else _exact(c1)
+        c1 = -exact(c1) if negate else exact(c1)
         for m2, odd2, c2 in g_list:
             m, sign = _merge_monomials(m1, odd1, m2, odd2)
             if m is None:
@@ -247,7 +234,7 @@ def _derivatives(f: SuperPoly, names, left):
         tables[alg.index[name]] = {}
     parities = [gen.parity for gen in alg.gens]
     for m, c in f.terms.items():
-        c = _exact(c)
+        c = exact(c)
         odd_total = sum(parities[k] for k in m)
         odd_before = 0
         for j, idx in enumerate(m):
@@ -287,7 +274,7 @@ def _derive(terms, vals, parity, parities, left=False):
     for each odd factor b of v, the odd factors of rest above b (bisected)."""
     out = {}
     for m, c in terms.items():
-        c = _exact(c)
+        c = exact(c)
         odd_m = [k for k in m if parities[k]]
         odd_after = len(odd_m)
         prev_idx = None
@@ -439,17 +426,24 @@ class FixedAntibracket:
     (f, .) is a left derivation of parity parity(f) + 1, so its values on the
     generators determine it: (f, phi*) = dRf/dphi and (f, phi) = -dRf/dphi*,
     read off one right-derivative table of f and held in `values` in kernel
-    form.  A call is one Leibniz pass over the terms of g; it returns the
-    nonzero terms of (f, g)."""
+    form.  That holds only for a field/antifield pairing: each pair of
+    opposite parities and each generator in one pair; other pairs raise
+    ValueError.  A call is one Leibniz pass over the terms of g; it returns
+    the nonzero terms of (f, g)."""
 
     __slots__ = ("parities", "parity", "values")
 
     def __init__(self, f: SuperPoly, pairs):
         alg = f.alg
         self.parities = [gen.parity for gen in alg.gens]
+        names = [name for pair in pairs for name in pair]
+        for i, (u, v) in enumerate(pairs):
+            if self.parities[alg.index[u]] == self.parities[alg.index[v]]:
+                raise ValueError("pair %s-%s has equal parities" % (u, v))
+            if {u, v} & set(names[:2 * i]):
+                raise ValueError("pair %s-%s repeats a generator" % (u, v))
         self.parity = 1 - f.parity()
-        d = iter(_derivatives(f, [name for pair in pairs for name in pair],
-                              left=False))
+        d = iter(_derivatives(f, names, left=False))
         self.values = {}
         for (field, anti), d_field, d_anti in zip(pairs, d, d):
             if d_field:

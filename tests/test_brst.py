@@ -11,15 +11,27 @@ from chainext.brst import (
     BRSTExtension, ConstraintSystem, build_brst, check_nilpotent_on_basis,
     degree_jump, eta_project, export_to_complexes, homotopy_s,
     in_constraint_ideal, koszul_tate, lambda_tilde, longitudinal_d,
-    monomial_basis, nbar, operator_matrix, psi, sigma,
-    verify_brst_resolution,
+    monomial_basis, nbar, psi, sigma, verify_brst_resolution,
 )
 from chainext.complexes import chain_extend, verify_homotopy, verify_nilpotent
-from chainext.exactla import RatMatrix, add_into, solve
+from chainext.exactla import (Basis, RatMatrix, add_into, image, lowest,
+                              operator_matrix as basis_matrix, solve)
 from chainext.superalg import (SuperPoly, extend_right_derivation, mul,
                                poisson, right_deriv)
 
 from bundled import brst_system, model_id
+
+
+def operator_matrix(ext, op_name, groups, k_from, shift):
+    """Matrix of the extension's operator l1, l2 or l3 from basis group
+    k_from to k_from + shift; a target group outside the groups is the zero
+    space."""
+    alg, op = ext.sys.alg, getattr(ext, op_name)
+    k_to = k_from + shift
+    dst = groups[k_to] if 0 <= k_to < len(groups) else []
+    return basis_matrix(lambda m: op(SuperPoly(alg, {m: 1})).terms.items(),
+                        Basis(groups[k_from]),
+                        Basis(dst, lambda m: SuperPoly(alg, {m: 1})))
 
 
 def test_koszul_tate_values():
@@ -395,7 +407,7 @@ def double_s(monkeypatch, systems):
 
     def doubled(self, terms, den):
         img, d = real_s(self, terms, den)
-        return brst_mod._lowest({m: 2 * c for m, c in img.items()}, d)
+        return lowest({m: 2 * c for m, c in img.items()}, d)
     monkeypatch.setattr(BRSTExtension, "_s", doubled)
 
 
@@ -422,7 +434,7 @@ def scale_delta_on_p1(monkeypatch, systems):
         if name != "delta":
             return real_apply(sys_, name, terms, den)
         f = SuperPoly(sys_.alg, {m: Fraction(c, den) for m, c in terms.items()})
-        return brst_mod._int_terms(doubled(sys_, f))
+        return image(doubled(sys_, f).terms)
     monkeypatch.setattr(brst_mod, "_apply", apply)
 
 

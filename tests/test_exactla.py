@@ -1,13 +1,13 @@
 import random
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainext.exactla import (
-    Basis, Rat, RatMatrix, operator_matrix, rat, rref, rank, kernel_basis,
-    solve,
+    Basis, Rat, RatMatrix, combine, exact, image, lowest, operator_matrix,
+    pairs, rat, rref, rank, kernel_basis, solve,
 )
 
 
@@ -486,3 +486,53 @@ def test_floats_are_rejected():
 def test_from_blocks_rejects_a_block_outside():
     with pytest.raises(ValueError):
         RatMatrix.from_blocks(2, 2, [(1, 0, RatMatrix([[1], [2]]))])
+
+
+# -- exact images and the scalar coercion ---------------------------------------
+
+_scalars = st.one_of(st.integers(-6, 6),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=12))
+_vectors = st.dictionaries(st.sampled_from(LABELS), _scalars, max_size=5)
+
+
+def is_lowest(img):
+    terms, den = img
+    return (type(den) is int and den > 0 and gcd(den, *terms.values()) == 1
+            and all(type(c) is int and c for c in terms.values()))
+
+
+@_examples
+@given(_vectors)
+def test_image_is_in_lowest_terms_and_reads_back(values):
+    img = image(values)
+    assert is_lowest(img) and lowest(*img) == img
+    assert dict(pairs(img)) == {k: x for k, x in values.items() if x}
+    assert all(type(c) is (int if img[1] == 1 else Rat)
+               for _, c in pairs(img))
+
+
+@_examples
+@given(st.lists(st.tuples(st.integers(-3, 3), _vectors), max_size=4),
+       st.integers(1, 6))
+def test_combine_is_the_fraction_sum(scaled, den):
+    want = {}
+    for c, values in scaled:
+        for k, x in values.items():
+            want[k] = want.get(k, 0) + c * Rat(x) / den
+    img = combine([(c, image(values)) for c, values in scaled], den)
+    assert is_lowest(img)
+    assert dict(pairs(img)) == {k: x for k, x in want.items() if x}
+
+
+@_examples
+@given(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+       st.integers(1, 3))
+def test_exact_is_an_int_exactly_when_integral(x, k):
+    kind = int if x.denominator == 1 else Rat
+    for given_as in (x, "%d/%d" % (k * x.numerator, k * x.denominator)):
+        got = exact(given_as)
+        assert got == x and type(got) is kind
+    if kind is int:
+        assert type(exact(int(x))) is int
+    with pytest.raises(TypeError):
+        exact(float(x))

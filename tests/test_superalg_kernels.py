@@ -4,13 +4,14 @@ merge with its seam check, extend_right_derivation with two merges per
 value term, one scan of the polynomial per generator for every derivative,
 and antibracket with lazily computed left derivatives.
 
-Coefficients are drawn as ints inside and outside the shared small-Fraction
-table, integral Fractions and non-integral Fractions; monomials repeat even
-factors, share odd factors between the two sides and may be empty.
+Coefficients are drawn as small and large ints, integral Fractions and
+non-integral Fractions; monomials repeat even factors, share odd factors
+between the two sides and may be empty.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -205,8 +206,7 @@ ALGEBRAS = {"mixed": mixed_alg(), "bv_two_ghost": bv_alg()}
 
 _settings = settings(max_examples=150, deadline=None)
 
-# ints inside and outside the shared table, integral and non-integral
-# Fractions
+# small and large ints, integral and non-integral Fractions
 _coeffs = st.one_of(
     st.integers(-16, 16),
     st.integers(17, 10 ** 12).flatmap(lambda n: st.sampled_from([n, -n])),
@@ -348,3 +348,16 @@ def test_fixed_antibracket_matches_antibracket(case):
                                if f.monomial_parity(m) == p})
         assert FixedAntibracket(part, pairs)(g.terms) == \
             antibracket(part, g, pairs).terms
+
+
+def test_fixed_antibracket_rejects_a_pairing_that_is_not_field_antifield():
+    """The full pair list of the mixed algebra has the odd-odd pair b-d, and
+    b occurs in a-b as well; a pair list that repeats an even generator in
+    two pairs of opposite parities is rejected too."""
+    alg, pairs = ALGEBRAS["mixed"]
+    f = SuperPoly(alg, {(0, 1): 1})
+    assert FixedAntibracket(f, field_antifield_pairs(alg, pairs)).values
+    with pytest.raises(ValueError, match="pair b-d has equal parities"):
+        FixedAntibracket(f, pairs)
+    with pytest.raises(ValueError, match="pair a-e repeats a generator"):
+        FixedAntibracket(f, [("a", "b"), ("a", "e")])
