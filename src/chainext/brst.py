@@ -15,16 +15,16 @@ homotopy is s = sigma . psi, with psi the monomial rescaling -1/k on combined
 (P,G)-degree k, and lambda~ = 1 + delta s kills every monomial containing a G.
 l2 and l3 are per-monomial rules extended linearly.
 
-Each ConstraintSystem holds delta, sigma and d compiled once into integer
-kernel form, and both the operator blocks and BRSTExtension's l2/l3
-recursion apply them through superalg._derive; every image is an exact
-image of exactla, a {monomial: int} dict over one denominator.  The SuperPoly
-functions (koszul_tate, sigma, homotopy_s, longitudinal_d, psi, nbar,
-eta_project) apply the generator values through extend_right_derivation; they
-are the public operators on polynomials and the tests' reference for the
-blocks.  l2 and l3 are still computed on two independent routes: per
-monomial by BRSTExtension, and by the engine's matrix recursion on the
-exported blocks.
+Each ConstraintSystem holds delta, sigma and d once as superalg.Derivations,
+in integer kernel form, and both the operator blocks and BRSTExtension's
+l2/l3 recursion apply them through `Derivation.image`; every image is an
+exact image of exactla, a {monomial: int} dict over one denominator.  The
+SuperPoly functions (koszul_tate, sigma, homotopy_s, longitudinal_d, psi,
+nbar, eta_project) apply the generator values through
+extend_right_derivation; they are the public operators on polynomials and
+the tests' reference for the blocks.  l2 and l3 are still computed on two
+independent routes: per monomial by BRSTExtension, and by the engine's
+matrix recursion on the exported blocks.
 
 Operators are materialized on the finite monomial basis of weighted degree
 <= cap, where the weight adds the maximal degree jump of d per missing
@@ -51,11 +51,11 @@ from math import lcm
 from types import MappingProxyType
 
 from .complexes import GradedMap, GradedSpace, HomotopyData
-from .exactla import (Basis, RatMatrix, add_into, combine, image, lowest,
-                      operator_matrix as basis_matrix, pairs)
+from .exactla import (Basis, RatMatrix, add_into, combine, image,
+                      operator_matrix as basis_matrix)
 from .superalg import (
-    GenSpec, SuperAlgebra, SuperPoly, _derive, _kernel_terms,
-    extend_right_derivation, mul, poisson, validate_poisson_table,
+    Derivation, GenSpec, SuperAlgebra, SuperPoly, extend_right_derivation,
+    mul, poisson, validate_poisson_table,
 )
 
 
@@ -88,15 +88,15 @@ class ConstraintSystem:
     values; structure maps (a, b) with a < b (0-based) to the length-n list
     of structure functions C^c_ab, polynomials in (x, G).  delta_vals,
     sigma_vals and d_vals map generators to their values under delta, sigma
-    and d, read-only; compiled holds the same three derivations in integer
-    kernel form (`_compile`) for the operator blocks and BRSTExtension.
+    and d, read-only; compiled holds the same three derivations as
+    superalg.Derivations, for the operator blocks and BRSTExtension.
     _bases keeps, per cap, the monomial groups and the operator blocks built
     on them; no attribute is rebound after __init__.
     """
 
     __slots__ = ("m", "n", "alg", "table", "structure", "xs", "gs", "etas",
-                 "ps", "delta_vals", "sigma_vals", "d_vals", "parities",
-                 "pg", "compiled", "_bases")
+                 "ps", "delta_vals", "sigma_vals", "d_vals", "pg",
+                 "compiled", "_bases")
 
     def __init__(self, m, n, poisson_table, structure):
         self.m = int(m)
@@ -149,11 +149,11 @@ class ConstraintSystem:
                            for c, ec in enumerate(self.etas)
                            for b, eb in enumerate(self.etas)), Fraction(1, 2))
         self.d_vals = MappingProxyType(d_vals)
-        self.parities = tuple(g.parity for g in self.alg.gens)
         # 1 on the generators that count in the (P, G)-degree
         self.pg = tuple(int(g.kind in ("G", "P")) for g in self.alg.gens)
         self.compiled = MappingProxyType({
-            name: _compile(self.alg, vals, self.parities)
+            name: Derivation(self.alg, {g: v.terms for g, v in vals.items()},
+                             1)
             for name, vals in (("delta", self.delta_vals),
                                ("sigma", self.sigma_vals),
                                ("d", self.d_vals))})
@@ -193,23 +193,10 @@ class ConstraintSystem:
         return any(self.alg.gens[i].kind == "G" for i in mono)
 
 
-def _compile(alg, values, parities):
-    """Generator values {name: SuperPoly} in kernel form on exact ints:
-    ({index: [(monomial, odd factors, int)]}, den), one exact image of all
-    the values, split by generator."""
-    terms, den = image({(alg.index[name], m): c for name, v in values.items()
-                        for m, c in v.terms.items()})
-    by_gen = {}
-    for (i, m), c in terms.items():
-        by_gen.setdefault(i, {})[m] = c
-    return ({i: _kernel_terms(t, parities) for i, t in by_gen.items()}, den)
-
-
 def _apply(sys, name, terms, den=1):
     """The compiled odd right derivation delta, sigma or d on terms / den,
     as an exact image."""
-    vals, vden = sys.compiled[name]
-    return lowest(_derive(terms, vals, 1, sys.parities), den * vden)
+    return sys.compiled[name].image(terms, den)
 
 
 # -- the basic operators -------------------------------------------------------
@@ -326,7 +313,7 @@ def _block(sys: ConstraintSystem, cap: int, name: str, k: int) -> RatMatrix:
             blk = _block(sys, cap, "sigma", k) @ _psi_diagonal(sys, src)
         else:
             dst = _group(groups, k + {"delta": -1, "sigma": 1, "d": 0}[name])
-            blk = basis_matrix(lambda m: pairs(_apply(sys, name, {m: 1})),
+            blk = basis_matrix(lambda m: _apply(sys, name, {m: 1}),
                                Basis(src), _named_basis(sys, dst))
         sys._bases[key] = blk
     return blk
@@ -420,10 +407,9 @@ class BRSTExtension:
         l3(m) = s (l2 l2(m) + l3 delta(m))   (the last term on antighost > 0),
 
     with s = sigma . psi, extended linearly.  They run on exact integers:
-    delta, sigma and d are the system's compiled derivations, applied by
-    superalg._derive, and each image of a basis monomial is kept as an
-    exact image of exactla, a {monomial: int} dict over a positive
-    denominator in lowest terms.  A linear combination of images is taken
+    delta, sigma and d are the system's compiled derivations, and each
+    image of a basis monomial is kept as an exact image of exactla, a
+    {monomial: int} dict over a positive denominator in lowest terms.  A linear combination of images is taken
     over the lcm of their denominators (`exactla.combine`), and psi's -1/k
     over the lcm of the k (`_s`), so every image is exact on any monomial,
     inside the capped basis or not.  l1 is koszul_tate on SuperPoly.
@@ -479,12 +465,13 @@ class BRSTExtension:
         return self._s(*g)
 
     def l2_plus_l3(self, mono):
-        """(l2 + l3)(mono) as (monomial, coefficient) pairs."""
-        return pairs(combine([(1, self._l2_image({mono: 1})),
-                              (1, self._l3_image({mono: 1}))]))
+        """(l2 + l3)(mono) as an exact image."""
+        return combine([(1, self._l2_image({mono: 1})),
+                        (1, self._l3_image({mono: 1}))])
 
     def _poly(self, img):
-        return SuperPoly(self.sys.alg, dict(pairs(img)))
+        return SuperPoly(self.sys.alg, {m: Fraction(c, img[1])
+                                        for m, c in img[0].items()})
 
     def l1(self, f: SuperPoly) -> SuperPoly:
         return koszul_tate(self.sys, f)
@@ -563,18 +550,15 @@ def export_to_complexes(sys: ConstraintSystem, degree_cap: int):
                  for k in range(1, sys.n + 1)}
     s_blocks = {k: _block(sys, degree_cap, "s", k) for k in range(0, sys.n)}
     free = [m for m in groups[0] if not sys.has_constraint_factor(m)]
-    eta = _matrix(sys, eta_project, groups[0], free)
-    lam = _matrix(sys, lambda _, f: f, free, groups[0])
+    # eta projects onto the constraint-free monomials, lambda includes them
+    eta = basis_matrix(
+        lambda m: image({} if sys.has_constraint_factor(m) else {m: 1}),
+        Basis(groups[0]), _named_basis(sys, free))
+    lam = basis_matrix(lambda m: image({m: 1}), Basis(free),
+                       _named_basis(sys, groups[0]))
     hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta, lam,
                       GradedMap(sp, +1, s_blocks))
     return hd, _block(sys, degree_cap, "d", 0), groups
-
-
-def _matrix(sys: ConstraintSystem, op, src, dst) -> RatMatrix:
-    """Matrix of f -> op(sys, f) from the monomial list src to dst."""
-    return basis_matrix(
-        lambda m: op(sys, SuperPoly(sys.alg, {m: 1})).terms.items(),
-        Basis(src), _named_basis(sys, dst))
 
 
 def _named_basis(sys: ConstraintSystem, monos) -> Basis:

@@ -283,7 +283,7 @@ def find_s0_cocycle(model: BVModel, S0: SuperPoly, maxdeg: int):
     s0_deg = max((len(m) for m in S0.terms), default=0)
     all_monos = model.monomials(maxdeg + max(s0_deg - 2, 0))
     ad = model.ad(S0)
-    mat = operator_matrix(lambda m: ad({m: 1}).items(),
+    mat = operator_matrix(lambda m: ad.image({m: 1}),
                           Basis(monos), Basis(all_monos, model.poly))
     return [SuperPoly(model.alg, dict(zip(monos, vec)))
             for vec in kernel_basis(mat)]

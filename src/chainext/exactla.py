@@ -12,7 +12,8 @@ The package's exact-number rule lives here alone: `exact` gives a scalar as
 the kernels compute with it (an int when integral, else a Fraction), and an
 exact image (terms, den), a {key: nonzero int} dict over a positive den in
 lowest terms, is the matrix storage rule for one vector (`image`, `lowest`,
-`combine`, `pairs`).
+`combine`).  `operator_matrix` turns an operator that returns exact images
+into a matrix on labelled bases, the one way to do so.
 """
 
 from __future__ import annotations
@@ -91,15 +92,6 @@ def combine(scaled, den=1):
         for k, v in terms.items():
             out[k] = get(k, 0) + c * v
     return lowest(out, common * den)
-
-
-def pairs(img):
-    """An exact image as (key, coefficient) pairs: the int numerators when
-    den is 1, Fractions otherwise."""
-    terms, den = img
-    if den == 1:
-        return terms.items()
-    return [(k, Fraction(c, den)) for k, c in terms.items()]
 
 
 def _rows(terms, nrows):
@@ -238,6 +230,8 @@ class RatMatrix:
         return "RatMatrix(%d x %d)" % (self.nrows, self.ncols)
 
     def entry(self, i, j) -> Rat:
+        if not 0 <= i < self.nrows:
+            raise IndexError("row %d out of range" % (i,))
         if not 0 <= j < self.ncols:
             raise IndexError("column %d out of range" % (j,))
         v = self._nums[i].get(j)
@@ -341,8 +335,8 @@ class RatMatrix:
 class Basis:
     """Ordered labels with their index.
 
-    `name` turns a label into text for the one error this class raises: a
-    nonzero coefficient on a label outside the basis.
+    `name` turns a label into text for the one error a basis raises: an
+    operator output on a label outside it.
     """
 
     __slots__ = ("labels", "index", "name")
@@ -355,41 +349,29 @@ class Basis:
     def __len__(self):
         return len(self.labels)
 
-    def coords(self, pairs):
-        """Coordinate vector of (label, coefficient) pairs; zero coefficients
-        may carry any label."""
-        v = [_ZERO] * len(self.labels)
-        for label, c in pairs:
-            i = self.index.get(label)
-            if i is not None:
-                v[i] = c
-            elif c != 0:
-                raise self.escape(label)
-        return v
-
     def escape(self, label):
-        """The error for a nonzero coefficient on a label outside the basis."""
+        """The error for an operator output on a label outside the basis."""
         return ValueError("operator output escapes the basis at %s"
                           % (self.name(label),))
 
 
 def operator_matrix(op, src: Basis, dst: Basis) -> RatMatrix:
-    """Column j holds the dst coordinates of op(src.labels[j]), where op
-    returns (label, coefficient) pairs; as in Basis.coords, a zero
-    coefficient may carry any label and a repeated label keeps its last
-    coefficient.  The entries are written straight from the pairs into one
-    exact image keyed by (row, column), with no dense column in between."""
+    """Column j holds the dst coordinates of op(src.labels[j]), an exact
+    image (terms, den) keyed by dst labels.  The columns are brought to one
+    denominator, the lcm of theirs, and their integer terms are written
+    straight into the sparse rows, with no dense column in between."""
+    images = [op(b) for b in src.labels]
+    den = lcm(*(d for _, d in images))
     index = dst.index
-    cells = {}
-    for j, b in enumerate(src.labels):
-        for label, c in op(b):
+    nums = [{} for _ in range(len(dst))]
+    for j, (terms, d) in enumerate(images):
+        f = den // d
+        for label, c in terms.items():
             i = index.get(label)
-            if i is not None:
-                cells[i, j] = exact(c)
-            elif c != 0:
+            if i is None:
                 raise dst.escape(label)
-    terms, den = image(cells)
-    return RatMatrix._of(_rows(terms, len(dst)), den, len(src))
+            nums[i][j] = c * f
+    return RatMatrix._of(nums, den, len(src))
 
 
 # -- sparse vectors -----------------------------------------------------------

@@ -44,9 +44,12 @@ def _split_kv(lineno, line):
 
 
 def _rat(lineno, text):
+    """An integer or p/q as a rational; 0.5 or 1e3 is a format error."""
+    if not _NUM.match(text):
+        raise FormatError(lineno, "bad rational %r" % (text,))
     try:
-        return rat(str(text))
-    except (ValueError, ZeroDivisionError):
+        return rat(text)
+    except ZeroDivisionError:
         raise FormatError(lineno, "bad rational %r" % (text,))
 
 

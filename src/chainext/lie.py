@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .exactla import (Basis, RatMatrix, add_into, kernel_basis,
+from .exactla import (Basis, RatMatrix, add_into, image, kernel_basis,
                       operator_matrix, rat, rref, solve)
 from .series import pair_sum
 
@@ -195,8 +195,9 @@ def cochain_basis(dim, arity) -> Basis:
 
 
 def _labelled(ch: Cochain):
-    """The cochain as (label, coefficient) pairs on its cochain_basis."""
-    return [((idx, k), x) for idx, v in ch.entries.items() for k, x in v.items()]
+    """The cochain as an exact image on the labels of its cochain_basis."""
+    return image({(idx, k): x for idx, v in ch.entries.items()
+                  for k, x in v.items()})
 
 
 def _cochain(basis: Basis, dim, arity, coords) -> Cochain:
@@ -275,8 +276,9 @@ def extend_deformation(alg: LieAlgebra, alphas, order):
     d2 = differential_matrix(alg, 2)
     basis2, basis3 = cochain_basis(alg.dim, 2), cochain_basis(alg.dim, 3)
     for m in range(len(chain), order + 1):
-        x = solve(d2, basis3.coords(_labelled(obstruction(chain[1:], m))))
+        rho = _labelled(obstruction(chain[1:], m))
+        x = solve(d2, operator_matrix(lambda _: rho, Basis([m]), basis3))
         if x is None:
             break
-        chain.append(_cochain(basis2, alg.dim, 2, x))
+        chain.append(_cochain(basis2, alg.dim, 2, x.col(0)))
     return chain[k + 1:]

@@ -128,11 +128,13 @@ def star_resolution(x0: Basis, x1: Basis, kmin) -> HomotopyData:
     t^kmin and up, and F is spanned by the t-powers below kmin."""
     f = Basis([b for b in x0.labels if b[1] < kmin])
     sp = GradedSpace([len(x0), len(x1)])
-    l1 = GradedMap(sp, -1, {1: operator_matrix(lambda b: [(b, 1)], x1, x0)})
+    l1 = GradedMap(sp, -1, {1: operator_matrix(lambda b: image({b: 1}),
+                                               x1, x0)})
     s = GradedMap(sp, +1, {0: operator_matrix(
-        lambda b: [(b, -1)] if b[1] >= kmin else [], x0, x1)})
-    eta = operator_matrix(lambda b: [(b, 1)] if b[1] < kmin else [], x0, f)
-    lam = operator_matrix(lambda b: [(b, 1)], f, x0)
+        lambda b: image({b: -1} if b[1] >= kmin else {}), x0, x1)})
+    eta = operator_matrix(lambda b: image({b: 1} if b[1] < kmin else {}),
+                          x0, f)
+    lam = operator_matrix(lambda b: image({b: 1}), f, x0)
     return HomotopyData(sp, l1, len(f), eta, lam, s)
 
 
@@ -246,6 +248,6 @@ class TLinear:
             m, k = label
             if m not in cache:
                 cache[m] = self.images(({m: 1},), T)
-            return [((mm, k + s), c) for s, img in cache[m].items()
-                    if k + s <= T for mm, c in img.items()]
+            return image({(mm, k + s): c for s, img in cache[m].items()
+                          if k + s <= T for mm, c in img.items()})
         return operator_matrix(column, src, dst)

@@ -12,7 +12,8 @@ coefficient.
 
 Provides graded right/left derivations, an even Poisson bracket extended as a
 biderivation from a generator table, and the antibracket of field/antifield
-pairs, also as a precompiled derivation (f, .) for a fixed f.
+pairs.  A derivation fixed by its generator values is one type, `Derivation`,
+and `FixedAntibracket`, the derivation (f, .) for a fixed f, is one of them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import exact, rat
+from .exactla import exact, image, lowest, rat
 
 KINDS = ("x", "G", "eta", "P", "field", "antifield")
 
@@ -311,6 +312,46 @@ def _derive(terms, vals, parity, parities, left=False):
     return out
 
 
+class Derivation:
+    """The graded derivation D of parity `parity` fixed by its generator
+    values {name: {monomial: value}} (a missing name maps to zero): a right
+    derivation, or a left one with left=True.  The values are stored once,
+    as one exact image of exactla split by generator into kernel form:
+    `values` is {index: [(monomial, odd factors, int)]} over the denominator
+    `den`.  `image` gives D(terms / den) as an exact image, and a call the
+    nonzero terms of D(terms), an integral value as an int."""
+
+    __slots__ = ("parities", "parity", "left", "values", "den")
+
+    def __init__(self, alg, values, parity, left=False):
+        self.parities = [gen.parity for gen in alg.gens]
+        self.parity, self.left = parity, left
+        for name in values:
+            if name not in alg.index:
+                raise KeyError("unknown generator %r" % (name,))
+        terms, self.den = image({(alg.index[name], m): c
+                                 for name, v in values.items()
+                                 for m, c in v.items()})
+        by_gen = {}
+        for (i, m), c in terms.items():
+            by_gen.setdefault(i, {})[m] = c
+        self.values = {i: _kernel_terms(t, self.parities)
+                       for i, t in by_gen.items()}
+
+    def image(self, terms, den=1):
+        """D(terms / den) as an exact image (terms, den) in lowest terms."""
+        return lowest(_derive(terms, self.values, self.parity, self.parities,
+                              self.left), den * self.den)
+
+    def __call__(self, terms):
+        out = _derive(terms, self.values, self.parity, self.parities,
+                      self.left)
+        den = self.den
+        if den == 1:
+            return {m: c for m, c in out.items() if c}
+        return {m: exact(Fraction(c, den)) for m, c in out.items() if c}
+
+
 def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:
     """Apply the right derivation defined by generator values to f.
 
@@ -319,17 +360,9 @@ def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:
     operator acts as D(g1...gk) = sum_j +- g1...D(gj)...gk with the sign
     (-1)^(parity * parity(g_{j+1}...gk)).
     """
-    alg = f.alg
-    parities = [gen.parity for gen in alg.gens]
-    # only the values of generators that occur in f are put in kernel form
-    present = {k for m in f.terms for k in m}
-    vals = {}
-    for name, v in values.items():
-        if name not in alg.index:
-            raise KeyError("unknown generator %r" % (name,))
-        if v.terms and alg.index[name] in present:
-            vals[alg.index[name]] = _kernel_terms(v.terms, parities)
-    return SuperPoly(alg, _derive(f.terms, vals, parity, parities))
+    d = Derivation(f.alg, {name: v.terms for name, v in values.items()},
+                   parity)
+    return SuperPoly(f.alg, d(f.terms))
 
 
 def _canonical_table(alg, table):
@@ -420,40 +453,31 @@ def antibracket(f: SuperPoly, g: SuperPoly, pairs) -> SuperPoly:
     return SuperPoly(f.alg, out)
 
 
-class FixedAntibracket:
+class FixedAntibracket(Derivation):
     """g -> (f, g) for one fixed parity-homogeneous f, on monomial dicts.
 
     (f, .) is a left derivation of parity parity(f) + 1, so its values on the
     generators determine it: (f, phi*) = dRf/dphi and (f, phi) = -dRf/dphi*,
-    read off one right-derivative table of f and held in `values` in kernel
-    form.  That holds only for a field/antifield pairing: each pair of
-    opposite parities and each generator in one pair; other pairs raise
-    ValueError.  A call is one Leibniz pass over the terms of g; it returns
-    the nonzero terms of (f, g)."""
+    read off one right-derivative table of f.  That holds only for a
+    field/antifield pairing: each pair of opposite parities and each
+    generator in one pair; other pairs raise ValueError."""
 
-    __slots__ = ("parities", "parity", "values")
+    __slots__ = ()
 
     def __init__(self, f: SuperPoly, pairs):
         alg = f.alg
-        self.parities = [gen.parity for gen in alg.gens]
         names = [name for pair in pairs for name in pair]
         for i, (u, v) in enumerate(pairs):
-            if self.parities[alg.index[u]] == self.parities[alg.index[v]]:
+            if alg.parity(alg.index[u]) == alg.parity(alg.index[v]):
                 raise ValueError("pair %s-%s has equal parities" % (u, v))
             if {u, v} & set(names[:2 * i]):
                 raise ValueError("pair %s-%s repeats a generator" % (u, v))
-        self.parity = 1 - f.parity()
+        parity = 1 - f.parity()
         d = iter(_derivatives(f, names, left=False))
-        self.values = {}
+        values = {}
         for (field, anti), d_field, d_anti in zip(pairs, d, d):
             if d_field:
-                self.values[alg.index[anti]] = \
-                    _kernel_terms(d_field, self.parities)
+                values[anti] = d_field
             if d_anti:
-                self.values[alg.index[field]] = _kernel_terms(
-                    {m: -c for m, c in d_anti.items()}, self.parities)
-
-    def __call__(self, terms):
-        out = _derive(terms, self.values, self.parity, self.parities,
-                      left=True)
-        return {m: c for m, c in out.items() if c}
+                values[field] = {m: -c for m, c in d_anti.items()}
+        super().__init__(alg, values, parity, left=True)

@@ -29,9 +29,17 @@ def operator_matrix(ext, op_name, groups, k_from, shift):
     alg, op = ext.sys.alg, getattr(ext, op_name)
     k_to = k_from + shift
     dst = groups[k_to] if 0 <= k_to < len(groups) else []
-    return basis_matrix(lambda m: op(SuperPoly(alg, {m: 1})).terms.items(),
+    return basis_matrix(lambda m: image(op(SuperPoly(alg, {m: 1})).terms),
                         Basis(groups[k_from]),
                         Basis(dst, lambda m: SuperPoly(alg, {m: 1})))
+
+
+def superpoly_matrix(sys_, op, src, dst):
+    """Matrix of the SuperPoly operator f -> op(sys_, f) from the monomial
+    list src to dst: the reference for the compiled blocks."""
+    return basis_matrix(
+        lambda m: image(op(sys_, SuperPoly(sys_.alg, {m: 1})).terms),
+        Basis(src), Basis(dst, lambda m: SuperPoly(sys_.alg, {m: 1})))
 
 
 def test_koszul_tate_values():
@@ -226,6 +234,10 @@ def test_export_matches_engine_entrywise():
                       (brst_system("brst_toy"), 4),
                       (brst_system("brst_abelian"), 3)):
         hd, l2_0, groups = export_to_complexes(sys_, cap)
+        free = [m for m in groups[0] if not sys_.has_constraint_factor(m)]
+        assert hd.eta == superpoly_matrix(sys_, eta_project, groups[0], free)
+        assert hd.lam == superpoly_matrix(sys_, lambda _, f: f, free,
+                                          groups[0])
         assert verify_homotopy(hd)["ok"]
         d_f = hd.eta @ l2_0 @ hd.lam
         eng = chain_extend(hd, l2_0, d_f=d_f)
@@ -594,7 +606,7 @@ def test_compiled_blocks_match_the_superpoly_route(model, cap, monkeypatch):
     for (name, k), blk in blocks.items():
         op, shift = BLOCK_OPERATORS[name]
         dst = brst_mod._group(groups, k + shift)
-        assert blk == brst_mod._matrix(ref, op, groups[k], dst), (name, k)
+        assert blk == superpoly_matrix(ref, op, groups[k], dst), (name, k)
     nonzero = {name for (name, k), blk in blocks.items() if not blk.is_zero()}
     assert nonzero == ({"delta", "sigma", "s", "d"} if sys_.structure
                        else {"delta", "sigma", "s"})

@@ -269,6 +269,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 3" in out
 
 
+@pytest.mark.parametrize("value", ["0.5", "1e3"])
+def test_lie_coefficient_that_is_not_p_over_q_exit_code(value, tmp_path,
+                                                        capsys):
+    f = tmp_path / "decimal.txt"
+    f.write_text("kind: lie\ndim: 2\nc 1 2 1: %s\n" % value)
+    code, out = run(capsys, "lie", "--input", str(f))
+    assert code == 2
+    assert "line 3: bad rational %r" % value in out
+
+
 def test_brst_negative_n_exit_code(tmp_path, capsys):
     f = tmp_path / "negative_n.txt"
     f.write_text("kind: brst\nm: 0\nn: -1\n")

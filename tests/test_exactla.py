@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chainext.exactla import (
     Basis, Rat, RatMatrix, combine, exact, image, lowest, operator_matrix,
-    pairs, rat, rref, rank, kernel_basis, solve,
+    rat, rref, rank, kernel_basis, solve,
 )
 
 
@@ -123,10 +123,18 @@ def test_immutability():
         a.nrows = 5
 
 
+def test_entry_checks_the_row_and_the_column():
+    m = RatMatrix([[1, 2], [3, 4]])
+    assert m.entry(1, 0) == 3
+    for i, j in ((-1, 0), (2, 0), (0, -1), (0, 2)):
+        with pytest.raises(IndexError):
+            m.entry(i, j)
+
+
 def test_operator_matrix_column_order():
     src = Basis(["a", "b", "c"])
     dst = Basis(["y", "x"])
-    table = {"a": [("x", 1)], "b": [("y", Rat(1, 2)), ("x", -3)], "c": []}
+    table = {"a": ({"x": 1}, 1), "b": ({"y": 1, "x": -6}, 2), "c": ({}, 1)}
     m = operator_matrix(lambda b: table[b], src, dst)
     assert m == RatMatrix([[0, Rat(1, 2), 0], [1, -3, 0]])
 
@@ -135,28 +143,34 @@ def test_operator_matrix_escape_names_label():
     src = Basis([1, 2])
     dst = Basis([1], name=lambda b: "<label %d>" % b)
     with pytest.raises(ValueError, match="<label 2>"):
-        operator_matrix(lambda b: [(b, 1)], src, dst)
-
-
-def test_operator_matrix_zero_coefficient_off_basis():
-    src = Basis([1, 2])
-    dst = Basis([1, 2])
-    m = operator_matrix(lambda b: [(b, 1), ("off", 0)], src, dst)
-    assert m == RatMatrix.identity(2)
+        operator_matrix(lambda b: ({b: 1}, 1), src, dst)
 
 
 def test_operator_matrix_empty_target():
     src = Basis(["a", "b", "c"])
-    m = operator_matrix(lambda b: [(b, 0)], src, Basis([]))
+    m = operator_matrix(lambda b: ({}, 1), src, Basis([]))
     assert m.shape == (0, 3)
     with pytest.raises(ValueError, match="'b'"):
-        operator_matrix(lambda b: [(b, int(b == "b"))], src, Basis([]))
+        operator_matrix(lambda b: image({b: int(b == "b")}), src, Basis([]))
+
+
+def coords(dst, img):
+    """The dense coordinate vector of an exact image on the Basis dst."""
+    terms, den = img
+    v = [Rat(0)] * len(dst)
+    for label, c in terms.items():
+        i = dst.index.get(label)
+        if i is None:
+            raise ValueError("operator output escapes the basis at %s"
+                             % (dst.name(label),))
+        v[i] = Rat(c, den)
+    return v
 
 
 def operator_matrix_dense_reference(op, src, dst):
-    """The dense build: one Basis.coords vector per column, then
+    """The dense build: one coordinate vector per column, then
     from_columns."""
-    return RatMatrix.from_columns([dst.coords(op(b)) for b in src.labels],
+    return RatMatrix.from_columns([coords(dst, op(b)) for b in src.labels],
                                   nrows=len(dst))
 
 
@@ -169,18 +183,13 @@ _coefficients = st.one_of(
 @st.composite
 def labelled_operators(draw):
     """(table, src, dst): src and dst are (possibly empty) label lists and
-    table maps each src label to its (label, coefficient) pairs, some of them
-    zero coefficients on labels outside dst, some repeating a label."""
+    table maps each src label to its {dst label: coefficient} values, some
+    of them zero; the operator is image(table[label])."""
     src = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=5))
     dst = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=5))
-    table = {}
-    for b in src:
-        pairs = draw(st.lists(st.tuples(st.sampled_from(dst), _coefficients),
-                              max_size=4)) if dst else []
-        off = [x for x in LABELS if x not in dst] + ["off"]
-        pairs += draw(st.lists(st.tuples(st.sampled_from(off), st.just(0)),
-                               max_size=2))
-        table[b] = draw(st.permutations(pairs))
+    table = {b: draw(st.dictionaries(st.sampled_from(dst), _coefficients,
+                                     max_size=4)) if dst else {}
+             for b in src}
     return table, src, dst
 
 
@@ -189,8 +198,9 @@ def labelled_operators(draw):
 def test_sparse_operator_matrix_matches_dense_build(case):
     table, src, dst = case
     src, dst = Basis(src), Basis(dst)
-    got = operator_matrix(lambda b: table[b], src, dst)
-    assert got == operator_matrix_dense_reference(lambda b: table[b], src, dst)
+    got = operator_matrix(lambda b: image(table[b]), src, dst)
+    assert got == operator_matrix_dense_reference(lambda b: image(table[b]),
+                                                  src, dst)
     assert got.shape == (len(dst), len(src))
 
 
@@ -202,14 +212,14 @@ def test_sparse_operator_matrix_escape_message_unchanged(case, data):
         return
     outside = [x for x in LABELS if x not in dst] + ["off"]
     b = data.draw(st.sampled_from(src))
-    table[b] = table[b] + [(data.draw(st.sampled_from(outside)),
-                            data.draw(_coefficients.filter(bool)))]
+    table[b] = {**table[b], data.draw(st.sampled_from(outside)):
+                data.draw(_coefficients.filter(bool))}
     src = Basis(src)
     dst = Basis(dst, name=lambda x: "<%s>" % x)
     with pytest.raises(ValueError) as want:
-        operator_matrix_dense_reference(lambda x: table[x], src, dst)
+        operator_matrix_dense_reference(lambda x: image(table[x]), src, dst)
     with pytest.raises(ValueError) as got:
-        operator_matrix(lambda x: table[x], src, dst)
+        operator_matrix(lambda x: image(table[x]), src, dst)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("operator output escapes the basis at <")
 
@@ -506,9 +516,9 @@ def is_lowest(img):
 def test_image_is_in_lowest_terms_and_reads_back(values):
     img = image(values)
     assert is_lowest(img) and lowest(*img) == img
-    assert dict(pairs(img)) == {k: x for k, x in values.items() if x}
-    assert all(type(c) is (int if img[1] == 1 else Rat)
-               for _, c in pairs(img))
+    terms, den = img
+    assert {k: Rat(c, den) for k, c in terms.items()} == \
+        {k: x for k, x in values.items() if x}
 
 
 @_examples
@@ -521,7 +531,9 @@ def test_combine_is_the_fraction_sum(scaled, den):
             want[k] = want.get(k, 0) + c * Rat(x) / den
     img = combine([(c, image(values)) for c, values in scaled], den)
     assert is_lowest(img)
-    assert dict(pairs(img)) == {k: x for k, x in want.items() if x}
+    terms, den = img
+    assert {k: Rat(c, den) for k, c in terms.items()} == \
+        {k: x for k, x in want.items() if x}
 
 
 @_examples

@@ -319,7 +319,8 @@ def test_zero_cells_load_as_the_rat_reference(path, monkeypatch):
     assert parsed == [c for c in cells if c != "0"]
 
 
-@pytest.mark.parametrize("cell", ["0x", "x0", "0/0", "--0", "0 0"])
+@pytest.mark.parametrize("cell", ["0x", "x0", "0/0", "--0", "0 0", "0.5",
+                                  "1e3"])
 def test_malformed_zero_like_cells_are_format_errors(cell):
     text = ZERO_CELLS.replace("00\n", cell + "\n")
     with pytest.raises(FormatError,

@@ -10,6 +10,9 @@ when its name occurs anywhere in src/chainext outside its own body (a
 method is called on.  It never flags a function that src does call.  A
 function kept for another reason is listed in ALLOWED, with that reason;
 every entry must still be flagged, so the list holds no stale names.
+
+A second scan refuses an import of an underscore-prefixed name from another
+src module: a private helper is used only in its own module.
 """
 
 import ast
@@ -31,6 +34,9 @@ ALLOWED = {
                  "diagonal in verify_brst_resolution",
     "brst.lambda_tilde": "lambda~ = 1 + delta s on SuperPoly: the tests' "
                          "reference for the degree-0 homotopy identity",
+    "brst.eta_project": "the SuperPoly operator eta: the tests' reference "
+                        "for the projection in verify_per_monomial and for "
+                        "the eta matrix of export_to_complexes",
     "brst.export_to_complexes": "the engine data of a system: the tests and "
                                 "the acceptance criteria run chain_extend on "
                                 "it against build_brst, and the frozen bench "
@@ -109,13 +115,32 @@ def unreferenced(trees):
     return flagged
 
 
-def test_every_function_in_src_is_used_by_src():
+def private_imports(trees):
+    """'module imports other._name' for each underscore-prefixed name that a
+    module of trees imports from another one of them."""
+    return {"%s imports %s.%s" % (module, other, name)
+            for module, tree in trees.items()
+            for other, name in _imports(tree)
+            if other in trees and other != module and name.startswith("_")}
+
+
+def _src_trees():
     trees = {}
     for fname in sorted(os.listdir(SRC)):
         if fname.endswith(".py"):
             with open(os.path.join(SRC, fname)) as fh:
                 trees[fname[:-3]] = ast.parse(fh.read(), fname)
-    flagged = unreferenced(trees)
+    return trees
+
+
+def test_no_src_module_imports_a_private_name_of_another():
+    assert sorted(private_imports(_src_trees())) == [], \
+        "a private helper is used outside its module; make it public or " \
+        "move the use"
+
+
+def test_every_function_in_src_is_used_by_src():
+    flagged = unreferenced(_src_trees())
     assert sorted(flagged - set(ALLOWED)) == [], \
         "only the tests call these; move them into the tests or delete them"
     assert sorted(set(ALLOWED) - flagged) == [], \
@@ -139,5 +164,9 @@ def test_the_scan_flags_a_function_only_its_own_body_names():
         "    def _private(self):\n        return 2\n"),
         "b": ast.parse("from a import shared\nX = shared()\n\n"
                        "def hidden():\n    return 1\n\nY = hidden()\n"),
-        "c": ast.parse("import a\nZ = a.reached()\n")}
+        "c": ast.parse("import a\nZ = a.reached()\n"),
+        "d": ast.parse("from __future__ import annotations\n"
+                       "from a import _helper, shared\n"
+                       "from os import _exit\n")}
     assert unreferenced(trees) == {"a.lonely", "a.hidden", "a.K.unused"}
+    assert private_imports(trees) == {"d imports a._helper"}

@@ -305,6 +305,9 @@ def test_derivatives_match_old(case):
 @example([MIXED, None, SuperPoly(MIXED, {(1, 2, 3, 4): 3}),
           {"c": SuperPoly(MIXED, {(1, 4): Fraction(1, 2), (): 20}),
            "d": SuperPoly(MIXED, {(0, 1): -1, (0, 0): 18})}], 1)
+@example([MIXED, None, SuperPoly(MIXED, {(1, 2, 2): 1, (0, 3): 5}),
+          {"c": SuperPoly(MIXED, {(0,): Fraction(3, 2)}),
+           "a": SuperPoly(MIXED, {(4,): Fraction(-1, 3)})}], 0)
 def test_extend_right_derivation_matches_old(case, parity):
     alg, pairs, f, values = case
     got = extend_right_derivation(f, values, parity)
@@ -335,12 +338,20 @@ def field_antifield_pairs(alg, pairs):
 @example([MIXED, ALGEBRAS["mixed"][1],
           SuperPoly(MIXED, {(0, 3): 2, (3, 5): -1, (2, 3, 4): 3}),
           SuperPoly(MIXED, {(1, 2, 2, 2, 3): 5, (0, 2, 2, 2, 4): -1})])
+@example([MIXED, ALGEBRAS["mixed"][1],
+          SuperPoly(MIXED, {(0, 3): Fraction(1, 2), (3, 5): Fraction(-3, 4),
+                            (0, 1): Fraction(2, 3)}),
+          SuperPoly(MIXED, {(1, 2, 2, 3): 2, (0, 4): Fraction(1, 3),
+                            (0, 0, 5): 4})])
 def test_fixed_antibracket_matches_antibracket(case):
     """The left-derivation pass of superalg._derive, through
     FixedAntibracket, against the antibracket's two derivative tables, for
-    the even and the odd part of a drawn f.  In the example c is even and
-    cubed next to odd factors of g, and f has a d, so (f, c) = dRf/dd is
-    not zero: the run of three c's is taken once, with coefficient 3."""
+    the even and the odd part of a drawn f.  In the first example c is even
+    and cubed next to odd factors of g, and f has a d, so (f, c) = dRf/dd is
+    not zero: the run of three c's is taken once, with coefficient 3.  In
+    the second the generator values have denominators 2, 3 and 4, so the
+    stored values are ints over a denominator above 1 and a call divides by
+    it."""
     alg, pairs, f, g = case
     pairs = field_antifield_pairs(alg, pairs)
     for p in (0, 1):
