@@ -26,12 +26,10 @@ def operator_matrix(ext, op_name, groups, k_from, shift):
     """Matrix of the extension's operator l1, l2 or l3 from basis group
     k_from to k_from + shift; a target group outside the groups is the zero
     space."""
-    alg, op = ext.sys.alg, getattr(ext, op_name)
+    op = getattr(ext, op_name)
     k_to = k_from + shift
     dst = groups[k_to] if 0 <= k_to < len(groups) else []
-    return basis_matrix(lambda m: image(op(SuperPoly(alg, {m: 1})).terms),
-                        Basis(groups[k_from]),
-                        Basis(dst, lambda m: SuperPoly(alg, {m: 1})))
+    return superpoly_matrix(ext.sys, lambda _, f: op(f), groups[k_from], dst)
 
 
 def superpoly_matrix(sys_, op, src, dst):
