@@ -18,13 +18,13 @@ l2 and l3 are per-monomial rules extended linearly.
 Each ConstraintSystem holds delta, sigma and d once as superalg.Derivations,
 in integer kernel form, and both the operator blocks and BRSTExtension's
 l2/l3 recursion apply them through `Derivation.image`; every image is an
-exact image of exactla, a {monomial: int} dict over one denominator.  The
-SuperPoly functions (koszul_tate, sigma, homotopy_s, longitudinal_d, psi,
-nbar, eta_project) apply the generator values through
-extend_right_derivation; they are the public operators on polynomials and
-the tests' reference for the blocks.  l2 and l3 are still computed on two
-independent routes: per monomial by BRSTExtension, and by the engine's
-matrix recursion on the exported blocks.
+exact image of exactla, a {monomial: int} dict over one denominator.  On a
+SuperPoly, koszul_tate (BRSTExtension.l1) applies delta's generator values
+through extend_right_derivation; the SuperPoly versions of the other
+operators (sigma, psi, s, d, Nbar, lambda~, eta) are the tests' reference
+for the blocks and live in tests/references.py.  l2 and l3 are still
+computed on two independent routes: per monomial by BRSTExtension, and by
+the engine's matrix recursion on the exported blocks.
 
 Operators are materialized on the finite monomial basis of weighted degree
 <= cap, where the weight adds the maximal degree jump of d per missing
@@ -37,7 +37,8 @@ times psi's diagonal.  check_nilpotent_on_basis writes the images of
 l2 + l3 the same way.  The resolution identities (with Nbar and the
 projection eta as diagonals), the ideal conditions and the nilpotency of
 the total operator are then sparse block products on these matrices, and
-export_to_complexes hands the same blocks to the engine.
+export_to_complexes hands the same blocks to the engine, with one named
+Basis per group for complexes.compare_with_engine.
 
 The example systems are the bundled model files brst_so3, brst_toy and
 brst_abelian (src/chainext/models), read by formats.load_brst.
@@ -50,7 +51,7 @@ from itertools import accumulate, combinations, combinations_with_replacement
 from math import lcm
 from types import MappingProxyType
 
-from .complexes import GradedMap, GradedSpace, HomotopyData
+from .complexes import GradedMap, GradedSpace, HomotopyData, projection_pair
 from .exactla import (Basis, RatMatrix, add_into, combine, image,
                       operator_matrix as basis_matrix)
 from .superalg import (
@@ -199,55 +200,11 @@ def _apply(sys, name, terms, den=1):
     return sys.compiled[name].image(terms, den)
 
 
-# -- the basic operators -------------------------------------------------------
+# -- delta on SuperPoly ---------------------------------------------------------
 
 def koszul_tate(sys: ConstraintSystem, f: SuperPoly) -> SuperPoly:
     """The odd right derivation with delta P_a = -G_a and zero otherwise."""
     return extend_right_derivation(f, sys.delta_vals, parity=1)
-
-
-def longitudinal_d(sys: ConstraintSystem, f: SuperPoly) -> SuperPoly:
-    """The odd right derivation d x_i = [x_i,G_b] eta^b, d G_a = [G_a,G_b]
-    eta^b, d eta^a = 1/2 C^a_cb eta^b eta^c, d P_a = 0."""
-    return extend_right_derivation(f, sys.d_vals, parity=1)
-
-
-def sigma(sys: ConstraintSystem, F: SuperPoly) -> SuperPoly:
-    """The odd right derivation with sigma G_a = -P_a and zero otherwise:
-    sigma(F) = -sum_a (d^R F / d G_a) P_a."""
-    return extend_right_derivation(F, sys.sigma_vals, parity=1)
-
-
-def nbar(sys: ConstraintSystem, F: SuperPoly) -> SuperPoly:
-    """Multiply each monomial by its combined (P, G)-degree."""
-    return SuperPoly(sys.alg, {m: c * sys.pg_degree(m)
-                               for m, c in F.terms.items()})
-
-
-def psi(sys: ConstraintSystem, F: SuperPoly) -> SuperPoly:
-    """Monomial-wise -1/k on combined (P, G)-degree k; zero on k = 0."""
-    out = {}
-    for m, c in F.terms.items():
-        k = sys.pg_degree(m)
-        if k:
-            out[m] = -c / k
-    return SuperPoly(sys.alg, out)
-
-
-def homotopy_s(sys: ConstraintSystem, F: SuperPoly) -> SuperPoly:
-    """s = sigma . psi: monomial-wise sum_a (d^R F / d G_a) P_a / k."""
-    return sigma(sys, psi(sys, F))
-
-
-def lambda_tilde(sys: ConstraintSystem, f: SuperPoly) -> SuperPoly:
-    """lambda~(f) = f + delta(s(f)) on antighost degree 0."""
-    return f + koszul_tate(sys, homotopy_s(sys, f))
-
-
-def eta_project(sys: ConstraintSystem, f: SuperPoly) -> SuperPoly:
-    """Projection of an antighost-0 element onto its constraint-free part."""
-    return SuperPoly(sys.alg, {m: c for m, c in f.terms.items()
-                               if not sys.has_constraint_factor(m)})
 
 
 # -- monomial bases ------------------------------------------------------------
@@ -541,26 +498,25 @@ def export_to_complexes(sys: ConstraintSystem, degree_cap: int):
     """Matrices of delta, s, eta, lambda on the capped monomial basis plus the
     l2_0 block (d on antighost 0), as engine data.
 
-    Returns (HomotopyData, l2_0 matrix, basis groups).  Raises when an
-    operator output escapes the basis, naming the escaping monomial.
+    Returns (HomotopyData, l2_0 matrix, bases), one named Basis per antighost
+    group.  Raises when an operator output escapes the basis, naming the
+    escaping monomial.
     """
     groups = _groups(sys, degree_cap)
+    bases = [_named_basis(sys, g) for g in groups]
     sp = GradedSpace([len(g) for g in groups])
     l1_blocks = {k: _block(sys, degree_cap, "delta", k)
                  for k in range(1, sys.n + 1)}
     s_blocks = {k: _block(sys, degree_cap, "s", k) for k in range(0, sys.n)}
-    free = [m for m in groups[0] if not sys.has_constraint_factor(m)]
     # eta projects onto the constraint-free monomials, lambda includes them
-    eta = basis_matrix(
-        lambda m: image({} if sys.has_constraint_factor(m) else {m: 1}),
-        Basis(groups[0]), _named_basis(sys, free))
-    lam = basis_matrix(lambda m: image({m: 1}), Basis(free),
-                       _named_basis(sys, groups[0]))
+    free = _named_basis(sys, [m for m in groups[0]
+                              if not sys.has_constraint_factor(m)])
+    eta, lam = projection_pair(bases[0], free)
     hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta, lam,
                       GradedMap(sp, +1, s_blocks))
-    return hd, _block(sys, degree_cap, "d", 0), groups
+    return hd, _block(sys, degree_cap, "d", 0), bases
 
 
 def _named_basis(sys: ConstraintSystem, monos) -> Basis:
-    """A basis of monomials whose escape error prints the monomial."""
-    return Basis(monos, lambda m: SuperPoly(sys.alg, {m: 1}))
+    """A basis of monomials, each named by its SuperPoly text."""
+    return Basis(monos, lambda m: str(SuperPoly(sys.alg, {m: 1})))

@@ -17,9 +17,11 @@ every R_m are series.pair_sum of the antibracket over S_0..S_n (for
 m >= n+1 the bounds alone force i, j >= 1).  Starred series are stored by
 their unstarred coefficients (the star is the identity bijection on the
 monomial spanning set, tracked by which graded slot the element sits in).
-Everything is re-derivable through the generic engine; see
-`to_homotopy_data`.  The example models are the bundled model files
-bv_two_pair and bv_two_ghost (src/chainext/models), read by formats.load_bv.
+The generic engine re-derives l2 and l3 from `to_homotopy_data`'s export,
+and `engine_matrices_match` compares them with these maps through
+`complexes.compare_with_engine`.  The example models are the bundled model
+files bv_two_pair and bv_two_ghost (src/chainext/models), read by
+formats.load_bv.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
-from .complexes import chain_extend, verify_homotopy
+from .complexes import compare_with_engine, verify_homotopy
 from .exactla import Basis, kernel_basis, operator_matrix
 from .series import Series, TLinear, pair_sum, star_resolution
 from .superalg import (
@@ -159,19 +161,6 @@ class Theorem8Maps:
     def T(self):
         return self.problem.trunc
 
-    def l1(self, xi: Series) -> Series:
-        return self.l1_op.apply(xi)
-
-    def l3_plain(self, x: Series) -> Series:
-        return self.l3_op.apply(x)
-
-    def apply_S(self, pair):
-        """One application of S = l1+l2+l3 to (degree-0, degree-1) data."""
-        x0, x1 = pair
-        out0 = self.l2_plain_op.apply(x0).add(self.l1(x1))
-        out1 = self.l3_plain(x0).add(self.l2_star_op.apply(x1))
-        return (out0, out1)
-
 
 def theorem8_maps(problem: DeformationProblem) -> Theorem8Maps:
     if problem.trunc < 2 * problem.n:
@@ -301,6 +290,10 @@ def auto_term(model: BVModel, S0: SuperPoly, i: int) -> SuperPoly:
 
 # -- generic-engine bridge -------------------------------------------------------
 
+class S0DegreeError(ValueError):
+    """S_0 has degree above 2, so no finite basis closes under (S_0, .)."""
+
+
 def to_homotopy_data(maps: Theorem8Maps, cap: int):
     """The two-term graded space over basis monomials x t-powers, with
     h = -(star) as the contracting homotopy; returns (HomotopyData, l2_0
@@ -314,40 +307,24 @@ def to_homotopy_data(maps: Theorem8Maps, cap: int):
     model, n, T = maps.model, maps.n, maps.T
     jump = 0
     for i, s in enumerate(maps.problem.S):
-        ds = max((len(m) for m in s.terms), default=0) - 2
-        if i == 0 and ds > 0:
-            raise ValueError("degree of S_0 exceeds 2: no finite basis closes "
-                             "under (S_0, .)")
+        deg = max((len(m) for m in s.terms), default=0)
+        if i == 0 and deg > 2:
+            raise S0DegreeError("S_0 has degree %d, above 2: no finite "
+                                "basis closes under (S_0, .)" % deg)
         if i >= 1:
-            jump = max(jump, ds)
-    monos = model.monomials(cap + jump * T)
-
-    def weight(mono, k):
-        return len(mono) + jump * (T - k)
-
-    basis0 = [(m, k) for m in monos for k in range(T + 1)
-              if weight(m, k) <= cap]
-    basis1 = [(m, k) for m in monos for k in range(n + 1, T + 1)
-              if weight(m, k) <= cap]
-    basis0.sort()
-    basis1.sort()
-    b0, b1 = _basis(maps, basis0), _basis(maps, basis1)
-    hd = star_resolution(b0, b1, n + 1)
-    return hd, maps.l2_plain_op.matrix(b0, b0, T), (b0, b1)
+            jump = max(jump, deg - 2)
+    labels = sorted((m, k) for m in model.monomials(cap + jump * T)
+                    for k in range(T + 1) if len(m) + jump * (T - k) <= cap)
+    hd, bases = star_resolution(
+        labels, n + 1, lambda b: "%s t^%d" % (model.poly(b[0]), b[1]))
+    return hd, maps.l2_plain_op.matrix(bases[0], bases[0], T), bases
 
 
 def engine_matrices_match(maps: Theorem8Maps, cap: int) -> bool:
     """Run the generic extension on the exported data and compare its l2, l3
     blocks with the Theorem-8 maps entrywise."""
     hd, l2_0, (b0, b1) = to_homotopy_data(maps, cap)
-    if not verify_homotopy(hd)["ok"]:
-        return False
-    ext = chain_extend(hd, l2_0)
-    want_l2_1 = maps.l2_star_op.matrix(b1, b1, maps.T)
-    want_l3 = maps.l3_op.matrix(b0, b1, maps.T)
-    return ext.l2.block(1) == want_l2_1 and ext.l3.block(0) == want_l3
-
-
-def _basis(maps, labels):
-    """Basis over (monomial, t-power) labels, named for escape errors."""
-    return Basis(labels, lambda b: "%s t^%d" % (maps.model.poly(b[0]), b[1]))
+    return verify_homotopy(hd)["ok"] and compare_with_engine(
+        hd, l2_0, (b0, b1),
+        {("l2", 1): maps.l2_star_op.matrix(b1, b1, maps.T),
+         ("l3", 0): maps.l3_op.matrix(b0, b1, maps.T)})["ok"]

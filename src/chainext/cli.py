@@ -213,7 +213,10 @@ def cmd_bv(config):
     if not rep["ok"]:
         code = MATH_FAIL
     if config.cross_check:
-        match = bv_mod.engine_matrices_match(maps, min(cap, 3))
+        try:
+            match = bv_mod.engine_matrices_match(maps, min(cap, 3))
+        except bv_mod.S0DegreeError as e:
+            raise formats.FormatError(0, "--cross-check: %s" % e)
         report["engine cross-check"] = match
         if not match:
             code = MATH_FAIL

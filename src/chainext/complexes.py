@@ -16,11 +16,13 @@ and a degree-zero operator l2_0 on X_0 such that
     (l1 + l2 + l3)^2 = 0,    l2 = 0 in degrees > 1,    l3 = 0 in degrees > 0.
 
 Everything is exact over Q and bit-for-bit deterministic.
+`compare_with_engine` compares l2 and l3 with the closed forms of brst, bv
+and shlie, on their exports (HomotopyData, l2_0, one Basis per degree).
 """
 
 from __future__ import annotations
 
-from .exactla import RatMatrix, rank, solve
+from .exactla import Basis, RatMatrix, image, operator_matrix, rank, solve
 
 
 class ExtensionPreconditionError(ValueError):
@@ -96,11 +98,6 @@ class GradedMap:
                 for k, blk in self.blocks.items()
                 if 0 <= k <= sp.top and 0 <= k + self.shift <= sp.top]
 
-    def total_matrix(self) -> RatMatrix:
-        """The map as one matrix on the concatenated basis of all degrees."""
-        n = self.space.total_dim
-        return RatMatrix.from_blocks(n, n, self.placed_blocks())
-
 
 class HomotopyData:
     """A resolution of F with its contracting homotopy.
@@ -127,6 +124,15 @@ class HomotopyData:
         self.eta = eta
         self.lam = lam
         self.s = s
+
+
+def projection_pair(x0: Basis, f: Basis):
+    """(eta, lam) for F spanned by a subset f of X_0's labels: eta projects
+    X_0 onto F, dropping every other label, and lam includes F in X_0."""
+    eta = operator_matrix(
+        lambda b: image({b: 1} if b in f.index else {}), x0, f)
+    lam = operator_matrix(lambda b: image({b: 1}), f, x0)
+    return eta, lam
 
 
 class ChainExtension:
@@ -297,6 +303,34 @@ def verify_nilpotent(ext: ChainExtension) -> dict:
     checks["ok"] = all(v for key, v in checks.items() if key != "ok")
     checks["first_failure"] = first
     return checks
+
+
+def compare_with_engine(hd: HomotopyData, l2_0: RatMatrix, bases,
+                        closed) -> dict:
+    """Run chain_extend on (hd, l2_0) and compare its blocks entry by entry
+    with closed, {("l2" | "l3", k): the instance's closed-form block}.
+
+    bases holds one exactla.Basis per degree.  first_mismatch is None when
+    every block agrees, else (map, k, row label, column label, engine value,
+    closed-form value) of the first differing entry (blocks in closed's
+    order, then columns, then rows), the labels named by their Basis.  hd is
+    not verified again: each caller verifies it once.
+    """
+    ext = chain_extend(hd, l2_0)
+    first = None
+    for (name, k), want in closed.items():
+        got = getattr(ext, name).block(k)
+        if got != want:
+            j, rows = next((j, rows) for j, rows in
+                           enumerate((got - want).column_rows()) if rows)
+            src, dst = bases[k], bases[k + (name == "l3")]
+            first = (name, k, dst.name(dst.labels[rows[0]]),
+                     src.name(src.labels[j]), got.entry(rows[0], j),
+                     want.entry(rows[0], j))
+            break
+    nilpotent = verify_nilpotent(ext)["ok"]
+    return {"nilpotent": nilpotent, "first_mismatch": first,
+            "ok": nilpotent and first is None}
 
 
 def total_homology_dims(ext: ChainExtension) -> int:

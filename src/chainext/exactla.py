@@ -8,16 +8,18 @@ the stored nonzeros and runs on Python ints; every value handed out
 is exact: no floats, no tolerances.  Matrices are immutable; all functions
 return fresh objects.
 
-The package's exact-number rule lives here alone: `exact` gives a scalar as
-the kernels compute with it (an int when integral, else a Fraction), and an
-exact image (terms, den), a {key: nonzero int} dict over a positive den in
-lowest terms, is the matrix storage rule for one vector (`image`, `lowest`,
-`combine`).  `operator_matrix` turns an operator that returns exact images
+The package's exact-number rule lives here alone: a string is a number
+only in the grammar `RATIONAL` (an integer or p/q), `exact` gives a scalar
+as the kernels compute with it (an int when integral, else a Fraction), and
+an exact image (terms, den), a {key: nonzero int} dict over a positive den
+in lowest terms, is the matrix storage rule for one vector (`image`,
+`lowest`, `combine`).  `operator_matrix` turns an operator that returns exact images
 into a matrix on labelled bases, the one way to do so.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -27,20 +29,28 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# the one grammar of an exact number in a string: a signed integer or p/q,
+# with no space, decimal point or exponent
+RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def rat(x) -> Rat:
-    """Coerce an int, a 'p/q' string or a Fraction to an exact rational."""
+    """Coerce an int, a Fraction or a RATIONAL string to an exact rational;
+    any other string raises ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if RATIONAL.fullmatch(x) is None:
+            raise ValueError("not a 'p/q' rational: %r" % (x,))
         return Fraction(x)
     raise TypeError("not an exact rational: %r" % (x,))
 
 
 def exact(x):
-    """An int, a Fraction or a 'p/q' string as an int when it is integral
-    and as a Fraction otherwise."""
+    """An int, a Fraction or a RATIONAL string as an int when it is
+    integral and as a Fraction otherwise."""
     if type(x) is not Fraction:
         if type(x) is int:
             return x

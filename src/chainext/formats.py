@@ -13,7 +13,7 @@ import re
 
 from .bv import BVModel
 from .complexes import GradedMap, GradedSpace, HomotopyData
-from .exactla import RatMatrix, rat
+from .exactla import RATIONAL, RatMatrix, rat
 from .lie import Cochain, LieAlgebra
 from .superalg import GenSpec, SuperPoly, mul
 
@@ -44,12 +44,10 @@ def _split_kv(lineno, line):
 
 
 def _rat(lineno, text):
-    """An integer or p/q as a rational; 0.5 or 1e3 is a format error."""
-    if not _NUM.match(text):
-        raise FormatError(lineno, "bad rational %r" % (text,))
+    """An integer or p/q as a rational; 0.5, 1e3 or 1/0 is a format error."""
     try:
         return rat(text)
-    except ZeroDivisionError:
+    except (ValueError, ZeroDivisionError):
         raise FormatError(lineno, "bad rational %r" % (text,))
 
 
@@ -85,9 +83,6 @@ def read_kind(text):
     return value
 
 
-_NUM = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
 def parse_poly(lineno, text, alg) -> SuperPoly:
     """Polynomial literal: terms joined by +/-, each an optional rational
     followed by generator names, e.g. '1/2 x1 G1 - eta1 eta2 + 3'."""
@@ -115,7 +110,7 @@ def parse_poly(lineno, text, alg) -> SuperPoly:
                 sign = -sign
             dangling = True
             continue
-        if _NUM.match(tok):
+        if RATIONAL.fullmatch(tok):
             if coeff is not None or factors:
                 raise FormatError(lineno,
                                   "coefficient must come first in a term")

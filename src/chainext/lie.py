@@ -78,10 +78,6 @@ class Cochain:
         """Value on a basis tuple in any order, with the alternating sign."""
         return self._dense(self._apply([{i: 1} for i in idx]))
 
-    def eval(self, *vectors):
-        return self._dense(self.apply(
-            *({i: x for i, x in enumerate(v) if x} for v in vectors)))
-
     def apply(self, *vs):
         """The cochain on sparse vectors {index: Fraction}, as one."""
         if len(vs) != self.arity:

@@ -15,7 +15,8 @@ a shift are merged, so equal operators compare equal.  Scalars are kept as
 `exactla.exact` gives them, an integral one as an int, so scaling an int
 entry by one stays in ints.  `pair_sum` is the t^m coefficient of
 b(c_t, c_t): the deformation equations of `lie` and `bv`, and
-`star_resolution` is the engine export of both t-series instances.
+`star_resolution` is the engine export of both t-series instances: it
+builds their homotopy data and both named (label, t-power) bases.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .complexes import GradedMap, GradedSpace, HomotopyData
+from .complexes import GradedMap, GradedSpace, HomotopyData, projection_pair
 from .exactla import Basis, add_into, exact, image, operator_matrix, rat
 
 
@@ -92,12 +93,6 @@ class Series:
             {m: c * v for m, v in t.items()} if c else {} for t in self.terms],
             self.kmin)
 
-    def tshift(self, k):
-        """Multiply by t^k, truncating modulo t^(T+1)."""
-        terms = [{} for _ in range(min(k, self.T + 1))] + \
-            self.terms[:max(self.T + 1 - k, 0)]
-        return Series.of_terms(self.space, self.T, terms, self.kmin + k)
-
     def is_zero(self):
         return not any(self.terms)
 
@@ -122,20 +117,21 @@ def pair_sum(b, m, lo, hi, zero):
                                            min(hi, m - lo) + 1)), zero)
 
 
-def star_resolution(x0: Basis, x1: Basis, kmin) -> HomotopyData:
-    """The two-term resolution over (label, t-power) bases, X_1 the starred
-    copies of X_0's labels at t^kmin and up: l1 unstars, s = -(star) at
-    t^kmin and up, and F is spanned by the t-powers below kmin."""
-    f = Basis([b for b in x0.labels if b[1] < kmin])
+def star_resolution(labels, kmin, name):
+    """The two-term resolution over the (label, t-power) labels of X_0, X_1
+    the starred copies of its labels at t^kmin and up: l1 unstars,
+    s = -(star) at t^kmin and up, and F is spanned by the t-powers below
+    kmin.  Returns (HomotopyData, (X_0, X_1)), each label named by name."""
+    x0 = Basis(labels, name)
+    x1 = Basis([b for b in labels if b[1] >= kmin], name)
+    f = Basis([b for b in labels if b[1] < kmin])
     sp = GradedSpace([len(x0), len(x1)])
     l1 = GradedMap(sp, -1, {1: operator_matrix(lambda b: image({b: 1}),
                                                x1, x0)})
     s = GradedMap(sp, +1, {0: operator_matrix(
         lambda b: image({b: -1} if b[1] >= kmin else {}), x0, x1)})
-    eta = operator_matrix(lambda b: image({b: 1} if b[1] < kmin else {}),
-                          x0, f)
-    lam = operator_matrix(lambda b: image({b: 1}), f, x0)
-    return HomotopyData(sp, l1, len(f), eta, lam, s)
+    eta, lam = projection_pair(x0, f)
+    return HomotopyData(sp, l1, len(f), eta, lam, s), (x0, x1)
 
 
 class TLinear:

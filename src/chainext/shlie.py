@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
 
-from .complexes import (HomotopyData, chain_extend, verify_homotopy,
-                        verify_nilpotent)
-from .exactla import Basis
+from .complexes import compare_with_engine, verify_homotopy
 from .lie import Cochain, LieAlgebra, ce_differential, jacobi_check, nr_compose
 from .series import Series, TLinear, star_resolution
 
@@ -329,19 +327,16 @@ def variants_agree(s_full: ShLieStructure, s_t2: ShLieStructure) -> bool:
 
 # -- export to the generic engine ---------------------------------------------
 
-def to_homotopy_data(S: ShLieStructure) -> HomotopyData:
-    """The two-term resolution with s = -(star) on the image of l1.
-
-    X_0 has basis (i, k) -> k*dim + i for k = 0..N; X_1 likewise starting at
-    kmin.  In the t2 variant F = A (+) A t; in the full variant F = 0.
+def to_homotopy_data(S: ShLieStructure):
+    """(HomotopyData, None, (X_0, X_1)): the two-term resolution with
+    s = -(star) on the image of l1, and no l2_0, as l2 is bilinear.  X_0 has
+    the labels (i, k) of t^k e_i for k = 0..N in `flat()` order, X_1 those
+    from kmin.  In the t2 variant F = A (+) A t; in the full variant F = 0.
     """
-    return star_resolution(_basis(S, 0), _basis(S, S.kmin), S.kmin)
-
-
-def _basis(S: ShLieStructure, kmin) -> Basis:
-    """Labels (i, k) of t^k e_i for k = kmin..N, in `flat(kmin)` order."""
-    return Basis([(i, k) for k in range(kmin, S.N + 1)
-                  for i in range(S.alg.dim)])
+    labels = [(i, k) for k in range(S.N + 1) for i in range(S.alg.dim)]
+    hd, bases = star_resolution(labels, S.kmin,
+                                lambda b: "e%d t^%d" % (b[0] + 1, b[1]))
+    return hd, None, bases
 
 
 def crosscheck_with_engine(S: ShLieStructure) -> dict:
@@ -352,12 +347,12 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
     to the l2-Jacobiator, read off the columns of the products
     s l2(., e_c) l2(., e_b).  Whenever the curried operators satisfy the
     extension conditions (always in the full variant; in the t2 variant when
-    the bracket vanishes), chain_extend is also run literally and its
-    extension checked nilpotent.
+    the bracket vanishes), each curried l2(., e_b) also goes through
+    compare_with_engine: the engine's l2 on X_1 must be -l2(., e_b) there,
+    and its extension nilpotent.
     """
     dim, N, kmin = S.alg.dim, S.N, S.kmin
-    x0, x1 = _basis(S, 0), _basis(S, kmin)
-    hd = star_resolution(x0, x1, kmin)   # to_homotopy_data(S), keeping x0, x1
+    hd, _, (x0, x1) = to_homotopy_data(S)
     report = {"homotopy_ok": verify_homotopy(hd)["ok"]}
     l1m = hd.l1.block(1)
     sm = hd.s.block(0)
@@ -380,7 +375,7 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
 
     runs = dim and (S.variant == "full" or S.alpha0.is_zero())
     report["curried_chain_extend"] = all(
-        verify_nilpotent(chain_extend(hd, m))["ok"]
-        for m in mmats) if runs else None
+        compare_with_engine(hd, m, (x0, x1), {("l2", 1): -mixed_b})["ok"]
+        for m, mixed_b in zip(mmats, mixed)) if runs else None
     report["ok"] = all(v for k, v in report.items() if k != "ok" and v is not None)
     return report

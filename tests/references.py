@@ -1,0 +1,99 @@
+"""Reference operators that only the tests use.
+
+Each one computes on its own route, independent of the code it checks: the
+brst operators act on SuperPoly through extend_right_derivation and the
+system's generator values, not through the compiled blocks (delta is
+brst.koszul_tate, looked up on the module, so a patched one reaches them);
+the series, cochain and graded-map helpers work on the stored coefficients
+directly.  The tests import
+them from here, as they import the bundled models from bundled.
+"""
+
+from fractions import Fraction
+
+from chainext import brst
+from chainext.exactla import RatMatrix
+from chainext.series import Series
+from chainext.superalg import SuperPoly, extend_right_derivation
+
+
+# -- brst: the SuperPoly operators of the resolution ---------------------------
+
+def longitudinal_d(sys, f):
+    """The odd right derivation d x_i = [x_i,G_b] eta^b, d G_a = [G_a,G_b]
+    eta^b, d eta^a = 1/2 C^a_cb eta^b eta^c, d P_a = 0."""
+    return extend_right_derivation(f, sys.d_vals, parity=1)
+
+
+def sigma(sys, F):
+    """The odd right derivation with sigma G_a = -P_a and zero otherwise:
+    sigma(F) = -sum_a (d^R F / d G_a) P_a."""
+    return extend_right_derivation(F, sys.sigma_vals, parity=1)
+
+
+def nbar(sys, F):
+    """Multiply each monomial by its combined (P, G)-degree."""
+    return SuperPoly(sys.alg, {m: c * sys.pg_degree(m)
+                               for m, c in F.terms.items()})
+
+
+def psi(sys, F):
+    """Monomial-wise -1/k on combined (P, G)-degree k; zero on k = 0."""
+    out = {}
+    for m, c in F.terms.items():
+        k = sys.pg_degree(m)
+        if k:
+            out[m] = -c / k
+    return SuperPoly(sys.alg, out)
+
+
+def homotopy_s(sys, F):
+    """s = sigma . psi: monomial-wise sum_a (d^R F / d G_a) P_a / k."""
+    return sigma(sys, psi(sys, F))
+
+
+def lambda_tilde(sys, f):
+    """lambda~(f) = f + delta(s(f)) on antighost degree 0."""
+    return f + brst.koszul_tate(sys, homotopy_s(sys, f))
+
+
+def eta_project(sys, f):
+    """Projection of an antighost-0 element onto its constraint-free part."""
+    return SuperPoly(sys.alg, {m: c for m, c in f.terms.items()
+                               if not sys.has_constraint_factor(m)})
+
+
+# -- bv: S = l1 + l2 + l3 on series --------------------------------------------
+
+def l3_plain(maps, x):
+    """l3 of the Theorem-8 maps on a degree-0 series."""
+    return maps.l3_op.apply(x)
+
+
+def apply_S(maps, pair):
+    """One application of S = l1+l2+l3 to (degree-0, degree-1) data."""
+    x0, x1 = pair
+    out0 = maps.l2_plain_op.apply(x0).add(maps.l1_op.apply(x1))
+    out1 = l3_plain(maps, x0).add(maps.l2_star_op.apply(x1))
+    return (out0, out1)
+
+
+# -- series, cochains and graded maps -------------------------------------------
+
+def tshift(x, k):
+    """The series x times t^k, truncated modulo t^(T+1)."""
+    terms = [{} for _ in range(min(k, x.T + 1))] + \
+        x.terms[:max(x.T + 1 - k, 0)]
+    return Series.of_terms(x.space, x.T, terms, x.kmin + k)
+
+
+def cochain_eval(ch, *vectors):
+    """The cochain on dense vectors, as a dense vector."""
+    out = ch.apply(*({i: x for i, x in enumerate(v) if x} for v in vectors))
+    return [out.get(k, Fraction(0)) for k in range(ch.dim)]
+
+
+def total_matrix(gm):
+    """A GradedMap as one matrix on the concatenated basis of all degrees."""
+    n = gm.space.total_dim
+    return RatMatrix.from_blocks(n, n, gm.placed_blocks())

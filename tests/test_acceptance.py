@@ -20,6 +20,8 @@ from chainext.shlie import TruncSeries, build_shlie, crosscheck_with_engine, \
 from chainext.superalg import SuperPoly
 
 from bundled import brst_system, bv_problem
+from references import (apply_S, homotopy_s, l3_plain, lambda_tilde,
+                        longitudinal_d, nbar, sigma)
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
                       "models")
@@ -147,9 +149,8 @@ def test_criterion_5_brst_closed_forms(criterion):
     ext_t = brst_mod.build_brst(toy, degree_cap=4)
     l3_g2 = ext_t.l3(toy.gen("G2"))
     ok = ok and not l3_g2.is_zero()
-    recomputed = brst_mod.homotopy_s(
-        toy, brst_mod.longitudinal_d(toy, brst_mod.longitudinal_d(
-            toy, toy.gen("G2"))))
+    recomputed = homotopy_s(
+        toy, longitudinal_d(toy, longitudinal_d(toy, toy.gen("G2"))))
     ok = ok and l3_g2 == recomputed
     ok = ok and brst_mod.check_nilpotent_on_basis(ext, 4) is None
     ok = ok and brst_mod.check_nilpotent_on_basis(ext_t, 4) is None
@@ -166,14 +167,14 @@ def test_criterion_6_homotopy_identities(criterion):
         for group in groups:
             for mono in group:
                 f = SuperPoly(system.alg, {mono: 1})
-                lhs = brst_mod.koszul_tate(system, brst_mod.sigma(system, f)) \
-                    + brst_mod.sigma(system, brst_mod.koszul_tate(system, f))
-                ok = ok and lhs == brst_mod.nbar(system, f)
+                lhs = brst_mod.koszul_tate(system, sigma(system, f)) \
+                    + sigma(system, brst_mod.koszul_tate(system, f))
+                ok = ok and lhs == nbar(system, f)
         # the constraint ideal sits in antighost degree zero
         for mono in groups[0]:
             if system.has_constraint_factor(mono):
                 f = SuperPoly(system.alg, {mono: 1})
-                ok = ok and brst_mod.lambda_tilde(system, f).is_zero()
+                ok = ok and lambda_tilde(system, f).is_zero()
         ok = ok and brst_mod.verify_brst_resolution(system, cap=cap)["ok"]
     elapsed = time.monotonic() - t0
     assert criterion(6, ok and elapsed < 10.0), (ok, elapsed)
@@ -195,13 +196,13 @@ def test_criterion_7_theorem8_two_pair(criterion):
                 model.poly(monos[rng.randrange(len(monos))]).scale(
                     rng.randint(-2, 2))
         x = bv_mod.TSeries(model, problem.trunc, coeffs)
-        sq = maps.apply_S(maps.apply_S(
-            (x, bv_mod.StarSeries(model, problem.trunc, kmin=2))))
+        sq = apply_S(maps, apply_S(
+            maps, (x, bv_mod.StarSeries(model, problem.trunc, kmin=2))))
         ok = ok and sq[0].is_zero() and sq[1].is_zero()
     R = bv_mod.obstruction_R(problem, 2)
     for mono in monos:
-        got = maps.l3_plain(bv_mod.TSeries.basis(model, problem.trunc, 0,
-                                                 mono)).coeffs[2]
+        got = l3_plain(maps, bv_mod.TSeries.basis(model, problem.trunc, 0,
+                                                  mono)).coeffs[2]
         want = model.bracket(R, model.poly(mono)).scale(Fraction(-1, 2))
         ok = ok and got == want
     rich = bv_mod.theorem8_maps(bv_problem("bv_two_ghost"))

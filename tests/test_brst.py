@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 from chainext import brst as brst_mod
 from chainext.brst import (
     BRSTExtension, ConstraintSystem, build_brst, check_nilpotent_on_basis,
-    degree_jump, eta_project, export_to_complexes, homotopy_s,
-    in_constraint_ideal, koszul_tate, lambda_tilde, longitudinal_d,
-    monomial_basis, nbar, psi, sigma, verify_brst_resolution,
+    degree_jump, export_to_complexes, in_constraint_ideal, koszul_tate,
+    monomial_basis, verify_brst_resolution,
 )
-from chainext.complexes import chain_extend, verify_homotopy, verify_nilpotent
+from chainext.complexes import (check_l2_conditions, compare_with_engine,
+                                verify_homotopy)
 from chainext.exactla import (Basis, RatMatrix, add_into, image, lowest,
                               operator_matrix as basis_matrix, solve)
 from chainext.superalg import (SuperPoly, extend_right_derivation, mul,
                                poisson, right_deriv)
 
+import references
 from bundled import brst_system, model_id
+from references import (eta_project, homotopy_s, lambda_tilde,
+                        longitudinal_d, nbar, psi, sigma)
 
 
 def operator_matrix(ext, op_name, groups, k_from, shift):
@@ -231,19 +234,45 @@ def test_export_matches_engine_entrywise():
     for sys_, cap in ((brst_system("brst_so3"), 3),
                       (brst_system("brst_toy"), 4),
                       (brst_system("brst_abelian"), 3)):
-        hd, l2_0, groups = export_to_complexes(sys_, cap)
+        hd, l2_0, bases = export_to_complexes(sys_, cap)
+        groups = [b.labels for b in bases]
         free = [m for m in groups[0] if not sys_.has_constraint_factor(m)]
         assert hd.eta == superpoly_matrix(sys_, eta_project, groups[0], free)
         assert hd.lam == superpoly_matrix(sys_, lambda _, f: f, free,
                                           groups[0])
         assert verify_homotopy(hd)["ok"]
-        d_f = hd.eta @ l2_0 @ hd.lam
-        eng = chain_extend(hd, l2_0, d_f=d_f)
-        assert verify_nilpotent(eng)["ok"]
-        built = build_brst(sys_, degree_cap=cap)
-        for k in range(len(groups)):
-            assert eng.l2.block(k) == operator_matrix(built, "l2", groups, k, 0)
-            assert eng.l3.block(k) == operator_matrix(built, "l3", groups, k, 1)
+        assert check_l2_conditions(hd, l2_0, hd.eta @ l2_0 @ hd.lam)["ok"]
+        assert compare_with_engine(hd, l2_0, bases, closed_blocks(
+            build_brst(sys_, degree_cap=cap), groups)) == \
+            {"nilpotent": True, "first_mismatch": None, "ok": True}
+
+
+def closed_blocks(ext, groups):
+    """The l2 and l3 blocks of a BRSTExtension on every basis group, as
+    SuperPoly images: the closed forms the engine is compared with."""
+    return {(name, k): operator_matrix(ext, name, groups, k, shift)
+            for k in range(len(groups)) for name, shift in (("l2", 0),
+                                                            ("l3", 1))}
+
+
+def test_compare_with_engine_names_a_changed_brst_entry():
+    """One entry of build_brst's l3 on antighost 0 of brst_toy changed from
+    -1 to 1: the witness names the map, the degree, both monomials and both
+    values."""
+    sys_ = brst_system("brst_toy")
+    hd, l2_0, bases = export_to_complexes(sys_, 4)
+    groups = [b.labels for b in bases]
+    closed = closed_blocks(build_brst(sys_, degree_cap=4), groups)
+    row, col = (groups[k].index(tuple(sys_.alg.index[g] for g in names))
+                for k, names in ((1, ("x1", "eta1", "eta2", "P1")),
+                                 (0, ("x1", "G2"))))
+    l3 = closed[("l3", 0)]
+    assert l3.entry(row, col) == -1
+    closed[("l3", 0)] = l3 + RatMatrix.from_blocks(
+        *l3.shape, [(row, col, RatMatrix([[2]]))])
+    assert compare_with_engine(hd, l2_0, bases, closed) == {
+        "nilpotent": True, "ok": False,
+        "first_mismatch": ("l3", 0, "1*x1eta1eta2P1", "1*x1G2", -1, 1)}
 
 
 def test_operator_matrix_escape_is_loud():
@@ -363,8 +392,9 @@ def test_doubled_homotopy_fails_both_degree0_keys(model, cap, first,
 def verify_per_monomial(sys_, cap):
     """verify_brst_resolution as a sweep of SuperPoly operators over every
     basis monomial, the route the block products replaced.  Operators are
-    looked up on the module, so a monkeypatched homotopy_s reaches it."""
-    B = brst_mod
+    looked up on their modules, so a monkeypatched koszul_tate or homotopy_s
+    reaches it."""
+    B, R = brst_mod, references
     keys = ("delta_squared", "nbar_identity", "lambda_tilde_kills_ideal",
             "homotopy_identity")
     report = dict.fromkeys(keys, True)
@@ -379,18 +409,18 @@ def verify_per_monomial(sys_, cap):
         for mono in group:
             f = SuperPoly(sys_.alg, {mono: 1})
             df = B.koszul_tate(sys_, f)
-            dsf = B.koszul_tate(sys_, B.homotopy_s(sys_, f))
+            dsf = B.koszul_tate(sys_, R.homotopy_s(sys_, f))
             if not B.koszul_tate(sys_, df).is_zero():
                 fail("delta_squared", mono)
-            if B.koszul_tate(sys_, B.sigma(sys_, f)) + B.sigma(sys_, df) != \
-                    B.nbar(sys_, f):
+            if B.koszul_tate(sys_, R.sigma(sys_, f)) + R.sigma(sys_, df) != \
+                    R.nbar(sys_, f):
                 fail("nbar_identity", mono)
             if k == 0:
-                if B.eta_project(sys_, f) != f + dsf:
+                if R.eta_project(sys_, f) != f + dsf:
                     if sys_.has_constraint_factor(mono):
                         fail("lambda_tilde_kills_ideal", mono)
                     fail("homotopy_identity", mono)
-            elif dsf + B.homotopy_s(sys_, df) != f.scale(-1):
+            elif dsf + R.homotopy_s(sys_, df) != f.scale(-1):
                 fail("homotopy_identity", mono)
     report["ok"] = all(report[k] for k in keys)
     return report
@@ -410,8 +440,8 @@ def double_s(monkeypatch, systems):
     """s doubled on every route: psi's diagonal for the blocks, homotopy_s
     for the sweeps and BRSTExtension._s for the integer l2/l3 recursion."""
     double_block_s(monkeypatch)
-    real = brst_mod.homotopy_s
-    monkeypatch.setattr(brst_mod, "homotopy_s",
+    real = references.homotopy_s
+    monkeypatch.setattr(references, "homotopy_s",
                         lambda sys_, f: real(sys_, f).scale(2))
     real_s = BRSTExtension._s
 

@@ -7,11 +7,12 @@ from chainext.bv import (
     engine_matrices_match, find_s0_cocycle, obstruction_R, theorem8_maps,
     to_homotopy_data, verify_theorem8,
 )
-from chainext.complexes import verify_homotopy
-from chainext.exactla import rat
+from chainext.complexes import compare_with_engine, verify_homotopy
+from chainext.exactla import RatMatrix, rat
 from chainext.superalg import GenSpec, SuperPoly, antibracket, mul
 
 from bundled import bv_problem, model_id
+from references import apply_S, l3_plain
 
 
 def test_model_structure():
@@ -124,14 +125,14 @@ def test_maps_closed_form_order_one():
         assert img.coeffs[0] == g.bracket(s0, a)
         assert img.coeffs[1] == g.bracket(s1, a)
         assert img.coeffs[2].is_zero() and img.coeffs[3].is_zero()
-        l3 = maps.l3_plain(TSeries.basis(g, 3, 0, mono))
+        l3 = l3_plain(maps, TSeries.basis(g, 3, 0, mono))
         assert l3.coeffs[0].is_zero() and l3.coeffs[1].is_zero()
         assert l3.coeffs[2] == g.bracket(r11, a).scale(rat("-1/2"))
         assert l3.coeffs[3].is_zero()
         star = maps.l2_star_op.apply(StarSeries.basis(g, 3, 2, mono, kmin=2))
         assert star.coeffs[2] == g.bracket(s0, a).scale(-1)
         assert star.coeffs[3] == g.bracket(s1, a).scale(-1)
-        back = maps.l1(StarSeries.basis(g, 3, 2, mono, kmin=2))
+        back = maps.l1_op.apply(StarSeries.basis(g, 3, 2, mono, kmin=2))
         assert back.coeffs[2] == a and back.coeffs[3].is_zero()
 
 
@@ -151,7 +152,7 @@ def test_bracket_tables_give_the_plain_brackets():
             for i in range(T + 1 - k):
                 want = plain(q.S[i], a) if i <= n else SuperPoly.zero(g.alg)
                 assert img.coeffs[k + i] == want
-            l3 = maps.l3_plain(TSeries.basis(g, T, k, mono))
+            l3 = l3_plain(maps, TSeries.basis(g, T, k, mono))
             for m, rm in maps.pair_brackets.items():
                 if k + m <= T:
                     assert l3.coeffs[k + m] == \
@@ -209,7 +210,7 @@ def test_vanishing_obstruction_kills_l3():
     maps = theorem8_maps(p)
     m = p.model
     for mono in m.monomials(3):
-        assert maps.l3_plain(TSeries.basis(m, p.trunc, 0, mono)).is_zero()
+        assert l3_plain(maps, TSeries.basis(m, p.trunc, 0, mono)).is_zero()
 
 
 def test_corrupt_star_sign_detected():
@@ -234,7 +235,8 @@ def test_squares_on_random_composites():
                 g.poly(monos[rng.randrange(len(monos))]).scale(
                     rng.randint(-3, 3))
         x = TSeries(g, q.trunc, coeffs)
-        sq = maps.apply_S(maps.apply_S((x, StarSeries(g, q.trunc, kmin=2))))
+        sq = apply_S(maps, apply_S(maps, (x, StarSeries(g, q.trunc,
+                                                        kmin=2))))
         assert sq[0].is_zero() and sq[1].is_zero()
 
 
@@ -251,6 +253,25 @@ def test_homotopy_export():
 def test_engine_matrices_match():
     assert engine_matrices_match(theorem8_maps(bv_problem("bv_two_pair")), 4)
     assert engine_matrices_match(theorem8_maps(bv_problem("bv_two_ghost")), 3)
+
+
+def test_compare_with_engine_names_a_changed_bv_entry():
+    """One entry of the Theorem-8 l3 of bv_two_ghost changed from -1 to 1,
+    from phi1 at t^0 to phi1 C1 C2 at t^2: the witness names the map, the
+    degree, both (monomial, t-power) labels and both values."""
+    maps = theorem8_maps(bv_problem("bv_two_ghost"))
+    hd, l2_0, (b0, b1) = to_homotopy_data(maps, 3)
+    index = maps.model.alg.index
+    row = b1.index[(tuple(index[g] for g in ("phi1", "C1", "C2")), 2)]
+    col = b0.index[((index["phi1"],), 0)]
+    l3 = maps.l3_op.matrix(b0, b1, maps.T)
+    assert l3.entry(row, col) == -1
+    closed = {("l2", 1): maps.l2_star_op.matrix(b1, b1, maps.T),
+              ("l3", 0): l3 + RatMatrix.from_blocks(
+                  *l3.shape, [(row, col, RatMatrix([[2]]))])}
+    assert compare_with_engine(hd, l2_0, (b0, b1), closed) == {
+        "nilpotent": True, "ok": False,
+        "first_mismatch": ("l3", 0, "1*phi1C1C2 t^2", "1*phi1 t^0", -1, 1)}
 
 
 # -- the shift-by-shift sweep against the per-(monomial, t-power) sweep ----------
@@ -273,19 +294,19 @@ def reference_verify_theorem8(maps, maxdeg):
         a = model.poly(mono)
         for k in range(T + 1):
             x = TSeries.basis(model, T, k, mono)
-            sq = maps.apply_S(maps.apply_S((x, StarSeries(model, T,
-                                                          kmin=n + 1))))
+            sq = apply_S(maps, apply_S(maps, (x, StarSeries(
+                model, T, kmin=n + 1))))
             if not (sq[0].is_zero() and sq[1].is_zero()):
                 fail("s_squared", ("degree0", mono, k))
             if k >= n + 1:
                 xi = StarSeries.basis(model, T, k, mono, kmin=n + 1)
-                sq = maps.apply_S(maps.apply_S((TSeries(model, T), xi)))
+                sq = apply_S(maps, apply_S(maps, (TSeries(model, T), xi)))
                 if not (sq[0].is_zero() and sq[1].is_zero()):
                     fail("s_squared", ("degree1", mono, k))
                 img = maps.l2_star_op.apply(xi)
                 if any(not img.coeffs[m].is_zero() for m in range(n + 1)):
                     fail("ideal_preserved", (mono, k))
-        got = maps.l3_plain(TSeries.basis(model, T, 0, mono)).coeffs[n + 1]
+        got = l3_plain(maps, TSeries.basis(model, T, 0, mono)).coeffs[n + 1]
         if got != antibracket(R, a, model.pairs).scale(rat("-1/2")):
             fail("l3_obstruction_summand", mono)
         gh = a.ghost()

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chainext import complexes, shlie
+from chainext import bv, complexes, shlie
 from chainext.brst import ConstraintSystem, export_to_complexes
-from chainext.exactla import RatMatrix, rank, solve
+from chainext.exactla import Basis, RatMatrix, rank, solve
 from chainext.complexes import (
     ExtensionPreconditionError, GradedSpace, GradedMap, HomotopyData,
     chain_extend, check_l2_conditions,
@@ -17,6 +17,9 @@ from chainext.complexes import (
 from chainext.formats import load_brst, load_extend, load_lie
 from chainext.instances import random_split_instance
 from chainext.lie import Cochain
+
+from bundled import bv_problem
+from references import total_matrix
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
                       "models")
@@ -120,7 +123,7 @@ def test_deterministic_bit_for_bit():
 def test_graded_map_total_matrix():
     sp = GradedSpace([1, 1])
     gm = GradedMap(sp, -1, {1: RatMatrix([[5]])})
-    t = gm.total_matrix()
+    t = total_matrix(gm)
     assert t == RatMatrix([[0, 5], [0, 0]])
     assert rank(t) == 1
 
@@ -355,7 +358,7 @@ def test_sparse_engine_matches_dense_definitions():
         hd, l2_0, d_f = random_split_instance(random.Random(seed))
         ext = chain_extend(hd, l2_0, d_f)
         for a in [hd.l1, hd.s, ext.l2, ext.l3]:
-            assert a.total_matrix() == dense_total(a), seed
+            assert total_matrix(a) == dense_total(a), seed
         assert verify_nilpotent(ext) == dense_report(ext), seed
 
 
@@ -541,7 +544,7 @@ def shlie_engine_inputs(monkeypatch):
     def recording(hd, l2_0, d_f=None):
         seen.append((hd, l2_0))
         return chain_extend(hd, l2_0, d_f)
-    monkeypatch.setattr(shlie, "chain_extend", recording)
+    monkeypatch.setattr(complexes, "chain_extend", recording)
     alg = load_lie(read_model("lie_so3.txt"))
     t2 = shlie.build_shlie(alg, alg.alpha0, Cochain.zero(alg.dim, 2), N=4,
                            variant="t2")
@@ -661,3 +664,29 @@ def test_total_rank_matches_sympy_over_qq():
                            for row in t.rows], t.shape, QQ)
         assert rank(t) == dm.rank()
         assert total_homology_dims(ext) == t.ncols - 2 * dm.rank()
+
+
+# -- the one export shape -------------------------------------------------------
+
+def test_every_instance_export_has_one_basis_per_degree():
+    """brst, bv and shlie export (hd, l2_0, bases): one Basis per degree of
+    hd's space, sized as that degree, and l2_0 on X_0, or None for shlie,
+    whose l2 is bilinear."""
+    alg = load_lie(read_model("lie_so3.txt"))
+    t2 = shlie.build_shlie(alg, alg.alpha0, Cochain.zero(3, 2), N=4)
+    exports = {
+        "brst": export_to_complexes(
+            ConstraintSystem(*load_brst(read_model("brst_toy.txt"))), 4),
+        "bv": bv.to_homotopy_data(
+            bv.theorem8_maps(bv_problem("bv_two_ghost")), 3),
+        "shlie t2": shlie.to_homotopy_data(t2),
+        "shlie full": shlie.to_homotopy_data(t2.as_variant("full"))}
+    for name, (hd, l2_0, bases) in exports.items():
+        dims = hd.space.dims
+        assert len(bases) == len(dims), name
+        for k, basis in enumerate(bases):
+            assert isinstance(basis, Basis) and len(basis) == dims[k], name
+        if name.startswith("shlie"):
+            assert l2_0 is None
+        else:
+            assert l2_0.shape == (dims[0], dims[0]), name

@@ -12,11 +12,24 @@ from chainext.exactla import (
 
 
 def test_rat_parsing():
+    """A string is an exact number only as an integer or p/q: a decimal
+    point, an exponent or surrounding space raises ValueError, in rat,
+    exact and the RatMatrix constructor alike."""
     assert rat("2/3") == Rat(2, 3)
     assert rat(-4) == Rat(-4)
     assert rat(Rat(1, 2)) == Rat(1, 2)
     with pytest.raises(TypeError):
         rat(0.5)
+    assert (rat("-4"), rat("0/1")) == (-4, 0)
+    assert (exact("2/3"), exact("-4"), exact("0/1")) == (Rat(2, 3), -4, 0)
+    assert RatMatrix([["2/3", "-4", "0/1"]]) == RatMatrix([[Rat(2, 3), -4, 0]])
+    for bad in ("0.5", "1e3", " 2 ", "1/-2", "1 / 2", "", "1_000"):
+        with pytest.raises(ValueError):
+            rat(bad)
+        with pytest.raises(ValueError):
+            exact(bad)
+    with pytest.raises(ValueError):
+        RatMatrix([["0.5", "1e-1"]])
 
 
 def test_rref_rank_one():

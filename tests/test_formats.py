@@ -200,7 +200,7 @@ def test_extend_round_trip_shlie_exports():
     for variant, f_dim in (("full", 0), ("t2", 6)):
         S = build_shlie(alg, alg.alpha0, Cochain.zero(3, 2), N=4,
                         variant=variant)
-        hd = shlie_homotopy_data(S)
+        hd, _, _ = shlie_homotopy_data(S)
         assert hd.f_dim == f_dim
         n0 = hd.space.dim(0)
         l2_0 = RatMatrix([[(i + 2 * j) % 3 for j in range(n0)]

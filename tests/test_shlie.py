@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainext import shlie as shlie_mod
-from chainext.complexes import verify_homotopy
+from chainext.complexes import compare_with_engine, verify_homotopy
+from chainext.exactla import RatMatrix
 from chainext.formats import load_lie
 from chainext.lie import Cochain, LieAlgebra, ce_differential, nr_compose
 from chainext.shlie import (
@@ -17,6 +18,8 @@ from chainext.shlie import (
     crosscheck_with_engine, l3_is_obstruction, master_relation,
     to_homotopy_data, variants_agree, verify_shlie,
 )
+
+from references import tshift
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
                       "models")
@@ -71,9 +74,9 @@ def build(alg, a1, N=4, variant="t2"):
 def test_trunc_series_basics():
     x = TruncSeries.basis(2, 3, 1, 0)
     assert x.coeffs[1] == [Fraction(1), Fraction(0)]
-    y = x.tshift(2)
+    y = tshift(x, 2)
     assert y.coeffs[3] == [Fraction(1), Fraction(0)] and y.coeffs[1] == [0, 0]
-    assert x.tshift(3).is_zero()  # truncated away
+    assert tshift(x, 3).is_zero()  # truncated away
     z = x.add(x.scale(Fraction(1, 2)))
     assert z.coeffs[1][0] == Fraction(3, 2)
     assert x.flat(1) == [Fraction(1), 0, 0, 0, 0, 0]
@@ -177,16 +180,16 @@ def assert_t_linear(S):
     for k in range(N - 1):
         for i in range(dim):
             xi0 = TruncSeries.basis(dim, N, S.kmin, i)
-            assert S.l1(xi0.tshift(k)) == S.l1(xi0).tshift(k)
+            assert S.l1(tshift(xi0, k)) == tshift(S.l1(xi0), k)
             a0 = gens[i]
             for b in gens:
-                assert S.l2_00(a0.tshift(k), b) == S.l2_00(a0, b).tshift(k)
-                assert S.l2_00(b, a0.tshift(k)) == S.l2_00(b, a0).tshift(k)
-                assert S.l2_10(xi0.tshift(k), b) == \
-                    S.l2_10(xi0, b).tshift(k)
+                assert S.l2_00(tshift(a0, k), b) == tshift(S.l2_00(a0, b), k)
+                assert S.l2_00(b, tshift(a0, k)) == tshift(S.l2_00(b, a0), k)
+                assert S.l2_10(tshift(xi0, k), b) == \
+                    tshift(S.l2_10(xi0, b), k)
                 for c in gens:
-                    assert S.l3_000(a0.tshift(k), b, c) == \
-                        S.l3_000(a0, b, c).tshift(k)
+                    assert S.l3_000(tshift(a0, k), b, c) == \
+                        tshift(S.l3_000(a0, b, c), k)
 
 
 def test_variants_agree():
@@ -198,11 +201,11 @@ def test_variants_agree():
 
 def test_export_homotopy_data():
     S = build(abelian3(), obstructed_alpha1(), variant="t2")
-    hd = to_homotopy_data(S)
+    hd, _, _ = to_homotopy_data(S)
     assert hd.f_dim == 6  # A + A t survives in degree 0
     assert verify_homotopy(hd)["ok"]
     Sf = build(abelian3(), obstructed_alpha1(), variant="full")
-    hf = to_homotopy_data(Sf)
+    hf, _, _ = to_homotopy_data(Sf)
     assert hf.f_dim == 0
     assert verify_homotopy(hf)["ok"]
 
@@ -219,6 +222,25 @@ def test_crosscheck_with_engine_all_fixtures():
                 assert rep["curried_chain_extend"] is True
             else:
                 assert rep["curried_chain_extend"] is None
+
+
+def test_compare_with_engine_names_a_changed_shlie_entry():
+    """In the full variant of so3, the curried l2(., e2) sends e1* to e3*,
+    so the engine's l2 on X_1 has -1 from e1 to e3; the closed form
+    -l2(., e2) with that entry changed to 1 is named in the witness, with
+    the map, the degree, both labels and both values."""
+    S = build(so3(), Cochain.zero(3, 2), variant="full")
+    hd, _, (x0, x1) = to_homotopy_data(S)
+    curried = S.l2_op({1: 1})
+    closed = -curried.matrix(x1, x1, S.N)
+    row, col = x1.index[(2, 0)], x1.index[(0, 0)]
+    assert closed.entry(row, col) == -1
+    closed += RatMatrix.from_blocks(*closed.shape,
+                                    [(row, col, RatMatrix([[2]]))])
+    rep = compare_with_engine(hd, curried.matrix(x0, x0, S.N), (x0, x1),
+                              {("l2", 1): closed})
+    assert rep == {"nilpotent": True, "ok": False,
+                   "first_mismatch": ("l2", 1, "e3 t^0", "e1 t^0", -1, 1)}
 
 
 def test_master_relation_structural_none():

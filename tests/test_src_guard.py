@@ -8,14 +8,17 @@ module is called.  A public method of a module-level class counts as used
 when its name occurs anywhere in src/chainext outside its own body (a
 `Name` or an attribute): the scan does not know the types of the objects a
 method is called on.  It never flags a function that src does call.  A
-function kept for another reason is listed in ALLOWED, with that reason;
-every entry must still be flagged, so the list holds no stale names.
+function kept for another reason is listed in ALLOWED, with one of two
+reasons: WRAP_POINT, when perfbench/tracer.py's WRAP_POINTS lists it (read
+from that file, which the tests never change), or LIBRARY_API.  Every entry
+must still be flagged, so the list holds no stale names.
 
 A second scan refuses an import of an underscore-prefixed name from another
 src module: a private helper is used only in its own module.
 """
 
 import ast
+import importlib.util
 import os
 from collections import Counter
 
@@ -24,37 +27,21 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 
 WRAP_POINT = ("a wrap point of perfbench/tracer.py (WRAP_POINTS): "
               "Tracer.install raises 'wrap point ... not found' without it")
+LIBRARY_API = ("library API: an entry point of chainext for its users that "
+               "the CLI does not call")
 
 ALLOWED = {
     "exactla.RatMatrix.mat_vec": WRAP_POINT,
     "superalg.left_deriv": WRAP_POINT,
-    "brst.longitudinal_d": "the SuperPoly operator d: the tests' reference "
-                           "for the d blocks and the l2 rule",
-    "brst.nbar": "the SuperPoly operator Nbar: the tests' reference for the "
-                 "diagonal in verify_brst_resolution",
-    "brst.lambda_tilde": "lambda~ = 1 + delta s on SuperPoly: the tests' "
-                         "reference for the degree-0 homotopy identity",
-    "brst.eta_project": "the SuperPoly operator eta: the tests' reference "
-                        "for the projection in verify_per_monomial and for "
-                        "the eta matrix of export_to_complexes",
-    "brst.export_to_complexes": "the engine data of a system: the tests and "
-                                "the acceptance criteria run chain_extend on "
-                                "it against build_brst, and the frozen bench "
-                                "inputs are its dumps",
-    "bv.Theorem8Maps.apply_S": "S = l1 + l2 + l3 on a (degree-0, degree-1) "
-                               "pair: the tests' reference for S^2 = 0",
-    "formats.dump_extend": "library API, the inverse of load_extend: it "
-                           "wrote perfbench/inputs/",
-    "lie.Cochain.eval": "dense evaluation: the tests' instrument for "
-                        "checking the sparse cochain layer",
-    "series.Series.tshift": "multiplication by t^k: the tests' instrument "
-                            "for t-linearity",
-    "shlie.to_homotopy_data": "the engine data of an sh-Lie structure, as "
-                              "bv.to_homotopy_data is of a BV model: the "
-                              "tests verify it and round-trip it through "
-                              "dump_extend; crosscheck_with_engine builds "
-                              "it inline to keep its two bases",
+    # its tests and the acceptance criteria run the engine on it, and the
+    # frozen bench inputs are its dumps
+    "brst.export_to_complexes": LIBRARY_API,
+    # the inverse of load_extend: it wrote perfbench/inputs/
+    "formats.dump_extend": LIBRARY_API,
 }
+
+TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "perfbench", "tracer.py")
 
 
 def _definitions(tree):
@@ -124,6 +111,24 @@ def private_imports(trees):
             if other in trees and other != module and name.startswith("_")}
 
 
+def misfiled(allowed, wrap_points):
+    """Entries of allowed that claim WRAP_POINT but are not in wrap_points
+    (module.path strings), and entries with any reason but those two."""
+    return {name for name, reason in allowed.items()
+            if (name not in wrap_points if reason == WRAP_POINT
+                else reason != LIBRARY_API)}
+
+
+def _wrap_points():
+    """module.path of each entry of WRAP_POINTS in perfbench/tracer.py,
+    loaded as a module of its own, without putting perfbench on the path."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {"%s.%s" % (module, path)
+            for _, module, path, _ in tracer.WRAP_POINTS}
+
+
 def _src_trees():
     trees = {}
     for fname in sorted(os.listdir(SRC)):
@@ -146,6 +151,24 @@ def test_every_function_in_src_is_used_by_src():
     assert sorted(set(ALLOWED) - flagged) == [], \
         "src now uses these; drop them from ALLOWED"
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_each_allowed_entry_is_a_wrap_point_or_library_api():
+    assert sorted(misfiled(ALLOWED, _wrap_points())) == [], \
+        "a WRAP_POINT entry that perfbench no longer wraps, or another reason"
+
+
+def test_the_reason_check_flags_a_stale_wrap_point():
+    """A WRAP_POINT entry that WRAP_POINTS does not list is flagged, and so
+    is an entry with a reason of its own; a listed wrap point and a library
+    API entry are not."""
+    allowed = {"exactla.RatMatrix.mat_vec": WRAP_POINT,
+               "brst.gone": WRAP_POINT,
+               "formats.dump_extend": LIBRARY_API,
+               "lie.helper": "the tests' reference for something"}
+    assert misfiled(allowed, {"exactla.RatMatrix.mat_vec", "exactla.rref"}) \
+        == {"brst.gone", "lie.helper"}
+    assert "exactla.RatMatrix.mat_vec" in _wrap_points()
 
 
 def test_the_scan_flags_a_function_only_its_own_body_names():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainext.brst import koszul_tate, longitudinal_d
+from chainext.brst import koszul_tate
 from chainext.superalg import (
     FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, antibracket,
     antifield_of, extend_right_derivation, left_deriv, mul, poisson,
@@ -13,6 +13,7 @@ from chainext.superalg import (
 )
 
 from bundled import brst_system, bv_problem
+from references import longitudinal_d
 
 
 def brst_like_alg():
