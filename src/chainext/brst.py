@@ -33,12 +33,12 @@ The matrices of delta, sigma, s and d are built once per system and cap,
 one block per antighost group: a column of delta, sigma or d is the compiled
 image of one monomial, written by exactla.operator_matrix, which raises
 when an output leaves the capped basis, and the s block is the sigma block
-times psi's diagonal.  check_nilpotent_on_basis writes the images of
-l2 + l3 the same way.  The resolution identities (with Nbar and the
-projection eta as diagonals), the ideal conditions and the nilpotency of
-the total operator are then sparse block products on these matrices, and
-export_to_complexes hands the same blocks to the engine, with one named
-Basis per group for complexes.compare_with_engine.
+times psi's diagonal.  export_to_complexes hands these blocks to the
+engine, with one named Basis per group, and the engine's verifiers decide
+the resolution and l^2 = 0: verify_brst_resolution reads the export's
+complexes.homotopy_residuals and adds only the Nbar identity, and
+check_nilpotent_on_basis writes the images of l2 and l3 per group and runs
+complexes.verify_nilpotent.
 
 The example systems are the bundled model files brst_so3, brst_toy and
 brst_abelian (src/chainext/models), read by formats.load_brst.
@@ -47,11 +47,12 @@ brst_abelian (src/chainext/models), read by formats.load_brst.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 from types import MappingProxyType
 
-from .complexes import GradedMap, GradedSpace, HomotopyData, projection_pair
+from .complexes import (ChainExtension, GradedMap, GradedSpace, HomotopyData,
+                        homotopy_residuals, projection_pair, verify_nilpotent)
 from .exactla import (Basis, RatMatrix, add_into, combine, image,
                       operator_matrix as basis_matrix)
 from .superalg import (
@@ -91,8 +92,8 @@ class ConstraintSystem:
     sigma_vals and d_vals map generators to their values under delta, sigma
     and d, read-only; compiled holds the same three derivations as
     superalg.Derivations, for the operator blocks and BRSTExtension.
-    _bases keeps, per cap, the monomial groups and the operator blocks built
-    on them; no attribute is rebound after __init__.
+    _bases keeps, per cap, the monomial groups, the operator blocks built
+    on them and their engine export; no attribute is rebound after __init__.
     """
 
     __slots__ = ("m", "n", "alg", "table", "structure", "xs", "gs", "etas",
@@ -301,39 +302,31 @@ RESOLUTION_KEYS = ("delta_squared", "nbar_identity",
 
 def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
     """delta^2 = 0, delta sigma + sigma delta = Nbar, lambda~ kills the
-    constraint ideal, and the homotopy identity, each as a product of the
-    operator blocks on one basis group.  The first failure is the first
-    nonzero residual column in (group, monomial, key) order."""
-    groups = _groups(sys, cap)
+    constraint ideal, and the homotopy identity.  delta^2 and the homotopy
+    identity are the export's complexes.homotopy_residuals; eta is 0 on a
+    monomial with a G factor, so there the degree-0 residual is lambda~ f.
+    Nbar is a product of the operator blocks.  The first failure is the
+    first nonzero residual column in (group, monomial, key) order."""
+    residuals = homotopy_residuals(export_to_complexes(sys, cap)[0])
     report = dict.fromkeys(RESOLUTION_KEYS, True)
     report["first_failure"] = None
 
     def blk(name, k):
         return _block(sys, cap, name, k)
 
-    for k, group in enumerate(groups):
-        one = RatMatrix.identity(len(group))
+    for k, group in enumerate(_groups(sys, cap)):
         nbar_res = (blk("delta", k + 1) @ blk("sigma", k)
                     + blk("sigma", k - 1) @ blk("delta", k)
                     - RatMatrix.diagonal(map(sys.pg_degree, group)))
-        if k == 0:
-            # lambda eta - 1 = l1 s, i.e. eta_project = 1 + delta s, where
-            # eta_project keeps exactly the monomials without a G factor
-            eta = RatMatrix.diagonal([int(not sys.has_constraint_factor(m))
-                                      for m in group])
-            homotopy_res = eta - one - blk("delta", 1) @ blk("s", 0)
-        else:
-            homotopy_res = (blk("delta", k + 1) @ blk("s", k)
-                            + blk("s", k - 1) @ blk("delta", k) + one)
+        square = residuals.get("l1_l1_zero@%d" % k)   # from degree 2 on
+        homotopy = _bad_columns(residuals["homotopy@%d" % k])
         bad = {"delta_squared":
-               _bad_columns(blk("delta", k - 1) @ blk("delta", k)),
+               set() if square is None else _bad_columns(square),
                "nbar_identity": _bad_columns(nbar_res),
-               "homotopy_identity": _bad_columns(homotopy_res)}
-        # eta_project is 0 on a monomial with a G factor, so there the
-        # degree-0 identity says that lambda~ kills it
-        bad["lambda_tilde_kills_ideal"] = {
-            j for j in bad["homotopy_identity"]
-            if sys.has_constraint_factor(group[j])} if k == 0 else set()
+               "lambda_tilde_kills_ideal": {
+                   j for j in homotopy
+                   if k == 0 and sys.has_constraint_factor(group[j])},
+               "homotopy_identity": homotopy}
         for j in sorted(set().union(*bad.values())):
             for key in RESOLUTION_KEYS:
                 if j in bad[key]:
@@ -421,11 +414,6 @@ class BRSTExtension:
                 *_apply(sys, "delta", {mono: 1})))])
         return self._s(*g)
 
-    def l2_plus_l3(self, mono):
-        """(l2 + l3)(mono) as an exact image."""
-        return combine([(1, self._l2_image({mono: 1})),
-                        (1, self._l3_image({mono: 1}))])
-
     def _poly(self, img):
         return SuperPoly(self.sys.alg, {m: Fraction(c, img[1])
                                         for m, c in img[0].items()})
@@ -475,21 +463,24 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
 
 
 def check_nilpotent_on_basis(ext: BRSTExtension, cap: int):
-    """(l1+l2+l3)^2 on every basis monomial, as the square of one matrix on
-    the whole capped basis: the delta blocks plus the per-monomial images of
-    l2 + l3.  Returns the first monomial whose column of the square is
-    nonzero, or None; raises when an image leaves the basis."""
+    """(l1+l2+l3)^2 on every basis monomial, by complexes.verify_nilpotent
+    on the chain extension of the export's delta blocks and the
+    per-monomial images of l2 (group k to k) and l3 (group k to k + 1).
+    Returns the first monomial whose column of the square is nonzero, or
+    None; raises when an image leaves its target group, naming it."""
     sys = ext.sys
-    groups = _groups(sys, cap)
-    monos = [m for g in groups for m in g]
-    offsets = list(accumulate(map(len, groups), initial=0))
-    basis = _named_basis(sys, monos)
-    total = basis_matrix(ext.l2_plus_l3, basis, basis) + RatMatrix.from_blocks(
-        len(monos), len(monos),
-        [(offsets[k - 1], offsets[k], _block(sys, cap, "delta", k))
-         for k in range(1, len(groups))])
-    bad = _bad_columns(total @ total)
-    return monos[min(bad)] if bad else None
+    hd, _, bases = export_to_complexes(sys, cap)
+    dst = bases + [_named_basis(sys, [])]
+    sp = hd.space
+    maps = [GradedMap(sp, shift, {
+        k: basis_matrix(lambda m: rule({m: 1}), src, dst[k + shift])
+        for k, src in enumerate(bases)})
+        for rule, shift in ((ext._l2_image, 0), (ext._l3_image, 1))]
+    rep = verify_nilpotent(ChainExtension(sp, hd.l1, *maps))
+    if rep["first_failure"] is None:
+        return None
+    k, j = rep["first_failure"][1]
+    return bases[k].labels[j]
 
 
 # -- export to the generic engine ------------------------------------------------
@@ -499,24 +490,32 @@ def export_to_complexes(sys: ConstraintSystem, degree_cap: int):
     l2_0 block (d on antighost 0), as engine data.
 
     Returns (HomotopyData, l2_0 matrix, bases), one named Basis per antighost
-    group.  Raises when an operator output escapes the basis, naming the
-    escaping monomial.
+    group, built once per system and cap and kept next to the blocks.
+    Raises when an operator output escapes the basis, naming the escaping
+    monomial.
     """
-    groups = _groups(sys, degree_cap)
-    bases = [_named_basis(sys, g) for g in groups]
-    sp = GradedSpace([len(g) for g in groups])
-    l1_blocks = {k: _block(sys, degree_cap, "delta", k)
-                 for k in range(1, sys.n + 1)}
-    s_blocks = {k: _block(sys, degree_cap, "s", k) for k in range(0, sys.n)}
-    # eta projects onto the constraint-free monomials, lambda includes them
-    free = _named_basis(sys, [m for m in groups[0]
-                              if not sys.has_constraint_factor(m)])
-    eta, lam = projection_pair(bases[0], free)
-    hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta, lam,
-                      GradedMap(sp, +1, s_blocks))
-    return hd, _block(sys, degree_cap, "d", 0), bases
+    key = (degree_cap, "export")
+    export = sys._bases.get(key)
+    if export is None:
+        groups = _groups(sys, degree_cap)
+        bases = [_named_basis(sys, g) for g in groups]
+        sp = GradedSpace([len(g) for g in groups])
+        l1_blocks = {k: _block(sys, degree_cap, "delta", k)
+                     for k in range(1, sys.n + 1)}
+        s_blocks = {k: _block(sys, degree_cap, "s", k) for k in range(sys.n)}
+        # eta projects onto the constraint-free monomials, lam includes them
+        free = _named_basis(sys, [m for m in groups[0]
+                                  if not sys.has_constraint_factor(m)])
+        eta, lam = projection_pair(bases[0], free)
+        hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta,
+                          lam, GradedMap(sp, +1, s_blocks))
+        export = sys._bases[key] = (hd, _block(sys, degree_cap, "d", 0),
+                                    bases)
+    return export
 
 
 def _named_basis(sys: ConstraintSystem, monos) -> Basis:
-    """A basis of monomials, each named by its SuperPoly text."""
-    return Basis(monos, lambda m: str(SuperPoly(sys.alg, {m: 1})))
+    """A basis of monomials, each named by its SuperPoly text.  The name
+    holds the algebra, not sys, so the export in sys._bases forms no cycle."""
+    alg = sys.alg
+    return Basis(monos, lambda m: str(SuperPoly(alg, {m: 1})))

@@ -79,10 +79,6 @@ class BVModel:
     def poly(self, mono):
         return SuperPoly(self.alg, {mono: 1})
 
-    def coefficient(self, terms):
-        """The dense view of a series coefficient over monomial labels."""
-        return SuperPoly(self.alg, terms)
-
 
 class DeformationProblem:
     """S_0..S_n with the order-n master equation checked at construction."""
@@ -294,6 +290,14 @@ class S0DegreeError(ValueError):
     """S_0 has degree above 2, so no finite basis closes under (S_0, .)."""
 
 
+def check_s0_degree(S0: SuperPoly):
+    """Raise S0DegreeError when S_0 has degree above 2."""
+    deg = max((len(m) for m in S0.terms), default=0)
+    if deg > 2:
+        raise S0DegreeError("S_0 has degree %d, above 2: no finite basis "
+                            "closes under (S_0, .)" % deg)
+
+
 def to_homotopy_data(maps: Theorem8Maps, cap: int):
     """The two-term graded space over basis monomials x t-powers, with
     h = -(star) as the contracting homotopy; returns (HomotopyData, l2_0
@@ -305,14 +309,9 @@ def to_homotopy_data(maps: Theorem8Maps, cap: int):
     increase of (S_i, .) for i >= 1; (S_0, .) must not increase degree.
     """
     model, n, T = maps.model, maps.n, maps.T
-    jump = 0
-    for i, s in enumerate(maps.problem.S):
-        deg = max((len(m) for m in s.terms), default=0)
-        if i == 0 and deg > 2:
-            raise S0DegreeError("S_0 has degree %d, above 2: no finite "
-                                "basis closes under (S_0, .)" % deg)
-        if i >= 1:
-            jump = max(jump, deg - 2)
+    check_s0_degree(maps.problem.S[0])
+    jump = max([0] + [len(m) - 2 for s in maps.problem.S[1:]
+                      for m in s.terms])
     labels = sorted((m, k) for m in model.monomials(cap + jump * T)
                     for k in range(T + 1) if len(m) + jump * (T - k) <= cap)
     hd, bases = star_resolution(

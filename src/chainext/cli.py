@@ -177,6 +177,11 @@ def cmd_brst(config):
 
 def cmd_bv(config):
     model, S_terms, file_trunc = _load(config.input, "bv", formats.load_bv)
+    if config.cross_check:
+        try:
+            bv_mod.check_s0_degree(S_terms[0])
+        except bv_mod.S0DegreeError as e:
+            raise formats.FormatError(0, "--cross-check: %s" % e)
     # a given --trunc or --cap (None when not given) is checked against the
     # file, not overridden or clamped
     trunc, cap = config.trunc, config.cap
@@ -213,10 +218,7 @@ def cmd_bv(config):
     if not rep["ok"]:
         code = MATH_FAIL
     if config.cross_check:
-        try:
-            match = bv_mod.engine_matrices_match(maps, min(cap, 3))
-        except bv_mod.S0DegreeError as e:
-            raise formats.FormatError(0, "--cross-check: %s" % e)
+        match = bv_mod.engine_matrices_match(maps, min(cap, 3))
         report["engine cross-check"] = match
         if not match:
             code = MATH_FAIL

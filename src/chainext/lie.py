@@ -74,10 +74,6 @@ class Cochain:
         out.entries = {idx: v for idx, v in entries.items() if v}
         return out
 
-    def value(self, idx):
-        """Value on a basis tuple in any order, with the alternating sign."""
-        return self._dense(self._apply([{i: 1} for i in idx]))
-
     def apply(self, *vs):
         """The cochain on sparse vectors {index: Fraction}, as one."""
         if len(vs) != self.arity:
@@ -96,9 +92,6 @@ class Cochain:
                 c *= -x if sum(j < i for j in idx[a + 1:]) % 2 else x
             add_into(out, value, c)
         return out
-
-    def _dense(self, v):
-        return [v.get(k, Fraction(0)) for k in range(self.dim)]
 
     def add(self, other):
         self._compatible(other)

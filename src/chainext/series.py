@@ -2,8 +2,7 @@
 
 A `Series` is sum_k c_k t^k mod t^(T+1), each c_k a sparse {label: int or
 Fraction} dict, zero below t^kmin.  Its coefficient space is a dimension d
-(labels 0..d-1, dense view a list of d Fractions) or an object whose
-`coefficient(terms)` gives the dense view (bv.BVModel: a SuperPoly).
+(labels 0..d-1) or a bv.BVModel (labels its monomials).
 
 A `TLinear` is sum_s t^s A_s with shifts s >= 0, so A(x t^k) = t^k A(x) mod
 t^(T+1).  Each A_s is a sum of scalar * chain, a chain (f1, ..., fr) being
@@ -69,14 +68,6 @@ class Series:
         terms = [{} for _ in range(T + 1)]
         terms[k] = {label: Fraction(1)}
         return cls.of_terms(space, T, terms, kmin)
-
-    @property
-    def coeffs(self):
-        """Dense view: one coefficient per t-power 0..T."""
-        if isinstance(self.space, int):
-            return [[c.get(i, Fraction(0)) for i in range(self.space)]
-                    for c in self.terms]
-        return [self.space.coefficient(c) for c in self.terms]
 
     def add(self, other):
         if other.T != self.T:

@@ -345,11 +345,12 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
     The homotopy identities of the export are verified; the mixed l2 is
     reconstructed from x = -s(l1 x) on X_1; l3 is reconstructed as s applied
     to the l2-Jacobiator, read off the columns of the products
-    s l2(., e_c) l2(., e_b).  Whenever the curried operators satisfy the
-    extension conditions (always in the full variant; in the t2 variant when
-    the bracket vanishes), each curried l2(., e_b) also goes through
-    compare_with_engine: the engine's l2 on X_1 must be -l2(., e_b) there,
-    and its extension nilpotent.
+    s l2(., e_c) l2(., e_b).  The engine's l2 on X_1 is the same product
+    s l2(., e_b) l1, so mixed_l2_matches is its one comparison.  Whenever
+    the curried operators satisfy the extension conditions (always in the
+    full variant; in the t2 variant when the bracket vanishes), each
+    curried l2(., e_b) also goes through compare_with_engine with no closed
+    block, which checks that its extension is nilpotent.
     """
     dim, N, kmin = S.alg.dim, S.N, S.kmin
     hd, _, (x0, x1) = to_homotopy_data(S)
@@ -375,7 +376,7 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
 
     runs = dim and (S.variant == "full" or S.alpha0.is_zero())
     report["curried_chain_extend"] = all(
-        compare_with_engine(hd, m, (x0, x1), {("l2", 1): -mixed_b})["ok"]
-        for m, mixed_b in zip(mmats, mixed)) if runs else None
+        compare_with_engine(hd, m, (x0, x1), {})["ok"]
+        for m in mmats) if runs else None
     report["ok"] = all(v for k, v in report.items() if k != "ok" and v is not None)
     return report

@@ -184,12 +184,6 @@ class SuperPoly:
             raise ValueError("polynomial is not ghost-homogeneous")
         return gs.pop() if gs else 0
 
-    def antighost(self):
-        gs = {sum(self.alg.gens[i].antighost for i in m) for m in self.terms}
-        if len(gs) > 1:
-            raise ValueError("polynomial is not antighost-homogeneous")
-        return gs.pop() if gs else 0
-
     def __repr__(self):
         if not self.terms:
             return "0"

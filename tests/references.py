@@ -93,6 +93,31 @@ def cochain_eval(ch, *vectors):
     return [out.get(k, Fraction(0)) for k in range(ch.dim)]
 
 
+def cochain_value(ch, idx):
+    """The cochain on a basis tuple in any order, with the alternating
+    sign, as a dense vector."""
+    return cochain_eval(ch, *([int(i == k) for k in range(ch.dim)]
+                              for i in idx))
+
+
+def dense_coeffs(x):
+    """The dense view of a series, one coefficient per t-power 0..T: a
+    list of Fractions over a dimension, a SuperPoly over a bv.BVModel."""
+    if isinstance(x.space, int):
+        return [[c.get(i, Fraction(0)) for i in range(x.space)]
+                for c in x.terms]
+    return [SuperPoly(x.space.alg, c) for c in x.terms]
+
+
+def antighost(f):
+    """The antighost degree of an antighost-homogeneous SuperPoly (0 for
+    the zero poly)."""
+    gs = {sum(f.alg.gens[i].antighost for i in m) for m in f.terms}
+    if len(gs) > 1:
+        raise ValueError("polynomial is not antighost-homogeneous")
+    return gs.pop() if gs else 0
+
+
 def total_matrix(gm):
     """A GradedMap as one matrix on the concatenated basis of all degrees."""
     n = gm.space.total_dim

@@ -1,3 +1,4 @@
+import gc
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -21,7 +22,7 @@ from chainext.superalg import (SuperPoly, extend_right_derivation, mul,
 
 import references
 from bundled import brst_system, model_id
-from references import (eta_project, homotopy_s, lambda_tilde,
+from references import (antighost, eta_project, homotopy_s, lambda_tilde,
                         longitudinal_d, nbar, psi, sigma)
 
 
@@ -522,13 +523,13 @@ class FractionExtension:
         return SuperPoly(self.sys.alg, out)
 
     def _l2_rule(self, f):
-        if f.antighost() == 0:
+        if antighost(f) == 0:
             return longitudinal_d(self.sys, f)
         return homotopy_s(self.sys, self.l2(koszul_tate(self.sys, f)))
 
     def _l3_rule(self, f):
         g = self.l2(self.l2(f))
-        if f.antighost():
+        if antighost(f):
             g = g + self.l3(koszul_tate(self.sys, f))
         return homotopy_s(self.sys, g)
 
@@ -679,6 +680,43 @@ def test_removed_basis_monomial_raises_naming_it(model, cap, k, mono,
     assert verify_per_monomial(brst_system(model), cap)["ok"]
     assert nilpotent_per_monomial(BRSTExtension(brst_system(model)),
                                   cap) is None
+
+
+def test_l2_image_leaving_its_group_raises_naming_it(monkeypatch):
+    """d keeps the antighost degree, so l2 maps each group into itself.  An
+    l2 rule that adds G1 P1, a monomial of the capped basis one group up, to
+    l2(G1) is refused by the group-0 block, which names G1 P1."""
+    sys_ = brst_system("brst_so3")
+    g1, p1 = (sys_.alg.index[name] for name in ("G1", "P1"))
+    assert (g1, p1) in monomial_basis(sys_, 3)[1]
+    real = BRSTExtension._l2_rule
+
+    def rule(self, mono):
+        img, den = real(self, mono)
+        if mono == (g1,):
+            return {**img, (g1, p1): den}, den
+        return img, den
+    monkeypatch.setattr(BRSTExtension, "_l2_rule", rule)
+    with pytest.raises(ValueError, match="^operator output escapes the "
+                       "basis at 1\\*G1P1$"):
+        check_nilpotent_on_basis(BRSTExtension(sys_), 3)
+
+
+def test_a_checked_system_leaves_no_reference_cycle():
+    """The export kept in a system's _bases names its monomials through the
+    algebra, not the system, so a checked system is freed as soon as it is
+    dropped: no cycle waits for the collector, holding the caches of one CLI
+    job while the next one runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        sys_ = brst_system("brst_toy")
+        assert check_nilpotent_on_basis(build_brst(sys_, degree_cap=3),
+                                        3) is None
+        del sys_
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- build_brst's refusals ----------------------------------------------------

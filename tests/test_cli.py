@@ -202,18 +202,22 @@ def test_bv_order_one_master_failure(tmp_path, capsys):
     assert "setup: error" in out
 
 
-def test_bv_cubic_s0_with_cross_check_is_input_error(tmp_path, capsys):
+def test_bv_cubic_s0_with_cross_check_is_input_error(tmp_path, capsys,
+                                                     monkeypatch):
     """S0 = phi^3 is a valid model, but no finite basis closes under
     (S0, .): without --cross-check the checks pass, and with it the run is
-    an input error that names the flag and the degree of S0."""
+    an input error that names the flag and the degree of S0, raised once
+    the file is loaded, before the Theorem-8 sweep."""
     f = tmp_path / "cubic.txt"
     f.write_text("kind: bv\nfield phi: even 0\nS0: phi phi phi\n")
     code, out = run(capsys, "bv", "--input", str(f))
     assert code == 0 and "extension checks: ok" in out.splitlines()
+    calls = counting(monkeypatch, bv_mod, "verify_theorem8")
     code, out = run(capsys, "bv", "--input", str(f), "--cross-check")
     assert code == 2
     assert out == "error: --cross-check: S_0 has degree 3, above 2: no " \
         "finite basis closes under (S_0, .)\n"
+    assert calls == []
 
 
 def test_bv_auto_term_without_cocycle(tmp_path, capsys):

@@ -58,6 +58,76 @@ def test_verify_homotopy_detects_broken_sign():
     assert not rep["homotopy@0"]
 
 
+# -- the resolution identities as residuals ------------------------------------
+
+def equality_report(hd):
+    """verify_homotopy as an equality of the two sides of each identity, as
+    it was written before homotopy_residuals."""
+    sp = hd.space
+    checks = {}
+    for k in range(2, sp.top + 1):
+        checks["l1_l1_zero@%d" % k] = \
+            (hd.l1.block(k - 1) @ hd.l1.block(k)).is_zero()
+    checks["eta_lam_identity"] = \
+        hd.eta @ hd.lam == RatMatrix.identity(hd.f_dim)
+    checks["homotopy@0"] = hd.lam @ hd.eta - RatMatrix.identity(sp.dim(0)) \
+        == hd.l1.block(1) @ hd.s.block(0)
+    for k in range(1, sp.top + 1):
+        checks["homotopy@%d" % k] = \
+            hd.l1.block(k + 1) @ hd.s.block(k) \
+            + hd.s.block(k - 1) @ hd.l1.block(k) \
+            == RatMatrix.identity(sp.dim(k)).scale(-1)
+    return checks
+
+
+def broken_copies(hd):
+    """hd, then copies with eta doubled, with one s block doubled, and with
+    a 1 added to the first entry of one l1 block."""
+    sp, l1, s = hd.space, hd.l1.blocks, hd.s.blocks
+    yield hd
+    yield HomotopyData(sp, hd.l1, hd.f_dim, hd.eta.scale(2), hd.lam, hd.s)
+    for k, blk in s.items():
+        yield HomotopyData(sp, hd.l1, hd.f_dim, hd.eta, hd.lam,
+                           GradedMap(sp, 1, {**s, k: blk.scale(2)}))
+    for k, blk in l1.items():
+        if blk.nrows and blk.ncols:
+            bumped = blk + RatMatrix.from_blocks(*blk.shape,
+                                                 [(0, 0, RatMatrix([[1]]))])
+            yield HomotopyData(sp, GradedMap(sp, -1, {**l1, k: bumped}),
+                               hd.f_dim, hd.eta, hd.lam, hd.s)
+
+
+def test_homotopy_residuals_are_zero_exactly_when_the_identities_hold():
+    """homotopy_residuals keeps verify_homotopy's keys in their order, each
+    residual is zero exactly when the two sides of its identity are equal,
+    and verify_homotopy reads them; on random_split_instance draws, broken
+    copies of them and the broken-sign case."""
+    sp = GradedSpace([2, 1, 0])
+    broken_sign = HomotopyData(
+        sp, GradedMap(sp, -1, {1: RatMatrix([[0], [1]])}), 1,
+        RatMatrix([[1, 0]]), RatMatrix([[1], [0]]),
+        GradedMap(sp, +1, {0: RatMatrix([[0, 1]])}))
+    rng = random.Random(28)
+    cases = [broken_sign] + [hd for _ in range(30)
+                             for hd in broken_copies(
+                                 random_split_instance(rng)[0])]
+    failed = set()
+    for hd in cases:
+        top = hd.space.top
+        residuals = complexes.homotopy_residuals(hd)
+        assert list(residuals) == \
+            ["l1_l1_zero@%d" % k for k in range(2, top + 1)] \
+            + ["eta_lam_identity"] + ["homotopy@%d" % k
+                                      for k in range(top + 1)]
+        want = equality_report(hd)
+        assert {key: r.is_zero() for key, r in residuals.items()} == want
+        assert verify_homotopy(hd) == dict(want, ok=all(want.values()))
+        failed.update(key.split("@")[0] for key, v in want.items() if not v)
+    assert not complexes.homotopy_residuals(broken_sign)["homotopy@0"] \
+        .is_zero()
+    assert failed == {"l1_l1_zero", "eta_lam_identity", "homotopy"}
+
+
 def test_chain_extend_tiny_known_answer():
     hd = tiny_instance()
     # l2_0 maps the F-part to the image part: conditions (ii) and (iii) hold,

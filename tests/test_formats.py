@@ -18,6 +18,7 @@ from chainext.shlie import to_homotopy_data as shlie_homotopy_data
 from chainext.superalg import SuperPoly, mul
 
 from bundled import brst_system
+from references import cochain_value
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
                       "models")
@@ -65,8 +66,8 @@ def test_load_lie_errors_carry_line_numbers():
 def test_load_cochain():
     ch = load_cochain(read_model("cochain_obstructed_alpha1.txt"))
     assert ch.dim == 3 and ch.arity == 2
-    assert ch.value((0, 1)) == [0, 0, 1]
-    assert ch.value((0, 2)) == [1, 0, 0]
+    assert cochain_value(ch, (0, 1)) == [0, 0, 1]
+    assert cochain_value(ch, (0, 2)) == [1, 0, 0]
     with pytest.raises(FormatError):
         load_cochain("kind: cochain\ndim: 2\narity: 2\na 2 1 1: 1\n")
     with pytest.raises(FormatError):

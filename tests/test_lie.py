@@ -12,7 +12,7 @@ from chainext.lie import (
     jacobi_check, nr_compose, obstruction,
 )
 
-from references import cochain_eval
+from references import cochain_eval, cochain_value
 
 
 def so3():
@@ -50,8 +50,8 @@ def test_jacobi():
 
 def test_cochain_alternation():
     a = obstructed_alpha1()
-    assert a.value((1, 0)) == [0, 0, Fraction(-1)]
-    assert a.value((1, 1)) == [0, 0, 0]
+    assert cochain_value(a, (1, 0)) == [0, 0, Fraction(-1)]
+    assert cochain_value(a, (1, 1)) == [0, 0, 0]
     assert cochain_eval(a, [1, 0, 0], [0, 1, 0]) == [0, 0, Fraction(1)]
 
 
@@ -66,9 +66,9 @@ def test_nr_compose_zero_and_jacobi():
 def test_nr_compose_obstructed_value():
     a1 = obstructed_alpha1()
     comp = nr_compose(a1, a1)
-    assert comp.value((0, 1, 2)) == [0, 0, Fraction(-1)]
+    assert cochain_value(comp, (0, 1, 2)) == [0, 0, Fraction(-1)]
     br = bracket2(a1, a1)
-    assert br.value((0, 1, 2)) == [0, 0, Fraction(-2)]
+    assert cochain_value(br, (0, 1, 2)) == [0, 0, Fraction(-2)]
     assert br == nr_compose(a1, a1).scale(2)
 
 
@@ -81,7 +81,7 @@ def test_bracket2_symmetric():
 def test_ce_differential_degree1_aff1():
     phi = Cochain(2, 1, {(0,): [1, 0], (1,): [0, 1]})  # identity map
     dphi = ce_differential(aff1(), phi)
-    assert dphi.value((0, 1)) == [Fraction(1), Fraction(0)]
+    assert cochain_value(dphi, (0, 1)) == [Fraction(1), Fraction(0)]
 
 
 def test_d_squared_zero_on_1_cochains():
@@ -414,7 +414,8 @@ def test_sparse_cochains_match_the_dense_layer(case):
     for a1 in (beta, cocycle):
         alphas, ref = [a1], {}
         while isinstance(ref, dict) and len(alphas) < 3:
-            dense = [{idx: a.value(idx) for idx in a.entries} for a in alphas]
+            dense = [{idx: cochain_value(a, idx) for idx in a.entries}
+                     for a in alphas]
             ref = outcome(ref_extend_deformation, table, dim, dense)
             if isinstance(ref, dict):
                 alphas.append(Cochain(dim, 2, ref))

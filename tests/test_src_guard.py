@@ -4,10 +4,12 @@ A module-level function of src/chainext counts as used when its own module
 names it outside its own body, when another src module imports it from its
 module, or when some src code reaches it as an attribute (`brst_mod.f`).
 So a function is flagged even when a function of the same name in another
-module is called.  A public method of a module-level class counts as used
-when its name occurs anywhere in src/chainext outside its own body (a
-`Name` or an attribute): the scan does not know the types of the objects a
-method is called on.  It never flags a function that src does call.  A
+module is called.  A public method or property of a module-level class
+counts as used when src/chainext loads an attribute of its name outside its
+own body (`x.name`): the scan does not know the types of the objects a
+method is called on.  A bare `Name` never reaches a method, and neither
+does a store (`self.name = ...`), so neither counts.  It never flags a
+function that src does call.  A
 function kept for another reason is listed in ALLOWED, with one of two
 reasons: WRAP_POINT, when perfbench/tracer.py's WRAP_POINTS lists it (read
 from that file, which the tests never change), or LIBRARY_API.  Every entry
@@ -33,9 +35,6 @@ LIBRARY_API = ("library API: an entry point of chainext for its users that "
 ALLOWED = {
     "exactla.RatMatrix.mat_vec": WRAP_POINT,
     "superalg.left_deriv": WRAP_POINT,
-    # its tests and the acceptance criteria run the engine on it, and the
-    # frozen bench inputs are its dumps
-    "brst.export_to_complexes": LIBRARY_API,
     # the inverse of load_extend: it wrote perfbench/inputs/
     "formats.dump_extend": LIBRARY_API,
 }
@@ -64,10 +63,11 @@ def _names(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def _attributes(node):
-    """How often each attribute is used in the subtree node."""
+def _attributes(node, ctx=ast.expr_context):
+    """How often each attribute is used in the subtree node, in the given
+    context (any by default, ast.Load for the loads alone)."""
     return Counter(n.attr for n in ast.walk(node)
-                   if isinstance(n, ast.Attribute))
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ctx))
 
 
 def _imports(tree):
@@ -83,18 +83,18 @@ def unreferenced(trees):
     that nothing in trees uses outside its own body, by the rules above."""
     names = {module: _names(tree) for module, tree in trees.items()}
     attributes = {module: _attributes(tree) for module, tree in trees.items()}
-    every_name = sum(names.values(), Counter())
     every_attribute = sum(attributes.values(), Counter())
+    every_load = sum((_attributes(tree, ast.Load) for tree in trees.values()),
+                     Counter())
     imported = set().union(*map(_imports, trees.values()))
     flagged = set()
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            inside = _names(node)[name]
             if "." in qualname:
-                used = every_name[name] > inside
+                used = every_load[name] > _attributes(node, ast.Load)[name]
             else:
-                used = (names[module][name] > inside
+                used = (names[module][name] > _names(node)[name]
                         or (module, name) in imported
                         or every_attribute[name] > attributes[module][name])
             if not used:
@@ -193,3 +193,19 @@ def test_the_scan_flags_a_function_only_its_own_body_names():
                        "from os import _exit\n")}
     assert unreferenced(trees) == {"a.lonely", "a.hidden", "a.K.unused"}
     assert private_imports(trees) == {"d imports a._helper"}
+
+
+def test_the_scan_counts_only_attribute_loads_for_a_method():
+    """A method whose name src uses elsewhere only as a local name, or only
+    in an attribute store, is flagged, and so is a property read nowhere; a
+    method loaded as an attribute is not."""
+    trees = {"a": ast.parse(
+        "class K:\n"
+        "    def value(self):\n        return 1\n"
+        "    @property\n    def antighost(self):\n        return 2\n"
+        "    def used(self):\n        return 3\n\n"
+        "def f(k):\n    value = 4\n    return value + k.used()\n\n"
+        "class G:\n"
+        "    def __init__(self):\n        self.antighost = 0\n"),
+        "b": ast.parse("from a import f\nX = f(None)\n")}
+    assert unreferenced(trees) == {"a.K.value", "a.K.antighost"}

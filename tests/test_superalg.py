@@ -13,7 +13,7 @@ from chainext.superalg import (
 )
 
 from bundled import brst_system, bv_problem
-from references import longitudinal_d
+from references import antighost, longitudinal_d
 
 
 def brst_like_alg():
@@ -346,7 +346,7 @@ def test_antibracket_axioms():
 def test_parity_and_degree_bookkeeping():
     alg = brst_like_alg()
     f = mul(g(alg, "P1"), g(alg, "G2"))
-    assert f.parity() == 1 and f.antighost() == 1 and f.ghost() == -1
+    assert f.parity() == 1 and antighost(f) == 1 and f.ghost() == -1
     mixed = f + g(alg, "x")
     with pytest.raises(ValueError):
         mixed.parity()
