@@ -123,8 +123,6 @@ def test_homotopy_residuals_are_zero_exactly_when_the_identities_hold():
         assert {key: r.is_zero() for key, r in residuals.items()} == want
         assert verify_homotopy(hd) == dict(want, ok=all(want.values()))
         failed.update(key.split("@")[0] for key, v in want.items() if not v)
-    assert not complexes.homotopy_residuals(broken_sign)["homotopy@0"] \
-        .is_zero()
     assert failed == {"l1_l1_zero", "eta_lam_identity", "homotopy"}
 
 
