@@ -92,8 +92,8 @@ class ConstraintSystem:
     sigma_vals and d_vals map generators to their values under delta, sigma
     and d, read-only; compiled holds the same three derivations as
     superalg.Derivations, for the operator blocks and BRSTExtension.
-    _bases keeps, per cap, the monomial groups, the operator blocks built
-    on them and their engine export; no attribute is rebound after __init__.
+    _bases keeps, per cap, the monomial groups and the operator blocks built
+    on them; no attribute is rebound after __init__.
     """
 
     __slots__ = ("m", "n", "alg", "table", "structure", "xs", "gs", "etas",
@@ -306,7 +306,9 @@ def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
     identity are the export's complexes.homotopy_residuals; eta is 0 on a
     monomial with a G factor, so there the degree-0 residual is lambda~ f.
     Nbar is a product of the operator blocks.  The first failure is the
-    first nonzero residual column in (group, monomial, key) order."""
+    first nonzero residual column in (group, monomial, key) order.  The
+    export also builds the d block on antighost 0, so an output of d that
+    leaves the capped basis raises here, naming the escaping monomial."""
     residuals = homotopy_residuals(export_to_complexes(sys, cap)[0])
     report = dict.fromkeys(RESOLUTION_KEYS, True)
     report["first_failure"] = None
@@ -464,23 +466,30 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
 
 def check_nilpotent_on_basis(ext: BRSTExtension, cap: int):
     """(l1+l2+l3)^2 on every basis monomial, by complexes.verify_nilpotent
-    on the chain extension of the export's delta blocks and the
-    per-monomial images of l2 (group k to k) and l3 (group k to k + 1).
-    Returns the first monomial whose column of the square is nonzero, or
-    None; raises when an image leaves its target group, naming it."""
+    on the chain extension of the delta blocks and the per-monomial images
+    of l2 (group k to k) and l3 (group k to k + 1).  Returns the first
+    monomial whose column of the square is nonzero, or None; raises when an
+    image leaves its target group, naming it.  Only verify_nilpotent's
+    first_failure applies here: the BRST l2 and l3 are nonzero in every
+    group, so its two vanishing keys, and hence its ok, fail on a valid
+    system."""
     sys = ext.sys
-    hd, _, bases = export_to_complexes(sys, cap)
-    dst = bases + [_named_basis(sys, [])]
-    sp = hd.space
+    groups = _groups(sys, cap)
+    # the group past the top is the empty basis, the target of its l3
+    bases = [_named_basis(sys, _group(groups, k))
+             for k in range(len(groups) + 1)]
+    sp = GradedSpace([len(g) for g in groups])
+    l1 = GradedMap(sp, -1, {k: _block(sys, cap, "delta", k)
+                            for k in range(1, len(groups))})
     maps = [GradedMap(sp, shift, {
-        k: basis_matrix(lambda m: rule({m: 1}), src, dst[k + shift])
-        for k, src in enumerate(bases)})
+        k: basis_matrix(lambda m: rule({m: 1}), bases[k], bases[k + shift])
+        for k in range(len(groups))})
         for rule, shift in ((ext._l2_image, 0), (ext._l3_image, 1))]
-    rep = verify_nilpotent(ChainExtension(sp, hd.l1, *maps))
+    rep = verify_nilpotent(ChainExtension(sp, l1, *maps))
     if rep["first_failure"] is None:
         return None
     k, j = rep["first_failure"][1]
-    return bases[k].labels[j]
+    return groups[k][j]
 
 
 # -- export to the generic engine ------------------------------------------------
@@ -490,32 +499,24 @@ def export_to_complexes(sys: ConstraintSystem, degree_cap: int):
     l2_0 block (d on antighost 0), as engine data.
 
     Returns (HomotopyData, l2_0 matrix, bases), one named Basis per antighost
-    group, built once per system and cap and kept next to the blocks.
-    Raises when an operator output escapes the basis, naming the escaping
-    monomial.
+    group.  Raises when an operator output escapes the basis, naming the
+    escaping monomial.
     """
-    key = (degree_cap, "export")
-    export = sys._bases.get(key)
-    if export is None:
-        groups = _groups(sys, degree_cap)
-        bases = [_named_basis(sys, g) for g in groups]
-        sp = GradedSpace([len(g) for g in groups])
-        l1_blocks = {k: _block(sys, degree_cap, "delta", k)
-                     for k in range(1, sys.n + 1)}
-        s_blocks = {k: _block(sys, degree_cap, "s", k) for k in range(sys.n)}
-        # eta projects onto the constraint-free monomials, lam includes them
-        free = _named_basis(sys, [m for m in groups[0]
-                                  if not sys.has_constraint_factor(m)])
-        eta, lam = projection_pair(bases[0], free)
-        hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta,
-                          lam, GradedMap(sp, +1, s_blocks))
-        export = sys._bases[key] = (hd, _block(sys, degree_cap, "d", 0),
-                                    bases)
-    return export
+    groups = _groups(sys, degree_cap)
+    bases = [_named_basis(sys, g) for g in groups]
+    sp = GradedSpace([len(g) for g in groups])
+    l1_blocks = {k: _block(sys, degree_cap, "delta", k)
+                 for k in range(1, sys.n + 1)}
+    s_blocks = {k: _block(sys, degree_cap, "s", k) for k in range(0, sys.n)}
+    # eta projects onto the constraint-free monomials, lambda includes them
+    free = _named_basis(sys, [m for m in groups[0]
+                              if not sys.has_constraint_factor(m)])
+    eta, lam = projection_pair(bases[0], free)
+    hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta, lam,
+                      GradedMap(sp, +1, s_blocks))
+    return hd, _block(sys, degree_cap, "d", 0), bases
 
 
 def _named_basis(sys: ConstraintSystem, monos) -> Basis:
-    """A basis of monomials, each named by its SuperPoly text.  The name
-    holds the algebra, not sys, so the export in sys._bases forms no cycle."""
-    alg = sys.alg
-    return Basis(monos, lambda m: str(SuperPoly(alg, {m: 1})))
+    """A basis of monomials, each named by its SuperPoly text."""
+    return Basis(monos, lambda m: str(SuperPoly(sys.alg, {m: 1})))

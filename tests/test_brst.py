@@ -1,4 +1,3 @@
-import gc
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -700,23 +699,6 @@ def test_l2_image_leaving_its_group_raises_naming_it(monkeypatch):
     with pytest.raises(ValueError, match="^operator output escapes the "
                        "basis at 1\\*G1P1$"):
         check_nilpotent_on_basis(BRSTExtension(sys_), 3)
-
-
-def test_a_checked_system_leaves_no_reference_cycle():
-    """The export kept in a system's _bases names its monomials through the
-    algebra, not the system, so a checked system is freed as soon as it is
-    dropped: no cycle waits for the collector, holding the caches of one CLI
-    job while the next one runs."""
-    gc.collect()
-    gc.disable()
-    try:
-        sys_ = brst_system("brst_toy")
-        assert check_nilpotent_on_basis(build_brst(sys_, degree_cap=3),
-                                        3) is None
-        del sys_
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 # -- build_brst's refusals ----------------------------------------------------
