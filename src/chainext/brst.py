@@ -57,7 +57,7 @@ from .exactla import (Basis, RatMatrix, add_into, combine, image,
                       operator_matrix as basis_matrix)
 from .superalg import (
     Derivation, GenSpec, SuperAlgebra, SuperPoly, extend_right_derivation,
-    mul, poisson, validate_poisson_table,
+    mul, validate_poisson_table,
 )
 
 
@@ -88,9 +88,11 @@ class ConstraintSystem:
 
     poisson_table maps generator-name pairs (among x_i, G_a) to SuperPoly
     values; structure maps (a, b) with a < b (0-based) to the length-n list
-    of structure functions C^c_ab, polynomials in (x, G).  delta_vals,
-    sigma_vals and d_vals map generators to their values under delta, sigma
-    and d, read-only; compiled holds the same three derivations as
+    of structure functions C^c_ab, polynomials in (x, G).  The first-class
+    check and d_vals read each bracket of two generators off the table that
+    superalg.validate_poisson_table returns.  delta_vals, sigma_vals and
+    d_vals map generators to their values under delta, sigma and d,
+    read-only; compiled holds the same three derivations as
     superalg.Derivations, for the operator blocks and BRSTExtension.
     _bases keeps, per cap, the monomial groups and the operator blocks built
     on them; no attribute is rebound after __init__.
@@ -108,7 +110,9 @@ class ConstraintSystem:
             [g.name for g in self.alg.gens if g.kind == kind]
             for kind in ("x", "G", "eta", "P"))
         self.table = dict(poisson_table)
-        validate_poisson_table(self.alg, self.table)
+        # the bracket of two generators, read off the validated table
+        full = validate_poisson_table(self.alg, self.table)
+        zero = SuperPoly.zero(self.alg)
         self.structure = {}
         onames = set(self.etas) | set(self.ps)
         for (a, b), cs in structure.items():
@@ -121,18 +125,15 @@ class ConstraintSystem:
                         raise ValueError("structure functions must be "
                                          "polynomials in (x, G)")
             self.structure[(a, b)] = list(cs)
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                want = _sum(self.alg, (mul(self.structure_fn(c, a, b),
-                                           self.gen(g))
-                                       for c, g in enumerate(self.gs)))
-                got = poisson(self.gen(self.gs[a]), self.gen(self.gs[b]),
-                              self.table)
-                if got != want:
-                    raise ValueError(
-                        "constraints are not first class: [%s,%s] does not "
-                        "close on the given structure functions"
-                        % (self.gs[a], self.gs[b]))
+        for a, b in combinations(range(self.n), 2):
+            want = _sum(self.alg, (mul(self.structure_fn(c, a, b),
+                                       self.gen(g))
+                                   for c, g in enumerate(self.gs)))
+            if full.get((self.gs[a], self.gs[b]), zero) != want:
+                raise ValueError(
+                    "constraints are not first class: [%s,%s] does not "
+                    "close on the given structure functions"
+                    % (self.gs[a], self.gs[b]))
         self.delta_vals = MappingProxyType(
             {p: self.gen(g).scale(-1) for p, g in zip(self.ps, self.gs)})
         self.sigma_vals = MappingProxyType(
@@ -140,9 +141,9 @@ class ConstraintSystem:
         # d x_i = [x_i,G_b] eta^b, d G_a = [G_a,G_b] eta^b,
         # d eta^a = 1/2 C^a_cb eta^b eta^c, d P_a = 0
         d_vals = {
-            name: _sum(self.alg, (mul(poisson(self.gen(name), self.gen(g),
-                                              self.table), self.gen(e))
-                                  for g, e in zip(self.gs, self.etas)))
+            name: _sum(self.alg, (mul(full[(name, g)], self.gen(e))
+                                  for g, e in zip(self.gs, self.etas)
+                                  if (name, g) in full))
             for name in self.xs + self.gs}
         for a, ea in enumerate(self.etas):
             d_vals[ea] = _sum(
@@ -469,10 +470,9 @@ def check_nilpotent_on_basis(ext: BRSTExtension, cap: int):
     on the chain extension of the delta blocks and the per-monomial images
     of l2 (group k to k) and l3 (group k to k + 1).  Returns the first
     monomial whose column of the square is nonzero, or None; raises when an
-    image leaves its target group, naming it.  Only verify_nilpotent's
-    first_failure applies here: the BRST l2 and l3 are nonzero in every
-    group, so its two vanishing keys, and hence its ok, fail on a valid
-    system."""
+    image leaves its target group, naming it.  Only first_failure is read;
+    l2 is nonzero only on antighost 0 and 1 and l3 only on antighost 0, so
+    on a valid system the two vanishing keys, and ok, hold as well."""
     sys = ext.sys
     groups = _groups(sys, cap)
     # the group past the top is the empty basis, the target of its l3

@@ -112,12 +112,6 @@ def obstruction_R(problem: DeformationProblem, order: int) -> SuperPoly:
     return out
 
 
-# The plain and the starred series of the extension are both Series over the
-# model's monomials (the star is the identity on the monomial spanning set);
-# a starred one carries kmin = n + 1.
-TSeries = StarSeries = Series
-
-
 class Theorem8Maps:
     """The three maps of the extension, stored as t-linear operators.
 

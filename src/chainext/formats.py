@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 
+from .brst import constraint_algebra
 from .bv import BVModel
 from .complexes import GradedMap, GradedSpace, HomotopyData
 from .exactla import RATIONAL, RatMatrix, rat
@@ -215,7 +216,6 @@ def load_cochain(text) -> Cochain:
 
 def load_brst(text):
     """(m, n, poisson_table, structure) ready for ConstraintSystem."""
-    from .brst import constraint_algebra
     lines = _data_lines(text)
     m = n = None
     raw, seen = [], set()

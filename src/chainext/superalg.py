@@ -13,7 +13,9 @@ coefficient.
 Provides graded right/left derivations, an even Poisson bracket extended as a
 biderivation from a generator table, and the antibracket of field/antifield
 pairs.  A derivation fixed by its generator values is one type, `Derivation`,
-and `FixedAntibracket`, the derivation (f, .) for a fixed f, is one of them.
+and `FixedAntibracket`, the derivation (f, .) for a fixed f, is one of them;
+`antibracket` applies it once per parity part of f, so the antibracket has
+one kernel and takes only a field/antifield pairing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import exact, image, lowest, rat
+from .exactla import add_into, exact, image, lowest, rat
 
 KINDS = ("x", "G", "eta", "P", "field", "antifield")
 
@@ -194,13 +196,16 @@ class SuperPoly:
         return " + ".join(bits)
 
 
-def _mul_into(out, f_terms, g_terms, parities, negate=False):
-    """Add f g (or -f g when negate) into the monomial dict out; the values
-    added are ints where they are integral."""
-    g_list = _kernel_terms(g_terms, parities)
-    for m1, c1 in f_terms.items():
+def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
+    """f g; the kernel sums ints where the coefficients are integral."""
+    if f.alg != g.alg:
+        raise ValueError("generator-set mismatch")
+    parities = [gen.parity for gen in f.alg.gens]
+    g_list = _kernel_terms(g.terms, parities)
+    out = {}
+    for m1, c1 in f.terms.items():
         odd1 = [g for g in m1 if parities[g]]
-        c1 = -exact(c1) if negate else exact(c1)
+        c1 = exact(c1)
         for m2, odd2, c2 in g_list:
             m, sign = _merge_monomials(m1, odd1, m2, odd2)
             if m is None:
@@ -208,13 +213,6 @@ def _mul_into(out, f_terms, g_terms, parities, negate=False):
             c = c1 * c2 if sign > 0 else -(c1 * c2)
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
-
-
-def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
-    if f.alg != g.alg:
-        raise ValueError("generator-set mismatch")
-    out = {}
-    _mul_into(out, f.terms, g.terms, [gen.parity for gen in f.alg.gens])
     return SuperPoly(f.alg, out)
 
 
@@ -404,9 +402,10 @@ def poisson(f: SuperPoly, g: SuperPoly, table) -> SuperPoly:
     return out
 
 
-def validate_poisson_table(alg, table) -> None:
-    """Raise unless the table is antisymmetric and satisfies Jacobi on all
-    generator triples.
+def validate_poisson_table(alg, table) -> dict:
+    """The table with both orderings of each pair and no diagonal; raise
+    unless it is antisymmetric and satisfies Jacobi on all generator
+    triples.
 
     Once the table is antisymmetric, so is the bracket of any two
     polynomials in the (even) bracketed generators, and the Jacobiator
@@ -415,35 +414,34 @@ def validate_poisson_table(alg, table) -> None:
     arguments swap.  Over Q it vanishes when a name repeats, and every
     ordering of three distinct names fails with the sorted one.  So the
     triples of distinct names in sorted order decide Jacobi, and the first
-    of them to fail is the first failing ordered triple."""
+    of them to fail is the first failing ordered triple.  Each inner
+    bracket of two generators is read off the table."""
     full = _canonical_table(alg, table)
     names = sorted({u for (u, _v) in full})
     gens = {u: SuperPoly.gen(alg, u) for u in names}
     for a, b, c in combinations(names, 3):
-        s = poisson(gens[a], poisson(gens[b], gens[c], table), table)
-        s = s + poisson(gens[b], poisson(gens[c], gens[a], table), table)
-        s = s + poisson(gens[c], poisson(gens[a], gens[b], table), table)
+        s = SuperPoly.zero(alg)
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            if (y, z) in full:
+                s = s + poisson(gens[x], full[(y, z)], table)
         if not s.is_zero():
             raise ValueError("poisson table fails Jacobi on (%s,%s,%s)"
                              % (a, b, c))
+    return full
 
 
 def antibracket(f: SuperPoly, g: SuperPoly, pairs) -> SuperPoly:
-    """(f,g) = sum over pairs of dRf/dphi dLg/dphi* - dRf/dphi* dLg/dphi,
-    from one derivative table of each argument.  A caller that brackets one
-    fixed f with many g uses FixedAntibracket instead."""
+    """(f,g) = sum over pairs of dRf/dphi dLg/dphi* - dRf/dphi* dLg/dphi:
+    FixedAntibracket of each parity part of f, applied to g.  The pairs
+    must be a field/antifield pairing; others raise ValueError."""
     if f.alg != g.alg:
         raise ValueError("generator-set mismatch")
-    names = [name for pair in pairs for name in pair]
-    df = iter(_derivatives(f, names, left=False))
-    dg = iter(_derivatives(g, names, left=True))
-    parities = [gen.parity for gen in f.alg.gens]
+    parts = ({}, {})
+    for m, c in f.terms.items():
+        parts[f.monomial_parity(m)][m] = c
     out = {}
-    for df_field, df_anti, dg_field, dg_anti in zip(df, df, dg, dg):
-        if df_field:
-            _mul_into(out, df_field, dg_anti, parities)
-        if df_anti:
-            _mul_into(out, df_anti, dg_field, parities, negate=True)
+    for part in parts:
+        add_into(out, FixedAntibracket(SuperPoly(f.alg, part), pairs)(g.terms))
     return SuperPoly(f.alg, out)
 
 

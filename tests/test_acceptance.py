@@ -15,6 +15,7 @@ from chainext.complexes import (chain_extend, check_l2_conditions,
 from chainext.formats import load_cochain, load_extend, load_lie
 from chainext.instances import random_split_instance
 from chainext.lie import h2, nr_compose
+from chainext.series import Series
 from chainext.shlie import TruncSeries, build_shlie, crosscheck_with_engine, \
     master_relation, verify_shlie
 from chainext.superalg import SuperPoly
@@ -196,13 +197,13 @@ def test_criterion_7_theorem8_two_pair(criterion):
             coeffs[rng.randrange(problem.trunc + 1)] += \
                 model.poly(monos[rng.randrange(len(monos))]).scale(
                     rng.randint(-2, 2))
-        x = bv_mod.TSeries(model, problem.trunc, coeffs)
+        x = Series(model, problem.trunc, coeffs)
         sq = apply_S(maps, apply_S(
-            maps, (x, bv_mod.StarSeries(model, problem.trunc, kmin=2))))
+            maps, (x, Series(model, problem.trunc, kmin=2))))
         ok = ok and sq[0].is_zero() and sq[1].is_zero()
     R = bv_mod.obstruction_R(problem, 2)
     for mono in monos:
-        got = dense_coeffs(l3_plain(maps, bv_mod.TSeries.basis(
+        got = dense_coeffs(l3_plain(maps, Series.basis(
             model, problem.trunc, 0, mono)))[2]
         want = model.bracket(R, model.poly(mono)).scale(Fraction(-1, 2))
         ok = ok and got == want

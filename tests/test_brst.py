@@ -13,7 +13,7 @@ from chainext.brst import (
     monomial_basis, verify_brst_resolution,
 )
 from chainext.complexes import (check_l2_conditions, compare_with_engine,
-                                verify_homotopy)
+                                verify_homotopy, verify_nilpotent)
 from chainext.exactla import (Basis, RatMatrix, add_into, image, lowest,
                               operator_matrix as basis_matrix, solve)
 from chainext.superalg import (SuperPoly, extend_right_derivation, mul,
@@ -219,6 +219,42 @@ def test_nilpotent_on_basis():
     for model, cap in (("brst_toy", 4), ("brst_so3", 3)):
         ext = BRSTExtension(brst_system(model))
         assert check_nilpotent_on_basis(ext, cap) is None
+
+
+@pytest.mark.parametrize("model", ["brst_so3", "brst_toy", "brst_abelian"],
+                         ids=model_id)
+def test_d_values_are_the_poisson_brackets_with_the_constraints(model):
+    """ConstraintSystem reads d x and d G off the validated table; here each
+    is built by poisson on the model's table: d y = sum_b [y, G_b] eta^b."""
+    sys_ = brst_system(model)
+    for name in sys_.xs + sys_.gs:
+        want = SuperPoly.zero(sys_.alg)
+        for g, e in zip(sys_.gs, sys_.etas):
+            want = want + mul(poisson(sys_.gen(name), sys_.gen(g),
+                                      sys_.table), sys_.gen(e))
+        assert sys_.d_vals[name] == want, name
+
+
+@pytest.mark.parametrize("model,cap", [("brst_so3", 3), ("brst_so3", 4),
+                                       ("brst_so3", 5), ("brst_toy", 4),
+                                       ("brst_toy", 6), ("brst_abelian", 3)])
+def test_nilpotent_report_holds_every_key(model, cap, monkeypatch):
+    """The whole verify_nilpotent report inside check_nilpotent_on_basis:
+    l2 is nonzero only on antighost 0 and 1 and l3 only on antighost 0, so
+    both vanishing keys hold along with l^2 = 0."""
+    reports = []
+
+    def recording(ext_):
+        reports.append(verify_nilpotent(ext_))
+        return reports[-1]
+
+    monkeypatch.setattr(brst_mod, "verify_nilpotent", recording)
+    assert check_nilpotent_on_basis(
+        BRSTExtension(brst_system(model)), cap) is None
+    (rep,) = reports
+    assert rep["ok"] and rep["first_failure"] is None
+    assert rep["l2_vanishes_above_degree_1"]
+    assert rep["l3_vanishes_above_degree_0"]
 
 
 def test_basis_counts_and_jump():

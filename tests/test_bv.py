@@ -3,12 +3,13 @@ import random
 import pytest
 
 from chainext.bv import (
-    BVModel, DeformationProblem, StarSeries, TSeries, Theorem8Maps,
-    engine_matrices_match, find_s0_cocycle, obstruction_R, theorem8_maps,
-    to_homotopy_data, verify_theorem8,
+    BVModel, DeformationProblem, Theorem8Maps, engine_matrices_match,
+    find_s0_cocycle, obstruction_R, theorem8_maps, to_homotopy_data,
+    verify_theorem8,
 )
 from chainext.complexes import compare_with_engine, verify_homotopy
 from chainext.exactla import RatMatrix, rat
+from chainext.series import Series
 from chainext.superalg import GenSpec, SuperPoly, antibracket, mul
 
 from bundled import bv_problem, model_id
@@ -121,19 +122,19 @@ def test_maps_closed_form_order_one():
     for name in ("phi1", "C2", "phi2_st", "C1_st"):
         a = g.gen(name)
         mono = next(iter(a.terms))
-        img = maps.l2_plain_op.apply(TSeries.basis(g, 3, 0, mono))
+        img = maps.l2_plain_op.apply(Series.basis(g, 3, 0, mono))
         assert dense_coeffs(img)[0] == g.bracket(s0, a)
         assert dense_coeffs(img)[1] == g.bracket(s1, a)
         assert dense_coeffs(img)[2].is_zero()
         assert dense_coeffs(img)[3].is_zero()
-        l3 = l3_plain(maps, TSeries.basis(g, 3, 0, mono))
+        l3 = l3_plain(maps, Series.basis(g, 3, 0, mono))
         assert dense_coeffs(l3)[0].is_zero() and dense_coeffs(l3)[1].is_zero()
         assert dense_coeffs(l3)[2] == g.bracket(r11, a).scale(rat("-1/2"))
         assert dense_coeffs(l3)[3].is_zero()
-        star = maps.l2_star_op.apply(StarSeries.basis(g, 3, 2, mono, kmin=2))
+        star = maps.l2_star_op.apply(Series.basis(g, 3, 2, mono, kmin=2))
         assert dense_coeffs(star)[2] == g.bracket(s0, a).scale(-1)
         assert dense_coeffs(star)[3] == g.bracket(s1, a).scale(-1)
-        back = maps.l1_op.apply(StarSeries.basis(g, 3, 2, mono, kmin=2))
+        back = maps.l1_op.apply(Series.basis(g, 3, 2, mono, kmin=2))
         assert dense_coeffs(back)[2] == a and dense_coeffs(back)[3].is_zero()
 
 
@@ -149,18 +150,18 @@ def test_bracket_tables_give_the_plain_brackets():
     for mono in g.monomials(2):
         a = g.poly(mono)
         for k in range(T + 1):
-            img = maps.l2_plain_op.apply(TSeries.basis(g, T, k, mono))
+            img = maps.l2_plain_op.apply(Series.basis(g, T, k, mono))
             for i in range(T + 1 - k):
                 want = plain(q.S[i], a) if i <= n else SuperPoly.zero(g.alg)
                 assert dense_coeffs(img)[k + i] == want
-            l3 = l3_plain(maps, TSeries.basis(g, T, k, mono))
+            l3 = l3_plain(maps, Series.basis(g, T, k, mono))
             for m, rm in maps.pair_brackets.items():
                 if k + m <= T:
                     assert dense_coeffs(l3)[k + m] == \
                         plain(rm, a).scale(rat("-1/2"))
             if k >= n + 1:
                 star = maps.l2_star_op.apply(
-                    StarSeries.basis(g, T, k, mono, kmin=n + 1))
+                    Series.basis(g, T, k, mono, kmin=n + 1))
                 for i in range(min(n, T - k) + 1):
                     assert dense_coeffs(star)[k + i] == \
                         plain(q.S[i], a).scale(-1)
@@ -196,8 +197,8 @@ def test_star_series_grading():
     m = bv_problem("bv_two_pair").model
     mono = next(iter(m.gen("phi").terms))
     with pytest.raises(ValueError):
-        StarSeries.basis(m, 3, 1, mono, kmin=2)
-    StarSeries.basis(m, 3, 2, mono, kmin=2)  # fine
+        Series.basis(m, 3, 1, mono, kmin=2)
+    Series.basis(m, 3, 2, mono, kmin=2)  # fine
 
 
 def test_verify_reports_ok():
@@ -212,7 +213,7 @@ def test_vanishing_obstruction_kills_l3():
     maps = theorem8_maps(p)
     m = p.model
     for mono in m.monomials(3):
-        assert l3_plain(maps, TSeries.basis(m, p.trunc, 0, mono)).is_zero()
+        assert l3_plain(maps, Series.basis(m, p.trunc, 0, mono)).is_zero()
 
 
 def test_corrupt_star_sign_detected():
@@ -236,9 +237,8 @@ def test_squares_on_random_composites():
             coeffs[rng.randrange(q.trunc + 1)] += \
                 g.poly(monos[rng.randrange(len(monos))]).scale(
                     rng.randint(-3, 3))
-        x = TSeries(g, q.trunc, coeffs)
-        sq = apply_S(maps, apply_S(maps, (x, StarSeries(g, q.trunc,
-                                                        kmin=2))))
+        x = Series(g, q.trunc, coeffs)
+        sq = apply_S(maps, apply_S(maps, (x, Series(g, q.trunc, kmin=2))))
         assert sq[0].is_zero() and sq[1].is_zero()
 
 
@@ -295,25 +295,25 @@ def reference_verify_theorem8(maps, maxdeg):
     for mono in model.monomials(maxdeg):
         a = model.poly(mono)
         for k in range(T + 1):
-            x = TSeries.basis(model, T, k, mono)
-            sq = apply_S(maps, apply_S(maps, (x, StarSeries(
+            x = Series.basis(model, T, k, mono)
+            sq = apply_S(maps, apply_S(maps, (x, Series(
                 model, T, kmin=n + 1))))
             if not (sq[0].is_zero() and sq[1].is_zero()):
                 fail("s_squared", ("degree0", mono, k))
             if k >= n + 1:
-                xi = StarSeries.basis(model, T, k, mono, kmin=n + 1)
-                sq = apply_S(maps, apply_S(maps, (TSeries(model, T), xi)))
+                xi = Series.basis(model, T, k, mono, kmin=n + 1)
+                sq = apply_S(maps, apply_S(maps, (Series(model, T), xi)))
                 if not (sq[0].is_zero() and sq[1].is_zero()):
                     fail("s_squared", ("degree1", mono, k))
                 img = maps.l2_star_op.apply(xi)
                 if any(not c.is_zero() for c in dense_coeffs(img)[:n + 1]):
                     fail("ideal_preserved", (mono, k))
-        got = dense_coeffs(l3_plain(maps, TSeries.basis(model, T, 0,
+        got = dense_coeffs(l3_plain(maps, Series.basis(model, T, 0,
                                                         mono)))[n + 1]
         if got != antibracket(R, a, model.pairs).scale(rat("-1/2")):
             fail("l3_obstruction_summand", mono)
         gh = a.ghost()
-        plain = maps.l2_plain_op.apply(TSeries.basis(model, T, 0, mono))
+        plain = maps.l2_plain_op.apply(Series.basis(model, T, 0, mono))
         for c in dense_coeffs(plain):
             if not c.is_zero() and c.ghost() != gh + 1:
                 fail("ghost_shift", mono)

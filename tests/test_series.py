@@ -319,4 +319,4 @@ def test_canonical_form_merges_equal_chains():
 
 def test_one_series_class():
     from chainext import bv
-    assert bv.TSeries is bv.StarSeries is TruncSeries is Series
+    assert bv.Series is TruncSeries is Series

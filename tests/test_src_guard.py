@@ -8,9 +8,11 @@ module is called.  A public method or property of a module-level class
 counts as used when src/chainext loads an attribute of its name outside its
 own body (`x.name`): the scan does not know the types of the objects a
 method is called on.  A bare `Name` never reaches a method, and neither
-does a store (`self.name = ...`), so neither counts.  It never flags a
-function that src does call.  A
-function kept for another reason is listed in ALLOWED, with one of two
+does a store (`self.name = ...`), so neither counts.  A module-level alias
+`NAME = other` (each target of a chained one) counts as used when src
+loads NAME, as a name in its own module or as an attribute anywhere, or
+when another src module imports it.  It never flags a function that src
+does call.  A function kept for another reason is listed in ALLOWED, with one of two
 reasons: WRAP_POINT, when perfbench/tracer.py's WRAP_POINTS lists it (read
 from that file, which the tests never change), or LIBRARY_API.  Every entry
 must still be flagged, so the list holds no stale names.
@@ -56,6 +58,22 @@ def _definitions(tree):
                     yield "%s.%s" % (node.name, sub.name), sub
 
 
+def _aliases(tree):
+    """Each name that a module-level `NAME = other` binds, with each target
+    of a chained assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
+def _name_loads(tree):
+    """How often each bare name is loaded in the subtree."""
+    return Counter(n.id for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
 def _names(node):
     """How often each name or attribute is used in the subtree node."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
@@ -99,6 +117,11 @@ def unreferenced(trees):
                         or every_attribute[name] > attributes[module][name])
             if not used:
                 flagged.add("%s.%s" % (module, qualname))
+        loads = _name_loads(tree)
+        for name in _aliases(tree):
+            if not (loads[name] or every_load[name]
+                    or (module, name) in imported):
+                flagged.add("%s.%s" % (module, name))
     return flagged
 
 
@@ -209,3 +232,13 @@ def test_the_scan_counts_only_attribute_loads_for_a_method():
         "    def __init__(self):\n        self.antighost = 0\n"),
         "b": ast.parse("from a import f\nX = f(None)\n")}
     assert unreferenced(trees) == {"a.K.value", "a.K.antighost"}
+
+
+def test_the_scan_flags_an_alias_only_the_tests_read():
+    """Both targets of a chained alias that nothing in src reads are
+    flagged; an alias loaded in its own module, one imported by another
+    module and one reached as a module attribute are not."""
+    trees = {"a": ast.parse("class K:\n    pass\n\n"
+                            "T = S = K\nU = K\nV = K\nW = V\n"),
+             "b": ast.parse("from a import U\nimport a\nX = a.W\n")}
+    assert unreferenced(trees) == {"a.T", "a.S"}

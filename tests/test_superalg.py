@@ -171,6 +171,22 @@ def test_poisson_table_and_leibniz():
     assert poisson(f, g(alg, "G2"), t) == mul(g(alg, "G3"), g(alg, "eta1"))
 
 
+def test_validate_poisson_table_returns_the_canonical_table():
+    """Both orderings of every pair, the reversed one negated, and no
+    diagonal, also when the table lists a zero diagonal entry; each entry
+    is the poisson bracket of its two generators."""
+    alg = so3_alg()
+    t = {**so3_table(alg), ("G1", "G1"): SuperPoly.zero(alg)}
+    full = validate_poisson_table(alg, t)
+    assert set(full) == {pair for u, v in so3_table(alg)
+                         for pair in ((u, v), (v, u))}
+    for (u, v), val in full.items():
+        assert full[(v, u)] == val.scale(-1)
+        assert val == poisson(g(alg, u), g(alg, v), t)
+    for pair, val in so3_table(alg).items():
+        assert full[pair] == val
+
+
 def test_poisson_x_g_example():
     alg = SuperAlgebra([GenSpec("x", "even", kind="x"),
                         GenSpec("G1", "even", kind="G")])

@@ -315,15 +315,6 @@ def test_extend_right_derivation_matches_old(case, parity):
     assert stored_as_fractions(got)
 
 
-@_settings
-@given(drawn(2))
-def test_antibracket_matches_old(case):
-    alg, pairs, f, g = case
-    got = antibracket(f, g, pairs)
-    assert got.terms == old_antibracket(f, g, pairs).terms
-    assert stored_as_fractions(got)
-
-
 def field_antifield_pairs(alg, pairs):
     """The pairs of opposite parity.  (f, .) is a left derivation of parity
     parity(f) + 1 only over such pairs, each generator in one of them: on
@@ -331,6 +322,16 @@ def field_antifield_pairs(alg, pairs):
     every pair."""
     return [(u, v) for u, v in pairs
             if alg.gens[alg.index[u]].parity != alg.gens[alg.index[v]].parity]
+
+
+@_settings
+@given(drawn(2))
+def test_antibracket_matches_old(case):
+    alg, pairs, f, g = case
+    pairs = field_antifield_pairs(alg, pairs)
+    got = antibracket(f, g, pairs)
+    assert got.terms == old_antibracket(f, g, pairs).terms
+    assert stored_as_fractions(got)
 
 
 @_settings
@@ -345,7 +346,7 @@ def field_antifield_pairs(alg, pairs):
                             (0, 0, 5): 4})])
 def test_fixed_antibracket_matches_antibracket(case):
     """The left-derivation pass of superalg._derive, through
-    FixedAntibracket, against the antibracket's two derivative tables, for
+    FixedAntibracket, against old_antibracket's two derivative tables, for
     the even and the odd part of a drawn f.  In the first example c is even
     and cubed next to odd factors of g, and f has a d, so (f, c) = dRf/dd is
     not zero: the run of three c's is taken once, with coefficient 3.  In
@@ -358,7 +359,7 @@ def test_fixed_antibracket_matches_antibracket(case):
         part = SuperPoly(alg, {m: c for m, c in f.terms.items()
                                if f.monomial_parity(m) == p})
         assert FixedAntibracket(part, pairs)(g.terms) == \
-            antibracket(part, g, pairs).terms
+            old_antibracket(part, g, pairs).terms
 
 
 def test_fixed_antibracket_rejects_a_pairing_that_is_not_field_antifield():
@@ -372,3 +373,19 @@ def test_fixed_antibracket_rejects_a_pairing_that_is_not_field_antifield():
         FixedAntibracket(f, pairs)
     with pytest.raises(ValueError, match="pair a-e repeats a generator"):
         FixedAntibracket(f, [("a", "b"), ("a", "e")])
+
+
+def test_antibracket_rejects_a_pairing_that_is_not_field_antifield():
+    """antibracket is FixedAntibracket per parity part of f, so it refuses
+    the same pairings: on the BV algebra of bv_two_ghost, the even pair
+    phi1-phi2 and a generator in two pairs."""
+    alg, pairs = ALGEBRAS["bv_two_ghost"]
+    phi1, phi2, c1 = (SuperPoly.gen(alg, name)
+                      for name in ("phi1", "phi2", "C1"))
+    f, g = mul(phi1, phi1), mul(phi2, c1)
+    assert antibracket(f, g, pairs).is_zero()
+    with pytest.raises(ValueError, match="pair phi1-phi2 has equal parities"):
+        antibracket(f, g, [("phi1", "phi2")])
+    with pytest.raises(ValueError,
+                       match="pair phi1-phi2_st repeats a generator"):
+        antibracket(f, g, [("phi1", "phi1_st"), ("phi1", "phi2_st")])
