@@ -110,7 +110,6 @@ class ConstraintSystem:
             [g.name for g in self.alg.gens if g.kind == kind]
             for kind in ("x", "G", "eta", "P"))
         self.table = dict(poisson_table)
-        # the bracket of two generators, read off the validated table
         full = validate_poisson_table(self.alg, self.table)
         zero = SuperPoly.zero(self.alg)
         self.structure = {}

@@ -204,7 +204,7 @@ def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
     g_list = _kernel_terms(g.terms, parities)
     out = {}
     for m1, c1 in f.terms.items():
-        odd1 = [g for g in m1 if parities[g]]
+        odd1 = [k for k in m1 if parities[k]]
         c1 = exact(c1)
         for m2, odd2, c2 in g_list:
             m, sign = _merge_monomials(m1, odd1, m2, odd2)
