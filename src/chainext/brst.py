@@ -28,7 +28,8 @@ the engine's matrix recursion on the exported blocks.
 
 Operators are materialized on the finite monomial basis of weighted degree
 <= cap, where the weight adds the maximal degree jump of d per missing
-ghost; the basis is closed under every operator and this is checked loudly.
+ghost; superalg.monomials enumerates exactly this basis, which is closed
+under every operator, and this is checked loudly.
 The matrices of delta, sigma, s and d are built once per system and cap,
 one block per antighost group: a column of delta, sigma or d is the compiled
 image of one monomial, written by exactla.operator_matrix, which raises
@@ -47,7 +48,7 @@ brst_abelian (src/chainext/models), read by formats.load_brst.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import lcm
 from types import MappingProxyType
 
@@ -57,7 +58,7 @@ from .exactla import (Basis, RatMatrix, add_into, combine, image,
                       operator_matrix as basis_matrix)
 from .superalg import (
     Derivation, GenSpec, SuperAlgebra, SuperPoly, extend_right_derivation,
-    mul, validate_poisson_table,
+    monomials, mul, validate_poisson_table,
 )
 
 
@@ -185,9 +186,6 @@ class ConstraintSystem:
     def xgp_degree(self, mono):
         return sum(1 for i in mono if self.alg.gens[i].kind in ("x", "G", "P"))
 
-    def ghost_degree(self, mono):
-        return sum(1 for i in mono if self.alg.gens[i].kind == "eta")
-
     def antighost_degree(self, mono):
         return sum(1 for i in mono if self.alg.gens[i].kind == "P")
 
@@ -217,29 +215,20 @@ def degree_jump(sys: ConstraintSystem) -> int:
                       for mono in value.terms])
 
 
-def weight(sys: ConstraintSystem, mono, jump) -> int:
-    return sys.xgp_degree(mono) + jump * (sys.n - sys.ghost_degree(mono))
-
-
 def monomial_basis(sys: ConstraintSystem, cap: int):
     """All normal-ordered monomials of weight <= cap, grouped by antighost
-    degree; each group sorted deterministically."""
+    degree; each group sorted deterministically.  With p antighosts and e
+    ghosts the weight is <= cap exactly when at most cap - p - jump (n - e)
+    factors are even."""
     jump = degree_jump(sys)
-    evens = [sys.alg.index[x] for x in sys.xs] + \
-            [sys.alg.index[g] for g in sys.gs]
-    etas = [sys.alg.index[e] for e in sys.etas]
-    ps = [sys.alg.index[p] for p in sys.ps]
-    max_xgp = cap + jump * sys.n
+
+    def even_degree(odd):
+        p = sys.antighost_degree(odd)
+        return cap - p - jump * (sys.n - len(odd) + p)
+
     groups = [[] for _ in range(sys.n + 1)]
-    for pn in range(sys.n + 1):
-        for pset in combinations(ps, pn):
-            for en in range(sys.n + 1):
-                for eset in combinations(etas, en):
-                    for ed in range(max_xgp - pn + 1):
-                        for emono in combinations_with_replacement(evens, ed):
-                            mono = tuple(sorted(emono + eset + pset))
-                            if weight(sys, mono, jump) <= cap:
-                                groups[pn].append(mono)
+    for mono in monomials(sys.alg, even_degree):
+        groups[sys.antighost_degree(mono)].append(mono)
     for g in groups:
         g.sort()
     return groups

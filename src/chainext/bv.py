@@ -27,15 +27,13 @@ formats.load_bv.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 from .complexes import compare_with_engine, verify_homotopy
 from .exactla import Basis, kernel_basis, operator_matrix
-from .series import Series, TLinear, pair_sum, star_resolution
-from .superalg import (
-    FixedAntibracket, SuperAlgebra, SuperPoly, antibracket, antifield_of,
-)
+from .series import TLinear, pair_sum, star_resolution
+from .superalg import (FixedAntibracket, SuperAlgebra, SuperPoly, antibracket,
+                       antifield_of, monomials)
 
 
 class BVModel:
@@ -65,16 +63,7 @@ class BVModel:
 
     def monomials(self, maxdeg):
         """All normal-ordered monomials of total degree <= maxdeg, sorted."""
-        evens = [i for i, g in enumerate(self.alg.gens) if g.parity == 0]
-        odds = [i for i, g in enumerate(self.alg.gens) if g.parity == 1]
-        out = []
-        for on in range(len(odds) + 1):
-            for oset in combinations(odds, on):
-                for ed in range(maxdeg - on + 1):
-                    for emono in combinations_with_replacement(evens, ed):
-                        out.append(tuple(sorted(emono + oset)))
-        out.sort()
-        return out
+        return sorted(monomials(self.alg, lambda odd: maxdeg - len(odd)))
 
     def poly(self, mono):
         return SuperPoly(self.alg, {mono: 1})
@@ -299,15 +288,16 @@ def to_homotopy_data(maps: Theorem8Maps, cap: int):
     labels.
 
     The basis is weighted so that every bracket application stays inside:
-    weight = degree + jump * (T - t-power), where jump bounds the degree
-    increase of (S_i, .) for i >= 1; (S_0, .) must not increase degree.
+    weight = degree + jump * (T - t-power) <= cap, where jump bounds the
+    degree increase of (S_i, .) for i >= 1; (S_0, .) must not increase
+    degree.  So every label has degree <= cap, the bound of the monomials.
     """
     model, n, T = maps.model, maps.n, maps.T
     check_s0_degree(maps.problem.S[0])
     jump = max([0] + [len(m) - 2 for s in maps.problem.S[1:]
                       for m in s.terms])
-    labels = sorted((m, k) for m in model.monomials(cap + jump * T)
-                    for k in range(T + 1) if len(m) + jump * (T - k) <= cap)
+    labels = [(m, k) for m in model.monomials(cap)
+              for k in range(T + 1) if len(m) + jump * (T - k) <= cap]
     hd, bases = star_resolution(
         labels, n + 1, lambda b: "%s t^%d" % (model.poly(b[0]), b[1]))
     return hd, maps.l2_plain_op.matrix(bases[0], bases[0], T), bases

@@ -116,7 +116,7 @@ def cmd_shlie(config):
     report = {"command": "shlie", "trunc": config.trunc}
     code = PASS
     try:
-        t2 = build_shlie(alg, alg.alpha0, a1, N=config.trunc, variant="t2")
+        t2 = build_shlie(alg, a1, N=config.trunc, variant="t2")
         built = {"t2": t2, "full": t2.as_variant("full")}
     except ValueError as e:
         report["build"] = "error: %s" % e

@@ -23,8 +23,6 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -34,7 +32,7 @@ _ONE = Fraction(1)
 RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
 
 
-def rat(x) -> Rat:
+def rat(x) -> Fraction:
     """Coerce an int, a Fraction or a RATIONAL string to an exact rational;
     any other string raises ValueError."""
     if isinstance(x, Fraction):
@@ -239,7 +237,7 @@ class RatMatrix:
     def __repr__(self):
         return "RatMatrix(%d x %d)" % (self.nrows, self.ncols)
 
-    def entry(self, i, j) -> Rat:
+    def entry(self, i, j) -> Fraction:
         if not 0 <= i < self.nrows:
             raise IndexError("row %d out of range" % (i,))
         if not 0 <= j < self.ncols:

@@ -1,8 +1,8 @@
 """Truncated t-series and t-linear operators, shared by `bv` and `shlie`.
 
 A `Series` is sum_k c_k t^k mod t^(T+1), each c_k a sparse {label: int or
-Fraction} dict, zero below t^kmin.  Its coefficient space is a dimension d
-(labels 0..d-1) or a bv.BVModel (labels its monomials).
+Fraction} dict.  Its coefficient space is a dimension d (labels 0..d-1) or
+a bv.BVModel (labels its monomials); shlie grades X_1 (`ShLieStructure.kmin`).
 
 A `TLinear` is sum_s t^s A_s with shifts s >= 0, so A(x t^k) = t^k A(x) mod
 t^(T+1).  Each A_s is a sum of scalar * chain, a chain (f1, ..., fr) being
@@ -30,9 +30,9 @@ from .exactla import Basis, add_into, exact, image, operator_matrix, rat
 class Series:
     """sum_k c_k t^k mod t^(T+1) with sparse coefficients c_k."""
 
-    __slots__ = ("space", "T", "kmin", "terms")
+    __slots__ = ("space", "T", "terms")
 
-    def __init__(self, space, T, coeffs=None, kmin=0):
+    def __init__(self, space, T, coeffs=None):
         """coeffs: T+1 dense coefficients (vectors of length `space`, or
         objects with a `terms` dict); None gives the zero series."""
         if coeffs is None:
@@ -47,27 +47,25 @@ class Series:
             terms = [dict(c.terms) for c in coeffs]
         if len(terms) != int(T) + 1:
             raise ValueError("need T+1 coefficients")
-        self.space, self.T, self.terms, self.kmin = space, int(T), terms, kmin
-        if any(terms[:kmin]):
-            raise ValueError("series has a coefficient below t^%d" % kmin)
+        self.space, self.T, self.terms = space, int(T), terms
 
     @classmethod
-    def of_terms(cls, space, T, terms, kmin=0):
+    def of_terms(cls, space, T, terms):
         """A series over sparse coefficients that nobody changes later."""
         out = cls.__new__(cls)
-        out.space, out.T, out.terms, out.kmin = space, T, terms, kmin
+        out.space, out.T, out.terms = space, T, terms
         return out
 
     @classmethod
-    def basis(cls, space, T, k, label, kmin=0):
+    def basis(cls, space, T, k, label):
         """The series label t^k."""
-        if not kmin <= k <= T:
-            raise ValueError("t-power %d outside %d..%d" % (k, kmin, T))
+        if not 0 <= k <= T:
+            raise ValueError("t-power %d outside 0..%d" % (k, T))
         if isinstance(space, int) and not 0 <= label < space:
             raise ValueError("basis index %r outside 0..%d" % (label, space - 1))
         terms = [{} for _ in range(T + 1)]
         terms[k] = {label: Fraction(1)}
-        return cls.of_terms(space, T, terms, kmin)
+        return cls.of_terms(space, T, terms)
 
     def add(self, other):
         if other.T != self.T:
@@ -75,14 +73,13 @@ class Series:
         terms = [dict(a) for a in self.terms]
         for acc, b in zip(terms, other.terms):
             add_into(acc, b)
-        return Series.of_terms(self.space, self.T, terms,
-                               min(self.kmin, other.kmin))
+        return Series.of_terms(self.space, self.T, terms)
 
     def scale(self, c):
         c = rat(c)
         return Series.of_terms(self.space, self.T, [
-            {m: c * v for m, v in t.items()} if c else {} for t in self.terms],
-            self.kmin)
+            {m: c * v for m, v in t.items()} if c else {}
+            for t in self.terms])
 
     def is_zero(self):
         return not any(self.terms)
@@ -223,7 +220,7 @@ class TLinear:
                 args = tuple(x.terms[k] for x, k in zip(xs, ks))
                 for s, img in self.images(args, T - sum(ks)).items():
                     add_into(out[sum(ks) + s], img)
-        return Series.of_terms(xs[0].space, T, out, sum(x.kmin for x in xs))
+        return Series.of_terms(xs[0].space, T, out)
 
     def matrix(self, src, dst, T):
         """Matrix from the Basis src to dst, both labelled (m, k) for the

@@ -32,25 +32,19 @@ from .lie import Cochain, LieAlgebra, ce_differential, jacobi_check, nr_compose
 from .series import Series, TLinear, star_resolution
 
 
-# A vector-valued polynomial in t modulo t^(N+1): coeffs[k] is the t^k vector.
-TruncSeries = Series
-
-
 class ShLieStructure:
     """The structure maps, with X-degrees tracked explicitly.
 
-    Elements of X_0 and X_1 are both TruncSeries; the maps' signatures say
+    Elements of X_0 and X_1 are both Series; the maps' signatures say
     which degree each argument carries.  In the "t2" variant X_1 elements
-    must vanish below t^2.
+    must vanish below t^2.  The bracket alpha0 is alg.alpha0.
     """
 
-    __slots__ = ("alg", "alpha0", "alpha1", "N", "variant", "comp11",
-                 "_l2", "_l3")
+    __slots__ = ("alg", "alpha1", "N", "variant", "comp11", "_l2", "_l3")
 
-    def __init__(self, alg, alpha0, alpha1, N, variant, comp11=None):
+    def __init__(self, alg, alpha1, N, variant, comp11=None):
         """comp11, when given, is nr_compose(alpha1, alpha1)."""
         self.alg = alg
-        self.alpha0 = alpha0
         self.alpha1 = alpha1
         self.N = int(N)
         self.variant = variant
@@ -65,8 +59,8 @@ class ShLieStructure:
         both."""
         if variant not in ("t2", "full"):
             raise ValueError("variant must be 't2' or 'full'")
-        return ShLieStructure(self.alg, self.alpha0, self.alpha1, self.N,
-                              variant, self.comp11)
+        return ShLieStructure(self.alg, self.alpha1, self.N, variant,
+                              self.comp11)
 
     @property
     def kmin(self):
@@ -81,7 +75,7 @@ class ShLieStructure:
     def l2_op(self, *fixed) -> TLinear:
         """alpha0 + alpha1 t as a t-linear operator; trailing arguments
         fixed to the sparse vectors `fixed` (at t^0) when given."""
-        a0, a1 = self.alpha0, self.alpha1
+        a0, a1 = self.alg.alpha0, self.alpha1
         return TLinear({0: [(1, (lambda *vs: a0.apply(*vs, *fixed),))],
                         1: [(1, (lambda *vs: a1.apply(*vs, *fixed),))]})
 
@@ -127,22 +121,20 @@ class ShLieStructure:
         return (1, self.l3_000(x[1], y[1], z[1]))
 
 
-def build_shlie(alg: LieAlgebra, alpha0: Cochain, alpha1: Cochain,
-                N: int = 4, variant: str = "t2") -> ShLieStructure:
-    """Construct the structure after validating its hypotheses; alpha0 must
-    be the bracket alg.alpha0."""
+def build_shlie(alg: LieAlgebra, alpha1: Cochain, N: int = 4,
+                variant: str = "t2") -> ShLieStructure:
+    """The structure on the bracket alg.alpha0 and alpha1, built after
+    checking N >= 3, the Jacobi identity and that alpha1 is a cocycle."""
     if variant not in ("t2", "full"):
         raise ValueError("variant must be 't2' or 'full'")
     if int(N) < 3:
         raise ValueError("truncation order must be at least 3 (t^2 terms in l3 "
                          "would otherwise hide relation failures)")
-    if alpha0 != alg.alpha0:
-        raise ValueError("alpha0 must be the bracket of the algebra")
     if not jacobi_check(alg):
         raise ValueError("the bracket fails the Jacobi identity")
     if not ce_differential(alg, alpha1).is_zero():
         raise ValueError("alpha1 is not a cocycle")
-    return ShLieStructure(alg, alpha0, alpha1, int(N), variant)
+    return ShLieStructure(alg, alpha1, int(N), variant)
 
 
 # -- generalized Jacobi relations --------------------------------------------
@@ -160,7 +152,7 @@ def _graded_unshuffle_sign(perm, degs):
     return sign
 
 
-def master_relation(S: ShLieStructure, elems, n) -> TruncSeries | None:
+def master_relation(S: ShLieStructure, elems, n) -> Series | None:
     """Sum over i+j = n+1 of +-(unshuffled) l_j(l_i(...), ...) on n inputs.
 
     Returns the resulting series (None when the target degree is outside the
@@ -172,7 +164,7 @@ def master_relation(S: ShLieStructure, elems, n) -> TruncSeries | None:
     target = sum(degs) + n - 3
     if target not in (0, 1):
         return None
-    total = TruncSeries(S.alg.dim, S.N)
+    total = Series(S.alg.dim, S.N)
     maps = {1: S.g_l1, 2: S.g_l2, 3: S.g_l3}
     for i in range(max(1, n - 2), min(3, n) + 1):   # i, j = n+1-i in 1..3
         j = n + 1 - i
@@ -193,7 +185,7 @@ def master_relation(S: ShLieStructure, elems, n) -> TruncSeries | None:
 
 def _generators(S: ShLieStructure):
     """t-constant basis generators of A (degree 0) and A[1] (degree 1)."""
-    return [(deg, TruncSeries.basis(S.alg.dim, S.N, k, i))
+    return [(deg, Series.basis(S.alg.dim, S.N, k, i))
             for deg, k in ((0, 0), (1, S.kmin)) for i in range(S.alg.dim)]
 
 
@@ -300,7 +292,7 @@ def l3_is_obstruction(S: ShLieStructure) -> bool:
     fresh = nr_compose(S.alpha1, S.alpha1).scale(-1)
     dim, N = S.alg.dim, S.N
     for idx in combinations(range(dim), 3):
-        got = S.l3_000(*(TruncSeries.basis(dim, N, 0, i) for i in idx))
+        got = S.l3_000(*(Series.basis(dim, N, 0, i) for i in idx))
         if got.terms != [fresh.entries.get(idx, {}) if k == 2 else {}
                          for k in range(N + 1)]:
             return False
@@ -310,9 +302,9 @@ def l3_is_obstruction(S: ShLieStructure) -> bool:
 def variants_agree(s_full: ShLieStructure, s_t2: ShLieStructure) -> bool:
     """Restricting the full variant to t^2 A[1][[t]] reproduces the t2 maps."""
     dim, N = s_full.alg.dim, s_full.N
-    e = [TruncSeries.basis(dim, N, 0, i) for i in range(dim)]
+    e = [Series.basis(dim, N, 0, i) for i in range(dim)]
     for i in range(dim):
-        xi_full = TruncSeries.basis(dim, N, 2, i)
+        xi_full = Series.basis(dim, N, 2, i)
         if s_full.l1(xi_full) != s_t2.l1(xi_full):
             return False
         for j in range(dim):
@@ -367,14 +359,14 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
     # e_a at t^0 is X_0 basis vector a, so s(l2(l2(e_a, e_b), e_c)) is
     # column a of sl2l2[c][b]
     sl2l2 = [[smm[c] @ m for m in mmats] for c in range(dim)]
-    e = [TruncSeries.basis(dim, N, 0, i) for i in range(dim)]
+    e = [Series.basis(dim, N, 0, i) for i in range(dim)]
     report["l3_matches"] = all(
         [x - y + z for x, y, z in zip(sl2l2[c][b].col(a), sl2l2[b][c].col(a),
                                       sl2l2[a][c].col(b))]
         == S.l3_000(e[a], e[b], e[c]).flat(kmin)
         for a, b, c in product(range(dim), repeat=3))
 
-    runs = dim and (S.variant == "full" or S.alpha0.is_zero())
+    runs = dim and (S.variant == "full" or S.alg.alpha0.is_zero())
     report["curried_chain_extend"] = all(
         compare_with_engine(hd, m, (x0, x1), {})["ok"]
         for m in mmats) if runs else None

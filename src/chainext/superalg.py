@@ -10,6 +10,7 @@ coefficient as `exactla.exact` gives it, an integral one as an int, and
 `SuperPoly` turns the results back into `Fraction`s, one `rat` per stored
 coefficient.
 
+`monomials` enumerates the finite monomial bases of `brst` and `bv`.
 Provides graded right/left derivations, an even Poisson bracket extended as a
 biderivation from a generator table, and the antibracket of field/antifield
 pairs.  A derivation fixed by its generator values is one type, `Derivation`,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .exactla import add_into, exact, image, lowest, rat
 
@@ -57,9 +58,9 @@ class GenSpec:
         return "GenSpec(%r, %s)" % (self.name, "odd" if self.parity else "even")
 
 
-def antifield_of(g: GenSpec, name=None) -> GenSpec:
+def antifield_of(g: GenSpec) -> GenSpec:
     """The conjugate antifield: opposite parity, ghost -(gh)-1."""
-    return GenSpec(name or (g.name + "_st"), 1 - g.parity,
+    return GenSpec(g.name + "_st", 1 - g.parity,
                    ghost=-g.ghost - 1, antighost=0, kind="antifield")
 
 
@@ -83,6 +84,18 @@ class SuperAlgebra:
         return self is other or (isinstance(other, SuperAlgebra)
                                  and [g.name for g in self.gens] ==
                                  [g.name for g in other.gens])
+
+
+def monomials(alg: SuperAlgebra, even_degree):
+    """Each normal-ordered monomial of alg, in enumeration order, with at
+    most even_degree(odd) even factors, odd being its odd factors."""
+    evens = [i for i, g in enumerate(alg.gens) if not g.parity]
+    odds = [i for i, g in enumerate(alg.gens) if g.parity]
+    for k in range(len(odds) + 1):
+        for odd in combinations(odds, k):
+            for d in range(even_degree(odd) + 1):
+                for even in combinations_with_replacement(evens, d):
+                    yield tuple(sorted(even + odd))
 
 
 def _kernel_terms(terms, parities):

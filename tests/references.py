@@ -84,7 +84,7 @@ def tshift(x, k):
     """The series x times t^k, truncated modulo t^(T+1)."""
     terms = [{} for _ in range(min(k, x.T + 1))] + \
         x.terms[:max(x.T + 1 - k, 0)]
-    return Series.of_terms(x.space, x.T, terms, x.kmin + k)
+    return Series.of_terms(x.space, x.T, terms)
 
 
 def cochain_eval(ch, *vectors):

@@ -16,7 +16,7 @@ from chainext.formats import load_cochain, load_extend, load_lie
 from chainext.instances import random_split_instance
 from chainext.lie import h2, nr_compose
 from chainext.series import Series
-from chainext.shlie import TruncSeries, build_shlie, crosscheck_with_engine, \
+from chainext.shlie import build_shlie, crosscheck_with_engine, \
     master_relation, verify_shlie
 from chainext.superalg import SuperPoly
 
@@ -70,10 +70,10 @@ def test_criterion_3_obstruction_pipeline(criterion):
     oracle_ok = bracket_val == [0, 0, -2]
 
     def build():
-        return build_shlie(alg, alg.alpha0, a1, N=4, variant="t2")
+        return build_shlie(alg, a1, N=4, variant="t2")
 
     S = build()
-    e = [TruncSeries.basis(3, 4, 0, i) for i in range(3)]
+    e = [Series.basis(3, 4, 0, i) for i in range(3)]
     w = S.l3_000(e[0], e[1], e[2])
     w_dense = dense_coeffs(w)
     # The arity-3 relation on X_0^3 reads l1 l3 + Jac(l2) = 0, and l1 only
@@ -121,7 +121,7 @@ def test_criterion_4_shlie_engine_coincidence(criterion):
                   load_cochain(read_model("cochain_obstructed_alpha1.txt"))))
     for alg, a1 in cases:
         for variant in ("t2", "full"):
-            S = build_shlie(alg, alg.alpha0, a1, N=4, variant=variant)
+            S = build_shlie(alg, a1, N=4, variant=variant)
             rep = crosscheck_with_engine(S)
             ok = ok and rep["ok"]
     elapsed = time.monotonic() - t0
@@ -199,7 +199,7 @@ def test_criterion_7_theorem8_two_pair(criterion):
                     rng.randint(-2, 2))
         x = Series(model, problem.trunc, coeffs)
         sq = apply_S(maps, apply_S(
-            maps, (x, Series(model, problem.trunc, kmin=2))))
+            maps, (x, Series(model, problem.trunc))))
         ok = ok and sq[0].is_zero() and sq[1].is_zero()
     R = bv_mod.obstruction_R(problem, 2)
     for mono in monos:

@@ -131,10 +131,10 @@ def test_maps_closed_form_order_one():
         assert dense_coeffs(l3)[0].is_zero() and dense_coeffs(l3)[1].is_zero()
         assert dense_coeffs(l3)[2] == g.bracket(r11, a).scale(rat("-1/2"))
         assert dense_coeffs(l3)[3].is_zero()
-        star = maps.l2_star_op.apply(Series.basis(g, 3, 2, mono, kmin=2))
+        star = maps.l2_star_op.apply(Series.basis(g, 3, 2, mono))
         assert dense_coeffs(star)[2] == g.bracket(s0, a).scale(-1)
         assert dense_coeffs(star)[3] == g.bracket(s1, a).scale(-1)
-        back = maps.l1_op.apply(Series.basis(g, 3, 2, mono, kmin=2))
+        back = maps.l1_op.apply(Series.basis(g, 3, 2, mono))
         assert dense_coeffs(back)[2] == a and dense_coeffs(back)[3].is_zero()
 
 
@@ -161,7 +161,7 @@ def test_bracket_tables_give_the_plain_brackets():
                         plain(rm, a).scale(rat("-1/2"))
             if k >= n + 1:
                 star = maps.l2_star_op.apply(
-                    Series.basis(g, T, k, mono, kmin=n + 1))
+                    Series.basis(g, T, k, mono))
                 for i in range(min(n, T - k) + 1):
                     assert dense_coeffs(star)[k + i] == \
                         plain(q.S[i], a).scale(-1)
@@ -191,14 +191,6 @@ def test_truncation_too_small():
     p = DeformationProblem(m, [s0, mul(m.gen("phi_st"), m.gen("C"))], trunc=1)
     with pytest.raises(ValueError):
         theorem8_maps(p)
-
-
-def test_star_series_grading():
-    m = bv_problem("bv_two_pair").model
-    mono = next(iter(m.gen("phi").terms))
-    with pytest.raises(ValueError):
-        Series.basis(m, 3, 1, mono, kmin=2)
-    Series.basis(m, 3, 2, mono, kmin=2)  # fine
 
 
 def test_verify_reports_ok():
@@ -238,7 +230,7 @@ def test_squares_on_random_composites():
                 g.poly(monos[rng.randrange(len(monos))]).scale(
                     rng.randint(-3, 3))
         x = Series(g, q.trunc, coeffs)
-        sq = apply_S(maps, apply_S(maps, (x, Series(g, q.trunc, kmin=2))))
+        sq = apply_S(maps, apply_S(maps, (x, Series(g, q.trunc))))
         assert sq[0].is_zero() and sq[1].is_zero()
 
 
@@ -296,12 +288,11 @@ def reference_verify_theorem8(maps, maxdeg):
         a = model.poly(mono)
         for k in range(T + 1):
             x = Series.basis(model, T, k, mono)
-            sq = apply_S(maps, apply_S(maps, (x, Series(
-                model, T, kmin=n + 1))))
+            sq = apply_S(maps, apply_S(maps, (x, Series(model, T))))
             if not (sq[0].is_zero() and sq[1].is_zero()):
                 fail("s_squared", ("degree0", mono, k))
             if k >= n + 1:
-                xi = Series.basis(model, T, k, mono, kmin=n + 1)
+                xi = Series.basis(model, T, k, mono)
                 sq = apply_S(maps, apply_S(maps, (Series(model, T), xi)))
                 if not (sq[0].is_zero() and sq[1].is_zero()):
                     fail("s_squared", ("degree1", mono, k))

@@ -614,7 +614,7 @@ def shlie_engine_inputs(monkeypatch):
         return chain_extend(hd, l2_0, d_f)
     monkeypatch.setattr(complexes, "chain_extend", recording)
     alg = load_lie(read_model("lie_so3.txt"))
-    t2 = shlie.build_shlie(alg, alg.alpha0, Cochain.zero(alg.dim, 2), N=4,
+    t2 = shlie.build_shlie(alg, Cochain.zero(alg.dim, 2), N=4,
                            variant="t2")
     for S in (t2, t2.as_variant("full")):
         shlie.crosscheck_with_engine(S)
@@ -741,7 +741,7 @@ def test_every_instance_export_has_one_basis_per_degree():
     hd's space, sized as that degree, and l2_0 on X_0, or None for shlie,
     whose l2 is bilinear."""
     alg = load_lie(read_model("lie_so3.txt"))
-    t2 = shlie.build_shlie(alg, alg.alpha0, Cochain.zero(3, 2), N=4)
+    t2 = shlie.build_shlie(alg, Cochain.zero(3, 2), N=4)
     exports = {
         "brst": export_to_complexes(
             ConstraintSystem(*load_brst(read_model("brst_toy.txt"))), 4),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainext.exactla import (
-    Basis, Rat, RatMatrix, combine, exact, image, lowest, operator_matrix,
+    Basis, RatMatrix, combine, exact, image, lowest, operator_matrix,
     rat, rref, rank, kernel_basis, solve,
 )
 
@@ -15,14 +16,15 @@ def test_rat_parsing():
     """A string is an exact number only as an integer or p/q: a decimal
     point, an exponent or surrounding space raises ValueError, in rat,
     exact and the RatMatrix constructor alike."""
-    assert rat("2/3") == Rat(2, 3)
-    assert rat(-4) == Rat(-4)
-    assert rat(Rat(1, 2)) == Rat(1, 2)
+    assert rat("2/3") == Fraction(2, 3)
+    assert rat(-4) == Fraction(-4)
+    assert rat(Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(TypeError):
         rat(0.5)
     assert (rat("-4"), rat("0/1")) == (-4, 0)
-    assert (exact("2/3"), exact("-4"), exact("0/1")) == (Rat(2, 3), -4, 0)
-    assert RatMatrix([["2/3", "-4", "0/1"]]) == RatMatrix([[Rat(2, 3), -4, 0]])
+    assert (exact("2/3"), exact("-4"), exact("0/1")) == (Fraction(2, 3), -4, 0)
+    assert RatMatrix([["2/3", "-4", "0/1"]]) == \
+        RatMatrix([[Fraction(2, 3), -4, 0]])
     for bad in ("0.5", "1e3", " 2 ", "1/-2", "1 / 2", "", "1_000"):
         with pytest.raises(ValueError):
             rat(bad)
@@ -64,7 +66,7 @@ def test_kernel_rank_nullity_random():
     for _ in range(40):
         nr = rng.randint(0, 6)
         nc = rng.randint(0, 6)
-        m = RatMatrix([[Rat(rng.randint(-4, 4), rng.choice([1, 1, 2]))
+        m = RatMatrix([[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2]))
                         for _ in range(nc)] for _ in range(nr)], ncols=nc)
         basis = kernel_basis(m)
         assert rank(m) + len(basis) == nc
@@ -75,7 +77,7 @@ def test_kernel_rank_nullity_random():
 def test_solve_inconsistent():
     m = RatMatrix([[1], [2]])
     assert solve(m, [1, 3]) is None
-    assert solve(m, [1, 2]) == [Rat(1)]
+    assert solve(m, [1, 2]) == [Fraction(1)]
 
 
 def test_solve_dimension_mismatch():
@@ -90,7 +92,8 @@ def test_solve_exact_random():
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 5)
         m = RatMatrix([[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)])
-        x = [Rat(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(nc)]
+        x = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+             for _ in range(nc)]
         b = m.mat_vec(x)
         y = solve(m, b)
         assert y is not None
@@ -149,7 +152,7 @@ def test_operator_matrix_column_order():
     dst = Basis(["y", "x"])
     table = {"a": ({"x": 1}, 1), "b": ({"y": 1, "x": -6}, 2), "c": ({}, 1)}
     m = operator_matrix(lambda b: table[b], src, dst)
-    assert m == RatMatrix([[0, Rat(1, 2), 0], [1, -3, 0]])
+    assert m == RatMatrix([[0, Fraction(1, 2), 0], [1, -3, 0]])
 
 
 def test_operator_matrix_escape_names_label():
@@ -170,13 +173,13 @@ def test_operator_matrix_empty_target():
 def coords(dst, img):
     """The dense coordinate vector of an exact image on the Basis dst."""
     terms, den = img
-    v = [Rat(0)] * len(dst)
+    v = [Fraction(0)] * len(dst)
     for label, c in terms.items():
         i = dst.index.get(label)
         if i is None:
             raise ValueError("operator output escapes the basis at %s"
                              % (dst.name(label),))
-        v[i] = Rat(c, den)
+        v[i] = Fraction(c, den)
     return v
 
 
@@ -301,7 +304,7 @@ def test_rref_matches_dense_reference(m):
     reduced, pivots, rk = rref(m)
     want = dense_rref(m)
     assert (reduced, pivots, rk) == want
-    assert all(isinstance(x, Rat) for row in reduced.rows for x in row)
+    assert all(isinstance(x, Fraction) for row in reduced.rows for x in row)
 
 
 @_examples
@@ -381,7 +384,7 @@ def d_add(a, b, sign=1):
 
 
 def d_matmul(a, b, ncols):
-    return [[sum((row[k] * b[k][j] for k in range(len(row))), Rat(0))
+    return [[sum((row[k] * b[k][j] for k in range(len(row))), Fraction(0))
              for j in range(ncols)] for row in a]
 
 
@@ -390,7 +393,8 @@ def d_hstack(a, b):
 
 
 # zero-heavy, mostly non-integer entries
-_sparse_entry = st.one_of(st.just(Rat(0)), st.just(Rat(0)), st.just(Rat(0)),
+_sparse_entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                          st.just(Fraction(0)),
                           st.fractions(min_value=-4, max_value=4,
                                        max_denominator=9))
 
@@ -429,15 +433,16 @@ def check_against(m, want, ncols):
     """m holds exactly the dense Fraction rows `want`, in canonical form."""
     assert m.shape == (len(want), ncols)
     assert m.rows == tuple(tuple(r) for r in want)
-    assert all(type(x) is Rat for row in m.rows for x in row)
+    assert all(type(x) is Fraction for row in m.rows for x in row)
     for j in range(ncols):
         assert m.col(j) == [r[j] for r in want]
-        assert all(type(x) is Rat for x in m.col(j))
+        assert all(type(x) is Fraction for x in m.col(j))
     assert m.column_rows() == [[i for i, r in enumerate(want) if r[j]]
                                for j in range(ncols)]
     for i in range(len(want)):
         for j in range(ncols):
-            assert m.entry(i, j) == want[i][j] and type(m.entry(i, j)) is Rat
+            assert m.entry(i, j) == want[i][j] and \
+                type(m.entry(i, j)) is Fraction
     assert m.is_zero() == all(x == 0 for r in want for x in r)
     # lowest terms: den is the lcm of the entry denominators, 1 when zero
     assert m.den == lcm(*(x.denominator for r in want for x in r))
@@ -462,8 +467,9 @@ def test_sparse_storage_matches_dense_reference(data, ops):
     cols = [[r[j] for r in a_rows] for j in range(m)]
     check_against(RatMatrix.from_columns(cols, nrows=n), a_rows, m)
     got = a.mat_vec(v)
-    assert got == [sum((x * y for x, y in zip(r, v)), Rat(0)) for r in a_rows]
-    assert all(type(x) is Rat for x in got)
+    assert got == [sum((x * y for x, y in zip(r, v)), Fraction(0))
+                   for r in a_rows]
+    assert all(type(x) is Fraction for x in got)
     assert (a == b) == (a_rows == b_rows)
 
 
@@ -473,8 +479,8 @@ def test_equal_matrices_built_by_different_routes(data, ops):
     (n, m, p), a_rows, b_rows, c_rows, v, k = ops
     a = build(data.draw, a_rows, m)
     b = build(data.draw, b_rows, m)
-    assert a.scale(Rat(2, 3)).scale(Rat(3, 2)) == a
-    assert a.scale(Rat(2, 3)).scale(Rat(3, 2)).den == a.den
+    assert a.scale(Fraction(2, 3)).scale(Fraction(3, 2)) == a
+    assert a.scale(Fraction(2, 3)).scale(Fraction(3, 2)).den == a.den
     assert RatMatrix(a.rows, ncols=m) == a
     assert (a + b) - b == a
     assert a + a == a.scale(2)
@@ -488,9 +494,9 @@ def test_equal_matrices_built_by_different_routes(data, ops):
 
 def test_integer_matrix_scaled_back_has_denominator_one():
     a = RatMatrix([[1, 0, 2], [0, 0, 0], [-3, 4, 0]])
-    b = a.scale(Rat(2, 3))
+    b = a.scale(Fraction(2, 3))
     assert b.den == 3
-    assert b.scale(Rat(3, 2)) == a and b.scale(Rat(3, 2)).den == 1
+    assert b.scale(Fraction(3, 2)) == a and b.scale(Fraction(3, 2)).den == 1
     half = RatMatrix([["1/2", "1/2"]])
     assert (half + half).den == 1 and half + half == RatMatrix([[1, 1]])
 
@@ -530,7 +536,7 @@ def test_image_is_in_lowest_terms_and_reads_back(values):
     img = image(values)
     assert is_lowest(img) and lowest(*img) == img
     terms, den = img
-    assert {k: Rat(c, den) for k, c in terms.items()} == \
+    assert {k: Fraction(c, den) for k, c in terms.items()} == \
         {k: x for k, x in values.items() if x}
 
 
@@ -541,11 +547,11 @@ def test_combine_is_the_fraction_sum(scaled, den):
     want = {}
     for c, values in scaled:
         for k, x in values.items():
-            want[k] = want.get(k, 0) + c * Rat(x) / den
+            want[k] = want.get(k, 0) + c * Fraction(x) / den
     img = combine([(c, image(values)) for c, values in scaled], den)
     assert is_lowest(img)
     terms, den = img
-    assert {k: Rat(c, den) for k, c in terms.items()} == \
+    assert {k: Fraction(c, den) for k, c in terms.items()} == \
         {k: x for k, x in want.items() if x}
 
 
@@ -553,7 +559,7 @@ def test_combine_is_the_fraction_sum(scaled, den):
 @given(st.fractions(min_value=-20, max_value=20, max_denominator=12),
        st.integers(1, 3))
 def test_exact_is_an_int_exactly_when_integral(x, k):
-    kind = int if x.denominator == 1 else Rat
+    kind = int if x.denominator == 1 else Fraction
     for given_as in (x, "%d/%d" % (k * x.numerator, k * x.denominator)):
         got = exact(given_as)
         assert got == x and type(got) is kind

@@ -199,7 +199,7 @@ def test_extend_round_trip_shlie_exports():
     # is 0 x 15; the t2 variant keeps F = A + A t (f_dim 6)
     alg = load_lie(read_model("lie_so3.txt"))
     for variant, f_dim in (("full", 0), ("t2", 6)):
-        S = build_shlie(alg, alg.alpha0, Cochain.zero(3, 2), N=4,
+        S = build_shlie(alg, Cochain.zero(3, 2), N=4,
                         variant=variant)
         hd, _, _ = shlie_homotopy_data(S)
         assert hd.f_dim == f_dim

@@ -13,8 +13,9 @@ from chainext.complexes import compare_with_engine, verify_homotopy
 from chainext.exactla import RatMatrix
 from chainext.formats import load_lie
 from chainext.lie import Cochain, LieAlgebra, ce_differential, nr_compose
+from chainext.series import Series
 from chainext.shlie import (
-    _graded_unshuffle_sign, _koszul_swap, ShLieStructure, TruncSeries, build_shlie,
+    _graded_unshuffle_sign, _koszul_swap, ShLieStructure, build_shlie,
     crosscheck_with_engine, l3_is_obstruction, master_relation,
     to_homotopy_data, variants_agree, verify_shlie,
 )
@@ -68,11 +69,11 @@ class NegatedMixedL2(ShLieStructure):
 
 
 def build(alg, a1, N=4, variant="t2"):
-    return build_shlie(alg, alg.alpha0, a1, N=N, variant=variant)
+    return build_shlie(alg, a1, N=N, variant=variant)
 
 
 def test_trunc_series_basics():
-    x = TruncSeries.basis(2, 3, 1, 0)
+    x = Series.basis(2, 3, 1, 0)
     assert dense_coeffs(x)[1] == [Fraction(1), Fraction(0)]
     y = tshift(x, 2)
     assert dense_coeffs(y)[3] == [Fraction(1), Fraction(0)]
@@ -81,32 +82,29 @@ def test_trunc_series_basics():
     z = x.add(x.scale(Fraction(1, 2)))
     assert dense_coeffs(z)[1][0] == Fraction(3, 2)
     assert x.flat(1) == [Fraction(1), 0, 0, 0, 0, 0]
-    assert TruncSeries(2, 3) == TruncSeries(2, 3)
+    assert Series(2, 3) == Series(2, 3)
 
 
 def test_build_validations():
     alg = abelian3()
-    a0 = alg.alpha0
     a1 = obstructed_alpha1()
     with pytest.raises(ValueError):
-        build_shlie(alg, a0, a1, variant="weird")
+        build_shlie(alg, a1, variant="weird")
     with pytest.raises(ValueError):
-        build_shlie(alg, a0, a1).as_variant("weird")
-    assert build_shlie(alg, a0, a1).as_variant("full").kmin == 0
+        build_shlie(alg, a1).as_variant("weird")
+    assert build_shlie(alg, a1).as_variant("full").kmin == 0
     with pytest.raises(ValueError):
-        build_shlie(alg, a0, a1, N=2)
-    with pytest.raises(ValueError):
-        build_shlie(alg, obstructed_alpha1(), a1)  # wrong alpha0
+        build_shlie(alg, a1, N=2)
     h = heisenberg()
     bad = Cochain(3, 2, {(0, 2): [1, 0, 0]})
     assert not ce_differential(h, bad).is_zero()
     with pytest.raises(ValueError):
-        build_shlie(h, h.alpha0, bad)
+        build_shlie(h, bad)
 
 
 def test_structure_map_values():
     S = build(abelian3(), obstructed_alpha1())
-    e = [TruncSeries.basis(3, 4, 0, i) for i in range(3)]
+    e = [Series.basis(3, 4, 0, i) for i in range(3)]
     v = S.l2_00(e[0], e[1])
     assert dense_coeffs(v)[0] == [0, 0, 0]
     assert dense_coeffs(v)[1] == [0, 0, Fraction(1)]
@@ -115,20 +113,20 @@ def test_structure_map_values():
     assert dense_coeffs(w)[2] == [0, 0, Fraction(1)]
     assert all(dense_coeffs(w)[k] == [0, 0, 0] for k in (0, 1, 3, 4))
     # mixed map is the t-scaled starred copy
-    xi = TruncSeries.basis(3, 4, 2, 0)
+    xi = Series.basis(3, 4, 2, 0)
     m = S.l2_10(xi, e[1])
     assert dense_coeffs(m)[3] == [0, 0, Fraction(1)]
     # l1 is star removal
-    assert S.l1(xi) == TruncSeries.basis(3, 4, 2, 0)
+    assert S.l1(xi) == Series.basis(3, 4, 2, 0)
 
 
 def test_t2_variant_grading_enforced():
     S = build(abelian3(), obstructed_alpha1(), variant="t2")
-    low = TruncSeries.basis(3, 4, 1, 0)
+    low = Series.basis(3, 4, 1, 0)
     with pytest.raises(ValueError):
         S.l1(low)
     with pytest.raises(ValueError):
-        S.l2_10(low, TruncSeries.basis(3, 4, 0, 1))
+        S.l2_10(low, Series.basis(3, 4, 0, 1))
 
 
 def test_relations_all_fixtures_t2():
@@ -156,7 +154,7 @@ def test_corrupt_l3_sign_detected():
 
 def test_corrupt_mixed_l2_detected():
     alg = so3()
-    S = NegatedMixedL2(alg, alg.alpha0, coboundary(alg), 4, "t2")
+    S = NegatedMixedL2(alg, coboundary(alg), 4, "t2")
     rep = verify_shlie(S)
     assert not rep["relation_63"] and not rep["ok"]
 
@@ -165,7 +163,7 @@ def test_l3_is_obstruction_and_zero_case():
     for alg, a1 in fixtures():
         assert l3_is_obstruction(build(alg, a1))
     S = build(so3(), Cochain(3, 2, {}))
-    e = [TruncSeries.basis(3, 4, 0, i) for i in range(3)]
+    e = [Series.basis(3, 4, 0, i) for i in range(3)]
     assert S.l3_000(e[0], e[1], e[2]).is_zero()
 
 
@@ -178,10 +176,10 @@ def test_t_linearity():
 
 def assert_t_linear(S):
     dim, N = S.alg.dim, S.N
-    gens = [TruncSeries.basis(dim, N, 0, i) for i in range(dim)]
+    gens = [Series.basis(dim, N, 0, i) for i in range(dim)]
     for k in range(N - 1):
         for i in range(dim):
-            xi0 = TruncSeries.basis(dim, N, S.kmin, i)
+            xi0 = Series.basis(dim, N, S.kmin, i)
             assert S.l1(tshift(xi0, k)) == tshift(S.l1(xi0), k)
             a0 = gens[i]
             for b in gens:
@@ -268,7 +266,7 @@ def test_compare_with_engine_names_a_changed_shlie_entry():
 
 def test_master_relation_structural_none():
     S = build(abelian3(), obstructed_alpha1())
-    ones = [(1, TruncSeries.basis(3, 4, 2, i)) for i in range(3)]
+    ones = [(1, Series.basis(3, 4, 2, i)) for i in range(3)]
     # three degree-1 inputs at n=3 target degree 3: structurally outside
     assert master_relation(S, ones, 3) is None
 
@@ -286,7 +284,7 @@ def test_relation_66_fails_when_l3_takes_a_degree_one_argument(monkeypatch):
     def accepting(self, x, y, z):
         # a zero value in X_2, where g_l3 should return None
         if x[0] or y[0] or z[0]:
-            return (2, TruncSeries(self.alg.dim, self.N))
+            return (2, Series(self.alg.dim, self.N))
         return g_l3(self, x, y, z)
 
     monkeypatch.setattr(ShLieStructure, "g_l3", accepting)
@@ -343,7 +341,7 @@ def test_verify_calls_master_relation_only_on_counted_tuples(monkeypatch):
 def product_sweep(S):
     """The relation check over every ordered generator tuple, with no
     symmetry assumed: the sweep verify_shlie reduces."""
-    gens = [(deg, TruncSeries.basis(S.alg.dim, S.N, k, i))
+    gens = [(deg, Series.basis(S.alg.dim, S.N, k, i))
             for deg, k in ((0, 0), (1, S.kmin)) for i in range(S.alg.dim)]
     report = {"first_failure": None}
     for name, n in (("relation_63", 2), ("relation_64", 3),
@@ -424,7 +422,7 @@ class SymmetricL2(ShLieStructure):
                 c = ta.get(0, 0) * tb.get(0, 0)
                 if c:
                     sym[k + m] = {0: c}
-        return out.add(TruncSeries.of_terms(self.alg.dim, self.N, sym))
+        return out.add(Series.of_terms(self.alg.dim, self.N, sym))
 
 
 def mutants(alg, a1, variant):
@@ -433,10 +431,9 @@ def mutants(alg, a1, variant):
         S = build(alg, a1, variant=variant)
         S.comp11 = S.comp11.scale(c)
         return S
-    a0 = alg.alpha0
     return [("doubled l3", scaled_l3(2)), ("zeroed l3", scaled_l3(0)),
-            ("negated mixed l2", NegatedMixedL2(alg, a0, a1, 4, variant)),
-            ("symmetric l2", SymmetricL2(alg, a0, a1, 4, variant))]
+            ("negated mixed l2", NegatedMixedL2(alg, a1, 4, variant)),
+            ("symmetric l2", SymmetricL2(alg, a1, 4, variant))]
 
 
 @pytest.mark.parametrize("variant", ["t2", "full"])

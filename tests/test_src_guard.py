@@ -18,7 +18,9 @@ from that file, which the tests never change), or LIBRARY_API.  Every entry
 must still be flagged, so the list holds no stale names.
 
 A second scan refuses an import of an underscore-prefixed name from another
-src module: a private helper is used only in its own module.
+src module: a private helper is used only in its own module.  A third
+refuses a name that a src module imports and never loads: a second name
+for a class, kept only by its import, is still a second name.
 """
 
 import ast
@@ -125,6 +127,25 @@ def unreferenced(trees):
     return flagged
 
 
+def _bound_imports(tree):
+    """Each name that an import of the module binds, but __future__'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def unloaded_imports(trees):
+    """'module imports name' for each name that a module of trees imports
+    and never loads."""
+    return {"%s imports %s" % (module, name)
+            for module, tree in trees.items()
+            for name in _bound_imports(tree)
+            if not _name_loads(tree)[name]}
+
+
 def private_imports(trees):
     """'module imports other._name' for each underscore-prefixed name that a
     module of trees imports from another one of them."""
@@ -165,6 +186,11 @@ def test_no_src_module_imports_a_private_name_of_another():
     assert sorted(private_imports(_src_trees())) == [], \
         "a private helper is used outside its module; make it public or " \
         "move the use"
+
+
+def test_no_src_module_imports_a_name_it_never_loads():
+    assert sorted(unloaded_imports(_src_trees())) == [], \
+        "an import that nothing in its module reads; delete it"
 
 
 def test_every_function_in_src_is_used_by_src():
@@ -242,3 +268,18 @@ def test_the_scan_flags_an_alias_only_the_tests_read():
                             "T = S = K\nU = K\nV = K\nW = V\n"),
              "b": ast.parse("from a import U\nimport a\nX = a.W\n")}
     assert unreferenced(trees) == {"a.T", "a.S"}
+
+
+def test_the_import_scan_flags_a_name_never_loaded():
+    """A name that a from-import, an aliased import or a plain import binds
+    and the module never loads is flagged; one loaded in a body, in an
+    annotation or as the base of an attribute is not, and neither is a
+    __future__ feature."""
+    trees = {"a": ast.parse(
+        "from __future__ import annotations\n"
+        "from os import path, sep\nfrom b import K as L, M\n"
+        "import re\nimport json\nimport os.path\n\n"
+        "def f(x: L) -> None:\n    return path.join(x, re.escape(sep))\n"),
+        "b": ast.parse("class K:\n    pass\n\nM = K\n")}
+    assert unloaded_imports(trees) == {"a imports M", "a imports json",
+                                       "a imports os"}
