@@ -55,7 +55,7 @@ from types import MappingProxyType
 from .complexes import (ChainExtension, GradedMap, GradedSpace, HomotopyData,
                         homotopy_residuals, projection_pair, verify_nilpotent)
 from .exactla import (Basis, RatMatrix, add_into, combine, image,
-                      operator_matrix as basis_matrix)
+                      operator_matrix)
 from .superalg import (
     Derivation, GenSpec, SuperAlgebra, SuperPoly, extend_right_derivation,
     monomials, mul, validate_poisson_table,
@@ -260,8 +260,8 @@ def _block(sys: ConstraintSystem, cap: int, name: str, k: int) -> RatMatrix:
             blk = _block(sys, cap, "sigma", k) @ _psi_diagonal(sys, src)
         else:
             dst = _group(groups, k + {"delta": -1, "sigma": 1, "d": 0}[name])
-            blk = basis_matrix(lambda m: _apply(sys, name, {m: 1}),
-                               Basis(src), _named_basis(sys, dst))
+            blk = operator_matrix(lambda m: _apply(sys, name, {m: 1}),
+                                  Basis(src), _named_basis(sys, dst))
         sys._bases[key] = blk
     return blk
 
@@ -470,7 +470,8 @@ def check_nilpotent_on_basis(ext: BRSTExtension, cap: int):
     l1 = GradedMap(sp, -1, {k: _block(sys, cap, "delta", k)
                             for k in range(1, len(groups))})
     maps = [GradedMap(sp, shift, {
-        k: basis_matrix(lambda m: rule({m: 1}), bases[k], bases[k + shift])
+        k: operator_matrix(lambda m: rule({m: 1}), bases[k],
+                           bases[k + shift])
         for k in range(len(groups))})
         for rule, shift in ((ext._l2_image, 0), (ext._l3_image, 1))]
     rep = verify_nilpotent(ChainExtension(sp, l1, *maps))

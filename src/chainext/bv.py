@@ -159,13 +159,15 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
     The stored operators are t-linear, so S^2(a t^k) = t^k S^2(a) mod
     t^(T+1): the square is evaluated once per monomial a, shift by shift as
     B_s = sum_{i+j=s} A_j A_i, and a t^k passes exactly when B_s(a) = 0 for
-    every s <= T - k.  One memo per monomial serves both degrees (the star
-    is the identity on monomials), so each chain of brackets is evaluated
-    once, and each distinct block B once (TLinear is canonical: for a valid
-    star l2 the block from degree 1 to 0 is empty, and the one from 1 to 1
-    equals the one from 0 to 0).  The blocks, l3 and the summand are scaled
-    by L, the lcm of their scalars' denominators, so the sweep runs on ints;
-    one common nonzero factor changes no zero test and no equality.
+    every s <= T - k.  Each monomial serves both degrees (the star is the
+    identity on monomials), and each distinct block B is evaluated once
+    (TLinear is canonical: for a valid star l2 the block from degree 1 to 0
+    is empty, and the one from 1 to 1 equals the one from 0 to 0).  Each
+    bracket keeps the image of every monomial it derives, so the chains
+    here and in the engine cross-check derive each monomial once.  The
+    blocks, l3 and the summand are scaled by L, the lcm of their scalars'
+    denominators, so the sweep runs on ints; one common nonzero factor
+    changes no zero test and no equality.
 
     The star l2 sends a* t^k to sum_s t^(k+s) A_s(a)*, so it preserves the
     ideal t^(n+1) R[[t]] exactly when none of its stored shifts s is
@@ -211,11 +213,11 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
     ghosts = [g.ghost for g in model.alg.gens]
     cases = 0
     for mono in monos:
-        args, memo = ({mono: 1},), {}
+        args = ({mono: 1},)
         if square:
             # the lowest shift at which S^2 of a t^0 (degree 0) or a* t^0
             # (degree 1) is nonzero
-            lows = [min(b.images(args, T, memo), default=T + 1)
+            lows = [min(b.images(args, T), default=T + 1)
                     for b in distinct]
             low = [min((lows[i] for i in leaving[d]), default=T + 1)
                    for d in (0, 1)]
@@ -225,11 +227,11 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
                 if k >= n + 1 and low[1] <= T - k:
                     fail("s_squared", ("degree1", mono, k))
             cases += T + 1 + max(0, T - n)
-        if l3.images(args, n + 1, memo).get(n + 1) != \
-                summand.images(args, n + 1, memo).get(n + 1):
+        if l3.images(args, n + 1).get(n + 1) != \
+                summand.images(args, n + 1).get(n + 1):
             fail("l3_obstruction_summand", mono)
         gh = sum(ghosts[i] for i in mono)
-        for img in maps.l2_plain_op.images(args, T, memo).values():
+        for img in maps.l2_plain_op.images(args, T).values():
             gs = {sum(ghosts[i] for i in m) for m in img}
             if len(gs) > 1:
                 raise ValueError("polynomial is not ghost-homogeneous")

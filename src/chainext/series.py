@@ -10,9 +10,11 @@ the composite f1 o ... o fr of coefficient operators that the caller
 supplies (the empty chain is the identity).  An operator takes sparse
 coefficients and returns a sparse coefficient.  Operators of several
 arguments (shlie's cochains) form chains of length one.  Equal chains of
-a shift are merged, so equal operators compare equal.  Scalars are kept as
-`exactla.exact` gives them, an integral one as an int, so scaling an int
-entry by one stays in ints.  `pair_sum` is the t^m coefficient of
+a shift are merged, so equal operators compare equal.  A chain is
+evaluated afresh on each application; an operator that is dear to apply
+keeps its own images (superalg.Derivation one per monomial).  Scalars are
+kept as `exactla.exact` gives them, an integral one as an int, so scaling
+an int entry by one stays in ints.  `pair_sum` is the t^m coefficient of
 b(c_t, c_t): the deformation equations of `lie` and `bv`, and
 `star_resolution` is the engine export of both t-series instances: it
 builds their homotopy data and both named (label, t-power) bases.
@@ -122,6 +124,14 @@ def star_resolution(labels, kmin, name):
     return HomotopyData(sp, l1, len(f), eta, lam, s), (x0, x1)
 
 
+def _chain_image(chain, args):
+    """The chain's image of args, innermost operator first."""
+    out = chain[-1](*args) if chain else args[0]
+    for f in reversed(chain[:-1]):
+        out = f(out) if out else {}
+    return out
+
+
 class TLinear:
     """sum_s t^s A_s; terms maps each shift s >= 0 to the [(scalar, chain)]
     pairs whose sum is A_s, in canonical form: in a shift each chain occurs
@@ -174,14 +184,10 @@ class TLinear:
                     for b, ch_b in pairs)
         return TLinear(terms)
 
-    def images(self, args, limit, memo=None):
+    def images(self, args, limit):
         """{s: A_s(*args)} for the shifts s <= limit with a nonzero image;
-        the dicts may be shared with memo and are not to be changed.
-
-        memo holds every chain's image of these args: one dict passed to
-        several operators on the same args evaluates each chain they share
-        once."""
-        memo = {} if memo is None else memo
+        an identity chain's image is args[0] itself, so the dicts are not
+        to be changed."""
         out = {}
         if not all(args):
             return out
@@ -189,25 +195,14 @@ class TLinear:
             if s > limit:
                 continue
             if len(pairs) == 1 and pairs[0][0] == 1:
-                acc = self._image(pairs[0][1], args, memo)
+                acc = _chain_image(pairs[0][1], args)
             else:
                 acc = {}
                 for c, chain in pairs:
-                    add_into(acc, self._image(chain, args, memo), c)
+                    add_into(acc, _chain_image(chain, args), c)
             if acc:
                 out[s] = acc
         return out
-
-    def _image(self, chain, args, memo):
-        """memo[chain] = the chain's image of args, filled on use."""
-        if chain not in memo:
-            if not chain:
-                memo[chain] = args[0]
-            else:
-                inputs = args if len(chain) == 1 else \
-                    (self._image(chain[1:], args, memo),)
-                memo[chain] = chain[0](*inputs) if inputs[0] else {}
-        return memo[chain]
 
     def apply(self, *xs):
         """sum of t^(k1+...+kr+s) A_s(c_k1, ..., c_kr) over the nonzero

@@ -324,9 +324,14 @@ class Derivation:
     as one exact image of exactla split by generator into kernel form:
     `values` is {index: [(monomial, odd factors, int)]} over the denominator
     `den`.  `image` gives D(terms / den) as an exact image, and a call the
-    nonzero terms of D(terms), an integral value as an int."""
+    nonzero terms of D(terms), an integral value as an int, in a fresh dict.
 
-    __slots__ = ("parities", "parity", "left", "values", "den")
+    A call sums c * D(m) over the terms c m; each D(m) (times den) is kept
+    in `table` from its first use on, so bv's Theorem-8 sweep derives each
+    monomial once, and the values must not change after the first call.
+    `image` keeps nothing: brst applies it to each monomial about once."""
+
+    __slots__ = ("parities", "parity", "left", "values", "den", "table")
 
     def __init__(self, alg, values, parity, left=False):
         self.parities = [gen.parity for gen in alg.gens]
@@ -342,6 +347,7 @@ class Derivation:
             by_gen.setdefault(i, {})[m] = c
         self.values = {i: _kernel_terms(t, self.parities)
                        for i, t in by_gen.items()}
+        self.table = {}
 
     def image(self, terms, den=1):
         """D(terms / den) as an exact image (terms, den) in lowest terms."""
@@ -349,12 +355,22 @@ class Derivation:
                               self.left), den * self.den)
 
     def __call__(self, terms):
-        out = _derive(terms, self.values, self.parity, self.parities,
-                      self.left)
-        den = self.den
-        if den == 1:
-            return {m: c for m, c in out.items() if c}
-        return {m: exact(Fraction(c, den)) for m, c in out.items() if c}
+        table, out = self.table, {}
+        for m, c in terms.items():
+            row = table.get(m)
+            if row is None:
+                row = table[m] = _derive({m: 1}, self.values, self.parity,
+                                         self.parities, self.left)
+            c = exact(c)
+            if out:
+                add_into(out, row, c)
+            else:                           # a copy: the row stays as kept
+                out = dict(row) if c == 1 else {k: c * v
+                                                for k, v in row.items()}
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
+        return out if self.den == 1 else {
+            m: exact(Fraction(c, self.den)) for m, c in out.items()}
 
 
 def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:

@@ -4,17 +4,18 @@ Each one computes on its own route, independent of the code it checks: the
 brst operators act on SuperPoly through extend_right_derivation and the
 system's generator values, not through the compiled blocks (delta is
 brst.koszul_tate, looked up on the module, so a patched one reaches them);
-the series, cochain and graded-map helpers work on the stored coefficients
-directly.  The tests import
-them from here, as they import the bundled models from bundled.
+a derivation's one-pass call runs superalg._derive over the whole argument,
+with no per-monomial table; the series, cochain and graded-map helpers work
+on the stored coefficients directly.  The tests import them from here, as
+they import the bundled models from bundled.
 """
 
 from fractions import Fraction
 
 from chainext import brst
-from chainext.exactla import RatMatrix
+from chainext.exactla import RatMatrix, exact
 from chainext.series import Series
-from chainext.superalg import SuperPoly, extend_right_derivation
+from chainext.superalg import SuperPoly, _derive, extend_right_derivation
 
 
 # -- brst: the SuperPoly operators of the resolution ---------------------------
@@ -61,6 +62,18 @@ def eta_project(sys, f):
     """Projection of an antighost-0 element onto its constraint-free part."""
     return SuperPoly(sys.alg, {m: c for m, c in f.terms.items()
                                if not sys.has_constraint_factor(m)})
+
+
+# -- superalg: a derivation in one pass -----------------------------------------
+
+def one_pass_call(d, terms):
+    """superalg.Derivation d applied to terms as a call did before it kept
+    a table: one _derive pass over the whole dict, the nonzero terms of
+    D(terms) with an integral value as an int."""
+    out = _derive(terms, d.values, d.parity, d.parities, d.left)
+    if d.den == 1:
+        return {m: c for m, c in out.items() if c}
+    return {m: exact(Fraction(c, d.den)) for m, c in out.items() if c}
 
 
 # -- bv: S = l1 + l2 + l3 on series --------------------------------------------

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from chainext import superalg
 from chainext.bv import (
     BVModel, DeformationProblem, Theorem8Maps, engine_matrices_match,
     find_s0_cocycle, obstruction_R, theorem8_maps, to_homotopy_data,
@@ -249,6 +251,25 @@ def test_engine_matrices_match():
     assert engine_matrices_match(theorem8_maps(bv_problem("bv_two_ghost")), 3)
 
 
+def test_theorem8_sweep_derives_each_monomial_once(monkeypatch):
+    """The Theorem-8 sweep of bv_two_ghost and then its engine cross-check
+    derive each monomial at most once per compiled bracket: the chains of
+    two brackets and TLinear.matrix read the images the brackets keep.
+    Each derivation is told apart by its values dict, kept alive here so
+    that no id is reused."""
+    maps = theorem8_maps(bv_problem("bv_two_ghost"))
+    derive, derived, seen = superalg._derive, Counter(), []
+
+    def counted(terms, vals, *rest):
+        seen.append(vals)
+        derived.update((id(vals), m) for m in terms)
+        return derive(terms, vals, *rest)
+    monkeypatch.setattr(superalg, "_derive", counted)
+    assert verify_theorem8(maps, maxdeg=3)["ok"]
+    assert engine_matrices_match(maps, 3)
+    assert derived and max(derived.values()) == 1
+
+
 def test_compare_with_engine_names_a_changed_bv_entry():
     """One entry of the Theorem-8 l3 of bv_two_ghost changed from -1 to 1,
     from phi1 at t^0 to phi1 C1 C2 at t^2: the witness names the map, the
@@ -317,7 +338,10 @@ def reference_verify_theorem8(maps, maxdeg):
 
 def scale_values(ad, c):
     """Scale the generator values of a compiled (F, .) in place, so every
-    stored operator that holds it applies (c F, .)."""
+    stored operator that holds it applies (c F, .).  A call keeps each
+    monomial's image, so the mutation must come before the first call, or
+    the kept images would still apply F."""
+    assert not ad.table, "(F, .) was applied before its values were scaled"
     ad.values = {k: [(m, odd, c * v) for m, odd, v in vs]
                  for k, vs in ad.values.items()}
 

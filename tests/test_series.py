@@ -260,25 +260,15 @@ def test_matrix_columns_are_applied_basis_series(data):
                                 for ii, kk in labels]
 
 
-def test_shared_chains_run_once_per_argument():
-    """compose(A, A) on one coefficient evaluates each distinct chain once,
-    and a memo passed to a second operator reuses the first one's chains."""
-    calls = []
-
-    def counted(f, name):
-        def op(v):
-            calls.append(name)
-            return f(v)
-        return op
-    f, g = counted(BASES[1], "f"), counted(BASES[2], "g")
+def test_composite_images_on_one_argument():
+    """compose(A, A) on one coefficient is (A o A)_s = sum_{i+j=s} A_j A_i,
+    here with A_0 = f, A_1 = 2 g and A_2 = -f: f f at shifts 0 and 4,
+    2 (f g + g f) at 1 and -2 (f g + g f) at 3, and 4 g g - 2 f f at 2."""
+    f, g = BASES[1], BASES[2]
     A = TLinear({0: [(1, (f,))], 1: [(2, (g,))], 2: [(-1, (f,))]})
-    AA = A.compose(A)
-    memo = {}
-    AA.images(({0: Fraction(1), 2: Fraction(1)},), 4, memo)
-    # inner f and g once each, then f.f, f.g, g.f, g.g once each
-    assert sorted(calls) == ["f", "f", "f", "g", "g", "g"]
-    A.images(({0: Fraction(1), 2: Fraction(1)},), 4, memo)
-    assert len(calls) == 6
+    assert A.compose(A).images(({0: Fraction(1), 2: Fraction(1)},), 4) == {
+        0: {0: 9, 2: 9}, 1: {0: -4, 1: 4, 2: -6}, 2: {0: -18, 1: 4, 2: -6},
+        3: {0: 4, 1: -4, 2: 6}, 4: {0: 9, 2: 9}}
 
 
 def test_integral_scalars_stay_ints():

@@ -2,7 +2,9 @@
 copied here as they stood (renamed with an old_ prefix): a two-pointer
 merge with its seam check, extend_right_derivation with two merges per
 value term, one scan of the polynomial per generator for every derivative,
-and antibracket with lazily computed left derivatives.
+and antibracket with lazily computed left derivatives.  A Derivation call,
+which keeps each monomial's image, is checked against the one pass over the
+whole argument that it replaced (references.one_pass_call).
 
 Coefficients are drawn as small and large ints, integral Fractions and
 non-integral Fractions; monomials repeat even factors, share odd factors
@@ -15,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainext.exactla import exact
 from chainext.superalg import (
-    FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, _merge_monomials,
+    Derivation, FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, _merge_monomials,
     antibracket, extend_right_derivation, left_deriv, mul, right_deriv,
 )
 
 from bundled import bv_problem
+from references import one_pass_call
 
 
 # -- the kernels, as they stood ------------------------------------------------
@@ -389,3 +393,57 @@ def test_antibracket_rejects_a_pairing_that_is_not_field_antifield():
     with pytest.raises(ValueError,
                        match="pair phi1-phi2_st repeats a generator"):
         antibracket(f, g, [("phi1", "phi1_st"), ("phi1", "phi2_st")])
+
+
+def cancelling(d, terms):
+    """terms with the coefficient of one monomial changed so that the first
+    term its image shares with an earlier monomial's image cancels, when
+    two images share a term."""
+    images = [(m, one_pass_call(d, {m: 1})) for m in terms]
+    for i, (m1, r1) in enumerate(images):
+        for m2, r2 in images[i + 1:]:
+            for k in sorted(set(r1) & set(r2)):
+                return {**terms, m2: -terms[m1] * Fraction(r1[k]) / r2[k]}
+    return terms
+
+
+@_settings
+@given(drawn(2, values=True), st.integers(0, 1), st.booleans(),
+       st.sampled_from([1, 2, 6]))
+@example([MIXED, None, SuperPoly(MIXED, {(0, 0): 1, (2, 2): -1}),
+          SuperPoly(MIXED), {"a": SuperPoly(MIXED, {(2,): Fraction(1, 3)}),
+                             "c": SuperPoly(MIXED, {(0,): Fraction(1, 3)})}],
+         0, False, 1)
+def test_tabled_call_matches_one_pass(case, parity, left, q):
+    """A Derivation call, which sums the kept image of each monomial, gives
+    the one-pass _derive of the whole argument, with an int wherever that
+    gives one: right and left derivations of both parities, generator
+    values over denominators above 1 (each value divided by q as well), and
+    arguments with int and Fraction coefficients (g's integral ones as
+    ints, and x and y with coefficient 0 before them).  A generator y not in the drawn values gets 3 times the value of
+    the first one x, so that x and y, added to f, have images that share
+    terms, and `cancelling` makes one of them cancel.  In the example
+    D a = c/3 and D c = a/3, so D(a a - c c) = 0.  A second call gives the
+    same dict, and changing a returned dict changes no later call."""
+    alg, pairs, f, g, values = case
+    values = {name: {m: Fraction(c) / q for m, c in v.terms.items()}
+              for name, v in values.items()}
+    twins = {}
+    if values:
+        x = min(values)
+        y = min(gen.name for gen in alg.gens if gen.name not in values)
+        values[y] = {m: 3 * c for m, c in values[x].items()}
+        twins = {(alg.index[x],): 1, (alg.index[y],): Fraction(1, 2)}
+    d = Derivation(alg, values, parity, left)
+    ints = {m: exact(c) for m, c in g.terms.items()}
+    zeros = {m: 0 for m in twins}
+    for terms in (f.terms, {**zeros, **ints, **f.terms},
+                  cancelling(d, {**f.terms, **twins})):
+        want = one_pass_call(d, terms)
+        got = d(terms)
+        assert got == want
+        assert all(type(got[m]) is int for m, c in want.items()
+                   if type(c) is int)
+        got.clear()
+        got[()] = 1
+        assert d(terms) == want
