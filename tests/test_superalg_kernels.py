@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from chainext.exactla import exact
 from chainext.superalg import (
-    Derivation, FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, _merge_monomials,
-    antibracket, extend_right_derivation, left_deriv, mul, right_deriv,
+    Derivation, FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly,
+    _merge_monomials, antibracket, extend_right_derivation, left_deriv, mul,
+    right_deriv,
 )
 
 from bundled import bv_problem
@@ -420,11 +421,12 @@ def test_tabled_call_matches_one_pass(case, parity, left, q):
     gives one: right and left derivations of both parities, generator
     values over denominators above 1 (each value divided by q as well), and
     arguments with int and Fraction coefficients (g's integral ones as
-    ints, and x and y with coefficient 0 before them).  A generator y not in the drawn values gets 3 times the value of
+    ints).  A generator y not in the drawn values gets 3 times the value of
     the first one x, so that x and y, added to f, have images that share
-    terms, and `cancelling` makes one of them cancel.  In the example
-    D a = c/3 and D c = a/3, so D(a a - c c) = 0.  A second call gives the
-    same dict, and changing a returned dict changes no later call."""
+    terms, and `cancelling` makes one of them cancel; x and y also come
+    first with coefficient 0.  In the example D a = c/3 and D c = a/3, so
+    D(a a - c c) = 0.  A second call gives the same dict, and changing a
+    returned dict changes no later call."""
     alg, pairs, f, g, values = case
     values = {name: {m: Fraction(c) / q for m, c in v.terms.items()}
               for name, v in values.items()}
