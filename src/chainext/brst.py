@@ -187,7 +187,8 @@ class ConstraintSystem:
         return sum(1 for i in mono if self.alg.gens[i].kind in ("x", "G", "P"))
 
     def antighost_degree(self, mono):
-        return sum(1 for i in mono if self.alg.gens[i].kind == "P")
+        antighosts = self.alg.antighosts
+        return sum(antighosts[i] for i in mono)
 
     def has_constraint_factor(self, mono):
         return any(self.alg.gens[i].kind == "G" for i in mono)

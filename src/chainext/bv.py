@@ -210,7 +210,7 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
             if b not in distinct:
                 distinct.append(b)
             leaving[d].add(distinct.index(b))
-    ghosts = [g.ghost for g in model.alg.gens]
+    ghosts = model.alg.ghosts
     cases = 0
     for mono in monos:
         args = ({mono: 1},)

@@ -44,6 +44,8 @@ class ShLieStructure:
 
     def __init__(self, alg, alpha1, N, variant, comp11=None):
         """comp11, when given, is nr_compose(alpha1, alpha1)."""
+        if variant not in ("t2", "full"):
+            raise ValueError("variant must be 't2' or 'full'")
         self.alg = alg
         self.alpha1 = alpha1
         self.N = int(N)
@@ -57,8 +59,6 @@ class ShLieStructure:
         """The same maps on the graded space of `variant`.  build_shlie's
         hypotheses do not depend on the variant, so one validation serves
         both."""
-        if variant not in ("t2", "full"):
-            raise ValueError("variant must be 't2' or 'full'")
         return ShLieStructure(self.alg, self.alpha1, self.N, variant,
                               self.comp11)
 
@@ -125,8 +125,6 @@ def build_shlie(alg: LieAlgebra, alpha1: Cochain, N: int = 4,
                 variant: str = "t2") -> ShLieStructure:
     """The structure on the bracket alg.alpha0 and alpha1, built after
     checking N >= 3, the Jacobi identity and that alpha1 is a cocycle."""
-    if variant not in ("t2", "full"):
-        raise ValueError("variant must be 't2' or 'full'")
     if int(N) < 3:
         raise ValueError("truncation order must be at least 3 (t^2 terms in l3 "
                          "would otherwise hide relation failures)")

@@ -5,10 +5,10 @@ Polynomials are stored as maps from normal-ordered monomials (tuples of
 generator indices, ascending; odd indices never repeat) to rational
 coefficients, always `Fraction`s.  Reordering into normal form costs the
 Koszul sign, one minus sign per transposition of two odd factors.  The
-kernels (products, derivations, derivative tables) compute with each
-coefficient as `exactla.exact` gives it, an integral one as an int, and
-`SuperPoly` turns the results back into `Fraction`s, one `rat` per stored
-coefficient.
+kernels (products, and the one Leibniz kernel of every derivation and
+partial derivative) compute with each coefficient as `exactla.exact` gives
+it, an integral one as an int, and `SuperPoly` turns the results back into
+`Fraction`s, one `rat` per stored coefficient.
 
 `monomials` enumerates the finite monomial bases of `brst` and `bv`.
 Provides graded right/left derivations, an even Poisson bracket extended as a
@@ -65,9 +65,11 @@ def antifield_of(g: GenSpec) -> GenSpec:
 
 
 class SuperAlgebra:
-    """A fixed ordered list of generators; the universe for SuperPoly."""
+    """A fixed ordered list of generators; the universe for SuperPoly.  Their
+    grading is stored once, in tuples indexed like gens that the kernels and
+    degree functions read: `parities`, `ghosts` and `antighosts`."""
 
-    __slots__ = ("gens", "index")
+    __slots__ = ("gens", "index", "parities", "ghosts", "antighosts")
 
     def __init__(self, gens):
         self.gens = list(gens)
@@ -76,9 +78,9 @@ class SuperAlgebra:
             if g.name in self.index:
                 raise ValueError("duplicate generator name %r" % (g.name,))
             self.index[g.name] = i
-
-    def parity(self, i):
-        return self.gens[i].parity
+        self.parities = tuple(g.parity for g in self.gens)
+        self.ghosts = tuple(g.ghost for g in self.gens)
+        self.antighosts = tuple(g.antighost for g in self.gens)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, SuperAlgebra)
@@ -89,8 +91,8 @@ class SuperAlgebra:
 def monomials(alg: SuperAlgebra, even_degree):
     """Each normal-ordered monomial of alg, in enumeration order, with at
     most even_degree(odd) even factors, odd being its odd factors."""
-    evens = [i for i, g in enumerate(alg.gens) if not g.parity]
-    odds = [i for i, g in enumerate(alg.gens) if g.parity]
+    evens = [i for i, p in enumerate(alg.parities) if not p]
+    odds = [i for i, p in enumerate(alg.parities) if p]
     for k in range(len(odds) + 1):
         for odd in combinations(odds, k):
             for d in range(even_degree(odd) + 1):
@@ -165,9 +167,7 @@ class SuperPoly:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            out[m] = c if prev is None else prev + c
+        add_into(out, other.terms)
         return SuperPoly(self.alg, out)
 
     def __sub__(self, other):
@@ -184,7 +184,8 @@ class SuperPoly:
         return mul(self, other)
 
     def monomial_parity(self, m):
-        return sum(self.alg.gens[i].parity for i in m) % 2
+        parities = self.alg.parities
+        return sum(parities[i] for i in m) % 2
 
     def parity(self):
         """Parity of a parity-homogeneous polynomial (0 for the zero poly)."""
@@ -194,7 +195,8 @@ class SuperPoly:
         return ps.pop() if ps else 0
 
     def ghost(self):
-        gs = {sum(self.alg.gens[i].ghost for i in m) for m in self.terms}
+        ghosts = self.alg.ghosts
+        gs = {sum(ghosts[i] for i in m) for m in self.terms}
         if len(gs) > 1:
             raise ValueError("polynomial is not ghost-homogeneous")
         return gs.pop() if gs else 0
@@ -213,7 +215,7 @@ def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
     """f g; the kernel sums ints where the coefficients are integral."""
     if f.alg != g.alg:
         raise ValueError("generator-set mismatch")
-    parities = [gen.parity for gen in f.alg.gens]
+    parities = f.alg.parities
     g_list = _kernel_terms(g.terms, parities)
     out = {}
     for m1, c1 in f.terms.items():
@@ -227,45 +229,6 @@ def mul(f: SuperPoly, g: SuperPoly) -> SuperPoly:
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
     return SuperPoly(f.alg, out)
-
-
-def _derivatives(f: SuperPoly, names, left):
-    """The terms of the left (or right) derivative of f by each named
-    generator, all from one pass over f's terms."""
-    alg = f.alg
-    tables = {}
-    for name in names:
-        if name not in alg.index:
-            raise KeyError("unknown generator %r" % (name,))
-        tables[alg.index[name]] = {}
-    parities = [gen.parity for gen in alg.gens]
-    for m, c in f.terms.items():
-        c = exact(c)
-        odd_total = sum(parities[k] for k in m)
-        odd_before = 0
-        for j, idx in enumerate(m):
-            p = parities[idx]
-            table = tables.get(idx)
-            if table is not None:
-                # an odd generator leaves past the odd factors on its side
-                passed = odd_before if left else odd_total - odd_before - p
-                d = -c if p and passed % 2 else c
-                mm = m[:j] + m[j + 1:]
-                prev = table.get(mm)
-                table[mm] = d if prev is None else prev + d
-            odd_before += p
-    return [tables[alg.index[name]] for name in names]
-
-
-def right_deriv(f: SuperPoly, gname) -> SuperPoly:
-    """Graded derivation from the right with respect to one generator."""
-    (terms,) = _derivatives(f, [gname], left=False)
-    return SuperPoly(f.alg, terms)
-
-
-def left_deriv(f: SuperPoly, gname) -> SuperPoly:
-    (terms,) = _derivatives(f, [gname], left=True)
-    return SuperPoly(f.alg, terms)
 
 
 def _derive(terms, vals, parity, parities, left=False):
@@ -317,6 +280,28 @@ def _derive(terms, vals, parity, parities, left=False):
     return out
 
 
+def _partial(f: SuperPoly, gname, left=False):
+    """The terms of the right (with left, the left) derivative of f by the
+    generator gname, the derivation of its parity that is 1 on it and 0 on
+    the others; each term comes from one term of f, so none is zero."""
+    alg = f.alg
+    if gname not in alg.index:
+        raise KeyError("unknown generator %r" % (gname,))
+    i = alg.index[gname]
+    return _derive(f.terms, {i: [((), [], 1)]}, alg.parities[i],
+                   alg.parities, left)
+
+
+def right_deriv(f: SuperPoly, gname) -> SuperPoly:
+    """Graded derivative of f from the right by one generator."""
+    return SuperPoly(f.alg, _partial(f, gname))
+
+
+def left_deriv(f: SuperPoly, gname) -> SuperPoly:
+    """Graded derivative of f from the left by one generator."""
+    return SuperPoly(f.alg, _partial(f, gname, left=True))
+
+
 class Derivation:
     """The graded derivation D of parity `parity` fixed by its generator
     values {name: {monomial: value}} (a missing name maps to zero): a right
@@ -334,7 +319,7 @@ class Derivation:
     __slots__ = ("parities", "parity", "left", "values", "den", "table")
 
     def __init__(self, alg, values, parity, left=False):
-        self.parities = [gen.parity for gen in alg.gens]
+        self.parities = alg.parities
         self.parity, self.left = parity, left
         for name in values:
             if name not in alg.index:
@@ -394,7 +379,7 @@ def _canonical_table(alg, table):
         for w in (u, v):
             if w not in alg.index:
                 raise KeyError("unknown generator %r" % (w,))
-            if alg.gens[alg.index[w]].parity:
+            if alg.parities[alg.index[w]]:
                 raise ValueError("poisson table only covers even generators")
         if u == v:
             if not val.is_zero():
@@ -479,26 +464,27 @@ class FixedAntibracket(Derivation):
 
     (f, .) is a left derivation of parity parity(f) + 1, so its values on the
     generators determine it: (f, phi*) = dRf/dphi and (f, phi) = -dRf/dphi*,
-    read off one right-derivative table of f.  That holds only for a
+    each a partial derivative of f (`_partial`).  That holds only for a
     field/antifield pairing: each pair of opposite parities and each
     generator in one pair; other pairs raise ValueError."""
 
     __slots__ = ()
 
     def __init__(self, f: SuperPoly, pairs):
-        alg = f.alg
+        alg, parities = f.alg, f.alg.parities
         names = [name for pair in pairs for name in pair]
         for i, (u, v) in enumerate(pairs):
-            if alg.parity(alg.index[u]) == alg.parity(alg.index[v]):
+            if parities[alg.index[u]] == parities[alg.index[v]]:
                 raise ValueError("pair %s-%s has equal parities" % (u, v))
             if {u, v} & set(names[:2 * i]):
                 raise ValueError("pair %s-%s repeats a generator" % (u, v))
         parity = 1 - f.parity()
-        d = iter(_derivatives(f, names, left=False))
         values = {}
-        for (field, anti), d_field, d_anti in zip(pairs, d, d):
+        for field, anti in pairs:
+            d_field = _partial(f, field)
             if d_field:
                 values[anti] = d_field
+            d_anti = _partial(f, anti)
             if d_anti:
                 values[field] = {m: -c for m, c in d_anti.items()}
         super().__init__(alg, values, parity, left=True)

@@ -102,6 +102,16 @@ def test_build_validations():
         build_shlie(h, bad)
 
 
+def test_direct_construction_refuses_an_unknown_variant():
+    """ShLieStructure checks its variant itself: an object built without
+    build_shlie cannot report "t3" and behave as "full" (kmin 0)."""
+    alg, a1 = abelian3(), obstructed_alpha1()
+    with pytest.raises(ValueError, match="variant must be 't2' or 'full'"):
+        ShLieStructure(alg, a1, 4, "t3")
+    assert ShLieStructure(alg, a1, 4, "full").kmin == 0
+    assert ShLieStructure(alg, a1, 4, "t2").kmin == 2
+
+
 def test_structure_map_values():
     S = build(abelian3(), obstructed_alpha1())
     e = [Series.basis(3, 4, 0, i) for i in range(3)]

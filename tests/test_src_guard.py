@@ -21,11 +21,21 @@ A second scan refuses an import of an underscore-prefixed name from another
 src module: a private helper is used only in its own module.  A third
 refuses a name that a src module imports and never loads: a second name
 for a class, kept only by its import, is still a second name.
+
+A last check reads the docs: every backticked dotted name in README.md and
+the src/chainext sources that names src code must still exist.  A name
+names src code when its first part is a chainext module (`superalg.mul`),
+or when that part is capitalised and so taken for a class that some
+module must define with the later parts as attributes
+(`RatMatrix.diagonal`).  ROADMAP.md is not read, since it names planned
+code, and neither is perfbench/README.md, whose dotted names are metric
+names (`superalg.mul.calls`).
 """
 
 import ast
 import importlib.util
 import os
+import re
 from collections import Counter
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -283,3 +293,70 @@ def test_the_import_scan_flags_a_name_never_loaded():
         "b": ast.parse("class K:\n    pass\n\nM = K\n")}
     assert unloaded_imports(trees) == {"a imports M", "a imports json",
                                        "a imports os"}
+
+
+# -- backticked names in the docs ---------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
+
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+
+
+def _resolves(obj, parts):
+    for part in parts:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def doc_names(text, modules):
+    """{name: whether it exists} for each backticked dotted name of text
+    that names src code, by the rules above; modules is {name: module}."""
+    out = {}
+    for name in DOTTED.findall(text):
+        first, *rest = name.split(".")
+        if first in modules:
+            out[name] = _resolves(modules[first], rest)
+        elif first[0].isupper():
+            out[name] = any(
+                isinstance(getattr(m, first, None), type)
+                and _resolves(getattr(m, first), rest)
+                for m in modules.values())
+    return out
+
+
+def _src_modules():
+    return {name: importlib.import_module("chainext." + name)
+            for name in _src_trees() if name != "__init__"}
+
+
+def test_every_src_name_the_docs_backtick_exists():
+    modules = _src_modules()
+    paths = [README] + [os.path.join(SRC, fname)
+                        for fname in sorted(os.listdir(SRC))
+                        if fname.endswith(".py")]
+    names = {}
+    for path in paths:
+        with open(path) as fh:
+            names.update(doc_names(fh.read(), modules))
+    assert names, "the scan found no name to check"
+    assert sorted(name for name, ok in names.items() if not ok) == [], \
+        "the docs name src code that no longer exists; rename or delete it"
+
+
+def test_the_docs_scan_flags_a_stale_name():
+    """A deleted function, an attribute of a deleted class and a missing
+    attribute of a kept class are flagged; a module-qualified and a
+    class-qualified name that exist are not, and a lowercase first part
+    that is not a chainext module (a stdlib module, a local variable, a
+    file name) is not read."""
+    text = ("`superalg.Derivation.image` and `superalg._derivatives`; "
+            "`GradedMap.total_matrix`, `RatMatrix.diagonal` and "
+            "`ChainExtension.rank_of`; `fractions.Fraction`, `x.name` and "
+            "`test_output.txt`")
+    assert doc_names(text, _src_modules()) == {
+        "superalg.Derivation.image": True, "superalg._derivatives": False,
+        "GradedMap.total_matrix": False, "RatMatrix.diagonal": True,
+        "ChainExtension.rank_of": False}

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainext.brst import monomial_basis
 from chainext.exactla import exact
 from chainext.superalg import (
     Derivation, FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly,
@@ -24,7 +25,7 @@ from chainext.superalg import (
     right_deriv,
 )
 
-from bundled import bv_problem
+from bundled import brst_system, bv_problem
 from references import one_pass_call
 
 
@@ -318,6 +319,42 @@ def test_extend_right_derivation_matches_old(case, parity):
     got = extend_right_derivation(f, values, parity)
     assert got.terms == old_extend_right_derivation(f, values, parity).terms
     assert stored_as_fractions(got)
+
+
+@_settings
+@given(st.dictionaries(monomials(MIXED, 6),
+                       st.fractions(min_value=-5, max_value=5,
+                                    max_denominator=7),
+                       max_size=5).map(lambda t: SuperPoly(MIXED, t)))
+@example(SuperPoly(MIXED, {(0, 0, 1, 2, 2, 2, 3): Fraction(3, 2),
+                           (1, 3, 4): Fraction(-2, 5),
+                           (0, 0, 0, 4, 5, 5): Fraction(7)}))
+def test_partial_derivative_is_the_derivation_one_on_its_generator(f):
+    """d/du is the derivation of u's parity that is 1 on u and 0 on every
+    other generator, from the right (extend_right_derivation) and from the
+    left (a left Derivation called on f's terms), for every generator u of
+    the mixed algebra.  The example repeats the even a, c and f up to three
+    times next to odd factors on both sides."""
+    one = SuperPoly.const(MIXED, 1)
+    for gen in MIXED.gens:
+        u, p = gen.name, gen.parity
+        assert right_deriv(f, u) == extend_right_derivation(f, {u: one}, p)
+        left = Derivation(MIXED, {u: {(): 1}}, p, left=True)
+        assert left_deriv(f, u) == SuperPoly(MIXED, left(f.terms))
+
+
+@pytest.mark.parametrize("name", ["brst_abelian", "brst_so3", "brst_toy"])
+def test_antighost_degree_counts_the_antighost_factors(name):
+    """ConstraintSystem.antighost_degree reads the GenSpec antighost field
+    (alg.antighosts); on every monomial of the bundled basis at cap 4 it is
+    the number of factors of kind P, and the index of its basis group."""
+    sys = brst_system(name)
+    groups = monomial_basis(sys, 4)
+    assert groups[1], "no monomial with an antighost factor"
+    for p, group in enumerate(groups):
+        for mono in group:
+            n_p = sum(sys.alg.gens[i].kind == "P" for i in mono)
+            assert sys.antighost_degree(mono) == n_p == p
 
 
 def field_antifield_pairs(alg, pairs):
