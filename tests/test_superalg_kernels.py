@@ -348,13 +348,13 @@ def test_antighost_degree_counts_the_antighost_factors(name):
     """ConstraintSystem.antighost_degree reads the GenSpec antighost field
     (alg.antighosts); on every monomial of the bundled basis at cap 4 it is
     the number of factors of kind P, and the index of its basis group."""
-    sys = brst_system(name)
-    groups = monomial_basis(sys, 4)
+    system = brst_system(name)
+    groups = monomial_basis(system, 4)
     assert groups[1], "no monomial with an antighost factor"
     for p, group in enumerate(groups):
         for mono in group:
-            n_p = sum(sys.alg.gens[i].kind == "P" for i in mono)
-            assert sys.antighost_degree(mono) == n_p == p
+            n_p = sum(system.alg.gens[i].kind == "P" for i in mono)
+            assert system.antighost_degree(mono) == n_p == p
 
 
 def field_antifield_pairs(alg, pairs):
