@@ -48,13 +48,15 @@ def read_input(name):
         return fh.read()
 
 
-def _load(name, want_kind, loader):
-    text = read_input(name)
-    kind = formats.read_kind(text)
-    if kind != want_kind:
-        raise formats.FormatError(1, "expected a %r file, got %r"
-                                  % (want_kind, kind))
-    return loader(text)
+def _alpha1(config, alg):
+    """The --alpha1 2-cochain on alg's space; zero when it is not given."""
+    if config.alpha1 is None:
+        return Cochain.zero(alg.dim, 2)
+    a1 = formats.load_cochain(read_input(config.alpha1))
+    if a1.dim != alg.dim or a1.arity != 2:
+        raise formats.FormatError(0, "alpha1 must be a 2-cochain on the "
+                                     "same space")
+    return a1
 
 
 def format_cochain(ch: Cochain) -> str:
@@ -70,7 +72,7 @@ def format_cochain(ch: Cochain) -> str:
 
 
 def cmd_lie(config):
-    alg = _load(config.input, "lie", formats.load_lie)
+    alg = formats.load_lie(read_input(config.input))
     report = {"command": "lie", "dim": alg.dim}
     try:
         dim_h2, reps = h2(alg)
@@ -82,10 +84,7 @@ def cmd_lie(config):
     for i, rep in enumerate(reps, start=1):
         report["H2 rep %d" % i] = format_cochain(rep)
     if config.alpha1 is not None:
-        a1 = _load(config.alpha1, "cochain", formats.load_cochain)
-        if a1.dim != alg.dim or a1.arity != 2:
-            raise formats.FormatError(0, "alpha1 must be a 2-cochain on the "
-                                         "same space")
+        a1 = _alpha1(config, alg)
         # [a1,a1] = 2 a1.a1, so one composition decides it
         report["obstruction [a1,a1]"] = \
             "zero" if nr_compose(a1, a1).is_zero() else "nonzero"
@@ -108,11 +107,8 @@ def cmd_shlie(config):
         # a usage error, not a failed check: l3's t^2 terms need t^3 room
         raise formats.FormatError(0, "--trunc must be at least 3 for shlie, "
                                      "got %d" % config.trunc)
-    alg = _load(config.input, "lie", formats.load_lie)
-    if config.alpha1 is not None:
-        a1 = _load(config.alpha1, "cochain", formats.load_cochain)
-    else:
-        a1 = Cochain.zero(alg.dim, 2)
+    alg = formats.load_lie(read_input(config.input))
+    a1 = _alpha1(config, alg)
     report = {"command": "shlie", "trunc": config.trunc}
     code = PASS
     try:
@@ -145,7 +141,7 @@ def cmd_shlie(config):
 
 
 def cmd_brst(config):
-    m, n, table, structure = _load(config.input, "brst", formats.load_brst)
+    m, n, table, structure = formats.load_brst(read_input(config.input))
     report = {"command": "brst", "m": m, "n": n, "cap": config.cap}
     try:
         system = brst_mod.ConstraintSystem(m, n, table, structure)
@@ -176,7 +172,7 @@ def cmd_brst(config):
 
 
 def cmd_bv(config):
-    model, S_terms, file_trunc = _load(config.input, "bv", formats.load_bv)
+    model, S_terms, file_trunc = formats.load_bv(read_input(config.input))
     if config.cross_check:
         try:
             bv_mod.check_s0_degree(S_terms[0])
@@ -226,7 +222,7 @@ def cmd_bv(config):
 
 
 def cmd_extend(config):
-    hd, l2_0, d_f = _load(config.input, "extend", formats.load_extend)
+    hd, l2_0, d_f = formats.load_extend(read_input(config.input))
     report = {"command": "extend", "dims": list(hd.space.dims),
               "f_dim": hd.f_dim}
     code = PASS

@@ -5,6 +5,13 @@ skipped, every data line is `key ...: value`, rationals are always written
 `p/q` (or a plain integer).  The first data line of a file must be
 `kind: <lie|cochain|brst|bv|extend>`.  All indices in files are 1-based.
 Parse failures raise FormatError carrying the offending line number.
+
+Every loader reads its file through one loop, `_read`: it checks the kind
+line, reads each header key (a count, the arity, the `dims` list) at most
+once, and hands every other line in file order to the loader's entry
+handler, which may take the lines that follow (an extend matrix's rows).  A
+lie file is the 2-cochain file of its bracket: `c i j k` for `a i j k`, with
+no arity line, so `load_lie` and `load_cochain` share one entry handler.
 """
 
 from __future__ import annotations
@@ -73,30 +80,56 @@ def _count(lineno, text):
     return n
 
 
-def read_kind(text):
-    lines = _data_lines(text)
-    if not lines:
+def _kind_line(lines):
+    """(line number, value) of the `kind:` line that must come first in the
+    iterator lines of (line number, content) pairs."""
+    first = next(lines, None)
+    if first is None:
         raise FormatError(1, "empty file")
-    lineno, first = lines[0]
-    key, value = _split_kv(lineno, first)
+    key, value = _split_kv(*first)
     if key != "kind":
-        raise FormatError(lineno, "first line must be 'kind: ...'")
-    return value
+        raise FormatError(first[0], "first line must be 'kind: ...'")
+    return first[0], value
+
+
+def read_kind(text):
+    """The kind that text's first data line declares."""
+    return _kind_line(iter(_data_lines(text)))[1]
+
+
+def _read(text, kind, counts, entry):
+    """The one loop of every loader: (line number of the kind line, header).
+
+    The first data line must be `kind: <kind>`.  Each key of counts is a
+    header key: it may appear once, and counts[key](lineno, value) reads its
+    value into header.  Every other data line goes, in file order, to
+    entry(lineno, key, value, header, lines), with the header read so far;
+    lines is the loop's own iterator, so a handler may take the lines that
+    follow its own (the rows of an extend matrix)."""
+    lines = iter(_data_lines(text))
+    first, found = _kind_line(lines)
+    if found != kind:
+        raise FormatError(first, "expected a %r file, got %r" % (kind, found))
+    header = {}
+    for lineno, line in lines:
+        key, value = _split_kv(lineno, line)
+        if key not in counts:
+            entry(lineno, key, value, header, lines)
+        elif key in header:
+            raise FormatError(lineno, "duplicate %s" % key)
+        else:
+            header[key] = counts[key](lineno, value)
+    return first, header
 
 
 def parse_poly(lineno, text, alg) -> SuperPoly:
     """Polynomial literal: terms joined by +/-, each an optional rational
     followed by generator names, e.g. '1/2 x1 G1 - eta1 eta2 + 3'."""
-    names = {g.name for g in alg.gens}
-    if text == "0":
-        return SuperPoly.zero(alg)
     out = SuperPoly.zero(alg)
     sign, coeff, factors, started, dangling = 1, None, [], False, False
 
-    def flush(ln):
+    def flush():
         nonlocal sign, coeff, factors, started, out
-        if not started:
-            raise FormatError(ln, "empty term in polynomial")
         term = SuperPoly.const(alg, (coeff if coeff is not None else 1) * sign)
         for name in factors:
             term = mul(term, SuperPoly.gen(alg, name))
@@ -106,7 +139,7 @@ def parse_poly(lineno, text, alg) -> SuperPoly:
     for tok in text.split():
         if tok in ("+", "-"):
             if started:
-                flush(lineno)
+                flush()
             if tok == "-":
                 sign = -sign
             dangling = True
@@ -117,14 +150,14 @@ def parse_poly(lineno, text, alg) -> SuperPoly:
                                   "coefficient must come first in a term")
             coeff = _rat(lineno, tok)
             started = True
-        elif tok in names:
+        elif tok in alg.index:
             factors.append(tok)
             started = True
         else:
             raise FormatError(lineno, "unknown generator %r" % (tok,))
         dangling = False
     if started:
-        flush(lineno)
+        flush()
     elif dangling:
         raise FormatError(lineno, "dangling sign in polynomial")
     return out
@@ -142,107 +175,90 @@ def format_poly(p: SuperPoly) -> str:
     return " + ".join(bits)
 
 
-# -- lie ------------------------------------------------------------------------
+# -- lie and cochain ------------------------------------------------------------
+
+
+def _arity(lineno, text):
+    arity = _count(lineno, text)
+    if not 1 <= arity <= 3:
+        raise FormatError(lineno, "arity must be 1, 2 or 3, got %d" % arity)
+    return arity
+
+
+def _cochain(text, kind, letter, counts):
+    """(dim, arity, entries) of a cochain file.  A lie file is the 2-cochain
+    file of its bracket, with letter c and no arity line."""
+    entries, seen = {}, set()
+
+    def entry(lineno, key, value, header, lines):
+        if not key.startswith(letter + " "):
+            raise FormatError(lineno, "unknown key %r" % (key,))
+        if len(header) < len(counts):
+            raise FormatError(lineno, "%s must come first"
+                              % " and ".join(counts))
+        dim, arity = header["dim"], header.get("arity", 2)
+        parts = key.split()
+        if len(parts) != arity + 2:
+            raise FormatError(lineno, "expected '%s %s k: p/q'" % (
+                letter, " ".join("i%d" % d for d in range(1, arity + 1))))
+        idx = tuple(_int(lineno, p) for p in parts[1:])
+        if list(idx[:-1]) != sorted(set(idx[:-1])) or not all(
+                1 <= t <= dim for t in idx):
+            raise FormatError(lineno, "indices must be strictly increasing "
+                                      "and within 1..dim")
+        _once(seen, lineno, idx,
+              "entry %s %s" % (letter, " ".join(map(str, idx))))
+        v = entries.setdefault(tuple(t - 1 for t in idx[:-1]), [rat(0)] * dim)
+        v[idx[-1] - 1] = _rat(lineno, value)
+
+    first, header = _read(text, kind, counts, entry)
+    if len(header) < len(counts):
+        raise FormatError(first, "missing " + " or ".join(counts))
+    return header["dim"], header.get("arity", 2), entries
 
 
 def load_lie(text) -> LieAlgebra:
-    lines = _data_lines(text)
-    dim, entries, seen = None, {}, set()
-    for lineno, line in lines[1:]:
-        key, value = _split_kv(lineno, line)
-        if key == "dim":
-            _once(seen, lineno, key)
-            dim = _count(lineno, value)
-        elif key.startswith("c "):
-            if dim is None:
-                raise FormatError(lineno, "dim must come before entries")
-            parts = key.split()
-            if len(parts) != 4:
-                raise FormatError(lineno, "expected 'c i j k: p/q'")
-            i, j, k = (_int(lineno, p) for p in parts[1:])
-            if not (1 <= i < j <= dim and 1 <= k <= dim):
-                raise FormatError(lineno, "indices out of range (need "
-                                          "1 <= i < j <= dim)")
-            _once(seen, lineno, (i, j, k), "entry c %d %d %d" % (i, j, k))
-            v = entries.setdefault((i - 1, j - 1), [rat(0)] * dim)
-            v[k - 1] = _rat(lineno, value)
-        else:
-            raise FormatError(lineno, "unknown key %r" % (key,))
-    if dim is None:
-        raise FormatError(lines[0][0], "missing dim")
+    dim, _, entries = _cochain(text, "lie", "c", {"dim": _count})
     return LieAlgebra(dim, entries)
 
 
 def load_cochain(text) -> Cochain:
-    lines = _data_lines(text)
-    dim = arity = None
-    entries, seen = {}, set()
-    for lineno, line in lines[1:]:
-        key, value = _split_kv(lineno, line)
-        if key in ("dim", "arity"):
-            _once(seen, lineno, key)
-        if key == "dim":
-            dim = _count(lineno, value)
-        elif key == "arity":
-            arity = _count(lineno, value)
-            if not 1 <= arity <= 3:
-                raise FormatError(lineno, "arity must be 1, 2 or 3, got %d"
-                                  % arity)
-        elif key.startswith("a "):
-            if dim is None or arity is None:
-                raise FormatError(lineno, "dim and arity must come first")
-            parts = key.split()
-            if len(parts) != arity + 2:
-                raise FormatError(lineno, "expected 'a %s k: p/q'"
-                                  % " ".join("i%d" % d for d in range(1, arity + 1)))
-            idx = tuple(_int(lineno, p) for p in parts[1:-1])
-            k = _int(lineno, parts[-1])
-            if list(idx) != sorted(set(idx)) or not all(
-                    1 <= t <= dim for t in idx) or not 1 <= k <= dim:
-                raise FormatError(lineno, "indices must be strictly increasing "
-                                          "and within 1..dim")
-            _once(seen, lineno, (idx, k), "entry")
-            v = entries.setdefault(tuple(t - 1 for t in idx), [rat(0)] * dim)
-            v[k - 1] = _rat(lineno, value)
-        else:
-            raise FormatError(lineno, "unknown key %r" % (key,))
-    if dim is None or arity is None:
-        raise FormatError(lines[0][0], "missing dim or arity")
-    return Cochain(dim, arity, entries)
+    return Cochain(*_cochain(text, "cochain", "a",
+                             {"dim": _count, "arity": _arity}))
 
 
 # -- brst -----------------------------------------------------------------------
 
 
 def load_brst(text):
-    """(m, n, poisson_table, structure) ready for ConstraintSystem."""
-    lines = _data_lines(text)
-    m = n = None
-    raw, seen = [], set()
-    for lineno, line in lines[1:]:
-        key, value = _split_kv(lineno, line)
-        if key in ("m", "n"):
-            _once(seen, lineno, key)
-        if key == "m":
-            m = _count(lineno, value)
-        elif key == "n":
-            n = _count(lineno, value)
-        else:
-            raw.append((lineno, key, value))
-    if m is None or n is None:
-        raise FormatError(lines[0][0], "missing m or n")
+    """(m, n, poisson_table, structure) ready for ConstraintSystem.  A
+    bracket that involves a ghost or antighost, a nonzero bracket of a
+    generator with itself and a structure function with an odd factor are
+    rejected at their lines, with ConstraintSystem's texts."""
+    raw = []
+    first, header = _read(text, "brst", {"m": _count, "n": _count},
+                          lambda *line: raw.append(line[:3]))
+    if len(header) < 2:
+        raise FormatError(first, "missing m or n")
+    m, n = header["m"], header["n"]
     alg = constraint_algebra(m, n)
-    table, structure = {}, {}
+    table, structure, seen = {}, {}, set()
     for lineno, key, value in raw:
         parts = key.split()
         if len(parts) == 3 and parts[0] == "p":
             for name in parts[1:]:
                 if name not in alg.index:
                     raise FormatError(lineno, "unknown generator %r" % (name,))
+                if alg.parities[alg.index[name]]:
+                    raise FormatError(lineno, "poisson table only covers "
+                                              "even generators")
             pair = (parts[1], parts[2])
             _once(seen, lineno, frozenset(pair),
-                   "bracket for %s, %s" % pair)
+                  "bracket for %s, %s" % pair)
             table[pair] = parse_poly(lineno, value, alg)
+            if pair[0] == pair[1] and not table[pair].is_zero():
+                raise FormatError(lineno, "bracket of a generator with "
+                                          "itself must vanish")
         elif len(parts) == 4 and parts[0] == "s":
             a, b, c = (_int(lineno, p) for p in parts[1:])
             if not (1 <= a < b <= n and 1 <= c <= n):
@@ -251,6 +267,10 @@ def load_brst(text):
             vals = structure.setdefault(
                 (a - 1, b - 1), [SuperPoly.zero(alg) for _ in range(n)])
             vals[c - 1] = parse_poly(lineno, value, alg)
+            if any(alg.parities[i] for mono in vals[c - 1].terms
+                   for i in mono):
+                raise FormatError(lineno, "structure functions must be "
+                                          "polynomials in (x, G)")
         else:
             raise FormatError(lineno, "unknown key %r" % (key,))
     return m, n, table, structure
@@ -261,18 +281,10 @@ def load_brst(text):
 
 def load_bv(text):
     """(model, S_terms, trunc) where S_terms entries are SuperPoly or 'auto'."""
-    lines = _data_lines(text)
     fields, s_raw, seen = [], {}, set()
-    trunc, cap = None, 6
-    for lineno, line in lines[1:]:
-        key, value = _split_kv(lineno, line)
-        if key in ("cap", "trunc"):
-            _once(seen, lineno, key)
-        if key == "cap":
-            cap = _count(lineno, value)
-        elif key == "trunc":
-            trunc = _count(lineno, value)
-        elif key.startswith("field "):
+
+    def entry(lineno, key, value, header, lines):
+        if key.startswith("field "):
             name = key.split(None, 1)[1]
             bits = value.split()
             if len(bits) != 2 or bits[0] not in ("even", "odd"):
@@ -280,33 +292,37 @@ def load_bv(text):
             # the field and its antifield NAME_st are both generators
             for gen in (name, name + "_st"):
                 _once(seen, lineno, ("gen", gen), "generator name %r" % gen)
-            fields.append((lineno, GenSpec(name, bits[0],
-                                           ghost=_int(lineno, bits[1]),
-                                           kind="field")))
+            fields.append(GenSpec(name, bits[0], ghost=_int(lineno, bits[1]),
+                                  kind="field"))
         elif re.fullmatch(r"S\d+", key):
             i = int(key[1:])
             _once(seen, lineno, i, "S%d" % i)
+            if i == 0 and value == "auto":
+                raise FormatError(lineno, "S0 cannot be 'auto'")
             s_raw[i] = (lineno, value)
         else:
             raise FormatError(lineno, "unknown key %r" % (key,))
+
+    first, header = _read(text, "bv", {"cap": _count, "trunc": _count}, entry)
     if not fields:
-        raise FormatError(lines[0][0], "no fields declared")
+        raise FormatError(first, "no fields declared")
     if sorted(s_raw) != list(range(len(s_raw))) or 0 not in s_raw:
-        raise FormatError(lines[0][0], "need consecutive S0, S1, ... entries")
-    model = BVModel([f for _, f in fields], cap=cap)
-    S_terms = []
-    for i in range(len(s_raw)):
-        lineno, value = s_raw[i]
-        if value == "auto":
-            if i == 0:
-                raise FormatError(lineno, "S0 cannot be 'auto'")
-            S_terms.append("auto")
-        else:
-            S_terms.append(parse_poly(lineno, value, model.alg))
-    return model, S_terms, trunc
+        raise FormatError(first, "need consecutive S0, S1, ... entries")
+    model = BVModel(fields, cap=header.get("cap", 6))
+    S_terms = [v if v == "auto" else parse_poly(lineno, v, model.alg)
+               for _, (lineno, v) in sorted(s_raw.items())]
+    return model, S_terms, header.get("trunc")
 
 
 # -- extend ---------------------------------------------------------------------
+
+
+def _dims(lineno, text):
+    """The dimension of each degree of an extend complex, at least one."""
+    dims = [_count(lineno, b) for b in text.split()]
+    if not dims:
+        raise FormatError(lineno, "dims must list at least one dimension")
+    return dims
 
 
 def _degree(lineno, name, text, lo, hi):
@@ -321,53 +337,41 @@ def _degree(lineno, name, text, lo, hi):
 
 def load_extend(text):
     """(HomotopyData, l2_0, d_f) from a matrix-block file."""
-    lines = _data_lines(text)
-    dims = f_dim = None
-    blocks, seen = {}, set()
-    pos = 1
-    while pos < len(lines):
-        lineno, line = lines[pos]
-        key, value = _split_kv(lineno, line)
-        if key in ("dims", "f_dim"):
-            _once(seen, lineno, key)
-        if key == "dims":
-            dims = [_count(lineno, b) for b in value.split()]
-            pos += 1
-        elif key == "f_dim":
-            f_dim = _count(lineno, value)
-            pos += 1
-        elif key.startswith("matrix"):
-            parts = key.split()
-            shape = value.split()
-            if len(shape) != 2 or len(parts) < 2:
-                raise FormatError(lineno, "expected 'matrix NAME [k]: rows cols'")
-            nrows, ncols = _count(lineno, shape[0]), _count(lineno, shape[1])
-            name = " ".join(parts[1:])
-            if name in blocks:
-                raise FormatError(lineno, "duplicate matrix %r" % (name,))
-            # a block with no columns has no row lines
-            nlines = nrows if ncols else 0
-            rows = [] if ncols else [[]] * nrows
-            for r in range(nlines):
-                if pos + 1 + r >= len(lines):
-                    raise FormatError(lineno, "matrix %r is truncated" % (name,))
-                rlineno, rline = lines[pos + 1 + r]
-                cells = rline.split()
-                if len(cells) != ncols:
-                    raise FormatError(rlineno, "expected %d entries" % ncols)
-                # most cells of an exported block are "0"; they skip Fraction
-                rows.append([0 if c == "0" else _rat(rlineno, c)
-                             for c in cells])
-            blocks[name] = (lineno, RatMatrix(rows, ncols=ncols))
-            pos += 1 + nlines
-        else:
+    blocks = {}
+
+    def entry(lineno, key, value, header, lines):
+        parts = key.split()
+        shape = value.split()
+        if parts[:1] != ["matrix"]:
             raise FormatError(lineno, "unknown key %r" % (key,))
-    if dims is None or f_dim is None:
-        raise FormatError(lines[0][0], "missing dims or f_dim")
-    sp = GradedSpace(dims)
+        if len(shape) != 2 or len(parts) < 2:
+            raise FormatError(lineno, "expected 'matrix NAME [k]: rows cols'")
+        nrows, ncols = _count(lineno, shape[0]), _count(lineno, shape[1])
+        name = " ".join(parts[1:])
+        if name in blocks:
+            raise FormatError(lineno, "duplicate matrix %r" % (name,))
+        # a block with no columns has no row lines
+        rows = [] if ncols else [[]] * nrows
+        for _ in range(nrows if ncols else 0):
+            row = next(lines, None)
+            if row is None:
+                raise FormatError(lineno, "matrix %r is truncated" % (name,))
+            rlineno, cells = row[0], row[1].split()
+            if len(cells) != ncols:
+                raise FormatError(rlineno, "expected %d entries" % ncols)
+            # most cells of an exported block are "0"; they skip Fraction
+            rows.append([0 if c == "0" else _rat(rlineno, c) for c in cells])
+        blocks[name] = (lineno, RatMatrix(rows, ncols=ncols))
+
+    first, header = _read(text, "extend", {"dims": _dims, "f_dim": _count},
+                          entry)
+    if len(header) < 2:
+        raise FormatError(first, "missing dims or f_dim")
+    sp, f_dim = GradedSpace(header["dims"]), header["f_dim"]
     n0 = sp.dim(0)
+    shapes = {"eta": (f_dim, n0), "lam": (n0, f_dim), "l2_0": (n0, n0),
+              "d_f": (f_dim, f_dim)}
     l1_blocks, s_blocks = {}, {}
-    eta = lam = l2_0 = d_f = None
     for name, (lineno, mat) in blocks.items():
         parts = name.split()
         if parts[0] == "l1" and len(parts) == 2:
@@ -376,21 +380,16 @@ def load_extend(text):
         elif parts[0] == "s" and len(parts) == 2:
             k = _degree(lineno, name, parts[1], 0, sp.top - 1)
             want, s_blocks[k] = (sp.dim(k + 1), sp.dim(k)), mat
-        elif name == "eta":
-            want, eta = (f_dim, n0), mat
-        elif name == "lam":
-            want, lam = (n0, f_dim), mat
-        elif name == "l2_0":
-            want, l2_0 = (n0, n0), mat
-        elif name == "d_f":
-            want, d_f = (f_dim, f_dim), mat
+        elif name in shapes:
+            want = shapes[name]
         else:
             raise FormatError(lineno, "unknown matrix %r" % (name,))
         if mat.shape != want:
             raise FormatError(lineno, "matrix %r has shape %dx%d, expected %dx%d"
                               % ((name,) + mat.shape + want))
+    eta, lam, l2_0, d_f = (blocks.get(name, (0, None))[1] for name in shapes)
     if eta is None or lam is None or l2_0 is None:
-        raise FormatError(lines[0][0], "missing eta, lam or l2_0")
+        raise FormatError(first, "missing eta, lam or l2_0")
     hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), f_dim, eta, lam,
                       GradedMap(sp, +1, s_blocks))
     return hd, l2_0, d_f

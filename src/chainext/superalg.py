@@ -83,9 +83,12 @@ class SuperAlgebra:
         self.antighosts = tuple(g.antighost for g in self.gens)
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, SuperAlgebra)
-                                 and [g.name for g in self.gens] ==
-                                 [g.name for g in other.gens])
+        """Same generator names in the same order, with the same gradings."""
+        return self is other or (
+            isinstance(other, SuperAlgebra)
+            and [g.name for g in self.gens] == [g.name for g in other.gens]
+            and (self.parities, self.ghosts, self.antighosts)
+            == (other.parities, other.ghosts, other.antighosts))
 
 
 def monomials(alg: SuperAlgebra, even_degree):

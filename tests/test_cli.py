@@ -149,6 +149,23 @@ def test_shlie_rejects_non_cocycle(capsys):
     assert "build: error" in out
 
 
+@pytest.mark.parametrize("command", ["lie", "shlie"])
+@pytest.mark.parametrize("text", [
+    "kind: cochain\ndim: 3\narity: 1\na 1 1: 1\n",
+    "kind: cochain\ndim: 3\narity: 3\na 1 2 3 1: 1\n",
+    "kind: cochain\ndim: 2\narity: 2\na 1 2 1: 1\n",
+], ids=["arity-1", "arity-3", "dim-2"])
+def test_alpha1_that_is_not_a_2_cochain_on_the_space_exit_code(
+        command, text, tmp_path, capsys):
+    """lie and shlie read --alpha1 alike: a cochain of another arity or on
+    another space is an input error, not a failed build."""
+    f = tmp_path / "alpha1.txt"
+    f.write_text(text)
+    code, out = run(capsys, command, "--input", "lie_so3", "--alpha1", str(f))
+    assert (code, out) == (2, "error: alpha1 must be a 2-cochain on the same "
+                              "space\n")
+
+
 def test_brst_toy(capsys):
     code, out = run_golden(capsys, "brst", "--input", "brst_toy", "--cap", "3")
     assert code == 0
@@ -173,6 +190,18 @@ def test_brst_not_first_class(tmp_path, capsys):
     code, out = run(capsys, "brst", "--input", str(f), "--cap", "2")
     assert code == 1
     assert "first-class closure: error" in out
+
+
+@pytest.mark.parametrize("line,message", [
+    ("p x1 eta1: 1", "poisson table only covers even generators"),
+    ("s 1 2 1: eta1", "structure functions must be polynomials in (x, G)"),
+    ("p G1 G1: 1", "bracket of a generator with itself must vanish"),
+], ids=["odd-bracket", "odd-structure", "self-bracket"])
+def test_brst_malformed_table_exit_code(line, message, tmp_path, capsys):
+    f = tmp_path / "malformed.txt"
+    f.write_text("kind: brst\nm: 1\nn: 2\n%s\n" % line)
+    code, out = run(capsys, "brst", "--input", str(f), "--cap", "2")
+    assert (code, out) == (2, "error: line 4: %s\n" % message)
 
 
 def test_bv_two_pair(capsys):
@@ -265,6 +294,17 @@ def test_extend_corrupt_eta(tmp_path, capsys):
     code, out = run(capsys, "extend", "--input", str(f))
     assert code == 1
     assert "homotopy identities: failed at" in out
+
+
+def test_extend_empty_dims_exit_code(tmp_path, capsys):
+    """A complex with no degrees is refused at its dims line, not run as
+    an empty complex whose every check reads ok."""
+    f = tmp_path / "no_degrees.txt"
+    f.write_text("kind: extend\ndims:\nf_dim: 0\nmatrix eta: 0 0\n"
+                 "matrix lam: 0 0\nmatrix l2_0: 0 0\n")
+    code, out = run(capsys, "extend", "--input", str(f))
+    assert (code, out) == (2, "error: line 2: dims must list at least one "
+                              "dimension\n")
 
 
 def test_input_is_directory(tmp_path, capsys):

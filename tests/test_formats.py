@@ -63,6 +63,38 @@ def test_load_lie_errors_carry_line_numbers():
         load_lie("kind: lie\n")
 
 
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(MODELS) if n.startswith("lie_")))
+def test_lie_file_is_the_2_cochain_file_of_its_bracket(name):
+    """A lie file respelt as a cochain file (kind cochain, arity 2, letter a)
+    loads to the bracket of the lie file."""
+    text = read_model(name)
+    respelt = "\n".join(
+        "kind: cochain\narity: 2" if line.startswith("kind:")
+        else "a" + line[1:] if line.startswith("c ") else line
+        for line in text.splitlines())
+    alpha0 = load_lie(text).alpha0
+    ch = load_cochain(respelt)
+    assert (ch.dim, ch.arity, ch.entries) == \
+        (alpha0.dim, 2, alpha0.entries)
+
+
+@pytest.mark.parametrize("loader, text, line", [
+    (load_lie, "# a comment\nkind: brst\nm: 0\nn: 1\n", 2),
+    (load_cochain, "kind: lie\ndim: 1\n", 1),
+    (load_brst, "\n\nkind: bv\n", 3),
+    (load_bv, "kind: extend\n", 1),
+    (load_extend, "kind: cochain\n", 1),
+], ids=["lie", "cochain", "brst", "bv", "extend"])
+def test_each_loader_checks_the_kind_line(loader, text, line):
+    with pytest.raises(FormatError, match="line %d: expected a '" % line):
+        loader(text)
+    with pytest.raises(FormatError, match="line 1: first line must be"):
+        loader("dim: 1\n" + text)
+    with pytest.raises(FormatError, match="line 1: empty file"):
+        loader("# nothing\n")
+
+
 def test_load_cochain():
     ch = load_cochain(read_model("cochain_obstructed_alpha1.txt"))
     assert ch.dim == 3 and ch.arity == 2
@@ -143,6 +175,18 @@ def test_load_brst_errors():
         load_brst("kind: brst\nn: 2\n")
     with pytest.raises(FormatError):
         load_brst("kind: brst\nm: 0\nn: 2\np G1 G9: 1\n")
+    # what ConstraintSystem would refuse is refused at its line
+    for line, message in (("p x1 eta1: 1", "poisson table only covers even"),
+                          ("p P1 G1: 0", "poisson table only covers even"),
+                          ("s 1 2 1: x1 P2", "structure functions must be "
+                                             "polynomials in"),
+                          ("p G1 G1: 1", "bracket of a generator with itself"),
+                          ("p x1 x1: G2", "bracket of a generator with itself")):
+        with pytest.raises(FormatError, match="line 5: " + message):
+            load_brst("kind: brst\nm: 1\nn: 2\n\n%s\n" % line)
+    m, n, table, _ = load_brst("kind: brst\nm: 1\nn: 2\np G1 G1: 0\n")
+    assert table[("G1", "G1")].is_zero()
+    ConstraintSystem(m, n, table, {})
 
 
 def test_load_bv():

@@ -1,8 +1,11 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps chainext from outside,
 by rebinding every name bound to a traced function in ten chainext modules.
-These tests install it on the current sources in a fresh interpreter.  They
-only read perfbench/."""
+These tests install it on the current sources in a fresh interpreter.  A
+last check reads perfbench/sample.py: each `formats` and `cli` name that the
+harness calls must exist in src.  They only read perfbench/."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -102,3 +105,36 @@ def test_traced_job_lists_call_every_expected_function():
     assert got["silent"] == {"closed_form": [], "cross_check": [],
                              "fuzz_dense": []}
     assert set(got["codes"].values()) == {0}
+
+
+def harness_attributes(source, modules=("formats", "cli")):
+    """{module.attr} for each attribute that source loads from one of
+    modules by name, as `formats.load_lie` or `cli.main`."""
+    return {"%s.%s" % (node.value.id, node.attr)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_every_name_the_harness_calls_exists():
+    """perfbench/sample.py picks each input's loader with formats.read_kind,
+    reads it with cli.read_input and runs each job through cli.main; each
+    of these names exists in src and is callable."""
+    with open(os.path.join(ROOT, "perfbench", "sample.py")) as fh:
+        used = harness_attributes(fh.read())
+    assert used == {"formats.read_kind", "formats.load_lie",
+                    "formats.load_cochain", "formats.load_brst",
+                    "formats.load_bv", "formats.load_extend",
+                    "cli.read_input", "cli.main"}
+    for name in sorted(used):
+        module, attr = name.split(".")
+        value = getattr(importlib.import_module("chainext." + module), attr,
+                        None)
+        assert callable(value), name
+
+
+def test_the_harness_scan_sees_attribute_loads():
+    assert harness_attributes("cli.main([])\nx = formats.gone\n"
+                              "other.f()\n") == \
+        {"cli.main", "formats.gone"}

@@ -78,6 +78,21 @@ def test_mul_odd_square_and_koszul():
     assert lhs == mul(x, x) - mul(g1, g1)
 
 
+def test_algebras_with_the_same_names_but_other_gradings_differ():
+    """Equal algebras have equal names and gradings: with odd u, v in one and
+    even u, v in the other, mixing them is refused, whichever comes first,
+    rather than multiplied with the first argument's parities."""
+    def alg(parity, ghost=0):
+        return SuperAlgebra([GenSpec(n, parity, ghost=ghost, kind="field")
+                             for n in ("u", "v")])
+    odd, even = alg("odd"), alg("even")
+    assert odd != even and alg("odd") == odd and alg("odd", 1) != odd
+    for a, b in ((odd, even), (even, odd)):
+        with pytest.raises(ValueError, match="generator-set mismatch"):
+            mul(g(a, "u"), g(b, "u"))
+    assert SuperPoly.gen(odd, "u") != SuperPoly.gen(even, "u")
+
+
 def test_mul_supercommutative_and_associative():
     alg = brst_like_alg()
     rng = random.Random(7)
