@@ -73,6 +73,7 @@ def format_cochain(ch: Cochain) -> str:
 
 def cmd_lie(config):
     alg = formats.load_lie(read_input(config.input))
+    a1 = _alpha1(config, alg)
     report = {"command": "lie", "dim": alg.dim}
     try:
         dim_h2, reps = h2(alg)
@@ -84,7 +85,6 @@ def cmd_lie(config):
     for i, rep in enumerate(reps, start=1):
         report["H2 rep %d" % i] = format_cochain(rep)
     if config.alpha1 is not None:
-        a1 = _alpha1(config, alg)
         # [a1,a1] = 2 a1.a1, so one composition decides it
         report["obstruction [a1,a1]"] = \
             "zero" if nr_compose(a1, a1).is_zero() else "nonzero"

@@ -166,6 +166,19 @@ def test_alpha1_that_is_not_a_2_cochain_on_the_space_exit_code(
                               "space\n")
 
 
+def test_lie_reads_alpha1_before_any_check(tmp_path, capsys):
+    """A malformed --alpha1 file is an input error even when the algebra
+    fails Jacobi, which would otherwise end the run first."""
+    notlie = tmp_path / "notlie.txt"
+    notlie.write_text("kind: lie\ndim: 3\nc 1 2 2: 1\nc 1 3 3: 1\n"
+                      "c 2 3 1: 1\nc 2 3 2: 5\n")
+    bad = tmp_path / "bad_cochain.txt"
+    bad.write_text("kind: cochain\ndim: 3\narity: 2\na 1 2 1: q\n")
+    code, out = run(capsys, "lie", "--input", str(notlie), "--alpha1",
+                    str(bad))
+    assert (code, out) == (2, "error: line 4: bad rational 'q'\n")
+
+
 def test_brst_toy(capsys):
     code, out = run_golden(capsys, "brst", "--input", "brst_toy", "--cap", "3")
     assert code == 0
