@@ -235,9 +235,11 @@ def load_brst(text):
     bracket that involves a ghost or antighost, a nonzero bracket of a
     generator with itself and a structure function with an odd factor are
     rejected at their lines, with ConstraintSystem's texts."""
-    raw = []
-    first, header = _read(text, "brst", {"m": _count, "n": _count},
-                          lambda *line: raw.append(line[:3]))
+    raw = []   # entries need the algebra of m and n, read after the loop
+    first, header = _read(
+        text, "brst", {"m": _count, "n": _count},
+        lambda lineno, key, value, header, lines: raw.append(
+            (lineno, key, value)))
     if len(header) < 2:
         raise FormatError(first, "missing m or n")
     m, n = header["m"], header["n"]
