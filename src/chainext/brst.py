@@ -13,7 +13,8 @@ with (l1+l2+l3)^2 = 0 exact.  delta, d and the Koszul homotopy sigma
 derivations, each fixed by its values on the generators.  The contracting
 homotopy is s = sigma . psi, with psi the monomial rescaling -1/k on combined
 (P,G)-degree k, and lambda~ = 1 + delta s kills every monomial containing a G.
-l2 and l3 are per-monomial rules extended linearly.
+l2 and l3 are per-monomial rules extended linearly: one rule computes both
+images of a monomial from one delta image (on antighost 0, one d image).
 
 Each ConstraintSystem holds delta, sigma and d once as superalg.Derivations,
 in integer kernel form, and both the operator blocks and BRSTExtension's
@@ -30,12 +31,14 @@ Operators are materialized on the finite monomial basis of weighted degree
 <= cap, where the weight adds the maximal degree jump of d per missing
 ghost; superalg.monomials enumerates exactly this basis, which is closed
 under every operator, and this is checked loudly.
+Each antighost group is one named Basis, built once per system and cap
+(outside 0..n the empty basis), and every block, sweep and export reads it.
 The matrices of delta, sigma, s and d are built once per system and cap,
 one block per antighost group: a column of delta, sigma or d is the compiled
 image of one monomial, written by exactla.operator_matrix, which raises
 when an output leaves the capped basis, and the s block is the sigma block
 times psi's diagonal.  export_to_complexes hands these blocks to the
-engine, with one named Basis per group, and the engine's verifiers decide
+engine, with the group bases, and the engine's verifiers decide
 the resolution and l^2 = 0: verify_brst_resolution reads the export's
 complexes.homotopy_residuals and adds only the Nbar identity, and
 check_nilpotent_on_basis writes the images of l2 and l3 per group and runs
@@ -95,8 +98,8 @@ class ConstraintSystem:
     d_vals map generators to their values under delta, sigma and d,
     read-only; compiled holds the same three derivations as
     superalg.Derivations, for the operator blocks and BRSTExtension.
-    _bases keeps, per cap, the monomial groups and the operator blocks built
-    on them; no attribute is rebound after __init__.
+    _bases keeps, per cap, one named Basis per antighost group and the
+    operator blocks built on them; no attribute is rebound after __init__.
     """
 
     __slots__ = ("m", "n", "alg", "table", "structure", "xs", "gs", "etas",
@@ -235,12 +238,18 @@ def monomial_basis(sys: ConstraintSystem, cap: int):
     return groups
 
 
-def _groups(sys: ConstraintSystem, cap: int):
-    """monomial_basis(sys, cap), built once per system and cap."""
-    groups = sys._bases.get(cap)
-    if groups is None:
-        groups = sys._bases[cap] = monomial_basis(sys, cap)
-    return groups
+def _group_bases(sys: ConstraintSystem, cap: int):
+    """One named Basis per antighost group of monomial_basis(sys, cap), built
+    once per system and cap, and then the empty basis: entry n + 1, read as
+    the group below 0 (index -1) and the group above n.  Each monomial is
+    named by its SuperPoly text."""
+    bases = sys._bases.get(cap)
+    if bases is None:
+        def name(m):
+            return str(SuperPoly(sys.alg, {m: 1}))
+        bases = sys._bases[cap] = [Basis(g, name) for g in
+                                   monomial_basis(sys, cap) + [[]]]
+    return bases
 
 
 # -- operator blocks on the capped basis ---------------------------------------
@@ -255,21 +264,16 @@ def _block(sys: ConstraintSystem, cap: int, name: str, k: int) -> RatMatrix:
     key = (cap, name, k)
     blk = sys._bases.get(key)
     if blk is None:
-        groups = _groups(sys, cap)
-        src = _group(groups, k)
+        bases = _group_bases(sys, cap)
         if name == "s":
-            blk = _block(sys, cap, "sigma", k) @ _psi_diagonal(sys, src)
+            blk = _block(sys, cap, "sigma", k) @ _psi_diagonal(
+                sys, bases[k].labels)
         else:
-            dst = _group(groups, k + {"delta": -1, "sigma": 1, "d": 0}[name])
-            blk = operator_matrix(lambda m: _apply(sys, name, {m: 1}),
-                                  Basis(src), _named_basis(sys, dst))
+            blk = operator_matrix(
+                lambda m: _apply(sys, name, {m: 1}), bases[k],
+                bases[k + {"delta": -1, "sigma": 1, "d": 0}[name]])
         sys._bases[key] = blk
     return blk
-
-
-def _group(groups, k):
-    """Basis group k, or the empty basis outside 0..n."""
-    return groups[k] if 0 <= k < len(groups) else []
 
 
 def _psi_diagonal(sys: ConstraintSystem, group) -> RatMatrix:
@@ -306,7 +310,8 @@ def verify_brst_resolution(sys: ConstraintSystem, cap: int = 4) -> dict:
     def blk(name, k):
         return _block(sys, cap, name, k)
 
-    for k, group in enumerate(_groups(sys, cap)):
+    for k, basis in enumerate(_group_bases(sys, cap)[:-1]):
+        group = basis.labels
         nbar_res = (blk("delta", k + 1) @ blk("sigma", k)
                     + blk("sigma", k - 1) @ blk("delta", k)
                     - RatMatrix.diagonal(map(sys.pg_degree, group)))
@@ -343,10 +348,10 @@ def in_constraint_ideal(sys: ConstraintSystem, monos) -> bool:
 class BRSTExtension:
     """l1 = delta, l2, l3 as linear operators on SuperPoly.
 
-    l2 and l3 are the per-monomial rules
+    l2 and l3 come from one per-monomial rule, which derives m once:
 
-        l2(m) = d(m) on antighost 0,   l2(m) = s l2 delta(m) above,
-        l3(m) = s (l2 l2(m) + l3 delta(m))   (the last term on antighost > 0),
+        l2(m) = d(m),  l3(m) = s l2 l2(m)                    on antighost 0,
+        l2(m) = s l2 delta(m),  l3(m) = s (l2 l2(m) + l3 delta(m))   above,
 
     with s = sigma . psi, extended linearly.  They run on exact integers:
     delta, sigma and d are the system's compiled derivations, and each
@@ -364,14 +369,16 @@ class BRSTExtension:
         self._l2_cache = {}
         self._l3_cache = {}
 
-    def _linear(self, cache, rule, terms, den=1):
-        """The linear extension of rule on terms / den, an exact image; each
-        rule(monomial) is computed once and kept in cache."""
+    def _linear(self, cache, terms, den=1):
+        """The linear extension of l2 (cache is _l2_cache) or l3 (_l3_cache)
+        on terms / den, an exact image; _rule fills both caches for a
+        monomial the first time either image is needed."""
         scaled = []
         for m, c in terms.items():
             img = cache.get(m)
             if img is None:
-                img = cache[m] = rule(m)
+                self._rule(m)
+                img = cache[m]
             if img[0]:
                 scaled.append((c, img))
         return combine(scaled, den)
@@ -386,25 +393,19 @@ class BRSTExtension:
                       {m: -c * (scale // ks[m])
                        for m, c in terms.items() if ks[m]}, den * scale)
 
-    def _l2_image(self, terms, den=1):
-        return self._linear(self._l2_cache, self._l2_rule, terms, den)
-
-    def _l3_image(self, terms, den=1):
-        return self._linear(self._l3_cache, self._l3_rule, terms, den)
-
-    def _l2_rule(self, mono):
-        sys = self.sys
-        if not sys.antighost_degree(mono):
-            return _apply(sys, "d", {mono: 1})
-        return self._s(*self._l2_image(*_apply(sys, "delta", {mono: 1})))
-
-    def _l3_rule(self, mono):
-        sys = self.sys
-        g = self._l2_image(*self._l2_image({mono: 1}))
+    def _rule(self, mono):
+        """l2(mono) and l3(mono) into the two caches, from one delta(mono)
+        image, or on antighost 0 one d(mono) image.  Each image it reads has
+        a ghost number one above mono's, so the recursion ends."""
+        sys, l2s, l3s = self.sys, self._l2_cache, self._l3_cache
         if sys.antighost_degree(mono):
-            g = combine([(1, g), (1, self._l3_image(
-                *_apply(sys, "delta", {mono: 1})))])
-        return self._s(*g)
+            dm = _apply(sys, "delta", {mono: 1})
+            l2 = self._s(*self._linear(l2s, *dm))
+            l3_dm = [(1, self._linear(l3s, *dm))]
+        else:
+            l2, l3_dm = _apply(sys, "d", {mono: 1}), []
+        l2s[mono] = l2
+        l3s[mono] = self._s(*combine([(1, self._linear(l2s, *l2))] + l3_dm))
 
     def _poly(self, img):
         return SuperPoly(self.sys.alg, {m: Fraction(c, img[1])
@@ -414,10 +415,10 @@ class BRSTExtension:
         return koszul_tate(self.sys, f)
 
     def l2(self, f: SuperPoly) -> SuperPoly:
-        return self._poly(self._l2_image(*image(f.terms)))
+        return self._poly(self._linear(self._l2_cache, *image(f.terms)))
 
     def l3(self, f: SuperPoly) -> SuperPoly:
-        return self._poly(self._l3_image(*image(f.terms)))
+        return self._poly(self._linear(self._l3_cache, *image(f.terms)))
 
     def total(self, f: SuperPoly) -> SuperPoly:
         return _sum(self.sys.alg, (self.l1(f), self.l2(f), self.l3(f)))
@@ -430,7 +431,7 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
     if not rep["ok"]:
         raise ValueError("resolution data fails verification: %r"
                          % (rep["first_failure"],))
-    group = _groups(sys, degree_cap)[0]
+    group = _group_bases(sys, degree_cap)[0].labels
     d0 = _block(sys, degree_cap, "d", 0)
     # the rows of a column are the monomials of that image
     for mono, df, ddf in zip(group, d0.column_rows(),
@@ -463,23 +464,21 @@ def check_nilpotent_on_basis(ext: BRSTExtension, cap: int):
     l2 is nonzero only on antighost 0 and 1 and l3 only on antighost 0, so
     on a valid system the two vanishing keys, and ok, hold as well."""
     sys = ext.sys
-    groups = _groups(sys, cap)
-    # the group past the top is the empty basis, the target of its l3
-    bases = [_named_basis(sys, _group(groups, k))
-             for k in range(len(groups) + 1)]
-    sp = GradedSpace([len(g) for g in groups])
+    # the empty basis past the top group is the target of its l3
+    bases = _group_bases(sys, cap)
+    sp = GradedSpace([len(b) for b in bases[:-1]])
     l1 = GradedMap(sp, -1, {k: _block(sys, cap, "delta", k)
-                            for k in range(1, len(groups))})
+                            for k in range(1, sys.n + 1)})
     maps = [GradedMap(sp, shift, {
-        k: operator_matrix(lambda m: rule({m: 1}), bases[k],
+        k: operator_matrix(lambda m: ext._linear(cache, {m: 1}), bases[k],
                            bases[k + shift])
-        for k in range(len(groups))})
-        for rule, shift in ((ext._l2_image, 0), (ext._l3_image, 1))]
+        for k in range(sys.n + 1)})
+        for cache, shift in ((ext._l2_cache, 0), (ext._l3_cache, 1))]
     rep = verify_nilpotent(ChainExtension(sp, l1, *maps))
     if rep["first_failure"] is None:
         return None
     k, j = rep["first_failure"][1]
-    return groups[k][j]
+    return bases[k].labels[j]
 
 
 # -- export to the generic engine ------------------------------------------------
@@ -492,21 +491,16 @@ def export_to_complexes(sys: ConstraintSystem, degree_cap: int):
     group.  Raises when an operator output escapes the basis, naming the
     escaping monomial.
     """
-    groups = _groups(sys, degree_cap)
-    bases = [_named_basis(sys, g) for g in groups]
-    sp = GradedSpace([len(g) for g in groups])
+    bases = _group_bases(sys, degree_cap)[:-1]
+    sp = GradedSpace(list(map(len, bases)))
     l1_blocks = {k: _block(sys, degree_cap, "delta", k)
                  for k in range(1, sys.n + 1)}
     s_blocks = {k: _block(sys, degree_cap, "s", k) for k in range(0, sys.n)}
     # eta projects onto the constraint-free monomials, lambda includes them
-    free = _named_basis(sys, [m for m in groups[0]
-                              if not sys.has_constraint_factor(m)])
+    free = Basis([m for m in bases[0].labels
+                  if not sys.has_constraint_factor(m)], bases[0].name)
     eta, lam = projection_pair(bases[0], free)
     hd = HomotopyData(sp, GradedMap(sp, -1, l1_blocks), len(free), eta, lam,
                       GradedMap(sp, +1, s_blocks))
     return hd, _block(sys, degree_cap, "d", 0), bases
 
-
-def _named_basis(sys: ConstraintSystem, monos) -> Basis:
-    """A basis of monomials, each named by its SuperPoly text."""
-    return Basis(monos, lambda m: str(SuperPoly(sys.alg, {m: 1})))

@@ -231,23 +231,24 @@ def load_cochain(text) -> Cochain:
 
 
 def load_brst(text):
-    """(m, n, poisson_table, structure) ready for ConstraintSystem.  A
-    bracket that involves a ghost or antighost, a nonzero bracket of a
-    generator with itself and a structure function with an odd factor are
-    rejected at their lines, with ConstraintSystem's texts."""
-    raw = []   # entries need the algebra of m and n, read after the loop
-    first, header = _read(
-        text, "brst", {"m": _count, "n": _count},
-        lambda lineno, key, value, header, lines: raw.append(
-            (lineno, key, value)))
-    if len(header) < 2:
-        raise FormatError(first, "missing m or n")
-    m, n = header["m"], header["n"]
-    alg = constraint_algebra(m, n)
-    table, structure, seen = {}, {}, set()
-    for lineno, key, value in raw:
+    """(m, n, poisson_table, structure) ready for ConstraintSystem.  The m
+    and n lines come before every entry, so each entry is read at its own
+    line.  A bracket that involves a ghost or antighost, a nonzero bracket
+    of a generator with itself and a structure function with an odd factor
+    are rejected at their lines, with ConstraintSystem's texts."""
+    table, structure, seen, alg = {}, {}, set(), None
+
+    def entry(lineno, key, value, header, lines):
+        nonlocal alg
         parts = key.split()
-        if len(parts) == 3 and parts[0] == "p":
+        if parts[:1] + [len(parts)] not in (["p", 3], ["s", 4]):
+            raise FormatError(lineno, "unknown key %r" % (key,))
+        if len(header) < 2:
+            raise FormatError(lineno, "m and n must come first")
+        n = header["n"]
+        if alg is None:
+            alg = constraint_algebra(header["m"], n)
+        if parts[0] == "p":
             for name in parts[1:]:
                 if name not in alg.index:
                     raise FormatError(lineno, "unknown generator %r" % (name,))
@@ -261,7 +262,7 @@ def load_brst(text):
             if pair[0] == pair[1] and not table[pair].is_zero():
                 raise FormatError(lineno, "bracket of a generator with "
                                           "itself must vanish")
-        elif len(parts) == 4 and parts[0] == "s":
+        else:
             a, b, c = (_int(lineno, p) for p in parts[1:])
             if not (1 <= a < b <= n and 1 <= c <= n):
                 raise FormatError(lineno, "need 1 <= a < b <= n, 1 <= c <= n")
@@ -273,9 +274,11 @@ def load_brst(text):
                    for i in mono):
                 raise FormatError(lineno, "structure functions must be "
                                           "polynomials in (x, G)")
-        else:
-            raise FormatError(lineno, "unknown key %r" % (key,))
-    return m, n, table, structure
+
+    first, header = _read(text, "brst", {"m": _count, "n": _count}, entry)
+    if len(header) < 2:
+        raise FormatError(first, "missing m or n")
+    return header["m"], header["n"], table, structure
 
 
 # -- bv -------------------------------------------------------------------------
@@ -320,10 +323,13 @@ def load_bv(text):
 
 
 def _dims(lineno, text):
-    """The dimension of each degree of an extend complex, at least one."""
+    """The dimension of each degree of an extend complex: at least one, and
+    not all zero, since an empty complex would pass every check."""
     dims = [_count(lineno, b) for b in text.split()]
     if not dims:
         raise FormatError(lineno, "dims must list at least one dimension")
+    if not any(dims):
+        raise FormatError(lineno, "dims must not all be zero")
     return dims
 
 

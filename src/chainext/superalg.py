@@ -317,7 +317,9 @@ class Derivation:
     A call sums c * D(m) over the terms c m; each D(m) (times den) is kept
     in `table` from its first use on, so bv's Theorem-8 sweep derives each
     monomial once, and the values must not change after the first call.
-    `image` keeps nothing: brst applies it to each monomial about once."""
+    `image` keeps nothing: brst applies delta and d to each monomial at
+    most twice, once for its block column and once in BRSTExtension's
+    rule."""
 
     __slots__ = ("parities", "parity", "left", "values", "den", "table")
 

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainext import brst as brst_mod
+from chainext import superalg
 from chainext.brst import (
     BRSTExtension, ConstraintSystem, build_brst, check_nilpotent_on_basis,
     degree_jump, export_to_complexes, in_constraint_ideal, koszul_tate,
@@ -441,7 +443,7 @@ def verify_per_monomial(sys_, cap):
         if report["first_failure"] is None:
             report["first_failure"] = (key, mono)
 
-    for k, group in enumerate(B._groups(sys_, cap)):
+    for k, group in enumerate(B.monomial_basis(sys_, cap)):
         for mono in group:
             f = SuperPoly(sys_.alg, {mono: 1})
             df = B.koszul_tate(sys_, f)
@@ -464,7 +466,7 @@ def verify_per_monomial(sys_, cap):
 
 def nilpotent_per_monomial(ext, cap):
     """check_nilpotent_on_basis as total(total(f)) on every basis monomial."""
-    for group in brst_mod._groups(ext.sys, cap):
+    for group in brst_mod.monomial_basis(ext.sys, cap):
         for mono in group:
             f = SuperPoly(ext.sys.alg, {mono: 1})
             if not ext.total(ext.total(f)).is_zero():
@@ -487,14 +489,23 @@ def double_s(monkeypatch, systems):
     monkeypatch.setattr(BRSTExtension, "_s", doubled)
 
 
+def patch_rule(monkeypatch, cache, change):
+    """BRSTExtension._rule with the image that it stores in cache
+    ("_l2_cache" or "_l3_cache") for mono replaced by change(self, mono,
+    image), before any other rule reads it."""
+    real = BRSTExtension._rule
+
+    def rule(self, mono):
+        real(self, mono)
+        images = getattr(self, cache)
+        images[mono] = change(self, mono, images[mono])
+    monkeypatch.setattr(BRSTExtension, "_rule", rule)
+
+
 def negate_l3(monkeypatch, systems):
     """The integer l3 rule negated on every monomial."""
-    real = BRSTExtension._l3_rule
-
-    def negated(self, mono):
-        img, d = real(self, mono)
-        return {m: -c for m, c in img.items()}, d
-    monkeypatch.setattr(BRSTExtension, "_l3_rule", negated)
+    patch_rule(monkeypatch, "_l3_cache", lambda self, mono, img: (
+        {m: -c for m, c in img[0].items()}, img[1]))
 
 
 def scale_delta_on_p1(monkeypatch, systems):
@@ -648,7 +659,8 @@ def test_compiled_blocks_match_the_superpoly_route(model, cap, monkeypatch):
     blocks, built first, apply none of their own: each is the sigma block
     times psi's diagonal."""
     sys_ = brst_system(model)
-    groups = brst_mod._groups(sys_, cap)
+    bases = brst_mod._group_bases(sys_, cap)
+    groups = [b.labels for b in bases[:-1]]
     applied = []
     real_apply = brst_mod._apply
 
@@ -669,11 +681,39 @@ def test_compiled_blocks_match_the_superpoly_route(model, cap, monkeypatch):
     ref = brst_system(model)
     for (name, k), blk in blocks.items():
         op, shift = BLOCK_OPERATORS[name]
-        dst = brst_mod._group(groups, k + shift)
+        dst = bases[k + shift].labels
         assert blk == superpoly_matrix(ref, op, groups[k], dst), (name, k)
     nonzero = {name for (name, k), blk in blocks.items() if not blk.is_zero()}
     assert nonzero == ({"delta", "sigma", "s", "d"} if sys_.structure
                        else {"delta", "sigma", "s"})
+
+
+def test_build_and_sweep_derive_each_monomial_at_most_twice(monkeypatch):
+    """build_brst and then check_nilpotent_on_basis on brst_so3 at cap 5
+    derive each monomial at most twice through delta and through d: once
+    for its block column and once in BRSTExtension's rule, which takes l2
+    and l3 from one delta image (on antighost 0, one d image).  sigma,
+    which s applies to whole images, keeps its count.  Each derivation is
+    told apart by its values dict, which the system keeps alive."""
+    sys_ = brst_system("brst_so3")
+    sizes = [len(g) for g in monomial_basis(sys_, 5)]
+    assert sizes == [448, 840, 480, 80]
+    names = {id(der.values): name for name, der in sys_.compiled.items()}
+    derived = {name: Counter() for name in sys_.compiled}
+    derive = superalg._derive
+
+    def counted(terms, vals, *rest):
+        if id(vals) in names:
+            derived[names[id(vals)]].update(terms.keys())
+        return derive(terms, vals, *rest)
+    monkeypatch.setattr(superalg, "_derive", counted)
+    assert check_nilpotent_on_basis(build_brst(sys_, 5), 5) is None
+    totals = {name: sum(c.values()) for name, c in derived.items()}
+    assert totals == {"delta": sum(sizes) + sum(sizes[1:]),
+                      "d": 2 * sizes[0], "sigma": 3963}
+    assert (totals["delta"], totals["d"]) == (3248, 896)
+    assert max(derived["delta"].values()) == 2
+    assert max(derived["d"].values()) == 2
 
 
 def test_checked_system_cannot_change_under_its_blocks():
@@ -703,7 +743,8 @@ def test_removed_basis_monomial_raises_naming_it(model, cap, k, mono,
                                                  monkeypatch):
     groups = [list(g) for g in monomial_basis(brst_system(model), cap)]
     groups[k].remove(mono)
-    monkeypatch.setattr(brst_mod, "_groups", lambda sys_, cap_: groups)
+    monkeypatch.setattr(brst_mod, "monomial_basis",
+                        lambda sys_, cap_: groups)
     sys_ = brst_system(model)
     name = str(SuperPoly(sys_.alg, {mono: 1}))
     match = "^operator output escapes the basis at %s$" % re.escape(name)
@@ -724,14 +765,8 @@ def test_l2_image_leaving_its_group_raises_naming_it(monkeypatch):
     sys_ = brst_system("brst_so3")
     g1, p1 = (sys_.alg.index[name] for name in ("G1", "P1"))
     assert (g1, p1) in monomial_basis(sys_, 3)[1]
-    real = BRSTExtension._l2_rule
-
-    def rule(self, mono):
-        img, den = real(self, mono)
-        if mono == (g1,):
-            return {**img, (g1, p1): den}, den
-        return img, den
-    monkeypatch.setattr(BRSTExtension, "_l2_rule", rule)
+    patch_rule(monkeypatch, "_l2_cache", lambda self, mono, img: (
+        {**img[0], (g1, p1): img[1]}, img[1]) if mono == (g1,) else img)
     with pytest.raises(ValueError, match="^operator output escapes the "
                        "basis at 1\\*G1P1$"):
         check_nilpotent_on_basis(BRSTExtension(sys_), 3)
@@ -749,7 +784,7 @@ def d0_with_entry(src, dst):
             blk = real(sys_, cap, name, k)
             if (name, k) != ("d", 0):
                 return blk
-            group = brst_mod._groups(sys_, cap)[0]
+            group = brst_mod._group_bases(sys_, cap)[0].labels
             i, j = (group.index(tuple(sys_.alg.index[g] for g in mono))
                     for mono in (dst, src))
             return blk + RatMatrix.from_blocks(
@@ -761,27 +796,17 @@ def d0_with_entry(src, dst):
 def l3_on_generator(gen):
     """The l3 rule returning the generator gen itself on gen."""
     def patch(monkeypatch):
-        real = BRSTExtension._l3_rule
-
-        def rule(self, mono):
-            if mono == (self.sys.alg.index[gen],):
-                return {mono: 1}, 1
-            return real(self, mono)
-        monkeypatch.setattr(BRSTExtension, "_l3_rule", rule)
+        patch_rule(monkeypatch, "_l3_cache", lambda self, mono, img: (
+            {mono: 1}, 1) if mono == (self.sys.alg.index[gen],) else img)
     return patch
 
 
 def l2_doubled_on_generator(gen):
     """The l2 rule doubled on the generator gen alone."""
     def patch(monkeypatch):
-        real = BRSTExtension._l2_rule
-
-        def rule(self, mono):
-            img, den = real(self, mono)
-            if mono == (self.sys.alg.index[gen],):
-                return {m: 2 * c for m, c in img.items()}, den
-            return img, den
-        monkeypatch.setattr(BRSTExtension, "_l2_rule", rule)
+        patch_rule(monkeypatch, "_l2_cache", lambda self, mono, img: (
+            {m: 2 * c for m, c in img[0].items()}, img[1])
+            if mono == (self.sys.alg.index[gen],) else img)
     return patch
 
 

@@ -16,6 +16,8 @@ from chainext.lie import Cochain
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_reports.json")
+EXPECTED = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        "expected.json")
 
 
 def run(capsys, *argv):
@@ -310,14 +312,17 @@ def test_extend_corrupt_eta(tmp_path, capsys):
 
 
 def test_extend_empty_dims_exit_code(tmp_path, capsys):
-    """A complex with no degrees is refused at its dims line, not run as
-    an empty complex whose every check reads ok."""
-    f = tmp_path / "no_degrees.txt"
-    f.write_text("kind: extend\ndims:\nf_dim: 0\nmatrix eta: 0 0\n"
-                 "matrix lam: 0 0\nmatrix l2_0: 0 0\n")
-    code, out = run(capsys, "extend", "--input", str(f))
-    assert (code, out) == (2, "error: line 2: dims must list at least one "
-                              "dimension\n")
+    """A complex with no degrees, or with every degree of dimension 0, is
+    refused at its dims line, not run as an empty complex whose every check
+    reads ok."""
+    for dims, message in (("", "dims must list at least one dimension"),
+                          (" 0", "dims must not all be zero"),
+                          (" 0 0", "dims must not all be zero")):
+        f = tmp_path / "no_degrees.txt"
+        f.write_text("kind: extend\ndims:%s\nf_dim: 0\nmatrix eta: 0 0\n"
+                     "matrix lam: 0 0\nmatrix l2_0: 0 0\n" % dims)
+        code, out = run(capsys, "extend", "--input", str(f))
+        assert (code, out) == (2, "error: line 2: %s\n" % message)
 
 
 def test_input_is_directory(tmp_path, capsys):
@@ -747,10 +752,14 @@ def test_shlie_zero_dimensional_algebra_is_vacuous(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,most", [
     ("bv --input bv_two_ghost --cross-check", 3),
-    ("shlie --input lie_so3 --cross-check", 6)])
+    ("shlie --input lie_so3 --cross-check", 6),
+    ("brst --input brst_so3 --cap 5", 6)])
 def test_cross_checks_build_each_basis_once(argv, most, monkeypatch, capsys):
     """bv builds X_0, X_1 and F once per job; shlie builds them once per
-    variant (the parent commit built 5 and 14)."""
+    variant (the parent commit built 5 and 14).  brst builds one named basis
+    per antighost group, the empty basis past the top group and eta's
+    constraint-free basis once per job (the parent commit built 32), and
+    prints the report that perfbench/expected.json records."""
     built = []
     original = Basis.__init__
 
@@ -759,5 +768,10 @@ def test_cross_checks_build_each_basis_once(argv, most, monkeypatch, capsys):
         original(self, *args, **kwargs)
     monkeypatch.setattr(Basis, "__init__", init)
     code, out = run(capsys, *argv.split())
-    assert code == 0 and "cross-check: True" in out
+    if argv.startswith("brst"):
+        with open(EXPECTED) as fh:
+            want = json.load(fh)["jobs"][argv]
+        assert (code, out) == (want["exit"], want["stdout"])
+    else:
+        assert code == 0 and "cross-check: True" in out
     assert len(built) <= most

@@ -175,6 +175,13 @@ def test_load_brst_errors():
         load_brst("kind: brst\nn: 2\n")
     with pytest.raises(FormatError):
         load_brst("kind: brst\nm: 0\nn: 2\np G1 G9: 1\n")
+    # an entry needs the algebra of m and n, so they come first, as dim
+    # does in a lie file
+    for text, line in (("kind: brst\np G1 G2: 0\nm: 0\nn: 2\n", 2),
+                       ("kind: brst\nm: 0\ns 1 2 1: 0\nn: 2\n", 3)):
+        with pytest.raises(FormatError,
+                           match="^line %d: m and n must come first$" % line):
+            load_brst(text)
     # what ConstraintSystem would refuse is refused at its line
     for line, message in (("p x1 eta1: 1", "poisson table only covers even"),
                           ("p P1 G1: 0", "poisson table only covers even"),
