@@ -245,8 +245,10 @@ def _group_bases(sys: ConstraintSystem, cap: int):
     named by its SuperPoly text."""
     bases = sys._bases.get(cap)
     if bases is None:
+        alg = sys.alg   # not sys, which keeps the bases: no reference cycle
+
         def name(m):
-            return str(SuperPoly(sys.alg, {m: 1}))
+            return str(SuperPoly(alg, {m: 1}))
         bases = sys._bases[cap] = [Basis(g, name) for g in
                                    monomial_basis(sys, cap) + [[]]]
     return bases
