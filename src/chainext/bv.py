@@ -41,7 +41,7 @@ class BVModel:
 
     __slots__ = ("alg", "pairs", "cap")
 
-    def __init__(self, fields, cap=8):
+    def __init__(self, fields, cap):
         for f in fields:
             if f.kind != "field":
                 raise ValueError("BVModel takes kind='field' generators")
@@ -149,7 +149,7 @@ def theorem8_maps(problem: DeformationProblem) -> Theorem8Maps:
     return Theorem8Maps(problem)
 
 
-def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
+def verify_theorem8(maps: Theorem8Maps, maxdeg: int) -> dict:
     """S^2 on every basis element of both degrees up to caps, the obstruction
     summand in l3, ghost bookkeeping, and ideal preservation.  The report
     also carries the obstruction R = obstruction_R(problem, n + 1) it
@@ -174,8 +174,6 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
     negative; the first failure then names the lowest shift.  S is not
     t-linear in that case, and s_squared is left undecided (None)."""
     model, n, T = maps.model, maps.n, maps.T
-    if maxdeg is None:
-        maxdeg = model.cap
     monos = model.monomials(maxdeg)
     report = {"s_squared": True, "l3_obstruction_summand": True,
               "ghost_shift": True, "ideal_preserved": True,
@@ -221,11 +219,12 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg=None) -> dict:
                     for b in distinct]
             low = [min((lows[i] for i in leaving[d]), default=T + 1)
                    for d in (0, 1)]
-            for k in range(T + 1):
-                if low[0] <= T - k:
-                    fail("s_squared", ("degree0", mono, k))
-                if k >= n + 1 and low[1] <= T - k:
-                    fail("s_squared", ("degree1", mono, k))
+            # S^2 fails on a t^k (k >= n + 1 in degree 1) exactly when
+            # low[d] <= T - k, so the first failure is at k = 0 or n + 1
+            if low[0] <= T:
+                fail("s_squared", ("degree0", mono, 0))
+            elif low[1] <= T - n - 1:
+                fail("s_squared", ("degree1", mono, n + 1))
             cases += T + 1 + max(0, T - n)
         if l3.images(args, n + 1).get(n + 1) != \
                 summand.images(args, n + 1).get(n + 1):

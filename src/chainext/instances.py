@@ -98,8 +98,6 @@ def _conjugated(rows, left, right, ncols):
 def _nilpotent_square_zero(rng: random.Random, f: int):
     """The {col: int} rows of an f x f matrix D with D @ D = 0 (image inside
     a killed coordinate block)."""
-    if f == 0:
-        return []
     p = rng.randint(0, f // 2)
     q = rng.randint(p and 1 or 0, f - p)
     rows = [{} for _ in range(f)]

@@ -189,8 +189,6 @@ class TLinear:
         an identity chain's image is args[0] itself, so the dicts are not
         to be changed."""
         out = {}
-        if not all(args):
-            return out
         for s, pairs in self.terms.items():
             if s > limit:
                 continue

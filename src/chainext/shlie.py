@@ -175,8 +175,6 @@ def master_relation(S: ShLieStructure, elems, n) -> Series | None:
             if inner is None or inner[1].is_zero():
                 continue
             outer = maps[j](inner, *[elems[p] for p in rest])
-            if outer is None:
-                continue
             total = total.add(outer[1].scale(pref * chi))
     return total
 
@@ -185,12 +183,6 @@ def _generators(S: ShLieStructure):
     """t-constant basis generators of A (degree 0) and A[1] (degree 1)."""
     return [(deg, Series.basis(S.alg.dim, S.N, k, i))
             for deg, k in ((0, 0), (1, S.kmin)) for i in range(S.alg.dim)]
-
-
-def _koszul_swap(dx, dy):
-    """l(.., y, x, ..) = _koszul_swap(|x|, |y|) l(.., x, y, ..) for a graded
-    antisymmetric l: minus the Koszul sign (-1)^(|x||y|)."""
-    return 1 if dx % 2 and dy % 2 else -1
 
 
 def _agrees(u, v, sign):
@@ -204,16 +196,18 @@ def verify_shlie(S: ShLieStructure) -> dict:
     """The generalized Jacobi relations, on one generator tuple per class.
 
     Graded antisymmetry.  l_k is graded antisymmetric when swapping two
-    adjacent arguments x, y multiplies it by -(-1)^(|x||y|) (`_koszul_swap`):
-    +1 when both have degree 1, -1 otherwise; over a permutation sigma the
-    factor is chi(sigma) = sign(sigma) times the Koszul sign, which is
-    `_graded_unshuffle_sign`.  l2 and l3 are multilinear and t-linear (TLinear
-    maps), so they are graded antisymmetric on all of X as soon as they are on
-    the generators e_i (degree 0) and t^kmin e_i* (degree 1); adjacent
-    transpositions generate every permutation, so it is enough to compare
-    each ordered generator pair and triple with its adjacent transpositions.  `g_l2` is evaluated on every ordered pair and
-    `g_l3` on every ordered triple once; the comparison reads this table
-    (key `graded_antisymmetry`), and so does relation_66.
+    adjacent arguments x, y multiplies it by -(-1)^(|x||y|): +1 when both
+    have degree 1, -1 otherwise; over a permutation sigma the factor is
+    chi(sigma) = sign(sigma) times the Koszul sign, which is
+    `_graded_unshuffle_sign` (of the transposition (1, 0) for one swap).
+    l2 and l3 are multilinear and t-linear (TLinear maps), so they are
+    graded antisymmetric on all of X as soon as they are on the generators
+    e_i (degree 0) and t^kmin e_i* (degree 1); adjacent transpositions
+    generate every permutation, so it is enough to compare each ordered
+    generator pair and triple with its adjacent transpositions.  `g_l2` is
+    evaluated on every ordered pair and `g_l3` on every ordered triple once;
+    the comparison reads this table (key `graded_antisymmetry`), and so does
+    relation_66.
 
     The reduction.  With every l_k graded antisymmetric, each summand
     sum_sigma chi(sigma) l_j(l_i(x_sigma(1..i)), x_sigma(i+1..n)) over the
@@ -247,11 +241,13 @@ def verify_shlie(S: ShLieStructure) -> dict:
                   for tup in product(idx, repeat=3)})
 
     # v(tau x) = sign v(x) iff v(x) = sign v(tau x): one order of each swap
+    swap = {d: _graded_unshuffle_sign((1, 0), d)
+            for d in product((0, 1), repeat=2)}
     report["graded_antisymmetry"] = True
     for tup, val in table.items():
         if any(tup[p] <= tup[p + 1] and not _agrees(
                 val, table[tup[:p] + (tup[p + 1], tup[p]) + tup[p + 2:]],
-                _koszul_swap(degs[tup[p]], degs[tup[p + 1]]))
+                swap[degs[tup[p]], degs[tup[p + 1]]])
                for p in range(len(tup) - 1)):
             failed("graded_antisymmetry", tup)
             break

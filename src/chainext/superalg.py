@@ -183,9 +183,6 @@ class SuperPoly:
         c = rat(c)
         return SuperPoly(self.alg, {m: c * v for m, v in self.terms.items()})
 
-    def __mul__(self, other):
-        return mul(self, other)
-
     def monomial_parity(self, m):
         parities = self.alg.parities
         return sum(parities[i] for i in m) % 2

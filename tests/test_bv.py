@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +12,7 @@ from chainext.bv import (
 )
 from chainext.complexes import compare_with_engine, verify_homotopy
 from chainext.exactla import RatMatrix, rat
-from chainext.series import Series
+from chainext.series import Series, TLinear
 from chainext.superalg import GenSpec, SuperPoly, antibracket, mul
 
 from bundled import bv_problem, model_id
@@ -28,7 +29,7 @@ def test_model_structure():
     assert len(m.monomials(1)) == 5
     assert m.bracket(m.gen("phi"), m.gen("phi_st")) == SuperPoly.const(m.alg, 1)
     with pytest.raises(ValueError):
-        BVModel([GenSpec("x", "even", ghost=0, kind="x")])
+        BVModel([GenSpec("x", "even", ghost=0, kind="x")], cap=6)
 
 
 def test_master_check():
@@ -113,6 +114,25 @@ def test_obstruction_R():
             g.gen("phi2_st")).scale(2)
     assert obstruction_R(q, 2) == want
     assert obstruction_R(q, 7).is_zero()
+
+
+def test_obstruction_that_is_not_a_cocycle_is_refused():
+    """(S_0, R_2) = 2 ((S_0, S_1), S_1) for R_2 = (S_1, S_1) (the graded
+    Jacobi identity with (S_0, S_0) = 0), so R_2 is a cocycle when the
+    order-1 master equation holds.  Over an S_1 that breaks it, found here
+    as the first sum of two even ghost-0 monomials with (S_0, R_2) != 0,
+    obstruction_R refuses the data."""
+    q = bv_problem("bv_two_ghost")
+    g, S0 = q.model, q.S[0]
+    even = [g.poly(m) for m in g.monomials(3)
+            if g.poly(m).parity() == 0 and g.poly(m).ghost() == 0]
+    S1 = next(a + b for a, b in combinations(even, 2)
+              if not g.bracket(S0, g.bracket(a + b, a + b)).is_zero())
+    problem = object.__new__(DeformationProblem)
+    problem.model, problem.S, problem.n, problem.trunc = g, [S0, S1], 1, 2
+    with pytest.raises(ValueError, match="^obstruction is not a cocycle: "
+                                         "inconsistent data$"):
+        obstruction_R(problem, 2)
 
 
 def test_maps_closed_form_order_one():
@@ -217,6 +237,29 @@ def test_corrupt_star_sign_detected():
     assert not rep["s_squared"]
     assert rep["first_failure"] is not None
     assert not rep["ok"]
+
+
+def test_plain_l2_keeping_the_ghost_number_fails_ghost_shift():
+    """A plain l2 equal to t^T times the identity keeps every ghost number,
+    where (S_i, .) raises it by 1.  On bv_two_pair, whose l3 is zero, its
+    square is t^(2T) and leaves the truncation, and the constant monomial
+    1, the first one, has (S_i, 1) = 0: so S^2 vanishes on 1 in both
+    degrees and the first failure is ghost_shift at 1.  A plain l2 whose
+    image mixes two ghost numbers is refused."""
+    maps = theorem8_maps(bv_problem("bv_two_pair"))
+    assert verify_theorem8(maps, maxdeg=2)["ghost_shift"]
+    first = maps.model.monomials(2)[0]
+    assert first == ()
+    maps.l2_plain_op = TLinear({maps.T: [(1, ())]})
+    rep = verify_theorem8(maps, maxdeg=2)
+    assert rep["ghost_shift"] is False and rep["ok"] is False
+    assert rep["first_failure"] == ("ghost_shift", first)
+    gh = maps.model.alg.ghosts
+    mixed = {(): 1, (gh.index(1),): 1}
+    maps.l2_plain_op = TLinear({0: [(1, (lambda d: mixed,))]})
+    with pytest.raises(ValueError, match="^polynomial is not "
+                                         "ghost-homogeneous$"):
+        verify_theorem8(maps, maxdeg=2)
 
 
 def test_squares_on_random_composites():

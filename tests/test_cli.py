@@ -295,6 +295,22 @@ def test_extend_corrupt_d_f(tmp_path, capsys):
     assert "conditions: failed" in out
 
 
+def test_extend_without_d_f(tmp_path, capsys):
+    """Without d_f there is no base homology to match: the report is
+    extend_split's golden report up to the total homology, and exit 0."""
+    models = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
+                          "models", "extend_split.txt")
+    with open(models) as fh:
+        hd, l2_0, d_f = load_extend(fh.read())
+    f = tmp_path / "no_d_f.txt"
+    f.write_text(dump_extend(hd, l2_0, None))
+    code, out = run(capsys, "extend", "--input", str(f))
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)["extend --input extend_split"]["stdout"]
+    assert code == 0
+    assert out == golden[:golden.index("homology dim (base)")]
+
+
 def test_extend_corrupt_eta(tmp_path, capsys):
     models = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
                           "models", "extend_split.txt")
@@ -665,6 +681,108 @@ def test_brst_failed_resolution_exit_code(monkeypatch, capsys):
     assert "build: error: resolution data fails verification" in out
 
 
+STUB = ("stub", (0, 1))
+
+
+def failing_in_t2(real, failed):
+    """real, with its report updated by `failed` in the t2 variant."""
+    def verifier(S):
+        rep = real(S)
+        return dict(rep, **failed) if S.variant == "t2" else rep
+    return verifier
+
+
+# (golden argv, module, name, replacement of module.name given the original,
+#  {report key: its value when that check fails}, key the report stops at)
+FAILED_CHECKS = [
+    ("shlie --input lie_so3", cli, "verify_shlie",
+     lambda real: failing_in_t2(real, {"ok": False, "first_failure": STUB}),
+     {"variant t2 relations": "failed at %s" % (STUB,)}, None),
+    ("shlie --input lie_so3", cli, "l3_is_obstruction",
+     lambda real: lambda S: False,
+     {"variant full l3 is obstruction": "False",
+      "variant t2 l3 is obstruction": "False"}, None),
+    ("shlie --input lie_sl2 --cross-check", cli, "crosscheck_with_engine",
+     lambda real: failing_in_t2(real, {"ok": False}),
+     {"variant t2 engine cross-check": "False"}, None),
+    ("shlie --input lie_so3", cli, "variants_agree",
+     lambda real: lambda s_full, s_t2: False,
+     {"variants agree": "False"}, None),
+    ("brst --input brst_toy --cap 3", brst_mod, "check_nilpotent_on_basis",
+     lambda real: lambda ext, cap: "x1",
+     {"(delta+l2+l3)^2 on basis": "failed at x1"}, None),
+    ("bv --input bv_two_ghost --cap 3", bv_mod, "verify_theorem8",
+     lambda real: lambda maps, maxdeg: dict(real(maps, maxdeg), ok=False,
+                                            first_failure=STUB),
+     {"extension checks": "failed at %s" % (STUB,)}, None),
+    ("bv --input bv_two_pair --cap 4 --cross-check", bv_mod,
+     "engine_matrices_match", lambda real: lambda maps, cap: False,
+     {"engine cross-check": "False"}, None),
+    # the homology of an l that is not nilpotent is not reported
+    ("extend --input extend_split", cli, "verify_nilpotent",
+     lambda real: lambda ext: dict(real(ext), ok=False),
+     {"nilpotent": "failed"}, "nilpotent"),
+    # a dimension is never negative, so -1 matches no total
+    ("extend --input extend_split", cli, "homology_dim_of_differential",
+     lambda real: lambda d: -1,
+     {"homology dim (base)": "-1", "homology match": "False"}, None),
+]
+
+
+@pytest.mark.parametrize("argv,module,name,replace,changed,last",
+                         FAILED_CHECKS,
+                         ids=["%s:%s" % (c[0].split()[0], c[2])
+                              for c in FAILED_CHECKS])
+def test_failed_check_exit_code(argv, module, name, replace, changed, last,
+                                monkeypatch, capsys):
+    """Exit 1 on each failed check of a command: with the check's verifier
+    made to fail, the report is the passing golden report with the failed
+    lines changed, and it ends at `last` when that is given."""
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)[argv]
+    assert golden["code"] == 0
+    want = []
+    for line in golden["stdout"].splitlines():
+        key, _, value = line.partition(": ")
+        want.append("%s: %s" % (key, changed.get(key, value)))
+        if key == last:
+            break
+    assert want != golden["stdout"].splitlines()
+    monkeypatch.setattr(module, name, replace(getattr(module, name)))
+    code, out = run(capsys, *argv.split())
+    assert code == 1
+    assert out.splitlines() == want
+
+
+def test_no_input_flag_exit_code(capsys):
+    code, out = run(capsys, "lie")
+    assert (code, out) == (2, "error: no input file given\n")
+
+
+def test_extend_unknown_matrix_exit_code(tmp_path, capsys):
+    f = tmp_path / "foo.txt"
+    f.write_text("kind: extend\ndims: 1\nf_dim: 1\nmatrix foo: 1 1\n0\n")
+    code, out = run(capsys, "extend", "--input", str(f))
+    assert (code, out) == (2, "error: line 4: unknown matrix 'foo'\n")
+
+
+def test_extend_without_f_dim_exit_code(tmp_path, capsys):
+    f = tmp_path / "no_f_dim.txt"
+    f.write_text("kind: extend\ndims: 1\n")
+    code, out = run(capsys, "extend", "--input", str(f))
+    assert (code, out) == (2, "error: line 1: missing dims or f_dim\n")
+
+
+def test_shlie_jacobi_failure(tmp_path, capsys):
+    """shlie on test_lie_jacobi_failure's bracket: build_shlie refuses it."""
+    f = tmp_path / "notlie.txt"
+    f.write_text("kind: lie\ndim: 3\nc 1 2 2: 1\nc 1 3 3: 1\n"
+                 "c 2 3 1: 1\nc 2 3 2: 5\n")
+    code, out = run(capsys, "shlie", "--input", str(f))
+    assert (code, out) == (1, "command: shlie\ntrunc: 4\nbuild: error: the "
+                              "bracket fails the Jacobi identity\n")
+
+
 def test_missing_input_exit_code(capsys):
     code, out = run(capsys, "lie", "--input", "no_such_model_anywhere")
     assert code == 2
@@ -709,15 +827,15 @@ SHLIE_JOBS = [("shlie", "--input", "lie_so3"),
 
 @pytest.mark.parametrize("argv", SHLIE_JOBS)
 def test_shlie_composes_alpha1_once_per_job(argv, monkeypatch, capsys):
-    """Six compositions: jacobi_check one, ce_differential's [alpha0,alpha1]
-    two, l3's alpha1.alpha1 one for both variants, and one fresh one per
-    variant in l3_is_obstruction."""
+    """Five compositions: jacobi_check one, ce_differential's [alpha0,alpha1]
+    two, l3's alpha1.alpha1 one for both variants, and one fresh one in
+    l3_is_obstruction, whose verdict serves both variants."""
     from chainext import lie as lie_mod
     from chainext import shlie as shlie_mod
     composed = counting(monkeypatch, lie_mod, "nr_compose", shlie_mod)
     code, out = run(capsys, *argv)
     assert code == 0
-    assert len(composed) == 6
+    assert len(composed) == 5
 
 
 @pytest.mark.parametrize("argv", SHLIE_JOBS)

@@ -48,6 +48,43 @@ def test_verify_homotopy_tiny():
     assert rep["ok"], rep
 
 
+# (call on tiny_instance(), message) for each input guard of the engine; its
+# space has dims 2, 1, 0 and F = Q
+ENGINE_GUARDS = [
+    (lambda hd: GradedSpace([1, -1]), "negative dimension"),
+    (lambda hd: GradedMap(hd.space, -1, {1: RatMatrix.zeros(1, 1)}),
+     "block 1 has shape (1, 1), expected (2, 1)"),
+    (lambda hd: HomotopyData(hd.space, hd.s, 1, hd.eta, hd.lam, hd.s),
+     "l1 must have degree -1"),
+    (lambda hd: HomotopyData(hd.space, hd.l1, 1, hd.eta, hd.lam, hd.l1),
+     "s must have degree +1"),
+    (lambda hd: HomotopyData(hd.space, hd.l1, 1, hd.lam, hd.lam, hd.s),
+     "eta has shape (2, 1), expected (1, 2)"),
+    (lambda hd: HomotopyData(hd.space, hd.l1, 1, hd.eta, hd.eta, hd.s),
+     "lam has shape (1, 2), expected (2, 1)"),
+    (lambda hd: complexes.ChainExtension(hd.space, hd.l1,
+                                         GradedMap(hd.space, 0), hd.l1),
+     "degree shifts must be (-1, 0, +1)"),
+    (lambda hd: check_l2_conditions(hd, RatMatrix.zeros(1, 1)),
+     "l2_0 has shape (1, 1), expected (2, 2)"),
+    (lambda hd: check_l2_conditions(hd, RatMatrix.zeros(2, 2),
+                                    RatMatrix.zeros(2, 2)),
+     "d_f has shape (2, 2), expected (1, 1)"),
+    (lambda hd: homology_dim_of_differential(hd.eta),
+     "differential must be square"),
+    (lambda hd: homology_dim_of_differential(RatMatrix([[1]])),
+     "matrix does not square to zero"),
+]
+
+
+@pytest.mark.parametrize("call,message", ENGINE_GUARDS,
+                         ids=[message for _, message in ENGINE_GUARDS])
+def test_engine_input_guards(call, message):
+    with pytest.raises(ValueError) as err:
+        call(tiny_instance())
+    assert str(err.value) == message
+
+
 def test_verify_homotopy_detects_broken_sign():
     sp = GradedSpace([2, 1, 0])
     l1 = GradedMap(sp, -1, {1: RatMatrix([[0], [1]])})

@@ -15,7 +15,7 @@ from chainext.formats import load_lie
 from chainext.lie import Cochain, LieAlgebra, ce_differential, nr_compose
 from chainext.series import Series
 from chainext.shlie import (
-    _graded_unshuffle_sign, _koszul_swap, ShLieStructure, build_shlie,
+    _graded_unshuffle_sign, ShLieStructure, build_shlie,
     crosscheck_with_engine, l3_is_obstruction, master_relation,
     to_homotopy_data, variants_agree, verify_shlie,
 )
@@ -207,6 +207,41 @@ def test_variants_agree():
     s_full = build(alg, a1, variant="full")
     s_t2 = build(alg, a1, variant="t2")
     assert variants_agree(s_full, s_t2)
+
+
+def spied_mutant(S, mutated):
+    """(copy of S, calls): l1, l2_10 and l3_000 append their names to
+    calls, and the map named `mutated` adds t^3 e_1 to every value."""
+    calls = []
+    extra = Series.basis(S.alg.dim, S.N, 3, 0)
+
+    def spy(name):
+        real = getattr(ShLieStructure, name)
+
+        def method(self, *args):
+            calls.append(name)
+            out = real(self, *args)
+            return out.add(extra) if name == mutated else out
+        return method
+    cls = type("Spied", (ShLieStructure,),
+               {name: spy(name) for name in ("l1", "l2_10", "l3_000")})
+    return cls(S.alg, S.alpha1, S.N, S.variant, S.comp11), calls
+
+
+@pytest.mark.parametrize("mutated", ["l1", "l2_10", "l3_000"])
+def test_variants_agree_fails_at_a_changed_map(mutated):
+    """variants_agree compares l1 on t^2 e_1*, then l2_10 on (t^2 e_1*, e_1),
+    then l3_000 on (e_1, e_1, e_1), and so on.  A t2 map that adds t^3 e_1
+    to every value differs at its first comparison, so the verdict is
+    False and the calls end with that map's first one."""
+    alg, a1 = abelian3(), obstructed_alpha1()
+    s_full = build(alg, a1, variant="full")
+    spied, _ = spied_mutant(build(alg, a1), None)
+    assert variants_agree(s_full, spied)
+    order = ["l1", "l2_10", "l3_000"]
+    mutant, calls = spied_mutant(build(alg, a1), mutated)
+    assert variants_agree(s_full, mutant) is False
+    assert calls == order[:order.index(mutated) + 1]
 
 
 def test_export_homotopy_data():
@@ -483,12 +518,11 @@ def test_reduced_sweep_matches_product_sweep_on_coboundaries(name, seed,
 
 
 def test_koszul_swap_is_the_sign_of_one_transposition():
-    """The swap sign verify_shlie checks antisymmetry with is the sign
-    master_relation gives the transposition of two inputs."""
-    for dx, dy in product((0, 1), repeat=2):
-        assert _koszul_swap(dx, dy) == _graded_unshuffle_sign((1, 0), (dx, dy))
-    assert [_koszul_swap(dx, dy) for dx, dy in product((0, 1), repeat=2)] \
-        == [-1, -1, -1, 1]
+    """The swap sign verify_shlie checks antisymmetry with, the sign
+    master_relation gives the transposition of two inputs, is minus the
+    Koszul sign (-1)^(|x||y|)."""
+    assert [_graded_unshuffle_sign((1, 0), (dx, dy))
+            for dx, dy in product((0, 1), repeat=2)] == [-1, -1, -1, 1]
 
 
 def test_sl3_model_is_the_matrix_commutator():
