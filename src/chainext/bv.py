@@ -246,16 +246,21 @@ def verify_theorem8(maps: Theorem8Maps, maxdeg: int) -> dict:
 
 def find_s0_cocycle(model: BVModel, S0: SuperPoly, maxdeg: int):
     """Even ghost-0 monomial combinations killed by (S0, .), via an exact
-    kernel computation; returns a list of SuperPoly cocycles."""
+    kernel computation; returns one SuperPoly cocycle per column of the
+    kernel basis."""
+    parities, ghosts = model.alg.parities, model.alg.ghosts
     monos = [m for m in model.monomials(maxdeg)
-             if model.poly(m).parity() == 0 and model.poly(m).ghost() == 0]
+             if not sum(parities[i] for i in m) % 2
+             and not sum(ghosts[i] for i in m)]
     s0_deg = max((len(m) for m in S0.terms), default=0)
     all_monos = model.monomials(maxdeg + max(s0_deg - 2, 0))
     ad = model.ad(S0)
-    mat = operator_matrix(lambda m: ad.image({m: 1}),
-                          Basis(monos), Basis(all_monos, model.poly))
-    return [SuperPoly(model.alg, dict(zip(monos, vec)))
-            for vec in kernel_basis(mat)]
+    kernel = kernel_basis(operator_matrix(lambda m: ad.image({m: 1}),
+                                          Basis(monos),
+                                          Basis(all_monos, model.poly)))
+    return [SuperPoly(model.alg, {monos[i]: x
+                                  for i, x in kernel.col(j).items()})
+            for j in range(kernel.ncols)]
 
 
 def auto_term(model: BVModel, S0: SuperPoly, i: int) -> SuperPoly:

@@ -3,10 +3,11 @@
 A matrix is stored sparse, on exact integers: each row is a {column: nonzero
 int} dict, and one positive integer `den`, in lowest terms (1 for the zero
 matrix), is the common denominator of every entry.  Arithmetic touches only
-the stored nonzeros and runs on Python ints; every value handed out
-(entries, rows, columns, vectors, solutions) is a Fraction.  Everything here
-is exact: no floats, no tolerances.  Matrices are immutable; all functions
-return fresh objects.
+the stored nonzeros and runs on Python ints; every value handed out (an
+entry, a row, a sparse {row: value} column) is a Fraction.  Kernels and
+solutions are handed out as matrices, built from the integer rows with no
+dense vector in between.  Everything here is exact: no floats, no
+tolerances.  Matrices are immutable; all functions return fresh objects.
 
 The package's exact-number rule lives here alone: a string is a number
 only in the grammar `RATIONAL` (an integer or p/q), `exact` gives a scalar
@@ -24,7 +25,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # the one grammar of an exact number in a string: a signed integer or p/q,
@@ -183,18 +183,6 @@ class RatMatrix:
         return cls._of(_rows(terms, len(entries)), den, len(entries))
 
     @classmethod
-    def from_columns(cls, cols, nrows=None):
-        """Build a matrix whose columns are the given vectors."""
-        cols = [list(c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-            for c in cols:
-                if len(c) != nrows:
-                    raise ValueError("ragged columns")
-            return cls(zip(*cols), ncols=len(cols))
-        return cls.zeros(0 if nrows is None else nrows, 0)
-
-    @classmethod
     def from_blocks(cls, nrows, ncols, placed):
         """An nrows x ncols matrix holding each block of `placed`, a list of
         (row offset, column offset, RatMatrix), at its offsets; zero elsewhere.
@@ -246,10 +234,13 @@ class RatMatrix:
         return Fraction(v, self.den) if v else _ZERO
 
     def col(self, j):
+        """Column j as a sparse {row: nonzero Fraction} dict, rows
+        ascending."""
         if not 0 <= j < self.ncols:
             raise IndexError("column %d out of range" % (j,))
         d = self.den
-        return [Fraction(r[j], d) if j in r else _ZERO for r in self._nums]
+        return {i: Fraction(r[j], d) for i, r in enumerate(self._nums)
+                if j in r}
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -467,41 +458,37 @@ def rank(m: RatMatrix) -> int:
     return rref(m)[2]
 
 
-def kernel_basis(m: RatMatrix):
-    """Basis of the null space, as a list of column vectors.
+def kernel_basis(m: RatMatrix) -> RatMatrix:
+    """Basis of the null space, as the columns of an ncols x (ncols - rank)
+    matrix K with m @ K = 0.
 
-    len(result) == ncols - rank(m); the basis is the standard one read off
-    the reduced echelon form (free variable set to 1, pivots back-solved).
+    Column i is the standard vector of the i-th free column of the reduced
+    echelon form: that free variable is 1 and the pivots are back-solved.
+    K is written straight from the integer rows of the reduced form over
+    its den, whose pivot entries are all den.
     """
-    reduced, pivots, rk = rref(m)
-    free = [j for j in range(m.ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [_ZERO] * m.ncols
-        v[f] = _ONE
-        for r_idx, p in enumerate(pivots):
-            v[p] = -reduced.entry(r_idx, f)
-        basis.append(v)
-    return basis
+    reduced, pivots, _ = rref(m)
+    free = sorted(set(range(m.ncols)).difference(pivots))
+    index = {j: i for i, j in enumerate(free)}
+    nums = [{index[j]: reduced.den} if j in index else {}
+            for j in range(m.ncols)]
+    for r, p in zip(reduced._nums, pivots):
+        nums[p] = {index[j]: -v for j, v in r.items() if j != p}
+    return RatMatrix._of(nums, reduced.den, len(free))
 
 
 def solve(m: RatMatrix, b):
-    """One exact solution x of m x = b, or None when b is not in the column space.
+    """One exact solution X of m X = b, or None when a column of b is not in
+    the column space of m.
 
-    b is a vector (the answer is a vector), a RatMatrix of right-hand sides
-    (the answer is a RatMatrix X with m X = b, and None when any column of b
-    lies outside the column space), or a list or tuple of such RatMatrix
-    blocks, read side by side as one right-hand side [b1 | b2 | ...].  Either
-    way one rref of [m | b], assembled by one from_blocks, decides it.  Free
+    b is a RatMatrix of right-hand sides, or a list or tuple of RatMatrix
+    blocks read side by side as one right-hand side [b1 | b2 | ...]; an
+    empty sequence is no right-hand side, with an m.ncols x 0 answer.  One
+    rref of [m | b], assembled by one from_blocks, decides it.  Free
     variables are set to zero, so the answer is deterministic.  Raises
-    ValueError when b does not have m.nrows rows.
+    ValueError when a block does not have m.nrows rows.
     """
-    if isinstance(b, RatMatrix):
-        blocks, vector = [b], False
-    elif b and isinstance(b[0], RatMatrix):
-        blocks, vector = list(b), False
-    else:
-        blocks, vector = [RatMatrix.from_columns([b], nrows=len(b))], True
+    blocks = [b] if isinstance(b, RatMatrix) else b
     n = col = m.ncols
     placed = [(0, 0, m)]
     for blk in blocks:
@@ -515,5 +502,4 @@ def solve(m: RatMatrix, b):
     x = [{} for _ in range(n)]
     for r_idx, p in enumerate(pivots):
         x[p] = {j - n: v for j, v in reduced._nums[r_idx].items() if j >= n}
-    x = RatMatrix._of(x, reduced.den, col - n)
-    return x.col(0) if vector else x
+    return RatMatrix._of(x, reduced.den, col - n)

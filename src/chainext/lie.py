@@ -190,11 +190,12 @@ def _labelled(ch: Cochain):
 
 
 def _cochain(basis: Basis, dim, arity, coords) -> Cochain:
-    """The cochain with the given coordinates on basis."""
+    """The cochain with the sparse coordinates {basis index: nonzero value}
+    on basis, a column of a RatMatrix."""
     entries = {}
-    for (idx, k), x in zip(basis.labels, coords):
-        if x:
-            entries.setdefault(idx, {})[k] = x
+    for i, x in coords.items():
+        idx, k = basis.labels[i]
+        entries.setdefault(idx, {})[k] = x
     return Cochain._of(dim, arity, entries)
 
 
@@ -214,9 +215,10 @@ class JacobiError(ValueError):
 def h2(alg: LieAlgebra):
     """(dim H^2, representative cocycles spanning a complement of the coboundaries).
 
-    Representatives are chosen deterministically: kernel basis vectors of the
-    degree-2 differential whose columns extend the coboundary span.  Raises
-    JacobiError when alg is not a Lie algebra.
+    Representatives are chosen deterministically: the columns of the kernel
+    basis K of the degree-2 differential that extend the coboundary span,
+    read off one rref of [d1 | K].  Raises JacobiError when alg is not a
+    Lie algebra.
     """
     if not jacobi_check(alg):
         raise JacobiError("structure constants do not satisfy the Jacobi identity")
@@ -224,11 +226,10 @@ def h2(alg: LieAlgebra):
     d1 = differential_matrix(alg, 1)
     cocycles = kernel_basis(d2)
     # the pivots left of d1's columns are rank(d1); the rest pick the reps
-    _, pivots, _ = rref(d1.hstack(RatMatrix.from_columns(cocycles,
-                                                         nrows=d1.nrows)))
-    dim_h2 = len(cocycles) - sum(p < d1.ncols for p in pivots)
+    _, pivots, _ = rref(d1.hstack(cocycles))
+    dim_h2 = cocycles.ncols - sum(p < d1.ncols for p in pivots)
     basis = cochain_basis(alg.dim, 2)
-    reps = [_cochain(basis, alg.dim, 2, cocycles[p - d1.ncols])
+    reps = [_cochain(basis, alg.dim, 2, cocycles.col(p - d1.ncols))
             for p in pivots if p >= d1.ncols]
     # equal counts hold only if every coboundary is a cocycle
     assert len(reps) == dim_h2

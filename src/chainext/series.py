@@ -93,10 +93,11 @@ class Series:
     __hash__ = None
 
     def flat(self, kmin=0):
-        """Coordinates of a vector series for t-powers kmin..T, at index
-        (k - kmin) * dim + i."""
-        return [t.get(i, Fraction(0)) for t in self.terms[kmin:]
-                for i in range(self.space)]
+        """The nonzero coordinates of a vector series for t-powers kmin..T,
+        as a sparse {(k - kmin) * dim + i: value} dict."""
+        return {k * self.space + i: x
+                for k, t in enumerate(self.terms[kmin:]) for i, x in t.items()
+                if x}
 
 
 def pair_sum(b, m, lo, hi, zero):

@@ -28,6 +28,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, product
 
 from .complexes import compare_with_engine, verify_homotopy
+from .exactla import add_into
 from .lie import Cochain, LieAlgebra, ce_differential, jacobi_check, nr_compose
 from .series import Series, TLinear, star_resolution
 
@@ -330,8 +331,9 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
 
     The homotopy identities of the export are verified; the mixed l2 is
     reconstructed from x = -s(l1 x) on X_1; l3 is reconstructed as s applied
-    to the l2-Jacobiator, read off the columns of the products
-    s l2(., e_c) l2(., e_b).  The engine's l2 on X_1 is the same product
+    to the l2-Jacobiator, the sum of three sparse columns of the products
+    s l2(., e_c) l2(., e_b), compared with the sparse Series.flat of l3.
+    The engine's l2 on X_1 is the same product
     s l2(., e_b) l1, so mixed_l2_matches is its one comparison.  Whenever
     the curried operators satisfy the extension conditions (always in the
     full variant; in the t2 variant when the bracket vanishes), each
@@ -354,10 +356,15 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
     # column a of sl2l2[c][b]
     sl2l2 = [[smm[c] @ m for m in mmats] for c in range(dim)]
     e = [Series.basis(dim, N, 0, i) for i in range(dim)]
+
+    def s_jacobiator(a, b, c):
+        """s of the l2-Jacobiator on (e_a, e_b, e_c), a sparse column."""
+        out = sl2l2[c][b].col(a)
+        add_into(out, sl2l2[b][c].col(a), -1)
+        add_into(out, sl2l2[a][c].col(b))
+        return out
     report["l3_matches"] = all(
-        [x - y + z for x, y, z in zip(sl2l2[c][b].col(a), sl2l2[b][c].col(a),
-                                      sl2l2[a][c].col(b))]
-        == S.l3_000(e[a], e[b], e[c]).flat(kmin)
+        s_jacobiator(a, b, c) == S.l3_000(e[a], e[b], e[c]).flat(kmin)
         for a, b, c in product(range(dim), repeat=3))
 
     runs = dim and (S.variant == "full" or S.alg.alpha0.is_zero())

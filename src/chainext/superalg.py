@@ -387,8 +387,6 @@ def _canonical_table(alg, table):
             if not val.is_zero():
                 raise ValueError("bracket of a generator with itself must vanish")
             continue
-        if (u, v) in full and full[(u, v)] != val:
-            raise ValueError("antisymmetry violated for (%s,%s)" % (u, v))
         full[(u, v)] = val
         rev = val.scale(-1)
         if (v, u) in table and table[(v, u)] != rev:

@@ -6,14 +6,16 @@ system's generator values, not through the compiled blocks (delta is
 brst.koszul_tate, looked up on the module, so a patched one reaches them);
 a derivation's one-pass call runs superalg._derive over the whole argument,
 with no per-monomial table; the series, cochain and graded-map helpers work
-on the stored coefficients directly.  The tests import them from here, as
+on the stored coefficients directly; the dense linear algebra builds
+matrices from dense Fraction columns and reads the kernel off the reduced
+form one entry at a time.  The tests import them from here, as
 they import the bundled models from bundled.
 """
 
 from fractions import Fraction
 
 from chainext import brst
-from chainext.exactla import RatMatrix, exact
+from chainext.exactla import RatMatrix, exact, rref
 from chainext.series import Series
 from chainext.superalg import SuperPoly, _derive, extend_right_derivation
 
@@ -135,3 +137,40 @@ def total_matrix(gm):
     """A GradedMap as one matrix on the concatenated basis of all degrees."""
     n = gm.space.total_dim
     return RatMatrix.from_blocks(n, n, gm.placed_blocks())
+
+
+# -- exactla: dense columns and the dense kernel ---------------------------------
+
+def columns_matrix(cols, nrows):
+    """The nrows x len(cols) matrix whose columns are the dense vectors
+    cols."""
+    cols = [list(c) for c in cols]
+    if any(len(c) != nrows for c in cols):
+        raise ValueError("ragged columns")
+    return RatMatrix([list(r) for r in zip(*cols)] if cols else
+                     [[] for _ in range(nrows)], ncols=len(cols))
+
+
+def column_block(m, j):
+    """Column j of m as an m.nrows x 1 matrix."""
+    return columns_matrix([[r[j] for r in m.rows]], m.nrows)
+
+
+def dense_column(x):
+    """The only column of an n x 1 matrix as a dense Fraction list."""
+    return [r[0] for r in x.rows]
+
+
+def dense_kernel_basis(m):
+    """Basis of the null space of m as dense Fraction vectors: per free
+    column of the reduced echelon form, that variable set to 1 and the
+    pivots back-solved, one entry of the reduced form at a time."""
+    reduced, pivots, _ = rref(m)
+    basis = []
+    for f in (j for j in range(m.ncols) if j not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for r_idx, p in enumerate(pivots):
+            v[p] = -reduced.entry(r_idx, f)
+        basis.append(v)
+    return basis

@@ -23,8 +23,8 @@ from chainext.superalg import (SuperPoly, extend_right_derivation, mul,
 
 import references
 from bundled import brst_system, model_id
-from references import (antighost, eta_project, homotopy_s, lambda_tilde,
-                        longitudinal_d, nbar, psi, sigma)
+from references import (antighost, columns_matrix, eta_project, homotopy_s,
+                        lambda_tilde, longitudinal_d, nbar, psi, sigma)
 
 
 def operator_matrix(ext, op_name, groups, k_from, shift):
@@ -132,6 +132,22 @@ def test_constraint_system_rejects_non_first_class():
         ConstraintSystem(1, 2, {}, bad_structure)
 
 
+STRUCTURE_KEYS = ("structure functions must be keyed by a<b with one entry "
+                  "per constraint")
+
+
+@pytest.mark.parametrize("structure", [
+    lambda z: {(1, 0): [z, z]},
+    lambda z: {(0, 2): [z, z]},
+    lambda z: {(0, 1): [z]},
+], ids=["a > b", "b out of range", "one entry short"])
+def test_constraint_system_structure_key_guard(structure):
+    zero = SuperPoly.zero(ConstraintSystem(1, 2, {}, {}).alg)
+    with pytest.raises(ValueError) as err:
+        ConstraintSystem(1, 2, {}, structure(zero))
+    assert err.value.args == (STRUCTURE_KEYS,)
+
+
 def test_in_constraint_ideal():
     toy = brst_system("brst_toy")
     x, G1 = toy.gen("x1"), toy.gen("G1")
@@ -150,8 +166,9 @@ def ideal_member_by_solve(sys_, f):
             for j, m in enumerate(monos) if sys_.has_constraint_factor(m)]
     if not cols:
         return False
-    mat = RatMatrix.from_columns(cols, nrows=len(monos))
-    return solve(mat, [f.terms[m] for m in monos]) is not None
+    mat = columns_matrix(cols, len(monos))
+    return solve(mat, columns_matrix([[f.terms[m] for m in monos]],
+                                     len(monos))) is not None
 
 
 def test_in_constraint_ideal_matches_solve_reference():

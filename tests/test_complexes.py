@@ -19,7 +19,7 @@ from chainext.instances import random_split_instance
 from chainext.lie import Cochain
 
 from bundled import bv_problem
-from references import total_matrix
+from references import column_block, total_matrix
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "src", "chainext",
                       "models")
@@ -239,10 +239,11 @@ def per_column_conditions(hd, l2_0):
     """The definition, one column at a time: every column of l2_0 B and of
     l2_0^2 is in the column space of B = l1(X_1)."""
     b_mat = hd.l1.block(1)
-    ok_ii = all(solve(b_mat, l2_0.mat_vec(b_mat.col(j))) is not None
+    ok_ii = all(solve(b_mat, l2_0 @ column_block(b_mat, j)) is not None
                 for j in range(b_mat.ncols))
     sq = l2_0 @ l2_0
-    ok_iii = all(solve(b_mat, sq.col(j)) is not None for j in range(sq.ncols))
+    ok_iii = all(solve(b_mat, column_block(sq, j)) is not None
+                 for j in range(sq.ncols))
     return ok_ii, ok_iii
 
 
@@ -471,7 +472,7 @@ def perturbed_l3(ext):
     """ext with one unit entry added to l3 on X_0 -> X_1, placed where l1 is
     nonzero on X_1, so that l1 l3 changes; None when l1 vanishes on X_1."""
     b = ext.l1.block(1)
-    i = next((j for j in range(b.ncols) if any(b.col(j))), None)
+    i = next((j for j in range(b.ncols) if b.col(j)), None)
     if i is None:
         return None
     n0 = ext.space.dim(0)

@@ -11,6 +11,14 @@ from chainext.exactla import (
     rat, rref, rank, kernel_basis, solve,
 )
 
+from references import (column_block, columns_matrix, dense_column,
+                        dense_kernel_basis)
+
+
+def vector(*xs):
+    """The column matrix of the given entries."""
+    return columns_matrix([xs], len(xs))
+
 
 def test_rat_parsing():
     """A string is an exact number only as an integer or p/q: a decimal
@@ -56,34 +64,50 @@ def test_rref_idempotent():
 def test_kernel_of_sum_functional():
     m = RatMatrix([[1, 1]])
     basis = kernel_basis(m)
-    assert len(basis) == 1
-    a, b = basis[0]
+    assert basis.shape == (2, 1)
+    a, b = basis.entry(0, 0), basis.entry(1, 0)
     assert a == -b and a != 0
 
 
 def test_kernel_rank_nullity_random():
+    """The sparse kernel is the dense reference's, column for column, on
+    dense, sparse and empty shapes, some with a zero row or column."""
     rng = random.Random(20260815)
-    for _ in range(40):
+    for _ in range(80):
         nr = rng.randint(0, 6)
         nc = rng.randint(0, 6)
-        m = RatMatrix([[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2]))
-                        for _ in range(nc)] for _ in range(nr)], ncols=nc)
+        kind = rng.choice(["dense", "dense", "sparse", "zero row",
+                           "zero column"])
+        fill = 0.4 if kind == "sparse" else 1
+        rows = [[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2]))
+                 if rng.random() < fill else 0
+                 for _ in range(nc)] for _ in range(nr)]
+        if kind == "zero row" and nr:
+            rows[rng.randrange(nr)] = [0] * nc
+        if kind == "zero column" and nc:
+            j = rng.randrange(nc)
+            for r in rows:
+                r[j] = 0
+        m = RatMatrix(rows, ncols=nc)
         basis = kernel_basis(m)
-        assert rank(m) + len(basis) == nc
-        for v in basis:
-            assert not any(m.mat_vec(v))
+        want = dense_kernel_basis(m)
+        assert basis.ncols == len(want) == nc - rank(m)
+        assert basis.nrows == nc
+        for j, v in enumerate(want):
+            assert basis.col(j) == {i: x for i, x in enumerate(v) if x}
+        assert (m @ basis).is_zero()
 
 
 def test_solve_inconsistent():
     m = RatMatrix([[1], [2]])
-    assert solve(m, [1, 3]) is None
-    assert solve(m, [1, 2]) == [Fraction(1)]
+    assert solve(m, vector(1, 3)) is None
+    assert solve(m, vector(1, 2)) == RatMatrix([[1]])
 
 
 def test_solve_dimension_mismatch():
     m = RatMatrix([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
-        solve(m, [1, 2, 3])
+        solve(m, vector(1, 2, 3))
 
 
 def test_solve_exact_random():
@@ -94,10 +118,10 @@ def test_solve_exact_random():
         m = RatMatrix([[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)])
         x = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
              for _ in range(nc)]
-        b = m.mat_vec(x)
+        b = m @ vector(*x)
         y = solve(m, b)
-        assert y is not None
-        assert m.mat_vec(y) == b
+        assert y is not None and y.shape == (nc, 1)
+        assert m @ y == b
 
 
 def test_matmul_and_identity():
@@ -127,7 +151,7 @@ def test_empty_shapes():
     z = RatMatrix.zeros(0, 3)
     assert z.shape == (0, 3)
     assert rank(z) == 0
-    assert len(kernel_basis(z)) == 3
+    assert kernel_basis(z) == RatMatrix.identity(3)
     w = RatMatrix.zeros(3, 0)
     assert (w @ z).shape == (3, 3)
     assert (w @ z).is_zero()
@@ -184,10 +208,9 @@ def coords(dst, img):
 
 
 def operator_matrix_dense_reference(op, src, dst):
-    """The dense build: one coordinate vector per column, then
-    from_columns."""
-    return RatMatrix.from_columns([coords(dst, op(b)) for b in src.labels],
-                                  nrows=len(dst))
+    """The dense build: one coordinate vector per column, then the matrix
+    of those columns."""
+    return columns_matrix([coords(dst, op(b)) for b in src.labels], len(dst))
 
 
 LABELS = ["a", "b", "c", "d", "e"]
@@ -312,12 +335,12 @@ def test_rref_matches_dense_reference(m):
 def test_block_solve_matches_column_solves(system):
     m, b = system
     x = solve(m, b)
-    per_column = [solve(m, b.col(j)) for j in range(b.ncols)]
+    per_column = [solve(m, column_block(b, j)) for j in range(b.ncols)]
     if any(v is None for v in per_column):
         assert x is None
     else:
         assert x is not None and x.shape == (m.ncols, b.ncols)
-        assert x == RatMatrix.from_columns(per_column, nrows=m.ncols)
+        assert x == columns_matrix(map(dense_column, per_column), m.ncols)
         assert m @ x == b
 
 
@@ -335,9 +358,9 @@ def test_solve_reads_a_block_sequence_side_by_side(system, cut):
     by one from_blocks and no hstack."""
     m, b = system
     cut = min(cut, b.ncols)
-    cols = [b.col(j) for j in range(b.ncols)]
-    b1 = RatMatrix.from_columns(cols[:cut], nrows=b.nrows)
-    b2 = RatMatrix.from_columns(cols[cut:], nrows=b.nrows)
+    cols = [[r[j] for r in b.rows] for j in range(b.ncols)]
+    b1 = columns_matrix(cols[:cut], b.nrows)
+    b2 = columns_matrix(cols[cut:], b.nrows)
     calls = {"from_blocks": 0, "hstack": 0}
     real_from_blocks, real_hstack = RatMatrix.from_blocks, RatMatrix.hstack
 
@@ -362,19 +385,22 @@ def test_block_solve_empty_shapes():
     # no rows: every right-hand side is consistent, free variables are zero
     assert solve(RatMatrix.zeros(0, 3), RatMatrix.zeros(0, 2)) == \
         RatMatrix.zeros(3, 2)
-    assert solve(RatMatrix.zeros(0, 3), []) == [0, 0, 0]
+    assert solve(RatMatrix.zeros(0, 3), vector()) == RatMatrix.zeros(3, 1)
     # no columns: only zero right-hand sides are in the column space
     assert solve(RatMatrix.zeros(2, 0), RatMatrix.zeros(2, 3)) == \
         RatMatrix.zeros(0, 3)
     assert solve(RatMatrix.zeros(2, 0), RatMatrix([[0], [1]])) is None
-    assert solve(RatMatrix.zeros(2, 0), [0, 0]) == []
-    # no right-hand sides: an empty answer of the right shape
+    assert solve(RatMatrix.zeros(2, 0), vector(0, 0)) == RatMatrix.zeros(0, 1)
+    # no right-hand sides: an empty answer of the right shape, also for an
+    # empty sequence of blocks
     m = RatMatrix([[1, 2], [3, 4], [5, 6]])
     assert solve(m, RatMatrix.zeros(3, 0)) == RatMatrix.zeros(2, 0)
+    assert solve(m, []) == solve(m, ()) == RatMatrix.zeros(2, 0)
+    assert solve(RatMatrix.zeros(0, 3), []) == RatMatrix.zeros(3, 0)
     with pytest.raises(ValueError):
         solve(m, RatMatrix.zeros(2, 1))
     with pytest.raises(ValueError):
-        solve(m, [1, 2])
+        solve(m, vector(1, 2))
 
 
 # -- property tests: sparse integer storage against dense Fraction lists -----
@@ -435,8 +461,9 @@ def check_against(m, want, ncols):
     assert m.rows == tuple(tuple(r) for r in want)
     assert all(type(x) is Fraction for row in m.rows for x in row)
     for j in range(ncols):
-        assert m.col(j) == [r[j] for r in want]
-        assert all(type(x) is Fraction for x in m.col(j))
+        assert m.col(j) == {i: r[j] for i, r in enumerate(want) if r[j]}
+        assert list(m.col(j)) == sorted(m.col(j))
+        assert all(type(x) is Fraction for x in m.col(j).values())
     assert m.column_rows() == [[i for i, r in enumerate(want) if r[j]]
                                for j in range(ncols)]
     for i in range(len(want)):
@@ -464,8 +491,6 @@ def test_sparse_storage_matches_dense_reference(data, ops):
     check_against(a.scale(k), [[k * x for x in r] for r in a_rows], m)
     check_against(a @ c, d_matmul(a_rows, c_rows, p), p)
     check_against(a.hstack(b), d_hstack(a_rows, b_rows), 2 * m)
-    cols = [[r[j] for r in a_rows] for j in range(m)]
-    check_against(RatMatrix.from_columns(cols, nrows=n), a_rows, m)
     got = a.mat_vec(v)
     assert got == [sum((x * y for x, y in zip(r, v)), Fraction(0))
                    for r in a_rows]
@@ -501,13 +526,43 @@ def test_integer_matrix_scaled_back_has_denominator_one():
     assert (half + half).den == 1 and half + half == RatMatrix([[1, 1]])
 
 
+# (call, error type, message) for each input guard of RatMatrix
+MATRIX_GUARDS = [
+    (lambda: RatMatrix([[1, 2], [3]]), ValueError,
+     "ragged rows in matrix input"),
+    (lambda: RatMatrix([[1, 2]], ncols=3), ValueError,
+     "ncols=3 disagrees with row width 2"),
+    (lambda: RatMatrix([[1, 2]]).col(2), IndexError, "column 2 out of range"),
+    (lambda: RatMatrix([[1, 2]]).col(-1), IndexError,
+     "column -1 out of range"),
+    (lambda: RatMatrix([[1, 2]]) @ RatMatrix([[1, 2]]), ValueError,
+     "shape mismatch in product: (1, 2) @ (1, 2)"),
+    (lambda: RatMatrix([[1, 2]]).mat_vec([1]), ValueError,
+     "vector length 1 does not match 2 columns"),
+    (lambda: RatMatrix([[1]]).hstack(RatMatrix([[1], [2]])), ValueError,
+     "row count mismatch in hstack"),
+    (lambda: RatMatrix([[1]]) + RatMatrix([[1, 2]]), ValueError,
+     "shape mismatch: (1, 1) vs (1, 2)"),
+    (lambda: RatMatrix([[1]]) - RatMatrix.zeros(2, 1), ValueError,
+     "shape mismatch: (1, 1) vs (2, 1)"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", MATRIX_GUARDS,
+                         ids=[message for _, _, message in MATRIX_GUARDS])
+def test_matrix_input_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert err.value.args == (message,)
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         RatMatrix([[0.5]])
     with pytest.raises(TypeError):
         RatMatrix([[1, 0.0]])
     with pytest.raises(TypeError):
-        RatMatrix.from_columns([[0.5]])
+        RatMatrix.diagonal([1, 0.5])
     with pytest.raises(TypeError):
         RatMatrix([[1]]).scale(0.5)
 

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainext.exactla import RatMatrix, kernel_basis, rank, rref, solve
+from chainext.exactla import rank, rref, solve
 from chainext.lie import (
     Cochain, DeformationPreconditionError, JacobiError, LieAlgebra, bracket2,
     ce_differential, differential_matrix, extend_deformation, h2,
     jacobi_check, nr_compose, obstruction,
 )
 
-from references import cochain_eval, cochain_value
+from references import (cochain_eval, cochain_value, columns_matrix,
+                        dense_column, dense_kernel_basis)
 
 
 def so3():
@@ -46,6 +47,35 @@ def test_jacobi():
     # the obstructed table is *not* a Lie bracket
     bad = LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
     assert not jacobi_check(bad)
+
+
+# (call, message) for each input guard of the cochains and their operations
+COCHAIN_GUARDS = [
+    (lambda: Cochain(2, 4), "arity must be 1, 2 or 3"),
+    (lambda: Cochain(2, 2, {(0, 2): [1, 0]}), "bad index tuple (0, 2)"),
+    (lambda: Cochain(2, 2, {(0,): [1, 0]}), "bad index tuple (0,)"),
+    (lambda: Cochain(3, 2, {(1, 0): [1, 0, 0]}),
+     "entries must use strictly increasing tuples"),
+    (lambda: Cochain(2, 2, {(0, 1): [1]}), "value has wrong length"),
+    (lambda: Cochain(2, 2).apply({0: 1}), "expected 2 arguments"),
+    (lambda: Cochain(2, 2).add(Cochain(3, 2)),
+     "cochain dimension/arity mismatch"),
+    (lambda: Cochain(2, 2) + Cochain(2, 1),
+     "cochain dimension/arity mismatch"),
+    (lambda: nr_compose(Cochain(2, 2), Cochain(3, 2)),
+     "cochain dimension mismatch"),
+    (lambda: ce_differential(LieAlgebra(2), Cochain(2, 3)),
+     "differential only implemented for arities 1 and 2"),
+    (lambda: obstruction([obstructed_alpha1()], 3), "need alpha_1..alpha_2"),
+]
+
+
+@pytest.mark.parametrize("call,message", COCHAIN_GUARDS,
+                         ids=[message for _, message in COCHAIN_GUARDS])
+def test_cochain_input_guards(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert err.value.args == (message,)
 
 
 def test_cochain_alternation():
@@ -300,8 +330,8 @@ def ref_differential_matrix(table, dim, arity):
     cols = [ref_to_vector(ref_ce_differential(
                 table, dim, {idx: unit(dim, k)}, arity), dim, arity + 1)
             for idx in combinations(range(dim), arity) for k in range(dim)]
-    return RatMatrix.from_columns(
-        cols, nrows=len(list(combinations(range(dim), arity + 1))) * dim)
+    return columns_matrix(
+        cols, len(list(combinations(range(dim), arity + 1))) * dim)
 
 
 def ref_is_zero(ch):
@@ -314,10 +344,10 @@ def ref_h2(table, dim):
         raise ValueError("not a Lie bracket")
     d2 = ref_differential_matrix(table, dim, 2)
     d1 = ref_differential_matrix(table, dim, 1)
-    cocycles = kernel_basis(d2)
+    cocycles = dense_kernel_basis(d2)
     reps = []
     if cocycles:
-        stacked = d1.hstack(RatMatrix.from_columns(cocycles, nrows=d1.nrows))
+        stacked = d1.hstack(columns_matrix(cocycles, d1.nrows))
         reps = [ref_from_vector(dim, 2, cocycles[p - d1.ncols])
                 for p in rref(stacked)[1] if p >= d1.ncols]
     return len(cocycles) - rank(d1), reps
@@ -338,9 +368,10 @@ def ref_extend_deformation(table, dim, alphas):
         rho = ref_add(rho, ref_nr_compose(alphas[i - 1], alphas[n - i - 1],
                                           dim), dim)
     rho = {idx: [-x for x in v] for idx, v in rho.items()}
+    rho = ref_to_vector(rho, dim, 3)
     x = solve(ref_differential_matrix(table, dim, 2),
-              ref_to_vector(rho, dim, 3))
-    return None if x is None else ref_from_vector(dim, 2, x)
+              columns_matrix([rho], len(rho)))
+    return None if x is None else ref_from_vector(dim, 2, dense_column(x))
 
 
 _VALUES = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2)])

@@ -112,7 +112,8 @@ def test_series_matches_dense_reference(data):
     assert dense_coeffs(new_a.add(new_b)) == old_a.add(old_b).coeffs
     assert dense_coeffs(new_a.scale(c)) == old_a.scale(c).coeffs
     assert dense_coeffs(tshift(new_a, k)) == old_a.tshift(k).coeffs
-    assert new_a.flat(min(k, N)) == old_a.flat(min(k, N))
+    assert new_a.flat(min(k, N)) == {
+        i: x for i, x in enumerate(old_a.flat(min(k, N))) if x}
     assert new_a.is_zero() == old_a.is_zero()
     assert (new_a == new_b) == (old_a.coeffs == old_b.coeffs)
     assert all(type(x) is Fraction for c in dense_coeffs(new_a) for x in c)
@@ -144,6 +145,15 @@ def test_structure_maps_match_dense_convolutions(data):
     new = [Series(dim, N, v) for v in (a, b, c)]
     assert dense_coeffs(S.l2_00(new[0], new[1])) == want_l2.coeffs
     assert dense_coeffs(S.l3_000(*new)) == want_l3.coeffs
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Series(2, 3).add(Series(2, 4)), "truncation mismatch"),
+], ids=["truncation mismatch"])
+def test_series_input_guards(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert err.value.args == (message,)
 
 
 def test_series_construction_checks():
@@ -256,8 +266,9 @@ def test_matrix_columns_are_applied_basis_series(data):
     mat = A.matrix(Basis(labels), Basis(labels), T)
     for col, (i, k) in enumerate(labels):
         image = A.apply(Series.basis(DIM, T, k, i))
-        assert mat.col(col) == [image.terms[kk].get(ii, 0)
-                                for ii, kk in labels]
+        assert mat.col(col) == {row: image.terms[kk][ii]
+                                for row, (ii, kk) in enumerate(labels)
+                                if image.terms[kk].get(ii)}
 
 
 def test_composite_images_on_one_argument():

@@ -81,7 +81,8 @@ def test_trunc_series_basics():
     assert tshift(x, 3).is_zero()  # truncated away
     z = x.add(x.scale(Fraction(1, 2)))
     assert dense_coeffs(z)[1][0] == Fraction(3, 2)
-    assert x.flat(1) == [Fraction(1), 0, 0, 0, 0, 0]
+    assert x.flat(1) == {0: Fraction(1)}
+    assert tshift(x, 1).flat(1) == {2: Fraction(1)}
     assert Series(2, 3) == Series(2, 3)
 
 

@@ -20,7 +20,11 @@ must still be flagged, so the list holds no stale names.
 A second scan refuses an import of an underscore-prefixed name from another
 src module: a private helper is used only in its own module.  A third
 refuses a name that a src module imports and never loads: a second name
-for a class, kept only by its import, is still a second name.
+for a class, kept only by its import, is still a second name.  A fourth
+keeps the dense reads of a matrix at the file boundary: only `formats`,
+which writes matrices as dense text, may load the attribute `rows`, and no
+src module loads `mat_vec`, so exactla hands out sparse matrices and
+columns and no dense vector.
 
 A last check reads the docs: every backticked dotted name in README.md and
 the src/chainext sources that names src code must still exist.  A name
@@ -167,6 +171,25 @@ def private_imports(trees):
             if other in trees and other != module and name.startswith("_")}
 
 
+DENSE_READER = "formats"
+
+
+def dense_reads(trees):
+    """'module loads .rows' and 'module calls mat_vec' for each module of
+    trees but DENSE_READER that loads the attribute rows, or the name or
+    attribute mat_vec."""
+    out = set()
+    for module, tree in trees.items():
+        if module == DENSE_READER:
+            continue
+        loads = _attributes(tree, ast.Load)
+        if loads["rows"]:
+            out.add("%s loads .rows" % module)
+        if loads["mat_vec"] or _name_loads(tree)["mat_vec"]:
+            out.add("%s calls mat_vec" % module)
+    return out
+
+
 def misfiled(allowed, wrap_points):
     """Entries of allowed that claim WRAP_POINT but are not in wrap_points
     (module.path strings), and entries with any reason but those two."""
@@ -203,6 +226,28 @@ def test_no_src_module_imports_a_private_name_of_another():
 def test_no_src_module_imports_a_name_it_never_loads():
     assert sorted(unloaded_imports(_src_trees())) == [], \
         "an import that nothing in its module reads; delete it"
+
+
+def test_only_formats_reads_a_matrix_dense():
+    assert sorted(dense_reads(_src_trees())) == [], \
+        "a dense read of a matrix outside formats; read it sparse (col, " \
+        "column_rows, entry) or move it to the file boundary"
+
+
+def test_the_dense_read_scan_flags_rows_and_mat_vec():
+    """A load of .rows and a call of mat_vec, as a method or as a bare
+    name, are flagged outside formats; a store to .rows, a rows parameter
+    and formats' own load of .rows are not."""
+    trees = {"a": ast.parse("def f(m):\n    return m.rows[0]\n"),
+             "b": ast.parse("def g(m, v):\n    return m.mat_vec(v)\n"),
+             "c": ast.parse("from exactla import mat_vec\n"
+                            "def h(m, v):\n    return mat_vec(m, v)\n"),
+             "d": ast.parse("class K:\n    def __init__(self, rows):\n"
+                            "        self.rows = rows\n"),
+             "formats": ast.parse("def dump(m):\n"
+                                  "    return [list(r) for r in m.rows]\n")}
+    assert dense_reads(trees) == {"a loads .rows", "b calls mat_vec",
+                                  "c calls mat_vec"}
 
 
 def test_every_function_in_src_is_used_by_src():

@@ -52,6 +52,52 @@ def rand_poly(alg, rng, deg=3, nterms=4):
     return out
 
 
+def _two_gens():
+    return SuperAlgebra([GenSpec("x", "even"), GenSpec("eta", "odd", ghost=1,
+                                                       kind="eta")])
+
+
+# (call, error type, message) for each input guard of the generators, the
+# algebra and the operations on its polynomials
+ALGEBRA_GUARDS = [
+    (lambda: GenSpec("x", "even", kind="y"), ValueError,
+     "unknown generator kind 'y'"),
+    (lambda: GenSpec("x", "even", antighost=-1), ValueError,
+     "antighost degree must be nonnegative"),
+    (lambda: SuperAlgebra([GenSpec("x", "even"), GenSpec("x", "odd")]),
+     ValueError, "duplicate generator name 'x'"),
+    (lambda: SuperPoly.gen(_two_gens(), "y"), KeyError,
+     "unknown generator 'y'"),
+    (lambda: SuperPoly(_two_gens(), {(): 1, (1,): 1}).ghost(), ValueError,
+     "polynomial is not ghost-homogeneous"),
+    (lambda: extend_right_derivation(SuperPoly.gen(_two_gens(), "x"),
+                                     {"y": SuperPoly.gen(_two_gens(), "x")},
+                                     0),
+     KeyError, "unknown generator 'y'"),
+    (lambda: validate_poisson_table(_two_gens(), {
+        ("x", "y"): SuperPoly.zero(_two_gens())}),
+     KeyError, "unknown generator 'y'"),
+    (lambda: validate_poisson_table(_two_gens(), {
+        ("x", "x"): SuperPoly.const(_two_gens(), 1)}),
+     ValueError, "bracket of a generator with itself must vanish"),
+    (lambda: validate_poisson_table(brst_like_alg(), {
+        ("x", "G1"): SuperPoly.gen(brst_like_alg(), "G2"),
+        ("G1", "x"): SuperPoly.gen(brst_like_alg(), "G2")}),
+     ValueError, "antisymmetry violated for (G1,x)"),
+    (lambda: poisson(SuperPoly.gen(_two_gens(), "x"),
+                     SuperPoly.gen(brst_like_alg(), "x"), {}),
+     ValueError, "generator-set mismatch"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", ALGEBRA_GUARDS,
+                         ids=[message for _, _, message in ALGEBRA_GUARDS])
+def test_algebra_input_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert err.value.args == (message,)
+
+
 def test_genspec_invariants():
     with pytest.raises(ValueError):
         GenSpec("bad", "odd", ghost=0, kind="eta")  # ghosts carry ghost +1
