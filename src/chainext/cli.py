@@ -9,6 +9,7 @@ byte-identical output; the structured format is JSON with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -323,8 +324,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process, built on the first main call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code = COMMANDS[args.command](args)
     except (formats.FormatError, OSError) as e:

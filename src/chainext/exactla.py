@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
+# the entry types whose zeros RatMatrix(rows) skips without coercing them
+_ZERO_TYPES = (int, Fraction)
 
 
 # the one grammar of an exact number in a string: a signed integer or p/q,
@@ -122,8 +124,10 @@ class RatMatrix:
     __slots__ = ("_nums", "den", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        """rows: dense rows of ints, Fractions or 'p/q' strings."""
-        rows = [[exact(x) for x in row] for row in rows]
+        """rows: dense rows of ints, Fractions or 'p/q' strings.  Only the
+        entries that are not an int or Fraction zero are coerced, so a float
+        anywhere still raises TypeError."""
+        rows = [list(row) for row in rows]
         width = len(rows[0]) if rows else None
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows in matrix input")
@@ -133,8 +137,9 @@ class RatMatrix:
             ncols = width
         else:
             ncols = 0 if ncols is None else int(ncols)
-        terms, den = image({(i, j): x for i, row in enumerate(rows)
-                            for j, x in enumerate(row)})
+        terms, den = image({(i, j): exact(x) for i, row in enumerate(rows)
+                            for j, x in enumerate(row)
+                            if x or type(x) not in _ZERO_TYPES})
         self._fill(_rows(terms, len(rows)), den, ncols)
 
     def _fill(self, nums, den, ncols):

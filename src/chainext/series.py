@@ -12,7 +12,10 @@ coefficients and returns a sparse coefficient.  Operators of several
 arguments (shlie's cochains) form chains of length one.  Equal chains of
 a shift are merged, so equal operators compare equal.  A chain is
 evaluated afresh on each application; an operator that is dear to apply
-keeps its own images (superalg.Derivation one per monomial).  Scalars are
+keeps its own images (superalg.Derivation one per monomial).  `columns`
+evaluates every A_s on a whole list of monomial labels in one pass, chain
+by chain, and reads a Derivation's kept images in place, with no call and
+no copy per image.  Scalars are
 kept as `exactla.exact` gives them, an integral one as an int, so scaling
 an int entry by one stays in ints.  `pair_sum` is the t^m coefficient of
 b(c_t, c_t): the deformation equations of `lie` and `bv`, and
@@ -27,6 +30,7 @@ from itertools import product
 
 from .complexes import GradedMap, GradedSpace, HomotopyData, projection_pair
 from .exactla import Basis, add_into, exact, image, operator_matrix, rat
+from .superalg import Derivation
 
 
 class Series:
@@ -125,6 +129,56 @@ def star_resolution(labels, kmin, name):
     return HomotopyData(sp, l1, len(f), eta, lam, s), (x0, x1)
 
 
+def _reader(f, cache):
+    """(row, den): row(m) is den times f's image of the monomial m, not to
+    be changed.  A superalg.Derivation answers from its kept rows in place;
+    any other operator is called once per monomial on {m: 1} (den 1), its
+    images kept in cache for the call."""
+    if isinstance(f, Derivation):
+        return f.row, f.den
+    if f not in cache:
+        kept = {}
+
+        def row(m):
+            if m not in kept:
+                kept[m] = f({m: 1})
+            return kept[m]
+        cache[f] = row, 1
+    return cache[f]
+
+
+def _add_chain_columns(acc, c, chain, labels, cache):
+    """acc[(a, b)] += c times the b coordinate of the chain's image of
+    {a: 1}, for every label a: the outermost operator is read once per
+    monomial of the inner image, and its terms go straight into acc."""
+    if not chain:
+        for a in labels:
+            acc[a, a] = acc.get((a, a), 0) + c
+        return
+    rows = []
+    for f in chain:
+        row, den = _reader(f, cache)
+        rows.append(row)
+        if den != 1:
+            c = exact(rat(c) / den)
+    outer, inner = rows[0], rows[1:]
+    get = acc.get
+    for a in labels:
+        x = inner[-1](a) if inner else {a: 1}
+        for row in reversed(inner[:-1]):
+            y = {}
+            for m, u in x.items():
+                if u:
+                    add_into(y, row(m), u)
+            x = y
+        for m, u in x.items():
+            if u:
+                cu = c * u
+                for b, v in outer(m).items():
+                    prev = get((a, b))
+                    acc[a, b] = cu * v if prev is None else prev + cu * v
+
+
 def _chain_image(chain, args):
     """The chain's image of args, innermost operator first."""
     out = chain[-1](*args) if chain else args[0]
@@ -137,7 +191,9 @@ class TLinear:
     """sum_s t^s A_s; terms maps each shift s >= 0 to the [(scalar, chain)]
     pairs whose sum is A_s, in canonical form: in a shift each chain occurs
     once, with the sum of its scalars, and no scalar is zero and no shift
-    empty.  Equality compares that form, whatever the order of the chains."""
+    empty.  Equality compares that form, whatever the order of the chains.
+    `images` applies the operator to one argument; `columns` to every
+    label of a list at once, reading the images that Derivations keep."""
 
     __slots__ = ("terms",)
 
@@ -199,6 +255,25 @@ class TLinear:
                 acc = {}
                 for c, chain in pairs:
                     add_into(acc, _chain_image(chain, args), c)
+            if acc:
+                out[s] = acc
+        return out
+
+    def columns(self, labels, limit):
+        """{s: {(a, b): value}} for the shifts s <= limit: the b coordinate
+        of A_s({a: 1}) for every label a at once, with no zero entry and no
+        empty shift.  Each chain is applied column by column, and each
+        operator's image of a monomial is asked for once per call (a
+        Derivation's kept one read in place); each shift's sum is cut down
+        to its nonzero entries before the next one is built."""
+        cache, out = {}, {}
+        for s in sorted(self.terms):
+            if s > limit:
+                continue
+            acc = {}
+            for c, chain in self.terms[s]:
+                _add_chain_columns(acc, c, chain, labels, cache)
+            acc = {k: v for k, v in acc.items() if v}
             if acc:
                 out[s] = acc
         return out

@@ -312,11 +312,11 @@ class Derivation:
     nonzero terms of D(terms), an integral value as an int, in a fresh dict.
 
     A call sums c * D(m) over the terms c m; each D(m) (times den) is kept
-    in `table` from its first use on, so bv's Theorem-8 sweep derives each
-    monomial once, and the values must not change after the first call.
-    `image` keeps nothing: brst applies delta and d to each monomial at
-    most twice, once for its block column and once in BRSTExtension's
-    rule."""
+    in `table` from its first use on, and `row(m)` hands the kept dict out
+    in place, so bv's Theorem-8 sweep derives each monomial once, and the
+    values must not change after the first call or `row`.  `image` keeps
+    nothing: brst applies delta and d to each monomial at most twice, once
+    for its block column and once in BRSTExtension's rule."""
 
     __slots__ = ("parities", "parity", "left", "values", "den", "table")
 
@@ -341,13 +341,34 @@ class Derivation:
         return lowest(_derive(terms, self.values, self.parity, self.parities,
                               self.left), den * self.den)
 
+    def row(self, m):
+        """D(m) times den, zeros kept: the kept dict itself, not a copy, so
+        it is not to be changed."""
+        row = self.table.get(m)
+        if row is None:
+            row = self.table[m] = _derive({m: 1}, self.values, self.parity,
+                                          self.parities, self.left)
+        return row
+
+    def same_map(self, other):
+        """Whether other is a Derivation with the same gradings, parity,
+        side, den and generator values, so the two map every monomial
+        alike and either one's kept images serve both."""
+        def values(d):
+            return {i: {m: c for m, _odd, c in vs}
+                    for i, vs in d.values.items()}
+        return self is other or (
+            isinstance(other, Derivation)
+            and (self.parities, self.parity, self.left, self.den)
+            == (other.parities, other.parity, other.left, other.den)
+            and values(self) == values(other))
+
     def __call__(self, terms):
         table, out = self.table, {}
         for m, c in terms.items():
             row = table.get(m)
             if row is None:
-                row = table[m] = _derive({m: 1}, self.values, self.parity,
-                                         self.parities, self.left)
+                row = self.row(m)
             c = exact(c)
             if out:
                 add_into(out, row, c)

@@ -299,7 +299,10 @@ def test_theorem8_sweep_derives_each_monomial_once(monkeypatch):
     derive each monomial at most once per compiled bracket: the chains of
     two brackets and TLinear.matrix read the images the brackets keep.
     Each derivation is told apart by its values dict, kept alive here so
-    that no id is reused."""
+    that no id is reused.  The sweep derives basis monomials only with the
+    maps' own brackets: the summand (R, .) reads the kept (R_2, .), and
+    any other derivation is one of obstruction_R's brackets of S_i with
+    S_j and with R, or a partial derivative of R, on their terms."""
     maps = theorem8_maps(bv_problem("bv_two_ghost"))
     derive, derived, seen = superalg._derive, Counter(), []
 
@@ -308,7 +311,12 @@ def test_theorem8_sweep_derives_each_monomial_once(monkeypatch):
         derived.update((id(vals), m) for m in terms)
         return derive(terms, vals, *rest)
     monkeypatch.setattr(superalg, "_derive", counted)
-    assert verify_theorem8(maps, maxdeg=3)["ok"]
+    rep = verify_theorem8(maps, maxdeg=3)
+    assert rep["ok"]
+    kept = {id(ad.values) for ad in maps.ad_S + list(maps.ad_R.values())}
+    others = {m for v, m in derived if v not in kept}
+    assert others <= {m for f in maps.problem.S + [rep["obstruction_R"]]
+                      for m in f.terms}
     assert engine_matrices_match(maps, 3)
     assert derived and max(derived.values()) == 1
 
@@ -418,6 +426,7 @@ MUTATIONS = {
     "none": lambda maps: None,
     "R_2 x2": lambda maps: scale_R(maps, 2, 2),
     "R_2 negated": lambda maps: scale_R(maps, 2, -1),
+    "R_2 table only x2": lambda maps: scale_values(maps.ad_R[2], 2),
     "S_1 table halved": lambda maps: scale_S_table(maps, 1, rat("1/2")),
     "S_0 table negated": lambda maps: scale_S_table(maps, 0, -1),
     "star shift 1 negated": lambda maps: negate_star_shift(maps, 1),
@@ -445,14 +454,16 @@ def test_mutations_are_detected():
     t^3: negating S_0 alone leaves a valid deformation ((-S_0, -S_0) = 0 and
     (-S_0, S_1) = 0), and the star's shift-1 block only reaches t^3 (next
     test).  An l3 scalar of -1 fails the comparison with the -1/2 of the
-    obstruction summand, although the sweep scales both to integers."""
+    obstruction summand, although the sweep scales both to integers, and so
+    does an l3 whose (R_2, .) alone is doubled: the summand's (R, .) is not
+    the same map, so it keeps its own images."""
     passing = {"none", "S_0 table negated", "star shift 1 negated"}
     for name, mutate in MUTATIONS.items():
         maps = theorem8_maps(bv_problem("bv_two_ghost"))
         mutate(maps)
         rep = verify_theorem8(maps, maxdeg=2)
         assert rep["ok"] == (name in passing), name
-        if name == "l3 scalar -1":
+        if name in ("l3 scalar -1", "R_2 table only x2"):
             assert rep["l3_obstruction_summand"] is False
 
 

@@ -512,6 +512,25 @@ def test_each_command_takes_only_the_flags_it_reads():
         {"lie": 4, "shlie": 5, "brst": 3, "bv": 5, "extend": 2, "fuzz": 2}
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    """main builds the parser on its first call and reuses it: two jobs of
+    different commands, one build."""
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "lie", "--input", "lie_so3")[0] == 0
+        assert run(capsys, "bv", "--input", "bv_two_pair")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+
+
 def test_readme_command_lines_parse():
     """Every `chainext ...` line of README's Command line block parses."""
     with open(os.path.join(os.path.dirname(__file__), "..",

@@ -567,6 +567,19 @@ def test_floats_are_rejected():
         RatMatrix([[1]]).scale(0.5)
 
 
+def test_zero_entries_of_every_exact_kind():
+    """int and Fraction zeros are skipped uncoerced, a '0' string is still
+    read, and a float zero still raises, wherever it stands."""
+    m = RatMatrix([[0, Fraction(0), "0"], ["-0", "1/2", 0]])
+    assert [list(r) for r in m.rows] == [[0, 0, 0], [0, Fraction(1, 2), 0]]
+    assert RatMatrix([[0, 0], [0, 0]]) == RatMatrix.zeros(2, 2)
+    for rows in ([[0, 0.0]], [[0.0, 0]], [[0], [0.0]]):
+        with pytest.raises(TypeError):
+            RatMatrix(rows)
+    with pytest.raises(ValueError, match="^not a 'p/q' rational"):
+        RatMatrix([[0, "0.0"]])
+
+
 def test_from_blocks_rejects_a_block_outside():
     with pytest.raises(ValueError):
         RatMatrix.from_blocks(2, 2, [(1, 0, RatMatrix([[1], [2]]))])

@@ -271,6 +271,56 @@ def test_matrix_columns_are_applied_basis_series(data):
                                 if image.terms[kk].get(ii)}
 
 
+# BASES[0] negated: a chain through it cancels the same chain through
+# BASES[0] under an equal scalar, although TLinear keeps both chains
+NEG_0 = matrix_op([[0, -1, 0], [0, 0, -1], [0, 0, 0]])
+
+
+@st.composite
+def chained_tlinears(draw):
+    """TLinears with chains of length 0-3, Fraction scalars and, at some
+    shifts, two chains whose images cancel."""
+    ops = BASES + [NEG_0]
+    terms = {}
+    for s in draw(st.lists(st.integers(0, 3), max_size=3, unique=True)):
+        pairs = [(draw(small), tuple(draw(st.lists(st.sampled_from(ops),
+                                                   max_size=3))))
+                 for _ in range(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            c = draw(small)
+            inner = tuple(draw(st.lists(st.sampled_from(ops), max_size=2)))
+            pairs += [(c, (BASES[0],) + inner), (c, (NEG_0,) + inner)]
+        terms[s] = pairs
+    return TLinear(terms)
+
+
+def columns_from_images(A, labels, limit):
+    """{s: {(a, b): value}} assembled from images(({a: 1},), limit), label
+    by label."""
+    out = {}
+    for a in labels:
+        for s, img in A.images(({a: 1},), limit).items():
+            for b, v in img.items():
+                out.setdefault(s, {})[a, b] = v
+    return out
+
+
+def nonzero_columns(cols):
+    nonzero = {s: {k: v for k, v in col.items() if v}
+               for s, col in cols.items()}
+    return {s: col for s, col in nonzero.items() if col}
+
+
+@_settings
+@given(st.data())
+def test_columns_match_images_label_by_label(data):
+    A = data.draw(chained_tlinears())
+    labels = data.draw(st.lists(st.integers(0, DIM - 1), unique=True))
+    limit = data.draw(st.integers(0, 3))
+    assert nonzero_columns(A.columns(labels, limit)) == \
+        columns_from_images(A, labels, limit)
+
+
 def test_composite_images_on_one_argument():
     """compose(A, A) on one coefficient is (A o A)_s = sum_{i+j=s} A_j A_i,
     here with A_0 = f, A_1 = 2 g and A_2 = -f: f f at shifts 0 and 4,

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from chainext.brst import monomial_basis
 from chainext.exactla import exact
+from chainext.series import TLinear
 from chainext.superalg import (
-    Derivation, FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly,
+    Derivation, FixedAntibracket, GenSpec, SuperAlgebra, SuperPoly, _derive,
     _merge_monomials, antibracket, extend_right_derivation, left_deriv, mul,
     right_deriv,
 )
@@ -486,3 +487,63 @@ def test_tabled_call_matches_one_pass(case, parity, left, q):
         got.clear()
         got[()] = 1
         assert d(terms) == want
+
+
+@_settings
+@given(drawn(2, values=True), st.integers(0, 1), st.booleans(),
+       st.sampled_from([1, 2, 6]))
+def test_columns_read_the_kept_rows_in_place(case, parity, left, q):
+    """TLinear.columns over Derivations (values over q, so den > 1 when
+    q > 1) and a plain callable equals the images assembled label by label,
+    and reading the kept rows in place leaves every row as _derive gives
+    it: row(m) is den times the call's image of m, zeros kept."""
+    alg, _pairs, f, g, values = case
+    values = {name: {m: Fraction(c) / q for m, c in v.terms.items()}
+              for name, v in values.items()}
+    d = Derivation(alg, values, parity, left)
+    e = Derivation(alg, {name: {m: 2 * c for m, c in v.items()}
+                         for name, v in values.items()}, 1 - parity, left)
+
+    def neg(terms):
+        return {m: -c for m, c in terms.items()}
+    A = TLinear({0: [(1, (d,)), (Fraction(1, 3), (e, d))],
+                 1: [(2, (d, neg, e)), (-1, ())], 2: [(1, (neg, d))]})
+    labels = sorted(set(f.terms) | set(g.terms))
+    cols = A.columns(labels, 2)
+    want = {}
+    for a in labels:
+        for s, img in A.images(({a: 1},), 2).items():
+            for b, v in img.items():
+                want.setdefault(s, {})[a, b] = v
+    assert cols == want
+    for m in d.table:
+        row = _derive({m: 1}, d.values, d.parity, d.parities, d.left)
+        assert d.row(m) == row
+        assert {k: Fraction(c, d.den) for k, c in row.items() if c} == \
+            one_pass_call(d, {m: 1})
+
+
+def test_same_map_compares_gradings_side_den_and_values():
+    """Two brackets built from one polynomial are the same map; scaling the
+    values, changing the parity, the side or the den, or the parities of
+    the algebra make them differ."""
+    alg, pairs = ALGEBRAS["bv_two_ghost"]
+    phi1, phi2 = (SuperPoly.gen(alg, name) for name in ("phi1", "phi2"))
+    f = mul(phi1, phi1) + mul(phi1, phi2).scale(3)
+    ad = FixedAntibracket(f, pairs)
+    assert ad.same_map(ad) and ad.same_map(FixedAntibracket(f, pairs))
+    assert not ad.same_map(FixedAntibracket(f.scale(2), pairs))
+    assert not ad.same_map(lambda terms: ad(terms))
+    values = {alg.gens[i].name: {m: Fraction(c, ad.den) for m, _o, c in vs}
+              for i, vs in ad.values.items()}
+    assert Derivation(alg, values, ad.parity, True).same_map(ad)
+    assert not Derivation(alg, values, ad.parity, False).same_map(ad)
+    assert not Derivation(alg, values, 1 - ad.parity, True).same_map(ad)
+    halves = {name: {m: c / 2 for m, c in v.items()}
+              for name, v in values.items()}
+    half = Derivation(alg, halves, ad.parity, True)
+    assert half.den != ad.den and not half.same_map(ad)
+    last = alg.gens[-1]
+    flipped = SuperAlgebra(alg.gens[:-1] + [GenSpec(
+        last.name, 1 - last.parity, last.ghost, last.antighost, last.kind)])
+    assert not Derivation(flipped, values, ad.parity, True).same_map(ad)
