@@ -287,7 +287,7 @@ def _psi_diagonal(sys: ConstraintSystem, group) -> RatMatrix:
 
 def _bad_columns(mat: RatMatrix):
     """Indices of the nonzero columns of a residual."""
-    return {j for j, col in enumerate(mat.column_rows()) if col}
+    return {j for j, col in enumerate(mat.columns()) if col}
 
 
 # -- verification of the resolution data ---------------------------------------
@@ -436,8 +436,7 @@ def build_brst(sys: ConstraintSystem, degree_cap: int = 4) -> BRSTExtension:
     group = _group_bases(sys, degree_cap)[0].labels
     d0 = _block(sys, degree_cap, "d", 0)
     # the rows of a column are the monomials of that image
-    for mono, df, ddf in zip(group, d0.column_rows(),
-                             (d0 @ d0).column_rows()):
+    for mono, df, ddf in zip(group, d0.columns(), (d0 @ d0).columns()):
         if sys.has_constraint_factor(mono) and \
                 not in_constraint_ideal(sys, (group[i] for i in df)):
             raise ValueError("d does not preserve the constraint ideal at %s"

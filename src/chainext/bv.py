@@ -283,9 +283,8 @@ def find_s0_cocycle(model: BVModel, S0: SuperPoly, maxdeg: int):
     kernel = kernel_basis(operator_matrix(lambda m: ad.image({m: 1}),
                                           Basis(monos),
                                           Basis(all_monos, model.poly)))
-    return [SuperPoly(model.alg, {monos[i]: x
-                                  for i, x in kernel.col(j).items()})
-            for j in range(kernel.ncols)]
+    return [SuperPoly(model.alg, {monos[i]: x for i, x in col.items()})
+            for col in kernel.columns()]
 
 
 def auto_term(model: BVModel, S0: SuperPoly, i: int) -> SuperPoly:

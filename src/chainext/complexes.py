@@ -296,7 +296,7 @@ def verify_nilpotent(ext: ChainExtension) -> dict:
     shifts, first = set(), None
     if not square.is_zero():
         deg = [k for k, d in enumerate(sp.dims) for _ in range(d)]
-        for j, col in enumerate(square.column_rows()):
+        for j, col in enumerate(square.columns()):
             shifts.update(deg[i] - deg[j] for i in col)
             if col and first is None:
                 k = deg[j]
@@ -327,12 +327,13 @@ def compare_with_engine(hd: HomotopyData, l2_0: RatMatrix, bases,
     for (name, k), want in closed.items():
         got = getattr(ext, name).block(k)
         if got != want:
-            j, rows = next((j, rows) for j, rows in
-                           enumerate((got - want).column_rows()) if rows)
+            j, col = next((j, col) for j, col in
+                          enumerate((got - want).columns()) if col)
+            i = min(col)
             src, dst = bases[k], bases[k + (name == "l3")]
-            first = (name, k, dst.name(dst.labels[rows[0]]),
-                     src.name(src.labels[j]), got.entry(rows[0], j),
-                     want.entry(rows[0], j))
+            first = (name, k, dst.name(dst.labels[i]),
+                     src.name(src.labels[j]), got.entry(i, j),
+                     want.entry(i, j))
             break
     nilpotent = verify_nilpotent(ext)["ok"]
     return {"nilpotent": nilpotent, "first_mismatch": first,

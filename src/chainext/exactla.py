@@ -4,10 +4,11 @@ A matrix is stored sparse, on exact integers: each row is a {column: nonzero
 int} dict, and one positive integer `den`, in lowest terms (1 for the zero
 matrix), is the common denominator of every entry.  Arithmetic touches only
 the stored nonzeros and runs on Python ints; every value handed out (an
-entry, a row, a sparse {row: value} column) is a Fraction.  Kernels and
-solutions are handed out as matrices, built from the integer rows with no
-dense vector in between.  Everything here is exact: no floats, no
-tolerances.  Matrices are immutable; all functions return fresh objects.
+entry, a row, the sparse {row: value} columns of `RatMatrix.columns`) is a
+Fraction.  Kernels and solutions are handed out as matrices, built from the
+integer rows with no dense vector in between.  Everything here is exact: no
+floats, no tolerances.  Matrices are immutable; all functions return fresh
+objects.
 
 The package's exact-number rule lives here alone: a string is a number
 only in the grammar `RATIONAL` (an integer or p/q), `exact` gives a scalar
@@ -238,25 +239,18 @@ class RatMatrix:
         v = self._nums[i].get(j)
         return Fraction(v, self.den) if v else _ZERO
 
-    def col(self, j):
-        """Column j as a sparse {row: nonzero Fraction} dict, rows
-        ascending."""
-        if not 0 <= j < self.ncols:
-            raise IndexError("column %d out of range" % (j,))
-        d = self.den
-        return {i: Fraction(r[j], d) for i, r in enumerate(self._nums)
-                if j in r}
-
     def is_zero(self) -> bool:
         return not any(self._nums)
 
-    def column_rows(self):
-        """The rows of each column's nonzero entries, ascending, in column
-        order; no entry is built."""
-        cols = [[] for _ in range(self.ncols)]
+    def columns(self):
+        """Every column as a sparse {row: nonzero Fraction} dict, rows
+        ascending, in column order, from one pass over the stored
+        nonzeros."""
+        d = self.den
+        cols = [{} for _ in range(self.ncols)]
         for i, r in enumerate(self._nums):
-            for j in r:
-                cols[j].append(i)
+            for j, v in r.items():
+                cols[j][i] = Fraction(v, d)
         return cols
 
     # -- arithmetic --------------------------------------------------------

@@ -228,8 +228,8 @@ def h2(alg: LieAlgebra):
     # the pivots left of d1's columns are rank(d1); the rest pick the reps
     _, pivots, _ = rref(d1.hstack(cocycles))
     dim_h2 = cocycles.ncols - sum(p < d1.ncols for p in pivots)
-    basis = cochain_basis(alg.dim, 2)
-    reps = [_cochain(basis, alg.dim, 2, cocycles.col(p - d1.ncols))
+    basis, cols = cochain_basis(alg.dim, 2), cocycles.columns()
+    reps = [_cochain(basis, alg.dim, 2, cols[p - d1.ncols])
             for p in pivots if p >= d1.ncols]
     # equal counts hold only if every coboundary is a cocycle
     assert len(reps) == dim_h2
@@ -270,5 +270,5 @@ def extend_deformation(alg: LieAlgebra, alphas, order):
         x = solve(d2, operator_matrix(lambda _: rho, Basis([m]), basis3))
         if x is None:
             break
-        chain.append(_cochain(basis2, alg.dim, 2, x.col(0)))
+        chain.append(_cochain(basis2, alg.dim, 2, x.columns()[0]))
     return chain[k + 1:]

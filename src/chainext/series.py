@@ -11,11 +11,14 @@ supplies (the empty chain is the identity).  An operator takes sparse
 coefficients and returns a sparse coefficient.  Operators of several
 arguments (shlie's cochains) form chains of length one.  Equal chains of
 a shift are merged, so equal operators compare equal.  A chain is
-evaluated afresh on each application; an operator that is dear to apply
-keeps its own images (superalg.Derivation one per monomial).  `columns`
-evaluates every A_s on a whole list of monomial labels in one pass, chain
-by chain, and reads a Derivation's kept images in place, with no call and
-no copy per image.  Scalars are
+evaluated one way only: each of its operators is read monomial by monomial
+(`_reader`: a superalg.Derivation answers from the images it keeps, read in
+place, and any other operator is called on {m: 1} once per monomial and
+evaluation), and `_push` carries a sparse vector through the readers,
+innermost first.  `columns` evaluates every A_s on a whole list of monomial
+labels in one pass, `matrix` places those columns at every t-power, and
+`apply` pushes each coefficient of its argument; an operator of several
+arguments, alone in its chain, is called on them directly.  Scalars are
 kept as `exactla.exact` gives them, an integral one as an int, so scaling
 an int entry by one stays in ints.  `pair_sum` is the t^m coefficient of
 b(c_t, c_t): the deformation equations of `lie` and `bv`, and
@@ -147,30 +150,43 @@ def _reader(f, cache):
     return cache[f]
 
 
-def _add_chain_columns(acc, c, chain, labels, cache):
-    """acc[(a, b)] += c times the b coordinate of the chain's image of
-    {a: 1}, for every label a: the outermost operator is read once per
-    monomial of the inner image, and its terms go straight into acc."""
-    if not chain:
-        for a in labels:
-            acc[a, a] = acc.get((a, a), 0) + c
-        return
+def _readers(chain, c, cache):
+    """(rows, c): the readers of the chain's operators, outermost first,
+    and the scalar c divided by their dens."""
     rows = []
     for f in chain:
         row, den = _reader(f, cache)
         rows.append(row)
         if den != 1:
             c = exact(rat(c) / den)
-    outer, inner = rows[0], rows[1:]
+    return rows, c
+
+
+def _push(rows, x):
+    """The image of the sparse vector x under the operators that rows read,
+    innermost (last) first, in a fresh dict that may hold zeros; x itself
+    when rows is empty."""
+    for row in reversed(rows):
+        y = {}
+        for m, u in x.items():
+            if u:
+                add_into(y, row(m), u)
+        x = y
+    return x
+
+
+def _add_chain_columns(acc, c, chain, labels, cache):
+    """acc[(a, b)] += c times the b coordinate of the chain's image of
+    {a: 1}, for every label a: the innermost operator's image of a is read
+    in place, and the outermost operator's terms go straight into acc."""
+    if not chain:
+        for a in labels:
+            acc[a, a] = acc.get((a, a), 0) + c
+        return
+    (outer, *inner), c = _readers(chain, c, cache)
     get = acc.get
     for a in labels:
-        x = inner[-1](a) if inner else {a: 1}
-        for row in reversed(inner[:-1]):
-            y = {}
-            for m, u in x.items():
-                if u:
-                    add_into(y, row(m), u)
-            x = y
+        x = _push(inner[:-1], inner[-1](a)) if inner else {a: 1}
         for m, u in x.items():
             if u:
                 cu = c * u
@@ -179,21 +195,13 @@ def _add_chain_columns(acc, c, chain, labels, cache):
                     acc[a, b] = cu * v if prev is None else prev + cu * v
 
 
-def _chain_image(chain, args):
-    """The chain's image of args, innermost operator first."""
-    out = chain[-1](*args) if chain else args[0]
-    for f in reversed(chain[:-1]):
-        out = f(out) if out else {}
-    return out
-
-
 class TLinear:
     """sum_s t^s A_s; terms maps each shift s >= 0 to the [(scalar, chain)]
     pairs whose sum is A_s, in canonical form: in a shift each chain occurs
     once, with the sum of its scalars, and no scalar is zero and no shift
     empty.  Equality compares that form, whatever the order of the chains.
-    `images` applies the operator to one argument; `columns` to every
-    label of a list at once, reading the images that Derivations keep."""
+    `columns`, `matrix` and `apply` evaluate the chains through the same
+    readers (see the module docstring)."""
 
     __slots__ = ("terms",)
 
@@ -241,24 +249,6 @@ class TLinear:
                     for b, ch_b in pairs)
         return TLinear(terms)
 
-    def images(self, args, limit):
-        """{s: A_s(*args)} for the shifts s <= limit with a nonzero image;
-        an identity chain's image is args[0] itself, so the dicts are not
-        to be changed."""
-        out = {}
-        for s, pairs in self.terms.items():
-            if s > limit:
-                continue
-            if len(pairs) == 1 and pairs[0][0] == 1:
-                acc = _chain_image(pairs[0][1], args)
-            else:
-                acc = {}
-                for c, chain in pairs:
-                    add_into(acc, _chain_image(chain, args), c)
-            if acc:
-                out[s] = acc
-        return out
-
     def columns(self, labels, limit):
         """{s: {(a, b): value}} for the shifts s <= limit: the b coordinate
         of A_s({a: 1}) for every label a at once, with no zero entry and no
@@ -280,27 +270,41 @@ class TLinear:
 
     def apply(self, *xs):
         """sum of t^(k1+...+kr+s) A_s(c_k1, ..., c_kr) over the nonzero
-        coefficients of the arguments, truncated at the first one's T."""
+        coefficients of the arguments, truncated at the first one's T.  The
+        coefficients of one argument are pushed through each chain's
+        readers; an operator of several arguments is called on them."""
         T = xs[0].T
         out = [{} for _ in range(T + 1)]
+        cache = {}
         for ks in product(*([k for k, t in enumerate(x.terms) if t]
                             for x in xs)):
-            if sum(ks) <= T:
-                args = tuple(x.terms[k] for x, k in zip(xs, ks))
-                for s, img in self.images(args, T - sum(ks)).items():
-                    add_into(out[sum(ks) + s], img)
-        return Series.of_terms(xs[0].space, T, out)
+            args = [x.terms[k] for x, k in zip(xs, ks)]
+            for s, pairs in self.terms.items():
+                if sum(ks) + s > T:
+                    continue
+                for c, chain in pairs:
+                    if len(args) > 1:
+                        (op,) = chain
+                        img = op(*args)
+                    else:
+                        rows, c = _readers(chain, c, cache)
+                        img = _push(rows, args[0])
+                    add_into(out[sum(ks) + s], img, c)
+        return Series.of_terms(xs[0].space, T, [
+            {m: v for m, v in t.items() if v} for t in out])
 
     def matrix(self, src, dst, T):
         """Matrix from the Basis src to dst, both labelled (m, k) for the
-        series m t^k: each A_s is evaluated once per coefficient label m and
-        its image placed at every t-power k + s <= T."""
-        cache = {}
-
-        def column(label):
-            m, k = label
-            if m not in cache:
-                cache[m] = self.images(({m: 1},), T)
-            return image({(mm, k + s): c for s, img in cache[m].items()
-                          if k + s <= T for mm, c in img.items()})
-        return operator_matrix(column, src, dst)
+        series m t^k: one `columns` call evaluates each A_s once on every
+        coefficient label m of src, and operator_matrix places each entry
+        at every t-power k + s <= T, naming the first label in src order
+        whose image escapes dst."""
+        cols = self.columns(list(dict.fromkeys(m for m, _k in src.labels)),
+                            T)
+        images = {}
+        for s in sorted(cols):
+            for (a, b), v in cols.pop(s).items():
+                images.setdefault(a, []).append((s, b, v))
+        return operator_matrix(lambda label: image(
+            {(b, label[1] + s): v for s, b, v in images.get(label[0], ())
+             if label[1] + s <= T}), src, dst)

@@ -353,15 +353,15 @@ def crosscheck_with_engine(S: ShLieStructure) -> dict:
         (smm[b] @ l1m).scale(-1) == mixed[b] for b in range(dim))
 
     # e_a at t^0 is X_0 basis vector a, so s(l2(l2(e_a, e_b), e_c)) is
-    # column a of sl2l2[c][b]
-    sl2l2 = [[smm[c] @ m for m in mmats] for c in range(dim)]
+    # column a of sl2l2[c][b], whose columns are read once
+    sl2l2 = [[(smm[c] @ m).columns() for m in mmats] for c in range(dim)]
     e = [Series.basis(dim, N, 0, i) for i in range(dim)]
 
     def s_jacobiator(a, b, c):
         """s of the l2-Jacobiator on (e_a, e_b, e_c), a sparse column."""
-        out = sl2l2[c][b].col(a)
-        add_into(out, sl2l2[b][c].col(a), -1)
-        add_into(out, sl2l2[a][c].col(b))
+        out = dict(sl2l2[c][b][a])
+        add_into(out, sl2l2[b][c][a], -1)
+        add_into(out, sl2l2[a][c][b])
         return out
     report["l3_matches"] = all(
         s_jacobiator(a, b, c) == S.l3_000(e[a], e[b], e[c]).flat(kmin)

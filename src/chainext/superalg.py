@@ -308,15 +308,18 @@ class Derivation:
     derivation, or a left one with left=True.  The values are stored once,
     as one exact image of exactla split by generator into kernel form:
     `values` is {index: [(monomial, odd factors, int)]} over the denominator
-    `den`.  `image` gives D(terms / den) as an exact image, and a call the
-    nonzero terms of D(terms), an integral value as an int, in a fresh dict.
+    `den`.  `image` gives D(terms / den) as an exact image, from one pass
+    of the Leibniz kernel, and a call D(terms) through `image`, its nonzero
+    terms with an integral value as an int, in a fresh dict.
 
-    A call sums c * D(m) over the terms c m; each D(m) (times den) is kept
-    in `table` from its first use on, and `row(m)` hands the kept dict out
-    in place, so bv's Theorem-8 sweep derives each monomial once, and the
-    values must not change after the first call or `row`.  `image` keeps
-    nothing: brst applies delta and d to each monomial at most twice, once
-    for its block column and once in BRSTExtension's rule."""
+    `row(m)` is D(m) times den, derived on first use and kept in `table`
+    for the derivation's lifetime; the kept dict is handed out in place,
+    so series' readers (bv's Theorem-8 sweep and its matrices) derive each
+    monomial once, and the values must not change after the first `row`.
+    Neither `image` nor a call keeps anything: brst applies delta and d to
+    each monomial at most twice, once for its block column and once in
+    BRSTExtension's rule, and antibracket and extend_right_derivation build
+    a fresh derivation for each call."""
 
     __slots__ = ("parities", "parity", "left", "values", "den", "table")
 
@@ -364,21 +367,9 @@ class Derivation:
             and values(self) == values(other))
 
     def __call__(self, terms):
-        table, out = self.table, {}
-        for m, c in terms.items():
-            row = table.get(m)
-            if row is None:
-                row = self.row(m)
-            c = exact(c)
-            if out:
-                add_into(out, row, c)
-            else:                           # a copy: the row stays as kept
-                out = dict(row) if c == 1 else {k: c * v
-                                                for k, v in row.items()}
-        if 0 in out.values():
-            out = {m: c for m, c in out.items() if c}
-        return out if self.den == 1 else {
-            m: exact(Fraction(c, self.den)) for m, c in out.items()}
+        out, den = self.image(*image(terms))
+        return out if den == 1 else {m: exact(Fraction(c, den))
+                                     for m, c in out.items()}
 
 
 def extend_right_derivation(f: SuperPoly, values, parity) -> SuperPoly:

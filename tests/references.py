@@ -5,8 +5,10 @@ brst operators act on SuperPoly through extend_right_derivation and the
 system's generator values, not through the compiled blocks (delta is
 brst.koszul_tate, looked up on the module, so a patched one reaches them);
 a derivation's one-pass call runs superalg._derive over the whole argument,
-with no per-monomial table; the series, cochain and graded-map helpers work
-on the stored coefficients directly; the dense linear algebra builds
+with no per-monomial table; a t-linear operator's images call each chain's
+operators in turn on the whole argument, with none of series' readers; the
+series, cochain and graded-map helpers work on the stored coefficients
+directly; the dense linear algebra builds
 matrices from dense Fraction columns and reads the kernel off the reduced
 form one entry at a time.  The tests import them from here, as
 they import the bundled models from bundled.
@@ -69,8 +71,8 @@ def eta_project(sys, f):
 # -- superalg: a derivation in one pass -----------------------------------------
 
 def one_pass_call(d, terms):
-    """superalg.Derivation d applied to terms as a call did before it kept
-    a table: one _derive pass over the whole dict, the nonzero terms of
+    """superalg.Derivation d applied to terms with no exact image in
+    between: one _derive pass over the whole dict, the nonzero terms of
     D(terms) with an integral value as an int."""
     out = _derive(terms, d.values, d.parity, d.parities, d.left)
     if d.den == 1:
@@ -94,6 +96,28 @@ def apply_S(maps, pair):
 
 
 # -- series, cochains and graded maps -------------------------------------------
+
+def chain_images(A, args, limit):
+    """{s: A_s(*args)} of a series.TLinear for the shifts s <= limit with a
+    nonzero image: each chain applied from scratch, its innermost operator
+    called on args and each outer one on the image so far, and the chains'
+    images summed with their scalars."""
+    out = {}
+    for s, pairs in A.terms.items():
+        if s > limit:
+            continue
+        acc = {}
+        for c, chain in pairs:
+            v = chain[-1](*args) if chain else args[0]
+            for f in reversed(chain[:-1]):
+                v = f(v)
+            for k, x in v.items():
+                acc[k] = acc.get(k, 0) + c * x
+        acc = {k: x for k, x in acc.items() if x}
+        if acc:
+            out[s] = acc
+    return out
+
 
 def tshift(x, k):
     """The series x times t^k, truncated modulo t^(T+1)."""

@@ -285,7 +285,7 @@ def test_homotopy_export():
     assert verify_homotopy(hd)["ok"]
     assert hd.f_dim == sum(1 for (_, k) in b0.labels if k <= 1)
     # h = -(star) vanishes below the ideal t^(n+1) R[[t]]
-    for (_, k), col in zip(b0.labels, hd.s.block(0).column_rows()):
+    for (_, k), col in zip(b0.labels, hd.s.block(0).columns()):
         assert (k > maps.n) == bool(col)
 
 
@@ -389,9 +389,9 @@ def reference_verify_theorem8(maps, maxdeg):
 
 def scale_values(ad, c):
     """Scale the generator values of a compiled (F, .) in place, so every
-    stored operator that holds it applies (c F, .).  A call keeps each
-    monomial's image, so the mutation must come before the first call, or
-    the kept images would still apply F."""
+    stored operator that holds it applies (c F, .).  `row` keeps each
+    monomial's image, so the mutation must come before the first row is
+    read, or the kept images would still apply F."""
     assert not ad.table, "(F, .) was applied before its values were scaled"
     ad.values = {k: [(m, odd, c * v) for m, odd, v in vs]
                  for k, vs in ad.values.items()}

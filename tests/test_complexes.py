@@ -472,7 +472,7 @@ def perturbed_l3(ext):
     """ext with one unit entry added to l3 on X_0 -> X_1, placed where l1 is
     nonzero on X_1, so that l1 l3 changes; None when l1 vanishes on X_1."""
     b = ext.l1.block(1)
-    i = next((j for j in range(b.ncols) if b.col(j)), None)
+    i = next((j for j, col in enumerate(b.columns()) if col), None)
     if i is None:
         return None
     n0 = ext.space.dim(0)

@@ -93,8 +93,8 @@ def test_kernel_rank_nullity_random():
         want = dense_kernel_basis(m)
         assert basis.ncols == len(want) == nc - rank(m)
         assert basis.nrows == nc
-        for j, v in enumerate(want):
-            assert basis.col(j) == {i: x for i, x in enumerate(v) if x}
+        assert basis.columns() == [{i: x for i, x in enumerate(v) if x}
+                                   for v in want]
         assert (m @ basis).is_zero()
 
 
@@ -460,12 +460,11 @@ def check_against(m, want, ncols):
     assert m.shape == (len(want), ncols)
     assert m.rows == tuple(tuple(r) for r in want)
     assert all(type(x) is Fraction for row in m.rows for x in row)
-    for j in range(ncols):
-        assert m.col(j) == {i: r[j] for i, r in enumerate(want) if r[j]}
-        assert list(m.col(j)) == sorted(m.col(j))
-        assert all(type(x) is Fraction for x in m.col(j).values())
-    assert m.column_rows() == [[i for i, r in enumerate(want) if r[j]]
-                               for j in range(ncols)]
+    cols = m.columns()
+    assert cols == [{i: r[j] for i, r in enumerate(want) if r[j]}
+                    for j in range(ncols)]
+    assert all(list(col) == sorted(col) for col in cols)
+    assert all(type(x) is Fraction for col in cols for x in col.values())
     for i in range(len(want)):
         for j in range(ncols):
             assert m.entry(i, j) == want[i][j] and \
@@ -532,8 +531,9 @@ MATRIX_GUARDS = [
      "ragged rows in matrix input"),
     (lambda: RatMatrix([[1, 2]], ncols=3), ValueError,
      "ncols=3 disagrees with row width 2"),
-    (lambda: RatMatrix([[1, 2]]).col(2), IndexError, "column 2 out of range"),
-    (lambda: RatMatrix([[1, 2]]).col(-1), IndexError,
+    (lambda: RatMatrix([[1, 2]]).entry(0, 2), IndexError,
+     "column 2 out of range"),
+    (lambda: RatMatrix([[1, 2]]).entry(0, -1), IndexError,
      "column -1 out of range"),
     (lambda: RatMatrix([[1, 2]]) @ RatMatrix([[1, 2]]), ValueError,
      "shape mismatch in product: (1, 2) @ (1, 2)"),

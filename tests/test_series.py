@@ -15,7 +15,7 @@ from chainext.lie import LieAlgebra, ce_differential, Cochain
 from chainext.series import Series, TLinear
 from chainext.shlie import build_shlie
 
-from references import cochain_eval, dense_coeffs, tshift
+from references import chain_images, cochain_eval, dense_coeffs, tshift
 
 _settings = settings(max_examples=60, deadline=None)
 
@@ -263,12 +263,27 @@ def test_matrix_columns_are_applied_basis_series(data):
     T = data.draw(st.integers(0, 3))
     A = data.draw(tlinears())
     labels = [(i, k) for k in range(T + 1) for i in range(DIM)]
-    mat = A.matrix(Basis(labels), Basis(labels), T)
+    cols = A.matrix(Basis(labels), Basis(labels), T).columns()
     for col, (i, k) in enumerate(labels):
         image = A.apply(Series.basis(DIM, T, k, i))
-        assert mat.col(col) == {row: image.terms[kk][ii]
-                                for row, (ii, kk) in enumerate(labels)
-                                if image.terms[kk].get(ii)}
+        assert cols[col] == {row: image.terms[kk][ii]
+                             for row, (ii, kk) in enumerate(labels)
+                             if image.terms[kk].get(ii)}
+
+
+def test_matrix_names_the_first_escaping_label_in_src_order():
+    """t BASES[0] sends e1 to e0 t and e2 to e1 t, both outside a target
+    basis at t^0 only: the error names the image of whichever of e1, e2
+    comes first in src, and e0, whose image is zero, escapes nothing."""
+    A = TLinear({1: [(1, (BASES[0],))]})
+    dst = Basis([(i, 0) for i in range(DIM)],
+                lambda b: "e%d t^%d" % (b[0], b[1]))
+    for order, name in (([0, 2, 1], "e1 t^1"), ([1, 0, 2], "e0 t^1")):
+        with pytest.raises(ValueError) as err:
+            A.matrix(Basis([(i, 0) for i in order]), dst, 1)
+        assert err.value.args == (
+            "operator output escapes the basis at %s" % name,)
+    assert A.matrix(Basis([(0, 0)]), dst, 1).is_zero()
 
 
 # BASES[0] negated: a chain through it cancels the same chain through
@@ -295,11 +310,11 @@ def chained_tlinears(draw):
 
 
 def columns_from_images(A, labels, limit):
-    """{s: {(a, b): value}} assembled from images(({a: 1},), limit), label
-    by label."""
+    """{s: {(a, b): value}} assembled from the reference images of {a: 1},
+    label by label."""
     out = {}
     for a in labels:
-        for s, img in A.images(({a: 1},), limit).items():
+        for s, img in chain_images(A, ({a: 1},), limit).items():
             for b, v in img.items():
                 out.setdefault(s, {})[a, b] = v
     return out
@@ -327,9 +342,12 @@ def test_composite_images_on_one_argument():
     2 (f g + g f) at 1 and -2 (f g + g f) at 3, and 4 g g - 2 f f at 2."""
     f, g = BASES[1], BASES[2]
     A = TLinear({0: [(1, (f,))], 1: [(2, (g,))], 2: [(-1, (f,))]})
-    assert A.compose(A).images(({0: Fraction(1), 2: Fraction(1)},), 4) == {
-        0: {0: 9, 2: 9}, 1: {0: -4, 1: 4, 2: -6}, 2: {0: -18, 1: 4, 2: -6},
-        3: {0: 4, 1: -4, 2: 6}, 4: {0: 9, 2: 9}}
+    want = {0: {0: 9, 2: 9}, 1: {0: -4, 1: 4, 2: -6},
+            2: {0: -18, 1: 4, 2: -6}, 3: {0: 4, 1: -4, 2: 6}, 4: {0: 9, 2: 9}}
+    arg = {0: Fraction(1), 2: Fraction(1)}
+    assert chain_images(A.compose(A), (arg,), 4) == want
+    x = Series.of_terms(DIM, 4, [arg, {}, {}, {}, {}])
+    assert A.compose(A).apply(x).terms == [want[s] for s in range(5)]
 
 
 def test_integral_scalars_stay_ints():
@@ -343,9 +361,13 @@ def test_integral_scalars_stay_ints():
         for pairs in op.terms.values():
             for c, _chain in pairs:
                 assert type(c) is int or c.denominator != 1
-    images = A.compose(A).images(({0: 3},), 2)
-    assert images == {0: {0: 3}, 1: {0: Fraction(-3)}, 2: {0: Fraction(3, 4)}}
+    want = {0: {0: 3}, 1: {0: Fraction(-3)}, 2: {0: Fraction(3, 4)}}
+    images = chain_images(A.compose(A), ({0: 3},), 2)
+    assert images == want
     assert type(images[0][0]) is int
+    terms = A.compose(A).apply(Series.of_terms(1, 2, [{0: 3}, {}, {}])).terms
+    assert terms == [want[0], want[1], want[2]]
+    assert type(terms[0][0]) is int
 
 
 def test_canonical_form_merges_equal_chains():

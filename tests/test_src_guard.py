@@ -230,8 +230,8 @@ def test_no_src_module_imports_a_name_it_never_loads():
 
 def test_only_formats_reads_a_matrix_dense():
     assert sorted(dense_reads(_src_trees())) == [], \
-        "a dense read of a matrix outside formats; read it sparse (col, " \
-        "column_rows, entry) or move it to the file boundary"
+        "a dense read of a matrix outside formats; read it sparse " \
+        "(columns, entry) or move it to the file boundary"
 
 
 def test_the_dense_read_scan_flags_rows_and_mat_vec():
